@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_asn.add_argument("--kind", choices=("peaks", "spins"), default=None)
     p_asn.add_argument("--variant", choices=("dp", "ilp", "lian1", "lian2"), default=None)
     p_asn.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p_asn.add_argument("--threads", type=int, default=None)
     p_asn.add_argument("--backend", default=None, help="bundled or external:<path>")
     p_asn.add_argument("--node-limit", dest="node_limit", type=int, default=None)
 
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("--dataset", help="peaks or spins TSV file")
     p_gs.add_argument("--kind", choices=("peaks", "spins"), default=None)
     p_gs.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p_gs.add_argument("--threads", type=int, default=None)
     p_gs.add_argument("--export", action="store_true", help="also write the full graph JSON")
 
     return parser
@@ -166,9 +163,6 @@ def _cmd_assign(cfg: dict) -> int:
     seq = load_sequence(_require(cfg, "sequence", "--sequence"))
     priors = load_priors(cfg.get("priors"))
     tol = _tolerances(cfg)
-    threads = cfg.get("threads")
-    if threads is None:
-        threads = os.cpu_count() or 1
     summary = run_assign(
         outdir=_require(cfg, "out", "--out"),
         dataset=_require(cfg, "dataset", "--dataset"),
@@ -178,7 +172,6 @@ def _cmd_assign(cfg: dict) -> int:
         variant=cfg.get("variant") or "lian1",
         kind=cfg.get("kind"),
         top_k=cfg.get("top_k") if cfg.get("top_k") is not None else 20,
-        threads=threads,
         backend=cfg.get("backend") or "bundled",
         node_limit=cfg.get("node_limit") or 100_000,
     )
@@ -214,7 +207,6 @@ def _cmd_graph_stats(cfg: dict) -> int:
         tol=tol,
         kind=cfg.get("kind"),
         top_k=cfg.get("top_k") if cfg.get("top_k") is not None else 20,
-        threads=cfg.get("threads") or 1,
         export=bool(cfg.get("export")),
     )
     print(

@@ -106,21 +106,38 @@ def _observations(grouping: PeakGrouping, prev: bool) -> dict[str, list[tuple[fl
 
 def node_typing_cost(
     grouping: PeakGrouping, residue_type: str, priors: PriorTable, tol: Tolerances
-) -> tuple[float, float] | None:
-    """(cost, threshold) of a grouping against one residue's priors.
+) -> tuple[dict[str, float], float] | None:
+    """(per-role costs, threshold) of a grouping against one residue's priors.
 
-    Returns None when the grouping observes an atom the residue does not
-    have, which makes the assignment impossible.
+    Roles are the grouping's intra-residue base roles in sorted order; the
+    grouping is typed as the residue when the costs sum to at most the
+    threshold. Returns None when the grouping observes an atom the residue
+    does not have, which makes the assignment impossible.
     """
-    cost = 0.0
+    role_costs: dict[str, float] = {}
     threshold = 0.0
     for role, obs in sorted(_observations(grouping, prev=False).items()):
         prior = priors.prior(residue_type, role)
         if prior is None:
             return None
-        cost += atom_cost(prior, obs).cost
+        role_costs[role] = atom_cost(prior, obs).cost
         threshold += typing_threshold(prior, len(obs), [sigma for _, sigma in obs], tol.delta)
-    return cost, threshold
+    return role_costs, threshold
+
+
+def _typed(
+    groupings: Sequence[PeakGrouping],
+    residue_type: str,
+    priors: PriorTable,
+    tol: Tolerances,
+) -> list[tuple[PeakGrouping, dict[str, float]]]:
+    """Groupings typed as the residue, each with its per-role costs."""
+    kept = []
+    for g in groupings:
+        scored = node_typing_cost(g, residue_type, priors, tol)
+        if scored is not None and sum(scored[0].values()) <= scored[1]:
+            kept.append((g, scored[0]))
+    return kept
 
 
 def prune_by_typing(
@@ -130,12 +147,7 @@ def prune_by_typing(
     tol: Tolerances,
 ) -> list[PeakGrouping]:
     """Groupings statistically consistent with the residue (ties retained)."""
-    kept = []
-    for g in groupings:
-        scored = node_typing_cost(g, residue_type, priors, tol)
-        if scored is not None and scored[0] <= scored[1]:
-            kept.append(g)
-    return kept
+    return [g for g, _ in _typed(groupings, residue_type, priors, tol)]
 
 
 def residue_threshold(
@@ -178,32 +190,27 @@ def build_graph(
     for k in range(1, n + 1):
         thresholds[k] = residue_threshold(seq.residue_type(k), priors, tol, expected)
 
-    # cache per-grouping observation maps and per-residue typing outcomes
+    # cache per-grouping observation maps and per-residue-type typing outcomes
     intra = {g.grouping_id: _observations(g, prev=False) for g in groupings}
     prev = {g.grouping_id: _observations(g, prev=True) for g in groupings}
+    typed: dict[str, list[tuple[PeakGrouping, dict[str, float]]]] = {}
 
     layers: list[list[AssignmentNode]] = [[AssignmentNode(0, 0, START)]]
     peak_usage: list[dict[int, frozenset[str]]] = [{}]
     typing: dict[tuple[int, str], dict[str, float]] = {}
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
+        if residue_type not in typed:
+            typed[residue_type] = _typed(groupings, residue_type, priors, tol)
         nodes = [AssignmentNode(k, 0, DUMMY)]
         usage: dict[int, frozenset[str]] = {}
-        per_role_costs: dict[str, dict[str, float]] = {}
-        for g in groupings:
-            costs = _typing_costs(g, intra[g.grouping_id], residue_type, priors, tol)
-            if costs is None:
-                continue
-            role_costs, threshold = costs
-            if sum(role_costs.values()) <= threshold:
-                node = AssignmentNode(k, len(nodes), REGULAR, g)
-                usage[node.index] = g.member_peaks
-                per_role_costs[g.grouping_id] = role_costs
-                nodes.append(node)
+        for g, role_costs in typed[residue_type]:
+            node = AssignmentNode(k, len(nodes), REGULAR, g)
+            usage[node.index] = g.member_peaks
+            typing[(k, g.grouping_id)] = role_costs
+            nodes.append(node)
         layers.append(nodes)
         peak_usage.append(usage)
-        for gid, role_costs in per_role_costs.items():
-            typing[(k, gid)] = role_costs
     layers.append([AssignmentNode(n + 1, 0, END)])
     peak_usage.append({})
 
@@ -233,24 +240,6 @@ def build_graph(
         edges.append(layer_edges)
 
     return AssignmentGraph(seq, layers, edges, peak_usage, thresholds)
-
-
-def _typing_costs(
-    grouping: PeakGrouping,
-    intra_obs: Mapping[str, list[tuple[float, float]]],
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-) -> tuple[dict[str, float], float] | None:
-    role_costs: dict[str, float] = {}
-    threshold = 0.0
-    for role, obs in sorted(intra_obs.items()):
-        prior = priors.prior(residue_type, role)
-        if prior is None:
-            return None
-        role_costs[role] = atom_cost(prior, obs).cost
-        threshold += typing_threshold(prior, len(obs), [s for _, s in obs], tol.delta)
-    return role_costs, threshold
 
 
 def _edge_cost(

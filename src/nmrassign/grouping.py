@@ -12,7 +12,6 @@ grouping with a single observation per present role.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -340,7 +339,6 @@ def enumerate_groupings(
     tol: Tolerances,
     component_budget: int = 64,
     expansion_budget: int = 500_000,
-    workers: int = 1,
 ) -> list[PeakGrouping]:
     """Expand maximal cliques into groupings.
 
@@ -359,39 +357,22 @@ def enumerate_groupings(
                 f"component with {len(comp)} peaks exceeds budget {component_budget}"
             )
 
-    def expand_component(comp: list[str]) -> list[tuple[frozenset[str], tuple]]:
+    # cliques overlap, so the same assignment can be found twice
+    assignments: list[tuple[frozenset[str], tuple]] = []
+    seen: set[tuple[frozenset[str], tuple]] = set()
+    for comp in components:
         adj = {v: graph.adjacency[v] & set(comp) for v in comp}
         cliques = _maximal_cliques(comp, adj)
         if top_k is not None:
             cliques = cliques[:top_k]
         budget = _ExpansionBudget(expansion_budget)
-        found: list[tuple[frozenset[str], tuple]] = []
         for clique in cliques:
-            found.extend(
-                _expand_clique(clique, peaks_by_id, pattern, tol, top_k is None, budget)
-            )
-        # cliques overlap, so the same assignment can be found twice
-        seen: set[tuple[frozenset[str], tuple]] = set()
-        unique = []
-        for item in found:
-            if item not in seen:
-                seen.add(item)
-                unique.append(item)
-        return unique
-
-    if workers > 1 and len(components) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_component = list(pool.map(expand_component, components))
-    else:
-        per_component = [expand_component(comp) for comp in components]
-
-    assignments: list[tuple[frozenset[str], tuple]] = []
-    seen_members: set[tuple[frozenset[str], tuple]] = set()
-    for chunk in per_component:
-        for item in chunk:
-            if item not in seen_members:
-                seen_members.add(item)
-                assignments.append(item)
+            for item in _expand_clique(
+                clique, peaks_by_id, pattern, tol, top_k is None, budget
+            ):
+                if item not in seen:
+                    seen.add(item)
+                    assignments.append(item)
 
     groupings = [
         _grouping_from_assignment(member_set, role_map, peaks_by_id, priors)

@@ -19,7 +19,7 @@ import importlib.util
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -44,32 +44,33 @@ class SolverError(NmrAssignError):
     """The LP backend failed to produce a usable solution."""
 
 
-@dataclass(frozen=True)
-class LpRow:
-    """One constraint row: a sparse coefficient map, a sense, and a bound."""
-
-    name: str
-    coeffs: Mapping[int, float]
-    rhs: float
-    kind: str  # "eq" or "ub"
-
-
 @dataclass
 class LinearProgram:
-    """A minimization LP with named variables and cached scipy matrices."""
+    """A minimization LP with named variables and scipy constraint matrices.
+
+    The constraints are ``A_eq @ x == b_eq`` and ``A_ub @ x <= b_ub``, with
+    CSR matrices whose column indices are sorted within each row, or None
+    when a sense has no rows (its right-hand side is then empty).
+    ``row_names`` names the equality rows first, then the inequality rows.
+    External backends (``--backend external:<path>``) may read ``costs``,
+    ``matrices()`` or the four matrix fields, and ``bounds``.
+    """
 
     variant: str
     var_names: list[str]
     costs: np.ndarray
-    rows: list[LpRow]
     bounds: list[tuple[float, float | None]]
+    A_eq: sparse.csr_matrix | None
+    b_eq: np.ndarray
+    A_ub: sparse.csr_matrix | None
+    b_ub: np.ndarray
+    row_names: list[str]
     #: (k, i, j) -> variable index for the edge between layers k and k+1
     edge_vars: dict[tuple[int, int, int], int]
     #: peak id -> slack variable index (soft variant only)
     eps_vars: dict[str, int] = field(default_factory=dict)
     #: peak id -> edge variable indices its utilization row touches
     utilization: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    _cache: dict | None = None
 
     @property
     def n_vars(self) -> int:
@@ -77,33 +78,41 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     def matrices(self):
-        """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray, built once."""
-        if self._cache is None:
-            eq_rows = [r for r in self.rows if r.kind == "eq"]
-            ub_rows = [r for r in self.rows if r.kind == "ub"]
-            self._cache = {
-                "A_eq": _sparse_from_rows(eq_rows, self.n_vars),
-                "b_eq": np.array([r.rhs for r in eq_rows]),
-                "A_ub": _sparse_from_rows(ub_rows, self.n_vars),
-                "b_ub": np.array([r.rhs for r in ub_rows]),
-            }
-        c = self._cache
-        return c["A_eq"], c["b_eq"], c["A_ub"], c["b_ub"]
+        """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
+        return self.A_eq, self.b_eq, self.A_ub, self.b_ub
 
 
-def _sparse_from_rows(rows: Sequence[LpRow], n_vars: int):
-    if not rows:
-        return None
-    data, ri, ci = [], [], []
-    for r_idx, row in enumerate(rows):
-        for c_idx, coeff in sorted(row.coeffs.items()):
-            ri.append(r_idx)
-            ci.append(c_idx)
-            data.append(coeff)
-    return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n_vars))
+class _RowBuilder:
+    """Accumulates constraint rows of one sense straight into CSR arrays."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.indptr = [0]
+        self.indices: list[int] = []
+        self.data: list[float] = []
+        self.rhs: list[float] = []
+
+    def add(
+        self, name: str, indices: Sequence[int], data: Sequence[float], rhs: float
+    ) -> None:
+        """Append one row; ``indices`` must be increasing."""
+        self.names.append(name)
+        self.indices.extend(indices)
+        self.data.extend(data)
+        self.indptr.append(len(self.indices))
+        self.rhs.append(rhs)
+
+    def build(self, n_vars: int):
+        n_rows = len(self.rhs)
+        matrix = None
+        if n_rows:
+            matrix = sparse.csr_matrix(
+                (self.data, self.indices, self.indptr), shape=(n_rows, n_vars)
+            )
+        return matrix, np.array(self.rhs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,12 @@ class LpSolution:
 
 
 def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgram:
-    """Build the flow LP for a graph, optionally with utilization rows."""
+    """Build the flow LP for a graph, optionally with utilization rows.
+
+    Columns are the edges in (k, i, j) order, then the slack variables in
+    peak order. Rows are ``select_k`` per inner layer, ``flow_k_i`` per
+    inner node, then ``use_<pid>`` per contested peak in peak order.
+    """
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown LP variant {variant!r}")
     n = g.n
@@ -136,56 +150,70 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     costs = [g.edges[k][(i, j)] for k, i, j in edge_keys]
     bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * len(edge_keys)
 
-    rows: list[LpRow] = []
+    # one pass in column order leaves every incidence list increasing
+    layer_vars: list[list[int]] = [[] for _ in range(n + 2)]
+    incoming: list[list[list[int]]] = [[[] for _ in layer] for layer in g.layers]
+    outgoing: list[list[list[int]]] = [[[] for _ in layer] for layer in g.layers]
+    for idx, (k, i, j) in enumerate(edge_keys):
+        layer_vars[k].append(idx)
+        outgoing[k][i].append(idx)
+        incoming[k + 1][j].append(idx)
+
+    eq = _RowBuilder()
     for k in range(1, n + 1):
-        coeffs = {edge_vars[(k, i, j)]: 1.0 for (i, j) in g.edges[k]}
-        rows.append(LpRow(f"select_{k}", coeffs, 1.0, "eq"))
+        eq.add(f"select_{k}", layer_vars[k], [1.0] * len(layer_vars[k]), 1.0)
     for k in range(1, n + 1):
         for node in g.layers[k]:
-            coeffs: dict[int, float] = {}
-            for (i, j) in g.edges[k - 1]:
-                if j == node.index:
-                    coeffs[edge_vars[(k - 1, i, j)]] = 1.0
-            for (i, j) in g.edges[k]:
-                if i == node.index:
-                    coeffs[edge_vars[(k, i, j)]] = coeffs.get(edge_vars[(k, i, j)], 0.0) - 1.0
-            rows.append(LpRow(f"flow_{k}_{node.index}", coeffs, 0.0, "eq"))
+            into, out = incoming[k][node.index], outgoing[k][node.index]
+            # edges into layer k precede edges out of it in column order
+            eq.add(
+                f"flow_{k}_{node.index}",
+                into + out,
+                [1.0] * len(into) + [-1.0] * len(out),
+                0.0,
+            )
 
+    ub = _RowBuilder()
     eps_vars: dict[str, int] = {}
     utilization: dict[str, tuple[int, ...]] = {}
     if variant in ("lian1", "lian2"):
-        consumers: dict[str, set[tuple[int, int]]] = {}
+        # peak id -> outgoing edge variables of each node consuming it
+        consumers: dict[str, list[list[int]]] = {}
         for k in range(1, n + 1):
             for i, peaks in g.peak_usage[k].items():
                 for pid in peaks:
-                    consumers.setdefault(pid, set()).add((k, i))
-        contested = sorted(p for p, nodes in consumers.items() if len(nodes) >= 2)
-        for pid in contested:
-            indices: set[int] = set()
-            for k, i in consumers[pid]:
-                for (src, j) in g.edges[k]:
-                    if src == i:
-                        indices.add(edge_vars[(k, src, j)])
+                    consumers.setdefault(pid, []).append(outgoing[k][i])
+        for pid in sorted(consumers):
+            if len(consumers[pid]) < 2:
+                continue
+            indices = sorted(idx for out in consumers[pid] for idx in out)
             if not indices:
                 continue
-            utilization[pid] = tuple(sorted(indices))
-            coeffs = {idx: 1.0 for idx in utilization[pid]}
+            utilization[pid] = tuple(indices)
+            data = [1.0] * len(indices)
             if variant == "lian2":
                 eps_idx = len(var_names) + len(eps_vars)
                 eps_vars[pid] = eps_idx
-                coeffs[eps_idx] = -1.0
-            rows.append(LpRow(f"use_{pid}", coeffs, 1.0, "ub"))
+                indices.append(eps_idx)
+                data.append(-1.0)
+            ub.add(f"use_{pid}", indices, data, 1.0)
         for pid in sorted(eps_vars):
             var_names.append(f"eps_{pid}")
             costs.append(tol.lam)
             bounds.append((0.0, None))
 
+    A_eq, b_eq = eq.build(len(var_names))
+    A_ub, b_ub = ub.build(len(var_names))
     return LinearProgram(
         variant=variant,
         var_names=var_names,
         costs=np.array(costs, dtype=float),
-        rows=rows,
         bounds=bounds,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        row_names=eq.names + ub.names,
         edge_vars=edge_vars,
         eps_vars=eps_vars,
         utilization=utilization,
@@ -513,12 +541,15 @@ def solve_ilp(
 def lp_to_text(lp: LinearProgram, integral: bool = False) -> str:
     """Render the program in CPLEX LP text format."""
     lines = ["Minimize", " obj: " + _linear_expr(
-        {i: c for i, c in enumerate(lp.costs) if c != 0.0}, lp
+        [(i, c) for i, c in enumerate(lp.costs) if c != 0.0], lp
     )]
     lines.append("Subject To")
-    for row in lp.rows:
-        op = "=" if row.kind == "eq" else "<="
-        lines.append(f" {row.name}: {_linear_expr(row.coeffs, lp)} {op} {row.rhs:.17g}")
+    names = iter(lp.row_names)
+    for A, b, op in ((lp.A_eq, lp.b_eq, "="), (lp.A_ub, lp.b_ub, "<=")):
+        for r, rhs in enumerate(b):
+            lo, hi = A.indptr[r], A.indptr[r + 1]
+            terms = zip(A.indices[lo:hi], A.data[lo:hi])
+            lines.append(f" {next(names)}: {_linear_expr(terms, lp)} {op} {rhs:.17g}")
     lines.append("Bounds")
     for idx, (lo, hi) in enumerate(lp.bounds):
         hi_txt = "+inf" if hi is None else f"{hi:.17g}"
@@ -530,13 +561,14 @@ def lp_to_text(lp: LinearProgram, integral: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _linear_expr(coeffs: Mapping[int, float], lp: LinearProgram) -> str:
-    terms = []
-    for idx, coeff in sorted(coeffs.items()):
+def _linear_expr(terms: Iterable[tuple[int, float]], lp: LinearProgram) -> str:
+    """``terms`` are (variable index, coefficient) pairs in index order."""
+    parts = []
+    for idx, coeff in terms:
         sign = "-" if coeff < 0 else "+"
-        prefix = sign if terms or sign == "-" else ""
-        terms.append(f"{prefix} {abs(coeff):.17g} {lp.var_names[idx]}".strip())
-    return " ".join(terms) if terms else "0"
+        prefix = sign if parts or sign == "-" else ""
+        parts.append(f"{prefix} {abs(coeff):.17g} {lp.var_names[idx]}".strip())
+    return " ".join(parts) if parts else "0"
 
 
 def export_lp(lp: LinearProgram, path: str | Path, integral: bool = False) -> None:

@@ -33,8 +33,13 @@ from .experiments import (
     expected_pattern,
     spin_observation_counts,
 )
-from .graph import build_graph, export_graph, graph_stats
-from .grouping import build_compatibility_graph, enumerate_groupings, spins_to_groupings
+from .graph import ExpectedCounts, build_graph, export_graph, graph_stats
+from .grouping import (
+    PeakGrouping,
+    build_compatibility_graph,
+    enumerate_groupings,
+    spins_to_groupings,
+)
 from .shortest_path import dp_shortest_path
 from .simulate import (
     Reference,
@@ -144,35 +149,19 @@ def run_simulate(
     return summary
 
 
-def run_assign(
-    outdir: str | Path,
+def _load_and_group(
     dataset: str | Path,
+    kind: str | None,
     seq: ProteinSequence,
     priors: PriorTable,
     tol: Tolerances,
-    variant: str = "lian1",
-    kind: str | None = None,
-    top_k: int | None = 20,
-    threads: int = 1,
-    backend: str = "bundled",
-    node_limit: int = 100_000,
-) -> dict:
-    """Full assignment run; returns a summary including the exit status."""
-    if variant not in VARIANTS:
-        raise NmrAssignError(f"unknown variant {variant!r}")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    timer = Timer()
+    top_k: int | None,
+    timer: Timer,
+) -> tuple[list[PeakGrouping], ExpectedCounts]:
+    """Read and validate a dataset, then group it: (groupings, expected counts)."""
     dataset = Path(dataset)
     if kind is None:
         kind = _sniff_kind(dataset)
-
-    lp_backend = None
-    if backend != "bundled":
-        if not backend.startswith("external:"):
-            raise NmrAssignError(f"unknown backend {backend!r}")
-        lp_backend = lpmod.load_backend(backend.split(":", 1)[1])
-
     with timer.stage("load"):
         if kind == "spins":
             spins = read_spins(dataset)
@@ -186,19 +175,44 @@ def run_assign(
 
     with timer.stage("group"):
         if kind == "spins":
-            groupings = spins_to_groupings(spins, priors)
-            expected = spin_observation_counts(priors)
-        else:
-            spectra = sorted(
-                {canonical_name(p.spectrum_id) for p in peaks},
-                key=lambda s: FULL_SET.index(s),
-            )
-            compat = build_compatibility_graph(peaks, tol)
-            groupings = enumerate_groupings(
-                compat, peaks, expected_pattern(spectra), top_k, priors, tol,
-                workers=threads,
-            )
-            expected = expected_observation_counts(spectra, priors)
+            return spins_to_groupings(spins, priors), spin_observation_counts(priors)
+        spectra = sorted(
+            {canonical_name(p.spectrum_id) for p in peaks},
+            key=lambda s: FULL_SET.index(s),
+        )
+        compat = build_compatibility_graph(peaks, tol)
+        groupings = enumerate_groupings(
+            compat, peaks, expected_pattern(spectra), top_k, priors, tol
+        )
+        return groupings, expected_observation_counts(spectra, priors)
+
+
+def run_assign(
+    outdir: str | Path,
+    dataset: str | Path,
+    seq: ProteinSequence,
+    priors: PriorTable,
+    tol: Tolerances,
+    variant: str = "lian1",
+    kind: str | None = None,
+    top_k: int | None = 20,
+    backend: str = "bundled",
+    node_limit: int = 100_000,
+) -> dict:
+    """Full assignment run; returns a summary including the exit status."""
+    if variant not in VARIANTS:
+        raise NmrAssignError(f"unknown variant {variant!r}")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    timer = Timer()
+
+    lp_backend = None
+    if backend != "bundled":
+        if not backend.startswith("external:"):
+            raise NmrAssignError(f"unknown backend {backend!r}")
+        lp_backend = lpmod.load_backend(backend.split(":", 1)[1])
+
+    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, timer)
 
     with timer.stage("graph"):
         g = build_graph(groupings, seq, priors, tol, expected)
@@ -284,29 +298,11 @@ def run_graph_stats(
     tol: Tolerances,
     kind: str | None = None,
     top_k: int | None = 20,
-    threads: int = 1,
     export: bool = False,
 ) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dataset = Path(dataset)
-    if kind is None:
-        kind = _sniff_kind(dataset)
-    if kind == "spins":
-        groupings = spins_to_groupings(read_spins(dataset), priors)
-        expected = spin_observation_counts(priors)
-    else:
-        peaks = read_peaks(dataset)
-        spectra = sorted(
-            {canonical_name(p.spectrum_id) for p in peaks},
-            key=lambda s: FULL_SET.index(s),
-        )
-        compat = build_compatibility_graph(peaks, tol)
-        groupings = enumerate_groupings(
-            compat, peaks, expected_pattern(spectra), top_k, priors, tol,
-            workers=threads,
-        )
-        expected = expected_observation_counts(spectra, priors)
+    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, Timer())
     g = build_graph(groupings, seq, priors, tol, expected)
     stats = graph_stats(g)
     _write_json(stats, outdir / "graph_stats.json")

@@ -159,6 +159,19 @@ def test_graph_stats(tmp_path, capsys):
     assert (out / "graph.json").exists()
 
 
+def test_duplicate_system_id_rejected_by_assign_and_graph_stats(tmp_path, capsys):
+    out = _simulate(tmp_path, "duprun")
+    spins = out / "spins.tsv"
+    lines = spins.read_text().splitlines()
+    spins.write_text("\n".join(lines + [lines[1]]) + "\n")
+    for command in ("assign", "graph-stats"):
+        code = main(
+            [command, "--sequence", SEQ, "--dataset", str(spins), "--out", str(out)]
+        )
+        assert code == EXIT_INPUT
+        assert "duplicate spin system id" in capsys.readouterr().err
+
+
 def test_flya_protocol_via_cli(tmp_path, capsys):
     out = tmp_path / "flya"
     code = main(

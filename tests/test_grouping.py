@@ -177,16 +177,6 @@ def test_deterministic_ids_and_order(toy_priors, default_tol):
     assert first[0].grouping_id == "g00000"
 
 
-def test_workers_do_not_change_output(toy_priors, default_tol):
-    peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
-    peaks += _residue_peaks("r2", 7.5, 115.0, 45.2, 41.2, 53.1, 19.1)
-    peaks += _residue_peaks("r3", 8.8, 125.0, 53.3, 19.3, 45.4, 41.4)
-    g = build_compatibility_graph(peaks, default_tol)
-    serial = enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol, workers=1)
-    parallel = enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol, workers=4)
-    assert [gr.member_peaks for gr in serial] == [gr.member_peaks for gr in parallel]
-
-
 def test_spins_to_groupings(toy_priors):
     spins = [
         SpinSystem("s1", {"N": 120.0, "HN": 8.0, "CA": 55.0, "CB": 19.0, "CA_prev": 45.0, "CB_prev": 41.0}),

@@ -25,7 +25,9 @@ from oracles import (
     brute_penalized,
     check_path,
     conflict_fixture,
+    iter_paths,
     make_graph,
+    path_overuse,
     random_instance,
 )
 
@@ -36,16 +38,30 @@ def _dummies_only(thresholds):
     return make_graph([1] * n, edges, thresholds=thresholds)
 
 
+def _rows(lp, prefix):
+    """(sense, rhs, {column: coefficient}) of every row whose name has ``prefix``."""
+    A_eq, b_eq, A_ub, b_ub = lp.matrices()
+    blocks = [("eq", A_eq, b_eq), ("ub", A_ub, b_ub)]
+    positions = [(kind, A, b, r) for kind, A, b in blocks for r in range(len(b))]
+    out = []
+    for name, (kind, A, b, r) in zip(lp.row_names, positions, strict=True):
+        if name.startswith(prefix):
+            row = A.getrow(r)
+            out.append((kind, b[r], dict(zip(row.indices.tolist(), row.data.tolist()))))
+    return out
+
+
 def test_formulation_shape_dummies_only(default_tol):
     g = _dummies_only([0.0, 3.0, 4.0, 5.0])
     lp = formulate(g, "flow", default_tol)
     assert lp.n_vars == 4
-    selection = [r for r in lp.rows if r.name.startswith("select_")]
-    coupling = [r for r in lp.rows if r.name.startswith("flow_")]
+    selection = _rows(lp, "select_")
+    coupling = _rows(lp, "flow_")
     assert len(selection) == 3
     assert len(coupling) == 3
-    assert all(r.kind == "eq" and r.rhs == 1.0 for r in selection)
-    assert all(r.kind == "eq" and r.rhs == 0.0 for r in coupling)
+    assert lp.n_rows == 6
+    assert all(kind == "eq" and rhs == 1.0 for kind, rhs, _ in selection)
+    assert all(kind == "eq" and rhs == 0.0 for kind, rhs, _ in coupling)
     assert not lp.utilization and not lp.eps_vars
 
 
@@ -73,20 +89,42 @@ def test_utilization_rows_conflict_fixture(default_tol):
     g = conflict_fixture()
     lp = formulate(g, "lian1", default_tol)
     assert list(lp.utilization) == ["p1"]
-    row = next(r for r in lp.rows if r.name == "use_p1")
-    assert row.kind == "ub" and row.rhs == 1.0
+    [(kind, rhs, coeffs)] = _rows(lp, "use_p1")
+    assert kind == "ub" and rhs == 1.0
     # outgoing edges of the two consumers: two from (1,1), one from (2,1)
     want = {lp.edge_vars[(1, 1, 0)], lp.edge_vars[(1, 1, 1)], lp.edge_vars[(2, 1, 0)]}
-    assert set(row.coeffs) == want
-    assert all(c == 1.0 for c in row.coeffs.values())
+    assert set(coeffs) == want
+    assert all(c == 1.0 for c in coeffs.values())
 
     soft = formulate(g, "lian2", default_tol)
     assert list(soft.eps_vars) == ["p1"]
     eps_idx = soft.eps_vars["p1"]
-    soft_row = next(r for r in soft.rows if r.name == "use_p1")
-    assert soft_row.coeffs[eps_idx] == -1.0
+    [(_, _, soft_coeffs)] = _rows(soft, "use_p1")
+    assert soft_coeffs[eps_idx] == -1.0
     assert soft.costs[eps_idx] == default_tol.lam
     assert soft.bounds[eps_idx] == (0.0, None)
+
+
+def test_matrices_encode_exactly_the_paths(default_tol):
+    """Every start-to-end path satisfies the flow rows; for lian1 the
+    utilization rows hold exactly on the paths that reuse no peak."""
+    rng = np.random.default_rng(53)
+    checked = 0
+    for _ in range(25):
+        g = random_instance(rng, int(rng.integers(1, 5)), 3, 6)
+        for variant in ("flow", "lian1"):
+            lp = formulate(g, variant, default_tol)
+            A_eq, b_eq, A_ub, b_ub = lp.matrices()
+            for path in iter_paths(g):
+                x = np.zeros(lp.n_vars)
+                for k in range(g.n + 1):
+                    x[lp.edge_vars[(k, path[k], path[k + 1])]] = 1.0
+                np.testing.assert_array_equal(A_eq @ x, b_eq)
+                if variant == "lian1":
+                    fits = A_ub is None or bool(np.all(A_ub @ x <= b_ub))
+                    assert fits == (path_overuse(g, path) == 0)
+                checked += 1
+    assert checked > 100
 
 
 def test_unknown_variant_rejected(default_tol):
