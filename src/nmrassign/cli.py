@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         p.add_argument("--out", help="output directory", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--priors", help="priors JSON (default: bundled table)")
         p.add_argument("--sequence", help="one-letter sequence or path to one")
 
@@ -58,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--protocol", choices=("cisa", "flya"), default=None)
     p_sim.add_argument("--noise", choices=("low", "high"), default=None)
     p_sim.add_argument("--reference", help="reference shifts JSON, or ref60/ref40 for bundled")
@@ -173,7 +173,7 @@ def _cmd_assign(cfg: dict) -> int:
         kind=cfg.get("kind"),
         top_k=cfg.get("top_k") if cfg.get("top_k") is not None else 20,
         backend=cfg.get("backend") or "bundled",
-        node_limit=cfg.get("node_limit") or 100_000,
+        node_limit=cfg.get("node_limit") if cfg.get("node_limit") is not None else 100_000,
     )
     print(
         f"{summary['variant']}: objective {summary['objective']:.6f}, "

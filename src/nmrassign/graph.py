@@ -15,9 +15,11 @@ prices every residue exactly once.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+
+import numpy as np
 
 from .costmodel import atom_cost, typing_threshold
 from .domain import (
@@ -50,12 +52,53 @@ class AssignmentNode:
         return self.grouping.grouping_id if self.grouping is not None else None
 
 
+class EdgeLayer(Mapping):
+    """The edges between layers k and k+1, as a mapping (i, j) -> cost.
+
+    Stored as arrays ``src``, ``dst`` and ``cost`` sorted by (src, dst),
+    plus ``indptr``: the out-edges of source node i are the positions
+    ``out(i)``, and iteration yields the keys in that order.
+    """
+
+    def __init__(self, edges: Mapping[tuple[int, int], float], n_src: int) -> None:
+        keys = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        self.src = keys[order, 0]
+        self.dst = keys[order, 1]
+        self.cost = np.fromiter(edges.values(), dtype=float, count=len(keys))[order]
+        self.indptr = np.searchsorted(self.src, np.arange(n_src + 1))
+
+    def out(self, i: int) -> slice:
+        """Positions of source node i's out-edges, in increasing dst."""
+        return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
+
+    def index(self, i: int, j: int) -> int | None:
+        """Position of edge (i, j), or None when the layer lacks it."""
+        if not 0 <= i < len(self.indptr) - 1:
+            return None
+        e = self.out(i)
+        pos = e.start + int(np.searchsorted(self.dst[e], j))
+        return pos if pos < e.stop and self.dst[pos] == j else None
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        pos = self.index(*key)
+        if pos is None:
+            raise KeyError(key)
+        return float(self.cost[pos])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.src.tolist(), self.dst.tolist())
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+
 @dataclass
 class AssignmentGraph:
     sequence: ProteinSequence
     layers: list[list[AssignmentNode]]
-    #: edges[k] maps (i, j) -> cost for edges between layers k and k+1
-    edges: list[dict[tuple[int, int], float]]
+    #: edges[k] holds the edges between layers k and k+1
+    edges: list[EdgeLayer]
     #: peak ids consumed per (layer, node index); dummies consume nothing
     peak_usage: list[dict[int, frozenset[str]]]
     #: summed typing threshold per residue (index 0 unused)
@@ -214,9 +257,8 @@ def build_graph(
     layers.append([AssignmentNode(n + 1, 0, END)])
     peak_usage.append({})
 
-    edges: list[dict[tuple[int, int], float]] = []
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
-    edges.append({(0, node.index): 0.0 for node in layers[1]})
+    edges = [EdgeLayer({(0, node.index): 0.0 for node in layers[1]}, 1)]
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
         layer_edges: dict[tuple[int, int], float] = {}
@@ -237,7 +279,7 @@ def build_graph(
                 if cost is None:
                     continue
                 layer_edges[(src.index, dst.index)] = cost
-        edges.append(layer_edges)
+        edges.append(EdgeLayer(layer_edges, len(layers[k])))
 
     return AssignmentGraph(seq, layers, edges, peak_usage, thresholds)
 
@@ -319,8 +361,8 @@ def export_graph(g: AssignmentGraph, path: str | Path) -> None:
         ],
         "edges": [
             [k, i, j, cost]
-            for k, layer_edges in enumerate(g.edges)
-            for (i, j), cost in sorted(layer_edges.items())
+            for k, layer in enumerate(g.edges)
+            for i, j, cost in zip(layer.src.tolist(), layer.dst.tolist(), layer.cost.tolist())
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -27,7 +27,7 @@ from scipy.optimize import linprog
 
 from .domain import NmrAssignError, Tolerances
 from .graph import DUMMY, AssignmentGraph
-from .shortest_path import NoPathError, PathSolution
+from .shortest_path import NoPathError, PathSolution, path_solution
 
 VARIANTS = ("flow", "lian1", "lian2")
 
@@ -52,8 +52,12 @@ class LinearProgram:
     CSR matrices whose column indices are sorted within each row, or None
     when a sense has no rows (its right-hand side is then empty).
     ``row_names`` names the equality rows first, then the inequality rows.
-    External backends (``--backend external:<path>``) may read ``costs``,
-    ``matrices()`` or the four matrix fields, and ``bounds``.
+    Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
+    (``edge_offsets[-1]`` is ``n_edges``); slack columns follow the edges.
+    ``utilization`` lists the contested peaks in the order of their
+    ``use_<pid>`` rows. External backends (``--backend external:<path>``)
+    may read ``costs``, ``matrices()`` or the four matrix fields, and
+    ``bounds``.
     """
 
     variant: str
@@ -65,12 +69,12 @@ class LinearProgram:
     A_ub: sparse.csr_matrix | None
     b_ub: np.ndarray
     row_names: list[str]
-    #: (k, i, j) -> variable index for the edge between layers k and k+1
-    edge_vars: dict[tuple[int, int, int], int]
+    #: first column of each edge layer, then the number of edge columns
+    edge_offsets: np.ndarray
     #: peak id -> slack variable index (soft variant only)
     eps_vars: dict[str, int] = field(default_factory=dict)
-    #: peak id -> edge variable indices its utilization row touches
-    utilization: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    #: contested peak ids, one per utilization row, in row order
+    utilization: list[str] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
@@ -80,39 +84,13 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.row_names)
 
+    @property
+    def n_edges(self) -> int:
+        return int(self.edge_offsets[-1])
+
     def matrices(self):
         """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
         return self.A_eq, self.b_eq, self.A_ub, self.b_ub
-
-
-class _RowBuilder:
-    """Accumulates constraint rows of one sense straight into CSR arrays."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.indptr = [0]
-        self.indices: list[int] = []
-        self.data: list[float] = []
-        self.rhs: list[float] = []
-
-    def add(
-        self, name: str, indices: Sequence[int], data: Sequence[float], rhs: float
-    ) -> None:
-        """Append one row; ``indices`` must be increasing."""
-        self.names.append(name)
-        self.indices.extend(indices)
-        self.data.extend(data)
-        self.indptr.append(len(self.indices))
-        self.rhs.append(rhs)
-
-    def build(self, n_vars: int):
-        n_rows = len(self.rhs)
-        matrix = None
-        if n_rows:
-            matrix = sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(n_rows, n_vars)
-            )
-        return matrix, np.array(self.rhs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -125,10 +103,16 @@ class LpSolution:
     def ok(self) -> bool:
         return self.status == "optimal"
 
-    def value_of(self, lp: LinearProgram, key: tuple[int, int, int]) -> float:
-        if self.values is None:
-            raise SolverError("solution carries no variable values")
-        return float(self.values[lp.edge_vars[key]])
+
+def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
+    """One COO -> CSR build from lists of array chunks; None without rows."""
+    if not shape[0]:
+        return None
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+    matrix.sort_indices()
+    return matrix
 
 
 def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgram:
@@ -141,80 +125,69 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown LP variant {variant!r}")
     n = g.n
+    edge_offsets = np.cumsum([0] + [len(layer) for layer in g.edges])
+    n_edges = int(edge_offsets[-1])
+    columns = np.split(np.arange(n_edges), edge_offsets[1:-1])
+    var_names = [f"x_{k}_{i}_{j}" for k, layer in enumerate(g.edges) for i, j in layer]
+    costs = [layer.cost for layer in g.edges]
+    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n_edges
 
-    edge_keys = sorted(
-        (k, i, j) for k, layer_edges in enumerate(g.edges) for (i, j) in layer_edges
-    )
-    edge_vars = {key: idx for idx, key in enumerate(edge_keys)}
-    var_names = [f"x_{k}_{i}_{j}" for k, i, j in edge_keys]
-    costs = [g.edges[k][(i, j)] for k, i, j in edge_keys]
-    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * len(edge_keys)
-
-    # one pass in column order leaves every incidence list increasing
-    layer_vars: list[list[int]] = [[] for _ in range(n + 2)]
-    incoming: list[list[list[int]]] = [[[] for _ in layer] for layer in g.layers]
-    outgoing: list[list[list[int]]] = [[[] for _ in layer] for layer in g.layers]
-    for idx, (k, i, j) in enumerate(edge_keys):
-        layer_vars[k].append(idx)
-        outgoing[k][i].append(idx)
-        incoming[k + 1][j].append(idx)
-
-    eq = _RowBuilder()
+    # flow_k_i is equality row flow_row[k] + i, after the n selection rows
+    flow_row = n + np.cumsum([0, 0] + [len(layer) for layer in g.layers[1:-1]])
+    rows, cols, data = [], [], []
     for k in range(1, n + 1):
-        eq.add(f"select_{k}", layer_vars[k], [1.0] * len(layer_vars[k]), 1.0)
-    for k in range(1, n + 1):
-        for node in g.layers[k]:
-            into, out = incoming[k][node.index], outgoing[k][node.index]
-            # edges into layer k precede edges out of it in column order
-            eq.add(
-                f"flow_{k}_{node.index}",
-                into + out,
-                [1.0] * len(into) + [-1.0] * len(out),
-                0.0,
-            )
+        into, out = g.edges[k - 1], g.edges[k]
+        rows += [np.full(len(out), k - 1), flow_row[k] + into.dst, flow_row[k] + out.src]
+        cols += [columns[k], columns[k - 1], columns[k]]
+        data += [np.ones(len(out)), np.ones(len(into)), -np.ones(len(out))]
+    row_names = [f"select_{k}" for k in range(1, n + 1)] + [
+        f"flow_{k}_{i}" for k in range(1, n + 1) for i in range(len(g.layers[k]))
+    ]
+    b_eq = np.repeat([1.0, 0.0], [n, int(flow_row[-1]) - n])
 
-    ub = _RowBuilder()
     eps_vars: dict[str, int] = {}
-    utilization: dict[str, tuple[int, ...]] = {}
+    utilization: list[str] = []
+    ub_rows, ub_cols, ub_data = [], [], []
     if variant in ("lian1", "lian2"):
-        # peak id -> outgoing edge variables of each node consuming it
-        consumers: dict[str, list[list[int]]] = {}
+        # peak id -> out-edge columns of each node consuming it
+        consumers: dict[str, list[np.ndarray]] = {}
         for k in range(1, n + 1):
             for i, peaks in g.peak_usage[k].items():
                 for pid in peaks:
-                    consumers.setdefault(pid, []).append(outgoing[k][i])
+                    consumers.setdefault(pid, []).append(columns[k][g.edges[k].out(i)])
         for pid in sorted(consumers):
             if len(consumers[pid]) < 2:
                 continue
-            indices = sorted(idx for out in consumers[pid] for idx in out)
-            if not indices:
+            indices = np.sort(np.concatenate(consumers[pid]))
+            if not indices.size:
                 continue
-            utilization[pid] = tuple(indices)
-            data = [1.0] * len(indices)
-            if variant == "lian2":
-                eps_idx = len(var_names) + len(eps_vars)
-                eps_vars[pid] = eps_idx
-                indices.append(eps_idx)
-                data.append(-1.0)
-            ub.add(f"use_{pid}", indices, data, 1.0)
-        for pid in sorted(eps_vars):
-            var_names.append(f"eps_{pid}")
-            costs.append(tol.lam)
-            bounds.append((0.0, None))
+            row = len(utilization)
+            utilization.append(pid)
+            ub_rows.append(np.full(len(indices), row))
+            ub_cols.append(indices)
+            ub_data.append(np.ones(len(indices)))
+        if variant == "lian2":
+            slack = np.arange(n_edges, n_edges + len(utilization))
+            eps_vars = dict(zip(utilization, slack.tolist()))
+            ub_rows.append(slack - n_edges)
+            ub_cols.append(slack)
+            ub_data.append(-np.ones(len(slack)))
+            var_names += [f"eps_{pid}" for pid in utilization]
+            costs.append(np.full(len(slack), tol.lam))
+            bounds += [(0.0, None)] * len(slack)
+    row_names += [f"use_{pid}" for pid in utilization]
 
-    A_eq, b_eq = eq.build(len(var_names))
-    A_ub, b_ub = ub.build(len(var_names))
     return LinearProgram(
         variant=variant,
         var_names=var_names,
-        costs=np.array(costs, dtype=float),
+        costs=np.concatenate(costs),
         bounds=bounds,
-        A_eq=A_eq,
+        A_eq=_csr(rows, cols, data, (int(flow_row[-1]), len(var_names))),
         b_eq=b_eq,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        row_names=eq.names + ub.names,
-        edge_vars=edge_vars,
+        A_ub=_csr(ub_rows, ub_cols, ub_data, (len(utilization), len(var_names))),
+        b_ub=np.ones(len(utilization)),
+        row_names=row_names,
+        edge_offsets=edge_offsets,
         eps_vars=eps_vars,
         utilization=utilization,
     )
@@ -271,7 +244,7 @@ def load_backend(path: str | Path) -> Backend:
 def is_integral(lp: LinearProgram, solution: LpSolution, tol: float = 1e-6) -> bool:
     if solution.values is None:
         return False
-    x = solution.values[: len(lp.edge_vars)]
+    x = solution.values[: lp.n_edges]
     return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))
 
 
@@ -280,7 +253,6 @@ class BnbResult:
     solution: LpSolution | None
     proven_optimal: bool
     nodes_explored: int
-    lower_bound: float
 
 
 def branch_and_bound(
@@ -300,14 +272,13 @@ def branch_and_bound(
     the node limit is hit the incumbent is returned unproven.
     """
     base = list(bounds if bounds is not None else lp.bounds)
-    n_edges = len(lp.edge_vars)
+    n_edges = lp.n_edges
 
     incumbent_obj = math.inf
     if incumbent is not None and incumbent.objective is not None:
         incumbent_obj = incumbent.objective
     nodes = 0
     proven = True
-    root_bound = math.inf
 
     stack: list[dict[int, tuple[float, float]]] = [{}]
     while stack:
@@ -323,8 +294,6 @@ def branch_and_bound(
         if not sol.ok:
             continue
         assert sol.objective is not None and sol.values is not None
-        if nodes == 1:
-            root_bound = sol.objective
         if sol.objective >= incumbent_obj - gap_eps:
             continue
         x = sol.values[:n_edges]
@@ -336,7 +305,7 @@ def branch_and_bound(
         stack.append({**fixes, branch_var: (0.0, 0.0)})
         stack.append({**fixes, branch_var: (1.0, 1.0)})
 
-    return BnbResult(incumbent, proven, nodes, root_bound)
+    return BnbResult(incumbent, proven, nodes)
 
 
 def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) -> PathSolution:
@@ -344,18 +313,14 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
     if solution.values is None:
         raise SolverError("cannot extract a path without variable values")
     nodes = [0]
-    for k in range(g.n + 1):
-        i = nodes[-1]
-        nxt = None
-        for (src, j) in sorted(g.edges[k]):
-            if src == i and solution.values[lp.edge_vars[(k, src, j)]] > 0.5:
-                nxt = j
-                break
-        if nxt is None:
+    for k, layer in enumerate(g.edges):
+        out = layer.out(nodes[-1])
+        flow = solution.values[lp.edge_offsets[k] : lp.edge_offsets[k + 1]][out]
+        taken = np.flatnonzero(flow > 0.5)
+        if not taken.size:
             raise SolverError(f"integral solution has no outgoing flow at layer {k}")
-        nodes.append(nxt)
-    edge_costs = tuple(g.edges[k][(nodes[k], nodes[k + 1])] for k in range(g.n + 1))
-    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs)
+        nodes.append(int(layer.dst[out][taken[0]]))
+    return path_solution(g, nodes)
 
 
 def _restricted_bounds(
@@ -367,15 +332,13 @@ def _restricted_bounds(
     keeps a feasible all-dummy fallback.
     """
     assert solution.values is not None
+    dummy = [np.array([node.kind == DUMMY for node in layer]) for layer in g.layers]
+    keep = np.concatenate([
+        dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
+    ])
     bounds = list(lp.bounds)
-    n = g.n
-    for (k, i, j), idx in lp.edge_vars.items():
-        src_dummy = 1 <= k <= n and g.layers[k][i].kind == DUMMY
-        dst_dummy = k <= n - 1 and g.layers[k + 1][j].kind == DUMMY
-        if src_dummy or dst_dummy:
-            continue
-        if solution.values[idx] <= round_eps:
-            bounds[idx] = (0.0, 0.0)
+    for idx in np.flatnonzero(~keep & (solution.values[: lp.n_edges] <= round_eps)):
+        bounds[idx] = (0.0, 0.0)
     return bounds
 
 
@@ -410,15 +373,9 @@ def round_and_resolve(
     )
     if full.solution is None:
         # the seed incumbent was never beaten; fall back to it
-        full = BnbResult(
-            primal.solution, full.proven_optimal, full.nodes_explored,
-            full.lower_bound,
-        )
+        full = BnbResult(primal.solution, full.proven_optimal, full.nodes_explored)
     return BnbResult(
-        full.solution,
-        full.proven_optimal,
-        primal.nodes_explored + full.nodes_explored,
-        full.lower_bound,
+        full.solution, full.proven_optimal, primal.nodes_explored + full.nodes_explored
     )
 
 
@@ -554,9 +511,9 @@ def lp_to_text(lp: LinearProgram, integral: bool = False) -> str:
     for idx, (lo, hi) in enumerate(lp.bounds):
         hi_txt = "+inf" if hi is None else f"{hi:.17g}"
         lines.append(f" {lo:.17g} <= {lp.var_names[idx]} <= {hi_txt}")
-    if integral and lp.edge_vars:
+    if integral and lp.n_edges:
         lines.append("General")
-        lines.append(" " + " ".join(lp.var_names[: len(lp.edge_vars)]))
+        lines.append(" " + " ".join(lp.var_names[: lp.n_edges]))
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -159,6 +159,8 @@ def _load_and_group(
     timer: Timer,
 ) -> tuple[list[PeakGrouping], ExpectedCounts]:
     """Read and validate a dataset, then group it: (groupings, expected counts)."""
+    if top_k is not None and top_k < 1:
+        raise NmrAssignError(f"top_k must be at least 1, got {top_k}")
     dataset = Path(dataset)
     if kind is None:
         kind = _sniff_kind(dataset)
@@ -202,6 +204,8 @@ def run_assign(
     """Full assignment run; returns a summary including the exit status."""
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown variant {variant!r}")
+    if node_limit < 1:
+        raise NmrAssignError(f"node_limit must be at least 1, got {node_limit}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     timer = Timer()

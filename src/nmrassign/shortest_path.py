@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .domain import NmrAssignError
 from .graph import AssignmentGraph
 
@@ -39,7 +41,8 @@ class PathSolution:
             raise NmrAssignError("edge_costs length must be len(nodes) - 1")
 
 
-def _solution(g: AssignmentGraph, nodes: Sequence[int], optimal: bool = True) -> PathSolution:
+def path_solution(g: AssignmentGraph, nodes: Sequence[int], optimal: bool = True) -> PathSolution:
+    """A path of node indices, priced edge by edge in layer order."""
     edge_costs = tuple(
         g.edges[k][(nodes[k], nodes[k + 1])] for k in range(len(nodes) - 1)
     )
@@ -55,39 +58,24 @@ def dp_shortest_path(g: AssignmentGraph) -> PathSolution:
     """
     n = g.n
     # value[k][i]: cost of the cheapest path from node i in layer k to the end
-    value: list[dict[int, float]] = [dict() for _ in range(n + 2)]
+    value = [np.full(len(layer), math.inf) for layer in g.layers]
     value[n + 1][0] = 0.0
     for k in range(n, -1, -1):
-        for (i, j), cost in g.edges[k].items():
-            tail = value[k + 1].get(j)
-            if tail is None:
-                continue
-            candidate = cost + tail
-            if candidate < value[k].get(i, math.inf):
-                value[k][i] = candidate
+        layer = g.edges[k]
+        np.minimum.at(value[k], layer.src, layer.cost + value[k + 1][layer.dst])
 
-    if 0 not in value[0]:
+    if value[0][0] == math.inf:
         raise NoPathError("no start-to-end path exists")
 
     nodes = [0]
-    for k in range(n + 1):
+    for k, layer in enumerate(g.edges):
         i = nodes[-1]
-        best_j = None
-        for j in sorted(j for (src, j) in g.edges[k] if src == i):
-            tail = value[k + 1].get(j)
-            if tail is None:
-                continue
-            if math.isclose(g.edges[k][(i, j)] + tail, value[k][i], rel_tol=0.0, abs_tol=1e-9):
-                best_j = j
-                break
-        if best_j is None:
-            # guard against accumulated rounding: fall back to the argmin
-            best_j = min(
-                (j for (src, j) in g.edges[k] if src == i and j in value[k + 1]),
-                key=lambda j: (g.edges[k][(i, j)] + value[k + 1][j], j),
-            )
-        nodes.append(best_j)
-    return _solution(g, nodes)
+        out = layer.out(i)
+        # the minimum is one of these sums, so some j always matches it
+        tails = layer.cost[out] + value[k + 1][layer.dst[out]]
+        best = np.flatnonzero(np.abs(tails - value[k][i]) <= 1e-9)[0]
+        nodes.append(int(layer.dst[out][best]))
+    return path_solution(g, nodes)
 
 
 def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathSolution:
@@ -118,19 +106,15 @@ def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathS
             ):
                 best_nodes, best_cost = trail, cost
             return
-        for j in sorted(j for (src, j) in g.edges[k] if src == node):
+        layer = g.edges[k]
+        out = layer.out(node)
+        for j, edge_cost in zip(layer.dst[out].tolist(), layer.cost[out].tolist()):
             peaks = g.usage(k + 1, j) if k + 1 <= n else frozenset()
             if used & peaks:
                 continue
-            extend(
-                k + 1,
-                j,
-                cost + g.edges[k][(node, j)],
-                used | peaks,
-                trail + (j,),
-            )
+            extend(k + 1, j, cost + edge_cost, used | peaks, trail + (j,))
 
     extend(0, 0, 0.0, frozenset(), (0,))
     if best_nodes is None:
         raise NoPathError("no conflict-free start-to-end path exists")
-    return _solution(g, best_nodes)
+    return path_solution(g, best_nodes)

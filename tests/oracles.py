@@ -14,7 +14,15 @@ from scipy.integrate import quad
 
 from nmrassign.domain import Peak, ProteinSequence, Tolerances
 from nmrassign.experiments import candidate_roles, canonical_name
-from nmrassign.graph import DUMMY, END, REGULAR, START, AssignmentGraph, AssignmentNode
+from nmrassign.graph import (
+    DUMMY,
+    END,
+    REGULAR,
+    START,
+    AssignmentGraph,
+    AssignmentNode,
+    EdgeLayer,
+)
 from nmrassign.grouping import PeakGrouping
 
 
@@ -84,7 +92,7 @@ def make_graph(
     return AssignmentGraph(
         seq,
         layers,
-        [dict(e) for e in edges],
+        [EdgeLayer(e, len(layers[k])) for k, e in enumerate(edges)],
         peak_usage,
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
     )

@@ -187,3 +187,25 @@ def test_flya_protocol_via_cli(tmp_path, capsys):
     assert code == EXIT_OK
     assert (out / "peaks.tsv").exists()
     capsys.readouterr()
+
+
+def test_search_limits_below_one_rejected(tmp_path, capsys):
+    out = _simulate(tmp_path, "limits")
+    base = ["--sequence", SEQ, "--dataset", str(out / "spins.tsv"), "--out", str(out)]
+    for argv in (
+        ["assign", *base, "--top-k", "0"],
+        ["assign", *base, "--top-k", "-1"],
+        ["graph-stats", *base, "--top-k", "0"],
+        ["assign", *base, "--node-limit", "0"],
+        ["assign", *base, "--node-limit", "-5"],
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["assign", "graph-stats"])
+def test_seed_is_a_simulate_option_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

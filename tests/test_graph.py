@@ -8,6 +8,7 @@ from nmrassign.experiments import spin_observation_counts
 from nmrassign.graph import (
     DUMMY,
     REGULAR,
+    EdgeLayer,
     build_graph,
     export_graph,
     graph_stats,
@@ -193,3 +194,30 @@ def test_export_graph(tmp_path, toy_priors, default_tol):
     assert doc["sequence"] == "AG"
     assert len(doc["nodes"]) == 4
     assert all(len(e) == 4 for e in doc["edges"])
+
+
+def test_edge_layer_arrays_and_mapping():
+    # three source nodes; node 1 has no out-edges; items given unsorted
+    items = {(2, 0): 5.0, (0, 3): 1.5, (2, 1): -2.0, (0, 0): 0.25}
+    layer = EdgeLayer(items, 3)
+    assert list(layer) == [(0, 0), (0, 3), (2, 0), (2, 1)]
+    assert layer.src.tolist() == [0, 0, 2, 2]
+    assert layer.dst.tolist() == [0, 3, 0, 1]
+    assert layer.cost.tolist() == [0.25, 1.5, 5.0, -2.0]
+    assert layer.indptr.tolist() == [0, 2, 2, 4]
+    assert layer.out(0) == slice(0, 2)
+    assert layer.out(1) == slice(2, 2)
+    assert layer.dst[layer.out(2)].tolist() == [0, 1]
+    assert len(layer) == 4
+    assert layer.index(0, 3) == 1 and layer.index(2, 1) == 3
+    assert layer.index(0, 1) is None  # absent edge
+    assert layer.index(1, 0) is None  # source without out-edges
+    assert layer.index(3, 0) is None and layer.index(-1, 0) is None  # out of range
+    assert layer[(2, 1)] == -2.0 and isinstance(layer[(2, 1)], float)
+    assert (2, 0) in layer and (3, 0) not in layer
+    with pytest.raises(KeyError):
+        layer[(0, 1)]
+    assert layer == items
+    assert layer == EdgeLayer(dict(sorted(items.items())), 3)
+    assert layer != EdgeLayer({**items, (2, 1): -2.5}, 3)
+    assert EdgeLayer({}, 2).indptr.tolist() == [0, 0, 0]

@@ -38,6 +38,11 @@ def _dummies_only(thresholds):
     return make_graph([1] * n, edges, thresholds=thresholds)
 
 
+def _col(lp, g, k, i, j):
+    """Column of edge (i, j) between layers k and k+1."""
+    return int(lp.edge_offsets[k]) + g.edges[k].index(i, j)
+
+
 def _rows(lp, prefix):
     """(sense, rhs, {column: coefficient}) of every row whose name has ``prefix``."""
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
@@ -92,7 +97,7 @@ def test_utilization_rows_conflict_fixture(default_tol):
     [(kind, rhs, coeffs)] = _rows(lp, "use_p1")
     assert kind == "ub" and rhs == 1.0
     # outgoing edges of the two consumers: two from (1,1), one from (2,1)
-    want = {lp.edge_vars[(1, 1, 0)], lp.edge_vars[(1, 1, 1)], lp.edge_vars[(2, 1, 0)]}
+    want = {_col(lp, g, 1, 1, 0), _col(lp, g, 1, 1, 1), _col(lp, g, 2, 1, 0)}
     assert set(coeffs) == want
     assert all(c == 1.0 for c in coeffs.values())
 
@@ -118,7 +123,7 @@ def test_matrices_encode_exactly_the_paths(default_tol):
             for path in iter_paths(g):
                 x = np.zeros(lp.n_vars)
                 for k in range(g.n + 1):
-                    x[lp.edge_vars[(k, path[k], path[k + 1])]] = 1.0
+                    x[_col(lp, g, k, path[k], path[k + 1])] = 1.0
                 np.testing.assert_array_equal(A_eq @ x, b_eq)
                 if variant == "lian1":
                     fits = A_ub is None or bool(np.all(A_ub @ x <= b_ub))
