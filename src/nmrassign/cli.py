@@ -33,6 +33,11 @@ EXIT_SOLVER = 4
 
 _TOL_KEYS = ("delta1", "delta2", "delta3", "delta", "lam", "round_eps")
 
+TOP_K_HELP = (
+    "largest cliques expanded per peak component (default 20); applies to "
+    "peak lists only, since spin systems are not grouped"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asn.add_argument("--dataset", help="peaks or spins TSV file")
     p_asn.add_argument("--kind", choices=("peaks", "spins"), default=None)
     p_asn.add_argument("--variant", choices=("dp", "ilp", "lian1", "lian2"), default=None)
-    p_asn.add_argument("--top-k", dest="top_k", type=int, default=None)
+    p_asn.add_argument("--top-k", dest="top_k", type=int, default=None, help=TOP_K_HELP)
     p_asn.add_argument("--backend", default=None, help="bundled or external:<path>")
     p_asn.add_argument("--node-limit", dest="node_limit", type=int, default=None)
 
@@ -85,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags(p_gs)
     p_gs.add_argument("--dataset", help="peaks or spins TSV file")
     p_gs.add_argument("--kind", choices=("peaks", "spins"), default=None)
-    p_gs.add_argument("--top-k", dest="top_k", type=int, default=None)
+    p_gs.add_argument("--top-k", dest="top_k", type=int, default=None, help=TOP_K_HELP)
     p_gs.add_argument("--export", action="store_true", help="also write the full graph JSON")
 
     return parser

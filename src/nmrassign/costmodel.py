@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .domain import NonPositiveSigmaError, Prior
 
@@ -77,22 +77,6 @@ def atom_cost(prior: Prior, observations: Sequence[ObsPair]) -> GaussianPosterio
         - 0.5 * quad
     )
     return GaussianPosteriorSummary(sigma=math.sqrt(var_c), mean=mean_c, log_z=log_z)
-
-
-def edge_cost(
-    residue_priors: Mapping[str, Prior],
-    assigned_obs: Mapping[str, Sequence[ObsPair]],
-) -> float:
-    """Sum of atom costs over a residue's atoms; unobserved atoms cost 0."""
-    for role in assigned_obs:
-        if role not in residue_priors:
-            raise KeyError(f"observations assigned to unknown atom role {role!r}")
-    total = 0.0
-    for role, prior in residue_priors.items():
-        obs = assigned_obs.get(role, ())
-        if obs:
-            total += atom_cost(prior, obs).cost
-    return total
 
 
 def typing_threshold(

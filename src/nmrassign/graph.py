@@ -5,6 +5,14 @@ layer. Each inner layer holds one dummy node (null assignment) plus one
 regular node per peak grouping that is statistically consistent with the
 residue's priors. Edges run only between consecutive layers.
 
+Sequential walking: a regular node of layer k links to a regular node of
+layer k+1 only when every intra-residue carbon value of the source is within
+delta3 of every previous-residue value of the same carbon in the target. For
+each of CA, CB and CO this is a range test over the two sides' values,
+src_max - dst_min <= delta3 and dst_max - src_min <= delta3, so each layer
+checks all its pairs at once; a side that does not observe the carbon
+passes. Linked pairs above the residue's threshold are dropped too.
+
 Cost attribution: the edge leaving layer k charges the atoms of residue k,
 whose observations come from the source node's intra-residue roles plus the
 target node's previous-residue roles. Edges leaving a dummy node charge the
@@ -99,8 +107,6 @@ class AssignmentGraph:
     layers: list[list[AssignmentNode]]
     #: edges[k] holds the edges between layers k and k+1
     edges: list[EdgeLayer]
-    #: peak ids consumed per (layer, node index); dummies consume nothing
-    peak_usage: list[dict[int, frozenset[str]]]
     #: summed typing threshold per residue (index 0 unused)
     thresholds: list[float]
 
@@ -115,7 +121,9 @@ class AssignmentGraph:
         return self.edges[k][(i, j)]
 
     def usage(self, layer: int, index: int) -> frozenset[str]:
-        return self.peak_usage[layer].get(index, frozenset())
+        """Peak ids a node consumes: its grouping's members; none otherwise."""
+        grouping = self.layers[layer][index].grouping
+        return grouping.member_peaks if grouping is not None else frozenset()
 
     def path_cost(self, nodes: Sequence[int]) -> float:
         """Recompute a path's cost by summing its edges in layer order."""
@@ -207,18 +215,41 @@ def residue_threshold(
     return total
 
 
-def _carbons_link(
+def _carbon_ranges(
+    observations: Sequence[Mapping[str, list[tuple[float, float]]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lowest, highest) value per node and carbon role, each of shape
+    (nodes, roles); an unobserved role is (+inf, -inf)."""
+    lo = np.full((len(observations), len(CARBON_ROLES)), np.inf)
+    hi = -lo
+    for a, obs in enumerate(observations):
+        for r, role in enumerate(CARBON_ROLES):
+            values = [x for x, _ in obs.get(role, ())]
+            if values:
+                lo[a, r], hi[a, r] = min(values), max(values)
+    return lo, hi
+
+
+def _residue_cost(
     src_intra: Mapping[str, list[tuple[float, float]]],
     dst_prev: Mapping[str, list[tuple[float, float]]],
-    tol: Tolerances,
-) -> bool:
-    """Sequential-walking check: shared carbons must agree within delta3."""
-    for role in CARBON_ROLES:
-        for x, _ in src_intra.get(role, ()):
-            for y, _ in dst_prev.get(role, ()):
-                if abs(x - y) > tol.delta3:
-                    return False
-    return True
+    role_costs: Mapping[str, float],
+    residue_type: str,
+    priors: PriorTable,
+) -> float | None:
+    """Residue cost charged by a regular source: its intra roles, each pooled
+    with the target's prev roles of the same atom (none for the dummy or the
+    end). None when the target observes an atom the residue does not have."""
+    cost = 0.0
+    for role in sorted(set(src_intra) | set(dst_prev)):
+        prior = priors.prior(residue_type, role)
+        if prior is None:
+            return None
+        if role in dst_prev:
+            cost += atom_cost(prior, src_intra.get(role, []) + dst_prev[role]).cost
+        else:
+            cost += role_costs[role]
+    return cost
 
 
 def build_graph(
@@ -239,107 +270,55 @@ def build_graph(
     typed: dict[str, list[tuple[PeakGrouping, dict[str, float]]]] = {}
 
     layers: list[list[AssignmentNode]] = [[AssignmentNode(0, 0, START)]]
-    peak_usage: list[dict[int, frozenset[str]]] = [{}]
-    typing: dict[tuple[int, str], dict[str, float]] = {}
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
         if residue_type not in typed:
             typed[residue_type] = _typed(groupings, residue_type, priors, tol)
-        nodes = [AssignmentNode(k, 0, DUMMY)]
-        usage: dict[int, frozenset[str]] = {}
-        for g, role_costs in typed[residue_type]:
-            node = AssignmentNode(k, len(nodes), REGULAR, g)
-            usage[node.index] = g.member_peaks
-            typing[(k, g.grouping_id)] = role_costs
-            nodes.append(node)
-        layers.append(nodes)
-        peak_usage.append(usage)
+        regular = [
+            AssignmentNode(k, i, REGULAR, g) for i, (g, _) in enumerate(typed[residue_type], 1)
+        ]
+        layers.append([AssignmentNode(k, 0, DUMMY), *regular])
     layers.append([AssignmentNode(n + 1, 0, END)])
-    peak_usage.append({})
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
     edges = [EdgeLayer({(0, node.index): 0.0 for node in layers[1]}, 1)]
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
-        layer_edges: dict[tuple[int, int], float] = {}
-        for src in layers[k]:
-            for dst in layers[k + 1]:
-                cost = _edge_cost(
-                    k,
-                    src,
-                    dst,
-                    residue_type,
-                    priors,
-                    tol,
-                    thresholds[k],
-                    intra,
-                    prev,
-                    typing,
-                )
-                if cost is None:
-                    continue
-                layer_edges[(src.index, dst.index)] = cost
+        role_costs = [costs for _, costs in typed[residue_type]]
+        src_intra = [intra[node.grouping_id] for node in layers[k][1:]]
+        dst_prev = [prev[node.grouping_id] for node in layers[k + 1][1:]]
+        # a dummy source leaves the target's prev roles unexplained and prices
+        # the residue at its threshold; a regular source reaching the dummy
+        # (or the end) pays its typing costs alone
+        layer_edges = {(0, j): thresholds[k] for j in range(len(layers[k + 1]))}
+        for a, obs in enumerate(src_intra):
+            layer_edges[(a + 1, 0)] = _residue_cost(obs, {}, role_costs[a], residue_type, priors)
+        # sequential walking: every pair of shared-carbon values within delta3
+        src_lo, src_hi = _carbon_ranges(src_intra)
+        dst_lo, dst_hi = _carbon_ranges(dst_prev)
+        linked = (
+            (src_hi[:, None] - dst_lo <= tol.delta3) & (dst_hi - src_lo[:, None] <= tol.delta3)
+        ).all(axis=2)
+        for a, b in np.argwhere(linked).tolist():
+            cost = _residue_cost(src_intra[a], dst_prev[b], role_costs[a], residue_type, priors)
+            # above the threshold the pair is implausible; the dummy route is cheaper
+            if cost is not None and cost <= thresholds[k]:
+                layer_edges[(a + 1, b + 1)] = cost
         edges.append(EdgeLayer(layer_edges, len(layers[k])))
 
-    return AssignmentGraph(seq, layers, edges, peak_usage, thresholds)
-
-
-def _edge_cost(
-    k: int,
-    src: AssignmentNode,
-    dst: AssignmentNode,
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-    threshold: float,
-    intra: Mapping[str, Mapping[str, list[tuple[float, float]]]],
-    prev: Mapping[str, Mapping[str, list[tuple[float, float]]]],
-    typing: Mapping[tuple[int, str], Mapping[str, float]],
-) -> float | None:
-    """Cost of the edge (src@k -> dst@k+1), charging residue k; None when
-    the edge must not exist."""
-    if src.kind == DUMMY:
-        # null assignment: the target's previous-residue observations are
-        # unexplained and the residue is priced at its threshold
-        return threshold
-    assert src.kind == REGULAR and src.grouping is not None
-    src_intra = intra[src.grouping.grouping_id]
-    dst_prev = prev[dst.grouping.grouping_id] if dst.kind == REGULAR else {}
-
-    if dst_prev and not _carbons_link(src_intra, dst_prev, tol):
-        return None
-
-    cached = typing[(k, src.grouping.grouping_id)]
-    cost = 0.0
-    for role in sorted(set(src_intra) | set(dst_prev)):
-        prior = priors.prior(residue_type, role)
-        if prior is None:
-            return None  # prev-role observation of an absent atom
-        if role in dst_prev:
-            obs = list(src_intra.get(role, ())) + list(dst_prev[role])
-            cost += atom_cost(prior, obs).cost
-        else:
-            cost += cached[role]
-    if dst.kind == REGULAR and cost > threshold:
-        return None  # statistically implausible; the dummy route is cheaper
-    return cost
+    return AssignmentGraph(seq, layers, edges, thresholds)
 
 
 def graph_stats(g: AssignmentGraph) -> dict:
     layer_sizes = [len(layer) for layer in g.layers]
     edge_counts = [len(layer_edges) for layer_edges in g.edges]
-    densities = []
-    for k, layer_edges in enumerate(g.edges):
-        possible = layer_sizes[k] * layer_sizes[k + 1]
-        densities.append(len(layer_edges) / possible if possible else 0.0)
+    possible = [layer_sizes[k] * layer_sizes[k + 1] for k in range(len(g.edges))]
     return {
         "layer_sizes": layer_sizes,
         "edge_counts": edge_counts,
         "total_edges": sum(edge_counts),
-        "densities": densities,
-        "density": (sum(edge_counts) / sum(layer_sizes[k] * layer_sizes[k + 1] for k in range(len(g.edges))))
-        if g.edges
-        else 0.0,
+        "densities": [e / p if p else 0.0 for e, p in zip(edge_counts, possible)],
+        "density": sum(edge_counts) / sum(possible) if g.edges else 0.0,
     }
 
 

@@ -152,8 +152,8 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
         # peak id -> out-edge columns of each node consuming it
         consumers: dict[str, list[np.ndarray]] = {}
         for k in range(1, n + 1):
-            for i, peaks in g.peak_usage[k].items():
-                for pid in peaks:
+            for i in range(len(g.layers[k])):
+                for pid in g.usage(k, i):
                     consumers.setdefault(pid, []).append(columns[k][g.edges[k].out(i)])
         for pid in sorted(consumers):
             if len(consumers[pid]) < 2:

@@ -71,7 +71,9 @@ def make_graph(
     """Assemble an AssignmentGraph directly from layer sizes and cost maps.
 
     ``inner_sizes[k-1]`` counts the nodes of inner layer k including its
-    dummy at index 0.
+    dummy at index 0. A regular node consumes the peaks ``usage[k][i]``;
+    one absent from ``usage`` consumes the pseudo-peak ``n{k}_{i}``, which
+    no other node uses.
     """
     n = len(inner_sizes)
     seq = ProteinSequence(sequence or "A" * n)
@@ -86,14 +88,10 @@ def make_graph(
             layer.append(AssignmentNode(k, i, REGULAR, grouping))
         layers.append(layer)
     layers.append([AssignmentNode(n + 1, 0, END)])
-    peak_usage = [
-        {i: frozenset(s) for i, s in layer_usage.items()} for layer_usage in usage
-    ]
     return AssignmentGraph(
         seq,
         layers,
         [EdgeLayer(e, len(layers[k])) for k, e in enumerate(edges)],
-        peak_usage,
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
     )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrassign.costmodel import atom_cost, edge_cost, typing_threshold
+from nmrassign.costmodel import atom_cost, typing_threshold
 from nmrassign.domain import NonPositiveSigmaError, Prior
 
 from oracles import quadrature_atom_cost
@@ -93,22 +93,6 @@ def test_consistency_reward(d, m):
     together = atom_cost(prior, [(m, 0.3), (m, 0.3)]).cost
     apart = atom_cost(prior, [(m - d, 0.3), (m + d, 0.3)]).cost
     assert together <= apart
-
-
-def test_edge_cost_additivity():
-    priors = {"CA": Prior(53.0, 2.0), "CB": Prior(19.0, 1.8)}
-    obs = {"CA": [(53.5, 0.1)], "CB": [(18.5, 0.2)]}
-    total = edge_cost(priors, obs)
-    parts = sum(atom_cost(priors[r], obs[r]).cost for r in obs)
-    assert total == pytest.approx(parts, rel=1e-12)
-
-
-def test_edge_cost_empty_and_unknown_role():
-    priors = {"CA": Prior(53.0, 2.0)}
-    assert edge_cost(priors, {}) == 0.0
-    assert edge_cost(priors, {"CA": []}) == 0.0
-    with pytest.raises(KeyError):
-        edge_cost(priors, {"CB": [(19.0, 0.1)]})
 
 
 def test_typing_threshold_zero_observations():

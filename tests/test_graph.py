@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from nmrassign.costmodel import atom_cost, typing_threshold
@@ -20,8 +22,11 @@ from nmrassign.grouping import PeakGrouping
 
 
 def _grouping(gid, shifts, sigma=0.1):
+    """A grouping with one observation per role, or several where a role
+    maps to a list of values."""
     consensus = {
-        role: (Observation(role, value, gid, sigma),) for role, value in shifts.items()
+        role: tuple(Observation(role, v, gid, sigma) for v in np.atleast_1d(values).tolist())
+        for role, values in shifts.items()
     }
     return PeakGrouping(gid, frozenset({gid}), consensus, (shifts.get("HN", 8.0), shifts.get("N", 120.0)))
 
@@ -74,10 +79,17 @@ def test_proline_layer_dummy_only(toy_priors, default_tol):
 def test_layer_instantiation_counts(toy_priors, default_tol):
     seq = ProteinSequence("AG")
     expected = spin_observation_counts(toy_priors)
-    ala_only = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0})
+    ala_only = dataclasses.replace(
+        _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0}),
+        member_peaks=frozenset({"p1", "p2", "p3"}),
+    )
     g = build_graph([ala_only], seq, toy_priors, default_tol, expected)
     assert len(g.layers[1]) == 2  # dummy + the grouping
     assert len(g.layers[2]) == 1  # glycine rejects the CB observation
+    # a regular node consumes its grouping's peaks; start, dummies and end none
+    assert g.usage(1, 1) == frozenset({"p1", "p2", "p3"})
+    for layer, index in ((0, 0), (1, 0), (2, 0), (3, 0)):
+        assert g.usage(layer, index) == frozenset()
 
 
 def test_edge_costs_and_attribution(toy_priors, default_tol):
@@ -130,6 +142,17 @@ def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
     assert g.edge_cost(2, 0, 0) == pytest.approx(g.thresholds[2])
 
 
+def _walks(src, dst, delta3):
+    """Every intra carbon value of src within delta3 of every prev value of
+    the same carbon in dst, checked pair by pair."""
+    return all(
+        abs(x.value - y.value) <= delta3
+        for role in ("CA", "CB", "CO")
+        for x in src.observations(role)
+        for y in dst.observations(role + "_prev")
+    )
+
+
 def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     seq = ProteinSequence("AA")
     expected = spin_observation_counts(toy_priors)
@@ -143,6 +166,41 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     # dummy routes always exist
     assert (0, i2) in g.edges[1]
     assert (i1, 0) in g.edges[1]
+
+    # several observations per carbon role on each side, in no order, as from
+    # peak lists; binary-exact values: 53.25 - 53.0 is exactly delta3, and
+    # nextafter puts a value one ulp beyond it
+    tol = Tolerances(delta3=0.25, delta=10.0)  # wide typing: only the link cuts
+    over_ca = float(np.nextafter(53.25, np.inf))
+    under_cb = float(np.nextafter(19.0, -np.inf))  # 19.25 - under_cb is just over
+    amide = {"N": 122.0, "HN": 8.1, "CA": 53.5, "CB": 19.5}
+    s1 = _grouping("s1", {"N": 123.0, "HN": 8.2, "CA": [53.125, 53.0], "CB": [19.25, 19.0]})
+    s2 = _grouping("s2", {"N": 123.0, "HN": 8.2, "CA": [53.125, 53.25]})
+    targets = [
+        _grouping("t1", {**amide, "CA_prev": [53.0, 53.25]}),  # exactly delta3 apart
+        _grouping("t2", {**amide, "CA_prev": [over_ca, 53.125]}),  # s1: 53.0 just over
+        _grouping("t3", {**amide, "CA_prev": [53.125], "CB_prev": [19.0, 19.125]}),
+        _grouping("t4", {**amide, "CB_prev": [under_cb, 19.125]}),  # s1: 19.25 just over
+        _grouping("t5", amide),  # no prev roles: links to every source
+    ]
+    g = build_graph([s1, s2, *targets], seq, toy_priors, tol, expected)
+    src = {n.grouping_id: n for n in g.layers[1] if n.kind == REGULAR}
+    dst = {n.grouping_id: n for n in g.layers[2] if n.kind == REGULAR}
+    assert len(src) == len(dst) == 7  # every grouping is typed as alanine
+    linked = {(i, j) for i, j in g.edges[1] if i and j}
+    want = {
+        (a.index, b.index)
+        for a in src.values()
+        for b in dst.values()
+        if _walks(a.grouping, b.grouping, tol.delta3)
+    }
+    assert linked == want
+    pair = {(a, b): (src[a].index, dst[b].index) in linked for a in src for b in dst}
+    assert pair["s1", "t1"] and pair["s2", "t1"]  # exactly delta3 is kept
+    assert not pair["s1", "t2"] and pair["s2", "t2"]  # one ulp over is cut
+    assert pair["s1", "t3"] and pair["s2", "t3"]
+    assert not pair["s1", "t4"] and pair["s2", "t4"]  # s2 observes no CB
+    assert pair["s1", "t5"] and pair["s2", "t5"]
 
 
 def test_dummy_connectivity_invariant(toy_priors, default_tol):
