@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .domain import NmrAssignError
+from .domain import NmrAssignError, dimension_of
 from .graph import DUMMY, AssignmentGraph
 from .lp import SolveResult
 from .simulate import FLYA_BOUND, GroundTruth
@@ -171,8 +171,7 @@ def atom_correctness(
             estimate = ra.consensus.get(role)
             if estimate is None:
                 continue
-            dim = "H" if role == "HN" else ("N" if role == "N" else "C")
-            if abs(estimate - reference[role]) <= bounds[dim]:
+            if abs(estimate - reference[role]) <= bounds[dimension_of(role)]:
                 correct += 1
     return (correct / total if total else 0.0), correct, total
 

@@ -85,7 +85,7 @@ def experiment_set(names: Sequence[str]) -> tuple[Experiment, ...]:
 
 def expected_pattern(names: Sequence[str]) -> dict[str, int]:
     """Expected per-spectrum peak count for one residue's grouping."""
-    return {EXPERIMENTS[canonical_name(n)].name: EXPERIMENTS[canonical_name(n)].peak_count for n in names}
+    return {exp.name: exp.peak_count for exp in experiment_set(names)}
 
 
 def candidate_roles(spectrum_id: str, phase: int) -> tuple[str, ...]:

@@ -5,20 +5,24 @@ layer. Each inner layer holds one dummy node (null assignment) plus one
 regular node per peak grouping that is statistically consistent with the
 residue's priors. Edges run only between consecutive layers.
 
+Each grouping is summarised once per base role, for its intra-residue and
+its previous-residue observations: their ``costmodel.Moments`` and their
+lowest and highest value. Typing, linking and pricing are array operations
+over these summaries, one residue type or one layer at a time.
+
 Sequential walking: a regular node of layer k links to a regular node of
-layer k+1 only when every intra-residue carbon value of the source is within
-delta3 of every previous-residue value of the same carbon in the target. For
-each of CA, CB and CO this is a range test over the two sides' values,
-src_max - dst_min <= delta3 and dst_max - src_min <= delta3, so each layer
-checks all its pairs at once; a side that does not observe the carbon
-passes. Linked pairs above the residue's threshold are dropped too.
+layer k+1 only when every intra-residue value of the source is within
+delta3 of every previous-residue value of the same atom in the target, that
+is src_max - dst_min <= delta3 and dst_max - src_min <= delta3 per role; a
+side that does not observe the atom passes. Linked pairs above the
+residue's threshold are dropped too.
 
 Cost attribution: the edge leaving layer k charges the atoms of residue k,
-whose observations come from the source node's intra-residue roles plus the
-target node's previous-residue roles. Edges leaving a dummy node charge the
-residue's summed typing threshold instead. Edges out of the start node
-charge nothing. Summing edge costs along any start-to-end path therefore
-prices every residue exactly once.
+each priced from its prior merged with the source node's intra-residue and
+the target node's previous-residue moments. Edges leaving a dummy node
+charge the residue's summed typing threshold instead. Edges out of the
+start node charge nothing. Summing edge costs along any start-to-end path
+therefore prices every residue exactly once.
 """
 from __future__ import annotations
 
@@ -28,9 +32,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .costmodel import atom_cost, typing_threshold
+from .costmodel import Moments, marginal_cost, moments, typing_threshold
 from .domain import (
+    BASE_ROLES,
     NmrAssignError,
     PriorTable,
     ProteinSequence,
@@ -41,8 +47,6 @@ from .domain import (
 from .grouping import PeakGrouping
 
 START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
-
-CARBON_ROLES = ("CA", "CB", "CO")
 
 #: role -> (expected observation count, noise sigma), used for thresholds
 ExpectedCounts = Mapping[str, tuple[int, float]]
@@ -68,12 +72,14 @@ class EdgeLayer(Mapping):
     ``out(i)``, and iteration yields the keys in that order.
     """
 
-    def __init__(self, edges: Mapping[tuple[int, int], float], n_src: int) -> None:
-        keys = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((keys[:, 1], keys[:, 0]))
-        self.src = keys[order, 0]
-        self.dst = keys[order, 1]
-        self.cost = np.fromiter(edges.values(), dtype=float, count=len(keys))[order]
+    def __init__(self, src: ArrayLike, dst: ArrayLike, cost: ArrayLike, n_src: int) -> None:
+        """Edges src[e] -> dst[e] costing cost[e], in any order, out of
+        ``n_src`` source nodes."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        order = np.lexsort((dst, src))
+        self.src = src[order]
+        self.dst = dst[order]
+        self.cost = np.asarray(cost, dtype=float)[order]
         self.indptr = np.searchsorted(self.src, np.arange(n_src + 1))
 
     def out(self, i: int) -> slice:
@@ -145,50 +151,78 @@ class AssignmentGraph:
         return counts
 
 
-def _observations(grouping: PeakGrouping, prev: bool) -> dict[str, list[tuple[float, float]]]:
-    """Base-role observations from a grouping's intra or prev roles."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for role, obs in grouping.consensus.items():
-        if is_prev(role) != prev:
-            continue
-        out.setdefault(base_role(role), []).extend((o.value, o.sigma) for o in obs)
-    return out
+def _summaries(
+    groupings: Sequence[PeakGrouping], prev: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each grouping's intra (or prev) observations per base role: their
+    ``Moments`` fields stacked as (field, grouping, role in ``BASE_ROLES``),
+    and their lowest and highest values, (+inf, -inf) when unobserved."""
+    stats = np.zeros((len(Moments._fields), len(groupings), len(BASE_ROLES)))
+    lo = np.full(stats.shape[1:], np.inf)
+    hi = -lo
+    for a, g in enumerate(groupings):
+        for role, obs in g.consensus.items():
+            if is_prev(role) == prev:
+                r = BASE_ROLES.index(base_role(role))
+                stats[:, a, r] = moments((o.value, o.sigma) for o in obs)
+                lo[a, r] = min(o.value for o in obs)
+                hi[a, r] = max(o.value for o in obs)
+    return stats, lo, hi
 
 
-def node_typing_cost(
-    grouping: PeakGrouping, residue_type: str, priors: PriorTable, tol: Tolerances
-) -> tuple[dict[str, float], float] | None:
-    """(per-role costs, threshold) of a grouping against one residue's priors.
+def _noise(grouping: PeakGrouping) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """The sigmas of a grouping's intra-residue observations, per role."""
+    return tuple(sorted(
+        (role, tuple(o.sigma for o in obs))
+        for role, obs in grouping.consensus.items()
+        if not is_prev(role)
+    ))
 
-    Roles are the grouping's intra-residue base roles in sorted order; the
-    grouping is typed as the residue when the costs sum to at most the
-    threshold. Returns None when the grouping observes an atom the residue
-    does not have, which makes the assignment impossible.
-    """
-    role_costs: dict[str, float] = {}
-    threshold = 0.0
-    for role, obs in sorted(_observations(grouping, prev=False).items()):
+
+def _threshold(
+    residue_type: str, priors: PriorTable, tol: Tolerances, noise: Mapping[str, Sequence[float]]
+) -> float:
+    """Summed typing threshold of observations with these sigmas per role;
+    atoms the residue lacks add nothing."""
+    total = 0.0
+    for role in sorted(noise):
         prior = priors.prior(residue_type, role)
-        if prior is None:
-            return None
-        role_costs[role] = atom_cost(prior, obs).cost
-        threshold += typing_threshold(prior, len(obs), [sigma for _, sigma in obs], tol.delta)
-    return role_costs, threshold
+        if prior is not None:
+            total += typing_threshold(prior, len(noise[role]), noise[role], tol.delta)
+    return total
+
+
+def residue_threshold(
+    residue_type: str, priors: PriorTable, tol: Tolerances, expected: ExpectedCounts
+) -> float:
+    """Summed per-atom typing threshold for a null assignment."""
+    noise = {role: [sigma] * count for role, (count, sigma) in expected.items()}
+    return _threshold(residue_type, priors, tol, noise)
+
+
+def _residue_costs(residue_type: str, priors: PriorTable, *parts: Moments) -> np.ndarray:
+    """Summed atom costs of the residue for rows of per-role moments (last
+    axis in ``BASE_ROLES`` order), each atom pooling the parts' observations
+    of it; +inf where a part observes an atom the residue lacks."""
+    table = [priors.prior(residue_type, role) for role in BASE_ROLES]
+    lacks = np.array([prior is None for prior in table])
+    # an absent atom gets a stand-in prior; its cost is replaced below
+    post = Moments(*np.array([
+        moments([(0.0, 1.0) if prior is None else (prior.mean, prior.std)]) for prior in table
+    ]).T)
+    for part in parts:
+        post = post.merge(part)
+    return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post)).sum(axis=-1)
 
 
 def _typed(
-    groupings: Sequence[PeakGrouping],
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-) -> list[tuple[PeakGrouping, dict[str, float]]]:
-    """Groupings typed as the residue, each with its per-role costs."""
-    kept = []
-    for g in groupings:
-        scored = node_typing_cost(g, residue_type, priors, tol)
-        if scored is not None and sum(scored[0].values()) <= scored[1]:
-            kept.append((g, scored[0]))
-    return kept
+    intra: np.ndarray, noise: Sequence, residue_type: str, priors: PriorTable, tol: Tolerances
+) -> np.ndarray:
+    """Indices of the groupings typed as the residue: their summed atom costs
+    are at most the summed typing threshold of their noise (ties retained)."""
+    limit = {sig: _threshold(residue_type, priors, tol, dict(sig)) for sig in set(noise)}
+    costs = _residue_costs(residue_type, priors, Moments(*intra))
+    return np.flatnonzero(costs <= np.array([limit[sig] for sig in noise]))
 
 
 def prune_by_typing(
@@ -198,58 +232,9 @@ def prune_by_typing(
     tol: Tolerances,
 ) -> list[PeakGrouping]:
     """Groupings statistically consistent with the residue (ties retained)."""
-    return [g for g, _ in _typed(groupings, residue_type, priors, tol)]
-
-
-def residue_threshold(
-    residue_type: str, priors: PriorTable, tol: Tolerances, expected: ExpectedCounts
-) -> float:
-    """Summed per-atom typing threshold for a null assignment."""
-    total = 0.0
-    for role in sorted(expected):
-        prior = priors.prior(residue_type, role)
-        if prior is None:
-            continue
-        count, sigma = expected[role]
-        total += typing_threshold(prior, count, [sigma] * count, tol.delta)
-    return total
-
-
-def _carbon_ranges(
-    observations: Sequence[Mapping[str, list[tuple[float, float]]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lowest, highest) value per node and carbon role, each of shape
-    (nodes, roles); an unobserved role is (+inf, -inf)."""
-    lo = np.full((len(observations), len(CARBON_ROLES)), np.inf)
-    hi = -lo
-    for a, obs in enumerate(observations):
-        for r, role in enumerate(CARBON_ROLES):
-            values = [x for x, _ in obs.get(role, ())]
-            if values:
-                lo[a, r], hi[a, r] = min(values), max(values)
-    return lo, hi
-
-
-def _residue_cost(
-    src_intra: Mapping[str, list[tuple[float, float]]],
-    dst_prev: Mapping[str, list[tuple[float, float]]],
-    role_costs: Mapping[str, float],
-    residue_type: str,
-    priors: PriorTable,
-) -> float | None:
-    """Residue cost charged by a regular source: its intra roles, each pooled
-    with the target's prev roles of the same atom (none for the dummy or the
-    end). None when the target observes an atom the residue does not have."""
-    cost = 0.0
-    for role in sorted(set(src_intra) | set(dst_prev)):
-        prior = priors.prior(residue_type, role)
-        if prior is None:
-            return None
-        if role in dst_prev:
-            cost += atom_cost(prior, src_intra.get(role, []) + dst_prev[role]).cost
-        else:
-            cost += role_costs[role]
-    return cost
+    intra = _summaries(groupings, prev=False)[0]
+    kept = _typed(intra, [_noise(g) for g in groupings], residue_type, priors, tol)
+    return [groupings[a] for a in kept]
 
 
 def build_graph(
@@ -260,51 +245,52 @@ def build_graph(
     expected: ExpectedCounts,
 ) -> AssignmentGraph:
     n = len(seq)
-    thresholds = [0.0] * (n + 1)
-    for k in range(1, n + 1):
-        thresholds[k] = residue_threshold(seq.residue_type(k), priors, tol, expected)
+    thresholds = [0.0] + [residue_threshold(rt, priors, tol, expected) for rt in seq.residues]
+    intra, intra_lo, intra_hi = _summaries(groupings, prev=False)
+    prev, prev_lo, prev_hi = _summaries(groupings, prev=True)
+    noise = [_noise(g) for g in groupings]
+    typed = {rt: _typed(intra, noise, rt, priors, tol) for rt in set(seq.residues)}
 
-    # cache per-grouping observation maps and per-residue-type typing outcomes
-    intra = {g.grouping_id: _observations(g, prev=False) for g in groupings}
-    prev = {g.grouping_id: _observations(g, prev=True) for g in groupings}
-    typed: dict[str, list[tuple[PeakGrouping, dict[str, float]]]] = {}
-
+    # the grouping rows of each inner layer's regular nodes, then none for the end
+    rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
     layers: list[list[AssignmentNode]] = [[AssignmentNode(0, 0, START)]]
-    for k in range(1, n + 1):
-        residue_type = seq.residue_type(k)
-        if residue_type not in typed:
-            typed[residue_type] = _typed(groupings, residue_type, priors, tol)
-        regular = [
-            AssignmentNode(k, i, REGULAR, g) for i, (g, _) in enumerate(typed[residue_type], 1)
-        ]
+    for k, layer_rows in enumerate(rows[:-1], 1):
+        regular = [AssignmentNode(k, i, REGULAR, groupings[a]) for i, a in enumerate(layer_rows, 1)]
         layers.append([AssignmentNode(k, 0, DUMMY), *regular])
     layers.append([AssignmentNode(n + 1, 0, END)])
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
-    edges = [EdgeLayer({(0, node.index): 0.0 for node in layers[1]}, 1)]
+    first = np.arange(len(layers[1]))
+    edges = [EdgeLayer(np.zeros_like(first), first, np.zeros(len(first)), 1)]
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
-        role_costs = [costs for _, costs in typed[residue_type]]
-        src_intra = [intra[node.grouping_id] for node in layers[k][1:]]
-        dst_prev = [prev[node.grouping_id] for node in layers[k + 1][1:]]
+        src, dst = rows[k - 1], rows[k]
+        # sequential walking: every pair of same-atom values within delta3
+        linked = (
+            (intra_hi[src][:, None] - prev_lo[dst] <= tol.delta3)
+            & (prev_hi[dst] - intra_lo[src][:, None] <= tol.delta3)
+        ).all(axis=2)
+        a, b = np.nonzero(linked)
+        cost = _residue_costs(
+            residue_type, priors, Moments(*intra[:, src[a]]), Moments(*prev[:, dst[b]])
+        )
+        # above the threshold the pair is implausible; the dummy route is cheaper
+        keep = cost <= thresholds[k]
         # a dummy source leaves the target's prev roles unexplained and prices
         # the residue at its threshold; a regular source reaching the dummy
         # (or the end) pays its typing costs alone
-        layer_edges = {(0, j): thresholds[k] for j in range(len(layers[k + 1]))}
-        for a, obs in enumerate(src_intra):
-            layer_edges[(a + 1, 0)] = _residue_cost(obs, {}, role_costs[a], residue_type, priors)
-        # sequential walking: every pair of shared-carbon values within delta3
-        src_lo, src_hi = _carbon_ranges(src_intra)
-        dst_lo, dst_hi = _carbon_ranges(dst_prev)
-        linked = (
-            (src_hi[:, None] - dst_lo <= tol.delta3) & (dst_hi - src_lo[:, None] <= tol.delta3)
-        ).all(axis=2)
-        for a, b in np.argwhere(linked).tolist():
-            cost = _residue_cost(src_intra[a], dst_prev[b], role_costs[a], residue_type, priors)
-            # above the threshold the pair is implausible; the dummy route is cheaper
-            if cost is not None and cost <= thresholds[k]:
-                layer_edges[(a + 1, b + 1)] = cost
-        edges.append(EdgeLayer(layer_edges, len(layers[k])))
+        targets = np.arange(len(layers[k + 1]))
+        sources = np.arange(1, len(src) + 1)
+        edges.append(EdgeLayer(
+            np.concatenate([np.zeros_like(targets), sources, a[keep] + 1]),
+            np.concatenate([targets, np.zeros_like(sources), b[keep] + 1]),
+            np.concatenate([
+                np.full(len(targets), thresholds[k]),
+                _residue_costs(residue_type, priors, Moments(*intra[:, src])),
+                cost[keep],
+            ]),
+            len(layers[k]),
+        ))
 
     return AssignmentGraph(seq, layers, edges, thresholds)
 

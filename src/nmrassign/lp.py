@@ -40,6 +40,12 @@ _STATUS = {
 }
 
 
+#: largest distance from 0 or 1 at which an edge value counts as integral
+INT_TOL = 1e-6
+#: a search node must beat the incumbent's objective by more than this
+GAP_EPS = 1e-9
+
+
 class SolverError(NmrAssignError):
     """The LP backend failed to produce a usable solution."""
 
@@ -241,11 +247,11 @@ def load_backend(path: str | Path) -> Backend:
     return module.solve
 
 
-def is_integral(lp: LinearProgram, solution: LpSolution, tol: float = 1e-6) -> bool:
+def is_integral(lp: LinearProgram, solution: LpSolution) -> bool:
     if solution.values is None:
         return False
     x = solution.values[: lp.n_edges]
-    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= tol))
+    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= INT_TOL))
 
 
 @dataclass(frozen=True)
@@ -260,8 +266,6 @@ def branch_and_bound(
     bounds: Sequence[tuple[float, float | None]] | None = None,
     backend: Backend | None = None,
     node_limit: int = 100_000,
-    int_tol: float = 1e-6,
-    gap_eps: float = 1e-9,
     incumbent: LpSolution | None = None,
 ) -> BnbResult:
     """Exact solve with integrality on the edge variables.
@@ -294,12 +298,12 @@ def branch_and_bound(
         if not sol.ok:
             continue
         assert sol.objective is not None and sol.values is not None
-        if sol.objective >= incumbent_obj - gap_eps:
+        if sol.objective >= incumbent_obj - GAP_EPS:
             continue
         x = sol.values[:n_edges]
         frac = np.minimum(np.abs(x), np.abs(x - 1.0))
         branch_var = int(np.argmax(frac))
-        if frac[branch_var] <= int_tol:
+        if frac[branch_var] <= INT_TOL:
             incumbent, incumbent_obj = sol, sol.objective
             continue
         stack.append({**fixes, branch_var: (0.0, 0.0)})
@@ -349,7 +353,6 @@ def round_and_resolve(
     tol: Tolerances,
     backend: Backend | None = None,
     node_limit: int = 100_000,
-    gap_eps: float = 1e-9,
 ) -> BnbResult:
     """Exact solve seeded by a search restricted to the relaxation's support.
 
@@ -364,16 +367,13 @@ def round_and_resolve(
     if (
         primal.solution is not None
         and primal.solution.objective is not None
-        and primal.solution.objective <= relaxed.objective + gap_eps
+        and primal.solution.objective <= relaxed.objective + GAP_EPS
     ):
         return primal
     remaining = max(1, node_limit - primal.nodes_explored)
     full = branch_and_bound(
         lp, None, backend, node_limit=remaining, incumbent=primal.solution
     )
-    if full.solution is None:
-        # the seed incumbent was never beaten; fall back to it
-        full = BnbResult(primal.solution, full.proven_optimal, full.nodes_explored)
     return BnbResult(
         full.solution, full.proven_optimal, primal.nodes_explored + full.nodes_explored
     )

@@ -6,9 +6,9 @@ under a fixed seed.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -87,29 +87,12 @@ def _write_json(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-@dataclass
-class Timer:
-    stages: dict
-
-    def __init__(self) -> None:
-        self.stages = {}
-
-    def stage(self, name: str):
-        timer = self
-
-        class _Stage:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                timer.stages[name] = time.perf_counter() - self_inner.t0
-                return False
-
-        return _Stage()
-
-    def write(self, outdir: Path) -> None:
-        _write_json({"seconds": self.stages}, outdir / "timings.json")
+@contextlib.contextmanager
+def _stage(stages: dict[str, float], name: str):
+    """Record the wall time of the block as ``stages[name]``, in seconds."""
+    t0 = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - t0
 
 
 def run_simulate(
@@ -125,18 +108,18 @@ def run_simulate(
 ) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    timer = Timer()
+    stages: dict[str, float] = {}
     if reference is None:
         reference = sample_reference(seq, priors, seed)
     if protocol == "cisa":
         spec = SimulationSpec.cisa(noise, seed, deletion_rate)
-        with timer.stage("simulate"):
+        with _stage(stages, "simulate"):
             spins, gt = simulate_cisa(spec, seq, reference)
         write_spins(spins, outdir / "spins.tsv")
         summary = {"protocol": "cisa", "noise": noise, "records": len(spins)}
     elif protocol == "flya":
         spec = SimulationSpec.flya(seed, deletion_rate)
-        with timer.stage("simulate"):
+        with _stage(stages, "simulate"):
             peaks, gt = simulate_flya(spec, seq, reference, experiments)
         write_peaks(peaks, outdir / "peaks.tsv")
         summary = {"protocol": "flya", "records": len(peaks)}
@@ -145,7 +128,7 @@ def run_simulate(
     write_ground_truth(gt, outdir / "ground_truth.json")
     summary["residues"] = len(seq)
     _write_json(summary, outdir / "simulate_summary.json")
-    timer.write(outdir)
+    _write_json({"seconds": stages}, outdir / "timings.json")
     return summary
 
 
@@ -156,7 +139,7 @@ def _load_and_group(
     priors: PriorTable,
     tol: Tolerances,
     top_k: int | None,
-    timer: Timer,
+    stages: dict[str, float],
 ) -> tuple[list[PeakGrouping], ExpectedCounts]:
     """Read and validate a dataset, then group it: (groupings, expected counts)."""
     if top_k is not None and top_k < 1:
@@ -164,7 +147,7 @@ def _load_and_group(
     dataset = Path(dataset)
     if kind is None:
         kind = _sniff_kind(dataset)
-    with timer.stage("load"):
+    with _stage(stages, "load"):
         if kind == "spins":
             spins = read_spins(dataset)
             report = validate_dataset(priors, seq, spins=spins)
@@ -175,7 +158,7 @@ def _load_and_group(
         messages = "; ".join(i.message for i in report.errors)
         raise NmrAssignError(f"dataset validation failed: {messages}")
 
-    with timer.stage("group"):
+    with _stage(stages, "group"):
         if kind == "spins":
             return spins_to_groupings(spins, priors), spin_observation_counts(priors)
         spectra = sorted(
@@ -208,7 +191,7 @@ def run_assign(
         raise NmrAssignError(f"node_limit must be at least 1, got {node_limit}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    timer = Timer()
+    stages: dict[str, float] = {}
 
     lp_backend = None
     if backend != "bundled":
@@ -216,13 +199,13 @@ def run_assign(
             raise NmrAssignError(f"unknown backend {backend!r}")
         lp_backend = lpmod.load_backend(backend.split(":", 1)[1])
 
-    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, timer)
+    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, stages)
 
-    with timer.stage("graph"):
+    with _stage(stages, "graph"):
         g = build_graph(groupings, seq, priors, tol, expected)
     _write_json(graph_stats(g), outdir / "graph_stats.json")
 
-    with timer.stage("solve"):
+    with _stage(stages, "solve"):
         if variant == "dp":
             path = dp_shortest_path(g)
             counts = g.path_usage_counts(path.nodes)
@@ -258,7 +241,7 @@ def run_assign(
         outdir / "lp_report.json",
     )
     _write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
-    timer.write(outdir)
+    _write_json({"seconds": stages}, outdir / "timings.json")
     return {
         "variant": result.variant,
         "objective": result.objective,
@@ -306,7 +289,7 @@ def run_graph_stats(
 ) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, Timer())
+    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, {})
     g = build_graph(groupings, seq, priors, tol, expected)
     stats = graph_stats(g)
     _write_json(stats, outdir / "graph_stats.json")

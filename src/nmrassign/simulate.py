@@ -26,6 +26,8 @@ from .domain import (
     PriorTable,
     ProteinSequence,
     SpinSystem,
+    base_role,
+    is_prev,
 )
 from .experiments import Experiment, experiment_set
 
@@ -161,7 +163,7 @@ def simulate_cisa(
             draw = rng.normal()
             if residue < 1:
                 continue
-            true = reference.shift(residue, role[:2])
+            true = reference.shift(residue, base_role(role))
             if true is None:
                 continue
             shifts[role] = true + sigma * draw
@@ -213,10 +215,10 @@ def simulate_flya(
             for t, tmpl in enumerate(exp.templates):
                 c_true = None
                 if tmpl.role is not None:
-                    residue = k - 1 if tmpl.role.endswith("_prev") else k
+                    residue = k - 1 if is_prev(tmpl.role) else k
                     if residue < 1:
                         continue
-                    c_true = reference.shift(residue, tmpl.role.split("_")[0])
+                    c_true = reference.shift(residue, base_role(tmpl.role))
                     if c_true is None:
                         continue
                 coords = [

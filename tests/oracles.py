@@ -61,6 +61,12 @@ def quadrature_atom_cost(
 # handcrafted and random graphs
 
 
+def edge_layer(edges: Mapping[tuple[int, int], float], n_src: int) -> EdgeLayer:
+    """An EdgeLayer from a mapping (i, j) -> cost."""
+    keys = list(edges)
+    return EdgeLayer([i for i, _ in keys], [j for _, j in keys], list(edges.values()), n_src)
+
+
 def make_graph(
     inner_sizes: Sequence[int],
     edges: Sequence[Mapping[tuple[int, int], float]],
@@ -91,7 +97,7 @@ def make_graph(
     return AssignmentGraph(
         seq,
         layers,
-        [EdgeLayer(e, len(layers[k])) for k, e in enumerate(edges)],
+        [edge_layer(e, len(layers[k])) for k, e in enumerate(edges)],
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
     )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrassign.costmodel import atom_cost, typing_threshold
+from nmrassign.costmodel import atom_cost, marginal_cost, moments, typing_threshold
 from nmrassign.domain import NonPositiveSigmaError, Prior
 
 from oracles import quadrature_atom_cost
@@ -84,6 +84,28 @@ def test_permutation_invariance(data):
     backward = atom_cost(prior, list(reversed(data))).cost
     # summation order may differ in the last few bits
     assert forward == pytest.approx(backward, rel=1e-9, abs=1e-9)
+
+
+@given(
+    center=st.sampled_from([0.0, 55.0, 175.0]),
+    offsets=st.lists(
+        st.tuples(st.floats(-0.5, 0.5), st.floats(0.01, 0.5)), min_size=1, max_size=6
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_merged_moments_match_atom_cost(center, offsets, data):
+    """Moments of any split of the observations, in any order, merge to the
+    cost of the whole list; tight shifts near 175 ppm are where a raw-moment
+    form would cancel."""
+    prior = Prior(center + 0.3, 1.5)
+    obs = [(center + dx, sigma) for dx, sigma in offsets]
+    shuffled = [obs[i] for i in data.draw(st.permutations(range(len(obs))))]
+    cut = data.draw(st.integers(0, len(obs)))
+    pooled = moments(shuffled[:cut]).merge(moments(shuffled[cut:]))
+    got = float(marginal_cost(moments([(prior.mean, prior.std)]).merge(pooled)))
+    assert got == pytest.approx(atom_cost(prior, obs).cost, rel=1e-9, abs=1e-9)
+    assert got == pytest.approx(quadrature_atom_cost(prior.mean, prior.std, obs), abs=1e-8)
 
 
 @given(d=st.floats(0.01, 5), m=st.floats(-5, 5))

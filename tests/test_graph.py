@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from nmrassign.costmodel import atom_cost, typing_threshold
-from nmrassign.domain import NmrAssignError, Observation, ProteinSequence, Tolerances
+from nmrassign.domain import (
+    NmrAssignError,
+    Observation,
+    ProteinSequence,
+    Tolerances,
+    base_role,
+    is_prev,
+)
 from nmrassign.experiments import spin_observation_counts
 from nmrassign.graph import (
     DUMMY,
@@ -14,11 +21,12 @@ from nmrassign.graph import (
     build_graph,
     export_graph,
     graph_stats,
-    node_typing_cost,
     prune_by_typing,
     residue_threshold,
 )
 from nmrassign.grouping import PeakGrouping
+
+from oracles import quadrature_atom_cost
 
 
 def _grouping(gid, shifts, sigma=0.1):
@@ -52,8 +60,6 @@ def test_typing_filter_absent_atom(toy_priors, default_tol):
     """A grouping observing CB cannot sit on a glycine layer."""
     good = _grouping("u1", {"N": 110.0, "HN": 8.3, "CA": 45.5})
     bad = _grouping("u2", {"N": 110.0, "HN": 8.3, "CA": 45.5, "CB": 19.0})
-    assert node_typing_cost(good, "G", toy_priors, default_tol) is not None
-    assert node_typing_cost(bad, "G", toy_priors, default_tol) is None
     kept = prune_by_typing([good, bad], "G", toy_priors, default_tol)
     assert [k.grouping_id for k in kept] == ["u1"]
 
@@ -203,6 +209,80 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     assert pair["s1", "t5"] and pair["s2", "t5"]
 
 
+def _quadrature_price(src, dst, residue_type, priors):
+    """Residue cost of src's intra and dst's prev observations (dst None for
+    the dummy or the end), by quadrature per pooled role; None when the
+    residue lacks an observed atom."""
+    pooled = {}
+    for grouping, prev in ((src, False), (dst, True)):
+        for role, obs in grouping.consensus.items() if grouping else ():
+            if is_prev(role) == prev:
+                pooled.setdefault(base_role(role), []).extend((o.value, o.sigma) for o in obs)
+    total = 0.0
+    for role, obs in pooled.items():
+        prior = priors.prior(residue_type, role)
+        if prior is None:
+            return None
+        total += quadrature_atom_cost(prior.mean, prior.std, obs)
+    return total
+
+
+def test_edge_costs_match_quadrature(toy_priors):
+    """Every edge out of a regular node is priced like the quadrature of its
+    pooled observations, with several of them per role on both sides."""
+
+    def grouping(gid, **roles):
+        consensus = {
+            role: tuple(Observation(role, v, gid, s) for v, s in obs)
+            for role, obs in roles.items()
+        }
+        return PeakGrouping(gid, frozenset({gid}), consensus, (8.0, 120.0))
+
+    amide = {"N": [(122.5, 0.1), (122.8, 0.05)], "HN": [(8.15, 0.0075), (8.17, 0.01)]}
+    alanine = {**amide, "CA": [(53.2, 0.1), (53.4, 0.2)], "CB": [(19.1, 0.1), (19.3, 0.2)]}
+    prev = {
+        "CA_prev": [(45.4, 0.1), (45.6, 0.2)],
+        "CO_prev": [(174.0, 0.1), (174.2, 0.1), (174.1, 0.2)],
+    }
+    groupings = [
+        grouping("g1", N=[(109.5, 0.1), (109.8, 0.05)], HN=[(8.31, 0.0075)],
+                 CA=[(45.2, 0.1), (45.5, 0.2)], CO=[(174.1, 0.1), (173.9, 0.1)]),
+        grouping("g2", N=[(110.2, 0.1)], HN=[(8.25, 0.0075)],
+                 CA=[(45.7, 0.1), (45.6, 0.1), (45.8, 0.2)]),
+        grouping("t1", **alanine, **prev),
+        # glycine has no CB, so no glycine source may precede this target
+        grouping("t2", **alanine, **prev, CB_prev=[(19.0, 0.1), (19.2, 0.1)]),
+        grouping("t3", **alanine),
+    ]
+    seq = ProteinSequence("GA")
+    expected = {role: (4, 0.1) for role in ("N", "HN", "CA", "CB", "CO")}
+    g = build_graph(groupings, seq, toy_priors, Tolerances(delta3=1.0, delta=10.0), expected)
+    assert [n.grouping_id for n in g.layers[1][1:]] == ["g1", "g2"]
+    assert len(g.layers[2]) > 3  # t1, t2, t3, and the glycine-like groupings
+    priced = 0
+    for k in (1, 2):
+        rt = seq.residue_type(k)
+        for i, j in g.edges[k]:
+            if i == 0:
+                continue
+            src, dst = g.layers[k][i].grouping, g.layers[k + 1][j].grouping
+            want = _quadrature_price(src, dst, rt, toy_priors)
+            assert g.edges[k][(i, j)] == pytest.approx(want, abs=1e-8)
+            priced += 1
+        # wide windows and thresholds: only an absent atom removes a regular pair
+        regular = {
+            (a.index, b.index)
+            for a in g.layers[k][1:]
+            for b in g.layers[k + 1][1:]
+            if _quadrature_price(a.grouping, b.grouping, rt, toy_priors) is not None
+        }
+        assert {(i, j) for i, j in g.edges[k] if i and j} == regular
+    t2 = next(n.index for n in g.layers[2] if n.grouping_id == "t2")
+    assert not any(j == t2 for i, j in g.edges[1] if i)
+    assert (1, t2 - 1) in g.edges[1] and g.layers[2][t2 - 1].grouping_id == "t1"
+    assert priced == len(g.edges[1]) + len(g.edges[2]) - len(g.layers[2]) - 1
+
+
 def test_dummy_connectivity_invariant(toy_priors, default_tol):
     seq = ProteinSequence("AAA")
     expected = spin_observation_counts(toy_priors)
@@ -257,7 +337,7 @@ def test_export_graph(tmp_path, toy_priors, default_tol):
 def test_edge_layer_arrays_and_mapping():
     # three source nodes; node 1 has no out-edges; items given unsorted
     items = {(2, 0): 5.0, (0, 3): 1.5, (2, 1): -2.0, (0, 0): 0.25}
-    layer = EdgeLayer(items, 3)
+    layer = EdgeLayer([2, 0, 2, 0], [0, 3, 1, 0], [5.0, 1.5, -2.0, 0.25], 3)
     assert list(layer) == [(0, 0), (0, 3), (2, 0), (2, 1)]
     assert layer.src.tolist() == [0, 0, 2, 2]
     assert layer.dst.tolist() == [0, 3, 0, 1]
@@ -276,6 +356,6 @@ def test_edge_layer_arrays_and_mapping():
     with pytest.raises(KeyError):
         layer[(0, 1)]
     assert layer == items
-    assert layer == EdgeLayer(dict(sorted(items.items())), 3)
-    assert layer != EdgeLayer({**items, (2, 1): -2.5}, 3)
-    assert EdgeLayer({}, 2).indptr.tolist() == [0, 0, 0]
+    assert layer == EdgeLayer([0, 0, 2, 2], [0, 3, 0, 1], [0.25, 1.5, 5.0, -2.0], 3)
+    assert layer != EdgeLayer([2, 0, 2, 0], [0, 3, 1, 0], [5.0, 1.5, -2.5, 0.25], 3)
+    assert EdgeLayer([], [], [], 2).indptr.tolist() == [0, 0, 0]
