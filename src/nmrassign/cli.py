@@ -12,10 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .domain import NmrAssignError, Tolerances, read_tolerances
+from .domain import NmrAssignError, SolverError, Tolerances, read_tolerances
 from .experiments import FULL_SET
-from .lp import SolverError
 from .pipeline import (
+    VARIANTS,
     bundled_reference,
     load_priors,
     load_sequence,
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags(p_asn)
     p_asn.add_argument("--dataset", help="peaks or spins TSV file")
     p_asn.add_argument("--kind", choices=("peaks", "spins"), default=None)
-    p_asn.add_argument("--variant", choices=("dp", "ilp", "lian1", "lian2"), default=None)
+    p_asn.add_argument("--variant", choices=VARIANTS, default=None)
     p_asn.add_argument("--top-k", dest="top_k", type=int, default=None, help=TOP_K_HELP)
     p_asn.add_argument("--backend", default=None, help="bundled or external:<path>")
     p_asn.add_argument("--node-limit", dest="node_limit", type=int, default=None)
@@ -96,12 +96,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _check_config(config: dict, command: argparse.ArgumentParser) -> None:
+    """Reject a config value its flag could not have produced."""
+    for action in command._actions:
+        keys = {action.dest, *(o.lstrip("-").replace("-", "_") for o in action.option_strings)}
+        for key in sorted(keys & config.keys()):
+            value = config[key]
+            if value is None:
+                continue
+            if action.nargs == 0:
+                ok, want = isinstance(value, bool), "true or false"
+            elif action.type is int:
+                ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            elif action.type is float:
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+                want = "a number"
+            else:
+                ok, want = isinstance(value, str), "a string"
+            if ok and action.choices is not None and value not in action.choices:
+                ok, want = False, "one of " + ", ".join(map(str, action.choices))
+            if not ok:
+                raise NmrAssignError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Config-file values overridden by any flag that was actually given."""
     merged: dict = {}
     if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        merged.pop("command", None)
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise NmrAssignError(f"config file {args.config} must hold a JSON object")
+        config.pop("command", None)
+        [commands] = [a for a in parser._actions if a.dest == "command"]
+        _check_config(config, commands.choices[args.command])
+        merged.update(config)
     for key, value in vars(args).items():
         if key == "config":
             continue
@@ -233,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         return _COMMANDS[args.command](cfg)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

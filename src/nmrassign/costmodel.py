@@ -86,10 +86,6 @@ class GaussianPosteriorSummary:
     def cost(self) -> float:
         return -self.log_z
 
-    @property
-    def z(self) -> float:
-        return math.exp(self.log_z)
-
 
 def atom_cost(prior: Prior, observations: Sequence[ObsPair]) -> GaussianPosteriorSummary:
     """Closed-form atom cost for a Gaussian prior and noisy observations.

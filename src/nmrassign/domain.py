@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,8 +27,8 @@ class NmrAssignError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DuplicateIdError(NmrAssignError):
-    pass
+class SolverError(NmrAssignError):
+    """The LP backend failed to produce a usable solution."""
 
 
 class UnknownResidueTypeError(NmrAssignError):
@@ -220,7 +221,10 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("delta1", "delta2", "delta3", "delta", "lam", "round_eps"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
+            if not value > 0:
                 raise NmrAssignError(f"tolerance {name} must be strictly positive")
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .domain import NmrAssignError, dimension_of
 from .graph import DUMMY, AssignmentGraph
-from .lp import SolveResult
+from .shortest_path import SolveResult
 from .simulate import FLYA_BOUND, GroundTruth
 
 

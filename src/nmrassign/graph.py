@@ -37,7 +37,6 @@ from numpy.typing import ArrayLike
 from .costmodel import Moments, marginal_cost, moments, typing_threshold
 from .domain import (
     BASE_ROLES,
-    NmrAssignError,
     PriorTable,
     ProteinSequence,
     Tolerances,
@@ -123,25 +122,10 @@ class AssignmentGraph:
     def node(self, layer: int, index: int) -> AssignmentNode:
         return self.layers[layer][index]
 
-    def edge_cost(self, k: int, i: int, j: int) -> float:
-        return self.edges[k][(i, j)]
-
     def usage(self, layer: int, index: int) -> frozenset[str]:
         """Peak ids a node consumes: its grouping's members; none otherwise."""
         grouping = self.layers[layer][index].grouping
         return grouping.member_peaks if grouping is not None else frozenset()
-
-    def path_cost(self, nodes: Sequence[int]) -> float:
-        """Recompute a path's cost by summing its edges in layer order."""
-        if len(nodes) != self.n + 2:
-            raise NmrAssignError("path length does not match layer count")
-        total = 0.0
-        for k in range(self.n + 1):
-            key = (nodes[k], nodes[k + 1])
-            if key not in self.edges[k]:
-                raise NmrAssignError(f"path uses missing edge {key} at layer {k}")
-            total += self.edges[k][key]
-        return total
 
     def path_usage_counts(self, nodes: Sequence[int]) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -11,9 +11,7 @@ grouping with a single observation per present role.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .domain import (
@@ -39,7 +37,6 @@ class PeakGrouping:
     grouping_id: str
     member_peaks: frozenset[str]
     consensus: Mapping[str, tuple[Observation, ...]]
-    fingerprint: tuple[float, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "consensus", dict(self.consensus))
@@ -52,9 +49,6 @@ class PeakGrouping:
 class CompatibilityGraph:
     vertices: tuple[str, ...]
     adjacency: Mapping[str, frozenset[str]]
-
-    def neighbors(self, peak_id: str) -> frozenset[str]:
-        return self.adjacency[peak_id]
 
 
 def _amide_compatible(p: Peak, q: Peak, tol: Tolerances) -> bool:
@@ -316,17 +310,10 @@ def _grouping_from_assignment(
         consensus.setdefault(role, []).append(
             Observation(role, value, pid, priors.noise_for(spectrum, role))
         )
-    h_obs = [o.value for o in consensus.get("HN", ())]
-    n_obs = [o.value for o in consensus.get("N", ())]
-    fingerprint = (
-        sum(h_obs) / len(h_obs) if h_obs else float("nan"),
-        sum(n_obs) / len(n_obs) if n_obs else float("nan"),
-    )
     return PeakGrouping(
         grouping_id="",  # assigned after global ordering
         member_peaks=member_set,
         consensus={role: tuple(obs) for role, obs in sorted(consensus.items())},
-        fingerprint=fingerprint,
     )
 
 
@@ -380,7 +367,7 @@ def enumerate_groupings(
     ]
     groupings.sort(key=lambda g: (sorted(g.member_peaks), sorted(g.consensus)))
     return [
-        PeakGrouping(f"g{idx:05d}", g.member_peaks, g.consensus, g.fingerprint)
+        PeakGrouping(f"g{idx:05d}", g.member_peaks, g.consensus)
         for idx, g in enumerate(groupings)
     ]
 
@@ -397,39 +384,12 @@ def spins_to_groupings(
             )
             for role, value in sorted(spin.shifts.items())
         }
-        fingerprint = (
-            spin.shifts.get("HN", float("nan")),
-            spin.shifts.get("N", float("nan")),
-        )
         groupings.append(
             PeakGrouping(
                 grouping_id=spin.system_id,
                 member_peaks=frozenset({spin.system_id}),
                 consensus=consensus,
-                fingerprint=fingerprint,
             )
         )
     return groupings
 
-
-def dump_groupings(groupings: Sequence[PeakGrouping], path: str | Path) -> None:
-    """Debug dump, one JSON object per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for g in groupings:
-            fh.write(
-                json.dumps(
-                    {
-                        "grouping_id": g.grouping_id,
-                        "member_peaks": sorted(g.member_peaks),
-                        "consensus": {
-                            role: [
-                                {"value": o.value, "peak_id": o.peak_id, "sigma": o.sigma}
-                                for o in obs
-                            ]
-                            for role, obs in sorted(g.consensus.items())
-                        },
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )

@@ -19,15 +19,15 @@ import importlib.util
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .domain import NmrAssignError, Tolerances
+from .domain import NmrAssignError, SolverError, Tolerances
 from .graph import DUMMY, AssignmentGraph
-from .shortest_path import NoPathError, PathSolution, path_solution
+from .shortest_path import NoPathError, PathSolution, SolveResult, path_solution
 
 VARIANTS = ("flow", "lian1", "lian2")
 
@@ -46,35 +46,28 @@ INT_TOL = 1e-6
 GAP_EPS = 1e-9
 
 
-class SolverError(NmrAssignError):
-    """The LP backend failed to produce a usable solution."""
-
-
 @dataclass
 class LinearProgram:
-    """A minimization LP with named variables and scipy constraint matrices.
+    """A minimization LP with scipy constraint matrices.
 
     The constraints are ``A_eq @ x == b_eq`` and ``A_ub @ x <= b_ub``, with
     CSR matrices whose column indices are sorted within each row, or None
     when a sense has no rows (its right-hand side is then empty).
-    ``row_names`` names the equality rows first, then the inequality rows.
     Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
     (``edge_offsets[-1]`` is ``n_edges``); slack columns follow the edges.
     ``utilization`` lists the contested peaks in the order of their
-    ``use_<pid>`` rows. External backends (``--backend external:<path>``)
+    utilization rows. External backends (``--backend external:<path>``)
     may read ``costs``, ``matrices()`` or the four matrix fields, and
     ``bounds``.
     """
 
     variant: str
-    var_names: list[str]
     costs: np.ndarray
     bounds: list[tuple[float, float | None]]
     A_eq: sparse.csr_matrix | None
     b_eq: np.ndarray
     A_ub: sparse.csr_matrix | None
     b_ub: np.ndarray
-    row_names: list[str]
     #: first column of each edge layer, then the number of edge columns
     edge_offsets: np.ndarray
     #: peak id -> slack variable index (soft variant only)
@@ -84,11 +77,11 @@ class LinearProgram:
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.costs)
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_names)
+        return len(self.b_eq) + len(self.b_ub)
 
     @property
     def n_edges(self) -> int:
@@ -125,8 +118,9 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     """Build the flow LP for a graph, optionally with utilization rows.
 
     Columns are the edges in (k, i, j) order, then the slack variables in
-    peak order. Rows are ``select_k`` per inner layer, ``flow_k_i`` per
-    inner node, then ``use_<pid>`` per contested peak in peak order.
+    peak order. Equality rows are one selection row per inner layer, then
+    one conservation row per inner node in (k, i) order; inequality rows
+    are one utilization row per contested peak in peak order.
     """
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown LP variant {variant!r}")
@@ -134,11 +128,11 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     edge_offsets = np.cumsum([0] + [len(layer) for layer in g.edges])
     n_edges = int(edge_offsets[-1])
     columns = np.split(np.arange(n_edges), edge_offsets[1:-1])
-    var_names = [f"x_{k}_{i}_{j}" for k, layer in enumerate(g.edges) for i, j in layer]
     costs = [layer.cost for layer in g.edges]
     bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n_edges
 
-    # flow_k_i is equality row flow_row[k] + i, after the n selection rows
+    # node i of layer k conserves flow in equality row flow_row[k] + i,
+    # after the n selection rows
     flow_row = n + np.cumsum([0, 0] + [len(layer) for layer in g.layers[1:-1]])
     rows, cols, data = [], [], []
     for k in range(1, n + 1):
@@ -146,9 +140,6 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
         rows += [np.full(len(out), k - 1), flow_row[k] + into.dst, flow_row[k] + out.src]
         cols += [columns[k], columns[k - 1], columns[k]]
         data += [np.ones(len(out)), np.ones(len(into)), -np.ones(len(out))]
-    row_names = [f"select_{k}" for k in range(1, n + 1)] + [
-        f"flow_{k}_{i}" for k in range(1, n + 1) for i in range(len(g.layers[k]))
-    ]
     b_eq = np.repeat([1.0, 0.0], [n, int(flow_row[-1]) - n])
 
     eps_vars: dict[str, int] = {}
@@ -178,21 +169,18 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
             ub_rows.append(slack - n_edges)
             ub_cols.append(slack)
             ub_data.append(-np.ones(len(slack)))
-            var_names += [f"eps_{pid}" for pid in utilization]
             costs.append(np.full(len(slack), tol.lam))
             bounds += [(0.0, None)] * len(slack)
-    row_names += [f"use_{pid}" for pid in utilization]
 
+    n_vars = len(bounds)
     return LinearProgram(
         variant=variant,
-        var_names=var_names,
         costs=np.concatenate(costs),
         bounds=bounds,
-        A_eq=_csr(rows, cols, data, (int(flow_row[-1]), len(var_names))),
+        A_eq=_csr(rows, cols, data, (int(flow_row[-1]), n_vars)),
         b_eq=b_eq,
-        A_ub=_csr(ub_rows, ub_cols, ub_data, (len(utilization), len(var_names))),
+        A_ub=_csr(ub_rows, ub_cols, ub_data, (len(utilization), n_vars)),
         b_ub=np.ones(len(utilization)),
-        row_names=row_names,
         edge_offsets=edge_offsets,
         eps_vars=eps_vars,
         utilization=utilization,
@@ -383,22 +371,6 @@ def round_and_resolve(
 # end-to-end solvers
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of one constrained-assignment solve."""
-
-    path: PathSolution
-    objective: float
-    lp_bound: float
-    #: peak id -> times consumed along the path, for peaks consumed twice+
-    reused_peaks: dict[str, int]
-    #: peak id -> slack value (soft variant only)
-    epsilons: dict[str, float]
-    proven_optimal: bool
-    nodes_explored: int
-    variant: str
-
-
 def _finish(
     g: AssignmentGraph,
     lp: LinearProgram,
@@ -489,44 +461,3 @@ def solve_ilp(
 ) -> SolveResult:
     """Exact branch and bound on the full hard-utilization program."""
     return _solve_variant(g, "lian1", tol, backend, node_limit, exact=True)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def lp_to_text(lp: LinearProgram, integral: bool = False) -> str:
-    """Render the program in CPLEX LP text format."""
-    lines = ["Minimize", " obj: " + _linear_expr(
-        [(i, c) for i, c in enumerate(lp.costs) if c != 0.0], lp
-    )]
-    lines.append("Subject To")
-    names = iter(lp.row_names)
-    for A, b, op in ((lp.A_eq, lp.b_eq, "="), (lp.A_ub, lp.b_ub, "<=")):
-        for r, rhs in enumerate(b):
-            lo, hi = A.indptr[r], A.indptr[r + 1]
-            terms = zip(A.indices[lo:hi], A.data[lo:hi])
-            lines.append(f" {next(names)}: {_linear_expr(terms, lp)} {op} {rhs:.17g}")
-    lines.append("Bounds")
-    for idx, (lo, hi) in enumerate(lp.bounds):
-        hi_txt = "+inf" if hi is None else f"{hi:.17g}"
-        lines.append(f" {lo:.17g} <= {lp.var_names[idx]} <= {hi_txt}")
-    if integral and lp.n_edges:
-        lines.append("General")
-        lines.append(" " + " ".join(lp.var_names[: lp.n_edges]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _linear_expr(terms: Iterable[tuple[int, float]], lp: LinearProgram) -> str:
-    """``terms`` are (variable index, coefficient) pairs in index order."""
-    parts = []
-    for idx, coeff in terms:
-        sign = "-" if coeff < 0 else "+"
-        prefix = sign if parts or sign == "-" else ""
-        parts.append(f"{prefix} {abs(coeff):.17g} {lp.var_names[idx]}".strip())
-    return " ".join(parts) if parts else "0"
-
-
-def export_lp(lp: LinearProgram, path: str | Path, integral: bool = False) -> None:
-    Path(path).write_text(lp_to_text(lp, integral), encoding="utf-8")

@@ -13,7 +13,6 @@ from importlib import resources
 from pathlib import Path
 
 from . import evaluate as ev
-from . import lp as lpmod
 from .domain import (
     NmrAssignError,
     PriorTable,
@@ -40,7 +39,7 @@ from .grouping import (
     enumerate_groupings,
     spins_to_groupings,
 )
-from .shortest_path import dp_shortest_path
+from .shortest_path import SolveResult, dp_shortest_path
 from .simulate import (
     Reference,
     SimulationSpec,
@@ -185,6 +184,8 @@ def run_assign(
     node_limit: int = 100_000,
 ) -> dict:
     """Full assignment run; returns a summary including the exit status."""
+    from . import lp as lpmod  # scipy's solver stack, loaded only to solve
+
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown variant {variant!r}")
     if node_limit < 1:
@@ -209,7 +210,7 @@ def run_assign(
         if variant == "dp":
             path = dp_shortest_path(g)
             counts = g.path_usage_counts(path.nodes)
-            result = lpmod.SolveResult(
+            result = SolveResult(
                 path=path,
                 objective=path.total_cost,
                 lp_bound=path.total_cost,

@@ -41,6 +41,22 @@ class PathSolution:
             raise NmrAssignError("edge_costs length must be len(nodes) - 1")
 
 
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of one constrained-assignment solve."""
+
+    path: PathSolution
+    objective: float
+    lp_bound: float
+    #: peak id -> times consumed along the path, for peaks consumed twice+
+    reused_peaks: dict[str, int]
+    #: peak id -> slack value (soft variant only)
+    epsilons: dict[str, float]
+    proven_optimal: bool
+    nodes_explored: int
+    variant: str
+
+
 def path_solution(g: AssignmentGraph, nodes: Sequence[int], optimal: bool = True) -> PathSolution:
     """A path of node indices, priced edge by edge in layer order."""
     edge_costs = tuple(

@@ -90,7 +90,7 @@ def make_graph(
         layer = [AssignmentNode(k, 0, DUMMY)]
         for i in range(1, size):
             members = frozenset(usage[k].get(i, {f"n{k}_{i}"}))
-            grouping = PeakGrouping(f"n{k}_{i}", members, {}, (0.0, 0.0))
+            grouping = PeakGrouping(f"n{k}_{i}", members, {})
             layer.append(AssignmentNode(k, i, REGULAR, grouping))
         layers.append(layer)
     layers.append([AssignmentNode(n + 1, 0, END)])

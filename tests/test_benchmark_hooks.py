@@ -1,23 +1,60 @@
 """The benchmark's traced run (``benchmark/run.py --trace 1``) patches
-functions of the program by module and name; each must still exist."""
+functions of the program by module and name; each must still exist, and a
+traced assign must still call each of them."""
 import importlib.util
 import sys
 from pathlib import Path
 
+import nmrassign.cli as cli
 import nmrassign.graph as graph
 import nmrassign.pipeline as pipeline
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
+ASSIGN_SPANS = (
+    "pipeline.run_assign",
+    "domain.load",
+    "grouping.enumerate",
+    "graph.build",
+    "lp.solve_lian1",
+    "lp.formulate",
+    "lp.solve",
+    "lp.highs",
+    "lp.is_integral",
+    "lp.extract",
+)
 
-def test_benchmark_trace_hooks_resolve(monkeypatch):
+
+def _benchmark_run(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARK))
     spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARK / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_trace_hooks_resolve(monkeypatch):
+    run = _benchmark_run(monkeypatch)
     tracer = run.Tracer()
     run.install_hooks(tracer)
     with tracer.installed():  # looks up every hooked module.attr
         assert pipeline.build_graph is not graph.build_graph
     assert pipeline.build_graph is graph.build_graph
+
+
+def test_traced_assign_records_every_stage(monkeypatch, tmp_path, capsys):
+    run = _benchmark_run(monkeypatch)
+    tracer = run.Tracer()
+    run.install_hooks(tracer)
+    seq = "ADKFLEGQRS"
+    with tracer.installed():
+        assert cli.main(["simulate", "--sequence", seq, "--seed", "2", "--out", str(tmp_path)]) == 0
+        assert cli.main([
+            "assign", "--sequence", seq, "--dataset", str(tmp_path / "spins.tsv"),
+            "--variant", "lian1", "--out", str(tmp_path),
+        ]) == 0
+    capsys.readouterr()
+    names = {span.name for span in tracer.spans}
+    assert "simulate.run" in names
+    assert [name for name in ASSIGN_SPANS if name not in names] == []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,9 @@ def test_invalid_inputs(tmp_path, capsys):
     assert code == EXIT_INPUT
     bad_config = tmp_path / "bad.json"
     bad_config.write_text("{not json")
+    code = main(["simulate", "--config", str(bad_config), "--out", str(tmp_path / "o2")])
+    assert code == EXIT_INPUT
+    bad_config.write_text("[1, 2]")
     code = main(["simulate", "--config", str(bad_config), "--out", str(tmp_path / "o2")])
     assert code == EXIT_INPUT
     code = main(
@@ -209,3 +216,67 @@ def test_seed_is_a_simulate_option_only(command, capsys):
         main([command, "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("assign", "top_k", "5"),
+        ("assign", "delta3", "0.5"),
+        ("assign", "lambda", "5"),
+        ("assign", "node_limit", 2.5),
+        ("assign", "round_eps", "1e-6"),
+        ("graph-stats", "export", "yes"),
+        ("simulate", "seed", "3"),
+        ("simulate", "experiments", ["hsqc", "hncacb"]),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, value):
+    out = _simulate(tmp_path, "cfgrun")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    argv = [command, "--config", str(config), "--sequence", SEQ, "--out", str(out)]
+    if command != "simulate":
+        argv += ["--dataset", str(out / "spins.tsv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+LAZY_SOLVER_SCRIPT = """
+import json, sys
+from pathlib import Path
+from nmrassign import cli
+
+run, solved, seq = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+for argv in (
+    ["simulate", "--sequence", seq, "--seed", "3", "--out", run],
+    ["graph-stats", "--sequence", seq, "--dataset", run / "spins.tsv", "--out", run],
+    ["evaluate", "--assignment", solved / "assignment.json",
+     "--ground-truth", solved / "ground_truth.json", "--out", run],
+    ["assign", "--sequence", seq, "--dataset", run / "spins.tsv", "--out", run],
+):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+    print(json.dumps([argv[0], "nmrassign.lp" in sys.modules, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_only_assign_loads_the_solver(tmp_path, capsys):
+    solved = _simulate(tmp_path, "solved")
+    argv = ["assign", "--sequence", SEQ, "--dataset", str(solved / "spins.tsv"), "--out", str(solved)]
+    assert main(argv) == EXIT_OK
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path / "fresh"), str(solved), SEQ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert loaded == [
+        ["simulate", False, False],
+        ["graph-stats", False, False],
+        ["evaluate", False, False],
+        ["assign", True, True],
+    ]

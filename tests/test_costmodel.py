@@ -20,7 +20,7 @@ THRESHOLD_TWO = 13.361971274748853  # prior (0,1), o=2, sigma_l=0.1, delta=3
 def test_no_observations_cost_zero():
     summary = atom_cost(Prior(5.0, 2.0), [])
     assert summary.cost == 0.0
-    assert summary.z == 1.0
+    assert summary.log_z == 0.0
     assert summary.mean == 5.0 and summary.sigma == 2.0
 
 

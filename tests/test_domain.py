@@ -3,7 +3,6 @@ import math
 import pytest
 
 from nmrassign.domain import (
-    DuplicateIdError,
     NmrAssignError,
     NonPositiveSigmaError,
     Peak,
@@ -78,6 +77,9 @@ def test_prior_and_tolerances_positivity():
         Prior(0.0, 0.0)
     with pytest.raises(NmrAssignError):
         Tolerances(delta1=-1.0)
+    for value in ("0.5", None, True):
+        with pytest.raises(NmrAssignError, match="round_eps must be a number"):
+            Tolerances(round_eps=value)
     tol = Tolerances()
     assert (tol.delta1, tol.delta2, tol.delta3) == (0.03, 0.3, 0.3)
     assert tol.delta == 3.0 and tol.lam == 5.0 and tol.round_eps == 1e-6

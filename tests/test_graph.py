@@ -6,7 +6,6 @@ import pytest
 
 from nmrassign.costmodel import atom_cost, typing_threshold
 from nmrassign.domain import (
-    NmrAssignError,
     Observation,
     ProteinSequence,
     Tolerances,
@@ -25,6 +24,7 @@ from nmrassign.graph import (
     residue_threshold,
 )
 from nmrassign.grouping import PeakGrouping
+from nmrassign.shortest_path import path_solution
 
 from oracles import quadrature_atom_cost
 
@@ -36,7 +36,7 @@ def _grouping(gid, shifts, sigma=0.1):
         role: tuple(Observation(role, v, gid, sigma) for v in np.atleast_1d(values).tolist())
         for role, values in shifts.items()
     }
-    return PeakGrouping(gid, frozenset({gid}), consensus, (shifts.get("HN", 8.0), shifts.get("N", 120.0)))
+    return PeakGrouping(gid, frozenset({gid}), consensus)
 
 
 def test_dummies_only_graph(toy_priors, default_tol):
@@ -48,7 +48,7 @@ def test_dummies_only_graph(toy_priors, default_tol):
     assert stats["total_edges"] == 4
     assert stats["density"] == 1.0
     # the unique path is the dummy chain, costing the summed thresholds
-    assert g.path_cost([0, 0, 0, 0, 0]) == pytest.approx(sum(g.thresholds[1:]))
+    assert path_solution(g, [0, 0, 0, 0, 0]).total_cost == pytest.approx(sum(g.thresholds[1:]))
     assert g.thresholds[1] == pytest.approx(
         residue_threshold("A", toy_priors, default_tol, expected)
     )
@@ -113,7 +113,7 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
     by_id2 = {node.grouping_id: node.index for node in g.layers[2]}
     i2 = by_id2["u2"]
     # start edges carry no cost
-    assert g.edge_cost(0, 0, i1) == 0.0
+    assert g.edges[0][(0, i1)] == 0.0
 
     # edge u1 -> u2 charges residue 1: u1's intra roles plus u2's prev roles
     sigma = 0.1
@@ -126,16 +126,16 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
     ):
         prior = toy_priors.prior("A", role)
         want += atom_cost(prior, [(v, sigma) for v in values]).cost
-    assert g.edge_cost(1, i1, i2) == pytest.approx(want, rel=1e-12)
+    assert g.edges[1][(i1, i2)] == pytest.approx(want, rel=1e-12)
 
     # edge u2 -> end charges residue 2 from u2's intra roles only
     want2 = 0.0
     for role, value in (("N", 122.0), ("HN", 8.1), ("CA", 53.5), ("CB", 19.5)):
         want2 += atom_cost(toy_priors.prior("A", role), [(value, sigma)]).cost
-    assert g.edge_cost(2, i2, 0) == pytest.approx(want2, rel=1e-12)
+    assert g.edges[2][(i2, 0)] == pytest.approx(want2, rel=1e-12)
 
     # full path cost equals the sum of its parts
-    assert g.path_cost([0, i1, i2, 0]) == pytest.approx(want + want2, rel=1e-12)
+    assert path_solution(g, [0, i1, i2, 0]).total_cost == pytest.approx(want + want2, rel=1e-12)
 
 
 def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
@@ -144,8 +144,8 @@ def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0})
     g = build_graph([u1], seq, toy_priors, default_tol, expected)
     for j in range(len(g.layers[2])):
-        assert g.edge_cost(1, 0, j) == pytest.approx(g.thresholds[1])
-    assert g.edge_cost(2, 0, 0) == pytest.approx(g.thresholds[2])
+        assert g.edges[1][(0, j)] == pytest.approx(g.thresholds[1])
+    assert g.edges[2][(0, 0)] == pytest.approx(g.thresholds[2])
 
 
 def _walks(src, dst, delta3):
@@ -236,7 +236,7 @@ def test_edge_costs_match_quadrature(toy_priors):
             role: tuple(Observation(role, v, gid, s) for v, s in obs)
             for role, obs in roles.items()
         }
-        return PeakGrouping(gid, frozenset({gid}), consensus, (8.0, 120.0))
+        return PeakGrouping(gid, frozenset({gid}), consensus)
 
     amide = {"N": [(122.5, 0.1), (122.8, 0.05)], "HN": [(8.15, 0.0075), (8.17, 0.01)]}
     alanine = {**amide, "CA": [(53.2, 0.1), (53.4, 0.2)], "CB": [(19.1, 0.1), (19.3, 0.2)]}
@@ -309,16 +309,6 @@ def test_rebuild_is_deterministic(toy_priors, default_tol):
     g2 = build_graph(groupings, seq, toy_priors, default_tol, expected)
     assert g1.edges == g2.edges
     assert g1.thresholds == g2.thresholds
-
-
-def test_path_cost_errors(toy_priors, default_tol):
-    seq = ProteinSequence("A")
-    expected = spin_observation_counts(toy_priors)
-    g = build_graph([], seq, toy_priors, default_tol, expected)
-    with pytest.raises(NmrAssignError):
-        g.path_cost([0, 0])
-    with pytest.raises(NmrAssignError):
-        g.path_cost([0, 5, 0])
 
 
 def test_export_graph(tmp_path, toy_priors, default_tol):

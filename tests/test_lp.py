@@ -6,12 +6,10 @@ from nmrassign.lp import (
     LpSolution,
     SolverError,
     branch_and_bound,
-    export_lp,
     extract_path,
     formulate,
     is_integral,
     load_backend,
-    lp_to_text,
     round_and_resolve,
     solve_ilp,
     solve_lian1,
@@ -43,16 +41,12 @@ def _col(lp, g, k, i, j):
     return int(lp.edge_offsets[k]) + g.edges[k].index(i, j)
 
 
-def _rows(lp, prefix):
-    """(sense, rhs, {column: coefficient}) of every row whose name has ``prefix``."""
-    A_eq, b_eq, A_ub, b_ub = lp.matrices()
-    blocks = [("eq", A_eq, b_eq), ("ub", A_ub, b_ub)]
-    positions = [(kind, A, b, r) for kind, A, b in blocks for r in range(len(b))]
+def _rows(A, b, positions):
+    """(rhs, {column: coefficient}) of the rows of ``A`` at ``positions``."""
     out = []
-    for name, (kind, A, b, r) in zip(lp.row_names, positions, strict=True):
-        if name.startswith(prefix):
-            row = A.getrow(r)
-            out.append((kind, b[r], dict(zip(row.indices.tolist(), row.data.tolist()))))
+    for r in positions:
+        row = A.getrow(r)
+        out.append((b[r], dict(zip(row.indices.tolist(), row.data.tolist()))))
     return out
 
 
@@ -60,13 +54,16 @@ def test_formulation_shape_dummies_only(default_tol):
     g = _dummies_only([0.0, 3.0, 4.0, 5.0])
     lp = formulate(g, "flow", default_tol)
     assert lp.n_vars == 4
-    selection = _rows(lp, "select_")
-    coupling = _rows(lp, "flow_")
+    A_eq, b_eq, A_ub, b_ub = lp.matrices()
+    # one selection row per inner layer, then one flow row per inner node
+    selection = _rows(A_eq, b_eq, range(g.n))
+    coupling = _rows(A_eq, b_eq, range(g.n, len(b_eq)))
     assert len(selection) == 3
     assert len(coupling) == 3
     assert lp.n_rows == 6
-    assert all(kind == "eq" and rhs == 1.0 for kind, rhs, _ in selection)
-    assert all(kind == "eq" and rhs == 0.0 for kind, rhs, _ in coupling)
+    assert all(rhs == 1.0 for rhs, _ in selection)
+    assert all(rhs == 0.0 for rhs, _ in coupling)
+    assert A_ub is None and b_ub.size == 0
     assert not lp.utilization and not lp.eps_vars
 
 
@@ -75,13 +72,13 @@ def test_constraint_matrices_by_hand(default_tol):
     lp = formulate(g, "flow", default_tol)
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
     # variables in (k, i, j) order: start edge, inner edge, end edge
-    assert lp.var_names == ["x_0_0_0", "x_1_0_0", "x_2_0_0"]
+    np.testing.assert_array_equal(lp.edge_offsets, [0, 1, 2, 3])
     np.testing.assert_allclose(lp.costs, [0.0, 3.0, 4.0])
     np.testing.assert_allclose(
         A_eq.toarray(),
         [
-            [0.0, 1.0, 0.0],  # select_1
-            [0.0, 0.0, 1.0],  # select_2
+            [0.0, 1.0, 0.0],  # selection, layer 1
+            [0.0, 0.0, 1.0],  # selection, layer 2
             [1.0, -1.0, 0.0],  # flow at layer-1 dummy
             [0.0, 1.0, -1.0],  # flow at layer-2 dummy
         ],
@@ -94,8 +91,8 @@ def test_utilization_rows_conflict_fixture(default_tol):
     g = conflict_fixture()
     lp = formulate(g, "lian1", default_tol)
     assert list(lp.utilization) == ["p1"]
-    [(kind, rhs, coeffs)] = _rows(lp, "use_p1")
-    assert kind == "ub" and rhs == 1.0
+    [(rhs, coeffs)] = _rows(lp.A_ub, lp.b_ub, [lp.utilization.index("p1")])
+    assert rhs == 1.0
     # outgoing edges of the two consumers: two from (1,1), one from (2,1)
     want = {_col(lp, g, 1, 1, 0), _col(lp, g, 1, 1, 1), _col(lp, g, 2, 1, 0)}
     assert set(coeffs) == want
@@ -104,7 +101,7 @@ def test_utilization_rows_conflict_fixture(default_tol):
     soft = formulate(g, "lian2", default_tol)
     assert list(soft.eps_vars) == ["p1"]
     eps_idx = soft.eps_vars["p1"]
-    [(_, _, soft_coeffs)] = _rows(soft, "use_p1")
+    [(_, soft_coeffs)] = _rows(soft.A_ub, soft.b_ub, [soft.utilization.index("p1")])
     assert soft_coeffs[eps_idx] == -1.0
     assert soft.costs[eps_idx] == default_tol.lam
     assert soft.bounds[eps_idx] == (0.0, None)
@@ -278,16 +275,3 @@ def test_extract_path_requires_values(default_tol):
     with pytest.raises(SolverError):
         extract_path(g, lp, LpSolution("infeasible", None, None))
 
-
-def test_lp_text_and_export(tmp_path, default_tol):
-    g = conflict_fixture()
-    lp = formulate(g, "lian2", default_tol)
-    text = lp_to_text(lp)
-    for section in ("Minimize", "Subject To", "Bounds", "End"):
-        assert section in text
-    assert "use_p1" in text and "eps_p1" in text
-    assert "General" not in text
-    assert "General" in lp_to_text(lp, integral=True)
-    out = tmp_path / "model.lp"
-    export_lp(lp, out)
-    assert out.read_text(encoding="utf-8") == text

@@ -15,6 +15,7 @@ from oracles import (
     check_path,
     conflict_fixture,
     make_graph,
+    path_cost,
     random_instance,
 )
 
@@ -58,7 +59,7 @@ def test_dp_matches_brute_force_on_random_graphs():
         sol = dp_shortest_path(g)
         check_path(g, sol.nodes, allow_reuse=True)
         assert sol.total_cost == pytest.approx(brute_shortest(g), abs=1e-9)
-        assert g.path_cost(sol.nodes) == pytest.approx(sol.total_cost, abs=1e-12)
+        assert path_cost(g, sol.nodes) == pytest.approx(sol.total_cost, abs=1e-12)
 
 
 def test_dp_tie_break_lexicographic():
