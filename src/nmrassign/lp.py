@@ -9,9 +9,11 @@ variant allows overuse through slack variables priced at ``lambda``.
 
 The relaxations are solved with the dual simplex backend of HiGHS (through
 scipy), which returns vertex solutions; on pure flow polytopes these are
-integral. When utilization rows make the optimum fractional, the fractional
-support is frozen and re-solved as a primal heuristic, and a branch and
-bound pruned by that incumbent certifies or improves the answer.
+integral. When utilization rows make the optimum fractional, a branch and
+bound restricted to the fractional support finds an incumbent, and a
+global branch and bound pruned by it certifies or improves the answer.
+Both searches solve column-subset programs: the global one drops every
+column whose root reduced cost proves it cannot beat the incumbent.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ _STATUS = {
 INT_TOL = 1e-6
 #: a search node must beat the incumbent's objective by more than this
 GAP_EPS = 1e-9
+#: reduced-cost fixing keeps a column unless it provably costs this much
+#: more than the incumbent; HiGHS meets dual feasibility only to 1e-7
+FIX_EPS = 1e-6
 
 
 @dataclass
@@ -56,9 +61,11 @@ class LinearProgram:
     Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
     (``edge_offsets[-1]`` is ``n_edges``); slack columns follow the edges.
     ``utilization`` lists the contested peaks in the order of their
-    utilization rows. External backends (``--backend external:<path>``)
-    may read ``costs``, ``matrices()`` or the four matrix fields, and
-    ``bounds``.
+    utilization rows. ``subset`` keeps some columns and every row;
+    ``columns`` maps each column to the full program's (the identity for
+    the program ``formulate`` returns). External backends
+    (``--backend external:<path>``) may read ``costs``, ``matrices()`` or
+    the four matrix fields, and ``bounds``.
     """
 
     variant: str
@@ -74,6 +81,12 @@ class LinearProgram:
     eps_vars: dict[str, int] = field(default_factory=dict)
     #: contested peak ids, one per utilization row, in row order
     utilization: list[str] = field(default_factory=list)
+    #: the full program's index of each column
+    columns: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.columns is None:
+            self.columns = np.arange(len(self.costs))
 
     @property
     def n_vars(self) -> int:
@@ -91,12 +104,44 @@ class LinearProgram:
         """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
         return self.A_eq, self.b_eq, self.A_ub, self.b_ub
 
+    def subset(self, keep: np.ndarray) -> LinearProgram:
+        """The program on the columns where ``keep`` is True, with every row."""
+        kept = np.flatnonzero(keep)
+
+        def columns_of(matrix):
+            if matrix is None:
+                return None
+            sub = matrix[:, kept]
+            sub.sort_indices()
+            return sub
+
+        return LinearProgram(
+            variant=self.variant,
+            costs=self.costs[kept],
+            bounds=[self.bounds[i] for i in kept],
+            A_eq=columns_of(self.A_eq),
+            b_eq=self.b_eq,
+            A_ub=columns_of(self.A_ub),
+            b_ub=self.b_ub,
+            edge_offsets=np.searchsorted(kept, self.edge_offsets),
+            eps_vars={
+                pid: int(np.searchsorted(kept, idx))
+                for pid, idx in self.eps_vars.items()
+                if keep[idx]
+            },
+            utilization=self.utilization,
+            columns=self.columns[kept],
+        )
+
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str
     objective: float | None
     values: np.ndarray | None
+    #: ``costs - A_eq.T @ y_eq - A_ub.T @ y_ub`` at the optimal duals ``y``;
+    #: None when the backend returns no duals
+    reduced_costs: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -219,7 +264,12 @@ def solve_lp(
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, None, None)
-    return LpSolution(status, float(res.fun), np.asarray(res.x, dtype=float))
+    reduced = lp.costs.copy()
+    if A_eq is not None:
+        reduced -= A_eq.T @ res.eqlin.marginals
+    if A_ub is not None:
+        reduced -= A_ub.T @ res.ineqlin.marginals
+    return LpSolution(status, float(res.fun), np.asarray(res.x, dtype=float), reduced)
 
 
 def load_backend(path: str | Path) -> Backend:
@@ -247,6 +297,11 @@ class BnbResult:
     solution: LpSolution | None
     proven_optimal: bool
     nodes_explored: int
+    #: the part of ``nodes_explored`` spent in ``round_and_resolve``'s
+    #: restricted-support pass
+    nodes_heuristic: int = 0
+    #: columns reduced-cost fixing dropped from the global pass
+    columns_fixed: int = 0
 
 
 def branch_and_bound(
@@ -315,23 +370,20 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
     return path_solution(g, nodes)
 
 
-def _restricted_bounds(
-    g: AssignmentGraph, lp: LinearProgram, solution: LpSolution, round_eps: float
-) -> list[tuple[float, float | None]]:
-    """Bounds that zero every edge outside the rounded support.
+def _narrow(solution: LpSolution | None, keep: np.ndarray) -> LpSolution | None:
+    """A solution as one of ``lp.subset(keep)``."""
+    if solution is None:
+        return None
+    return LpSolution(solution.status, solution.objective, solution.values[keep])
 
-    Dummy-incident edges are always retained so the restricted problem
-    keeps a feasible all-dummy fallback.
-    """
-    assert solution.values is not None
-    dummy = [np.array([node.kind == DUMMY for node in layer]) for layer in g.layers]
-    keep = np.concatenate([
-        dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
-    ])
-    bounds = list(lp.bounds)
-    for idx in np.flatnonzero(~keep & (solution.values[: lp.n_edges] <= round_eps)):
-        bounds[idx] = (0.0, 0.0)
-    return bounds
+
+def _widen(solution: LpSolution | None, keep: np.ndarray) -> LpSolution | None:
+    """A solution of ``lp.subset(keep)`` as one of ``lp``: zero off the subset."""
+    if solution is None:
+        return None
+    values = np.zeros(len(keep))
+    values[keep] = solution.values
+    return LpSolution(solution.status, solution.objective, values)
 
 
 def round_and_resolve(
@@ -344,26 +396,48 @@ def round_and_resolve(
 ) -> BnbResult:
     """Exact solve seeded by a search restricted to the relaxation's support.
 
-    The induced subgraph is a primal heuristic: a true optimum may use edges
-    the fractional vertex left at zero. Its incumbent is therefore only
-    accepted outright when it meets the relaxation bound; otherwise a global
-    branch and bound, pruned by that incumbent, certifies or improves it.
+    The restricted pass is a branch and bound on the columns the relaxation
+    uses above ``round_eps`` plus every dummy-incident edge, which keeps the
+    all-dummy path feasible. It is a primal heuristic: a true optimum may
+    use edges the fractional vertex left at zero. Its incumbent is
+    therefore only accepted outright when it meets the relaxation bound
+    ``LB``. Otherwise a global branch and bound, pruned by the incumbent's
+    objective ``UB``, certifies or improves it. That pass drops every edge
+    column with ``LB + reduced cost > UB``: any solution using one costs
+    more than the incumbent (reduced-cost fixing). Without reduced costs
+    it searches the whole program. The two passes share ``node_limit``;
+    when the restricted pass spends it, its incumbent comes back unproven.
     """
-    bounds = _restricted_bounds(g, lp, relaxed, tol.round_eps)
-    primal = branch_and_bound(lp, bounds, backend, node_limit=node_limit)
-    assert relaxed.objective is not None
-    if (
-        primal.solution is not None
-        and primal.solution.objective is not None
-        and primal.solution.objective <= relaxed.objective + GAP_EPS
-    ):
-        return primal
-    remaining = max(1, node_limit - primal.nodes_explored)
+    assert relaxed.objective is not None and relaxed.values is not None
+    n_edges = lp.n_edges
+    dummy = [np.array([node.kind == DUMMY for node in layer]) for layer in g.layers]
+    support = np.ones(lp.n_vars, dtype=bool)
+    support[:n_edges] = relaxed.values[:n_edges] > tol.round_eps
+    support[:n_edges] |= np.concatenate([
+        dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
+    ])
+    primal = branch_and_bound(lp.subset(support), backend=backend, node_limit=node_limit)
+    incumbent = _widen(primal.solution, support)
+    spent = primal.nodes_explored
+    if incumbent is not None and incumbent.objective <= relaxed.objective + GAP_EPS:
+        return BnbResult(incumbent, True, spent, spent)
+    if spent >= node_limit:
+        return BnbResult(incumbent, False, spent, spent)
+
+    keep = np.ones(lp.n_vars, dtype=bool)
+    if incumbent is not None and relaxed.reduced_costs is not None:
+        # the incumbent's own edges stay, so it is a solution of the subset
+        keep[:n_edges] = (
+            relaxed.objective + relaxed.reduced_costs[:n_edges]
+            <= incumbent.objective + FIX_EPS
+        ) | (incumbent.values[:n_edges] > 0.5)
     full = branch_and_bound(
-        lp, None, backend, node_limit=remaining, incumbent=primal.solution
+        lp.subset(keep), backend=backend, node_limit=node_limit - spent,
+        incumbent=_narrow(incumbent, keep),
     )
     return BnbResult(
-        full.solution, full.proven_optimal, primal.nodes_explored + full.nodes_explored
+        _widen(full.solution, keep), full.proven_optimal, spent + full.nodes_explored,
+        spent, int(np.count_nonzero(~keep)),
     )
 
 
@@ -374,14 +448,17 @@ def round_and_resolve(
 def _finish(
     g: AssignmentGraph,
     lp: LinearProgram,
-    sol: LpSolution,
+    result: BnbResult,
     lp_bound: float,
-    proven: bool,
-    nodes: int,
+    root_integral: bool,
     tol: Tolerances,
 ) -> SolveResult:
+    sol = result.solution
+    assert sol is not None
     path = extract_path(g, lp, sol)
-    path = PathSolution(path.nodes, path.total_cost, path.edge_costs, optimal=proven)
+    path = PathSolution(
+        path.nodes, path.total_cost, path.edge_costs, optimal=result.proven_optimal
+    )
     counts = g.path_usage_counts(path.nodes)
     reused = {p: c for p, c in sorted(counts.items()) if c >= 2}
     epsilons = {}
@@ -398,9 +475,12 @@ def _finish(
         lp_bound=lp_bound,
         reused_peaks=reused,
         epsilons=epsilons,
-        proven_optimal=proven,
-        nodes_explored=nodes,
+        proven_optimal=result.proven_optimal,
         variant=lp.variant,
+        root_integral=root_integral,
+        nodes_heuristic=result.nodes_heuristic,
+        nodes_global=result.nodes_explored - result.nodes_heuristic,
+        columns_fixed=result.columns_fixed,
     )
 
 
@@ -420,17 +500,15 @@ def _solve_variant(
         raise SolverError(f"relaxation failed with status {relaxed.status}")
     assert relaxed.objective is not None
     if is_integral(lp, relaxed):
-        return _finish(g, lp, relaxed, relaxed.objective, True, 1, tol)
+        # the root is the only node of the global search
+        return _finish(g, lp, BnbResult(relaxed, True, 1), relaxed.objective, True, tol)
     if exact:
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit)
     else:
         result = round_and_resolve(g, lp, relaxed, tol, backend, node_limit=node_limit)
     if result.solution is None:
         raise SolverError("no integral solution found within the node budget")
-    return _finish(
-        g, lp, result.solution, relaxed.objective, result.proven_optimal,
-        result.nodes_explored, tol,
-    )
+    return _finish(g, lp, result, relaxed.objective, False, tol)
 
 
 def solve_lian1(

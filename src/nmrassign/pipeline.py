@@ -217,7 +217,6 @@ def run_assign(
                 reused_peaks={p: c for p, c in sorted(counts.items()) if c >= 2},
                 epsilons={},
                 proven_optimal=True,
-                nodes_explored=0,
                 variant="dp",
             )
         elif variant == "ilp":
@@ -235,6 +234,10 @@ def run_assign(
             "objective": result.objective,
             "lp_bound": result.lp_bound,
             "proven_optimal": result.proven_optimal,
+            "root_integral": result.root_integral,
+            "columns_fixed": result.columns_fixed,
+            "nodes_heuristic": result.nodes_heuristic,
+            "nodes_global": result.nodes_global,
             "nodes_explored": result.nodes_explored,
             "reused_peaks": result.reused_peaks,
             "epsilons": result.epsilons,

@@ -53,8 +53,19 @@ class SolveResult:
     #: peak id -> slack value (soft variant only)
     epsilons: dict[str, float]
     proven_optimal: bool
-    nodes_explored: int
     variant: str
+    #: the root relaxation was integral, so no branch and bound ran
+    root_integral: bool = True
+    #: branch-and-bound nodes of the restricted-support heuristic pass and
+    #: of the global search; an integral root counts as one global node
+    nodes_heuristic: int = 0
+    nodes_global: int = 0
+    #: edge columns that reduced-cost fixing dropped from the global search
+    columns_fixed: int = 0
+
+    @property
+    def nodes_explored(self) -> int:
+        return self.nodes_heuristic + self.nodes_global
 
 
 def path_solution(g: AssignmentGraph, nodes: Sequence[int], optimal: bool = True) -> PathSolution:

@@ -1,8 +1,14 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
-from nmrassign.domain import NmrAssignError, Tolerances
+import nmrassign.lp as lpmod
+from nmrassign.cli import main as cli_main
+from nmrassign.domain import NmrAssignError, PriorTable, Tolerances, write_priors
 from nmrassign.lp import (
+    INT_TOL,
     LpSolution,
     SolverError,
     branch_and_bound,
@@ -25,9 +31,11 @@ from oracles import (
     conflict_fixture,
     iter_paths,
     make_graph,
+    path_cost,
     path_overuse,
     random_instance,
 )
+from nmrassign.pipeline import bundled_priors
 
 
 def _dummies_only(thresholds):
@@ -243,6 +251,126 @@ def test_branch_and_bound_node_limit(default_tol):
     assert not result.proven_optimal
 
 
+@pytest.mark.parametrize("node_limit", [1, 2, 3])
+def test_round_and_resolve_keeps_node_limit(default_tol, node_limit):
+    g = conflict_fixture()
+    lp = formulate(g, "lian1", default_tol)
+    relaxed = solve_lp(lp)
+    result = round_and_resolve(g, lp, relaxed, default_tol, node_limit=node_limit)
+    assert result.nodes_explored <= node_limit
+    if result.proven_optimal:
+        assert result.solution.objective == pytest.approx(10.0, abs=1e-9)
+
+
+def _record_bnb(monkeypatch) -> list:
+    """(program, incumbent) of every later ``branch_and_bound`` call."""
+    calls = []
+    original = lpmod.branch_and_bound
+
+    def recording(lp, *args, **kwargs):
+        calls.append((lp, kwargs.get("incumbent")))
+        return original(lp, *args, **kwargs)
+
+    monkeypatch.setattr(lpmod, "branch_and_bound", recording)
+    return calls
+
+
+def test_reduced_cost_fixing_is_exact(monkeypatch, default_tol):
+    """Criterion 3's conflicted instances: the root reduced costs are dual
+    feasible and bound every feasible path, and no column the global pass
+    drops lies on a feasible path costing at most the incumbent's objective
+    ``UB`` it was dropped against."""
+    calls = _record_bnb(monkeypatch)
+    rng = np.random.default_rng(4242)
+    checked = fixed = 0
+    while checked < 30:
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        lp = formulate(g, "lian1", default_tol)
+        if not lp.utilization:
+            continue
+        want = brute_constrained(g)
+        if want is None:
+            continue
+        checked += 1
+        assert solve_lian1(g, default_tol).objective == pytest.approx(want, abs=1e-9)
+
+        relaxed = solve_lp(lp)
+        x, reduced = relaxed.values, relaxed.reduced_costs
+        at_zero, at_one = x <= INT_TOL, x >= 1.0 - INT_TOL
+        assert np.all(reduced[at_zero] >= -1e-7)
+        assert np.all(reduced[at_one] <= 1e-7)
+        np.testing.assert_allclose(reduced[~at_zero & ~at_one], 0.0, atol=1e-7)
+        feasible = [
+            (path_cost(g, path), [_col(lp, g, k, path[k], path[k + 1]) for k in range(g.n + 1)])
+            for path in iter_paths(g)
+            if not path_overuse(g, path)
+        ]
+        for cost, used in feasible:  # the bound fixing rests on
+            assert cost >= relaxed.objective + np.maximum(reduced[used], 0.0).sum() - 1e-6
+        if is_integral(lp, relaxed):
+            continue
+        calls.clear()
+        round_and_resolve(g, lp, relaxed, default_tol)
+        if len(calls) < 2:
+            continue
+        sub, incumbent = calls[-1]
+        dropped = np.ones(lp.n_vars, dtype=bool)
+        dropped[sub.columns] = False
+        for cost, used in feasible:
+            if cost <= incumbent.objective + 1e-9:
+                assert not dropped[used].any(), used
+        fixed += int(dropped.sum())
+    assert fixed > 0
+
+
+def test_lian2_with_fixing_matches_penalized_oracle():
+    rng = np.random.default_rng(99)
+    fixed = 0
+    for _ in range(40):
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 10)))
+        lam = float(rng.uniform(1.0, 12.0))
+        result = solve_lian2(g, Tolerances(lam=lam))
+        assert result.proven_optimal
+        assert result.objective == pytest.approx(brute_penalized(g, lam), abs=1e-6)
+        fixed += result.columns_fixed
+    assert fixed > 0
+
+
+def test_fractional_root_deletion_regression(tmp_path, capsys):
+    """A 30-residue cisa dataset with high noise, 20 % deletions and the
+    spins CA/CB sigmas widened to 0.16/0.32 has a fractional root LP: lian1
+    fixes columns, proves its answer optimal, matches the ilp objective,
+    and the lian1 assign takes under 10 s (about 0.5 s on a 2-vCPU VM)."""
+    seq = "NAEVCEPCDEDYSFLFHWCEGYSDVIHCIY"
+    priors = bundled_priors()
+    noise = {k: dict(v) for k, v in priors.noise.items()}
+    noise["spins"]["CA"], noise["spins"]["CB"] = 0.16, 0.32
+    write_priors(PriorTable(priors.atoms, noise), tmp_path / "priors.json")
+    assert cli_main([
+        "simulate", "--sequence", seq, "--protocol", "cisa", "--noise", "high",
+        "--deletion-rate", "0.2", "--seed", "6", "--out", str(tmp_path),
+    ]) == 0
+    reports = {}
+    for variant in ("lian1", "ilp"):
+        out = tmp_path / variant
+        t0 = time.monotonic()
+        assert cli_main([
+            "assign", "--sequence", seq, "--dataset", str(tmp_path / "spins.tsv"),
+            "--priors", str(tmp_path / "priors.json"), "--delta3", "1.4",
+            "--variant", variant, "--out", str(out),
+        ]) == 0
+        if variant == "lian1":
+            assert time.monotonic() - t0 < 10.0
+        reports[variant] = json.loads((out / "lp_report.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    lian1, ilp = reports["lian1"], reports["ilp"]
+    assert not lian1["root_integral"] and lian1["proven_optimal"]
+    assert lian1["columns_fixed"] > 0 and lian1["nodes_heuristic"] > 0
+    assert lian1["nodes_explored"] == lian1["nodes_heuristic"] + lian1["nodes_global"]
+    assert ilp["proven_optimal"] and ilp["columns_fixed"] == ilp["nodes_heuristic"] == 0
+    assert lian1["objective"] == pytest.approx(ilp["objective"], rel=1e-9)
+
+
 def test_external_backend(tmp_path, default_tol):
     backend_file = tmp_path / "backend.py"
     backend_file.write_text(
@@ -262,6 +390,18 @@ def test_external_backend(tmp_path, default_tol):
     g = conflict_fixture()
     result = solve_lian1(g, default_tol, backend=backend)
     assert result.objective == pytest.approx(10.0)
+
+    # without reduced costs nothing is fixed, and the answer stays exact
+    rng = np.random.default_rng(4242)
+    while True:
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        bundled = solve_lian1(g, default_tol)
+        if bundled.columns_fixed:
+            break
+    external = solve_lian1(g, default_tol, backend=backend)
+    assert external.proven_optimal and external.columns_fixed == 0
+    assert external.nodes_global > 0
+    assert external.objective == pytest.approx(bundled.objective, abs=1e-9)
 
     bad = tmp_path / "bad.py"
     bad.write_text("x = 1\n")
