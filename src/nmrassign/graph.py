@@ -127,12 +127,14 @@ class AssignmentGraph:
         grouping = self.layers[layer][index].grouping
         return grouping.member_peaks if grouping is not None else frozenset()
 
-    def path_usage_counts(self, nodes: Sequence[int]) -> dict[str, int]:
+    def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
+        """Peak id -> times the path consumes it, for the peaks it consumes
+        twice or more, in peak id order."""
         counts: dict[str, int] = {}
         for k in range(1, self.n + 1):
             for pid in self.usage(k, nodes[k]):
                 counts[pid] = counts.get(pid, 0) + 1
-        return counts
+        return {p: c for p, c in sorted(counts.items()) if c >= 2}
 
 
 def _summaries(

@@ -12,16 +12,18 @@ scipy), which returns vertex solutions; on pure flow polytopes these are
 integral. When utilization rows make the optimum fractional, a branch and
 bound restricted to the fractional support finds an incumbent, and a
 global branch and bound pruned by it certifies or improves the answer.
-Both searches solve column-subset programs: the global one drops every
-column whose root reduced cost proves it cannot beat the incumbent.
+Every search node is a column-subset program: branching drops edges, and
+the global search starts without every column whose root reduced cost
+proves it cannot beat the incumbent.
 """
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -59,11 +61,10 @@ class LinearProgram:
     CSR matrices whose column indices are sorted within each row, or None
     when a sense has no rows (its right-hand side is then empty).
     Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
-    (``edge_offsets[-1]`` is ``n_edges``); slack columns follow the edges.
-    ``utilization`` lists the contested peaks in the order of their
-    utilization rows. ``subset`` keeps some columns and every row;
-    ``columns`` maps each column to the full program's (the identity for
-    the program ``formulate`` returns). External backends
+    (``edge_offsets[-1]`` is ``n_edges``); slack column ``n_edges + r``
+    belongs to utilization row ``r`` (soft variant only). ``utilization``
+    lists the contested peaks in the order of their utilization rows.
+    ``subset`` keeps some columns and every row. External backends
     (``--backend external:<path>``) may read ``costs``, ``matrices()`` or
     the four matrix fields, and ``bounds``.
     """
@@ -77,16 +78,8 @@ class LinearProgram:
     b_ub: np.ndarray
     #: first column of each edge layer, then the number of edge columns
     edge_offsets: np.ndarray
-    #: peak id -> slack variable index (soft variant only)
-    eps_vars: dict[str, int] = field(default_factory=dict)
     #: contested peak ids, one per utilization row, in row order
     utilization: list[str] = field(default_factory=list)
-    #: the full program's index of each column
-    columns: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.columns is None:
-            self.columns = np.arange(len(self.costs))
 
     @property
     def n_vars(self) -> int:
@@ -124,13 +117,7 @@ class LinearProgram:
             A_ub=columns_of(self.A_ub),
             b_ub=self.b_ub,
             edge_offsets=np.searchsorted(kept, self.edge_offsets),
-            eps_vars={
-                pid: int(np.searchsorted(kept, idx))
-                for pid, idx in self.eps_vars.items()
-                if keep[idx]
-            },
             utilization=self.utilization,
-            columns=self.columns[kept],
         )
 
 
@@ -187,7 +174,6 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
         data += [np.ones(len(out)), np.ones(len(into)), -np.ones(len(out))]
     b_eq = np.repeat([1.0, 0.0], [n, int(flow_row[-1]) - n])
 
-    eps_vars: dict[str, int] = {}
     utilization: list[str] = []
     ub_rows, ub_cols, ub_data = [], [], []
     if variant in ("lian1", "lian2"):
@@ -210,7 +196,6 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
             ub_data.append(np.ones(len(indices)))
         if variant == "lian2":
             slack = np.arange(n_edges, n_edges + len(utilization))
-            eps_vars = dict(zip(utilization, slack.tolist()))
             ub_rows.append(slack - n_edges)
             ub_cols.append(slack)
             ub_data.append(-np.ones(len(slack)))
@@ -227,7 +212,6 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
         A_ub=_csr(ub_rows, ub_cols, ub_data, (len(utilization), n_vars)),
         b_ub=np.ones(len(utilization)),
         edge_offsets=edge_offsets,
-        eps_vars=eps_vars,
         utilization=utilization,
     )
 
@@ -235,22 +219,14 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
 # ---------------------------------------------------------------------------
 # solving
 
-#: backend signature: (lp, bounds) -> LpSolution
-Backend = Callable[[LinearProgram, Sequence[tuple[float, float | None]]], LpSolution]
+#: backend signature: lp -> LpSolution, within the program's own ``lp.bounds``
+Backend = Callable[[LinearProgram], LpSolution]
 
 
-def solve_lp(
-    lp: LinearProgram,
-    bounds: Sequence[tuple[float, float | None]] | None = None,
-    backend: Backend | None = None,
-) -> LpSolution:
-    """Solve the relaxation with the bundled HiGHS dual simplex backend.
-
-    ``bounds`` overrides the program's own variable bounds, which is how the
-    branch and bound fixes variables without rebuilding the program.
-    """
+def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
+    """Solve the relaxation with the bundled HiGHS dual simplex backend."""
     if backend is not None:
-        return backend(lp, bounds if bounds is not None else lp.bounds)
+        return backend(lp)
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
     res = linprog(
         lp.costs,
@@ -258,7 +234,7 @@ def solve_lp(
         b_ub=b_ub,
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=list(bounds) if bounds is not None else lp.bounds,
+        bounds=lp.bounds,
         method="highs-ds",
     )
     status = _STATUS.get(res.status, "numerical_failure")
@@ -273,16 +249,21 @@ def solve_lp(
 
 
 def load_backend(path: str | Path) -> Backend:
-    """Load an external solver from a Python file exposing ``solve(lp, bounds)``."""
+    """Load an external solver from a Python file exposing ``solve(lp)``."""
     path = Path(path)
     spec = importlib.util.spec_from_file_location(f"lp_backend_{path.stem}", path)
     if spec is None or spec.loader is None:
         raise SolverError(f"cannot load solver backend from {path}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    if not hasattr(module, "solve"):
-        raise SolverError(f"backend {path} does not expose a solve() function")
-    return module.solve
+    solve = getattr(module, "solve", None)
+    try:
+        inspect.signature(solve).bind(None)
+    except TypeError:
+        raise SolverError(
+            f"backend {path} must expose a function solve(lp) -> LpSolution"
+        ) from None
+    return solve
 
 
 def is_integral(lp: LinearProgram, solution: LpSolution) -> bool:
@@ -304,22 +285,37 @@ class BnbResult:
     columns_fixed: int = 0
 
 
+def _solve_columns(lp: LinearProgram, keep: np.ndarray, backend: Backend | None) -> LpSolution:
+    """Solve ``lp.subset(keep)``; its values come back zero off the subset."""
+    if keep.all():
+        return solve_lp(lp, backend)
+    sol = solve_lp(lp.subset(keep), backend)
+    if sol.values is None:
+        return sol
+    values = np.zeros(lp.n_vars)
+    values[keep] = sol.values
+    return LpSolution(sol.status, sol.objective, values)
+
+
 def branch_and_bound(
     lp: LinearProgram,
-    bounds: Sequence[tuple[float, float | None]] | None = None,
+    keep: np.ndarray | None = None,
     backend: Backend | None = None,
     node_limit: int = 100_000,
     incumbent: LpSolution | None = None,
 ) -> BnbResult:
     """Exact solve with integrality on the edge variables.
 
-    Depth-first search branching on the most fractional edge variable,
-    exploring the fix-to-one child first. Slack variables stay continuous.
-    An ``incumbent`` from a primal heuristic seeds the pruning bound. When
-    the node limit is hit the incumbent is returned unproven.
+    Searches the columns where ``keep`` is True (all of them by default),
+    depth first, branching on the most fractional edge variable ``x_e``.
+    Unit flow crosses every edge layer, so the ``x_e = 1`` child, explored
+    first, drops the other edges of e's layer, and the ``x_e = 0`` child
+    drops e: every node solves a column subset. Slack variables stay
+    continuous. An ``incumbent`` from a primal heuristic seeds the pruning
+    bound. When the node limit is hit the incumbent is returned unproven.
     """
-    base = list(bounds if bounds is not None else lp.bounds)
-    n_edges = lp.n_edges
+    base = np.ones(lp.n_vars, dtype=bool) if keep is None else keep
+    offsets, n_edges = lp.edge_offsets, lp.n_edges
 
     incumbent_obj = math.inf
     if incumbent is not None and incumbent.objective is not None:
@@ -327,17 +323,21 @@ def branch_and_bound(
     nodes = 0
     proven = True
 
-    stack: list[dict[int, tuple[float, float]]] = [{}]
+    # each entry: (edges fixed to one, edges fixed to zero)
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     while stack:
-        fixes = stack.pop()
+        ones, zeros = stack.pop()
         if nodes >= node_limit:
             proven = False
             break
         nodes += 1
-        local = base if not fixes else [
-            fixes.get(idx, b) for idx, b in enumerate(base)
-        ]
-        sol = solve_lp(lp, local, backend)
+        mask = base.copy()
+        for e in ones:
+            k = int(np.searchsorted(offsets, e, side="right")) - 1
+            mask[offsets[k] : offsets[k + 1]] = False
+        mask[list(ones)] = True
+        mask[list(zeros)] = False
+        sol = _solve_columns(lp, mask, backend)
         if not sol.ok:
             continue
         assert sol.objective is not None and sol.values is not None
@@ -349,8 +349,8 @@ def branch_and_bound(
         if frac[branch_var] <= INT_TOL:
             incumbent, incumbent_obj = sol, sol.objective
             continue
-        stack.append({**fixes, branch_var: (0.0, 0.0)})
-        stack.append({**fixes, branch_var: (1.0, 1.0)})
+        stack.append((ones, zeros + (branch_var,)))
+        stack.append((ones + (branch_var,), zeros))
 
     return BnbResult(incumbent, proven, nodes)
 
@@ -368,22 +368,6 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
             raise SolverError(f"integral solution has no outgoing flow at layer {k}")
         nodes.append(int(layer.dst[out][taken[0]]))
     return path_solution(g, nodes)
-
-
-def _narrow(solution: LpSolution | None, keep: np.ndarray) -> LpSolution | None:
-    """A solution as one of ``lp.subset(keep)``."""
-    if solution is None:
-        return None
-    return LpSolution(solution.status, solution.objective, solution.values[keep])
-
-
-def _widen(solution: LpSolution | None, keep: np.ndarray) -> LpSolution | None:
-    """A solution of ``lp.subset(keep)`` as one of ``lp``: zero off the subset."""
-    if solution is None:
-        return None
-    values = np.zeros(len(keep))
-    values[keep] = solution.values
-    return LpSolution(solution.status, solution.objective, values)
 
 
 def round_and_resolve(
@@ -416,8 +400,8 @@ def round_and_resolve(
     support[:n_edges] |= np.concatenate([
         dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
     ])
-    primal = branch_and_bound(lp.subset(support), backend=backend, node_limit=node_limit)
-    incumbent = _widen(primal.solution, support)
+    primal = branch_and_bound(lp, keep=support, backend=backend, node_limit=node_limit)
+    incumbent = primal.solution
     spent = primal.nodes_explored
     if incumbent is not None and incumbent.objective <= relaxed.objective + GAP_EPS:
         return BnbResult(incumbent, True, spent, spent)
@@ -432,11 +416,10 @@ def round_and_resolve(
             <= incumbent.objective + FIX_EPS
         ) | (incumbent.values[:n_edges] > 0.5)
     full = branch_and_bound(
-        lp.subset(keep), backend=backend, node_limit=node_limit - spent,
-        incumbent=_narrow(incumbent, keep),
+        lp, keep=keep, backend=backend, node_limit=node_limit - spent, incumbent=incumbent
     )
     return BnbResult(
-        _widen(full.solution, keep), full.proven_optimal, spent + full.nodes_explored,
+        full.solution, full.proven_optimal, spent + full.nodes_explored,
         spent, int(np.count_nonzero(~keep)),
     )
 
@@ -456,18 +439,14 @@ def _finish(
     sol = result.solution
     assert sol is not None
     path = extract_path(g, lp, sol)
-    path = PathSolution(
-        path.nodes, path.total_cost, path.edge_costs, optimal=result.proven_optimal
-    )
-    counts = g.path_usage_counts(path.nodes)
-    reused = {p: c for p, c in sorted(counts.items()) if c >= 2}
-    epsilons = {}
-    if lp.eps_vars and sol.values is not None:
-        for pid, idx in sorted(lp.eps_vars.items()):
-            value = float(sol.values[idx])
-            if value > tol.round_eps:
-                epsilons[pid] = value
-    overuse = sum(max(0, c - 1) for c in counts.values())
+    reused = g.path_reused_peaks(path.nodes)
+    # slack column n_edges + r belongs to utilization row r
+    epsilons = {
+        pid: float(value)
+        for pid, value in zip(lp.utilization, sol.values[lp.n_edges :])
+        if value > tol.round_eps
+    }
+    overuse = sum(c - 1 for c in reused.values())
     objective = path.total_cost + (tol.lam * overuse if lp.variant == "lian2" else 0.0)
     return SolveResult(
         path=path,

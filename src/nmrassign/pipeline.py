@@ -209,12 +209,11 @@ def run_assign(
     with _stage(stages, "solve"):
         if variant == "dp":
             path = dp_shortest_path(g)
-            counts = g.path_usage_counts(path.nodes)
             result = SolveResult(
                 path=path,
                 objective=path.total_cost,
                 lp_bound=path.total_cost,
-                reused_peaks={p: c for p, c in sorted(counts.items()) if c >= 2},
+                reused_peaks=g.path_reused_peaks(path.nodes),
                 epsilons={},
                 proven_optimal=True,
                 variant="dp",

@@ -34,7 +34,6 @@ class PathSolution:
     nodes: tuple[int, ...]
     total_cost: float
     edge_costs: tuple[float, ...]
-    optimal: bool = True
 
     def __post_init__(self) -> None:
         if len(self.edge_costs) != len(self.nodes) - 1:
@@ -68,12 +67,12 @@ class SolveResult:
         return self.nodes_heuristic + self.nodes_global
 
 
-def path_solution(g: AssignmentGraph, nodes: Sequence[int], optimal: bool = True) -> PathSolution:
+def path_solution(g: AssignmentGraph, nodes: Sequence[int]) -> PathSolution:
     """A path of node indices, priced edge by edge in layer order."""
     edge_costs = tuple(
         g.edges[k][(nodes[k], nodes[k + 1])] for k in range(len(nodes) - 1)
     )
-    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs, optimal)
+    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs)
 
 
 def dp_shortest_path(g: AssignmentGraph) -> PathSolution:

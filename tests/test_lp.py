@@ -72,7 +72,7 @@ def test_formulation_shape_dummies_only(default_tol):
     assert all(rhs == 1.0 for rhs, _ in selection)
     assert all(rhs == 0.0 for rhs, _ in coupling)
     assert A_ub is None and b_ub.size == 0
-    assert not lp.utilization and not lp.eps_vars
+    assert not lp.utilization and lp.n_vars == lp.n_edges
 
 
 def test_constraint_matrices_by_hand(default_tol):
@@ -107,8 +107,9 @@ def test_utilization_rows_conflict_fixture(default_tol):
     assert all(c == 1.0 for c in coeffs.values())
 
     soft = formulate(g, "lian2", default_tol)
-    assert list(soft.eps_vars) == ["p1"]
-    eps_idx = soft.eps_vars["p1"]
+    # one slack column per utilization row, after the edges
+    assert soft.n_vars == soft.n_edges + len(soft.utilization)
+    eps_idx = soft.n_edges + soft.utilization.index("p1")
     [(_, soft_coeffs)] = _rows(soft.A_ub, soft.b_ub, [soft.utilization.index("p1")])
     assert soft_coeffs[eps_idx] == -1.0
     assert soft.costs[eps_idx] == default_tol.lam
@@ -207,8 +208,11 @@ def test_lian1_matches_exhaustive_on_random_instances(default_tol):
 
 
 def test_ilp_matches_exhaustive_on_random_instances(default_tol):
+    """Checked until 20 instances have a fractional root, so the search
+    explores both kinds of child against the oracles."""
     rng = np.random.default_rng(13)
-    for _ in range(10):
+    branched = 0
+    while branched < 20:
         g = random_instance(rng, int(rng.integers(1, 5)), 3, 5)
         want = brute_constrained(g)
         if want is None:
@@ -219,6 +223,7 @@ def test_ilp_matches_exhaustive_on_random_instances(default_tol):
         assert result.objective == pytest.approx(
             exhaustive_constrained(g).total_cost, abs=1e-6
         )
+        branched += not result.root_integral
 
 
 def test_lian2_equals_lian1_without_conflicts(default_tol):
@@ -263,13 +268,14 @@ def test_round_and_resolve_keeps_node_limit(default_tol, node_limit):
 
 
 def _record_bnb(monkeypatch) -> list:
-    """(program, incumbent) of every later ``branch_and_bound`` call."""
+    """(keep mask, incumbent, result) of every later ``branch_and_bound`` call."""
     calls = []
     original = lpmod.branch_and_bound
 
     def recording(lp, *args, **kwargs):
-        calls.append((lp, kwargs.get("incumbent")))
-        return original(lp, *args, **kwargs)
+        result = original(lp, *args, **kwargs)
+        calls.append((kwargs.get("keep"), kwargs.get("incumbent"), result))
+        return result
 
     monkeypatch.setattr(lpmod, "branch_and_bound", recording)
     return calls
@@ -313,9 +319,10 @@ def test_reduced_cost_fixing_is_exact(monkeypatch, default_tol):
         round_and_resolve(g, lp, relaxed, default_tol)
         if len(calls) < 2:
             continue
-        sub, incumbent = calls[-1]
-        dropped = np.ones(lp.n_vars, dtype=bool)
-        dropped[sub.columns] = False
+        for keep, _, result in calls:  # each pass searches only its mask
+            assert not result.solution.values[~keep].any()
+        keep, incumbent, _ = calls[-1]
+        dropped = ~keep
         for cost, used in feasible:
             if cost <= incumbent.objective + 1e-9:
                 assert not dropped[used].any(), used
@@ -378,10 +385,10 @@ def test_external_backend(tmp_path, default_tol):
         "from scipy.optimize import linprog\n"
         "from nmrassign.lp import LpSolution\n"
         "\n"
-        "def solve(lp, bounds):\n"
+        "def solve(lp):\n"
         "    A_eq, b_eq, A_ub, b_ub = lp.matrices()\n"
         "    res = linprog(lp.costs, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,\n"
-        "                  b_eq=b_eq, bounds=list(bounds), method='highs')\n"
+        "                  b_eq=b_eq, bounds=lp.bounds, method='highs')\n"
         "    if res.status != 0:\n"
         "        return LpSolution('infeasible', None, None)\n"
         "    return LpSolution('optimal', float(res.fun), np.asarray(res.x))\n"
@@ -407,6 +414,11 @@ def test_external_backend(tmp_path, default_tol):
     bad.write_text("x = 1\n")
     with pytest.raises(SolverError):
         load_backend(bad)
+    # solve must take the program alone
+    old = tmp_path / "old.py"
+    old.write_text("def solve(lp, bounds):\n    return None\n")
+    with pytest.raises(SolverError, match=r"solve\(lp\) -> LpSolution"):
+        load_backend(old)
 
 
 def test_extract_path_requires_values(default_tol):
