@@ -9,12 +9,22 @@ variant allows overuse through slack variables priced at ``lambda``.
 
 The relaxations are solved with the dual simplex backend of HiGHS (through
 scipy), which returns vertex solutions; on pure flow polytopes these are
-integral. When utilization rows make the optimum fractional, a branch and
+integral. The root relaxation is solved with HiGHS presolve off (on peak
+lists, presolve took most of the root's time); search nodes keep HiGHS's
+default. When utilization rows make the optimum fractional, a branch and
 bound restricted to the fractional support finds an incumbent, and a
 global branch and bound pruned by it certifies or improves the answer.
 Every search node is a column-subset program: branching drops edges, and
 the global search starts without every column whose root reduced cost
-proves it cannot beat the incumbent.
+proves it cannot beat the incumbent. The exact ``ilp`` search starts from
+the root relaxation already solved.
+
+Which of several tied optima comes back is up to HiGHS (and its presolve).
+Swapping fragments (maximal runs of regular nodes) between windows of
+equal residue types is such a tie, so ``extract_path`` maps every answer to
+its ``canonical_path``: each group's sorted fragments go to its windows in
+position order, and the answer no longer depends on which of the swaps
+HiGHS returned.
 """
 from __future__ import annotations
 
@@ -31,7 +41,13 @@ from scipy.optimize import linprog
 
 from .domain import NmrAssignError, SolverError, Tolerances
 from .graph import DUMMY, AssignmentGraph
-from .shortest_path import NoPathError, PathSolution, SolveResult, path_solution
+from .shortest_path import (
+    NoPathError,
+    PathSolution,
+    SolveResult,
+    canonical_path,
+    path_solution,
+)
 
 VARIANTS = ("flow", "lian1", "lian2")
 
@@ -223,8 +239,11 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
 Backend = Callable[[LinearProgram], LpSolution]
 
 
-def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
-    """Solve the relaxation with the bundled HiGHS dual simplex backend."""
+def solve_lp(
+    lp: LinearProgram, backend: Backend | None = None, *, presolve: bool = True
+) -> LpSolution:
+    """Solve the relaxation with the bundled HiGHS dual simplex backend,
+    with or without HiGHS presolve (an external backend ignores it)."""
     if backend is not None:
         return backend(lp)
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
@@ -236,6 +255,7 @@ def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
         b_eq=b_eq,
         bounds=lp.bounds,
         method="highs-ds",
+        options={"presolve": presolve},
     )
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
@@ -303,6 +323,7 @@ def branch_and_bound(
     backend: Backend | None = None,
     node_limit: int = 100_000,
     incumbent: LpSolution | None = None,
+    root: LpSolution | None = None,
 ) -> BnbResult:
     """Exact solve with integrality on the edge variables.
 
@@ -312,7 +333,9 @@ def branch_and_bound(
     first, drops the other edges of e's layer, and the ``x_e = 0`` child
     drops e: every node solves a column subset. Slack variables stay
     continuous. An ``incumbent`` from a primal heuristic seeds the pruning
-    bound. When the node limit is hit the incumbent is returned unproven.
+    bound. ``root``, when given, is the first node's solution (the program
+    on ``keep``), which is then not solved again. When the node limit is
+    hit the incumbent is returned unproven.
     """
     base = np.ones(lp.n_vars, dtype=bool) if keep is None else keep
     offsets, n_edges = lp.edge_offsets, lp.n_edges
@@ -337,7 +360,10 @@ def branch_and_bound(
             mask[offsets[k] : offsets[k + 1]] = False
         mask[list(ones)] = True
         mask[list(zeros)] = False
-        sol = _solve_columns(lp, mask, backend)
+        if nodes == 1 and root is not None:
+            sol = root
+        else:
+            sol = _solve_columns(lp, mask, backend)
         if not sol.ok:
             continue
         assert sol.objective is not None and sol.values is not None
@@ -356,7 +382,8 @@ def branch_and_bound(
 
 
 def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) -> PathSolution:
-    """Follow the unit-flow edges of an integral solution from the start."""
+    """Follow the unit-flow edges of an integral solution from the start,
+    then apply the tie rule ``canonical_path``."""
     if solution.values is None:
         raise SolverError("cannot extract a path without variable values")
     nodes = [0]
@@ -367,7 +394,8 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
         if not taken.size:
             raise SolverError(f"integral solution has no outgoing flow at layer {k}")
         nodes.append(int(layer.dst[out][taken[0]]))
-    return path_solution(g, nodes)
+    canonical = canonical_path(g, nodes)
+    return path_solution(g, canonical, canonical != tuple(nodes))
 
 
 def round_and_resolve(
@@ -472,7 +500,7 @@ def _solve_variant(
     exact: bool,
 ) -> SolveResult:
     lp = formulate(g, variant, tol)
-    relaxed = solve_lp(lp, backend=backend)
+    relaxed = solve_lp(lp, backend=backend, presolve=False)
     if relaxed.status in ("infeasible", "unbounded"):
         raise NoPathError(f"relaxation is {relaxed.status}")
     if not relaxed.ok:
@@ -482,7 +510,7 @@ def _solve_variant(
         # the root is the only node of the global search
         return _finish(g, lp, BnbResult(relaxed, True, 1), relaxed.objective, True, tol)
     if exact:
-        result = branch_and_bound(lp, backend=backend, node_limit=node_limit)
+        result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
         result = round_and_resolve(g, lp, relaxed, tol, backend, node_limit=node_limit)
     if result.solution is None:

@@ -238,6 +238,7 @@ def run_assign(
             "nodes_heuristic": result.nodes_heuristic,
             "nodes_global": result.nodes_global,
             "nodes_explored": result.nodes_explored,
+            "path_canonicalized": result.path_canonicalized,
             "reused_peaks": result.reused_peaks,
             "epsilons": result.epsilons,
         },

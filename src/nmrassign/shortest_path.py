@@ -6,6 +6,19 @@ relaxation. ``exhaustive_constrained`` enumerates every start-to-end path
 that never consumes a peak twice; it is exponential and only usable on tiny
 instances, where it acts as the ground-truth oracle for the constrained
 solvers.
+
+``canonical_path`` is the one tie rule every LP-based solver applies to its
+answer. A fragment is a maximal run of regular nodes on a path. Its cost
+depends only on the residue types of its window (the layers it spans): the
+edge into it belongs to the start or to a dummy, whose cost does not depend
+on the target, the edge out of it to a dummy or the end charges typing
+alone, and layers of one residue type index the same groupings. Fragments
+of windows with equal residue-type strings therefore swap at equal cost and
+equal peak use. The rule gives each such group's sorted fragments to its
+windows in position order, which yields the lexicographically smallest path
+among those swaps. The lexicographically smallest optimum, as
+``dp_shortest_path`` and ``exhaustive_constrained`` return it, is a fixed
+point of the rule.
 """
 from __future__ import annotations
 
@@ -16,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import NmrAssignError
-from .graph import AssignmentGraph
+from .graph import REGULAR, AssignmentGraph
 
 
 class NoPathError(NmrAssignError):
@@ -34,6 +47,8 @@ class PathSolution:
     nodes: tuple[int, ...]
     total_cost: float
     edge_costs: tuple[float, ...]
+    #: ``canonical_path`` replaced the solver's nodes by these
+    canonicalized: bool = False
 
     def __post_init__(self) -> None:
         if len(self.edge_costs) != len(self.nodes) - 1:
@@ -66,13 +81,65 @@ class SolveResult:
     def nodes_explored(self) -> int:
         return self.nodes_heuristic + self.nodes_global
 
+    @property
+    def path_canonicalized(self) -> bool:
+        """The tie rule replaced the solver's path by another optimum."""
+        return self.path.canonicalized
 
-def path_solution(g: AssignmentGraph, nodes: Sequence[int]) -> PathSolution:
+
+def path_solution(
+    g: AssignmentGraph, nodes: Sequence[int], canonicalized: bool = False
+) -> PathSolution:
     """A path of node indices, priced edge by edge in layer order."""
     edge_costs = tuple(
         g.edges[k][(nodes[k], nodes[k + 1])] for k in range(len(nodes) - 1)
     )
-    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs)
+    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs, canonicalized)
+
+
+def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
+    """The path with its fragments sorted within equal residue-type windows.
+
+    The fragments (maximal runs of regular nodes) are grouped by the
+    residue types of their windows; within a group, the sorted fragments
+    go to the windows in position order. The candidate replaces ``nodes``
+    only when all its edges exist, its cost is within 1e-9 relative of
+    theirs, and it reuses the same peaks. Graphs from ``build_graph``
+    always pass; hand-made graphs whose costs ignore the residue types
+    need not.
+    """
+    nodes = tuple(nodes)
+    types = g.sequence.residues
+    # residue-type string -> (window starts, fragments), in position order
+    groups: dict[str, tuple[list[int], list[tuple[int, ...]]]] = {}
+    k = 1
+    while k <= g.n:
+        end = k
+        while end <= g.n and g.node(end, nodes[end]).kind == REGULAR:
+            end += 1
+        if end > k:
+            starts, fragments = groups.setdefault(types[k - 1 : end - 1], ([], []))
+            starts.append(k)
+            fragments.append(nodes[k:end])
+        k = end + 1
+    sorted_nodes = list(nodes)
+    for starts, fragments in groups.values():
+        for start, fragment in zip(starts, sorted(fragments)):
+            sorted_nodes[start : start + len(fragment)] = fragment
+    candidate = tuple(sorted_nodes)
+    if candidate == nodes:
+        return nodes
+    qualifies = (
+        all(g.edges[k].index(candidate[k], candidate[k + 1]) is not None for k in range(g.n + 1))
+        and math.isclose(
+            path_solution(g, candidate).total_cost,
+            path_solution(g, nodes).total_cost,
+            rel_tol=1e-9,
+            abs_tol=1e-12,
+        )
+        and g.path_reused_peaks(candidate) == g.path_reused_peaks(nodes)
+    )
+    return candidate if qualifies else nodes
 
 
 def dp_shortest_path(g: AssignmentGraph) -> PathSolution:

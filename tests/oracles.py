@@ -168,6 +168,20 @@ def path_overuse(g: AssignmentGraph, nodes: Sequence[int]) -> int:
     return sum(max(0, c - 1) for c in counts.values())
 
 
+def fragments(g: AssignmentGraph, nodes: Sequence[int]) -> list[tuple[str, tuple[int, ...]]]:
+    """(residue types of its window, its nodes) for each maximal run of
+    regular nodes on a path, in path order."""
+    out: list[tuple[str, tuple[int, ...]]] = []
+    types, run = "", ()
+    for k in range(1, g.n + 2):
+        if k <= g.n and g.node(k, nodes[k]).kind == REGULAR:
+            types, run = types + g.sequence.residue_type(k), run + (nodes[k],)
+        elif run:
+            out.append((types, run))
+            types, run = "", ()
+    return out
+
+
 def brute_shortest(g: AssignmentGraph) -> float:
     return min(path_cost(g, p) for p in iter_paths(g))
 

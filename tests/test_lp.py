@@ -1,12 +1,13 @@
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import nmrassign.lp as lpmod
 from nmrassign.cli import main as cli_main
-from nmrassign.domain import NmrAssignError, PriorTable, Tolerances, write_priors
+from nmrassign.domain import NmrAssignError, PriorTable, ProteinSequence, Tolerances, write_priors
 from nmrassign.lp import (
     INT_TOL,
     LpSolution,
@@ -22,13 +23,23 @@ from nmrassign.lp import (
     solve_lian2,
     solve_lp,
 )
-from nmrassign.shortest_path import dp_shortest_path, exhaustive_constrained
+from nmrassign.experiments import spin_observation_counts
+from nmrassign.graph import build_graph
+from nmrassign.grouping import spins_to_groupings
+from nmrassign.shortest_path import (
+    InstanceTooLargeError,
+    canonical_path,
+    dp_shortest_path,
+    exhaustive_constrained,
+)
+from nmrassign.simulate import SimulationSpec, sample_reference, simulate_cisa
 
 from oracles import (
     brute_constrained,
     brute_penalized,
     check_path,
     conflict_fixture,
+    fragments,
     iter_paths,
     make_graph,
     path_cost,
@@ -343,16 +354,183 @@ def test_lian2_with_fixing_matches_penalized_oracle():
     assert fixed > 0
 
 
+REGRESSION_SEQUENCE = "NAEVCEPCDEDYSFLFHWCEGYSDVIHCIY"
+
+
+def _wide_priors() -> PriorTable:
+    """The bundled priors with the spins CA/CB sigmas widened to 0.16/0.32."""
+    priors = bundled_priors()
+    noise = {k: dict(v) for k, v in priors.noise.items()}
+    noise["spins"]["CA"], noise["spins"]["CB"] = 0.16, 0.32
+    return PriorTable(priors.atoms, noise)
+
+
+def _deletion_graph(seq: str, seed: int, deletion_rate: float):
+    """(graph, tolerances) of a simulated cisa dataset with high noise, as
+    ``assign --delta3 1.4`` with the widened priors builds it."""
+    sequence, wide = ProteinSequence(seq), _wide_priors()
+    reference = sample_reference(sequence, bundled_priors(), seed)
+    spins, _ = simulate_cisa(SimulationSpec.cisa("high", seed, deletion_rate), sequence, reference)
+    tol = Tolerances(delta3=1.4)
+    groupings = spins_to_groupings(spins, wide)
+    return build_graph(groupings, sequence, wide, tol, spin_observation_counts(wide)), tol
+
+
+def _layout(g, nodes) -> tuple[Counter, Counter]:
+    """The groupings a path assigns and the residue types it leaves null;
+    two optima that share both differ only in where they put them."""
+    inner = range(1, g.n + 1)
+    return (
+        Counter(g.node(k, nodes[k]).grouping_id for k in inner if nodes[k]),
+        Counter(g.sequence.residue_type(k) for k in inner if not nodes[k]),
+    )
+
+
+#: short sequences over five residue types, so that equal-type windows are
+#: common once 35 % of the spin systems are deleted
+TIE_SEQUENCES = ("SLKLLLES", "ESLEELAS", "AEALKLALE", "KSKSEAKS", "LESLELALK")
+
+
+def _tie_graphs():
+    """(label, graph, tolerances, conflict-free optimum) of every tiny
+    deletion dataset (seeds 0-5, at most 200 000 candidate paths) whose
+    optimum puts two fragments on windows with equal residue types."""
+    out = []
+    for seq in TIE_SEQUENCES:
+        for seed in range(6):
+            g, tol = _deletion_graph(seq, seed, 0.35)
+            try:
+                best = exhaustive_constrained(g, budget=200_000)
+            except InstanceTooLargeError:
+                continue
+            windows = [types for types, _ in fragments(g, best.nodes)]
+            if len(set(windows)) < len(windows):
+                out.append((f"{seq}/{seed}", g, tol, best))
+    return out
+
+
+def _ipm_backend(tmp_path):
+    """An external backend solving with HiGHS's interior point method,
+    which may return other optima than the bundled dual simplex."""
+    path = tmp_path / "ipm_backend.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from scipy.optimize import linprog\n"
+        "from nmrassign.lp import LpSolution\n"
+        "\n"
+        "def solve(lp):\n"
+        "    A_eq, b_eq, A_ub, b_ub = lp.matrices()\n"
+        "    res = linprog(lp.costs, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,\n"
+        "                  b_eq=b_eq, bounds=lp.bounds, method='highs-ipm')\n"
+        "    if res.status != 0:\n"
+        "        return LpSolution('infeasible', None, None)\n"
+        "    return LpSolution('optimal', float(res.fun), np.asarray(res.x))\n"
+    )
+    return load_backend(path)
+
+
+def test_solvers_return_the_canonical_optimum(tmp_path):
+    """On tiny deletion datasets with equal-type windows, lian1, ilp, lian2
+    (at a lambda no peak reuse can pay) and an external backend return
+    ``canonical_path`` of the lexicographically smallest conflict-free
+    optimum, which is itself a fixed point of the rule, as is dp's path.
+
+    The rule only swaps fragments between windows. Optima that put the
+    same groupings and the same null residues in other windows (a fragment
+    and a dummy of one residue type trading places, or the first spin
+    system, which has no previous-residue shifts, linked behind another
+    fragment at no cost) are ties it does not explain; they are listed."""
+    backend = _ipm_backend(tmp_path)
+    graphs = _tie_graphs()
+    moved = 0
+    unexplained = []
+    for label, g, tol, best in graphs:
+        want = canonical_path(g, best.nodes)
+        assert want == best.nodes
+        dp = dp_shortest_path(g).nodes
+        assert canonical_path(g, dp) == dp
+        results = {
+            "lian1": solve_lian1(g, tol),
+            "ilp": solve_ilp(g, tol),
+            "lian2": solve_lian2(g, Tolerances(delta3=tol.delta3, lam=1e4)),
+            "external": solve_lian1(g, tol, backend=backend),
+        }
+        for name, result in results.items():
+            got = result.path.nodes
+            check_path(g, got, allow_reuse=False)
+            assert result.proven_optimal and result.reused_peaks == {}
+            assert result.objective == pytest.approx(best.total_cost, rel=1e-9)
+            assert canonical_path(g, got) == got
+            if got == want:
+                moved += result.path_canonicalized
+            else:
+                assert _layout(g, got) == _layout(g, want), (label, name)
+                unexplained.append(f"{label} {name}")
+    assert len(graphs) == 10
+    assert moved > 0  # the rule changed some solver's path
+    assert unexplained == [
+        "SLKLLLES/0 external",
+        "KSKSEAKS/3 lian1",
+        "KSKSEAKS/3 ilp",
+        "KSKSEAKS/3 lian2",
+        "KSKSEAKS/3 external",
+    ]
+
+
+def test_root_presolve_does_not_decide_the_answer(monkeypatch):
+    """lian1 with the root solved with and without HiGHS presolve returns
+    the same path, and objectives within 1e-9, on the regression dataset.
+    On the tiny deletion datasets the objectives agree too; the paths
+    differ only by ties the rule does not explain, which are listed."""
+    cases = [("regression", *_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2))]
+    cases += [(label, g, tol) for label, g, tol, _ in _tie_graphs()]
+    off = {label: solve_lian1(g, tol) for label, g, tol in cases}
+    solve = lpmod.solve_lp  # from here on every solve, the root's too, presolves
+    monkeypatch.setattr(
+        lpmod, "solve_lp", lambda lp, backend=None, *, presolve=True: solve(lp, backend)
+    )
+    differ = []
+    for label, g, tol in cases:
+        on = solve_lian1(g, tol)
+        assert on.objective == pytest.approx(off[label].objective, rel=1e-9)
+        if on.path.nodes != off[label].path.nodes:
+            assert _layout(g, on.path.nodes) == _layout(g, off[label].path.nodes), label
+            differ.append(label)
+    assert not off["regression"].root_integral
+    assert differ == ["SLKLLLES/0", "KSKSEAKS/3"]
+
+
+def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
+    """solve_ilp's first node is the root relaxation already solved: one
+    HiGHS call per node, the root's without presolve and the rest with."""
+    presolve = []
+    original = lpmod.linprog
+
+    def recording(*args, **kwargs):
+        presolve.append(kwargs["options"]["presolve"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lpmod, "linprog", recording)
+    rng = np.random.default_rng(13)
+    branched = 0
+    while branched < 5:
+        g = random_instance(rng, int(rng.integers(1, 5)), 3, 5)
+        if brute_constrained(g) is None:
+            continue
+        presolve.clear()
+        result = solve_ilp(g, default_tol)
+        assert len(presolve) == result.nodes_explored
+        assert presolve[0] is False and all(presolve[1:])
+        branched += not result.root_integral
+
+
 def test_fractional_root_deletion_regression(tmp_path, capsys):
     """A 30-residue cisa dataset with high noise, 20 % deletions and the
     spins CA/CB sigmas widened to 0.16/0.32 has a fractional root LP: lian1
     fixes columns, proves its answer optimal, matches the ilp objective,
     and the lian1 assign takes under 10 s (about 0.5 s on a 2-vCPU VM)."""
-    seq = "NAEVCEPCDEDYSFLFHWCEGYSDVIHCIY"
-    priors = bundled_priors()
-    noise = {k: dict(v) for k, v in priors.noise.items()}
-    noise["spins"]["CA"], noise["spins"]["CB"] = 0.16, 0.32
-    write_priors(PriorTable(priors.atoms, noise), tmp_path / "priors.json")
+    seq = REGRESSION_SEQUENCE
+    write_priors(_wide_priors(), tmp_path / "priors.json")
     assert cli_main([
         "simulate", "--sequence", seq, "--protocol", "cisa", "--noise", "high",
         "--deletion-rate", "0.2", "--seed", "6", "--out", str(tmp_path),
@@ -376,6 +554,7 @@ def test_fractional_root_deletion_regression(tmp_path, capsys):
     assert lian1["nodes_explored"] == lian1["nodes_heuristic"] + lian1["nodes_global"]
     assert ilp["proven_optimal"] and ilp["columns_fixed"] == ilp["nodes_heuristic"] == 0
     assert lian1["objective"] == pytest.approx(ilp["objective"], rel=1e-9)
+    assert isinstance(lian1["path_canonicalized"], bool)
 
 
 def test_external_backend(tmp_path, default_tol):

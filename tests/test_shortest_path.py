@@ -5,6 +5,7 @@ from nmrassign.shortest_path import (
     InstanceTooLargeError,
     NoPathError,
     PathSolution,
+    canonical_path,
     dp_shortest_path,
     exhaustive_constrained,
 )
@@ -14,8 +15,11 @@ from oracles import (
     brute_shortest,
     check_path,
     conflict_fixture,
+    fragments,
+    iter_paths,
     make_graph,
     path_cost,
+    path_overuse,
     random_instance,
 )
 
@@ -118,3 +122,46 @@ def test_exhaustive_budget():
 def test_path_solution_invariant():
     with pytest.raises(Exception):
         PathSolution((0, 1, 0), 1.0, (1.0,))
+
+
+def test_canonical_path_sorts_fragments_of_equal_windows():
+    """Layers 1 and 3 are both "A" and their fragments swap at equal cost;
+    layer 2 is "G", so its node stays."""
+    edges = [
+        {(0, 0): 0.0, (0, 1): 0.0, (0, 2): 0.0},
+        {(0, 0): 5.0, (0, 1): 5.0, (1, 0): 1.0, (2, 0): 2.0},
+        {(0, 0): 6.0, (0, 1): 6.0, (0, 2): 6.0, (1, 0): 3.0},
+        {(0, 0): 5.0, (1, 0): 1.0, (2, 0): 2.0},
+    ]
+    usage = [{}, {1: {"p1"}, 2: {"p2"}}, {1: {"p3"}}, {1: {"p1"}, 2: {"p2"}}, {}]
+    thresholds = [0.0, 5.0, 6.0, 5.0]
+    g = make_graph([3, 2, 3], edges, usage, thresholds, sequence="AGA")
+    assert canonical_path(g, (0, 2, 0, 1, 0)) == (0, 1, 0, 2, 0)
+    assert canonical_path(g, (0, 1, 0, 2, 0)) == (0, 1, 0, 2, 0)
+    assert canonical_path(g, (0, 0, 1, 0, 0)) == (0, 0, 1, 0, 0)
+    # windows of different residue types never trade fragments
+    g = make_graph([3, 2, 3], edges, usage, thresholds, sequence="AGG")
+    assert canonical_path(g, (0, 2, 0, 1, 0)) == (0, 2, 0, 1, 0)
+
+
+def test_canonical_path_guard_on_random_graphs():
+    """random_instance graphs price each edge at random, so a fragment swap
+    between equal-type windows (the sequence is all "A") may change the
+    cost or break a path. Over every path of 40 of them, canonical_path
+    returns a path with the same cost and the same peak overuse, because
+    the guard keeps the given path whenever the sorted candidate does not
+    qualify."""
+    rng = np.random.default_rng(61)
+    kept = 0
+    for _ in range(40):
+        g = random_instance(rng, int(rng.integers(3, 7)), 3, 8)
+        for path in iter_paths(g):
+            out = canonical_path(g, path)
+            check_path(g, out, allow_reuse=True)
+            assert path_cost(g, out) == pytest.approx(path_cost(g, path), rel=1e-9, abs=1e-12)
+            assert path_overuse(g, out) == path_overuse(g, path)
+            by_window: dict[str, list] = {}
+            for types, fragment in fragments(g, path):
+                by_window.setdefault(types, []).append(fragment)
+            kept += any(f != sorted(f) for f in by_window.values()) and out == path
+    assert kept > 0
