@@ -401,6 +401,12 @@ def read_spins(path: str | Path) -> list[SpinSystem]:
     return spins
 
 
+def write_json(doc: Mapping, path: str | Path) -> None:
+    """Write ``doc`` as the project's JSON files are written: sorted keys,
+    two-space indent, one trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_priors(priors: PriorTable, path: str | Path) -> None:
     doc = {
         "atoms": {
@@ -412,7 +418,7 @@ def write_priors(priors: PriorTable, path: str | Path) -> None:
         },
         "noise": priors.noise,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def read_priors(path: str | Path) -> PriorTable:
@@ -440,7 +446,7 @@ def write_tolerances(tol: Tolerances, path: str | Path) -> None:
         "lambda": tol.lam,
         "round_eps": tol.round_eps,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def read_tolerances(path: str | Path) -> Tolerances:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .domain import NmrAssignError, dimension_of
+from .domain import NmrAssignError, dimension_of, write_json
 from .graph import DUMMY, AssignmentGraph
 from .shortest_path import SolveResult
 from .simulate import FLYA_BOUND, GroundTruth
@@ -109,6 +109,18 @@ class ScoreReport:
         return self.m_correct / self.m_assignable if self.m_assignable else 0.0
 
 
+def _judge(ra: ResidueAssignment, gt: GroundTruth) -> tuple[bool, bool]:
+    """(assignable, correct) for one residue. A residue is assignable when it
+    generated a spin system (spin input) or peaks (peak input); its
+    assignment is correct when it names that spin system, or a grouping of
+    exactly those peaks."""
+    if gt.kind == "spins":
+        truth = gt.residue_to_id.get(ra.residue)
+        return truth is not None, ra.assigned_id is not None and ra.assigned_id == truth
+    truth_peaks = frozenset(gt.residue_to_peaks.get(ra.residue, ()))
+    return bool(truth_peaks), ra.assigned_id is not None and frozenset(ra.member_peaks) == truth_peaks
+
+
 def score(a: Assignment, gt: GroundTruth) -> ScoreReport:
     if len(a.sequence) != len(gt.sequence):
         raise LengthMismatchError(
@@ -118,14 +130,7 @@ def score(a: Assignment, gt: GroundTruth) -> ScoreReport:
     verdicts: dict[int, str] = {}
     for ra in a.residues:
         k = ra.residue
-        if gt.kind == "spins":
-            truth = gt.residue_to_id.get(k)
-            assignable = truth is not None
-            correct = ra.assigned_id is not None and ra.assigned_id == truth
-        else:
-            truth_peaks = frozenset(gt.residue_to_peaks.get(k, ()))
-            assignable = bool(truth_peaks)
-            correct = ra.assigned_id is not None and frozenset(ra.member_peaks) == truth_peaks
+        assignable, correct = _judge(ra, gt)
         if assignable:
             m_assignable += 1
         if ra.assigned_id is not None:
@@ -151,19 +156,16 @@ def atom_correctness(
 ) -> tuple[float, int, int]:
     """(fraction, correct, total) of atoms placed within the noise bound.
 
-    An atom counts when the reference defines it on an observable residue;
+    An atom counts when the reference defines it on an assignable residue;
     it is correct when the assigned consensus estimate for its own residue
     sits within the per-dimension bound of the reference value.
     """
     bounds = dict(FLYA_BOUND if bounds is None else bounds)
     total = correct = 0
     for ra in a.residues:
-        k = ra.residue
-        if gt.kind == "peaks" and not gt.residue_to_peaks.get(k):
+        if not _judge(ra, gt)[0]:
             continue
-        if gt.kind == "spins" and gt.residue_to_id.get(k) is None:
-            continue
-        reference = gt.reference.get(k, {})
+        reference = gt.reference.get(ra.residue, {})
         for role in roles:
             if role not in reference:
                 continue
@@ -223,7 +225,7 @@ def write_assignment(a: Assignment, path: str | Path) -> None:
             for ra in a.residues
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def read_assignment(path: str | Path) -> Assignment:
@@ -263,10 +265,7 @@ def report_to_dict(report: ScoreReport) -> dict:
 
 
 def write_report(report: ScoreReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(report_to_dict(report), path)
 
 
 def report_to_text(report: ScoreReport) -> str:

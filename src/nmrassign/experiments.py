@@ -58,6 +58,9 @@ BASIC_SET = ("hsqc", "hncacb", "hncocacb")
 #: the seven-spectrum set used for peak-list simulations
 FULL_SET = ("hsqc", "hncacb", "hncocacb", "hnco", "hncoca", "hncaco", "hnca")
 
+#: the priors' noise entry for spin-system observations
+SPIN_NOISE = "spins"
+
 _ALIASES = {
     "hsqc": "hsqc",
     "hncacb": "hncacb",
@@ -106,9 +109,7 @@ def candidate_roles(spectrum_id: str, phase: int) -> tuple[str, ...]:
     return tuple(r for r in roles if not (r in seen or seen.add(r)))
 
 
-def expected_observation_counts(
-    names: Sequence[str], priors: PriorTable, spectrum_for_noise: str | None = None
-) -> dict[str, tuple[int, float]]:
+def expected_observation_counts(names: Sequence[str], priors: PriorTable) -> dict[str, tuple[int, float]]:
     """Expected observation count and noise per base atom role.
 
     An atom of residue k is observed by intra-residue templates of its own
@@ -127,19 +128,15 @@ def expected_observation_counts(
             role = base_role(tmpl.role)
             counts[role] = counts.get(role, 0) + 1
             observer.setdefault(role, exp.name)
-    out: dict[str, tuple[int, float]] = {}
-    for role, count in counts.items():
-        sigma = priors.noise_for(spectrum_for_noise or observer[role], role)
-        out[role] = (count, sigma)
-    return out
+    return {role: (count, priors.noise_for(observer[role], role)) for role, count in counts.items()}
 
 
-def spin_observation_counts(priors: PriorTable, spectrum_id: str = "spins") -> dict[str, tuple[int, float]]:
+def spin_observation_counts(priors: PriorTable) -> dict[str, tuple[int, float]]:
     """Expected counts for spin-system input: amide once, carbons twice
     (own system plus the successor's previous-residue entry)."""
     return {
-        "N": (1, priors.noise_for(spectrum_id, "N")),
-        "HN": (1, priors.noise_for(spectrum_id, "HN")),
-        "CA": (2, priors.noise_for(spectrum_id, "CA")),
-        "CB": (2, priors.noise_for(spectrum_id, "CB")),
+        "N": (1, priors.noise_for(SPIN_NOISE, "N")),
+        "HN": (1, priors.noise_for(SPIN_NOISE, "HN")),
+        "CA": (2, priors.noise_for(SPIN_NOISE, "CA")),
+        "CB": (2, priors.noise_for(SPIN_NOISE, "CB")),
     }

@@ -26,7 +26,6 @@ therefore prices every residue exactly once.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +41,7 @@ from .domain import (
     Tolerances,
     base_role,
     is_prev,
+    write_json,
 )
 from .grouping import PeakGrouping
 
@@ -316,4 +316,4 @@ def export_graph(g: AssignmentGraph, path: str | Path) -> None:
             for i, j, cost in zip(layer.src.tolist(), layer.dst.tolist(), layer.cost.tolist())
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)

@@ -1,18 +1,24 @@
 """Enumeration of internally consistent peak groupings.
 
-Peaks are first linked pairwise when their amide (H, N) coordinates agree
-within tolerance; maximal cliques of that compatibility graph are then
-expanded into groupings by assigning each carbon-carrying peak an atom role
+Peaks are linked pairwise when their amide (H, N) coordinates agree within
+tolerance, by one comparison per dimension over the peaks' (n × 2) amide
+array. Maximal cliques of that compatibility graph are then expanded into
+groupings by a role search: it gives each carbon-carrying peak an atom role
 so that same-role values agree within the carbon window and the grouping's
-per-spectrum composition does not exceed the expected pattern.
+per-spectrum composition does not exceed the expected pattern. Budgets on
+component size and on search steps per component stop runs whose
+tolerances are too loose.
 
 Spin-system input bypasses all of this: each system becomes one degenerate
 grouping with a single observation per present role.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+
+import numpy as np
 
 from .domain import (
     NmrAssignError,
@@ -22,12 +28,21 @@ from .domain import (
     SpinSystem,
     Tolerances,
 )
-from .experiments import candidate_roles, canonical_name
+from .experiments import SPIN_NOISE, candidate_roles, canonical_name
+
+#: most peaks one connected component of the compatibility graph may hold
+COMPONENT_BUDGET = 64
+#: most role-search steps one component may take
+EXPANSION_BUDGET = 500_000
+
+#: ((peak_id, role), ...) for the peaks of one grouping; None is the role
+#: of a peak without a carbon
+_RoleMap = tuple[tuple[str, str | None], ...]
 
 
 class ComponentTooLargeError(NmrAssignError):
-    """A connected component exceeded the vertex budget; tolerances are
-    probably too loose for this dataset."""
+    """A connected component exceeded the peak or search-step budget;
+    tolerances are probably too loose for this dataset."""
 
 
 @dataclass(frozen=True)
@@ -51,22 +66,22 @@ class CompatibilityGraph:
     adjacency: Mapping[str, frozenset[str]]
 
 
-def _amide_compatible(p: Peak, q: Peak, tol: Tolerances) -> bool:
-    for label, window in (("H", tol.delta1), ("N", tol.delta2)):
-        a, b = p.coord(label), q.coord(label)
-        if a is not None and b is not None and abs(a - b) > window:
-            return False
-    return True
+def _amide_array(peaks: Sequence[Peak]) -> np.ndarray:
+    """The peaks' (H, N) coordinates as an (n × 2) array, NaN where missing."""
+    return np.array([(p.coord("H"), p.coord("N")) for p in peaks], dtype=float).reshape(-1, 2)
 
 
-def _amide_distance(p: Peak, anchor: Peak, tol: Tolerances) -> float:
-    """Window-normalized amide distance, for ordering peaks around an anchor."""
-    total = 0.0
-    for label, window in (("H", tol.delta1), ("N", tol.delta2)):
-        a, b = p.coord(label), anchor.coord(label)
-        if a is not None and b is not None:
-            total += abs(a - b) / window
-    return total
+def _amide_matrix(peaks: Sequence[Peak], tol: Tolerances) -> np.ndarray:
+    """(n × n) booleans: peaks i and j agree in H within δ1 and in N within
+    δ2. A missing coordinate never counts as too far apart. The diagonal is
+    False."""
+    amide = _amide_array(peaks)
+    close = np.ones((len(peaks), len(peaks)), dtype=bool)
+    for column, window in ((0, tol.delta1), (1, tol.delta2)):
+        x = amide[:, column]
+        close &= ~(np.abs(x[:, None] - x) > window)
+    np.fill_diagonal(close, False)
+    return close
 
 
 def build_compatibility_graph(peaks: Sequence[Peak], tol: Tolerances) -> CompatibilityGraph:
@@ -76,15 +91,13 @@ def build_compatibility_graph(peaks: Sequence[Peak], tol: Tolerances) -> Compati
     per grouping), so it is enforced during expansion instead.
     """
     ordered = sorted(peaks, key=lambda p: p.peak_id)
-    adj: dict[str, set[str]] = {p.peak_id: set() for p in ordered}
-    for i, p in enumerate(ordered):
-        for q in ordered[i + 1 :]:
-            if _amide_compatible(p, q, tol):
-                adj[p.peak_id].add(q.peak_id)
-                adj[q.peak_id].add(p.peak_id)
+    vertices = tuple(p.peak_id for p in ordered)
     return CompatibilityGraph(
-        vertices=tuple(p.peak_id for p in ordered),
-        adjacency={pid: frozenset(nbrs) for pid, nbrs in adj.items()},
+        vertices=vertices,
+        adjacency={
+            pid: frozenset(vertices[j] for j in np.flatnonzero(row).tolist())
+            for pid, row in zip(vertices, _amide_matrix(ordered, tol))
+        },
     )
 
 
@@ -126,97 +139,68 @@ def _maximal_cliques(vertices: Sequence[str], adj: Mapping[str, frozenset[str]])
     return sorted(cliques, key=lambda c: (-len(c), c))
 
 
-class _ExpansionBudget:
-    def __init__(self, limit: int) -> None:
-        self.remaining = limit
+def _role_search(
+    members: Sequence[Peak],
+    pattern: Mapping[str, int],
+    tol: Tolerances,
+    skip_always: bool,
+    visits: Iterator[int],
+) -> list[tuple[frozenset[str], _RoleMap]]:
+    """Role assignments of (subsets of) ``members``, in search order, as
+    (member set, ((peak_id, role), ...)) pairs.
 
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise ComponentTooLargeError(
-                "grouping expansion budget exhausted; tolerances too loose"
+    A carbon-carrying peak takes a role its spectrum offers, has not used
+    yet, and whose carbons taken so far lie within δ3 of its own; a peak
+    without a carbon takes the role None; no spectrum gets more peaks than
+    ``pattern`` allows. With ``skip_always`` every subset is searched;
+    otherwise a peak is left out only when it has no role left on its
+    branch, so every result is locally maximal. Each step draws from
+    ``visits``, the step counter of the peaks' component.
+    """
+    sites = [
+        (p.peak_id, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
+        for p in members
+    ]
+    results = []
+
+    def visit(
+        t: int,
+        chosen: _RoleMap,
+        counts: Mapping[str, int],
+        carbons: tuple[tuple[str, str, float], ...],
+    ) -> None:
+        """``counts``: peaks chosen per spectrum; ``carbons``: the
+        (spectrum, role, shift) triples chosen."""
+        if next(visits) > EXPANSION_BUDGET:
+            raise ComponentTooLargeError("grouping expansion budget exhausted; tolerances too loose")
+        if t == len(sites):
+            if chosen:
+                results.append((frozenset(pid for pid, _ in chosen), chosen))
+            return
+        pid, spectrum, carbon, roles = sites[t]
+        taken = counts.get(spectrum, 0)
+        options: list[str | None] = []
+        if taken < pattern[spectrum]:
+            options = [None] if carbon is None else [
+                role
+                for role in roles
+                if not any(
+                    r == role and (s == spectrum or abs(carbon - v) > tol.delta3)
+                    for s, r, v in carbons
+                )
+            ]
+        if skip_always or not options:
+            visit(t + 1, chosen, counts, carbons)
+        for role in options:
+            visit(
+                t + 1,
+                chosen + ((pid, role),),
+                {**counts, spectrum: taken + 1},
+                carbons if role is None else carbons + ((spectrum, role, carbon),),
             )
 
-
-class _CliqueSearch:
-    """Backtracking role assignment over one clique's peaks."""
-
-    def __init__(
-        self,
-        members: Sequence[Peak],
-        pattern: Mapping[str, int],
-        tol: Tolerances,
-        budget: _ExpansionBudget,
-    ) -> None:
-        self.members = members
-        self.pattern = pattern
-        self.tol = tol
-        self.budget = budget
-        self.results: list[tuple[frozenset[str], tuple[tuple[str, str | None], ...]]] = []
-        self.chosen: list[tuple[str, str | None]] = []
-        self.spectrum_counts: dict[str, int] = {}
-        self.used_spectrum_roles: set[tuple[str, str]] = set()
-        self.role_values: dict[str, list[float]] = {}
-
-    def _options(self, peak: Peak) -> list[str | None]:
-        spectrum = canonical_name(peak.spectrum_id)
-        if self.spectrum_counts.get(spectrum, 0) >= self.pattern[spectrum]:
-            return []
-        if peak.coord("C") is None:
-            return [None]
-        c_value = peak.coord("C")
-        options: list[str | None] = []
-        for role in candidate_roles(spectrum, peak.phase):
-            if (spectrum, role) in self.used_spectrum_roles:
-                continue
-            if any(abs(c_value - v) > self.tol.delta3 for v in self.role_values.get(role, [])):
-                continue
-            options.append(role)
-        return options
-
-    def _push(self, peak: Peak, role: str | None) -> None:
-        spectrum = canonical_name(peak.spectrum_id)
-        self.chosen.append((peak.peak_id, role))
-        self.spectrum_counts[spectrum] = self.spectrum_counts.get(spectrum, 0) + 1
-        if role is not None:
-            self.used_spectrum_roles.add((spectrum, role))
-            self.role_values.setdefault(role, []).append(peak.coord("C"))
-
-    def _pop(self, peak: Peak, role: str | None) -> None:
-        spectrum = canonical_name(peak.spectrum_id)
-        self.chosen.pop()
-        self.spectrum_counts[spectrum] -= 1
-        if role is not None:
-            self.used_spectrum_roles.remove((spectrum, role))
-            self.role_values[role].pop()
-            if not self.role_values[role]:
-                del self.role_values[role]
-
-    def run(self, skip_mode: str) -> list[tuple[frozenset[str], tuple]]:
-        """skip_mode: 'always' (every subset) or 'forced' (skip a peak only
-        when it has no feasible role on the current branch)."""
-        self.results = []
-        self._visit(0, skip_mode)
-        return self.results
-
-    def _visit(self, t: int, skip_mode: str) -> None:
-        self.budget.spend()
-        if t == len(self.members):
-            if self.chosen:
-                self.results.append(
-                    (frozenset(pid for pid, _ in self.chosen), tuple(self.chosen))
-                )
-            return
-        peak = self.members[t]
-        options = self._options(peak)
-        if skip_mode == "always" or not options:
-            self._visit(t + 1, skip_mode)
-            if not options:
-                return
-        for role in options:
-            self._push(peak, role)
-            self._visit(t + 1, skip_mode)
-            self._pop(peak, role)
+    visit(0, (), {}, ())
+    return results
 
 
 def _expand_clique(
@@ -225,71 +209,58 @@ def _expand_clique(
     pattern: Mapping[str, int],
     tol: Tolerances,
     exhaustive: bool,
-    budget: _ExpansionBudget,
-) -> list[tuple[frozenset[str], tuple[tuple[str, str | None], ...]]]:
+    visits: Iterator[int],
+) -> list[tuple[frozenset[str], _RoleMap]]:
     """Enumerate role assignments for (subsets of) a clique.
 
     Returns (member set, ((peak_id, role), ...)) pairs. In exhaustive mode
     every valid subset is returned once (first feasible role map); otherwise
     only assignments whose member set is maximal are kept.
     """
-    members = [
-        peaks_by_id[pid]
-        for pid in sorted(clique)
-        if canonical_name(peaks_by_id[pid].spectrum_id) in pattern
-    ]
-    members.sort(key=lambda p: (canonical_name(p.spectrum_id), p.peak_id))
+    members = sorted(
+        (peaks_by_id[pid] for pid in clique if canonical_name(peaks_by_id[pid].spectrum_id) in pattern),
+        key=lambda p: (canonical_name(p.spectrum_id), p.peak_id),
+    )
 
     if exhaustive:
-        search = _CliqueSearch(members, pattern, tol, budget)
-        results = search.run("always")
-        by_members: dict[frozenset[str], tuple[tuple[str, str | None], ...]] = {}
-        for member_set, role_map in results:
+        by_members: dict[frozenset[str], _RoleMap] = {}
+        for member_set, role_map in _role_search(members, pattern, tol, True, visits):
             by_members.setdefault(member_set, role_map)
         return sorted(by_members.items(), key=lambda item: sorted(item[0]))
 
-    # One forced run per amide anchor. Ordering the clique by amide distance
-    # to the anchor lets that residue's peaks claim the per-spectrum slots
-    # before any merged neighbor's peaks; forced-mode results are locally
-    # maximal because a peak is only ever skipped when it has no feasible
-    # role left on that branch.
-    anchors = [m for m in members if m.coord("C") is None] or list(members)
-    results = []
-    for anchor in anchors:
-        ordered = sorted(
-            members,
-            key=lambda p: (
-                _amide_distance(p, anchor, tol),
-                canonical_name(p.spectrum_id),
-                p.peak_id,
-            ),
-        )
-        search = _CliqueSearch(ordered, pattern, tol, budget)
-        results.extend(search.run("forced"))
+    # One search per amide anchor. Ordering the clique by window-normalized
+    # amide distance to the anchor (ties in the clique's order) lets that
+    # residue's peaks claim the per-spectrum slots before any merged
+    # neighbor's peaks.
+    amide = _amide_array(members)
+    windows = np.array([tol.delta1, tol.delta2])
+    anchors = [a for a, p in enumerate(members) if p.coord("C") is None] or range(len(members))
+    role_maps: dict[frozenset[str], set[_RoleMap]] = {}
+    for a in anchors:
+        distance = np.nansum(np.abs(amide - amide[a]) / windows, axis=1)
+        ordered = [members[i] for i in np.argsort(distance, kind="stable")]
+        for member_set, role_map in _role_search(ordered, pattern, tol, False, visits):
+            role_maps.setdefault(member_set, set()).add(role_map)
 
-    by_members_all: dict[frozenset[str], set[tuple[tuple[str, str | None], ...]]] = {}
-    for member_set, role_map in results:
-        by_members_all.setdefault(member_set, set()).add(role_map)
-    member_sets = sorted(by_members_all, key=lambda s: (-len(s), sorted(s)))
     maximal: list[frozenset[str]] = []
-    for s in member_sets:
+    for s in sorted(role_maps, key=lambda s: (-len(s), sorted(s))):
         if not any(s < kept for kept in maximal):
             maximal.append(s)
-    out = []
-    for s in sorted(maximal, key=lambda s: sorted(s)):
-        for role_map in sorted(
-            by_members_all[s], key=lambda rm: [(pid, role or "") for pid, role in rm]
-        ):
-            out.append((s, role_map))
-    return out
+    return [
+        (s, role_map)
+        for s in sorted(maximal, key=sorted)
+        for role_map in sorted(role_maps[s], key=lambda rm: [(pid, role or "") for pid, role in rm])
+    ]
 
 
-def _grouping_from_assignment(
+def _consensus(
     member_set: frozenset[str],
-    role_map: Sequence[tuple[str, str | None]],
+    role_map: _RoleMap,
     peaks_by_id: Mapping[str, Peak],
     priors: PriorTable,
-) -> PeakGrouping:
+) -> dict[str, tuple[Observation, ...]]:
+    """Observations per role: every member's amide pair, in peak order, then
+    each carbon under the role it was given."""
     consensus: dict[str, list[Observation]] = {}
     for pid in sorted(member_set):
         peak = peaks_by_id[pid]
@@ -305,16 +276,10 @@ def _grouping_from_assignment(
             continue
         peak = peaks_by_id[pid]
         spectrum = canonical_name(peak.spectrum_id)
-        value = peak.coord("C")
-        assert value is not None
         consensus.setdefault(role, []).append(
-            Observation(role, value, pid, priors.noise_for(spectrum, role))
+            Observation(role, peak.coord("C"), pid, priors.noise_for(spectrum, role))
         )
-    return PeakGrouping(
-        grouping_id="",  # assigned after global ordering
-        member_peaks=member_set,
-        consensus={role: tuple(obs) for role, obs in sorted(consensus.items())},
-    )
+    return {role: tuple(obs) for role, obs in sorted(consensus.items())}
 
 
 def enumerate_groupings(
@@ -324,8 +289,6 @@ def enumerate_groupings(
     top_k: int | None,
     priors: PriorTable,
     tol: Tolerances,
-    component_budget: int = 64,
-    expansion_budget: int = 500_000,
 ) -> list[PeakGrouping]:
     """Expand maximal cliques into groupings.
 
@@ -339,48 +302,43 @@ def enumerate_groupings(
     peaks_by_id = {p.peak_id: p for p in peaks}
     components = _connected_components(graph)
     for comp in components:
-        if len(comp) > component_budget:
+        if len(comp) > COMPONENT_BUDGET:
             raise ComponentTooLargeError(
-                f"component with {len(comp)} peaks exceeds budget {component_budget}"
+                f"component with {len(comp)} peaks exceeds budget {COMPONENT_BUDGET}"
             )
 
-    # cliques overlap, so the same assignment can be found twice
-    assignments: list[tuple[frozenset[str], tuple]] = []
-    seen: set[tuple[frozenset[str], tuple]] = set()
+    # an insertion-ordered set: cliques overlap, so the same assignment can
+    # be found twice
+    assignments: dict[tuple[frozenset[str], _RoleMap], None] = {}
     for comp in components:
-        adj = {v: graph.adjacency[v] & set(comp) for v in comp}
-        cliques = _maximal_cliques(comp, adj)
+        cliques = _maximal_cliques(comp, graph.adjacency)
         if top_k is not None:
             cliques = cliques[:top_k]
-        budget = _ExpansionBudget(expansion_budget)
+        visits = itertools.count(1)  # role-search steps of this component
         for clique in cliques:
-            for item in _expand_clique(
-                clique, peaks_by_id, pattern, tol, top_k is None, budget
-            ):
-                if item not in seen:
-                    seen.add(item)
-                    assignments.append(item)
+            for item in _expand_clique(clique, peaks_by_id, pattern, tol, top_k is None, visits):
+                assignments[item] = None
 
-    groupings = [
-        _grouping_from_assignment(member_set, role_map, peaks_by_id, priors)
-        for member_set, role_map in assignments
-    ]
-    groupings.sort(key=lambda g: (sorted(g.member_peaks), sorted(g.consensus)))
+    found = sorted(
+        (
+            (member_set, _consensus(member_set, role_map, peaks_by_id, priors))
+            for member_set, role_map in assignments
+        ),
+        key=lambda item: (sorted(item[0]), sorted(item[1])),
+    )
     return [
-        PeakGrouping(f"g{idx:05d}", g.member_peaks, g.consensus)
-        for idx, g in enumerate(groupings)
+        PeakGrouping(f"g{idx:05d}", member_set, consensus)
+        for idx, (member_set, consensus) in enumerate(found)
     ]
 
 
-def spins_to_groupings(
-    spins: Sequence[SpinSystem], priors: PriorTable, spectrum_id: str = "spins"
-) -> list[PeakGrouping]:
+def spins_to_groupings(spins: Sequence[SpinSystem], priors: PriorTable) -> list[PeakGrouping]:
     """One degenerate grouping per spin system, one observation per role."""
     groupings = []
     for spin in spins:
         consensus = {
             role: (
-                Observation(role, value, spin.system_id, priors.noise_for(spectrum_id, role)),
+                Observation(role, value, spin.system_id, priors.noise_for(SPIN_NOISE, role)),
             )
             for role, value in sorted(spin.shifts.items())
         }

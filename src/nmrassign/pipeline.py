@@ -18,10 +18,12 @@ from .domain import (
     PriorTable,
     ProteinSequence,
     Tolerances,
+    priors_from_dict,
     read_peaks,
     read_priors,
     read_spins,
     validate_dataset,
+    write_json,
     write_peaks,
     write_spins,
 )
@@ -44,6 +46,7 @@ from .simulate import (
     Reference,
     SimulationSpec,
     read_ground_truth,
+    reference_from_dict,
     sample_reference,
     simulate_cisa,
     simulate_flya,
@@ -55,18 +58,12 @@ VARIANTS = ("dp", "ilp", "lian1", "lian2")
 
 def bundled_priors() -> PriorTable:
     with resources.files("nmrassign.data").joinpath("priors.json").open("r") as fh:
-        from .domain import priors_from_dict
-
         return priors_from_dict(json.load(fh))
 
 
 def bundled_reference(name: str) -> Reference:
     with resources.files("nmrassign.data").joinpath(f"{name}.json").open("r") as fh:
-        doc = json.load(fh)
-    return Reference(
-        ProteinSequence(doc["sequence"]),
-        {int(k): v for k, v in doc["shifts"].items()},
-    )
+        return reference_from_dict(json.load(fh))
 
 
 def load_sequence(spec: str) -> ProteinSequence:
@@ -80,10 +77,6 @@ def load_sequence(spec: str) -> ProteinSequence:
         ]
         return ProteinSequence("".join(lines))
     return ProteinSequence(spec)
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -126,8 +119,8 @@ def run_simulate(
         raise NmrAssignError(f"unknown protocol {protocol!r}")
     write_ground_truth(gt, outdir / "ground_truth.json")
     summary["residues"] = len(seq)
-    _write_json(summary, outdir / "simulate_summary.json")
-    _write_json({"seconds": stages}, outdir / "timings.json")
+    write_json(summary, outdir / "simulate_summary.json")
+    write_json({"seconds": stages}, outdir / "timings.json")
     return summary
 
 
@@ -204,7 +197,7 @@ def run_assign(
 
     with _stage(stages, "graph"):
         g = build_graph(groupings, seq, priors, tol, expected)
-    _write_json(graph_stats(g), outdir / "graph_stats.json")
+    write_json(graph_stats(g), outdir / "graph_stats.json")
 
     with _stage(stages, "solve"):
         if variant == "dp":
@@ -227,7 +220,7 @@ def run_assign(
 
     assignment = ev.assignment_from_result(g, result)
     ev.write_assignment(assignment, outdir / "assignment.json")
-    _write_json(
+    write_json(
         {
             "variant": result.variant,
             "objective": result.objective,
@@ -244,8 +237,8 @@ def run_assign(
         },
         outdir / "lp_report.json",
     )
-    _write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
-    _write_json({"seconds": stages}, outdir / "timings.json")
+    write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
+    write_json({"seconds": stages}, outdir / "timings.json")
     return {
         "variant": result.variant,
         "objective": result.objective,
@@ -296,7 +289,7 @@ def run_graph_stats(
     groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, {})
     g = build_graph(groupings, seq, priors, tol, expected)
     stats = graph_stats(g)
-    _write_json(stats, outdir / "graph_stats.json")
+    write_json(stats, outdir / "graph_stats.json")
     if export:
         export_graph(g, outdir / "graph.json")
     return stats

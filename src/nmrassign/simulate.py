@@ -28,6 +28,7 @@ from .domain import (
     SpinSystem,
     base_role,
     is_prev,
+    write_json,
 )
 from .experiments import Experiment, experiment_set
 
@@ -248,11 +249,14 @@ def write_reference(reference: Reference, path: str | Path) -> None:
         "sequence": reference.sequence.residues,
         "shifts": {str(k): v for k, v in sorted(reference.shifts.items())},
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def read_reference(path: str | Path) -> Reference:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return reference_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def reference_from_dict(doc: Mapping) -> Reference:
     return Reference(
         ProteinSequence(doc["sequence"]),
         {int(k): v for k, v in doc["shifts"].items()},
@@ -272,7 +276,7 @@ def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
         },
         "reference": {str(k): v for k, v in sorted(gt.reference.items())},
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:

@@ -252,13 +252,18 @@ from nmrassign import cli
 run, solved, seq = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 for argv in (
     ["simulate", "--sequence", seq, "--seed", "3", "--out", run],
+    ["simulate", "--sequence", seq, "--seed", "3", "--protocol", "flya",
+     "--experiments", "hsqc,hncacb,hncocacb", "--out", run / "peaks"],
     ["graph-stats", "--sequence", seq, "--dataset", run / "spins.tsv", "--out", run],
+    ["graph-stats", "--sequence", seq, "--dataset", run / "peaks" / "peaks.tsv",
+     "--out", run / "peaks"],
     ["evaluate", "--assignment", solved / "assignment.json",
      "--ground-truth", solved / "ground_truth.json", "--out", run],
     ["assign", "--sequence", seq, "--dataset", run / "spins.tsv", "--out", run],
 ):
     assert cli.main([str(a) for a in argv]) == 0, argv
-    print(json.dumps([argv[0], "nmrassign.lp" in sys.modules, "scipy.optimize" in sys.modules]))
+    scipy = any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+    print(json.dumps([argv[0], "nmrassign.lp" in sys.modules, scipy]))
 """
 
 
@@ -276,6 +281,8 @@ def test_only_assign_loads_the_solver(tmp_path, capsys):
     loaded = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
     assert loaded == [
         ["simulate", False, False],
+        ["simulate", False, False],
+        ["graph-stats", False, False],
         ["graph-stats", False, False],
         ["evaluate", False, False],
         ["assign", True, True],

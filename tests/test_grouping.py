@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nmrassign import grouping
 from nmrassign.domain import Peak, SpinSystem, Tolerances
 from nmrassign.experiments import BASIC_SET, expected_pattern
 from nmrassign.grouping import (
+    COMPONENT_BUDGET,
     ComponentTooLargeError,
     build_compatibility_graph,
     enumerate_groupings,
@@ -46,21 +48,32 @@ def test_compatibility_edges_trivial(default_tol):
 
 
 def test_compatibility_matches_pairwise_brute_force(default_tol):
+    """A coordinate missing on either side never separates two peaks."""
     rng = np.random.default_rng(3)
     peaks = [
         _peak(f"p{i}", "hsqc", float(rng.uniform(7.9, 8.1)), float(rng.uniform(119, 121)))
         for i in range(50)
     ]
+    for i in range(20):
+        h, n, c = float(rng.uniform(7.9, 8.1)), float(rng.uniform(119, 121)), float(rng.uniform(40, 60))
+        coords = (("N", n), ("C", c)) if i % 2 else (("H", h), ("C", c))
+        peaks.append(Peak(f"m{i}", "hncacb", coords, +1))
     g = build_compatibility_graph(peaks, default_tol)
+    missing = 0
     for a in peaks:
         for b in peaks:
             if a.peak_id == b.peak_id:
                 continue
-            expected = (
-                abs(a.coord("H") - b.coord("H")) <= default_tol.delta1
-                and abs(a.coord("N") - b.coord("N")) <= default_tol.delta2
-            )
+            expected = True
+            for label, window in (("H", default_tol.delta1), ("N", default_tol.delta2)):
+                if a.coord(label) is None or b.coord(label) is None:
+                    missing += 1
+                elif abs(a.coord(label) - b.coord(label)) > window:
+                    expected = False
             assert (b.peak_id in g.adjacency[a.peak_id]) == expected
+    assert missing > 0
+    # peaks lacking H against peaks lacking N share no coordinate at all
+    assert g.adjacency["m0"] >= {f"m{i}" for i in range(1, 20, 2)}
 
 
 def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_tol):
@@ -156,12 +169,22 @@ def test_monotone_in_tolerances(toy_priors):
 
 
 def test_component_budget(toy_priors, default_tol):
-    peaks = [_peak(f"p{i}", "hsqc", 8.0, 120.0) for i in range(10)]
+    peaks = [_peak(f"p{i}", "hsqc", 8.0, 120.0) for i in range(COMPONENT_BUDGET + 1)]
     g = build_compatibility_graph(peaks, default_tol)
     with pytest.raises(ComponentTooLargeError):
-        enumerate_groupings(
-            g, peaks, PATTERN, 4, toy_priors, default_tol, component_budget=5
-        )
+        enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol)
+
+
+def test_expansion_budget(toy_priors, default_tol, monkeypatch):
+    """The role-search steps of one component are capped, in both modes."""
+    peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
+    g = build_compatibility_graph(peaks, default_tol)
+    for top_k in (4, None):
+        assert enumerate_groupings(g, peaks, PATTERN, top_k, toy_priors, default_tol)
+        monkeypatch.setattr(grouping, "EXPANSION_BUDGET", 10)
+        with pytest.raises(ComponentTooLargeError, match="expansion budget"):
+            enumerate_groupings(g, peaks, PATTERN, top_k, toy_priors, default_tol)
+        monkeypatch.undo()
 
 
 def test_deterministic_ids_and_order(toy_priors, default_tol):
