@@ -114,6 +114,11 @@ class AssignmentGraph:
     edges: list[EdgeLayer]
     #: summed typing threshold per residue (index 0 unused)
     thresholds: list[float]
+    #: the groupings regular nodes carry, each once
+    groupings: Sequence[PeakGrouping]
+    #: grouping_rows[k][i]: node i of layer k carries
+    #: ``groupings[grouping_rows[k][i]]``; -1 for start, dummy and end nodes
+    grouping_rows: list[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -244,6 +249,8 @@ def build_graph(
         regular = [AssignmentNode(k, i, REGULAR, groupings[a]) for i, a in enumerate(layer_rows, 1)]
         layers.append([AssignmentNode(k, 0, DUMMY), *regular])
     layers.append([AssignmentNode(n + 1, 0, END)])
+    none = np.full(1, -1)
+    grouping_rows = [none, *(np.concatenate([none, r]) for r in rows[:-1]), none]
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
     first = np.arange(len(layers[1]))
@@ -278,7 +285,7 @@ def build_graph(
             len(layers[k]),
         ))
 
-    return AssignmentGraph(seq, layers, edges, thresholds)
+    return AssignmentGraph(seq, layers, edges, thresholds, list(groupings), grouping_rows)
 
 
 def graph_stats(g: AssignmentGraph) -> dict:

@@ -6,6 +6,22 @@ and a conservation row per inner node. Peak-sharing is discouraged through
 utilization rows, one per contested peak, that cap the total flow leaving
 nodes consuming that peak. The hard variant caps it at one; the soft
 variant allows overuse through slack variables priced at ``lambda``.
+``peak_incidence`` lists which contested peaks each node consumes; it is
+built once per solve and serves both the utilization rows and the
+Lagrangian stage.
+
+The utilization rows are all that separates the program from the layered
+shortest path. So before any LP is built, ``lian1`` and ``lian2`` run a
+Lagrangian stage: the rows are relaxed with one multiplier per contested
+peak, and each bound costs one ``dp_shortest_path`` pass with the
+multipliers as node penalties. When the DP path meets its own bound
+(complementary slackness) it is optimal: it goes through
+``canonical_path`` and no LP is formulated. The relaxation has the
+integrality property, so this proves exactly the instances whose root
+relaxation is integral, which are most peak lists. After
+``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up and
+the LP below decides. ``ilp`` skips the stage and stays the full-program
+oracle.
 
 The relaxations are solved with the dual simplex backend of HiGHS (through
 scipy), which returns vertex solutions; on pure flow polytopes these are
@@ -19,12 +35,12 @@ the global search starts without every column whose root reduced cost
 proves it cannot beat the incumbent. The exact ``ilp`` search starts from
 the root relaxation already solved.
 
-Which of several tied optima comes back is up to HiGHS (and its presolve).
-Swapping fragments (maximal runs of regular nodes) between windows of
-equal residue types is such a tie, so ``extract_path`` maps every answer to
-its ``canonical_path``: each group's sorted fragments go to its windows in
-position order, and the answer no longer depends on which of the swaps
-HiGHS returned.
+Which of several tied optima comes back is up to HiGHS (and its presolve),
+or to the DP's tie rule. Swapping fragments (maximal runs of regular
+nodes) between windows of equal residue types is such a tie, so every
+answer is mapped to its ``canonical_path``: each group's sorted fragments
+go to its windows in position order, and the answer no longer depends on
+which of the swaps the solver returned.
 """
 from __future__ import annotations
 
@@ -46,6 +62,7 @@ from .shortest_path import (
     PathSolution,
     SolveResult,
     canonical_path,
+    dp_shortest_path,
     path_solution,
 )
 
@@ -80,14 +97,15 @@ class LinearProgram:
     (``edge_offsets[-1]`` is ``n_edges``); slack column ``n_edges + r``
     belongs to utilization row ``r`` (soft variant only). ``utilization``
     lists the contested peaks in the order of their utilization rows.
-    ``subset`` keeps some columns and every row. External backends
-    (``--backend external:<path>``) may read ``costs``, ``matrices()`` or
-    the four matrix fields, and ``bounds``.
+    ``bounds`` is an (n_vars × 2) array of (lower, upper) pairs: edges lie
+    in [0, 1] and slacks in [0, inf]. ``subset`` keeps some columns and
+    every row. External backends (``--backend external:<path>``) may read
+    ``costs``, ``matrices()`` or the four matrix fields, and ``bounds``.
     """
 
     variant: str
     costs: np.ndarray
-    bounds: list[tuple[float, float | None]]
+    bounds: np.ndarray
     A_eq: sparse.csr_matrix | None
     b_eq: np.ndarray
     A_ub: sparse.csr_matrix | None
@@ -127,7 +145,7 @@ class LinearProgram:
         return LinearProgram(
             variant=self.variant,
             costs=self.costs[kept],
-            bounds=[self.bounds[i] for i in kept],
+            bounds=self.bounds[kept],
             A_eq=columns_of(self.A_eq),
             b_eq=self.b_eq,
             A_ub=columns_of(self.A_ub),
@@ -162,13 +180,59 @@ def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
     return matrix
 
 
-def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgram:
+def node_offsets(g: AssignmentGraph) -> np.ndarray:
+    """Flat index of each layer's first node, then the number of nodes:
+    node i of layer k is node ``offsets[k] + i`` in (k, i) order."""
+    return np.cumsum([0] + [len(layer) for layer in g.layers])
+
+
+#: the contested peak ids, and a 0/1 CSR matrix of the ones each node consumes
+Incidence = tuple[list[str], sparse.csr_matrix]
+
+
+def peak_incidence(g: AssignmentGraph) -> Incidence:
+    """The contested peaks in peak id order, and which of them each node
+    consumes: a 0/1 CSR matrix with one row per node in (k, i) order.
+
+    A peak is contested when two or more inner nodes consume it and at
+    least one of them has an out-edge; these are the peaks that get a
+    utilization row. A node's row is its grouping's row of one
+    grouping-by-peak matrix, built once from the groupings' members.
+    """
+    peaks = sorted({pid for grouping in g.groupings for pid in grouping.member_peaks})
+    column = {pid: c for c, pid in enumerate(peaks)}
+    members = [sorted(column[pid] for pid in grouping.member_peaks) for grouping in g.groupings]
+    # one more, empty row: start, dummy and end nodes carry grouping row -1
+    by_grouping = sparse.csr_matrix(
+        (
+            np.ones(sum(map(len, members))),
+            np.array([c for row in members for c in row], dtype=np.int64),
+            np.cumsum([0] + [len(row) for row in members] + [0]),
+        ),
+        shape=(len(members) + 1, len(peaks)),
+    )
+    rows = np.concatenate(g.grouping_rows)
+    has_out = np.concatenate([np.diff(layer.indptr) > 0 for layer in g.edges] + [[False]])
+    regular = rows >= 0
+    consumers = by_grouping.T @ np.bincount(rows[regular], minlength=len(members) + 1)
+    with_out = by_grouping.T @ np.bincount(rows[regular & has_out], minlength=len(members) + 1)
+    contested = np.flatnonzero((consumers >= 2) & (with_out >= 1))
+    return [peaks[c] for c in contested], by_grouping[:, contested][rows]
+
+
+def formulate(
+    g: AssignmentGraph,
+    variant: str,
+    tol: Tolerances,
+    incidence: Incidence | None = None,
+) -> LinearProgram:
     """Build the flow LP for a graph, optionally with utilization rows.
 
     Columns are the edges in (k, i, j) order, then the slack variables in
     peak order. Equality rows are one selection row per inner layer, then
     one conservation row per inner node in (k, i) order; inequality rows
-    are one utilization row per contested peak in peak order.
+    are one utilization row per contested peak in peak order, built from
+    ``incidence`` (``peak_incidence(g)`` when not given).
     """
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown LP variant {variant!r}")
@@ -177,7 +241,6 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     n_edges = int(edge_offsets[-1])
     columns = np.split(np.arange(n_edges), edge_offsets[1:-1])
     costs = [layer.cost for layer in g.edges]
-    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n_edges
 
     # node i of layer k conserves flow in equality row flow_row[k] + i,
     # after the n selection rows
@@ -193,32 +256,25 @@ def formulate(g: AssignmentGraph, variant: str, tol: Tolerances) -> LinearProgra
     utilization: list[str] = []
     ub_rows, ub_cols, ub_data = [], [], []
     if variant in ("lian1", "lian2"):
-        # peak id -> out-edge columns of each node consuming it
-        consumers: dict[str, list[np.ndarray]] = {}
-        for k in range(1, n + 1):
-            for i in range(len(g.layers[k])):
-                for pid in g.usage(k, i):
-                    consumers.setdefault(pid, []).append(columns[k][g.edges[k].out(i)])
-        for pid in sorted(consumers):
-            if len(consumers[pid]) < 2:
-                continue
-            indices = np.sort(np.concatenate(consumers[pid]))
-            if not indices.size:
-                continue
-            row = len(utilization)
-            utilization.append(pid)
-            ub_rows.append(np.full(len(indices), row))
-            ub_cols.append(indices)
-            ub_data.append(np.ones(len(indices)))
+        utilization, consumes = peak_incidence(g) if incidence is None else incidence
+        # utilization row r holds the out-edges of every node consuming peak r
+        offsets = node_offsets(g)
+        sources = np.concatenate([offsets[k] + layer.src for k, layer in enumerate(g.edges)])
+        rows_of_edges = consumes[sources].T.tocoo()
+        ub_rows.append(rows_of_edges.row)
+        ub_cols.append(rows_of_edges.col)
+        ub_data.append(rows_of_edges.data)
         if variant == "lian2":
             slack = np.arange(n_edges, n_edges + len(utilization))
             ub_rows.append(slack - n_edges)
             ub_cols.append(slack)
             ub_data.append(-np.ones(len(slack)))
             costs.append(np.full(len(slack), tol.lam))
-            bounds += [(0.0, None)] * len(slack)
 
-    n_vars = len(bounds)
+    n_vars = n_edges + (len(utilization) if variant == "lian2" else 0)
+    bounds = np.zeros((n_vars, 2))
+    bounds[:n_edges, 1] = 1.0
+    bounds[n_edges:, 1] = np.inf
     return LinearProgram(
         variant=variant,
         costs=np.concatenate(costs),
@@ -453,7 +509,86 @@ def round_and_resolve(
 
 
 # ---------------------------------------------------------------------------
+# the Lagrangian stage
+
+#: DP passes the Lagrangian stage spends before it leaves the answer to the LP
+LAGRANGIAN_ITERATIONS = 15
+#: a Lagrangian proof needs the path's objective within this relative
+#: distance of the bound
+PROOF_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class LagrangianResult:
+    #: the proven optimal path, or None when the stage gave up
+    nodes: tuple[int, ...] | None
+    #: the proving iteration's bound, or else the best bound (-inf after
+    #: no iteration)
+    bound: float
+    iterations: int
+
+
+def lagrangian_stage(
+    g: AssignmentGraph,
+    incidence: Incidence,
+    lam: float = math.inf,
+) -> LagrangianResult:
+    """Try to prove a path optimal with the utilization rows relaxed.
+
+    Each contested peak p gets a multiplier ``0 <= mu_p <= lam`` (``lam``
+    is the soft variant's reuse penalty; the hard variant has none). One
+    iteration prices every node at the summed multipliers of the contested
+    peaks it consumes and runs ``dp_shortest_path``; the penalized optimum
+    minus the summed multipliers bounds the program from below. The path's
+    objective (for the soft variant, with ``lam`` per extra use) exceeds
+    the bound by ``sum_p mu_p (1 - use_p)``, plus ``(lam - mu_p)`` per
+    extra use, so it meets the bound only at complementary slackness: the
+    path is then optimal, and for the hard variant it must reuse no peak.
+    Otherwise the multipliers take a subgradient step ``use_p - 1`` sized
+    for a target 1 % above the best bound so far, and the step factor
+    halves after 5 iterations without a gain. The relaxation has the
+    integrality property, so the bound reaches the LP root bound at best:
+    the stage can only prove instances whose root relaxation is integral.
+    """
+    peaks, consumes = incidence
+    offsets = node_offsets(g)
+    mu = np.zeros(len(peaks))
+    best, theta, stall = -math.inf, 2.0, 0
+    for iteration in range(1, LAGRANGIAN_ITERATIONS + 1):
+        path = dp_shortest_path(g, np.split(consumes @ mu, offsets[1:-1]))
+        use = np.bincount(consumes[offsets[:-1] + path.nodes].indices, minlength=len(peaks))
+        bound = path.total_cost + float(mu @ (use - 1.0))
+        overuse = int(np.maximum(use - 1, 0).sum())
+        # infinite for a hard-variant path that reuses a peak
+        objective = path.total_cost + (lam * overuse if overuse else 0.0)
+        if objective - bound <= PROOF_TOL * max(1.0, abs(bound)):
+            return LagrangianResult(path.nodes, bound, iteration)
+        if bound > best:
+            best, stall = bound, 0
+        else:
+            stall += 1
+            if stall == 5:
+                theta, stall = theta / 2, 0
+        step = use - 1.0
+        target = best + 0.01 * max(1.0, abs(best))
+        mu = np.clip(mu + theta * (target - bound) / (step @ step) * step, 0.0, lam)
+    return LagrangianResult(None, best, LAGRANGIAN_ITERATIONS)
+
+
+# ---------------------------------------------------------------------------
 # end-to-end solvers
+
+
+def _result(
+    g: AssignmentGraph, variant: str, path: PathSolution, tol: Tolerances, **fields
+) -> SolveResult:
+    """The answer on ``path``, priced as ``variant`` prices it."""
+    reused = g.path_reused_peaks(path.nodes)
+    overuse = sum(c - 1 for c in reused.values())
+    objective = path.total_cost + (tol.lam * overuse if variant == "lian2" else 0.0)
+    return SolveResult(
+        path=path, objective=objective, reused_peaks=reused, variant=variant, **fields
+    )
 
 
 def _finish(
@@ -463,31 +598,28 @@ def _finish(
     lp_bound: float,
     root_integral: bool,
     tol: Tolerances,
+    iterations: int,
 ) -> SolveResult:
     sol = result.solution
     assert sol is not None
-    path = extract_path(g, lp, sol)
-    reused = g.path_reused_peaks(path.nodes)
     # slack column n_edges + r belongs to utilization row r
     epsilons = {
         pid: float(value)
         for pid, value in zip(lp.utilization, sol.values[lp.n_edges :])
         if value > tol.round_eps
     }
-    overuse = sum(c - 1 for c in reused.values())
-    objective = path.total_cost + (tol.lam * overuse if lp.variant == "lian2" else 0.0)
-    return SolveResult(
-        path=path,
-        objective=objective,
+    return _result(
+        g, lp.variant, extract_path(g, lp, sol), tol,
         lp_bound=lp_bound,
-        reused_peaks=reused,
         epsilons=epsilons,
         proven_optimal=result.proven_optimal,
-        variant=lp.variant,
         root_integral=root_integral,
         nodes_heuristic=result.nodes_heuristic,
         nodes_global=result.nodes_explored - result.nodes_heuristic,
         columns_fixed=result.columns_fixed,
+        proved_by="lp",
+        lagrangian_iterations=iterations,
+        contested_peaks=len(lp.utilization),
     )
 
 
@@ -499,7 +631,26 @@ def _solve_variant(
     node_limit: int,
     exact: bool,
 ) -> SolveResult:
-    lp = formulate(g, variant, tol)
+    incidence = peak_incidence(g)
+    iterations = 0
+    if not exact:
+        stage = lagrangian_stage(g, incidence, tol.lam if variant == "lian2" else math.inf)
+        iterations = stage.iterations
+        if stage.nodes is not None:
+            canonical = canonical_path(g, stage.nodes)
+            path = path_solution(g, canonical, canonical != stage.nodes)
+            reused = g.path_reused_peaks(path.nodes)
+            return _result(
+                g, variant, path, tol,
+                lp_bound=stage.bound,
+                epsilons={pid: c - 1.0 for pid, c in reused.items()} if variant == "lian2" else {},
+                proven_optimal=True,
+                root_integral=None,
+                proved_by="lagrangian",
+                lagrangian_iterations=iterations,
+                contested_peaks=len(incidence[0]),
+            )
+    lp = formulate(g, variant, tol, incidence)
     relaxed = solve_lp(lp, backend=backend, presolve=False)
     if relaxed.status in ("infeasible", "unbounded"):
         raise NoPathError(f"relaxation is {relaxed.status}")
@@ -508,14 +659,16 @@ def _solve_variant(
     assert relaxed.objective is not None
     if is_integral(lp, relaxed):
         # the root is the only node of the global search
-        return _finish(g, lp, BnbResult(relaxed, True, 1), relaxed.objective, True, tol)
+        return _finish(
+            g, lp, BnbResult(relaxed, True, 1), relaxed.objective, True, tol, iterations
+        )
     if exact:
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
         result = round_and_resolve(g, lp, relaxed, tol, backend, node_limit=node_limit)
     if result.solution is None:
         raise SolverError("no integral solution found within the node budget")
-    return _finish(g, lp, result, relaxed.objective, False, tol)
+    return _finish(g, lp, result, relaxed.objective, False, tol, iterations)
 
 
 def solve_lian1(

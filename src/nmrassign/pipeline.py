@@ -210,6 +210,7 @@ def run_assign(
                 epsilons={},
                 proven_optimal=True,
                 variant="dp",
+                proved_by="dp",
             )
         elif variant == "ilp":
             result = lpmod.solve_ilp(g, tol, lp_backend, node_limit)
@@ -226,6 +227,9 @@ def run_assign(
             "objective": result.objective,
             "lp_bound": result.lp_bound,
             "proven_optimal": result.proven_optimal,
+            "proved_by": result.proved_by,
+            "lagrangian_iterations": result.lagrangian_iterations,
+            "contested_peaks": result.contested_peaks,
             "root_integral": result.root_integral,
             "columns_fixed": result.columns_fixed,
             "nodes_heuristic": result.nodes_heuristic,

@@ -2,21 +2,25 @@
 
 ``dp_shortest_path`` is the unconstrained dynamic program; it ignores peak
 reuse and serves as the baseline solver and as a cross-check for the LP
-relaxation. ``exhaustive_constrained`` enumerates every start-to-end path
-that never consumes a peak twice; it is exponential and only usable on tiny
-instances, where it acts as the ground-truth oracle for the constrained
-solvers.
+relaxation. An optional per-node penalty turns it into the bound of the
+Lagrangian stage in ``lp``, which prices each node at the multipliers of
+the contested peaks it consumes. Both uses share one tie rule: the
+lexicographically smallest path among the optima. ``exhaustive_constrained``
+enumerates every start-to-end path that never consumes a peak twice; it is
+exponential and only usable on tiny instances, where it acts as the
+ground-truth oracle for the constrained solvers.
 
-``canonical_path`` is the one tie rule every LP-based solver applies to its
-answer. A fragment is a maximal run of regular nodes on a path. Its cost
-depends only on the residue types of its window (the layers it spans): the
-edge into it belongs to the start or to a dummy, whose cost does not depend
-on the target, the edge out of it to a dummy or the end charges typing
-alone, and layers of one residue type index the same groupings. Fragments
-of windows with equal residue-type strings therefore swap at equal cost and
+``canonical_path`` is the one tie rule every constrained solver applies to
+its answer, whether the LP or the Lagrangian stage proved it. A fragment
+is a maximal run of regular nodes on a path. Its cost depends only on the
+residue types of its window (the layers it spans): the edge into it
+belongs to the start or to a dummy, whose cost does not depend on the
+target, the edge out of it to a dummy or the end charges typing alone,
+and layers of one residue type index the same groupings. Fragments of
+windows with equal residue-type strings therefore swap at equal cost and
 equal peak use. The rule gives each such group's sorted fragments to its
-windows in position order, which yields the lexicographically smallest path
-among those swaps. The lexicographically smallest optimum, as
+windows in position order, which yields the lexicographically smallest
+path among those swaps. The lexicographically smallest optimum, as
 ``dp_shortest_path`` and ``exhaustive_constrained`` return it, is a fixed
 point of the rule.
 """
@@ -68,14 +72,22 @@ class SolveResult:
     epsilons: dict[str, float]
     proven_optimal: bool
     variant: str
-    #: the root relaxation was integral, so no branch and bound ran
-    root_integral: bool = True
+    #: the root relaxation was integral, so no branch and bound ran; None
+    #: when no root relaxation was solved
+    root_integral: bool | None = None
     #: branch-and-bound nodes of the restricted-support heuristic pass and
     #: of the global search; an integral root counts as one global node
     nodes_heuristic: int = 0
     nodes_global: int = 0
     #: edge columns that reduced-cost fixing dropped from the global search
     columns_fixed: int = 0
+    #: the stage whose bound proved the answer: "lagrangian" or "lp" ("dp"
+    #: for the unconstrained shortest path)
+    proved_by: str = "lp"
+    #: DP passes of the Lagrangian stage, and its multipliers (one per
+    #: contested peak, which is one per utilization row)
+    lagrangian_iterations: int = 0
+    contested_peaks: int = 0
 
     @property
     def nodes_explored(self) -> int:
@@ -142,33 +154,47 @@ def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
     return candidate if qualifies else nodes
 
 
-def dp_shortest_path(g: AssignmentGraph) -> PathSolution:
+def dp_shortest_path(
+    g: AssignmentGraph, penalty: Sequence[np.ndarray] | None = None
+) -> PathSolution:
     """Unconstrained shortest path by backward dynamic programming.
 
-    Ties are broken towards the lexicographically smallest node index
-    sequence, chosen during the forward reconstruction, so the result is
-    deterministic.
+    ``penalty[k][i]``, when given, is added to the cost of every edge
+    leaving node i of layer k while the path is chosen; the returned path
+    is priced at the graph's own costs. The ``lp`` module's Lagrangian
+    stage prices contested peaks this way. Ties are broken towards the
+    lexicographically smallest node index sequence, chosen during the
+    forward reconstruction, so the result is deterministic.
     """
     n = g.n
-    # value[k][i]: cost of the cheapest path from node i in layer k to the end
-    value = [np.full(len(layer), math.inf) for layer in g.layers]
-    value[n + 1][0] = 0.0
+    # reach[k][i]: cost of the cheapest (penalized) path from node i in
+    # layer k to the end, without node i's own penalty; value[k][i]: with it
+    reach = [np.full(len(layer), math.inf) for layer in g.layers]
+    reach[n + 1][0] = 0.0
+    value = list(reach)
+    tails = [np.zeros(0)] * (n + 1)
     for k in range(n, -1, -1):
         layer = g.edges[k]
-        np.minimum.at(value[k], layer.src, layer.cost + value[k + 1][layer.dst])
+        tails[k] = layer.cost + value[k + 1][layer.dst]
+        # out-edges are contiguous per source node; nodes without any stay inf
+        starts = layer.indptr[:-1]
+        has_out = starts < layer.indptr[1:]
+        reach[k][has_out] = np.minimum.reduceat(tails[k], starts[has_out])
+        if penalty is not None:
+            value[k] = reach[k] + penalty[k]
 
     if value[0][0] == math.inf:
         raise NoPathError("no start-to-end path exists")
 
-    nodes = [0]
+    nodes, edge_costs = [0], []
     for k, layer in enumerate(g.edges):
         i = nodes[-1]
         out = layer.out(i)
-        # the minimum is one of these sums, so some j always matches it
-        tails = layer.cost[out] + value[k + 1][layer.dst[out]]
-        best = np.flatnonzero(np.abs(tails - value[k][i]) <= 1e-9)[0]
-        nodes.append(int(layer.dst[out][best]))
-    return path_solution(g, nodes)
+        # the minimum is one of these sums, so some edge always matches it
+        e = out.start + np.flatnonzero(np.abs(tails[k][out] - reach[k][i]) <= 1e-9)[0]
+        nodes.append(int(layer.dst[e]))
+        edge_costs.append(float(layer.cost[e]))
+    return PathSolution(tuple(nodes), sum(edge_costs), tuple(edge_costs))
 
 
 def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathSolution:

@@ -10,6 +10,7 @@ import itertools
 import math
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from nmrassign.domain import Peak, ProteinSequence, Tolerances
@@ -86,19 +87,28 @@ def make_graph(
     if usage is None:
         usage = [dict() for _ in range(n + 2)]
     layers = [[AssignmentNode(0, 0, START)]]
+    groupings: list[PeakGrouping] = []
     for k, size in enumerate(inner_sizes, start=1):
         layer = [AssignmentNode(k, 0, DUMMY)]
         for i in range(1, size):
             members = frozenset(usage[k].get(i, {f"n{k}_{i}"}))
-            grouping = PeakGrouping(f"n{k}_{i}", members, {})
-            layer.append(AssignmentNode(k, i, REGULAR, grouping))
+            groupings.append(PeakGrouping(f"n{k}_{i}", members, {}))
+            layer.append(AssignmentNode(k, i, REGULAR, groupings[-1]))
         layers.append(layer)
     layers.append([AssignmentNode(n + 1, 0, END)])
+    # every regular node carries a grouping of its own, in layer order
+    grouping_rows, row = [], 0
+    for layer in layers:
+        grouping_rows.append(np.arange(row - 1, row + len(layer) - 1))
+        grouping_rows[-1][0] = -1
+        row += len(layer) - 1
     return AssignmentGraph(
         seq,
         layers,
         [edge_layer(e, len(layers[k])) for k, e in enumerate(edges)],
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
+        groupings,
+        grouping_rows,
     )
 
 

@@ -4,6 +4,7 @@ Each test states its tolerance and runtime budget and checks both. The
 slower end-to-end criteria run the real pipeline on the bundled synthetic
 references.
 """
+import json
 import time
 
 import numpy as np
@@ -168,6 +169,9 @@ def test_criterion_6_peak_list_pipeline(tmp_path):
         d = tmp_path / f"flya_{seed}"
         run_simulate(d, "flya", ref.sequence, priors, seed, reference=ref)
         run_assign(d, d / "peaks.tsv", ref.sequence, priors, tol, variant="lian1", top_k=20)
+        # the Lagrangian stage proves every one of these answers without an LP
+        report = json.loads((d / "lp_report.json").read_text(encoding="utf-8"))
+        assert report["proved_by"] == "lagrangian", seed
         assignment = read_assignment(d / "assignment.json")
         gt = read_ground_truth(d / "ground_truth.json")
         fraction, _, _ = atom_correctness(assignment, gt)

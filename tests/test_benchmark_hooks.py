@@ -7,6 +7,7 @@ from pathlib import Path
 
 import nmrassign.cli as cli
 import nmrassign.graph as graph
+import nmrassign.lp as lp
 import nmrassign.pipeline as pipeline
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -44,6 +45,8 @@ def test_benchmark_trace_hooks_resolve(monkeypatch):
 
 
 def test_traced_assign_records_every_stage(monkeypatch, tmp_path, capsys):
+    # a Lagrangian proof builds no LP; without the stage every LP stage runs
+    monkeypatch.setattr(lp, "LAGRANGIAN_ITERATIONS", 0)
     run = _benchmark_run(monkeypatch)
     tracer = run.Tracer()
     run.install_hooks(tracer)

@@ -16,7 +16,10 @@ from nmrassign.lp import (
     extract_path,
     formulate,
     is_integral,
+    lagrangian_stage,
     load_backend,
+    node_offsets,
+    peak_incidence,
     round_and_resolve,
     solve_ilp,
     solve_lian1,
@@ -124,7 +127,9 @@ def test_utilization_rows_conflict_fixture(default_tol):
     [(_, soft_coeffs)] = _rows(soft.A_ub, soft.b_ub, [soft.utilization.index("p1")])
     assert soft_coeffs[eps_idx] == -1.0
     assert soft.costs[eps_idx] == default_tol.lam
-    assert soft.bounds[eps_idx] == (0.0, None)
+    assert soft.bounds.shape == (soft.n_vars, 2)
+    assert soft.bounds[eps_idx].tolist() == [0.0, np.inf]
+    assert soft.bounds[: soft.n_edges].tolist() == [[0.0, 1.0]] * soft.n_edges
 
 
 def test_matrices_encode_exactly_the_paths(default_tol):
@@ -606,3 +611,166 @@ def test_extract_path_requires_values(default_tol):
     with pytest.raises(SolverError):
         extract_path(g, lp, LpSolution("infeasible", None, None))
 
+
+
+def test_peak_incidence_matches_usage(default_tol):
+    """A peak is contested when two or more inner nodes consume it and one
+    of them has an out-edge; each node's row lists the contested peaks it
+    consumes, and the utilization rows follow the same peaks."""
+    rng = np.random.default_rng(61)
+    graphs = [random_instance(rng, int(rng.integers(1, 7)), 4, int(rng.integers(2, 16)))
+              for _ in range(40)]
+    # node 2 of layer 2 consumes p1 and p2 but has no out-edge; p2 has no
+    # other consumer, and p3's consumers have no out-edge at all
+    edges = [{(0, 0): 0.0, (0, 1): 0.0}, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, {(0, 0): 1.0}]
+    usage = [{}, {1: {"p1"}}, {1: {"p3"}, 2: {"p1", "p2"}, 3: {"p3"}}, {}]
+    graphs.append(make_graph([2, 4], edges, usage))
+    for g in graphs:
+        peaks, consumes = peak_incidence(g)
+        offsets = node_offsets(g)
+        consumers: dict[str, list[tuple[int, int]]] = {}
+        for k in range(1, g.n + 1):
+            for i in range(len(g.layers[k])):
+                for pid in g.usage(k, i):
+                    consumers.setdefault(pid, []).append((k, i))
+        want = sorted(
+            pid for pid, nodes in consumers.items()
+            if len(nodes) >= 2 and any((g.edges[k].src == i).any() for k, i in nodes)
+        )
+        assert peaks == want
+        for k, layer in enumerate(g.layers):
+            for i in range(len(layer)):
+                row = consumes[offsets[k] + i].indices
+                assert sorted(peaks[c] for c in row) == sorted(set(want) & g.usage(k, i))
+        assert formulate(g, "lian1", default_tol).utilization == peaks
+    assert peaks == ["p1"]
+
+
+def test_lagrangian_proofs_match_oracles():
+    """200 criterion-3-style random instances: every path the Lagrangian
+    stage proves is an optimum of the hard program (brute_constrained) and
+    of the soft one at lambda 0.5 and 5 (brute_penalized), its bound never
+    exceeds the optimum, and the solvers return proofs as such."""
+    rng = np.random.default_rng(3131)
+    proofs = Counter()
+    for _ in range(200):
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        incidence = peak_incidence(g)
+        hard = brute_constrained(g)
+        stage = lagrangian_stage(g, incidence)
+        if hard is not None:
+            assert stage.bound <= hard + 1e-9 * max(1.0, abs(hard))
+        if stage.nodes is not None:
+            check_path(g, stage.nodes, allow_reuse=False)
+            assert path_cost(g, stage.nodes) == pytest.approx(hard, rel=1e-9, abs=1e-9)
+            result = solve_lian1(g, Tolerances())
+            assert result.proved_by == "lagrangian" and result.proven_optimal
+            assert result.root_integral is None and result.nodes_explored == 0
+            assert result.objective == pytest.approx(hard, rel=1e-9, abs=1e-9)
+            proofs["lian1"] += 1
+        for lam in (0.5, 5.0):
+            soft = brute_penalized(g, lam)
+            stage = lagrangian_stage(g, incidence, lam)
+            assert stage.bound <= soft + 1e-9 * max(1.0, abs(soft))
+            if stage.nodes is None:
+                continue
+            got = path_cost(g, stage.nodes) + lam * path_overuse(g, stage.nodes)
+            assert got == pytest.approx(soft, rel=1e-9, abs=1e-9)
+            result = solve_lian2(g, Tolerances(lam=lam))
+            assert result.proved_by == "lagrangian"
+            assert result.objective == pytest.approx(soft, rel=1e-9, abs=1e-9)
+            assert result.epsilons == {p: c - 1.0 for p, c in result.reused_peaks.items()}
+            proofs[lam] += 1
+    assert min(proofs["lian1"], proofs[0.5], proofs[5.0]) > 0, proofs
+
+
+#: lian1 and lian2 (lambda 2) answers on the first 8 conflicted random
+#: instances of ``default_rng(2024)``, as the LP pipeline returned them before
+#: the Lagrangian stage existed: nodes, objective, lp_bound, reused peaks,
+#: epsilons, root_integral, nodes_heuristic, nodes_global, columns_fixed
+LP_ANSWERS = [
+    [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 5, 3, 15),
+     ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
+      {"p0": 1.0, "p3": 1.0}, False, 3, 5, 37)],
+    [((0, 1, 1, 0, 0, 0), 21.588305602931204, 21.588305602931204, {}, {}, True, 0, 1, 0),
+     ((0, 1, 0, 1, 1, 0), 7.829709003793738, 7.829709003793738, {"p6": 3}, {"p6": 2.0},
+      True, 0, 1, 0)],
+    [((0, 1, 0, 1, 1, 3, 2, 0), 1.6149760535547877, 1.6149760535547877, {}, {}, True, 0, 1, 0),
+     ((0, 1, 0, 1, 1, 2, 2, 0), 0.0930991550688276, 0.0930991550688276, {"p2": 2},
+      {"p2": 1.0}, True, 0, 1, 0)],
+    [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 0, 1, 0),
+     ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 0, 1, 0)],
+    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 9, 15, 1),
+     ((0, 3, 4, 4, 0), -7.333776325415068, -8.591276272631795, {"p0": 2, "p3": 2},
+      {"p0": 1.0, "p3": 1.0}, False, 3, 7, 31)],
+    [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 3, 3, 17),
+     ((0, 1, 4, 1, 0), -1.884021555454079, -2.195267041955036, {"p5": 2}, {"p5": 1.0},
+      False, 3, 3, 23)],
+    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 5, 7, 16),
+     ((0, 1, 1, 2, 0, 3, 1, 0), 3.403980858023851, 3.403980858023851, {"p1": 2, "p5": 3},
+      {"p1": 1.0, "p5": 2.0}, True, 0, 1, 0)],
+    [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 5, 5, 1),
+     ((0, 2, 1, 2, 0, 0, 2, 0), 17.412845333513054, 17.412845333513054, {"p6": 2},
+      {"p6": 1.0}, True, 0, 1, 0)],
+]
+
+
+def test_without_lagrangian_iterations_the_lp_answers(monkeypatch):
+    """With no stage iterations, lian1 and lian2 give the LP pipeline's
+    answers field by field, and no DP runs."""
+    monkeypatch.setattr(lpmod, "LAGRANGIAN_ITERATIONS", 0)
+    monkeypatch.setattr(lpmod, "dp_shortest_path", None)
+    rng = np.random.default_rng(2024)
+    answers = []
+    while len(answers) < len(LP_ANSWERS):
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        if not formulate(g, "lian1", Tolerances()).utilization or brute_constrained(g) is None:
+            continue
+        pair = []
+        for result in (solve_lian1(g, Tolerances()), solve_lian2(g, Tolerances(lam=2.0))):
+            assert result.proven_optimal and not result.path_canonicalized
+            assert result.proved_by == "lp" and result.lagrangian_iterations == 0
+            assert result.contested_peaks == len(formulate(g, "lian1", Tolerances()).utilization)
+            pair.append((
+                result.path.nodes, result.objective, result.lp_bound, result.reused_peaks,
+                result.epsilons, result.root_integral, result.nodes_heuristic,
+                result.nodes_global, result.columns_fixed,
+            ))
+        answers.append(pair)
+    for got, want in zip(answers, LP_ANSWERS):
+        for (nodes, obj, bound, *rest), (w_nodes, w_obj, w_bound, *w_rest) in zip(got, want):
+            assert nodes == w_nodes
+            assert obj == pytest.approx(w_obj, rel=1e-9)
+            assert bound == pytest.approx(w_bound, rel=1e-9)
+            assert rest == w_rest
+
+
+def test_ilp_never_runs_the_lagrangian_stage(monkeypatch, default_tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ilp ran the Lagrangian stage")
+
+    monkeypatch.setattr(lpmod, "lagrangian_stage", refuse)
+    rng = np.random.default_rng(5)
+    for g in [conflict_fixture(), *(random_instance(rng, 3, 3, 1000) for _ in range(5))]:
+        result = solve_ilp(g, default_tol)
+        assert result.proved_by == "lp" and result.lagrangian_iterations == 0
+        assert result.objective == pytest.approx(brute_constrained(g), abs=1e-6)
+
+
+def test_no_contested_peak_is_proven_in_one_iteration(default_tol):
+    """Without contested peaks the first DP path is optimal for every
+    variant but ilp, and no LP is built."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 5:
+        g = random_instance(rng, 4, 3, 1000)  # peaks rarely shared
+        if peak_incidence(g)[0]:
+            continue
+        dp = dp_shortest_path(g)
+        for result in (solve_lian1(g, default_tol), solve_lian2(g, default_tol)):
+            assert result.proved_by == "lagrangian" and result.lagrangian_iterations == 1
+            assert result.contested_peaks == 0 and result.root_integral is None
+            assert result.nodes_explored == result.columns_fixed == 0
+            assert result.lp_bound == result.objective == dp.total_cost
+            assert result.path.nodes == canonical_path(g, dp.nodes)
+        checked += 1

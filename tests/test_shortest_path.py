@@ -66,6 +66,24 @@ def test_dp_matches_brute_force_on_random_graphs():
         assert path_cost(g, sol.nodes) == pytest.approx(sol.total_cost, abs=1e-12)
 
 
+def test_dp_penalty_matches_brute_force():
+    """With node penalties the DP returns the lexicographically smallest
+    path of least penalized cost, priced at the graph's own costs."""
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        g = random_instance(rng, int(rng.integers(1, 6)), 4, 10)
+        penalty = [rng.choice([0.0, 0.5, 3.0], size=len(layer)) for layer in g.layers]
+
+        def penalized(path):
+            return path_cost(g, path) + sum(penalty[k][i] for k, i in enumerate(path))
+
+        best = min(penalized(path) for path in iter_paths(g))
+        want = min(path for path in iter_paths(g) if penalized(path) <= best + 1e-9)
+        sol = dp_shortest_path(g, penalty)
+        assert sol.nodes == want
+        assert sol.total_cost == pytest.approx(path_cost(g, want), abs=1e-12)
+
+
 def test_dp_tie_break_lexicographic():
     edges = [
         {(0, 0): 0.0, (0, 1): 0.0, (0, 2): 0.0},
