@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .domain import NmrAssignError, SolverError, Tolerances, read_tolerances
+from .domain import NODE_LIMIT, TOP_K, NmrAssignError, SolverError, Tolerances, read_tolerances
 from .experiments import FULL_SET
 from .pipeline import (
     VARIANTS,
@@ -31,10 +31,10 @@ EXIT_INPUT = 2
 EXIT_INCUMBENT = 3
 EXIT_SOLVER = 4
 
-_TOL_KEYS = ("delta1", "delta2", "delta3", "delta", "lam", "round_eps")
+_TOL_KEYS = ("delta1", "delta2", "delta3", "delta", "lam")
 
 TOP_K_HELP = (
-    "largest cliques expanded per peak component (default 20); applies to "
+    f"largest cliques expanded per peak component (default {TOP_K}); applies to "
     "peak lists only, since spin systems are not grouped"
 )
 
@@ -204,9 +204,9 @@ def _cmd_assign(cfg: dict) -> int:
         tol=tol,
         variant=cfg.get("variant") or "lian1",
         kind=cfg.get("kind"),
-        top_k=cfg.get("top_k") if cfg.get("top_k") is not None else 20,
+        top_k=cfg.get("top_k") if cfg.get("top_k") is not None else TOP_K,
         backend=cfg.get("backend") or "bundled",
-        node_limit=cfg.get("node_limit") if cfg.get("node_limit") is not None else 100_000,
+        node_limit=cfg.get("node_limit") if cfg.get("node_limit") is not None else NODE_LIMIT,
     )
     print(
         f"{summary['variant']}: objective {summary['objective']:.6f}, "
@@ -239,7 +239,7 @@ def _cmd_graph_stats(cfg: dict) -> int:
         priors=priors,
         tol=tol,
         kind=cfg.get("kind"),
-        top_k=cfg.get("top_k") if cfg.get("top_k") is not None else 20,
+        top_k=cfg.get("top_k") if cfg.get("top_k") is not None else TOP_K,
         export=bool(cfg.get("export")),
     )
     print(

@@ -203,13 +203,18 @@ class PriorTable:
         )
 
 
+#: default branch-and-bound node budget of one solve (``--node-limit``)
+NODE_LIMIT = 100_000
+#: default number of largest cliques expanded per peak component (``--top-k``)
+TOP_K = 20
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Matching windows and thresholds; all strictly positive.
 
     delta1/delta2/delta3: H/N/C matching windows in ppm. delta: typing
-    threshold multiplier. lam: peak-reuse penalty. round_eps: cutoff below
-    which a fractional LP value is treated as zero.
+    threshold multiplier. lam: peak-reuse penalty.
     """
 
     delta1: float = 0.03
@@ -217,10 +222,9 @@ class Tolerances:
     delta3: float = 0.3
     delta: float = 3.0
     lam: float = 5.0
-    round_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("delta1", "delta2", "delta3", "delta", "lam", "round_eps"):
+        for name in ("delta1", "delta2", "delta3", "delta", "lam"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
@@ -444,7 +448,6 @@ def write_tolerances(tol: Tolerances, path: str | Path) -> None:
         "delta3": tol.delta3,
         "delta": tol.delta,
         "lambda": tol.lam,
-        "round_eps": tol.round_eps,
     }
     write_json(doc, path)
 
@@ -458,5 +461,4 @@ def read_tolerances(path: str | Path) -> Tolerances:
         delta3=doc.get("delta3", defaults.delta3),
         delta=doc.get("delta", defaults.delta),
         lam=doc.get("lambda", defaults.lam),
-        round_eps=doc.get("round_eps", defaults.round_eps),
     )

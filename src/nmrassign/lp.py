@@ -15,13 +15,12 @@ shortest path. So before any LP is built, ``lian1`` and ``lian2`` run a
 Lagrangian stage: the rows are relaxed with one multiplier per contested
 peak, and each bound costs one ``dp_shortest_path`` pass with the
 multipliers as node penalties. When the DP path meets its own bound
-(complementary slackness) it is optimal: it goes through
-``canonical_path`` and no LP is formulated. The relaxation has the
-integrality property, so this proves exactly the instances whose root
-relaxation is integral, which are most peak lists. After
-``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up and
-the LP below decides. ``ilp`` skips the stage and stays the full-program
-oracle.
+(complementary slackness) it is optimal, and no LP is formulated. The
+relaxation has the integrality property, so this proves exactly the
+instances whose root relaxation is integral, which are most peak lists.
+After ``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up
+and the LP below decides. ``ilp`` skips the stage and stays the
+full-program oracle.
 
 The relaxations are solved with the dual simplex backend of HiGHS (through
 scipy), which returns vertex solutions; on pure flow polytopes these are
@@ -37,10 +36,12 @@ the root relaxation already solved.
 
 Which of several tied optima comes back is up to HiGHS (and its presolve),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
-nodes) between windows of equal residue types is such a tie, so every
-answer is mapped to its ``canonical_path``: each group's sorted fragments
-go to its windows in position order, and the answer no longer depends on
-which of the swaps the solver returned.
+nodes) between windows of equal residue types is such a tie. Every answer,
+the Lagrangian stage's path or the one ``extract_path`` follows through an
+integral solution, becomes a ``SolveResult`` in
+``shortest_path.solve_result``, which maps it to its ``canonical_path``:
+each group's sorted fragments go to its windows in position order, and the
+answer no longer depends on which of the swaps the solver returned.
 """
 from __future__ import annotations
 
@@ -55,16 +56,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .domain import NmrAssignError, SolverError, Tolerances
+from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
 from .graph import DUMMY, AssignmentGraph
-from .shortest_path import (
-    NoPathError,
-    PathSolution,
-    SolveResult,
-    canonical_path,
-    dp_shortest_path,
-    path_solution,
-)
+from .shortest_path import NoPathError, SolveResult, dp_shortest_path, solve_result
 
 VARIANTS = ("flow", "lian1", "lian2")
 
@@ -377,7 +371,7 @@ def branch_and_bound(
     lp: LinearProgram,
     keep: np.ndarray | None = None,
     backend: Backend | None = None,
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
     incumbent: LpSolution | None = None,
     root: LpSolution | None = None,
 ) -> BnbResult:
@@ -437,9 +431,9 @@ def branch_and_bound(
     return BnbResult(incumbent, proven, nodes)
 
 
-def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) -> PathSolution:
-    """Follow the unit-flow edges of an integral solution from the start,
-    then apply the tie rule ``canonical_path``."""
+def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) -> tuple[int, ...]:
+    """The node path of an integral solution: its unit-flow edges followed
+    from the start."""
     if solution.values is None:
         raise SolverError("cannot extract a path without variable values")
     nodes = [0]
@@ -450,22 +444,20 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
         if not taken.size:
             raise SolverError(f"integral solution has no outgoing flow at layer {k}")
         nodes.append(int(layer.dst[out][taken[0]]))
-    canonical = canonical_path(g, nodes)
-    return path_solution(g, canonical, canonical != tuple(nodes))
+    return tuple(nodes)
 
 
 def round_and_resolve(
     g: AssignmentGraph,
     lp: LinearProgram,
     relaxed: LpSolution,
-    tol: Tolerances,
     backend: Backend | None = None,
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
 ) -> BnbResult:
     """Exact solve seeded by a search restricted to the relaxation's support.
 
     The restricted pass is a branch and bound on the columns the relaxation
-    uses above ``round_eps`` plus every dummy-incident edge, which keeps the
+    uses above ``INT_TOL`` plus every dummy-incident edge, which keeps the
     all-dummy path feasible. It is a primal heuristic: a true optimum may
     use edges the fractional vertex left at zero. Its incumbent is
     therefore only accepted outright when it meets the relaxation bound
@@ -480,7 +472,7 @@ def round_and_resolve(
     n_edges = lp.n_edges
     dummy = [np.array([node.kind == DUMMY for node in layer]) for layer in g.layers]
     support = np.ones(lp.n_vars, dtype=bool)
-    support[:n_edges] = relaxed.values[:n_edges] > tol.round_eps
+    support[:n_edges] = relaxed.values[:n_edges] > INT_TOL
     support[:n_edges] |= np.concatenate([
         dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
     ])
@@ -579,50 +571,6 @@ def lagrangian_stage(
 # end-to-end solvers
 
 
-def _result(
-    g: AssignmentGraph, variant: str, path: PathSolution, tol: Tolerances, **fields
-) -> SolveResult:
-    """The answer on ``path``, priced as ``variant`` prices it."""
-    reused = g.path_reused_peaks(path.nodes)
-    overuse = sum(c - 1 for c in reused.values())
-    objective = path.total_cost + (tol.lam * overuse if variant == "lian2" else 0.0)
-    return SolveResult(
-        path=path, objective=objective, reused_peaks=reused, variant=variant, **fields
-    )
-
-
-def _finish(
-    g: AssignmentGraph,
-    lp: LinearProgram,
-    result: BnbResult,
-    lp_bound: float,
-    root_integral: bool,
-    tol: Tolerances,
-    iterations: int,
-) -> SolveResult:
-    sol = result.solution
-    assert sol is not None
-    # slack column n_edges + r belongs to utilization row r
-    epsilons = {
-        pid: float(value)
-        for pid, value in zip(lp.utilization, sol.values[lp.n_edges :])
-        if value > tol.round_eps
-    }
-    return _result(
-        g, lp.variant, extract_path(g, lp, sol), tol,
-        lp_bound=lp_bound,
-        epsilons=epsilons,
-        proven_optimal=result.proven_optimal,
-        root_integral=root_integral,
-        nodes_heuristic=result.nodes_heuristic,
-        nodes_global=result.nodes_explored - result.nodes_heuristic,
-        columns_fixed=result.columns_fixed,
-        proved_by="lp",
-        lagrangian_iterations=iterations,
-        contested_peaks=len(lp.utilization),
-    )
-
-
 def _solve_variant(
     g: AssignmentGraph,
     variant: str,
@@ -632,23 +580,14 @@ def _solve_variant(
     exact: bool,
 ) -> SolveResult:
     incidence = peak_incidence(g)
-    iterations = 0
+    stats = {"contested_peaks": len(incidence[0])}
     if not exact:
         stage = lagrangian_stage(g, incidence, tol.lam if variant == "lian2" else math.inf)
-        iterations = stage.iterations
+        stats["lagrangian_iterations"] = stage.iterations
         if stage.nodes is not None:
-            canonical = canonical_path(g, stage.nodes)
-            path = path_solution(g, canonical, canonical != stage.nodes)
-            reused = g.path_reused_peaks(path.nodes)
-            return _result(
-                g, variant, path, tol,
-                lp_bound=stage.bound,
-                epsilons={pid: c - 1.0 for pid, c in reused.items()} if variant == "lian2" else {},
-                proven_optimal=True,
-                root_integral=None,
-                proved_by="lagrangian",
-                lagrangian_iterations=iterations,
-                contested_peaks=len(incidence[0]),
+            return solve_result(
+                g, stage.nodes, variant, tol.lam,
+                lp_bound=stage.bound, proven_optimal=True, proved_by="lagrangian", **stats,
             )
     lp = formulate(g, variant, tol, incidence)
     relaxed = solve_lp(lp, backend=backend, presolve=False)
@@ -657,25 +596,33 @@ def _solve_variant(
     if not relaxed.ok:
         raise SolverError(f"relaxation failed with status {relaxed.status}")
     assert relaxed.objective is not None
-    if is_integral(lp, relaxed):
+    root_integral = is_integral(lp, relaxed)
+    if root_integral:
         # the root is the only node of the global search
-        return _finish(
-            g, lp, BnbResult(relaxed, True, 1), relaxed.objective, True, tol, iterations
-        )
-    if exact:
+        result = BnbResult(relaxed, True, 1)
+    elif exact:
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
-        result = round_and_resolve(g, lp, relaxed, tol, backend, node_limit=node_limit)
+        result = round_and_resolve(g, lp, relaxed, backend, node_limit=node_limit)
     if result.solution is None:
         raise SolverError("no integral solution found within the node budget")
-    return _finish(g, lp, result, relaxed.objective, False, tol, iterations)
+    return solve_result(
+        g, extract_path(g, lp, result.solution), variant, tol.lam,
+        lp_bound=relaxed.objective,
+        proven_optimal=result.proven_optimal,
+        root_integral=root_integral,
+        nodes_heuristic=result.nodes_heuristic,
+        nodes_global=result.nodes_explored - result.nodes_heuristic,
+        columns_fixed=result.columns_fixed,
+        **stats,
+    )
 
 
 def solve_lian1(
     g: AssignmentGraph,
     tol: Tolerances,
     backend: Backend | None = None,
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Hard utilization: relaxation, then exact re-solve on its support."""
     return _solve_variant(g, "lian1", tol, backend, node_limit, exact=False)
@@ -685,7 +632,7 @@ def solve_lian2(
     g: AssignmentGraph,
     tol: Tolerances,
     backend: Backend | None = None,
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Soft utilization: peak reuse allowed at ``lambda`` per extra use."""
     return _solve_variant(g, "lian2", tol, backend, node_limit, exact=False)
@@ -695,7 +642,7 @@ def solve_ilp(
     g: AssignmentGraph,
     tol: Tolerances,
     backend: Backend | None = None,
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Exact branch and bound on the full hard-utilization program."""
     return _solve_variant(g, "lian1", tol, backend, node_limit, exact=True)

@@ -7,6 +7,7 @@ under a fixed seed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import time
 from importlib import resources
@@ -14,6 +15,8 @@ from pathlib import Path
 
 from . import evaluate as ev
 from .domain import (
+    NODE_LIMIT,
+    TOP_K,
     NmrAssignError,
     PriorTable,
     ProteinSequence,
@@ -41,7 +44,7 @@ from .grouping import (
     enumerate_groupings,
     spins_to_groupings,
 )
-from .shortest_path import SolveResult, dp_shortest_path
+from .shortest_path import dp_shortest_path, solve_result
 from .simulate import (
     Reference,
     SimulationSpec,
@@ -172,9 +175,9 @@ def run_assign(
     tol: Tolerances,
     variant: str = "lian1",
     kind: str | None = None,
-    top_k: int | None = 20,
+    top_k: int | None = TOP_K,
     backend: str = "bundled",
-    node_limit: int = 100_000,
+    node_limit: int = NODE_LIMIT,
 ) -> dict:
     """Full assignment run; returns a summary including the exit status."""
     from . import lp as lpmod  # scipy's solver stack, loaded only to solve
@@ -202,15 +205,9 @@ def run_assign(
     with _stage(stages, "solve"):
         if variant == "dp":
             path = dp_shortest_path(g)
-            result = SolveResult(
-                path=path,
-                objective=path.total_cost,
-                lp_bound=path.total_cost,
-                reused_peaks=g.path_reused_peaks(path.nodes),
-                epsilons={},
-                proven_optimal=True,
-                variant="dp",
-                proved_by="dp",
+            result = solve_result(
+                g, path.nodes, "dp", tol.lam,
+                lp_bound=path.total_cost, proven_optimal=True, proved_by="dp",
             )
         elif variant == "ilp":
             result = lpmod.solve_ilp(g, tol, lp_backend, node_limit)
@@ -221,26 +218,12 @@ def run_assign(
 
     assignment = ev.assignment_from_result(g, result)
     ev.write_assignment(assignment, outdir / "assignment.json")
-    write_json(
-        {
-            "variant": result.variant,
-            "objective": result.objective,
-            "lp_bound": result.lp_bound,
-            "proven_optimal": result.proven_optimal,
-            "proved_by": result.proved_by,
-            "lagrangian_iterations": result.lagrangian_iterations,
-            "contested_peaks": result.contested_peaks,
-            "root_integral": result.root_integral,
-            "columns_fixed": result.columns_fixed,
-            "nodes_heuristic": result.nodes_heuristic,
-            "nodes_global": result.nodes_global,
-            "nodes_explored": result.nodes_explored,
-            "path_canonicalized": result.path_canonicalized,
-            "reused_peaks": result.reused_peaks,
-            "epsilons": result.epsilons,
-        },
-        outdir / "lp_report.json",
-    )
+    # every field but the path, which assignment.json holds
+    report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    del report["path"]
+    report["nodes_explored"] = result.nodes_explored
+    report["path_canonicalized"] = result.path_canonicalized
+    write_json(report, outdir / "lp_report.json")
     write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
     write_json({"seconds": stages}, outdir / "timings.json")
     return {
@@ -285,7 +268,7 @@ def run_graph_stats(
     priors: PriorTable,
     tol: Tolerances,
     kind: str | None = None,
-    top_k: int | None = 20,
+    top_k: int | None = TOP_K,
     export: bool = False,
 ) -> dict:
     outdir = Path(outdir)

@@ -10,8 +10,11 @@ enumerates every start-to-end path that never consumes a peak twice; it is
 exponential and only usable on tiny instances, where it acts as the
 ground-truth oracle for the constrained solvers.
 
-``canonical_path`` is the one tie rule every constrained solver applies to
-its answer, whether the LP or the Lagrangian stage proved it. A fragment
+``solve_result`` builds every solver's answer from its path, whichever
+stage proved it: it applies ``canonical_path``, prices the path and counts
+its reused peaks, which fix the objective and, for the soft variant
+``lian2``, each peak's slack (its extra uses). ``canonical_path`` is the
+one tie rule every answer goes through. A fragment
 is a maximal run of regular nodes on a path. Its cost depends only on the
 residue types of its window (the layers it spans): the edge into it
 belongs to the start or to a dummy, whose cost does not depend on the
@@ -68,7 +71,8 @@ class SolveResult:
     lp_bound: float
     #: peak id -> times consumed along the path, for peaks consumed twice+
     reused_peaks: dict[str, int]
-    #: peak id -> slack value (soft variant only)
+    #: peak id -> extra uses along the path, for reused peaks (soft variant
+    #: only); the slack of the peak's utilization row
     epsilons: dict[str, float]
     proven_optimal: bool
     variant: str
@@ -152,6 +156,27 @@ def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
         and g.path_reused_peaks(candidate) == g.path_reused_peaks(nodes)
     )
     return candidate if qualifies else nodes
+
+
+def solve_result(
+    g: AssignmentGraph, nodes: Sequence[int], variant: str, lam: float, **stats
+) -> SolveResult:
+    """The answer on ``canonical_path(g, nodes)``, priced as ``variant``
+    prices it: ``lian2`` adds ``lam`` per extra use of a peak, and its
+    ``epsilons`` are the extra uses. ``stats`` fill the remaining fields."""
+    canonical = canonical_path(g, nodes)
+    path = path_solution(g, canonical, canonical != tuple(nodes))
+    reused = g.path_reused_peaks(canonical)
+    soft = variant == "lian2"
+    overuse = sum(c - 1 for c in reused.values())
+    return SolveResult(
+        path=path,
+        objective=path.total_cost + (lam * overuse if soft else 0.0),
+        reused_peaks=reused,
+        epsilons={pid: c - 1.0 for pid, c in reused.items()} if soft else {},
+        variant=variant,
+        **stats,
+    )
 
 
 def dp_shortest_path(

@@ -40,6 +40,7 @@ from oracles import (
     brute_force_groupings,
     brute_penalized,
     conflict_fixture,
+    path_cost,
     quadrature_atom_cost,
     random_instance,
 )
@@ -77,8 +78,7 @@ def test_criterion_2_flow_polytope_integrality():
         sol = solve_lp(lp)
         assert sol.ok
         assert is_integral(lp, sol)
-        path = extract_path(g, lp, sol)
-        assert path.total_cost == pytest.approx(
+        assert path_cost(g, extract_path(g, lp, sol)) == pytest.approx(
             dp_shortest_path(g).total_cost, abs=1e-6
         )
     assert time.monotonic() - t0 < 30.0
@@ -101,11 +101,11 @@ def test_criterion_3_exact_rounding_equivalence():
         relaxed = solve_lp(lp)
         assert relaxed.ok
         if is_integral(lp, relaxed):
-            got = extract_path(g, lp, relaxed).total_cost
+            got = path_cost(g, extract_path(g, lp, relaxed))
         else:
-            result = round_and_resolve(g, lp, relaxed, tol)
+            result = round_and_resolve(g, lp, relaxed)
             assert result.solution is not None and result.proven_optimal
-            got = extract_path(g, lp, result.solution).total_cost
+            got = path_cost(g, extract_path(g, lp, result.solution))
         assert got == want
         checked += 1
     assert time.monotonic() - t0 < 60.0

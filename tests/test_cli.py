@@ -147,6 +147,27 @@ def test_tolerance_flags_reach_solver(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_lp_report_keys(tmp_path, capsys):
+    """lp_report.json holds every answer field but the path, plus the node
+    total and the tie-rule flag, for every variant."""
+    out = _simulate(tmp_path, "reportrun")
+    for variant in ("dp", "ilp", "lian1", "lian2"):
+        assert main([
+            "assign", "--sequence", SEQ, "--dataset", str(out / "spins.tsv"),
+            "--out", str(out / variant), "--variant", variant, "--lambda", "0.5",
+        ]) == EXIT_OK
+        report = json.loads((out / variant / "lp_report.json").read_text())
+        assert sorted(report) == [
+            "columns_fixed", "contested_peaks", "epsilons", "lagrangian_iterations",
+            "lp_bound", "nodes_explored", "nodes_global", "nodes_heuristic", "objective",
+            "path_canonicalized", "proved_by", "proven_optimal", "reused_peaks",
+            "root_integral", "variant",
+        ]
+        soft = variant == "lian2"
+        assert report["epsilons"] == {p: c - 1 for p, c in report["reused_peaks"].items() if soft}
+    capsys.readouterr()
+
+
 def test_graph_stats(tmp_path, capsys):
     out = _simulate(tmp_path, "gsrun")
     code = main(
@@ -225,7 +246,7 @@ def test_seed_is_a_simulate_option_only(command, capsys):
         ("assign", "delta3", "0.5"),
         ("assign", "lambda", "5"),
         ("assign", "node_limit", 2.5),
-        ("assign", "round_eps", "1e-6"),
+        ("assign", "variant", "lian3"),
         ("graph-stats", "export", "yes"),
         ("simulate", "seed", "3"),
         ("simulate", "experiments", ["hsqc", "hncacb"]),

@@ -78,11 +78,11 @@ def test_prior_and_tolerances_positivity():
     with pytest.raises(NmrAssignError):
         Tolerances(delta1=-1.0)
     for value in ("0.5", None, True):
-        with pytest.raises(NmrAssignError, match="round_eps must be a number"):
-            Tolerances(round_eps=value)
+        with pytest.raises(NmrAssignError, match="lam must be a number"):
+            Tolerances(lam=value)
     tol = Tolerances()
     assert (tol.delta1, tol.delta2, tol.delta3) == (0.03, 0.3, 0.3)
-    assert tol.delta == 3.0 and tol.lam == 5.0 and tol.round_eps == 1e-6
+    assert tol.delta == 3.0 and tol.lam == 5.0
 
 
 def test_prior_table_lookup(toy_priors):

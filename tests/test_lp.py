@@ -27,13 +27,14 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import build_graph
+from nmrassign.graph import REGULAR, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import (
     InstanceTooLargeError,
     canonical_path,
     dp_shortest_path,
     exhaustive_constrained,
+    solve_result,
 )
 from nmrassign.simulate import SimulationSpec, sample_reference, simulate_cisa
 
@@ -49,7 +50,7 @@ from oracles import (
     path_overuse,
     random_instance,
 )
-from nmrassign.pipeline import bundled_priors
+from nmrassign.pipeline import bundled_priors, bundled_reference
 
 
 def _dummies_only(thresholds):
@@ -167,8 +168,7 @@ def test_flow_relaxation_is_integral_and_matches_dp(default_tol):
         sol = solve_lp(lp)
         assert sol.ok
         assert is_integral(lp, sol)
-        path = extract_path(g, lp, sol)
-        check_path(g, path.nodes, allow_reuse=True)
+        check_path(g, extract_path(g, lp, sol), allow_reuse=True)
         assert sol.objective == pytest.approx(
             dp_shortest_path(g).total_cost, abs=1e-6
         )
@@ -260,7 +260,7 @@ def test_round_and_resolve_recovers_optimum(default_tol):
     lp = formulate(g, "lian1", default_tol)
     relaxed = solve_lp(lp)
     assert relaxed.ok and not is_integral(lp, relaxed)
-    result = round_and_resolve(g, lp, relaxed, default_tol)
+    result = round_and_resolve(g, lp, relaxed)
     assert result.solution is not None and result.proven_optimal
     assert result.solution.objective == pytest.approx(10.0, abs=1e-9)
 
@@ -277,7 +277,7 @@ def test_round_and_resolve_keeps_node_limit(default_tol, node_limit):
     g = conflict_fixture()
     lp = formulate(g, "lian1", default_tol)
     relaxed = solve_lp(lp)
-    result = round_and_resolve(g, lp, relaxed, default_tol, node_limit=node_limit)
+    result = round_and_resolve(g, lp, relaxed, node_limit=node_limit)
     assert result.nodes_explored <= node_limit
     if result.proven_optimal:
         assert result.solution.objective == pytest.approx(10.0, abs=1e-9)
@@ -332,7 +332,7 @@ def test_reduced_cost_fixing_is_exact(monkeypatch, default_tol):
         if is_integral(lp, relaxed):
             continue
         calls.clear()
-        round_and_resolve(g, lp, relaxed, default_tol)
+        round_and_resolve(g, lp, relaxed)
         if len(calls) < 2:
             continue
         for keep, _, result in calls:  # each pass searches only its mask
@@ -370,11 +370,13 @@ def _wide_priors() -> PriorTable:
     return PriorTable(priors.atoms, noise)
 
 
-def _deletion_graph(seq: str, seed: int, deletion_rate: float):
+def _deletion_graph(seq: str, seed: int, deletion_rate: float, reference=None):
     """(graph, tolerances) of a simulated cisa dataset with high noise, as
-    ``assign --delta3 1.4`` with the widened priors builds it."""
+    ``assign --delta3 1.4`` with the widened priors builds it; the shifts
+    are sampled for the seed unless a reference is given."""
     sequence, wide = ProteinSequence(seq), _wide_priors()
-    reference = sample_reference(sequence, bundled_priors(), seed)
+    if reference is None:
+        reference = sample_reference(sequence, bundled_priors(), seed)
     spins, _ = simulate_cisa(SimulationSpec.cisa("high", seed, deletion_rate), sequence, reference)
     tol = Tolerances(delta3=1.4)
     groupings = spins_to_groupings(spins, wide)
@@ -480,6 +482,68 @@ def test_solvers_return_the_canonical_optimum(tmp_path):
         "KSKSEAKS/3 lian2",
         "KSKSEAKS/3 external",
     ]
+
+
+def _swap_equal_windows(g, nodes) -> tuple[int, ...] | None:
+    """``nodes`` with its first two distinct fragments on windows of equal
+    residue types swapped, or None when it has no such pair."""
+    runs: list[list[int]] = []  # [start, end) of each maximal regular run
+    for k in range(1, g.n + 1):
+        if g.node(k, nodes[k]).kind != REGULAR:
+            continue
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+    types = g.sequence.residues
+    for i, (a, b) in enumerate(runs):
+        for c, d in runs[i + 1 :]:
+            if types[a - 1 : b - 1] == types[c - 1 : d - 1] and nodes[a:b] != nodes[c:d]:
+                swapped = list(nodes)
+                swapped[a:b], swapped[c:d] = nodes[c:d], nodes[a:b]
+                return tuple(swapped)
+    return None
+
+
+def test_dp_paths_are_fixed_points_of_the_tie_rule():
+    """``solve_result`` sends dp's answer through ``canonical_path`` too,
+    which must leave it unchanged. Checked on the tiny deletion datasets
+    (every sequence, seeds 0-5) and on the spins-deletion instances (ref60,
+    20 % deletions, seeds 0-7). The rule is not idle on these graphs: on
+    every tie graph it moves the conflict-free optimum with two fragments
+    swapped back to that optimum."""
+    graphs = [
+        _deletion_graph(seq, seed, 0.35)[0] for seq in TIE_SEQUENCES for seed in range(6)
+    ]
+    ref60 = bundled_reference("ref60")
+    graphs += [
+        _deletion_graph(ref60.sequence.residues, seed, 0.2, ref60)[0] for seed in range(8)
+    ]
+    for g in graphs:
+        dp = dp_shortest_path(g)
+        result = solve_result(g, dp.nodes, "dp", 5.0, lp_bound=dp.total_cost, proven_optimal=True)
+        assert result.path == dp and not result.path_canonicalized
+    for label, g, _, best in _tie_graphs():
+        swapped = _swap_equal_windows(g, best.nodes)
+        assert swapped is not None, label
+        result = solve_result(g, swapped, "lian1", 5.0, lp_bound=0.0, proven_optimal=True)
+        assert result.path.nodes == best.nodes and result.path_canonicalized, label
+        assert result.objective == pytest.approx(best.total_cost, rel=1e-9)
+
+
+def test_lp_answers_report_exact_slacks():
+    """A lian2 answer the LP proves reports each reused peak's extra uses
+    as its slack, exactly, as a Lagrangian proof does. The spins-deletion
+    instance of seed 1 (ref60 shifts) is proved by the LP, and its HiGHS
+    slack values are off integers by up to 1e-15."""
+    ref60 = bundled_reference("ref60")
+    g, tol = _deletion_graph(ref60.sequence.residues, 1, 0.2, ref60)
+    result = solve_lian2(g, tol)
+    assert result.proved_by == "lp" and result.proven_optimal
+    assert len(result.reused_peaks) >= 2
+    assert result.epsilons == {p: c - 1.0 for p, c in result.reused_peaks.items()}
+    overuse = sum(result.epsilons.values())
+    assert result.objective == result.path.total_cost + tol.lam * overuse
 
 
 def test_root_presolve_does_not_decide_the_answer(monkeypatch):
