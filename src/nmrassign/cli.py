@@ -96,10 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config(config: dict, command: argparse.ArgumentParser) -> None:
-    """Reject a config value its flag could not have produced."""
+def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> None:
+    """Reject a config key that no flag of the subcommand accepts, and a
+    config value its flag could not have produced."""
+    known: set[str] = set()
     for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
         keys = {action.dest, *(o.lstrip("-").replace("-", "_") for o in action.option_strings)}
+        known |= keys
         for key in sorted(keys & config.keys()):
             value = config[key]
             if value is None:
@@ -117,6 +122,9 @@ def _check_config(config: dict, command: argparse.ArgumentParser) -> None:
                 ok, want = False, "one of " + ", ".join(map(str, action.choices))
             if not ok:
                 raise NmrAssignError(f"config key {key!r} must be {want}, got {value!r}")
+    unknown = sorted(config.keys() - known)
+    if unknown:
+        raise NmrAssignError(f"config key {unknown[0]!r} is not an option of {name}")
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
@@ -128,7 +136,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise NmrAssignError(f"config file {args.config} must hold a JSON object")
         config.pop("command", None)
         [commands] = [a for a in parser._actions if a.dest == "command"]
-        _check_config(config, commands.choices[args.command])
+        _check_config(config, args.command, commands.choices[args.command])
         merged.update(config)
     for key, value in vars(args).items():
         if key == "config":

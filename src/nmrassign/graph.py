@@ -7,8 +7,12 @@ residue's priors. Edges run only between consecutive layers.
 
 Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations: their ``costmodel.Moments`` and their
-lowest and highest value. Typing, linking and pricing are array operations
-over these summaries, one residue type or one layer at a time.
+lowest and highest value. Everything that depends only on the groupings or
+on the residue type is computed once per build: the grouping × grouping
+walk matrix, each atom's typing threshold per (residue type, role, sigmas),
+and per residue type its priors merged with every grouping's intra moments
+and the resulting typing costs. Each layer then gathers its rows of these
+tables and prices only its linked pairs.
 
 Sequential walking: a regular node of layer k links to a regular node of
 layer k+1 only when every intra-residue value of the source is within
@@ -26,6 +30,7 @@ therefore prices every residue exactly once.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,10 +41,10 @@ from numpy.typing import ArrayLike
 from .costmodel import Moments, marginal_cost, moments, typing_threshold
 from .domain import (
     BASE_ROLES,
+    PREV_SUFFIX,
     PriorTable,
     ProteinSequence,
     Tolerances,
-    base_role,
     is_prev,
     write_json,
 )
@@ -142,22 +147,43 @@ class AssignmentGraph:
         return {p: c for p, c in sorted(counts.items()) if c >= 2}
 
 
-def _summaries(
-    groupings: Sequence[PeakGrouping], prev: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each grouping's intra (or prev) observations per base role: their
-    ``Moments`` fields stacked as (field, grouping, role in ``BASE_ROLES``),
-    and their lowest and highest values, (+inf, -inf) when unobserved."""
-    stats = np.zeros((len(Moments._fields), len(groupings), len(BASE_ROLES)))
-    lo = np.full(stats.shape[1:], np.inf)
-    hi = -lo
-    for a, g in enumerate(groupings):
-        for role, obs in g.consensus.items():
-            if is_prev(role) == prev:
-                r = BASE_ROLES.index(base_role(role))
-                stats[:, a, r] = moments((o.value, o.sigma) for o in obs)
-                lo[a, r] = min(o.value for o in obs)
-                hi[a, r] = max(o.value for o in obs)
+#: summary column of each role: the base roles in ``BASE_ROLES`` order, then
+#: their previous-residue counterparts in the same order
+_COLUMNS = {
+    role + suffix: i + len(BASE_ROLES) * bool(suffix)
+    for suffix in ("", PREV_SUFFIX)
+    for i, role in enumerate(BASE_ROLES)
+}
+
+
+def _summaries(groupings: Sequence[PeakGrouping]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each grouping's observations per role column (``_COLUMNS``): their
+    ``Moments`` fields stacked as (field, grouping, column), and their lowest
+    and highest values, (+inf, -inf) when unobserved. The moments merge the
+    observations one slot at a time in consensus order, for every cell at
+    once, exactly as ``costmodel.moments`` merges them one by one."""
+    cells = [
+        (a, _COLUMNS[role], slot, o.value, o.sigma)
+        for a, g in enumerate(groupings)
+        for role, obs in g.consensus.items()
+        for slot, o in enumerate(obs)
+    ]
+    shape = (len(groupings), len(_COLUMNS))
+    stats = np.zeros((len(Moments._fields), *shape))
+    lo, hi = np.full(shape, np.inf), np.full(shape, -np.inf)
+    if not cells:
+        return stats, lo, hi
+    grouping, column, slot, value, sigma = np.array(cells).T
+    grouping, column, slot = (x.astype(np.int64) for x in (grouping, column, slot))
+    var = sigma * sigma
+    log_var = np.array([math.log(v) for v in var.tolist()])  # as costmodel.moments takes it
+    for s in range(int(slot.max()) + 1):
+        at = slot == s
+        rows, cols = grouping[at], column[at]
+        one = Moments(np.ones(len(rows)), 1.0 / var[at], value[at], np.zeros(len(rows)), log_var[at])
+        stats[:, rows, cols] = Moments(*stats[:, rows, cols]).merge(one)
+        lo[rows, cols] = np.minimum(lo[rows, cols], value[at])
+        hi[rows, cols] = np.maximum(hi[rows, cols], value[at])
     return stats, lo, hi
 
 
@@ -170,50 +196,100 @@ def _noise(grouping: PeakGrouping) -> tuple[tuple[str, tuple[float, ...]], ...]:
     ))
 
 
+#: (residue type, role, sigmas) -> that atom's typing threshold, 0 when absent
+ThresholdMemo = dict[tuple[str, str, tuple[float, ...]], float]
+
+
 def _threshold(
-    residue_type: str, priors: PriorTable, tol: Tolerances, noise: Mapping[str, Sequence[float]]
+    residue_type: str,
+    priors: PriorTable,
+    tol: Tolerances,
+    noise: Mapping[str, Sequence[float]],
+    memo: ThresholdMemo,
 ) -> float:
     """Summed typing threshold of observations with these sigmas per role;
-    atoms the residue lacks add nothing."""
+    atoms the residue lacks add nothing. Each atom's threshold is looked up
+    in ``memo`` first and stored there once computed."""
     total = 0.0
     for role in sorted(noise):
-        prior = priors.prior(residue_type, role)
-        if prior is not None:
-            total += typing_threshold(prior, len(noise[role]), noise[role], tol.delta)
+        key = (residue_type, role, tuple(noise[role]))
+        if key not in memo:
+            prior = priors.prior(residue_type, role)
+            memo[key] = 0.0 if prior is None else typing_threshold(
+                prior, len(noise[role]), noise[role], tol.delta
+            )
+        total += memo[key]
     return total
 
 
 def residue_threshold(
-    residue_type: str, priors: PriorTable, tol: Tolerances, expected: ExpectedCounts
+    residue_type: str,
+    priors: PriorTable,
+    tol: Tolerances,
+    expected: ExpectedCounts,
+    memo: ThresholdMemo | None = None,
 ) -> float:
     """Summed per-atom typing threshold for a null assignment."""
     noise = {role: [sigma] * count for role, (count, sigma) in expected.items()}
-    return _threshold(residue_type, priors, tol, noise)
+    return _threshold(residue_type, priors, tol, noise, {} if memo is None else memo)
 
 
-def _residue_costs(residue_type: str, priors: PriorTable, *parts: Moments) -> np.ndarray:
+#: a residue type's prior per base role: which atoms it lacks, and each
+#: atom's prior as ``Moments`` of one observation (a stand-in where lacking),
+#: possibly already merged with rows of observations
+ResiduePrior = tuple[np.ndarray, Moments]
+
+
+def _residue_prior(residue_type: str, priors: PriorTable) -> ResiduePrior:
+    """The residue type's prior, not yet merged with any observation."""
+    table = [priors.prior(residue_type, role) for role in BASE_ROLES]
+    lacks = np.array([prior is None for prior in table])
+    # an absent atom gets a stand-in prior; its cost is replaced in _residue_costs
+    return lacks, Moments(*np.array([
+        moments([(0.0, 1.0) if prior is None else (prior.mean, prior.std)]) for prior in table
+    ]).T)
+
+
+def _residue_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
     """Summed atom costs of the residue for rows of per-role moments (last
     axis in ``BASE_ROLES`` order), each atom pooling the parts' observations
     of it; +inf where a part observes an atom the residue lacks."""
-    table = [priors.prior(residue_type, role) for role in BASE_ROLES]
-    lacks = np.array([prior is None for prior in table])
-    # an absent atom gets a stand-in prior; its cost is replaced below
-    post = Moments(*np.array([
-        moments([(0.0, 1.0) if prior is None else (prior.mean, prior.std)]) for prior in table
-    ]).T)
+    lacks, post = prior
     for part in parts:
         post = post.merge(part)
     return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post)).sum(axis=-1)
 
 
+def _rows(m: Moments, rows: np.ndarray) -> Moments:
+    """The given rows of per-grouping moments."""
+    return Moments(*(field[rows] for field in m))
+
+
 def _typed(
-    intra: np.ndarray, noise: Sequence, residue_type: str, priors: PriorTable, tol: Tolerances
+    costs: np.ndarray,
+    noise: Sequence,
+    residue_type: str,
+    priors: PriorTable,
+    tol: Tolerances,
+    memo: ThresholdMemo,
 ) -> np.ndarray:
-    """Indices of the groupings typed as the residue: their summed atom costs
-    are at most the summed typing threshold of their noise (ties retained)."""
-    limit = {sig: _threshold(residue_type, priors, tol, dict(sig)) for sig in set(noise)}
-    costs = _residue_costs(residue_type, priors, Moments(*intra))
+    """Indices of the groupings typed as the residue: their summed atom
+    costs ``costs`` are at most the summed typing threshold of their noise
+    (ties retained)."""
+    limit = {sig: _threshold(residue_type, priors, tol, dict(sig), memo) for sig in set(noise)}
     return np.flatnonzero(costs <= np.array([limit[sig] for sig in noise]))
+
+
+def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
+    """(grouping × grouping) booleans: sequential walking lets grouping b
+    follow grouping a. Built one base role at a time, so it never holds more
+    than one (grouping × grouping) array of differences."""
+    r = len(BASE_ROLES)
+    walks = np.ones((len(lo), len(lo)), dtype=bool)
+    for role in range(r):
+        walks &= hi[:, role, None] - lo[:, r + role] <= delta3
+        walks &= hi[:, r + role] - lo[:, role, None] <= delta3
+    return walks
 
 
 def prune_by_typing(
@@ -223,8 +299,9 @@ def prune_by_typing(
     tol: Tolerances,
 ) -> list[PeakGrouping]:
     """Groupings statistically consistent with the residue (ties retained)."""
-    intra = _summaries(groupings, prev=False)[0]
-    kept = _typed(intra, [_noise(g) for g in groupings], residue_type, priors, tol)
+    intra = Moments(*_summaries(groupings)[0][..., :len(BASE_ROLES)])
+    costs = _residue_costs(_residue_prior(residue_type, priors), intra)
+    kept = _typed(costs, [_noise(g) for g in groupings], residue_type, priors, tol, {})
     return [groupings[a] for a in kept]
 
 
@@ -236,11 +313,23 @@ def build_graph(
     expected: ExpectedCounts,
 ) -> AssignmentGraph:
     n = len(seq)
-    thresholds = [0.0] + [residue_threshold(rt, priors, tol, expected) for rt in seq.residues]
-    intra, intra_lo, intra_hi = _summaries(groupings, prev=False)
-    prev, prev_lo, prev_hi = _summaries(groupings, prev=True)
+    types = sorted(set(seq.residues))
+    memo: ThresholdMemo = {}
+    threshold = {rt: residue_threshold(rt, priors, tol, expected, memo) for rt in types}
+    thresholds = [0.0] + [threshold[rt] for rt in seq.residues]
+    stats, lo, hi = _summaries(groupings)
+    intra, prev = Moments(*stats[..., :len(BASE_ROLES)]), Moments(*stats[..., len(BASE_ROLES):])
+    walks = _walks(lo, hi, tol.delta3)
+    # each residue type's prior merged with every grouping's intra moments;
+    # priced alone, that is the grouping's typing cost, which is also what a
+    # regular node pays to reach the dummy or the end
+    posts: dict[str, ResiduePrior] = {}
+    for rt in types:
+        lacks, prior = _residue_prior(rt, priors)
+        posts[rt] = lacks, prior.merge(intra)
+    typing = {rt: _residue_costs(post) for rt, post in posts.items()}
     noise = [_noise(g) for g in groupings]
-    typed = {rt: _typed(intra, noise, rt, priors, tol) for rt in set(seq.residues)}
+    typed = {rt: _typed(typing[rt], noise, rt, priors, tol, memo) for rt in types}
 
     # the grouping rows of each inner layer's regular nodes, then none for the end
     rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
@@ -258,15 +347,9 @@ def build_graph(
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
         src, dst = rows[k - 1], rows[k]
-        # sequential walking: every pair of same-atom values within delta3
-        linked = (
-            (intra_hi[src][:, None] - prev_lo[dst] <= tol.delta3)
-            & (prev_hi[dst] - intra_lo[src][:, None] <= tol.delta3)
-        ).all(axis=2)
-        a, b = np.nonzero(linked)
-        cost = _residue_costs(
-            residue_type, priors, Moments(*intra[:, src[a]]), Moments(*prev[:, dst[b]])
-        )
+        a, b = np.nonzero(walks[np.ix_(src, dst)])
+        lacks, post = posts[residue_type]
+        cost = _residue_costs((lacks, _rows(post, src[a])), _rows(prev, dst[b]))
         # above the threshold the pair is implausible; the dummy route is cheaper
         keep = cost <= thresholds[k]
         # a dummy source leaves the target's prev roles unexplained and prices
@@ -278,9 +361,7 @@ def build_graph(
             np.concatenate([np.zeros_like(targets), sources, a[keep] + 1]),
             np.concatenate([targets, np.zeros_like(sources), b[keep] + 1]),
             np.concatenate([
-                np.full(len(targets), thresholds[k]),
-                _residue_costs(residue_type, priors, Moments(*intra[:, src])),
-                cost[keep],
+                np.full(len(targets), thresholds[k]), typing[residue_type][src], cost[keep]
             ]),
             len(layers[k]),
         ))

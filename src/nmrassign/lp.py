@@ -23,12 +23,13 @@ and the LP below decides. ``ilp`` skips the stage and stays the
 full-program oracle.
 
 The relaxations are solved with the dual simplex backend of HiGHS (through
-scipy), which returns vertex solutions; on pure flow polytopes these are
-integral. The root relaxation is solved with HiGHS presolve off (on peak
-lists, presolve took most of the root's time); search nodes keep HiGHS's
-default. When utilization rows make the optimum fractional, a branch and
-bound restricted to the fractional support finds an incumbent, and a
-global branch and bound pruned by it certifies or improves the answer.
+scipy, whose ``scipy.optimize`` is imported on the first solve), which
+returns vertex solutions; on pure flow polytopes these are integral. The
+root relaxation is solved with HiGHS presolve off (on peak lists, presolve
+took most of the root's time); search nodes keep HiGHS's default. When
+utilization rows make the optimum fractional, a branch and bound
+restricted to the fractional support finds an incumbent, and a global
+branch and bound pruned by it certifies or improves the answer.
 Every search node is a column-subset program: branching drops edges, and
 the global search starts without every column whose root reduced cost
 proves it cannot beat the incumbent. The exact ``ilp`` search starts from
@@ -54,7 +55,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
 from .graph import DUMMY, AssignmentGraph
@@ -287,6 +287,14 @@ def formulate(
 
 #: backend signature: lp -> LpSolution, within the program's own ``lp.bounds``
 Backend = Callable[[LinearProgram], LpSolution]
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call, so that a run
+    the Lagrangian stage proves never loads scipy's solver."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def solve_lp(

@@ -265,6 +265,26 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, val
     assert err.startswith("error:") and key in err
 
 
+
+@pytest.mark.parametrize("config", [{"node_limt": 1}, {"seed": 3}])
+def test_config_key_of_no_option_rejected(tmp_path, capsys, config):
+    """A misspelt key, or one that only another subcommand accepts, exits 2
+    naming the key instead of being ignored."""
+    out = _simulate(tmp_path, "cfgrun")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["assign", "--config", str(path), "--sequence", SEQ,
+            "--dataset", str(out / "spins.tsv"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    [key] = config
+    assert capsys.readouterr().err == f"error: config key {key!r} is not an option of assign\n"
+    # every key a flag of assign accepts still runs
+    path.write_text(json.dumps({"node_limit": 50, "top_k": 5, "lambda": 5.0, "variant": "lian1"}))
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
 LAZY_SOLVER_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -308,3 +328,41 @@ def test_only_assign_loads_the_solver(tmp_path, capsys):
         ["evaluate", False, False],
         ["assign", True, True],
     ]
+
+
+SOLVER_IMPORT_SCRIPT = """
+import json, sys
+from pathlib import Path
+from nmrassign import cli
+
+seq, dataset, out = sys.argv[1:]
+assert cli.main(["assign", "--sequence", seq, "--dataset", dataset, "--out", out]) == 0
+report = json.loads((Path(out) / "lp_report.json").read_text(encoding="utf-8"))
+print(json.dumps([report["proved_by"], "scipy.optimize" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "protocol, seed, extra, dataset, proved_by, loaded",
+    [
+        # the Lagrangian stage proves this peak list: no LP, no scipy solver
+        ("flya", "2", [], "peaks.tsv", "lagrangian", False),
+        # at high noise the stage falls through to the root LP
+        ("cisa", "0", ["--noise", "high"], "spins.tsv", "lp", True),
+    ],
+)
+def test_scipy_solver_loads_on_the_first_lp_solve(
+    tmp_path, capsys, protocol, seed, extra, dataset, proved_by, loaded
+):
+    out = tmp_path / "run"
+    argv = ["simulate", "--sequence", SEQ, "--protocol", protocol, "--seed", seed, *extra]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVER_IMPORT_SCRIPT, SEQ, str(out / dataset), str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [proved_by, loaded]

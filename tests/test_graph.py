@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from nmrassign.costmodel import atom_cost, typing_threshold
+from nmrassign.costmodel import Moments, atom_cost, moments, typing_threshold
 from nmrassign.domain import (
+    BASE_ROLES,
     Observation,
     ProteinSequence,
     Tolerances,
@@ -17,6 +19,8 @@ from nmrassign.graph import (
     DUMMY,
     REGULAR,
     EdgeLayer,
+    _residue_costs,
+    _residue_prior,
     build_graph,
     export_graph,
     graph_stats,
@@ -349,3 +353,147 @@ def test_edge_layer_arrays_and_mapping():
     assert layer == EdgeLayer([0, 0, 2, 2], [0, 3, 0, 1], [0.25, 1.5, 5.0, -2.0], 3)
     assert layer != EdgeLayer([2, 0, 2, 0], [0, 3, 1, 0], [5.0, 1.5, -2.5, 0.25], 3)
     assert EdgeLayer([], [], [], 2).indptr.tolist() == [0, 0, 0]
+
+
+#: two sigmas per base role, drawn per observation: noise signatures differ
+#: in some roles and share others
+SIGMAS = {"N": (0.1, 0.05), "HN": (0.0075, 0.01), "CA": (0.1, 0.2), "CB": (0.1, 0.2), "CO": (0.1, 0.2)}
+
+
+def _peak_list_groupings(rng, seq, priors):
+    """Peak-list-style groupings of a random protein, one per residue plus
+    three decoys: 2-3 observations per observed role, each with one of the
+    role's two sigmas, within 0.3 ppm of the residue's shift (decoys 1.5);
+    a fifth of the roles, intra or prev, left unobserved."""
+    shifts = [
+        {role: p.mean + rng.normal() * p.std for role in BASE_ROLES if (p := priors.prior(rt, role))}
+        for rt in seq.residues
+    ]
+    out = []
+    for a in range(len(seq) + 3):
+        k, spread = (a, 0.3) if a < len(seq) else (int(rng.integers(len(seq))), 1.5)
+        gid = f"g{a}"
+        parts = [("", shifts[k])] + ([("_prev", shifts[k - 1])] if k else [])
+        consensus = {
+            role + suffix: tuple(
+                Observation(
+                    role + suffix, x + rng.uniform(-spread, spread), gid, float(rng.choice(SIGMAS[role]))
+                )
+                for _ in range(int(rng.integers(2, 4)))
+            )
+            for suffix, own in parts
+            for role, x in own.items()
+            if (suffix == "" or role in ("CA", "CB", "CO")) and rng.random() >= 0.2
+        }
+        out.append(PeakGrouping(gid, frozenset({gid}), consensus))
+    return out
+
+
+def _reference_graph(groupings, seq, priors, tol, expected):
+    """build_graph's thresholds, typed rows and edge costs, one residue and
+    one layer at a time: thresholds summed from ``typing_threshold`` per
+    atom, moments from ``costmodel.moments`` per grouping, costs from
+    ``_residue_costs`` on each layer's own rows, and sequential walking
+    checked value pair by value pair."""
+
+    def threshold(rt, noise):
+        total = 0.0
+        for role in sorted(noise):
+            prior = priors.prior(rt, role)
+            if prior is not None:
+                total += typing_threshold(prior, len(noise[role]), noise[role], tol.delta)
+        return total
+
+    def summary(grouping, prev):
+        table = np.zeros((len(Moments._fields), len(BASE_ROLES)))
+        for role, obs in grouping.consensus.items():
+            if is_prev(role) == prev:
+                table[:, BASE_ROLES.index(base_role(role))] = moments((o.value, o.sigma) for o in obs)
+        return table
+
+    def stacked(tables):
+        fields = np.array(tables).reshape(-1, len(Moments._fields), len(BASE_ROLES))
+        return Moments(*fields.transpose(1, 0, 2))
+
+    def walks(src, dst):
+        return all(
+            abs(x.value - y.value) <= tol.delta3
+            for role in BASE_ROLES
+            for x in src.observations(role)
+            for y in dst.observations(role + "_prev")
+        )
+
+    intra = [summary(g, False) for g in groupings]
+    prev = [summary(g, True) for g in groupings]
+    noise = [
+        {r: [o.sigma for o in obs] for r, obs in g.consensus.items() if not is_prev(r)}
+        for g in groupings
+    ]
+    thresholds = [0.0] + [
+        threshold(rt, {role: [sigma] * count for role, (count, sigma) in expected.items()})
+        for rt in seq.residues
+    ]
+    rows = []
+    for rt in seq.residues:
+        costs = _residue_costs(_residue_prior(rt, priors), stacked(intra))
+        rows.append([a for a in range(len(groupings)) if costs[a] <= threshold(rt, noise[a])])
+    rows.append([])
+    edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
+    n_walked = n_unwalked = 0
+    for k, rt in enumerate(seq.residues, 1):
+        src, dst = rows[k - 1], rows[k]
+        prior = _residue_prior(rt, priors)
+        layer = {(0, j): thresholds[k] for j in range(len(dst) + 1)}
+        typing = _residue_costs(prior, stacked([intra[a] for a in src]))
+        layer.update({(i, 0): float(typing[i - 1]) for i in range(1, len(src) + 1)})
+        pairs = [
+            (i, j)
+            for i, a in enumerate(src, 1)
+            for j, b in enumerate(dst, 1)
+            if walks(groupings[a], groupings[b])
+        ]
+        n_walked += len(pairs)
+        n_unwalked += len(src) * len(dst) - len(pairs)
+        if pairs:
+            cost = _residue_costs(
+                prior,
+                stacked([intra[src[i - 1]] for i, _ in pairs]),
+                stacked([prev[dst[j - 1]] for _, j in pairs]),
+            )
+            layer.update({pair: float(c) for pair, c in zip(pairs, cost) if c <= thresholds[k]})
+        edges.append(layer)
+    return thresholds, rows[:-1], edges, n_walked, n_unwalked
+
+
+def test_build_graph_matches_per_layer_reference(toy_priors):
+    """On random peak-list-style groupings (several observations per role
+    with mixed sigmas, unobserved roles, glycine and proline layers) the
+    graph's thresholds, typed rows, edge sets and costs equal exactly those
+    of a per-layer reference."""
+    tol = Tolerances(delta3=0.4)
+    expected = {"N": (3, 0.1), "HN": (3, 0.0075), "CA": (4, 0.1), "CB": (2, 0.2), "CO": (2, 0.1)}
+    counts = np.zeros(4, dtype=int)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        seq = ProteinSequence("AG" + "".join(rng.choice(list("AAGP"), size=5)))
+        groupings = _peak_list_groupings(rng, seq, toy_priors)
+        g = build_graph(groupings, seq, toy_priors, tol, expected)
+        reference = _reference_graph(groupings, seq, toy_priors, tol, expected)
+        thresholds, rows, edges, walked, unwalked = reference
+        assert g.thresholds == thresholds
+        assert [r.tolist() for r in g.grouping_rows[1:-1]] == [[-1, *r] for r in rows]
+        assert len(g.edges) == len(edges)
+        for layer, want in zip(g.edges, edges):
+            assert dict(layer) == want
+        signatures = {
+            frozenset(
+                (r, tuple(o.sigma for o in obs)) for r, obs in x.consensus.items() if not is_prev(r)
+            )
+            for x in groupings
+        }
+        shared = sum(bool(s & t) for s, t in itertools.combinations(signatures, 2))
+        glycine = sum(len(r) for r, rt in zip(rows, seq.residues) if rt == "G")
+        counts += [walked, unwalked, glycine, shared]
+    # not vacuous: pairs on both sides of the walk rule, typed glycine layers,
+    # and distinct noise signatures that share one role's sigmas
+    assert counts.min() > 0, counts
