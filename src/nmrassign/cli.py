@@ -96,17 +96,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> None:
-    """Reject a config key that no flag of the subcommand accepts, and a
-    config value its flag could not have produced."""
+def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> dict:
+    """The config keyed by each flag's ``dest`` (``lambda`` becomes ``lam``).
+    Reject a config key that no flag of the subcommand accepts, two keys
+    for one flag, and a config value its flag could not have produced."""
     known: set[str] = set()
+    renamed: dict = {}
     for action in command._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         keys = {action.dest, *(o.lstrip("-").replace("-", "_") for o in action.option_strings)}
         known |= keys
-        for key in sorted(keys & config.keys()):
-            value = config[key]
+        given = sorted(keys & config.keys())
+        if len(given) > 1:
+            raise NmrAssignError(f"config keys {given[0]!r} and {given[1]!r} set the same option")
+        for key in given:
+            value = renamed[action.dest] = config[key]
             if value is None:
                 continue
             if action.nargs == 0:
@@ -125,6 +130,7 @@ def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> 
     unknown = sorted(config.keys() - known)
     if unknown:
         raise NmrAssignError(f"config key {unknown[0]!r} is not an option of {name}")
+    return renamed
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
@@ -136,8 +142,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise NmrAssignError(f"config file {args.config} must hold a JSON object")
         config.pop("command", None)
         [commands] = [a for a in parser._actions if a.dest == "command"]
-        _check_config(config, args.command, commands.choices[args.command])
-        merged.update(config)
+        merged.update(_check_config(config, args.command, commands.choices[args.command]))
     for key, value in vars(args).items():
         if key == "config":
             continue
@@ -153,8 +158,6 @@ def _tolerances(cfg: dict) -> Tolerances:
     overrides = {
         key: cfg[key] for key in _TOL_KEYS if cfg.get(key) is not None
     }
-    if "lambda" in cfg and cfg["lambda"] is not None:
-        overrides["lam"] = cfg["lambda"]
     if not overrides:
         return base
     values = {key: getattr(base, key) for key in _TOL_KEYS}

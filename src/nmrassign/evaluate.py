@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .domain import NmrAssignError, dimension_of, write_json
-from .graph import DUMMY, AssignmentGraph
+from .graph import AssignmentGraph
 from .shortest_path import SolveResult
 from .simulate import FLYA_BOUND, GroundTruth
 
@@ -57,23 +57,23 @@ class Assignment:
 def assignment_from_result(g: AssignmentGraph, result: SolveResult) -> Assignment:
     residues = []
     for k in range(1, g.n + 1):
-        node = g.node(k, result.path.nodes[k])
-        if node.kind == DUMMY:
+        row = int(g.grouping_rows[k][result.path.nodes[k]])
+        if row < 0:
             residues.append(
                 ResidueAssignment(k, None, (), {}, result.path.edge_costs[k], g.thresholds[k])
             )
             continue
-        assert node.grouping is not None
+        grouping = g.groupings[row]
         consensus = {
             role: sum(o.value for o in obs) / len(obs)
-            for role, obs in sorted(node.grouping.consensus.items())
+            for role, obs in sorted(grouping.consensus.items())
         }
-        members = tuple(sorted(node.grouping.member_peaks))
+        members = tuple(sorted(grouping.member_peaks))
         reused = tuple(p for p in members if p in result.reused_peaks)
         residues.append(
             ResidueAssignment(
                 k,
-                node.grouping.grouping_id,
+                grouping.grouping_id,
                 members,
                 consensus,
                 result.path.edge_costs[k],

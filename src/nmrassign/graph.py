@@ -5,6 +5,10 @@ layer. Each inner layer holds one dummy node (null assignment) plus one
 regular node per peak grouping that is statistically consistent with the
 residue's priors. Edges run only between consecutive layers.
 
+Nodes are stored once, as ``grouping_rows``: the grouping each node of a
+layer carries, -1 for start, dummy and end. ``AssignmentNode`` is a view
+of one row, built on demand by the graph's ``node`` and ``layers``.
+
 Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations: their ``costmodel.Moments`` and their
 lowest and highest value. Everything that depends only on the groupings or
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +118,10 @@ class EdgeLayer(Mapping):
 
 @dataclass
 class AssignmentGraph:
+    """The layered graph. Its nodes are stored once, as ``grouping_rows``;
+    ``node()`` and ``layers`` are ``AssignmentNode`` views built from them."""
+
     sequence: ProteinSequence
-    layers: list[list[AssignmentNode]]
     #: edges[k] holds the edges between layers k and k+1
     edges: list[EdgeLayer]
     #: summed typing threshold per residue (index 0 unused)
@@ -127,15 +134,26 @@ class AssignmentGraph:
 
     @property
     def n(self) -> int:
-        return len(self.layers) - 2
+        return len(self.grouping_rows) - 2
 
     def node(self, layer: int, index: int) -> AssignmentNode:
-        return self.layers[layer][index]
+        """A view of node ``index`` of ``layer``, built from its grouping row."""
+        row = int(self.grouping_rows[layer][index])
+        if row >= 0:
+            return AssignmentNode(layer, index, REGULAR, self.groupings[row])
+        return AssignmentNode(layer, index, START if layer == 0 else END if layer > self.n else DUMMY)
+
+    @cached_property
+    def layers(self) -> list[list[AssignmentNode]]:
+        """Views of every node, layer by layer, built on first use and kept
+        for readers that index it repeatedly."""
+        rows = self.grouping_rows
+        return [[self.node(k, i) for i in range(len(rows[k]))] for k in range(len(rows))]
 
     def usage(self, layer: int, index: int) -> frozenset[str]:
         """Peak ids a node consumes: its grouping's members; none otherwise."""
-        grouping = self.layers[layer][index].grouping
-        return grouping.member_peaks if grouping is not None else frozenset()
+        row = int(self.grouping_rows[layer][index])
+        return self.groupings[row].member_peaks if row >= 0 else frozenset()
 
     def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
         """Peak id -> times the path consumes it, for the peaks it consumes
@@ -265,21 +283,6 @@ def _rows(m: Moments, rows: np.ndarray) -> Moments:
     return Moments(*(field[rows] for field in m))
 
 
-def _typed(
-    costs: np.ndarray,
-    noise: Sequence,
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-    memo: ThresholdMemo,
-) -> np.ndarray:
-    """Indices of the groupings typed as the residue: their summed atom
-    costs ``costs`` are at most the summed typing threshold of their noise
-    (ties retained)."""
-    limit = {sig: _threshold(residue_type, priors, tol, dict(sig), memo) for sig in set(noise)}
-    return np.flatnonzero(costs <= np.array([limit[sig] for sig in noise]))
-
-
 def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
     """(grouping × grouping) booleans: sequential walking lets grouping b
     follow grouping a. Built one base role at a time, so it never holds more
@@ -290,19 +293,6 @@ def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
         walks &= hi[:, role, None] - lo[:, r + role] <= delta3
         walks &= hi[:, r + role] - lo[:, role, None] <= delta3
     return walks
-
-
-def prune_by_typing(
-    groupings: Sequence[PeakGrouping],
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-) -> list[PeakGrouping]:
-    """Groupings statistically consistent with the residue (ties retained)."""
-    intra = Moments(*_summaries(groupings)[0][..., :len(BASE_ROLES)])
-    costs = _residue_costs(_residue_prior(residue_type, priors), intra)
-    kept = _typed(costs, [_noise(g) for g in groupings], residue_type, priors, tol, {})
-    return [groupings[a] for a in kept]
 
 
 def build_graph(
@@ -328,21 +318,21 @@ def build_graph(
         lacks, prior = _residue_prior(rt, priors)
         posts[rt] = lacks, prior.merge(intra)
     typing = {rt: _residue_costs(post) for rt, post in posts.items()}
+    # a grouping is typed as the residue type when its typing cost is at most
+    # the summed typing threshold of its noise (ties retained)
     noise = [_noise(g) for g in groupings]
-    typed = {rt: _typed(typing[rt], noise, rt, priors, tol, memo) for rt in types}
+    typed: dict[str, np.ndarray] = {}
+    for rt in types:
+        limit = {sig: _threshold(rt, priors, tol, dict(sig), memo) for sig in set(noise)}
+        typed[rt] = np.flatnonzero(typing[rt] <= np.array([limit[sig] for sig in noise]))
 
     # the grouping rows of each inner layer's regular nodes, then none for the end
     rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
-    layers: list[list[AssignmentNode]] = [[AssignmentNode(0, 0, START)]]
-    for k, layer_rows in enumerate(rows[:-1], 1):
-        regular = [AssignmentNode(k, i, REGULAR, groupings[a]) for i, a in enumerate(layer_rows, 1)]
-        layers.append([AssignmentNode(k, 0, DUMMY), *regular])
-    layers.append([AssignmentNode(n + 1, 0, END)])
     none = np.full(1, -1)
     grouping_rows = [none, *(np.concatenate([none, r]) for r in rows[:-1]), none]
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
-    first = np.arange(len(layers[1]))
+    first = np.arange(len(grouping_rows[1]))
     edges = [EdgeLayer(np.zeros_like(first), first, np.zeros(len(first)), 1)]
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
@@ -355,7 +345,7 @@ def build_graph(
         # a dummy source leaves the target's prev roles unexplained and prices
         # the residue at its threshold; a regular source reaching the dummy
         # (or the end) pays its typing costs alone
-        targets = np.arange(len(layers[k + 1]))
+        targets = np.arange(len(grouping_rows[k + 1]))
         sources = np.arange(1, len(src) + 1)
         edges.append(EdgeLayer(
             np.concatenate([np.zeros_like(targets), sources, a[keep] + 1]),
@@ -363,14 +353,14 @@ def build_graph(
             np.concatenate([
                 np.full(len(targets), thresholds[k]), typing[residue_type][src], cost[keep]
             ]),
-            len(layers[k]),
+            len(grouping_rows[k]),
         ))
 
-    return AssignmentGraph(seq, layers, edges, thresholds, list(groupings), grouping_rows)
+    return AssignmentGraph(seq, edges, thresholds, list(groupings), grouping_rows)
 
 
 def graph_stats(g: AssignmentGraph) -> dict:
-    layer_sizes = [len(layer) for layer in g.layers]
+    layer_sizes = [len(rows) for rows in g.grouping_rows]
     edge_counts = [len(layer_edges) for layer_edges in g.edges]
     possible = [layer_sizes[k] * layer_sizes[k + 1] for k in range(len(g.edges))]
     return {

@@ -57,7 +57,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
-from .graph import DUMMY, AssignmentGraph
+from .graph import AssignmentGraph
 from .shortest_path import NoPathError, SolveResult, dp_shortest_path, solve_result
 
 VARIANTS = ("flow", "lian1", "lian2")
@@ -177,7 +177,7 @@ def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
 def node_offsets(g: AssignmentGraph) -> np.ndarray:
     """Flat index of each layer's first node, then the number of nodes:
     node i of layer k is node ``offsets[k] + i`` in (k, i) order."""
-    return np.cumsum([0] + [len(layer) for layer in g.layers])
+    return np.cumsum([0] + [len(rows) for rows in g.grouping_rows])
 
 
 #: the contested peak ids, and a 0/1 CSR matrix of the ones each node consumes
@@ -238,7 +238,7 @@ def formulate(
 
     # node i of layer k conserves flow in equality row flow_row[k] + i,
     # after the n selection rows
-    flow_row = n + np.cumsum([0, 0] + [len(layer) for layer in g.layers[1:-1]])
+    flow_row = n + np.cumsum([0, 0] + [len(rows) for rows in g.grouping_rows[1:-1]])
     rows, cols, data = [], [], []
     for k in range(1, n + 1):
         into, out = g.edges[k - 1], g.edges[k]
@@ -478,11 +478,12 @@ def round_and_resolve(
     """
     assert relaxed.objective is not None and relaxed.values is not None
     n_edges = lp.n_edges
-    dummy = [np.array([node.kind == DUMMY for node in layer]) for layer in g.layers]
     support = np.ones(lp.n_vars, dtype=bool)
     support[:n_edges] = relaxed.values[:n_edges] > INT_TOL
+    # node 0 of an inner layer is its dummy; the start and end nodes are not
     support[:n_edges] |= np.concatenate([
-        dummy[k][layer.src] | dummy[k + 1][layer.dst] for k, layer in enumerate(g.edges)
+        ((layer.src == 0) & (k >= 1)) | ((layer.dst == 0) & (k < g.n))
+        for k, layer in enumerate(g.edges)
     ])
     primal = branch_and_bound(lp, keep=support, backend=backend, node_limit=node_limit)
     incumbent = primal.solution

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import NmrAssignError
-from .graph import REGULAR, AssignmentGraph
+from .graph import AssignmentGraph
 
 
 class NoPathError(NmrAssignError):
@@ -131,7 +131,7 @@ def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
     k = 1
     while k <= g.n:
         end = k
-        while end <= g.n and g.node(end, nodes[end]).kind == REGULAR:
+        while end <= g.n and g.grouping_rows[end][nodes[end]] >= 0:
             end += 1
         if end > k:
             starts, fragments = groups.setdefault(types[k - 1 : end - 1], ([], []))
@@ -194,7 +194,7 @@ def dp_shortest_path(
     n = g.n
     # reach[k][i]: cost of the cheapest (penalized) path from node i in
     # layer k to the end, without node i's own penalty; value[k][i]: with it
-    reach = [np.full(len(layer), math.inf) for layer in g.layers]
+    reach = [np.full(len(rows), math.inf) for rows in g.grouping_rows]
     reach[n + 1][0] = 0.0
     value = list(reach)
     tails = [np.zeros(0)] * (n + 1)
@@ -230,8 +230,8 @@ def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathS
     broken towards the lexicographically smallest node sequence.
     """
     paths = 1
-    for layer in g.layers[1:-1]:
-        paths *= len(layer)
+    for rows in g.grouping_rows[1:-1]:
+        paths *= len(rows)
         if paths > budget:
             raise InstanceTooLargeError(
                 f"more than {budget} candidate paths; refusing exhaustive search"

@@ -15,15 +15,7 @@ from scipy.integrate import quad
 
 from nmrassign.domain import Peak, ProteinSequence, Tolerances
 from nmrassign.experiments import candidate_roles, canonical_name
-from nmrassign.graph import (
-    DUMMY,
-    END,
-    REGULAR,
-    START,
-    AssignmentGraph,
-    AssignmentNode,
-    EdgeLayer,
-)
+from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
 from nmrassign.grouping import PeakGrouping
 
 
@@ -86,26 +78,20 @@ def make_graph(
     seq = ProteinSequence(sequence or "A" * n)
     if usage is None:
         usage = [dict() for _ in range(n + 2)]
-    layers = [[AssignmentNode(0, 0, START)]]
+    # every regular node carries a grouping of its own, in layer order;
+    # the start, each dummy (node 0) and the end carry none
     groupings: list[PeakGrouping] = []
+    grouping_rows = [np.full(1, -1)]
     for k, size in enumerate(inner_sizes, start=1):
-        layer = [AssignmentNode(k, 0, DUMMY)]
+        grouping_rows.append(np.arange(len(groupings) - 1, len(groupings) + size - 1))
+        grouping_rows[-1][0] = -1
         for i in range(1, size):
             members = frozenset(usage[k].get(i, {f"n{k}_{i}"}))
             groupings.append(PeakGrouping(f"n{k}_{i}", members, {}))
-            layer.append(AssignmentNode(k, i, REGULAR, groupings[-1]))
-        layers.append(layer)
-    layers.append([AssignmentNode(n + 1, 0, END)])
-    # every regular node carries a grouping of its own, in layer order
-    grouping_rows, row = [], 0
-    for layer in layers:
-        grouping_rows.append(np.arange(row - 1, row + len(layer) - 1))
-        grouping_rows[-1][0] = -1
-        row += len(layer) - 1
+    grouping_rows.append(np.full(1, -1))
     return AssignmentGraph(
         seq,
-        layers,
-        [edge_layer(e, len(layers[k])) for k, e in enumerate(edges)],
+        [edge_layer(e, len(grouping_rows[k])) for k, e in enumerate(edges)],
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
         groupings,
         grouping_rows,

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import nmrassign.cli as cli
 import nmrassign.graph as graph
 import nmrassign.lp as lp
@@ -61,3 +63,39 @@ def test_traced_assign_records_every_stage(monkeypatch, tmp_path, capsys):
     names = {span.name for span in tracer.spans}
     assert "simulate.run" in names
     assert [name for name in ASSIGN_SPANS if name not in names] == []
+
+
+def test_graph_build_counts_match_the_grouping_rows(monkeypatch, tmp_path, capsys):
+    """The ``graph.build`` span counts read the graph's node views; they must
+    agree with the grouping rows the graph stores."""
+    graphs = []
+
+    def recording(*args, **kwargs):
+        graphs.append(graph.build_graph(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(pipeline, "build_graph", recording)
+    run = _benchmark_run(monkeypatch)
+    tracer = run.Tracer()
+    run.install_hooks(tracer)
+    seq = "ADKFLEGQRSLLKA"
+    assert cli.main([
+        "simulate", "--sequence", seq, "--protocol", "flya", "--seed", "3", "--out", str(tmp_path)
+    ]) == 0
+    with tracer.installed():
+        assert cli.main([
+            "graph-stats", "--sequence", seq, "--dataset", str(tmp_path / "peaks.tsv"),
+            "--out", str(tmp_path),
+        ]) == 0
+    capsys.readouterr()
+    [g] = graphs
+    [counts] = [span.counts for span in tracer.spans if span.name == "graph.build"]
+    sizes = [len(rows) for rows in g.grouping_rows]
+    regular = sum(int(np.count_nonzero(rows >= 0)) for rows in g.grouping_rows)
+    pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+    assert counts["nodes"] == sum(sizes)
+    assert counts["typing_keep"] == regular / (len(g.groupings) * g.n)
+    assert counts["edges"] == sum(len(layer) for layer in g.edges)
+    assert counts["density"] == counts["edges"] / pairs
+    # the typing filter kept some groupings on some layers, not all everywhere
+    assert 0 < regular < len(g.groupings) * g.n

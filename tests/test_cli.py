@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nmrassign import cli
 from nmrassign.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 
 SEQ = "ADKFLEGQRSTNVYWHMICP"
@@ -283,6 +284,32 @@ def test_config_key_of_no_option_rejected(tmp_path, capsys, config):
     path.write_text(json.dumps({"node_limit": 50, "top_k": 5, "lambda": 5.0, "variant": "lian1"}))
     assert main(argv) == EXIT_OK
     capsys.readouterr()
+
+
+def test_lambda_flag_beats_either_config_name(tmp_path, capsys, monkeypatch):
+    """``--lambda`` wins over a config's ``lambda`` as over its ``lam``; a
+    config giving both names exits 2 naming both."""
+    seen = []
+
+    def run_assign(**kwargs):
+        seen.append(kwargs["tol"].lam)
+        return {"variant": "lian2", "objective": 0.0, "assigned": 0,
+                "residues": len(SEQ), "proven_optimal": True}
+
+    monkeypatch.setattr(cli, "run_assign", run_assign)
+    path = tmp_path / "config.json"
+    argv = ["assign", "--config", str(path), "--sequence", SEQ,
+            "--dataset", str(tmp_path / "spins.tsv"), "--out", str(tmp_path)]
+    for key in ("lambda", "lam"):
+        path.write_text(json.dumps({key: 5}))
+        assert main([*argv, "--lambda", "3"]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+    assert seen == [3.0, 5.0, 3.0, 5.0]
+    path.write_text(json.dumps({"lambda": 4, "lam": 5}))
+    capsys.readouterr()
+    assert main([*argv, "--lambda", "3"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: config keys 'lam' and 'lambda' set the same option\n"
+    assert seen == [3.0, 5.0, 3.0, 5.0]
 
 
 LAZY_SOLVER_SCRIPT = """

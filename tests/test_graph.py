@@ -17,14 +17,15 @@ from nmrassign.domain import (
 from nmrassign.experiments import spin_observation_counts
 from nmrassign.graph import (
     DUMMY,
+    END,
     REGULAR,
+    START,
     EdgeLayer,
     _residue_costs,
     _residue_prior,
     build_graph,
     export_graph,
     graph_stats,
-    prune_by_typing,
     residue_threshold,
 )
 from nmrassign.grouping import PeakGrouping
@@ -60,19 +61,28 @@ def test_dummies_only_graph(toy_priors, default_tol):
     assert g.thresholds[2] < g.thresholds[1]
 
 
+def _typed_ids(groupings, residue_type, priors, tol):
+    """Grouping ids on the regular nodes of a one-residue graph, checked
+    against its layer-1 grouping rows: the dummy's -1, then the kept rows."""
+    g = build_graph(
+        groupings, ProteinSequence(residue_type), priors, tol, spin_observation_counts(priors)
+    )
+    rows = g.grouping_rows[1]
+    assert rows[0] == -1 and (rows[1:] >= 0).all()
+    return [g.groupings[r].grouping_id for r in rows[1:]]
+
+
 def test_typing_filter_absent_atom(toy_priors, default_tol):
     """A grouping observing CB cannot sit on a glycine layer."""
     good = _grouping("u1", {"N": 110.0, "HN": 8.3, "CA": 45.5})
     bad = _grouping("u2", {"N": 110.0, "HN": 8.3, "CA": 45.5, "CB": 19.0})
-    kept = prune_by_typing([good, bad], "G", toy_priors, default_tol)
-    assert [k.grouping_id for k in kept] == ["u1"]
+    assert _typed_ids([good, bad], "G", toy_priors, default_tol) == ["u1"]
 
 
 def test_typing_filter_threshold(toy_priors, default_tol):
     near = _grouping("u1", {"CA": 53.0})
     far = _grouping("u2", {"CA": 45.0})  # 4 prior stds from alanine CA
-    kept = prune_by_typing([near, far], "A", toy_priors, default_tol)
-    assert [k.grouping_id for k in kept] == ["u1"]
+    assert _typed_ids([near, far], "A", toy_priors, default_tol) == ["u1"]
 
 
 def test_proline_layer_dummy_only(toy_priors, default_tol):
@@ -96,6 +106,11 @@ def test_layer_instantiation_counts(toy_priors, default_tol):
     g = build_graph([ala_only], seq, toy_priors, default_tol, expected)
     assert len(g.layers[1]) == 2  # dummy + the grouping
     assert len(g.layers[2]) == 1  # glycine rejects the CB observation
+    # the node views read the grouping rows: -1 is the start, a dummy or the end
+    assert [[node.kind for node in layer] for layer in g.layers] == [
+        [START], [DUMMY, REGULAR], [DUMMY], [END]
+    ]
+    assert g.node(1, 1).grouping is ala_only and g.node(2, 0).grouping is None
     # a regular node consumes its grouping's peaks; start, dummies and end none
     assert g.usage(1, 1) == frozenset({"p1", "p2", "p3"})
     for layer, index in ((0, 0), (1, 0), (2, 0), (3, 0)):

@@ -27,7 +27,7 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import REGULAR, build_graph
+from nmrassign.graph import DUMMY, REGULAR, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import (
     InstanceTooLargeError,
@@ -344,6 +344,37 @@ def test_reduced_cost_fixing_is_exact(monkeypatch, default_tol):
                 assert not dropped[used].any(), used
         fixed += int(dropped.sum())
     assert fixed > 0
+
+
+def test_restricted_pass_keeps_support_and_inner_dummy_edges(monkeypatch, default_tol):
+    """The restricted pass searches the relaxation's support plus every edge
+    leaving or entering an inner layer's dummy. The start and the end are
+    no dummies, so their edges outside the support stay out."""
+    calls = _record_bnb(monkeypatch)
+    rng = np.random.default_rng(77)
+    checked = left_out = 0
+    while checked < 10:
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        lp = formulate(g, "lian1", default_tol)
+        relaxed = solve_lp(lp)
+        if is_integral(lp, relaxed):
+            continue
+        checked += 1
+        calls.clear()
+        round_and_resolve(g, lp, relaxed)
+        keep = calls[0][0][:lp.n_edges]
+        dummy_incident = np.array([
+            DUMMY in (g.node(k, i).kind, g.node(k + 1, j).kind)
+            for k, layer in enumerate(g.edges)
+            for i, j in layer
+        ])
+        support = relaxed.values[:lp.n_edges] > INT_TOL
+        np.testing.assert_array_equal(keep, support | dummy_incident)
+        at_start_or_end = np.concatenate([
+            np.full(len(layer), k in (0, g.n)) for k, layer in enumerate(g.edges)
+        ])
+        left_out += int(np.count_nonzero(at_start_or_end & ~keep))
+    assert left_out > 0
 
 
 def test_lian2_with_fixing_matches_penalized_oracle():
