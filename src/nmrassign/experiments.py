@@ -6,6 +6,7 @@ peak also carries that amide's H and N coordinates; HSQC carries only those.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,6 +92,7 @@ def expected_pattern(names: Sequence[str]) -> dict[str, int]:
     return {exp.name: exp.peak_count for exp in experiment_set(names)}
 
 
+@functools.cache
 def candidate_roles(spectrum_id: str, phase: int) -> tuple[str, ...]:
     """Carbon roles a peak from this spectrum may be assigned to.
 

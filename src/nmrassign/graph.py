@@ -13,10 +13,10 @@ Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations: their ``costmodel.Moments`` and their
 lowest and highest value. Everything that depends only on the groupings or
 on the residue type is computed once per build: the grouping × grouping
-walk matrix, each atom's typing threshold per (residue type, role, sigmas),
-and per residue type its priors merged with every grouping's intra moments
-and the resulting typing costs. Each layer then gathers its rows of these
-tables and prices only its linked pairs.
+walk matrix, every atom typing threshold in one batch, per residue type its
+priors merged with every grouping's intra moments, the resulting typing
+costs, and the linked pairs priced from its groupings to those of all the
+residues that follow it. Each layer then keeps the pairs it links.
 
 Sequential walking: a regular node of layer k links to a regular node of
 layer k+1 only when every intra-residue value of the source is within
@@ -35,7 +35,7 @@ therefore prices every residue exactly once.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .costmodel import Moments, marginal_cost, moments, typing_threshold
+from .costmodel import Moments, marginal_cost, moments
 from .domain import (
     BASE_ROLES,
     PREV_SUFFIX,
@@ -174,35 +174,49 @@ _COLUMNS = {
 }
 
 
+def _merged(
+    size: int, cells: Iterable[tuple[int, Sequence[float], Sequence[float]]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Moments`` of ``size`` rows of observations, from cells (row, values,
+    sigmas): the fields stacked as (field, row), 0 for a row without any;
+    and every observation's row and value. Each row merges its observations
+    one slot at a time, for every row at once, exactly as
+    ``costmodel.moments`` merges them one by one."""
+    row, slot, value, sigma = [], [], [], []
+    for r, values, sigmas in cells:
+        row.extend([r] * len(values))
+        slot.extend(range(len(values)))
+        value.extend(values)
+        sigma.extend(sigmas)
+    rows, slots = np.array(row, dtype=np.int64), np.array(slot, dtype=np.int64)
+    values, var = np.array(value), np.square(np.array(sigma))
+    # math.log, as costmodel.moments takes it, once per distinct variance
+    distinct, inverse = np.unique(var, return_inverse=True)
+    log_var = np.array([math.log(v) for v in distinct.tolist()])[inverse]
+    stats = np.zeros((len(Moments._fields), size))
+    for s in range(int(slots.max(initial=-1)) + 1):
+        at = slots == s
+        into = rows[at]
+        one = Moments(np.ones(len(into)), 1.0 / var[at], values[at], np.zeros(len(into)), log_var[at])
+        stats[:, into] = Moments(*stats[:, into]).merge(one)
+    return stats, rows, values
+
+
 def _summaries(groupings: Sequence[PeakGrouping]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each grouping's observations per role column (``_COLUMNS``): their
-    ``Moments`` fields stacked as (field, grouping, column), and their lowest
-    and highest values, (+inf, -inf) when unobserved. The moments merge the
-    observations one slot at a time in consensus order, for every cell at
-    once, exactly as ``costmodel.moments`` merges them one by one."""
-    cells = [
-        (a, _COLUMNS[role], slot, o.value, o.sigma)
+    ``Moments`` fields stacked as (field, grouping, column), merged in
+    consensus order, and their lowest and highest values, (+inf, -inf) when
+    unobserved."""
+    shape = (len(groupings), len(_COLUMNS))
+    stats, cells, values = _merged(shape[0] * shape[1], (
+        (a * shape[1] + _COLUMNS[role], [o.value for o in obs], [o.sigma for o in obs])
         for a, g in enumerate(groupings)
         for role, obs in g.consensus.items()
-        for slot, o in enumerate(obs)
-    ]
-    shape = (len(groupings), len(_COLUMNS))
-    stats = np.zeros((len(Moments._fields), *shape))
+    ))
     lo, hi = np.full(shape, np.inf), np.full(shape, -np.inf)
-    if not cells:
-        return stats, lo, hi
-    grouping, column, slot, value, sigma = np.array(cells).T
-    grouping, column, slot = (x.astype(np.int64) for x in (grouping, column, slot))
-    var = sigma * sigma
-    log_var = np.array([math.log(v) for v in var.tolist()])  # as costmodel.moments takes it
-    for s in range(int(slot.max()) + 1):
-        at = slot == s
-        rows, cols = grouping[at], column[at]
-        one = Moments(np.ones(len(rows)), 1.0 / var[at], value[at], np.zeros(len(rows)), log_var[at])
-        stats[:, rows, cols] = Moments(*stats[:, rows, cols]).merge(one)
-        lo[rows, cols] = np.minimum(lo[rows, cols], value[at])
-        hi[rows, cols] = np.maximum(hi[rows, cols], value[at])
-    return stats, lo, hi
+    np.minimum.at(lo.ravel(), cells, values)
+    np.maximum.at(hi.ravel(), cells, values)
+    return stats.reshape(len(Moments._fields), *shape), lo, hi
 
 
 def _noise(grouping: PeakGrouping) -> tuple[tuple[str, tuple[float, ...]], ...]:
@@ -218,38 +232,43 @@ def _noise(grouping: PeakGrouping) -> tuple[tuple[str, tuple[float, ...]], ...]:
 ThresholdMemo = dict[tuple[str, str, tuple[float, ...]], float]
 
 
-def _threshold(
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-    noise: Mapping[str, Sequence[float]],
-    memo: ThresholdMemo,
-) -> float:
-    """Summed typing threshold of observations with these sigmas per role;
-    atoms the residue lacks add nothing. Each atom's threshold is looked up
-    in ``memo`` first and stored there once computed."""
+def _typing_thresholds(
+    keys: Iterable[tuple[str, str, tuple[float, ...]]], priors: PriorTable, delta: float
+) -> ThresholdMemo:
+    """Each (residue type, role, sigmas) key's atom typing threshold, for
+    every key at once and equal bit for bit to ``costmodel.typing_threshold``
+    of the atom's prior and these sigmas: each key's adversarial observations
+    merge slot by slot, then into the prior. An atom the residue lacks gets 0."""
+    memo = dict.fromkeys(keys, 0.0)
+    present = [(key, prior) for key in memo if (prior := priors.prior(key[0], key[1])) is not None]
+    prior_moments, _, _ = _merged(len(present), (
+        (r, [prior.mean], [prior.std]) for r, (_, prior) in enumerate(present)
+    ))
+    # typing_threshold's adversarial realization, in its own arithmetic
+    observed, _, _ = _merged(len(present), (
+        (r, [p.mean + delta * p.std + (-1) ** l * delta * s for l, s in enumerate(sigmas)], sigmas)
+        for r, ((_, _, sigmas), p) in enumerate(present)
+    ))
+    cost = marginal_cost(Moments(*prior_moments).merge(Moments(*observed)))
+    memo.update(zip((key for key, _ in present), cost.tolist()))
+    return memo
+
+
+def _summed(memo: ThresholdMemo, residue_type: str, noise: tuple) -> float:
+    """Summed typing threshold of observations with these sigmas per role
+    (``_noise``), in role order; atoms the residue lacks add nothing."""
     total = 0.0
-    for role in sorted(noise):
-        key = (residue_type, role, tuple(noise[role]))
-        if key not in memo:
-            prior = priors.prior(residue_type, role)
-            memo[key] = 0.0 if prior is None else typing_threshold(
-                prior, len(noise[role]), noise[role], tol.delta
-            )
-        total += memo[key]
+    for role, sigmas in noise:
+        total += memo[residue_type, role, sigmas]
     return total
 
 
 def residue_threshold(
-    residue_type: str,
-    priors: PriorTable,
-    tol: Tolerances,
-    expected: ExpectedCounts,
-    memo: ThresholdMemo | None = None,
+    residue_type: str, priors: PriorTable, tol: Tolerances, expected: ExpectedCounts
 ) -> float:
-    """Summed per-atom typing threshold for a null assignment."""
-    noise = {role: [sigma] * count for role, (count, sigma) in expected.items()}
-    return _threshold(residue_type, priors, tol, noise, {} if memo is None else memo)
+    """Summed per-atom typing threshold for a null assignment: what a
+    one-residue graph charges its dummy."""
+    return build_graph([], ProteinSequence(residue_type), priors, tol, expected).thresholds[1]
 
 
 #: a residue type's prior per base role: which atoms it lacks, and each
@@ -304,12 +323,19 @@ def build_graph(
 ) -> AssignmentGraph:
     n = len(seq)
     types = sorted(set(seq.residues))
-    memo: ThresholdMemo = {}
-    threshold = {rt: residue_threshold(rt, priors, tol, expected, memo) for rt in types}
-    thresholds = [0.0] + [threshold[rt] for rt in seq.residues]
     stats, lo, hi = _summaries(groupings)
-    intra, prev = Moments(*stats[..., :len(BASE_ROLES)]), Moments(*stats[..., len(BASE_ROLES):])
+    # contiguous, so that gathering rows of them is a block copy
+    intra, prev = (Moments(*np.ascontiguousarray(part)) for part in np.split(stats, 2, axis=-1))
     walks = _walks(lo, hi, tol.delta3)
+    # every atom typing threshold the build reads, in one batch: those of the
+    # null assignment (noise 0) and of each distinct noise of the groupings
+    null = tuple(sorted((role, (sigma,) * count) for role, (count, sigma) in expected.items()))
+    index = {null: 0}
+    which = np.array([index.setdefault(_noise(g), len(index)) for g in groupings], dtype=np.int64)
+    atoms = {atom for noise in index for atom in noise}
+    memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
+    limits = {rt: [_summed(memo, rt, noise) for noise in index] for rt in types}
+    thresholds = [0.0] + [limits[rt][0] for rt in seq.residues]
     # each residue type's prior merged with every grouping's intra moments;
     # priced alone, that is the grouping's typing cost, which is also what a
     # regular node pays to reach the dummy or the end
@@ -320,28 +346,38 @@ def build_graph(
     typing = {rt: _residue_costs(post) for rt, post in posts.items()}
     # a grouping is typed as the residue type when its typing cost is at most
     # the summed typing threshold of its noise (ties retained)
-    noise = [_noise(g) for g in groupings]
-    typed: dict[str, np.ndarray] = {}
-    for rt in types:
-        limit = {sig: _threshold(rt, priors, tol, dict(sig), memo) for sig in set(noise)}
-        typed[rt] = np.flatnonzero(typing[rt] <= np.array([limit[sig] for sig in noise]))
+    typed = {rt: np.flatnonzero(typing[rt] <= np.array(limits[rt])[which]) for rt in types}
 
     # the grouping rows of each inner layer's regular nodes, then none for the end
     rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
     none = np.full(1, -1)
     grouping_rows = [none, *(np.concatenate([none, r]) for r in rows[:-1]), none]
 
+    # the layers of one residue type share their sources and their costs, so
+    # each type's typed groupings are priced once, against every grouping
+    # typed for a residue that follows the type; each layer then keeps the
+    # pairs that reach its own targets
+    linked = {}
+    for rt in types:
+        followers = [rows[k] for k in range(1, n) if seq.residue_type(k) == rt]
+        src, dst = typed[rt], np.unique(np.concatenate([rows[-1], *followers]))
+        a, b = np.nonzero(walks[src][:, dst])  # two gathers: far cheaper than np.ix_
+        lacks, post = posts[rt]
+        cost = _residue_costs((lacks, _rows(post, src[a])), _rows(prev, dst[b]))
+        # above the threshold the pair is implausible; the dummy route is cheaper
+        keep = cost <= limits[rt][0]
+        linked[rt] = a[keep], dst[b[keep]], cost[keep]
+
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
     first = np.arange(len(grouping_rows[1]))
     edges = [EdgeLayer(np.zeros_like(first), first, np.zeros(len(first)), 1)]
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
-        src, dst = rows[k - 1], rows[k]
-        a, b = np.nonzero(walks[np.ix_(src, dst)])
-        lacks, post = posts[residue_type]
-        cost = _residue_costs((lacks, _rows(post, src[a])), _rows(prev, dst[b]))
-        # above the threshold the pair is implausible; the dummy route is cheaper
-        keep = cost <= thresholds[k]
+        src = rows[k - 1]
+        a, target, cost = linked[residue_type]
+        # the pairs reaching a grouping typed for layer k+1, and its node there
+        keep = np.isin(target, rows[k])
+        b = np.searchsorted(rows[k], target[keep]) + 1
         # a dummy source leaves the target's prev roles unexplained and prices
         # the residue at its threshold; a regular source reaching the dummy
         # (or the end) pays its typing costs alone
@@ -349,7 +385,7 @@ def build_graph(
         sources = np.arange(1, len(src) + 1)
         edges.append(EdgeLayer(
             np.concatenate([np.zeros_like(targets), sources, a[keep] + 1]),
-            np.concatenate([targets, np.zeros_like(sources), b[keep] + 1]),
+            np.concatenate([targets, np.zeros_like(sources), b]),
             np.concatenate([
                 np.full(len(targets), thresholds[k]), typing[residue_type][src], cost[keep]
             ]),

@@ -14,9 +14,11 @@ grouping with a single observation per present role.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +53,8 @@ class PeakGrouping:
 
     grouping_id: str
     member_peaks: frozenset[str]
-    consensus: Mapping[str, tuple[Observation, ...]]
+    #: compared, but left out of the hash: a dict does not hash
+    consensus: Mapping[str, tuple[Observation, ...]] = field(hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "consensus", dict(self.consensus))
@@ -161,45 +164,49 @@ def _role_search(
         (p.peak_id, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
         for p in members
     ]
+    size, budget, delta3 = len(sites), EXPANSION_BUDGET, tol.delta3
     results = []
+    # the branch's state, changed on the way down and restored on the way
+    # back: its (peak_id, role) choices, its peaks per spectrum, and per role
+    # the spectra that took it and their lowest and highest carbon
+    chosen: list[tuple[str, str | None]] = []
+    counts = dict.fromkeys(pattern, 0)
+    spans = {role: ((), math.inf, -math.inf) for *_, roles in sites for role in roles}
 
-    def visit(
-        t: int,
-        chosen: _RoleMap,
-        counts: Mapping[str, int],
-        carbons: tuple[tuple[str, str, float], ...],
-    ) -> None:
-        """``counts``: peaks chosen per spectrum; ``carbons``: the
-        (spectrum, role, shift) triples chosen."""
-        if next(visits) > EXPANSION_BUDGET:
+    def visit(t: int) -> None:
+        if next(visits) > budget:
             raise ComponentTooLargeError("grouping expansion budget exhausted; tolerances too loose")
-        if t == len(sites):
+        if t == size:
             if chosen:
-                results.append((frozenset(pid for pid, _ in chosen), chosen))
+                results.append((frozenset(pid for pid, _ in chosen), tuple(chosen)))
             return
         pid, spectrum, carbon, roles = sites[t]
-        taken = counts.get(spectrum, 0)
         options: list[str | None] = []
-        if taken < pattern[spectrum]:
+        if counts[spectrum] < pattern[spectrum]:
+            # float subtraction is monotone, so the extremes decide whether
+            # any carbon taken lies beyond delta3
             options = [None] if carbon is None else [
                 role
                 for role in roles
-                if not any(
-                    r == role and (s == spectrum or abs(carbon - v) > tol.delta3)
-                    for s, r, v in carbons
-                )
+                if not (spectrum in (span := spans[role])[0] or carbon - span[1] > delta3
+                        or span[2] - carbon > delta3)
             ]
         if skip_always or not options:
-            visit(t + 1, chosen, counts, carbons)
+            visit(t + 1)
+        counts[spectrum] += 1
         for role in options:
-            visit(
-                t + 1,
-                chosen + ((pid, role),),
-                {**counts, spectrum: taken + 1},
-                carbons if role is None else carbons + ((spectrum, role, carbon),),
-            )
+            chosen.append((pid, role))
+            if role is None:
+                visit(t + 1)
+            else:
+                span = spans[role]
+                spans[role] = ((*span[0], spectrum), min(span[1], carbon), max(span[2], carbon))
+                visit(t + 1)
+                spans[role] = span
+            chosen.pop()
+        counts[spectrum] -= 1
 
-    visit(0, (), {}, ())
+    visit(0)
     return results
 
 
@@ -256,29 +263,16 @@ def _expand_clique(
 def _consensus(
     member_set: frozenset[str],
     role_map: _RoleMap,
-    peaks_by_id: Mapping[str, Peak],
-    priors: PriorTable,
+    observation: Callable[[str, str], Observation | None],
 ) -> dict[str, tuple[Observation, ...]]:
     """Observations per role: every member's amide pair, in peak order, then
-    each carbon under the role it was given."""
+    each carbon under the role it was given. ``observation(peak_id, role)``
+    is the peak's observation under that role, None without the coordinate."""
     consensus: dict[str, list[Observation]] = {}
-    for pid in sorted(member_set):
-        peak = peaks_by_id[pid]
-        spectrum = canonical_name(peak.spectrum_id)
-        for label, role in (("H", "HN"), ("N", "N")):
-            value = peak.coord(label)
-            if value is not None:
-                consensus.setdefault(role, []).append(
-                    Observation(role, value, pid, priors.noise_for(spectrum, role))
-                )
-    for pid, role in sorted(role_map, key=lambda item: (item[0], item[1] or "")):
-        if role is None:
-            continue
-        peak = peaks_by_id[pid]
-        spectrum = canonical_name(peak.spectrum_id)
-        consensus.setdefault(role, []).append(
-            Observation(role, peak.coord("C"), pid, priors.noise_for(spectrum, role))
-        )
+    amides = [(pid, role) for pid in sorted(member_set) for role in ("HN", "N")]
+    for pid, role in amides + sorted(item for item in role_map if item[1] is not None):
+        if (obs := observation(pid, role)) is not None:
+            consensus.setdefault(role, []).append(obs)
     return {role: tuple(obs) for role, obs in sorted(consensus.items())}
 
 
@@ -319,9 +313,17 @@ def enumerate_groupings(
             for item in _expand_clique(clique, peaks_by_id, pattern, tol, top_k is None, visits):
                 assignments[item] = None
 
+    @functools.cache
+    def observation(pid: str, role: str) -> Observation | None:
+        """Built once per peak and role, and shared by the groupings."""
+        peak = peaks_by_id[pid]
+        value = peak.coord({"HN": "H", "N": "N"}.get(role, "C"))
+        spectrum = canonical_name(peak.spectrum_id)
+        return None if value is None else Observation(role, value, pid, priors.noise_for(spectrum, role))
+
     found = sorted(
         (
-            (member_set, _consensus(member_set, role_map, peaks_by_id, priors))
+            (member_set, _consensus(member_set, role_map, observation))
             for member_set, role_map in assignments
         ),
         key=lambda item: (sorted(item[0]), sorted(item[1])),

@@ -153,18 +153,18 @@ def _load_and_group(
         messages = "; ".join(i.message for i in report.errors)
         raise NmrAssignError(f"dataset validation failed: {messages}")
 
-    with _stage(stages, "group"):
-        if kind == "spins":
-            return spins_to_groupings(spins, priors), spin_observation_counts(priors)
-        spectra = sorted(
-            {canonical_name(p.spectrum_id) for p in peaks},
-            key=lambda s: FULL_SET.index(s),
-        )
+    if kind == "spins":
+        with _stage(stages, "enumerate"):
+            groupings = spins_to_groupings(spins, priors)
+        return groupings, spin_observation_counts(priors)
+    spectra = sorted({canonical_name(p.spectrum_id) for p in peaks}, key=FULL_SET.index)
+    with _stage(stages, "compat"):
         compat = build_compatibility_graph(peaks, tol)
+    with _stage(stages, "enumerate"):
         groupings = enumerate_groupings(
             compat, peaks, expected_pattern(spectra), top_k, priors, tol
         )
-        return groupings, expected_observation_counts(spectra, priors)
+    return groupings, expected_observation_counts(spectra, priors)
 
 
 def run_assign(

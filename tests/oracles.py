@@ -13,6 +13,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from nmrassign import grouping
 from nmrassign.domain import Peak, ProteinSequence, Tolerances
 from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
@@ -262,3 +263,54 @@ def brute_force_groupings(
             if ok and _role_assignable(subset, pattern, tol):
                 out.add(frozenset(p.peak_id for p in subset))
     return out
+
+
+def any_scan_role_search(
+    members: Sequence[Peak],
+    pattern: Mapping[str, int],
+    tol: Tolerances,
+    skip_always: bool,
+    visits: Iterator[int],
+) -> list[tuple[frozenset[str], tuple[tuple[str, str | None], ...]]]:
+    """``grouping._role_search`` as a stateless recursion: each branch copies
+    its per-spectrum counts and its chosen carbons, and a role is refused by
+    scanning every carbon chosen so far. Same results, in the same order,
+    drawing one step from ``visits`` per visit, against the same
+    ``grouping.EXPANSION_BUDGET``."""
+    sites = [
+        (p.peak_id, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
+        for p in members
+    ]
+    results = []
+
+    def visit(t, chosen, counts, carbons):
+        if next(visits) > grouping.EXPANSION_BUDGET:
+            raise grouping.ComponentTooLargeError("grouping expansion budget exhausted")
+        if t == len(sites):
+            if chosen:
+                results.append((frozenset(pid for pid, _ in chosen), chosen))
+            return
+        pid, spectrum, carbon, roles = sites[t]
+        taken = counts.get(spectrum, 0)
+        options: list[str | None] = []
+        if taken < pattern[spectrum]:
+            options = [None] if carbon is None else [
+                role
+                for role in roles
+                if not any(
+                    r == role and (s == spectrum or abs(carbon - v) > tol.delta3)
+                    for s, r, v in carbons
+                )
+            ]
+        if skip_always or not options:
+            visit(t + 1, chosen, counts, carbons)
+        for role in options:
+            visit(
+                t + 1,
+                chosen + ((pid, role),),
+                {**counts, spectrum: taken + 1},
+                carbons if role is None else carbons + ((spectrum, role, carbon),),
+            )
+
+    visit(0, (), {}, ())
+    return results

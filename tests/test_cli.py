@@ -218,6 +218,29 @@ def test_flya_protocol_via_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_timings_name_each_stage(tmp_path, capsys):
+    """A peak list's grouping is timed as its two stages, the compatibility
+    graph and the enumeration; spin systems are only enumerated."""
+    seq = "ADKFLEGQRS"
+    stages = {}
+    for protocol, dataset in (("flya", "peaks.tsv"), ("cisa", "spins.tsv")):
+        out = tmp_path / protocol
+        assert main([
+            "simulate", "--sequence", seq, "--protocol", protocol, "--seed", "3", "--out", str(out)
+        ]) == EXIT_OK
+        assert main([
+            "assign", "--sequence", seq, "--dataset", str(out / dataset), "--out", str(out)
+        ]) == EXIT_OK
+        seconds = json.loads((out / "timings.json").read_text(encoding="utf-8"))["seconds"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in seconds.values())
+        stages[protocol] = set(seconds)
+    capsys.readouterr()
+    assert stages == {
+        "flya": {"load", "compat", "enumerate", "graph", "solve"},
+        "cisa": {"load", "enumerate", "graph", "solve"},
+    }
+
+
 def test_search_limits_below_one_rejected(tmp_path, capsys):
     out = _simulate(tmp_path, "limits")
     base = ["--sequence", SEQ, "--dataset", str(out / "spins.tsv"), "--out", str(out)]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from nmrassign.graph import (
     END,
     REGULAR,
     START,
+    AssignmentNode,
     EdgeLayer,
     _residue_costs,
     _residue_prior,
+    _typing_thresholds,
     build_graph,
     export_graph,
     graph_stats,
@@ -70,6 +73,48 @@ def _typed_ids(groupings, residue_type, priors, tol):
     rows = g.grouping_rows[1]
     assert rows[0] == -1 and (rows[1:] >= 0).all()
     return [g.groupings[r].grouping_id for r in rows[1:]]
+
+
+def test_groupings_and_nodes_hash_without_the_consensus():
+    """A grouping hashes by its id and members, and a node by its position,
+    kind and grouping; equality still compares the consensus."""
+    a = _grouping("g1", {"CA": 53.0})
+    b = _grouping("g1", {"CA": 53.0})
+    c = _grouping("g1", {"CA": 45.0})
+    assert hash(a) == hash(b) == hash(c)
+    assert a == b and a != c
+    assert len({a, b, c}) == 2
+    nodes = {AssignmentNode(1, 1, REGULAR, g) for g in (a, b, c)}
+    assert len(nodes) == 2 and hash(AssignmentNode(1, 0, DUMMY)) == hash(AssignmentNode(1, 0, DUMMY))
+
+
+def test_batched_typing_thresholds_equal_the_scalar_ones(toy_priors):
+    """Every batched threshold equals ``costmodel.typing_threshold`` bit for
+    bit, for 1-13 observations with mixed sigmas; an atom the residue lacks
+    gets 0."""
+    rng = np.random.default_rng(4)
+    # plus, where this platform has them, sigmas whose variance numpy's log
+    # and math.log round apart: costmodel takes math.log
+    odd = [s for s in np.linspace(0.01, 0.4, 4001).tolist() if math.log(s * s) != np.log(s * s)]
+    sigmas = [0.0075, 0.01, 0.05, 0.1, 0.16, 0.2, 0.37, *odd[:3]]
+    keys = [
+        (rt, role, tuple(float(x) for x in rng.choice(sigmas, size=count)))
+        for rt in ("A", "G", "P")
+        for role in BASE_ROLES
+        for count in range(1, 14)
+    ]
+    delta = Tolerances().delta
+    memo = _typing_thresholds(keys, toy_priors, delta)
+    assert list(memo) == keys
+    lacking = 0
+    for (rt, role, noise), threshold in memo.items():
+        prior = toy_priors.prior(rt, role)
+        if prior is None:
+            lacking += 1
+            assert threshold == 0.0
+        else:
+            assert threshold == typing_threshold(prior, len(noise), noise, delta), (rt, role, noise)
+    assert lacking == 3 * 13  # glycine's CB, proline's N and HN
 
 
 def test_typing_filter_absent_atom(toy_priors, default_tol):
@@ -454,7 +499,7 @@ def _reference_graph(groupings, seq, priors, tol, expected):
         rows.append([a for a in range(len(groupings)) if costs[a] <= threshold(rt, noise[a])])
     rows.append([])
     edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
-    n_walked = n_unwalked = 0
+    n_walked = n_unwalked = n_foreign = 0
     for k, rt in enumerate(seq.residues, 1):
         src, dst = rows[k - 1], rows[k]
         prior = _residue_prior(rt, priors)
@@ -469,6 +514,12 @@ def _reference_graph(groupings, seq, priors, tol, expected):
         ]
         n_walked += len(pairs)
         n_unwalked += len(src) * len(dst) - len(pairs)
+        # walked pairs into groupings typed only for another residue that
+        # follows this type elsewhere: priced with the type, kept by no layer here
+        others = {b for q, t in enumerate(seq.residues[:-1], 1) if t == rt for b in rows[q]}
+        n_foreign += sum(
+            walks(groupings[a], groupings[b]) for a in src for b in sorted(others - set(dst))
+        )
         if pairs:
             cost = _residue_costs(
                 prior,
@@ -477,29 +528,32 @@ def _reference_graph(groupings, seq, priors, tol, expected):
             )
             layer.update({pair: float(c) for pair, c in zip(pairs, cost) if c <= thresholds[k]})
         edges.append(layer)
-    return thresholds, rows[:-1], edges, n_walked, n_unwalked
+    return thresholds, rows[:-1], edges, n_walked, n_unwalked, n_foreign
 
 
 def test_build_graph_matches_per_layer_reference(toy_priors):
     """On random peak-list-style groupings (several observations per role
     with mixed sigmas, unobserved roles, glycine and proline layers) the
     graph's thresholds, typed rows, edge sets and costs equal exactly those
-    of a per-layer reference."""
+    of a per-layer reference. The last sequence's alanines are followed by
+    glycine, proline and alanine, so that the edges its type prices reach
+    groupings that only some of its layers keep."""
     tol = Tolerances(delta3=0.4)
     expected = {"N": (3, 0.1), "HN": (3, 0.0075), "CA": (4, 0.1), "CB": (2, 0.2), "CO": (2, 0.1)}
-    counts = np.zeros(4, dtype=int)
-    for seed in range(12):
+    counts = np.zeros(5, dtype=int)
+    for seed in range(13):
         rng = np.random.default_rng(seed)
-        seq = ProteinSequence("AG" + "".join(rng.choice(list("AAGP"), size=5)))
+        residues = "AG" + "".join(rng.choice(list("AAGP"), size=5)) if seed < 12 else "AGAPAAGA"
+        seq = ProteinSequence(residues)
         groupings = _peak_list_groupings(rng, seq, toy_priors)
         g = build_graph(groupings, seq, toy_priors, tol, expected)
         reference = _reference_graph(groupings, seq, toy_priors, tol, expected)
-        thresholds, rows, edges, walked, unwalked = reference
+        thresholds, rows, edges, walked, unwalked, foreign = reference
         assert g.thresholds == thresholds
         assert [r.tolist() for r in g.grouping_rows[1:-1]] == [[-1, *r] for r in rows]
         assert len(g.edges) == len(edges)
         for layer, want in zip(g.edges, edges):
-            assert dict(layer) == want
+            assert len(layer) == len(want) and dict(layer) == want
         signatures = {
             frozenset(
                 (r, tuple(o.sigma for o in obs)) for r, obs in x.consensus.items() if not is_prev(r)
@@ -508,7 +562,9 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
         }
         shared = sum(bool(s & t) for s, t in itertools.combinations(signatures, 2))
         glycine = sum(len(r) for r, rt in zip(rows, seq.residues) if rt == "G")
-        counts += [walked, unwalked, glycine, shared]
+        counts += [walked, unwalked, glycine, shared, foreign]
     # not vacuous: pairs on both sides of the walk rule, typed glycine layers,
-    # and distinct noise signatures that share one role's sigmas
+    # distinct noise signatures that share one role's sigmas, and walked
+    # pairs that one layer of a type drops and another keeps
     assert counts.min() > 0, counts
+    assert foreign > 0  # on the last, fixed sequence alone

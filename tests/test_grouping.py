@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nmrassign import grouping
 from nmrassign.domain import Peak, SpinSystem, Tolerances
-from nmrassign.experiments import BASIC_SET, expected_pattern
+from nmrassign.experiments import BASIC_SET, FULL_SET, expected_pattern
 from nmrassign.grouping import (
     COMPONENT_BUDGET,
     ComponentTooLargeError,
@@ -12,7 +14,7 @@ from nmrassign.grouping import (
     spins_to_groupings,
 )
 
-from oracles import brute_force_groupings
+from oracles import any_scan_role_search, brute_force_groupings
 
 
 def _peak(pid, spectrum, h, n, c=None, phase=0):
@@ -185,6 +187,64 @@ def test_expansion_budget(toy_priors, default_tol, monkeypatch):
         with pytest.raises(ComponentTooLargeError, match="expansion budget"):
             enumerate_groupings(g, peaks, PATTERN, top_k, toy_priors, default_tol)
         monkeypatch.undo()
+
+
+#: carbon shift centres per role family, so that random peaks collide in
+#: roles and fall on both sides of delta3
+_CENTRES = {"CA": 55.0, "CB": 40.0, "CO": 176.0}
+
+
+def _random_clique(rng, size):
+    """Peaks of one amide, from random spectra of the seven-spectrum set,
+    each with a carbon near a random role family's centre (HSQC without),
+    on a quarter-ppm grid so that two carbons often lie exactly 0.5 apart."""
+    peaks = []
+    for i in range(size):
+        spectrum = str(rng.choice(FULL_SET))
+        phase = int(rng.choice([-1, 0, 1])) if spectrum == "hncacb" else 0
+        carbon = None
+        if spectrum != "hsqc":
+            carbon = _CENTRES[str(rng.choice(list(_CENTRES)))] + 0.25 * int(rng.integers(-4, 5))
+        peaks.append(_peak(f"p{i}", spectrum, 8.0, 120.0, carbon, phase))
+    return peaks
+
+
+def _search(search, members, pattern, tol, skip_always):
+    """(results, steps drawn) of one role search, or (None, steps) when it
+    ran out of budget."""
+    visits = itertools.count(1)
+    try:
+        results = search(members, pattern, tol, skip_always, visits)
+    except ComponentTooLargeError:
+        results = None
+    return results, next(visits) - 1
+
+
+def test_role_search_matches_any_scan_oracle(monkeypatch):
+    """The backtracking role search returns the stateless search's results,
+    in its order, after the same number of steps, in both modes, also where
+    two carbons lie exactly delta3 apart; with a budget it stops at the same
+    step."""
+    pattern = expected_pattern(FULL_SET)
+    tol = Tolerances(delta3=0.5)
+    rng = np.random.default_rng(15)
+    found = steps = 0
+    for trial in range(40):
+        skip_always = trial % 2 == 0
+        members = _random_clique(rng, int(rng.integers(3, 9 if skip_always else 15)))
+        got = _search(grouping._role_search, members, pattern, tol, skip_always)
+        want = _search(any_scan_role_search, members, pattern, tol, skip_always)
+        assert got == want, trial
+        found += len(want[0])
+        steps = max(steps, want[1])
+    assert found > 0 and steps > 100
+    # the budget trips mid-search, at the same step for both
+    members = _random_clique(np.random.default_rng(1), 9)
+    _, total = _search(any_scan_role_search, members, pattern, tol, True)
+    monkeypatch.setattr(grouping, "EXPANSION_BUDGET", total // 2)
+    got = _search(grouping._role_search, members, pattern, tol, True)
+    assert got == _search(any_scan_role_search, members, pattern, tol, True)
+    assert got == (None, total // 2 + 1)
 
 
 def test_deterministic_ids_and_order(toy_priors, default_tol):
