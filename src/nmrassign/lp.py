@@ -6,9 +6,9 @@ and a conservation row per inner node. Peak-sharing is discouraged through
 utilization rows, one per contested peak, that cap the total flow leaving
 nodes consuming that peak. The hard variant caps it at one; the soft
 variant allows overuse through slack variables priced at ``lambda``.
-``peak_incidence`` lists which contested peaks each node consumes; it is
-built once per solve and serves both the utilization rows and the
-Lagrangian stage.
+``peak_incidence`` lists, in numpy arrays, which contested peaks each
+grouping consumes; it is built once per solve and serves both the
+utilization rows and the Lagrangian stage.
 
 The utilization rows are all that separates the program from the layered
 shortest path. So before any LP is built, ``lian1`` and ``lian2`` run a
@@ -22,18 +22,18 @@ After ``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up
 and the LP below decides. ``ilp`` skips the stage and stays the
 full-program oracle.
 
-The relaxations are solved with the dual simplex backend of HiGHS (through
-scipy, whose ``scipy.optimize`` is imported on the first solve), which
-returns vertex solutions; on pure flow polytopes these are integral. The
-root relaxation is solved with HiGHS presolve off (on peak lists, presolve
-took most of the root's time); search nodes keep HiGHS's default. When
-utilization rows make the optimum fractional, a branch and bound
-restricted to the fractional support finds an incumbent, and a global
-branch and bound pruned by it certifies or improves the answer.
-Every search node is a column-subset program: branching drops edges, and
-the global search starts without every column whose root reduced cost
-proves it cannot beat the incumbent. The exact ``ilp`` search starts from
-the root relaxation already solved.
+The module loads numpy only: ``formulate`` imports ``scipy.sparse`` and
+the first solve ``scipy.optimize``, so a Lagrangian proof loads no scipy.
+Relaxations go to HiGHS's dual simplex, whose vertex solutions are
+integral on pure flow polytopes. The root is solved with presolve off (on
+peak lists, presolve took most of the root's time); search nodes keep
+HiGHS's default. When utilization rows make the optimum fractional, a
+branch and bound restricted to the fractional support finds an
+incumbent, and a global branch and bound pruned by it certifies or
+improves the answer. Every search node is a column-subset program:
+branching drops edges, and the global search starts without every column
+whose root reduced cost proves it cannot beat the incumbent. The exact
+``ilp`` search starts from the root relaxation already solved.
 
 Which of several tied optima comes back is up to HiGHS (and its presolve),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
@@ -51,14 +51,16 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
 from .graph import AssignmentGraph
 from .shortest_path import NoPathError, SolveResult, dp_shortest_path, solve_result
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 VARIANTS = ("flow", "lian1", "lian2")
 
@@ -167,6 +169,7 @@ def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
     """One COO -> CSR build from lists of array chunks; None without rows."""
     if not shape[0]:
         return None
+    from scipy import sparse
     matrix = sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     )
@@ -174,44 +177,40 @@ def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
     return matrix
 
 
-def node_offsets(g: AssignmentGraph) -> np.ndarray:
-    """Flat index of each layer's first node, then the number of nodes:
-    node i of layer k is node ``offsets[k] + i`` in (k, i) order."""
-    return np.cumsum([0] + [len(rows) for rows in g.grouping_rows])
-
-
-#: the contested peak ids, and a 0/1 CSR matrix of the ones each node consumes
-Incidence = tuple[list[str], sparse.csr_matrix]
+#: the contested peak ids, then the (indptr, indices) of ``peak_incidence``
+Incidence = tuple[list[str], np.ndarray, np.ndarray]
 
 
 def peak_incidence(g: AssignmentGraph) -> Incidence:
-    """The contested peaks in peak id order, and which of them each node
-    consumes: a 0/1 CSR matrix with one row per node in (k, i) order.
-
-    A peak is contested when two or more inner nodes consume it and at
-    least one of them has an out-edge; these are the peaks that get a
-    utilization row. A node's row is its grouping's row of one
-    grouping-by-peak matrix, built once from the groupings' members.
+    """The contested peaks in peak id order, and which of them each grouping
+    consumes: row r consumes ``indices[indptr[r]:indptr[r + 1]]``, ascending,
+    and a final empty row serves row -1 (start, dummy and end nodes). A peak
+    is contested when two or more inner nodes consume it and at least one of
+    them has an out-edge; these are the peaks that get a utilization row.
     """
-    peaks = sorted({pid for grouping in g.groupings for pid in grouping.member_peaks})
-    column = {pid: c for c, pid in enumerate(peaks)}
-    members = [sorted(column[pid] for pid in grouping.member_peaks) for grouping in g.groupings]
-    # one more, empty row: start, dummy and end nodes carry grouping row -1
-    by_grouping = sparse.csr_matrix(
-        (
-            np.ones(sum(map(len, members))),
-            np.array([c for row in members for c in row], dtype=np.int64),
-            np.cumsum([0] + [len(row) for row in members] + [0]),
-        ),
-        shape=(len(members) + 1, len(peaks)),
-    )
+    ids = [pid for grouping in g.groupings for pid in sorted(grouping.member_peaks)]
+    owner = np.repeat(np.arange(len(g.groupings)), [len(gr.member_peaks) for gr in g.groupings])
+    peaks, cols = np.unique(ids, return_inverse=True)
     rows = np.concatenate(g.grouping_rows)
     has_out = np.concatenate([np.diff(layer.indptr) > 0 for layer in g.edges] + [[False]])
-    regular = rows >= 0
-    consumers = by_grouping.T @ np.bincount(rows[regular], minlength=len(members) + 1)
-    with_out = by_grouping.T @ np.bincount(rows[regular & has_out], minlength=len(members) + 1)
-    contested = np.flatnonzero((consumers >= 2) & (with_out >= 1))
-    return [peaks[c] for c in contested], by_grouping[:, contested][rows]
+    # per peak, the inner nodes consuming it, and those of them with an out-edge
+    consumers, with_out = (
+        np.bincount(cols, np.bincount(rows[nodes], minlength=len(g.groupings))[owner], len(peaks))
+        for nodes in (rows >= 0, (rows >= 0) & has_out)
+    )
+    contested = (consumers >= 2) & (with_out >= 1)
+    kept = contested[cols]
+    indptr = np.cumsum(np.r_[0, np.bincount(owner[kept], minlength=len(g.groupings) + 1)])
+    return peaks[contested].tolist(), indptr, (np.cumsum(contested) - 1)[cols[kept]]
+
+
+def _consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The contested peaks grouping rows ``rows`` consume, row after row,
+    and the position in ``rows`` of the row consuming each."""
+    counts = np.diff(indptr)[rows]
+    at = np.repeat(np.arange(len(counts)), counts)
+    first = (indptr[:-1][rows] - np.cumsum(counts) + counts)[at]
+    return indices[first + np.arange(len(at))], at
 
 
 def formulate(
@@ -250,14 +249,11 @@ def formulate(
     utilization: list[str] = []
     ub_rows, ub_cols, ub_data = [], [], []
     if variant in ("lian1", "lian2"):
-        utilization, consumes = peak_incidence(g) if incidence is None else incidence
+        utilization, indptr, indices = peak_incidence(g) if incidence is None else incidence
         # utilization row r holds the out-edges of every node consuming peak r
-        offsets = node_offsets(g)
-        sources = np.concatenate([offsets[k] + layer.src for k, layer in enumerate(g.edges)])
-        rows_of_edges = consumes[sources].T.tocoo()
-        ub_rows.append(rows_of_edges.row)
-        ub_cols.append(rows_of_edges.col)
-        ub_data.append(rows_of_edges.data)
+        sources = np.concatenate([g.grouping_rows[k][layer.src] for k, layer in enumerate(g.edges)])
+        peaks, edges = _consumed(indptr, indices, sources)
+        ub_rows, ub_cols, ub_data = [peaks], [edges], [np.ones(len(peaks))]
         if variant == "lian2":
             slack = np.arange(n_edges, n_edges + len(utilization))
             ub_rows.append(slack - n_edges)
@@ -551,13 +547,15 @@ def lagrangian_stage(
     integrality property, so the bound reaches the LP root bound at best:
     the stage can only prove instances whose root relaxation is integral.
     """
-    peaks, consumes = incidence
-    offsets = node_offsets(g)
+    peaks, indptr, indices = incidence
+    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     mu = np.zeros(len(peaks))
     best, theta, stall = -math.inf, 2.0, 0
     for iteration in range(1, LAGRANGIAN_ITERATIONS + 1):
-        path = dp_shortest_path(g, np.split(consumes @ mu, offsets[1:-1]))
-        use = np.bincount(consumes[offsets[:-1] + path.nodes].indices, minlength=len(peaks))
+        price = np.bincount(owner, mu[indices], len(indptr) - 1)
+        path = dp_shortest_path(g, [price[rows] for rows in g.grouping_rows])
+        carried = [g.grouping_rows[k][i] for k, i in enumerate(path.nodes)]
+        use = np.bincount(_consumed(indptr, indices, carried)[0], minlength=len(peaks))
         bound = path.total_cost + float(mu @ (use - 1.0))
         overuse = int(np.maximum(use - 1, 0).sum())
         # infinite for a hard-variant path that reuses a peak

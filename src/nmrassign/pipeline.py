@@ -180,7 +180,7 @@ def run_assign(
     node_limit: int = NODE_LIMIT,
 ) -> dict:
     """Full assignment run; returns a summary including the exit status."""
-    from . import lp as lpmod  # scipy.sparse; scipy's solver loads on the first LP solve
+    from . import lp as lpmod  # loads numpy only; formulate loads scipy.sparse
 
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown variant {variant!r}")

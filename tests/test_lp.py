@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import Counter
 
@@ -18,7 +19,6 @@ from nmrassign.lp import (
     is_integral,
     lagrangian_stage,
     load_backend,
-    node_offsets,
     peak_incidence,
     round_and_resolve,
     solve_ilp,
@@ -710,8 +710,10 @@ def test_extract_path_requires_values(default_tol):
 
 def test_peak_incidence_matches_usage(default_tol):
     """A peak is contested when two or more inner nodes consume it and one
-    of them has an out-edge; each node's row lists the contested peaks it
-    consumes, and the utilization rows follow the same peaks."""
+    of them has an out-edge. Each grouping row lists the contested peaks it
+    consumes in ascending order, the final row (row -1) is empty, and
+    utilization row r of the LP holds exactly the out-edges of the nodes
+    whose usage contains peak r."""
     rng = np.random.default_rng(61)
     graphs = [random_instance(rng, int(rng.integers(1, 7)), 4, int(rng.integers(2, 16)))
               for _ in range(40)]
@@ -719,10 +721,14 @@ def test_peak_incidence_matches_usage(default_tol):
     # other consumer, and p3's consumers have no out-edge at all
     edges = [{(0, 0): 0.0, (0, 1): 0.0}, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, {(0, 0): 1.0}]
     usage = [{}, {1: {"p1"}}, {1: {"p3"}, 2: {"p1", "p2"}, 3: {"p3"}}, {}]
-    graphs.append(make_graph([2, 4], edges, usage))
+    handmade = make_graph([2, 4], edges, usage)
+    assert peak_incidence(handmade)[0] == ["p1"]
+    # no grouping at all, and groupings whose peaks no other node consumes
+    uncontested = make_graph([2, 2], [{(0, 0): 0.0, (0, 1): 0.0}, {(0, 0): 1.0, (1, 1): 0.0},
+                                      {(0, 0): 1.0, (1, 0): 0.0}])
+    graphs += [handmade, _dummies_only([0.0, 1.0, 2.0]), uncontested]
     for g in graphs:
-        peaks, consumes = peak_incidence(g)
-        offsets = node_offsets(g)
+        peaks, indptr, indices = peak_incidence(g)
         consumers: dict[str, list[tuple[int, int]]] = {}
         for k in range(1, g.n + 1):
             for i in range(len(g.layers[k])):
@@ -733,12 +739,21 @@ def test_peak_incidence_matches_usage(default_tol):
             if len(nodes) >= 2 and any((g.edges[k].src == i).any() for k, i in nodes)
         )
         assert peaks == want
-        for k, layer in enumerate(g.layers):
-            for i in range(len(layer)):
-                row = consumes[offsets[k] + i].indices
-                assert sorted(peaks[c] for c in row) == sorted(set(want) & g.usage(k, i))
-        assert formulate(g, "lian1", default_tol).utilization == peaks
-    assert peaks == ["p1"]
+        assert len(indptr) == len(g.groupings) + 2 and indptr[-2] == indptr[-1] == len(indices)
+        for r, grouping in enumerate(g.groupings):
+            row = indices[indptr[r]:indptr[r + 1]]
+            assert [peaks[c] for c in row] == sorted(set(want) & grouping.member_peaks)
+        lp = formulate(g, "lian1", default_tol)
+        assert lp.utilization == peaks
+        # the oracle reads each edge's source node's usage, not the incidence
+        oracle = np.zeros((len(peaks), lp.n_vars))
+        for k, layer in enumerate(g.edges):
+            for e, i in enumerate(layer.src.tolist()):
+                for r, pid in enumerate(lp.utilization):
+                    oracle[r, lp.edge_offsets[k] + e] = pid in g.usage(k, i)
+        got = oracle[:0] if lp.A_ub is None else lp.A_ub.toarray()
+        assert got.shape == oracle.shape and (got == oracle).all()
+    assert [len(peak_incidence(g)[0]) for g in graphs[-2:]] == [0, 0]
 
 
 def test_lagrangian_proofs_match_oracles():
@@ -777,6 +792,83 @@ def test_lagrangian_proofs_match_oracles():
             assert result.epsilons == {p: c - 1.0 for p, c in result.reused_peaks.items()}
             proofs[lam] += 1
     assert min(proofs["lian1"], proofs[0.5], proofs[5.0]) > 0, proofs
+
+
+#: lagrangian_stage's (nodes, bound.hex(), iterations) for the hard variant,
+#: lambda 0.5 and lambda 5 on the first 20 instances of ``default_rng(1616)``
+LAGRANGIAN_PINS = [
+    [(None, "-0x1.ce28309f4c503p-2", 15),
+     (None, "-0x1.ce28309f4c503p-2", 15),
+     (None, "-0x1.ce28309f4c503p-2", 15)],
+    [(None, "0x1.7e892a6086a16p+2", 15),
+     ((0, 1, 1, 1, 0, 0), "0x1.41ea1198d0be4p+2", 7),
+     (None, "0x1.7e892a6086a16p+2", 15)],
+    [(None, "-0x1.df88884627389p+3", 15),
+     ((0, 2, 2, 2, 1, 1, 0), "-0x1.f89b17bb882a8p+3", 9),
+     (None, "-0x1.df88884627389p+3", 15)],
+    [(None, "0x1.37e01b56dd796p-3", 15),
+     (None, "0x1.37e01b56dd796p-3", 15),
+     (None, "0x1.37e01b56dd796p-3", 15)],
+    [(None, "-0x1.56268b13bbfe4p+1", 15),
+     ((0, 3, 1, 0), "-0x1.85ff056728136p+1", 9),
+     (None, "-0x1.56268b13bbfe4p+1", 15)],
+    [(None, "0x1.21ee6acec6fbfp+3", 15),
+     (None, "0x1.11ed4b1fcb72ap+3", 15),
+     (None, "0x1.21ee6acec6fbfp+3", 15)],
+    [(None, "-0x1.6db25a09fdadap+2", 15),
+     (None, "-0x1.6db25a09fdadap+2", 15),
+     (None, "-0x1.6db25a09fdadap+2", 15)],
+    [(None, "-0x1.582acde6ead0ep+2", 15),
+     (None, "-0x1.582acde6ead0ep+2", 15),
+     (None, "-0x1.582acde6ead0ep+2", 15)],
+    [(None, "-0x1.6d97109768df2p+3", 15),
+     (None, "-0x1.72dd9cf97525ep+3", 15),
+     (None, "-0x1.6d97109768df2p+3", 15)],
+    [(None, "-0x1.550e6a6cf6995p+3", 15),
+     (None, "-0x1.550e6a6cf6995p+3", 15),
+     (None, "-0x1.550e6a6cf6995p+3", 15)],
+    [(None, "0x1.ecf6b15866dcep+0", 15),
+     (None, "0x1.ecf6b15866dcep+0", 15),
+     (None, "0x1.ecf6b15866dcep+0", 15)],
+    [((0, 1, 2, 0), "-0x1.97a227c731674p+1", 1),
+     ((0, 1, 2, 0), "-0x1.97a227c731674p+1", 1),
+     ((0, 1, 2, 0), "-0x1.97a227c731674p+1", 1)],
+    [(None, "-0x1.2a0c4a0540af7p+3", 15),
+     (None, "-0x1.2a0c4a0540af7p+3", 15),
+     (None, "-0x1.2a0c4a0540af7p+3", 15)],
+    [(None, "-0x1.2bbefa8ead686p-4", 15),
+     (None, "-0x1.2bbefa8ead686p-4", 15),
+     (None, "-0x1.2bbefa8ead686p-4", 15)],
+    [((0, 1, 1, 1, 0), "-0x1.caa45199ab776p+2", 15),
+     ((0, 2, 3, 2, 0), "-0x1.ee2e46d50e03ap+2", 8),
+     ((0, 1, 1, 1, 0), "-0x1.caa45199ab776p+2", 15)],
+    [(None, "-0x1.8e0c62bf3ca12p+0", 15),
+     (None, "-0x1.8e0c62bf3ca12p+0", 15),
+     (None, "-0x1.8e0c62bf3ca12p+0", 15)],
+    [(None, "-0x1.01e0f5001b808p+2", 15),
+     ((0, 2, 1, 0), "-0x1.362d3e7683376p+2", 6),
+     (None, "-0x1.01e0f5001b808p+2", 15)],
+    [(None, "-0x1.7f0ebf3516934p+0", 15),
+     (None, "-0x1.7f0ebf3516934p+0", 15),
+     (None, "-0x1.7f0ebf3516934p+0", 15)],
+    [((0, 1, 1, 0), "-0x1.b1b5614a61cc8p-1", 1),
+     ((0, 1, 1, 0), "-0x1.b1b5614a61cc8p-1", 1),
+     ((0, 1, 1, 0), "-0x1.b1b5614a61cc8p-1", 1)],
+    [(None, "-0x1.edde921d5284cp+1", 15),
+     (None, "-0x1.edde921d5284cp+1", 15),
+     (None, "-0x1.edde921d5284cp+1", 15)],
+]
+
+
+def test_lagrangian_stage_is_pinned_bit_for_bit():
+    """The stage's paths, bounds and iteration counts do not move, not even
+    in a bound's last bit, which summation order alone could change."""
+    rng = np.random.default_rng(1616)
+    for want in LAGRANGIAN_PINS:
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        incidence = peak_incidence(g)
+        stages = [lagrangian_stage(g, incidence, lam) for lam in (math.inf, 0.5, 5.0)]
+        assert [(s.nodes, s.bound.hex(), s.iterations) for s in stages] == want
 
 
 #: lian1 and lian2 (lambda 2) answers on the first 8 conflicted random
