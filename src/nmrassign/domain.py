@@ -294,24 +294,13 @@ def validate_dataset(
         else:
             for role in BASE_ROLES:
                 if role not in priors.atoms[code]:
-                    report.add(
-                        "MissingPriorEntry",
-                        f"no prior entry for ({code}, {role})",
-                        fatal=False,
-                    )
+                    report.add("MissingPriorEntry", f"no prior entry for ({code}, {role})", fatal=True)
 
     records: Iterable[tuple[str, str]]
     if peaks is not None:
         if len(peaks) == 0:
             report.add("EmptyDataset", "0 peaks", fatal=False)
         records = [(p.peak_id, "peak") for p in peaks]
-        for p in peaks:
-            if p.coord("H") is None and p.coord("N") is None:
-                report.add(
-                    "MalformedCoordinates",
-                    f"peak {p.peak_id} carries neither H nor N",
-                    fatal=False,
-                )
     else:
         assert spins is not None
         if len(spins) == 0:

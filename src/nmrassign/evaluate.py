@@ -23,6 +23,10 @@ class LengthMismatchError(NmrAssignError):
     pass
 
 
+class SequenceMismatchError(NmrAssignError):
+    pass
+
+
 class PathNotInGraphError(NmrAssignError):
     pass
 
@@ -122,9 +126,9 @@ def _judge(ra: ResidueAssignment, gt: GroundTruth) -> tuple[bool, bool]:
 
 
 def score(a: Assignment, gt: GroundTruth) -> ScoreReport:
-    if len(a.sequence) != len(gt.sequence):
-        raise LengthMismatchError(
-            f"assignment covers {len(a.sequence)} residues, ground truth {len(gt.sequence)}"
+    if a.sequence != gt.sequence:
+        raise SequenceMismatchError(
+            f"assignment is of sequence {a.sequence}, ground truth of sequence {gt.sequence}"
         )
     m_assigned = m_correct = m_assignable = 0
     verdicts: dict[int, str] = {}

@@ -1,13 +1,16 @@
 """Enumeration of internally consistent peak groupings.
 
-Peaks are linked pairwise when their amide (H, N) coordinates agree within
-tolerance, by one comparison per dimension over the peaks' (n × 2) amide
-array. Maximal cliques of that compatibility graph are then expanded into
-groupings by a role search: it gives each carbon-carrying peak an atom role
-so that same-role values agree within the carbon window and the grouping's
-per-spectrum composition does not exceed the expected pattern. Budgets on
-component size and on search steps per component stop runs whose
-tolerances are too loose.
+All of it works on integer indices into one peak table, sorted by peak id,
+so index order is id order. The compatibility graph is that table plus its
+(n × n) amide matrix: two peaks are linked when their amide (H, N)
+coordinates agree within tolerance, by one comparison per dimension.
+Maximal cliques of the graph are then expanded into groupings by a role
+search over rows of a site table (each peak's canonical spectrum, carbon
+and candidate roles, built once per enumeration): it gives each
+carbon-carrying peak an atom role so that same-role values agree within the
+carbon window and the grouping's per-spectrum composition does not exceed
+the expected pattern. Budgets on component size and on search steps per
+component stop runs whose tolerances are too loose.
 
 Spin-system input bypasses all of this: each system becomes one degenerate
 grouping with a single observation per present role.
@@ -37,9 +40,12 @@ COMPONENT_BUDGET = 64
 #: most role-search steps one component may take
 EXPANSION_BUDGET = 500_000
 
-#: ((peak_id, role), ...) for the peaks of one grouping; None is the role
+#: (peak index, canonical spectrum, carbon or None, candidate roles): one
+#: peak's row of the site table, indexed like the compatibility graph's peaks
+_Site = tuple[int, str, float | None, tuple[str, ...]]
+#: ((peak index, role), ...) for the peaks of one grouping; None is the role
 #: of a peak without a carbon
-_RoleMap = tuple[tuple[str, str | None], ...]
+_RoleMap = tuple[tuple[int, str | None], ...]
 
 
 class ComponentTooLargeError(NmrAssignError):
@@ -63,10 +69,13 @@ class PeakGrouping:
         return self.consensus.get(role, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
-    vertices: tuple[str, ...]
-    adjacency: Mapping[str, frozenset[str]]
+    """The peaks, sorted by id, and their (n × n) amide matrix: entry (i, j)
+    is True when peaks i and j agree in their amide coordinates."""
+
+    peaks: tuple[Peak, ...]
+    adjacency: np.ndarray
 
 
 def _amide_array(peaks: Sequence[Peak]) -> np.ndarray:
@@ -93,21 +102,15 @@ def build_compatibility_graph(peaks: Sequence[Peak], tol: Tolerances) -> Compati
     Carbon consistency is not decidable pairwise (role labels are assigned
     per grouping), so it is enforced during expansion instead.
     """
-    ordered = sorted(peaks, key=lambda p: p.peak_id)
-    vertices = tuple(p.peak_id for p in ordered)
-    return CompatibilityGraph(
-        vertices=vertices,
-        adjacency={
-            pid: frozenset(vertices[j] for j in np.flatnonzero(row).tolist())
-            for pid, row in zip(vertices, _amide_matrix(ordered, tol))
-        },
-    )
+    ordered = tuple(sorted(peaks, key=lambda p: p.peak_id))
+    return CompatibilityGraph(ordered, _amide_matrix(ordered, tol))
 
 
-def _connected_components(graph: CompatibilityGraph) -> list[list[str]]:
-    seen: set[str] = set()
+def _connected_components(neighbours: Sequence[frozenset[int]]) -> list[list[int]]:
+    """Each component's peak indices, ascending, in order of its first."""
+    seen: set[int] = set()
     components = []
-    for start in graph.vertices:
+    for start in range(len(neighbours)):
         if start in seen:
             continue
         comp = []
@@ -116,7 +119,7 @@ def _connected_components(graph: CompatibilityGraph) -> list[list[str]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in sorted(graph.adjacency[v]):
+            for w in sorted(neighbours[v]):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -124,11 +127,11 @@ def _connected_components(graph: CompatibilityGraph) -> list[list[str]]:
     return components
 
 
-def _maximal_cliques(vertices: Sequence[str], adj: Mapping[str, frozenset[str]]) -> list[list[str]]:
+def _maximal_cliques(vertices: Sequence[int], adj: Sequence[frozenset[int]]) -> list[list[int]]:
     """Bron-Kerbosch with pivoting, deterministic order."""
-    cliques: list[list[str]] = []
+    cliques: list[list[int]] = []
 
-    def visit(r: list[str], p: set[str], x: set[str]) -> None:
+    def visit(r: list[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             cliques.append(sorted(r))
             return
@@ -142,15 +145,23 @@ def _maximal_cliques(vertices: Sequence[str], adj: Mapping[str, frozenset[str]])
     return sorted(cliques, key=lambda c: (-len(c), c))
 
 
+def _site_table(peaks: Sequence[Peak]) -> list[_Site]:
+    """(index, canonical spectrum, carbon or None, candidate roles) per peak."""
+    return [
+        (i, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
+        for i, p in enumerate(peaks)
+    ]
+
+
 def _role_search(
-    members: Sequence[Peak],
+    sites: Sequence[_Site],
     pattern: Mapping[str, int],
     tol: Tolerances,
     skip_always: bool,
     visits: Iterator[int],
-) -> list[tuple[frozenset[str], _RoleMap]]:
-    """Role assignments of (subsets of) ``members``, in search order, as
-    (member set, ((peak_id, role), ...)) pairs.
+) -> list[tuple[frozenset[int], _RoleMap]]:
+    """Role assignments of (subsets of) the peaks of ``sites``, in search
+    order, as (member set, ((peak index, role), ...)) pairs.
 
     A carbon-carrying peak takes a role its spectrum offers, has not used
     yet, and whose carbons taken so far lie within δ3 of its own; a peak
@@ -160,16 +171,12 @@ def _role_search(
     branch, so every result is locally maximal. Each step draws from
     ``visits``, the step counter of the peaks' component.
     """
-    sites = [
-        (p.peak_id, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
-        for p in members
-    ]
     size, budget, delta3 = len(sites), EXPANSION_BUDGET, tol.delta3
     results = []
     # the branch's state, changed on the way down and restored on the way
-    # back: its (peak_id, role) choices, its peaks per spectrum, and per role
+    # back: its (peak, role) choices, its peaks per spectrum, and per role
     # the spectra that took it and their lowest and highest carbon
-    chosen: list[tuple[str, str | None]] = []
+    chosen: list[tuple[int, str | None]] = []
     counts = dict.fromkeys(pattern, 0)
     spans = {role: ((), math.inf, -math.inf) for *_, roles in sites for role in roles}
 
@@ -178,9 +185,9 @@ def _role_search(
             raise ComponentTooLargeError("grouping expansion budget exhausted; tolerances too loose")
         if t == size:
             if chosen:
-                results.append((frozenset(pid for pid, _ in chosen), tuple(chosen)))
+                results.append((frozenset(i for i, _ in chosen), tuple(chosen)))
             return
-        pid, spectrum, carbon, roles = sites[t]
+        i, spectrum, carbon, roles = sites[t]
         options: list[str | None] = []
         if counts[spectrum] < pattern[spectrum]:
             # float subtraction is monotone, so the extremes decide whether
@@ -195,7 +202,7 @@ def _role_search(
             visit(t + 1)
         counts[spectrum] += 1
         for role in options:
-            chosen.append((pid, role))
+            chosen.append((i, role))
             if role is None:
                 visit(t + 1)
             else:
@@ -211,26 +218,24 @@ def _role_search(
 
 
 def _expand_clique(
-    clique: Sequence[str],
-    peaks_by_id: Mapping[str, Peak],
+    clique: Sequence[int],
+    sites: Sequence[_Site],
+    amide: np.ndarray,
     pattern: Mapping[str, int],
     tol: Tolerances,
     exhaustive: bool,
     visits: Iterator[int],
-) -> list[tuple[frozenset[str], _RoleMap]]:
-    """Enumerate role assignments for (subsets of) a clique.
+) -> list[tuple[frozenset[int], _RoleMap]]:
+    """Enumerate role assignments for (subsets of) a clique of peak indices.
 
-    Returns (member set, ((peak_id, role), ...)) pairs. In exhaustive mode
-    every valid subset is returned once (first feasible role map); otherwise
-    only assignments whose member set is maximal are kept.
+    Returns (member set, ((peak index, role), ...)) pairs. In exhaustive
+    mode every valid subset is returned once (first feasible role map);
+    otherwise only assignments whose member set is maximal are kept.
     """
-    members = sorted(
-        (peaks_by_id[pid] for pid in clique if canonical_name(peaks_by_id[pid].spectrum_id) in pattern),
-        key=lambda p: (canonical_name(p.spectrum_id), p.peak_id),
-    )
+    members = sorted((sites[i] for i in clique if sites[i][1] in pattern), key=lambda s: (s[1], s[0]))
 
     if exhaustive:
-        by_members: dict[frozenset[str], _RoleMap] = {}
+        by_members: dict[frozenset[int], _RoleMap] = {}
         for member_set, role_map in _role_search(members, pattern, tol, True, visits):
             by_members.setdefault(member_set, role_map)
         return sorted(by_members.items(), key=lambda item: sorted(item[0]))
@@ -239,52 +244,51 @@ def _expand_clique(
     # amide distance to the anchor (ties in the clique's order) lets that
     # residue's peaks claim the per-spectrum slots before any merged
     # neighbor's peaks.
-    amide = _amide_array(members)
+    rows = amide[[s[0] for s in members]]
     windows = np.array([tol.delta1, tol.delta2])
-    anchors = [a for a, p in enumerate(members) if p.coord("C") is None] or range(len(members))
-    role_maps: dict[frozenset[str], set[_RoleMap]] = {}
+    anchors = [a for a, s in enumerate(members) if s[2] is None] or range(len(members))
+    role_maps: dict[frozenset[int], set[_RoleMap]] = {}
     for a in anchors:
-        distance = np.nansum(np.abs(amide - amide[a]) / windows, axis=1)
+        distance = np.nansum(np.abs(rows - rows[a]) / windows, axis=1)
         ordered = [members[i] for i in np.argsort(distance, kind="stable")]
         for member_set, role_map in _role_search(ordered, pattern, tol, False, visits):
             role_maps.setdefault(member_set, set()).add(role_map)
 
-    maximal: list[frozenset[str]] = []
+    maximal: list[frozenset[int]] = []
     for s in sorted(role_maps, key=lambda s: (-len(s), sorted(s))):
         if not any(s < kept for kept in maximal):
             maximal.append(s)
     return [
         (s, role_map)
         for s in sorted(maximal, key=sorted)
-        for role_map in sorted(role_maps[s], key=lambda rm: [(pid, role or "") for pid, role in rm])
+        for role_map in sorted(role_maps[s], key=lambda rm: [(i, role or "") for i, role in rm])
     ]
 
 
 def _consensus(
-    member_set: frozenset[str],
+    member_set: frozenset[int],
     role_map: _RoleMap,
-    observation: Callable[[str, str], Observation | None],
+    observation: Callable[[int, str], Observation | None],
 ) -> dict[str, tuple[Observation, ...]]:
     """Observations per role: every member's amide pair, in peak order, then
-    each carbon under the role it was given. ``observation(peak_id, role)``
-    is the peak's observation under that role, None without the coordinate."""
+    each carbon under the role it was given. ``observation(i, role)`` is
+    peak i's observation under that role, None without the coordinate."""
     consensus: dict[str, list[Observation]] = {}
-    amides = [(pid, role) for pid in sorted(member_set) for role in ("HN", "N")]
-    for pid, role in amides + sorted(item for item in role_map if item[1] is not None):
-        if (obs := observation(pid, role)) is not None:
+    amides = [(i, role) for i in sorted(member_set) for role in ("HN", "N")]
+    for i, role in amides + sorted(item for item in role_map if item[1] is not None):
+        if (obs := observation(i, role)) is not None:
             consensus.setdefault(role, []).append(obs)
     return {role: tuple(obs) for role, obs in sorted(consensus.items())}
 
 
 def enumerate_groupings(
     graph: CompatibilityGraph,
-    peaks: Sequence[Peak],
     expected_pattern: Mapping[str, int],
     top_k: int | None,
     priors: PriorTable,
     tol: Tolerances,
 ) -> list[PeakGrouping]:
-    """Expand maximal cliques into groupings.
+    """Expand maximal cliques of the graph's peaks into groupings.
 
     With ``top_k`` set, only the top_k largest maximal cliques per connected
     component are expanded (size descending, ties by lexicographic member
@@ -293,8 +297,9 @@ def enumerate_groupings(
     enumeration at small scale.
     """
     pattern = {canonical_name(name): count for name, count in expected_pattern.items()}
-    peaks_by_id = {p.peak_id: p for p in peaks}
-    components = _connected_components(graph)
+    peaks, sites, amide = graph.peaks, _site_table(graph.peaks), _amide_array(graph.peaks)
+    neighbours = [frozenset(np.flatnonzero(row).tolist()) for row in graph.adjacency]
+    components = _connected_components(neighbours)
     for comp in components:
         if len(comp) > COMPONENT_BUDGET:
             raise ComponentTooLargeError(
@@ -303,23 +308,23 @@ def enumerate_groupings(
 
     # an insertion-ordered set: cliques overlap, so the same assignment can
     # be found twice
-    assignments: dict[tuple[frozenset[str], _RoleMap], None] = {}
+    assignments: dict[tuple[frozenset[int], _RoleMap], None] = {}
     for comp in components:
-        cliques = _maximal_cliques(comp, graph.adjacency)
+        cliques = _maximal_cliques(comp, neighbours)
         if top_k is not None:
             cliques = cliques[:top_k]
         visits = itertools.count(1)  # role-search steps of this component
         for clique in cliques:
-            for item in _expand_clique(clique, peaks_by_id, pattern, tol, top_k is None, visits):
+            for item in _expand_clique(clique, sites, amide, pattern, tol, top_k is None, visits):
                 assignments[item] = None
 
     @functools.cache
-    def observation(pid: str, role: str) -> Observation | None:
+    def observation(i: int, role: str) -> Observation | None:
         """Built once per peak and role, and shared by the groupings."""
-        peak = peaks_by_id[pid]
-        value = peak.coord({"HN": "H", "N": "N"}.get(role, "C"))
-        spectrum = canonical_name(peak.spectrum_id)
-        return None if value is None else Observation(role, value, pid, priors.noise_for(spectrum, role))
+        value = peaks[i].coord({"HN": "H", "N": "N"}.get(role, "C"))
+        if value is None:
+            return None
+        return Observation(role, value, peaks[i].peak_id, priors.noise_for(sites[i][1], role))
 
     found = sorted(
         (
@@ -329,7 +334,7 @@ def enumerate_groupings(
         key=lambda item: (sorted(item[0]), sorted(item[1])),
     )
     return [
-        PeakGrouping(f"g{idx:05d}", member_set, consensus)
+        PeakGrouping(f"g{idx:05d}", frozenset(peaks[i].peak_id for i in member_set), consensus)
         for idx, (member_set, consensus) in enumerate(found)
     ]
 

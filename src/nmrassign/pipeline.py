@@ -161,9 +161,7 @@ def _load_and_group(
     with _stage(stages, "compat"):
         compat = build_compatibility_graph(peaks, tol)
     with _stage(stages, "enumerate"):
-        groupings = enumerate_groupings(
-            compat, peaks, expected_pattern(spectra), top_k, priors, tol
-        )
+        groupings = enumerate_groupings(compat, expected_pattern(spectra), top_k, priors, tol)
     return groupings, expected_observation_counts(spectra, priors)
 
 

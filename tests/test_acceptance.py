@@ -207,7 +207,7 @@ def test_criterion_7_grouping_completeness(toy_priors):
                 )
             )
         compat = build_compatibility_graph(peaks, tol)
-        emitted = enumerate_groupings(compat, peaks, pattern, None, toy_priors, tol)
+        emitted = enumerate_groupings(compat, pattern, None, toy_priors, tol)
         got = {g.member_peaks for g in emitted}
         want = brute_force_groupings(peaks, pattern, tol)
         assert got == want

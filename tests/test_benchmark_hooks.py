@@ -88,6 +88,8 @@ def test_graph_build_counts_match_the_grouping_rows(monkeypatch, tmp_path, capsy
             "--out", str(tmp_path),
         ]) == 0
     capsys.readouterr()
+    names = {span.name for span in tracer.spans}
+    assert {"grouping.compat", "grouping.enumerate"} <= names
     [g] = graphs
     [counts] = [span.counts for span in tracer.spans if span.name == "graph.build"]
     sizes = [len(rows) for rows in g.grouping_rows]

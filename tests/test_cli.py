@@ -109,6 +109,26 @@ def test_simulate_assign_evaluate_round_trip(tmp_path, capsys):
     assert (out / "report.json").exists() and (out / "report.txt").exists()
 
 
+def test_evaluate_rejects_another_proteins_ground_truth(tmp_path, capsys):
+    """An assignment scored against a ground truth of another sequence of
+    the same length is an input error that names both sequences."""
+    other = "KLMNP" * 4
+    ours = _simulate(tmp_path, "ours")
+    assert main(["simulate", "--sequence", other, "--seed", "7", "--out", str(tmp_path / "other")]) == EXIT_OK
+    assert main([
+        "assign", "--sequence", SEQ, "--dataset", str(ours / "spins.tsv"), "--out", str(ours),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--assignment", str(ours / "assignment.json"),
+        "--ground-truth", str(tmp_path / "other" / "ground_truth.json"), "--out", str(tmp_path / "e"),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert SEQ in err and other in err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

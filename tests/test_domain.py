@@ -119,6 +119,18 @@ def test_validate_missing_residue_type(toy_priors):
     assert not report.ok
 
 
+def test_validate_missing_prior_entry(toy_priors):
+    """A residue type whose priors lack one base role fails validation,
+    before any stage would need that entry."""
+    atoms = {code: dict(entries) for code, entries in toy_priors.atoms.items()}
+    del atoms["A"]["CO"]
+    priors = PriorTable(atoms, toy_priors.noise)
+    report = validate_dataset(priors, ProteinSequence("GAG"), spins=[])
+    assert not report.ok
+    assert [(i.code, i.message) for i in report.errors] == [("MissingPriorEntry", "no prior entry for (A, CO)")]
+    assert validate_dataset(toy_priors, ProteinSequence("GAG"), spins=[]).ok
+
+
 def test_validate_requires_one_input(toy_priors):
     with pytest.raises(ValueError):
         validate_dataset(toy_priors, ProteinSequence("A"))

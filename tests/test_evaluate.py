@@ -6,6 +6,7 @@ from nmrassign.evaluate import (
     LengthMismatchError,
     PathNotInGraphError,
     ResidueAssignment,
+    SequenceMismatchError,
     assignment_from_result,
     atom_correctness,
     diagnostics,
@@ -75,7 +76,7 @@ def test_identity_assignment_perfect():
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(SequenceMismatchError, match="sequence A, ground truth of sequence AA"):
         score(_assignment(["s1"]), _spins_gt(["s1", "s2"]))
     with pytest.raises(LengthMismatchError):
         Assignment("AA", [], "dp", 0.0, True, (0, 0, 0))

@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from nmrassign import grouping
-from nmrassign.domain import Peak, SpinSystem, Tolerances
-from nmrassign.experiments import BASIC_SET, FULL_SET, expected_pattern
+from nmrassign.domain import Peak, SpinSystem, Tolerances, read_peaks
+from nmrassign.experiments import BASIC_SET, FULL_SET, canonical_name, expected_pattern
 from nmrassign.grouping import (
     COMPONENT_BUDGET,
     ComponentTooLargeError,
@@ -13,6 +14,7 @@ from nmrassign.grouping import (
     enumerate_groupings,
     spins_to_groupings,
 )
+from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 
 from oracles import any_scan_role_search, brute_force_groupings
 
@@ -40,13 +42,20 @@ def _residue_peaks(prefix, h, n, ca, cb, ca_prev, cb_prev):
 PATTERN = expected_pattern(BASIC_SET)
 
 
+def _linked(g, a, b):
+    """Whether the compatibility graph links the peaks with ids a and b."""
+    ids = [p.peak_id for p in g.peaks]
+    return bool(g.adjacency[ids.index(a), ids.index(b)])
+
+
 def test_compatibility_edges_trivial(default_tol):
     p1 = _peak("p1", "hsqc", 8.00, 120.0)
     p2 = _peak("p2", "hsqc", 8.01, 120.1)
     p3 = _peak("p3", "hsqc", 8.10, 120.0)
-    g = build_compatibility_graph([p1, p2, p3], default_tol)
-    assert "p2" in g.adjacency["p1"]
-    assert "p3" not in g.adjacency["p1"]
+    g = build_compatibility_graph([p3, p1, p2], default_tol)
+    assert [p.peak_id for p in g.peaks] == ["p1", "p2", "p3"]
+    assert _linked(g, "p1", "p2")
+    assert not _linked(g, "p1", "p3")
 
 
 def test_compatibility_matches_pairwise_brute_force(default_tol):
@@ -61,27 +70,26 @@ def test_compatibility_matches_pairwise_brute_force(default_tol):
         coords = (("N", n), ("C", c)) if i % 2 else (("H", h), ("C", c))
         peaks.append(Peak(f"m{i}", "hncacb", coords, +1))
     g = build_compatibility_graph(peaks, default_tol)
+    assert sorted(g.peaks, key=lambda p: p.peak_id) == list(g.peaks) and set(g.peaks) == set(peaks)
     missing = 0
     for a in peaks:
         for b in peaks:
-            if a.peak_id == b.peak_id:
-                continue
-            expected = True
+            expected = a.peak_id != b.peak_id
             for label, window in (("H", default_tol.delta1), ("N", default_tol.delta2)):
                 if a.coord(label) is None or b.coord(label) is None:
                     missing += 1
                 elif abs(a.coord(label) - b.coord(label)) > window:
                     expected = False
-            assert (b.peak_id in g.adjacency[a.peak_id]) == expected
+            assert _linked(g, a.peak_id, b.peak_id) == expected
     assert missing > 0
     # peaks lacking H against peaks lacking N share no coordinate at all
-    assert g.adjacency["m0"] >= {f"m{i}" for i in range(1, 20, 2)}
+    assert all(_linked(g, "m0", f"m{i}") for i in range(1, 20, 2))
 
 
 def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_tol):
     peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
     g = build_compatibility_graph(peaks, default_tol)
-    groupings = enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol)
+    groupings = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
     full = [gr for gr in groupings if len(gr.member_peaks) == 7]
     assert len(full) == 1
     grouping = full[0]
@@ -97,7 +105,7 @@ def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_t
 
 def test_empty_input(toy_priors, default_tol):
     g = build_compatibility_graph([], default_tol)
-    assert enumerate_groupings(g, [], PATTERN, 4, toy_priors, default_tol) == []
+    assert enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol) == []
 
 
 def test_exhaustive_equals_brute_force(toy_priors, default_tol):
@@ -122,7 +130,7 @@ def test_exhaustive_equals_brute_force(toy_priors, default_tol):
     assert len(peaks) <= 12
     pattern = dict(PATTERN, hnco=1)
     g = build_compatibility_graph(peaks, default_tol)
-    emitted = enumerate_groupings(g, peaks, pattern, None, toy_priors, default_tol)
+    emitted = enumerate_groupings(g, pattern, None, toy_priors, default_tol)
     got = {gr.member_peaks for gr in emitted}
     want = brute_force_groupings(peaks, pattern, default_tol)
     assert got == want
@@ -135,7 +143,7 @@ def test_role_consistency_within_grouping(toy_priors, default_tol):
         _peak("b", "hncacb", 8.0, 120.0, 45.0 + 2.0, +1),
     ]
     g = build_compatibility_graph(peaks, default_tol)
-    emitted = enumerate_groupings(g, peaks, PATTERN, None, toy_priors, default_tol)
+    emitted = enumerate_groupings(g, PATTERN, None, toy_priors, default_tol)
     member_sets = {gr.member_peaks for gr in emitted}
     # peak "b" can still take the CA role; only the shared CA_prev clashes
     assert frozenset({"a", "b"}) in member_sets  # b as CA, a as CA_prev
@@ -158,13 +166,13 @@ def test_monotone_in_tolerances(toy_priors):
     small = {
         gr.member_peaks
         for gr in enumerate_groupings(
-            build_compatibility_graph(peaks, tight), peaks, PATTERN, None, toy_priors, tight
+            build_compatibility_graph(peaks, tight), PATTERN, None, toy_priors, tight
         )
     }
     large = {
         gr.member_peaks
         for gr in enumerate_groupings(
-            build_compatibility_graph(peaks, loose), peaks, PATTERN, None, toy_priors, loose
+            build_compatibility_graph(peaks, loose), PATTERN, None, toy_priors, loose
         )
     }
     assert small <= large
@@ -174,7 +182,7 @@ def test_component_budget(toy_priors, default_tol):
     peaks = [_peak(f"p{i}", "hsqc", 8.0, 120.0) for i in range(COMPONENT_BUDGET + 1)]
     g = build_compatibility_graph(peaks, default_tol)
     with pytest.raises(ComponentTooLargeError):
-        enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol)
+        enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
 
 
 def test_expansion_budget(toy_priors, default_tol, monkeypatch):
@@ -182,10 +190,10 @@ def test_expansion_budget(toy_priors, default_tol, monkeypatch):
     peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
     g = build_compatibility_graph(peaks, default_tol)
     for top_k in (4, None):
-        assert enumerate_groupings(g, peaks, PATTERN, top_k, toy_priors, default_tol)
+        assert enumerate_groupings(g, PATTERN, top_k, toy_priors, default_tol)
         monkeypatch.setattr(grouping, "EXPANSION_BUDGET", 10)
         with pytest.raises(ComponentTooLargeError, match="expansion budget"):
-            enumerate_groupings(g, peaks, PATTERN, top_k, toy_priors, default_tol)
+            enumerate_groupings(g, PATTERN, top_k, toy_priors, default_tol)
         monkeypatch.undo()
 
 
@@ -207,6 +215,17 @@ def _random_clique(rng, size):
             carbon = _CENTRES[str(rng.choice(list(_CENTRES)))] + 0.25 * int(rng.integers(-4, 5))
         peaks.append(_peak(f"p{i}", spectrum, 8.0, 120.0, carbon, phase))
     return peaks
+
+
+def _role_search(members, pattern, tol, skip_always, visits):
+    """``grouping._role_search`` over the members' site rows, its results in
+    peak ids."""
+    results = grouping._role_search(grouping._site_table(members), pattern, tol, skip_always, visits)
+    ids = [p.peak_id for p in members]
+    return [
+        (frozenset(ids[i] for i in member_set), tuple((ids[i], role) for i, role in role_map))
+        for member_set, role_map in results
+    ]
 
 
 def _search(search, members, pattern, tol, skip_always):
@@ -232,7 +251,7 @@ def test_role_search_matches_any_scan_oracle(monkeypatch):
     for trial in range(40):
         skip_always = trial % 2 == 0
         members = _random_clique(rng, int(rng.integers(3, 9 if skip_always else 15)))
-        got = _search(grouping._role_search, members, pattern, tol, skip_always)
+        got = _search(_role_search, members, pattern, tol, skip_always)
         want = _search(any_scan_role_search, members, pattern, tol, skip_always)
         assert got == want, trial
         found += len(want[0])
@@ -242,7 +261,7 @@ def test_role_search_matches_any_scan_oracle(monkeypatch):
     members = _random_clique(np.random.default_rng(1), 9)
     _, total = _search(any_scan_role_search, members, pattern, tol, True)
     monkeypatch.setattr(grouping, "EXPANSION_BUDGET", total // 2)
-    got = _search(grouping._role_search, members, pattern, tol, True)
+    got = _search(_role_search, members, pattern, tol, True)
     assert got == _search(any_scan_role_search, members, pattern, tol, True)
     assert got == (None, total // 2 + 1)
 
@@ -251,11 +270,42 @@ def test_deterministic_ids_and_order(toy_priors, default_tol):
     peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
     peaks += _residue_peaks("r2", 7.5, 115.0, 45.2, 41.2, 53.1, 19.1)
     g = build_compatibility_graph(peaks, default_tol)
-    first = enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol)
-    second = enumerate_groupings(g, peaks, PATTERN, 4, toy_priors, default_tol)
+    first = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
+    second = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
     assert [gr.grouping_id for gr in first] == [gr.grouping_id for gr in second]
     assert [gr.member_peaks for gr in first] == [gr.member_peaks for gr in second]
     assert first[0].grouping_id == "g00000"
+
+
+#: sha256 of every grouping's id, sorted member peaks and per-role
+#: (value, sigma, peak_id) observations on the peaks-ref40 panel (ref40, flya,
+#: seeds 0 and 3, tolerances 0.08/0.8/0.8, top_k 20)
+REF40_GROUPING_DIGESTS = {
+    0: "7d989d5be9a4c0800b2ca2f482ac76f35180255d850e5a56a17edb23b72f9821",
+    3: "ae014b090f334b9205054cf051eaa5755e945adbbe660b10cd0df8ad3c8e5ac2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REF40_GROUPING_DIGESTS))
+def test_ref40_groupings_are_pinned(tmp_path, seed):
+    """The peaks-ref40 groupings do not move: same ids, members, roles and
+    observations, down to each value's last bit."""
+    ref, priors = bundled_reference("ref40"), bundled_priors()
+    tol = Tolerances(delta1=0.08, delta2=0.8, delta3=0.8)
+    run_simulate(tmp_path, "flya", ref.sequence, priors, seed, reference=ref)
+    peaks = read_peaks(tmp_path / "peaks.tsv")
+    spectra = sorted({canonical_name(p.spectrum_id) for p in peaks}, key=FULL_SET.index)
+    groupings = enumerate_groupings(
+        build_compatibility_graph(peaks, tol), expected_pattern(spectra), 20, priors, tol
+    )
+    digest = hashlib.sha256()
+    for gr in groupings:
+        roles = [
+            (role, [(o.value.hex(), o.sigma.hex(), o.peak_id) for o in obs])
+            for role, obs in gr.consensus.items()
+        ]
+        digest.update(repr((gr.grouping_id, sorted(gr.member_peaks), roles)).encode())
+    assert digest.hexdigest() == REF40_GROUPING_DIGESTS[seed]
 
 
 def test_spins_to_groupings(toy_priors):
