@@ -442,12 +442,14 @@ def write_tolerances(tol: Tolerances, path: str | Path) -> None:
 
 
 def read_tolerances(path: str | Path) -> Tolerances:
+    """Tolerances from a JSON object with any of the keys delta1, delta2,
+    delta3, delta and lambda; the rest keep their defaults. Any other
+    document or key is rejected, naming the key."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    defaults = Tolerances()
-    return Tolerances(
-        delta1=doc.get("delta1", defaults.delta1),
-        delta2=doc.get("delta2", defaults.delta2),
-        delta3=doc.get("delta3", defaults.delta3),
-        delta=doc.get("delta", defaults.delta),
-        lam=doc.get("lambda", defaults.lam),
-    )
+    if not isinstance(doc, dict):
+        raise NmrAssignError(f"tolerances file {path} must hold a JSON object")
+    fields = {key: key for key in ("delta1", "delta2", "delta3", "delta")} | {"lambda": "lam"}
+    unknown = sorted(doc.keys() - fields.keys())
+    if unknown:
+        raise NmrAssignError(f"tolerances key {unknown[0]!r} is not one of {', '.join(fields)}")
+    return Tolerances(**{fields[key]: value for key, value in doc.items()})

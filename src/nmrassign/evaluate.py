@@ -67,17 +67,18 @@ def assignment_from_result(g: AssignmentGraph, result: SolveResult) -> Assignmen
                 ResidueAssignment(k, None, (), {}, result.path.edge_costs[k], g.thresholds[k])
             )
             continue
-        grouping = g.groupings[row]
+        # read from the grouping table: its roles are in name order, its
+        # members in id order
         consensus = {
-            role: sum(o.value for o in obs) / len(obs)
-            for role, obs in sorted(grouping.consensus.items())
+            role: sum(values) / len(values)
+            for role, (values, _, _) in g.groupings.consensus(row).items()
         }
-        members = tuple(sorted(grouping.member_peaks))
+        members = tuple(g.groupings.member_ids(row))
         reused = tuple(p for p in members if p in result.reused_peaks)
         residues.append(
             ResidueAssignment(
                 k,
-                grouping.grouping_id,
+                g.groupings.ids[row],
                 members,
                 consensus,
                 result.path.edge_costs[k],

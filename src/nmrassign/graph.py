@@ -9,14 +9,26 @@ Nodes are stored once, as ``grouping_rows``: the grouping each node of a
 layer carries, -1 for start, dummy and end. ``AssignmentNode`` is a view
 of one row, built on demand by the graph's ``node`` and ``layers``.
 
+The groupings arrive as one ``grouping.GroupingTable`` (a plain sequence of
+``PeakGrouping`` is turned into one): flat arrays of every observation's
+grouping row, role column, value and sigma. The build reads those arrays
+alone, and so do the node usage and ``lp.peak_incidence``; a grouping is
+built as a ``PeakGrouping`` only when a caller asks for one.
+
 Each grouping is summarised once per base role, for its intra-residue and
-its previous-residue observations: their ``costmodel.Moments`` and their
-lowest and highest value. Everything that depends only on the groupings or
-on the residue type is computed once per build: the grouping × grouping
-walk matrix, every atom typing threshold in one batch, per residue type its
-priors merged with every grouping's intra moments, the resulting typing
-costs, and the linked pairs priced from its groupings to those of all the
-residues that follow it. Each layer then keeps the pairs it links.
+its previous-residue observations, in one pass over the table's arrays:
+their ``costmodel.Moments`` and their lowest and highest value. Everything
+that depends only on the groupings or on the residue type is computed once
+per build: the grouping × grouping walk matrix, every atom typing threshold
+in one batch, per residue type its priors merged with every grouping's
+intra moments, the resulting typing costs, and the linked pairs priced
+from its groupings to those of all the residues that follow it (a pair
+merges only the roles some grouping observes in the previous residue; its
+other atoms cost what the source's typing gave them). Each layer then
+keeps the pairs it links, through a grouping -> node array, and is laid
+out directly in (source, target) order: the dummy's row, then per regular
+source its edge to the dummy (or the end) and its linked targets, which
+the pricing yields sorted already.
 
 Sequential walking: a regular node of layer k links to a regular node of
 layer k+1 only when every intra-residue value of the source is within
@@ -44,16 +56,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .costmodel import Moments, marginal_cost, moments
-from .domain import (
-    BASE_ROLES,
-    PREV_SUFFIX,
-    PriorTable,
-    ProteinSequence,
-    Tolerances,
-    is_prev,
-    write_json,
-)
-from .grouping import PeakGrouping
+from .domain import BASE_ROLES, PriorTable, ProteinSequence, Tolerances, write_json
+from .grouping import _COLUMNS, GroupingTable, PeakGrouping
 
 START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
 
@@ -91,6 +95,16 @@ class EdgeLayer(Mapping):
         self.cost = np.asarray(cost, dtype=float)[order]
         self.indptr = np.searchsorted(self.src, np.arange(n_src + 1))
 
+    @classmethod
+    def from_sorted(cls, dst: np.ndarray, cost: np.ndarray, indptr: np.ndarray) -> EdgeLayer:
+        """The layer whose source node i has the out-edges to ``dst`` at the
+        positions ``indptr[i]`` up to ``indptr[i + 1]``, costing ``cost``
+        there; each source's targets ascending."""
+        layer = cls.__new__(cls)
+        layer.src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        layer.dst, layer.cost, layer.indptr = dst, cost, indptr
+        return layer
+
     def out(self, i: int) -> slice:
         """Positions of source node i's out-edges, in increasing dst."""
         return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
@@ -126,11 +140,15 @@ class AssignmentGraph:
     edges: list[EdgeLayer]
     #: summed typing threshold per residue (index 0 unused)
     thresholds: list[float]
-    #: the groupings regular nodes carry, each once
-    groupings: Sequence[PeakGrouping]
+    #: the groupings regular nodes carry, each once; a sequence of
+    #: ``PeakGrouping`` is stored as its ``GroupingTable``
+    groupings: GroupingTable
     #: grouping_rows[k][i]: node i of layer k carries
     #: ``groupings[grouping_rows[k][i]]``; -1 for start, dummy and end nodes
     grouping_rows: list[np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.groupings = GroupingTable.of(self.groupings)
 
     @property
     def n(self) -> int:
@@ -153,7 +171,7 @@ class AssignmentGraph:
     def usage(self, layer: int, index: int) -> frozenset[str]:
         """Peak ids a node consumes: its grouping's members; none otherwise."""
         row = int(self.grouping_rows[layer][index])
-        return self.groupings[row].member_peaks if row >= 0 else frozenset()
+        return frozenset(self.groupings.member_ids(row) if row >= 0 else ())
 
     def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
         """Peak id -> times the path consumes it, for the peaks it consumes
@@ -165,67 +183,59 @@ class AssignmentGraph:
         return {p: c for p, c in sorted(counts.items()) if c >= 2}
 
 
-#: summary column of each role: the base roles in ``BASE_ROLES`` order, then
-#: their previous-residue counterparts in the same order
-_COLUMNS = {
-    role + suffix: i + len(BASE_ROLES) * bool(suffix)
-    for suffix in ("", PREV_SUFFIX)
-    for i, role in enumerate(BASE_ROLES)
-}
-
-
-def _merged(
-    size: int, cells: Iterable[tuple[int, Sequence[float], Sequence[float]]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Moments`` of ``size`` rows of observations, from cells (row, values,
-    sigmas): the fields stacked as (field, row), 0 for a row without any;
-    and every observation's row and value. Each row merges its observations
-    one slot at a time, for every row at once, exactly as
-    ``costmodel.moments`` merges them one by one."""
-    row, slot, value, sigma = [], [], [], []
-    for r, values, sigmas in cells:
-        row.extend([r] * len(values))
-        slot.extend(range(len(values)))
-        value.extend(values)
-        sigma.extend(sigmas)
-    rows, slots = np.array(row, dtype=np.int64), np.array(slot, dtype=np.int64)
-    values, var = np.array(value), np.square(np.array(sigma))
+def _merged(size: int, cells: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``Moments`` of ``size`` cells of observations: observation e lies in
+    cell ``cells[e]``, each cell's observations contiguous and in the order
+    they merge. Returns the fields stacked as (field, cell), 0 for a cell
+    without any. Each cell merges its observations one slot at a time, for
+    every cell at once, exactly as ``costmodel.moments`` merges them one by
+    one."""
+    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    slots = np.arange(len(cells)) - np.repeat(runs, np.diff(np.r_[runs, len(cells)]))
+    var = np.square(sigmas)
     # math.log, as costmodel.moments takes it, once per distinct variance
     distinct, inverse = np.unique(var, return_inverse=True)
     log_var = np.array([math.log(v) for v in distinct.tolist()])[inverse]
     stats = np.zeros((len(Moments._fields), size))
     for s in range(int(slots.max(initial=-1)) + 1):
         at = slots == s
-        into = rows[at]
+        into = cells[at]
         one = Moments(np.ones(len(into)), 1.0 / var[at], values[at], np.zeros(len(into)), log_var[at])
         stats[:, into] = Moments(*stats[:, into]).merge(one)
-    return stats, rows, values
+    return stats
 
 
-def _summaries(groupings: Sequence[PeakGrouping]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _summaries(table: GroupingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each grouping's observations per role column (``_COLUMNS``): their
     ``Moments`` fields stacked as (field, grouping, column), merged in
     consensus order, and their lowest and highest values, (+inf, -inf) when
     unobserved."""
-    shape = (len(groupings), len(_COLUMNS))
-    stats, cells, values = _merged(shape[0] * shape[1], (
-        (a * shape[1] + _COLUMNS[role], [o.value for o in obs], [o.sigma for o in obs])
-        for a, g in enumerate(groupings)
-        for role, obs in g.consensus.items()
-    ))
+    shape = (len(table), len(_COLUMNS))
+    cells = table.row * shape[1] + table.column
+    stats = _merged(shape[0] * shape[1], cells, table.value, table.sigma)
     lo, hi = np.full(shape, np.inf), np.full(shape, -np.inf)
-    np.minimum.at(lo.ravel(), cells, values)
-    np.maximum.at(hi.ravel(), cells, values)
+    np.minimum.at(lo.ravel(), cells, table.value)
+    np.maximum.at(hi.ravel(), cells, table.value)
     return stats.reshape(len(Moments._fields), *shape), lo, hi
 
 
-def _noise(grouping: PeakGrouping) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    """The sigmas of a grouping's intra-residue observations, per role."""
-    return tuple(sorted(
-        (role, tuple(o.sigma for o in obs))
-        for role, obs in grouping.consensus.items()
-        if not is_prev(role)
-    ))
+def _noise(table: GroupingTable) -> list[tuple[tuple[str, tuple[float, ...]], ...]]:
+    """Per grouping, the sigmas of its intra-residue observations per role,
+    in role name order; built once per distinct (columns, sigmas) of a row."""
+    intra = table.column < len(BASE_ROLES)
+    column, sigma = table.column[intra], table.sigma[intra]
+    bounds = np.searchsorted(table.row[intra], np.arange(len(table) + 1)).tolist()
+    roles, built = list(_COLUMNS), {}
+    noise = []
+    for a, b in zip(bounds, bounds[1:]):
+        key = column[a:b].tobytes(), sigma[a:b].tobytes()
+        if key not in built:
+            runs: dict[int, list[float]] = {}
+            for c, x in zip(column[a:b].tolist(), sigma[a:b].tolist()):
+                runs.setdefault(c, []).append(x)
+            built[key] = tuple((roles[c], tuple(x)) for c, x in runs.items())
+        noise.append(built[key])
+    return noise
 
 
 #: (residue type, role, sigmas) -> that atom's typing threshold, 0 when absent
@@ -241,14 +251,21 @@ def _typing_thresholds(
     merge slot by slot, then into the prior. An atom the residue lacks gets 0."""
     memo = dict.fromkeys(keys, 0.0)
     present = [(key, prior) for key in memo if (prior := priors.prior(key[0], key[1])) is not None]
-    prior_moments, _, _ = _merged(len(present), (
-        (r, [prior.mean], [prior.std]) for r, (_, prior) in enumerate(present)
-    ))
+    cells = np.arange(len(present))  # one per present key
+    means = np.array([p.mean for _, p in present])
+    stds = np.array([p.std for _, p in present])
+    prior_moments = _merged(len(present), cells, means, stds)
     # typing_threshold's adversarial realization, in its own arithmetic
-    observed, _, _ = _merged(len(present), (
-        (r, [p.mean + delta * p.std + (-1) ** l * delta * s for l, s in enumerate(sigmas)], sigmas)
-        for r, ((_, _, sigmas), p) in enumerate(present)
-    ))
+    observed = _merged(
+        len(present),
+        np.repeat(cells, [len(sigmas) for (_, _, sigmas), _ in present]),
+        np.array([
+            p.mean + delta * p.std + (-1) ** l * delta * s
+            for (_, _, sigmas), p in present
+            for l, s in enumerate(sigmas)
+        ]),
+        np.array([s for (_, _, sigmas), _ in present for s in sigmas]),
+    )
     cost = marginal_cost(Moments(*prior_moments).merge(Moments(*observed)))
     memo.update(zip((key for key, _ in present), cost.tolist()))
     return memo
@@ -287,19 +304,27 @@ def _residue_prior(residue_type: str, priors: PriorTable) -> ResiduePrior:
     ]).T)
 
 
-def _residue_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
-    """Summed atom costs of the residue for rows of per-role moments (last
-    axis in ``BASE_ROLES`` order), each atom pooling the parts' observations
-    of it; +inf where a part observes an atom the residue lacks."""
+def _atom_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
+    """Each atom's cost of the residue for rows of per-role moments (last
+    axis in the roles' order), pooling the parts' observations of it; +inf
+    where a part observes an atom the residue lacks."""
     lacks, post = prior
     for part in parts:
         post = post.merge(part)
-    return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post)).sum(axis=-1)
+    return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post))
 
 
-def _rows(m: Moments, rows: np.ndarray) -> Moments:
-    """The given rows of per-grouping moments."""
-    return Moments(*(field[rows] for field in m))
+def _residue_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
+    """Summed atom costs of the residue (``_atom_costs``, last axis in
+    ``BASE_ROLES`` order)."""
+    return _atom_costs(prior, *parts).sum(axis=-1)
+
+
+def _rows(m: Moments, rows: np.ndarray, roles: np.ndarray) -> Moments:
+    """The given rows and roles of per-grouping moments, gathered by one
+    ``np.take`` of the stacked fields: far cheaper than one fancy index per
+    field."""
+    return Moments(*np.take(np.asarray(m)[..., roles], rows, axis=1))
 
 
 def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
@@ -321,17 +346,19 @@ def build_graph(
     tol: Tolerances,
     expected: ExpectedCounts,
 ) -> AssignmentGraph:
+    """The layered graph of these groupings (a ``GroupingTable``, or any
+    sequence of ``PeakGrouping``) for the sequence."""
     n = len(seq)
     types = sorted(set(seq.residues))
-    stats, lo, hi = _summaries(groupings)
-    # contiguous, so that gathering rows of them is a block copy
+    table = GroupingTable.of(groupings)
+    stats, lo, hi = _summaries(table)
     intra, prev = (Moments(*np.ascontiguousarray(part)) for part in np.split(stats, 2, axis=-1))
     walks = _walks(lo, hi, tol.delta3)
     # every atom typing threshold the build reads, in one batch: those of the
     # null assignment (noise 0) and of each distinct noise of the groupings
     null = tuple(sorted((role, (sigma,) * count) for role, (count, sigma) in expected.items()))
     index = {null: 0}
-    which = np.array([index.setdefault(_noise(g), len(index)) for g in groupings], dtype=np.int64)
+    which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
     atoms = {atom for noise in index for atom in noise}
     memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
     limits = {rt: [_summed(memo, rt, noise) for noise in index] for rt in types}
@@ -343,7 +370,8 @@ def build_graph(
     for rt in types:
         lacks, prior = _residue_prior(rt, priors)
         posts[rt] = lacks, prior.merge(intra)
-    typing = {rt: _residue_costs(post) for rt, post in posts.items()}
+    per_atom = {rt: _atom_costs(post) for rt, post in posts.items()}
+    typing = {rt: costs.sum(axis=-1) for rt, costs in per_atom.items()}
     # a grouping is typed as the residue type when its typing cost is at most
     # the summed typing threshold of its noise (ties retained)
     typed = {rt: np.flatnonzero(typing[rt] <= np.array(limits[rt])[which]) for rt in types}
@@ -357,42 +385,61 @@ def build_graph(
     # each type's typed groupings are priced once, against every grouping
     # typed for a residue that follows the type; each layer then keeps the
     # pairs that reach its own targets
+    follows: dict[str, set[str]] = {rt: set() for rt in types}
+    for here, after in zip(seq.residues, seq.residues[1:]):
+        follows[here].add(after)
+    # the roles some grouping observes in the previous residue: merging no
+    # observations leaves the moments, and so the atom cost, of every other
+    # role as the source's typing left it
+    pooled = np.flatnonzero((prev.count > 0).any(axis=0))
     linked = {}
     for rt in types:
-        followers = [rows[k] for k in range(1, n) if seq.residue_type(k) == rt]
-        src, dst = typed[rt], np.unique(np.concatenate([rows[-1], *followers]))
+        src = typed[rt]
+        dst = np.unique(np.concatenate([rows[-1], *(typed[t] for t in follows[rt])]))
         a, b = np.nonzero(walks[src][:, dst])  # two gathers: far cheaper than np.ix_
         lacks, post = posts[rt]
-        cost = _residue_costs((lacks, _rows(post, src[a])), _rows(prev, dst[b]))
+        cost = np.take(per_atom[rt], src[a], axis=0)
+        cost[:, pooled] = _atom_costs(
+            (lacks[pooled], _rows(post, src[a], pooled)), _rows(prev, dst[b], pooled)
+        )
+        cost = cost.sum(axis=-1)
         # above the threshold the pair is implausible; the dummy route is cheaper
         keep = cost <= limits[rt][0]
         linked[rt] = a[keep], dst[b[keep]], cost[keep]
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
-    first = np.arange(len(grouping_rows[1]))
-    edges = [EdgeLayer(np.zeros_like(first), first, np.zeros(len(first)), 1)]
+    first = len(grouping_rows[1])
+    edges = [EdgeLayer.from_sorted(np.arange(first), np.zeros(first), np.array([0, first]))]
+    node = np.zeros(len(table), dtype=np.int64)  # a grouping's node in the next layer, or 0
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
         src = rows[k - 1]
         a, target, cost = linked[residue_type]
         # the pairs reaching a grouping typed for layer k+1, and its node there
-        keep = np.isin(target, rows[k])
-        b = np.searchsorted(rows[k], target[keep]) + 1
-        # a dummy source leaves the target's prev roles unexplained and prices
-        # the residue at its threshold; a regular source reaching the dummy
-        # (or the end) pays its typing costs alone
-        targets = np.arange(len(grouping_rows[k + 1]))
-        sources = np.arange(1, len(src) + 1)
-        edges.append(EdgeLayer(
-            np.concatenate([np.zeros_like(targets), sources, a[keep] + 1]),
-            np.concatenate([targets, np.zeros_like(sources), b]),
-            np.concatenate([
-                np.full(len(targets), thresholds[k]), typing[residue_type][src], cost[keep]
-            ]),
-            len(grouping_rows[k]),
-        ))
+        node[rows[k]] = np.arange(1, len(rows[k]) + 1)
+        b = node[target]
+        keep = b > 0
+        a, b, cost = a[keep], b[keep], cost[keep]
+        node[rows[k]] = 0
+        # in (source, target) order: the dummy source reaches every target,
+        # leaving the target's prev roles unexplained and pricing the residue
+        # at its threshold; each regular source then reaches the dummy (or the
+        # end), paying its typing costs alone, and then its linked targets
+        targets = len(grouping_rows[k + 1])
+        indptr = np.r_[0, targets, targets + np.cumsum(1 + np.bincount(a, minlength=len(src)))]
+        total = int(indptr[-1])
+        out = np.ones(total, dtype=bool)  # the positions of the linked pairs
+        out[:targets] = False
+        out[indptr[1:-1]] = False
+        dst, costs = np.zeros(total, dtype=np.int64), np.empty(total)
+        dst[:targets] = np.arange(targets)
+        dst[out] = b
+        costs[:targets] = thresholds[k]
+        costs[indptr[1:-1]] = typing[residue_type][src]
+        costs[out] = cost
+        edges.append(EdgeLayer.from_sorted(dst, costs, indptr))
 
-    return AssignmentGraph(seq, edges, thresholds, list(groupings), grouping_rows)
+    return AssignmentGraph(seq, edges, thresholds, table, grouping_rows)
 
 
 def graph_stats(g: AssignmentGraph) -> dict:

@@ -3,29 +3,37 @@
 All of it works on integer indices into one peak table, sorted by peak id,
 so index order is id order. The compatibility graph is that table plus its
 (n × n) amide matrix: two peaks are linked when their amide (H, N)
-coordinates agree within tolerance, by one comparison per dimension.
-Maximal cliques of the graph are then expanded into groupings by a role
-search over rows of a site table (each peak's canonical spectrum, carbon
-and candidate roles, built once per enumeration): it gives each
-carbon-carrying peak an atom role so that same-role values agree within the
-carbon window and the grouping's per-spectrum composition does not exceed
-the expected pattern. Budgets on component size and on search steps per
-component stop runs whose tolerances are too loose.
+coordinates agree within tolerance, by one comparison per dimension. The
+comparisons are banded: with the peaks sorted by H, each peak is compared
+only with those whose H lies within δ1 of its own (a peak without H with
+every peak). Maximal cliques of the graph are then expanded into groupings
+by a role search over rows of a site table (each peak's canonical
+spectrum, carbon and candidate roles, built once per enumeration): it
+gives each carbon-carrying peak an atom role so that same-role values agree
+within the carbon window and the grouping's per-spectrum composition does
+not exceed the expected pattern. Budgets on component size and on search
+steps per component stop runs whose tolerances are too loose.
 
 Spin-system input bypasses all of this: each system becomes one degenerate
 grouping with a single observation per present role.
+
+Either way the result is one ``GroupingTable``: the groupings' ids, member
+peaks and observations as flat arrays, which the graph build reads
+directly. ``table[r]`` is row r as a ``PeakGrouping``, built on first use.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .domain import (
+    BASE_ROLES,
+    PREV_SUFFIX,
     NmrAssignError,
     Observation,
     Peak,
@@ -39,6 +47,14 @@ from .experiments import SPIN_NOISE, candidate_roles, canonical_name
 COMPONENT_BUDGET = 64
 #: most role-search steps one component may take
 EXPANSION_BUDGET = 500_000
+
+#: role column of each role: the base roles in ``BASE_ROLES`` order, then
+#: their previous-residue counterparts in the same order
+_COLUMNS = {
+    role + suffix: i + len(BASE_ROLES) * bool(suffix)
+    for suffix in ("", PREV_SUFFIX)
+    for i, role in enumerate(BASE_ROLES)
+}
 
 #: (peak index, canonical spectrum, carbon or None, candidate roles): one
 #: peak's row of the site table, indexed like the compatibility graph's peaks
@@ -69,6 +85,149 @@ class PeakGrouping:
         return self.consensus.get(role, ())
 
 
+class GroupingTable(Sequence):
+    """The groupings of one run as flat arrays, one row per grouping.
+
+    ``sources`` are the peak (or spin-system) ids the groupings draw on,
+    ascending and distinct; the other fields refer to them by position. Row
+    r is grouping ``ids[r]`` and consumes the sources
+    ``members[indptr[r]:indptr[r + 1]]``, ascending. Observation e belongs
+    to row ``row[e]`` and role column ``column[e]`` (``_COLUMNS``): value
+    ``value[e]``, noise ``sigma[e]``, measured on source ``source[e]``.
+    The observations are in consensus order: by row, each row's by role
+    name, and each role's in the order they merge.
+
+    ``table[r]`` is row r as a ``PeakGrouping``, built on first use and kept
+    in ``views``.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[str],
+        sources: Sequence[str],
+        indptr: np.ndarray,
+        members: np.ndarray,
+        row: np.ndarray,
+        column: np.ndarray,
+        value: np.ndarray,
+        sigma: np.ndarray,
+        source: np.ndarray,
+        views: list[PeakGrouping] | None = None,
+    ) -> None:
+        self.ids, self.sources, self.indptr, self.members = ids, sources, indptr, members
+        self.row, self.column, self.value = row, column, value
+        self.sigma, self.source = sigma, source
+        self.views: list[PeakGrouping | None] = views or [None] * len(ids)
+
+    @classmethod
+    def of(cls, groupings: Sequence[PeakGrouping]) -> GroupingTable:
+        """The table of these groupings, which are kept as its views; a
+        table is returned as it is."""
+        if isinstance(groupings, cls):
+            return groupings
+        sources = sorted(
+            {pid for g in groupings for pid in g.member_peaks}
+            | {o.peak_id for g in groupings for obs in g.consensus.values() for o in obs}
+        )
+        at = {pid: k for k, pid in enumerate(sources)}
+        members = [sorted(at[pid] for pid in g.member_peaks) for g in groupings]
+        observed = [
+            (r, _COLUMNS[role], o.value, o.sigma, at[o.peak_id])
+            for r, g in enumerate(groupings)
+            for role, obs in sorted(g.consensus.items())
+            for o in obs
+        ]
+        return cls(
+            [g.grouping_id for g in groupings],
+            sources,
+            np.cumsum([0, *(len(m) for m in members)]),
+            np.array([k for m in members for k in m], dtype=np.int64),
+            *_observation_arrays(observed),
+            list(groupings),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, r: int) -> PeakGrouping:
+        r = range(len(self.ids))[r]
+        view = self.views[r]
+        if view is None:
+            view = self.views[r] = _RowView.read(self, r)
+        return view
+
+    def __iter__(self) -> Iterator[PeakGrouping]:
+        return (self[r] for r in range(len(self.ids)))
+
+    @cached_property
+    def _observed(self) -> list[int]:
+        """Row r's observations are the positions ``_observed[r]`` up to
+        ``_observed[r + 1]``."""
+        return np.searchsorted(self.row, np.arange(len(self.ids) + 1)).tolist()
+
+    def member_ids(self, r: int) -> list[str]:
+        """The ids of the sources row r consumes, ascending."""
+        return [self.sources[p] for p in self.members[self.indptr[r]:self.indptr[r + 1]].tolist()]
+
+    def consensus(self, r: int) -> dict[str, tuple[list[float], list[float], list[str]]]:
+        """Row r's observations per role, in consensus order, as (values,
+        sigmas, source ids) with Python floats and str ids."""
+        at = slice(self._observed[r], self._observed[r + 1])
+        columns, values, sigmas, sources = (
+            x[at].tolist() for x in (self.column, self.value, self.sigma, self.source)
+        )
+        ids = [self.sources[p] for p in sources]
+        # each role's observations are contiguous
+        starts = [k for k in range(len(columns)) if k == 0 or columns[k] != columns[k - 1]]
+        roles = list(_COLUMNS)
+        return {
+            roles[columns[a]]: (values[a:b], sigmas[a:b], ids[a:b])
+            for a, b in zip(starts, [*starts[1:], len(columns)])
+        }
+
+
+class _RowView(PeakGrouping):
+    """A ``PeakGrouping`` read from one row of a ``GroupingTable``: most
+    readers of a view never look at its consensus, so its observations are
+    built only when first asked for. It equals any ``PeakGrouping`` with the
+    same id, members and consensus."""
+
+    @classmethod
+    def read(cls, table: GroupingTable, r: int) -> _RowView:
+        """Row r of the table; the dataclass ``__init__``, which would take
+        the consensus at once, is bypassed."""
+        view = cls.__new__(cls)
+        view.__dict__.update(
+            grouping_id=table.ids[r], member_peaks=frozenset(table.member_ids(r)), _row=(table, r)
+        )
+        return view
+
+    @cached_property
+    def consensus(self) -> dict[str, tuple[Observation, ...]]:
+        table, r = self.__dict__.pop("_row")
+        return {
+            role: tuple(map(Observation, [role] * len(values), values, ids, sigmas))
+            for role, (values, sigmas, ids) in table.consensus(r).items()
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PeakGrouping):
+            return NotImplemented
+        return (self.grouping_id, self.member_peaks, self.consensus) == (
+            other.grouping_id, other.member_peaks, other.consensus
+        )
+
+    __hash__ = PeakGrouping.__hash__
+
+
+def _observation_arrays(observed: Sequence[tuple[int, int, float, float, int]]) -> list[np.ndarray]:
+    """A ``GroupingTable``'s (row, column, value, sigma, source) arrays, from
+    one such tuple per observation."""
+    fields = list(zip(*observed)) or [()] * 5
+    dtypes = (np.int64, np.int64, float, float, np.int64)
+    return [np.array(x, dtype=t) for x, t in zip(fields, dtypes)]
+
+
 @dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
     """The peaks, sorted by id, and their (n × n) amide matrix: entry (i, j)
@@ -86,13 +245,34 @@ def _amide_array(peaks: Sequence[Peak]) -> np.ndarray:
 def _amide_matrix(peaks: Sequence[Peak], tol: Tolerances) -> np.ndarray:
     """(n × n) booleans: peaks i and j agree in H within δ1 and in N within
     δ2. A missing coordinate never counts as too far apart. The diagonal is
-    False."""
+    False.
+
+    Only candidate pairs are compared: with the peaks sorted by H, those
+    whose H lies within δ1 of each other, a band widened by a relative 1e-9
+    so that it holds every pair the exact test keeps; and every pair with a
+    peak that lacks H."""
     amide = _amide_array(peaks)
-    close = np.ones((len(peaks), len(peaks)), dtype=bool)
+    n = len(amide)
+    h = amide[:, 0]
+    missing = np.isnan(h)
+    order = np.flatnonzero(~missing)
+    order = order[np.argsort(h[order], kind="stable")]
+    x = h[order]
+    reach = tol.delta1 + 1e-9 * (np.abs(x) + tol.delta1)
+    lo = np.searchsorted(x, x - reach, "left")
+    counts = np.searchsorted(x, x + reach, "right") - lo
+    # the band's pairs (a, b) of sorted positions, b from lo[a] on
+    a = np.repeat(np.arange(len(x)), counts)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    lacking, every = np.flatnonzero(missing), np.arange(n)
+    i = np.concatenate([order[a], np.repeat(lacking, n), np.tile(every, len(lacking))])
+    j = np.concatenate([order[b], np.tile(every, len(lacking)), np.repeat(lacking, n)])
+    keep = i != j
     for column, window in ((0, tol.delta1), (1, tol.delta2)):
-        x = amide[:, column]
-        close &= ~(np.abs(x[:, None] - x) > window)
-    np.fill_diagonal(close, False)
+        coords = amide[:, column]
+        keep &= ~(np.abs(coords[i] - coords[j]) > window)
+    close = np.zeros((n, n), dtype=bool)
+    close[i[keep], j[keep]] = True
     return close
 
 
@@ -119,29 +299,44 @@ def _connected_components(neighbours: Sequence[frozenset[int]]) -> list[list[int
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in sorted(neighbours[v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for w in neighbours[v] - seen:
+                seen.add(w)
+                stack.append(w)
         components.append(sorted(comp))
     return components
 
 
 def _maximal_cliques(vertices: Sequence[int], adj: Sequence[frozenset[int]]) -> list[list[int]]:
-    """Bron-Kerbosch with pivoting, deterministic order."""
+    """Bron-Kerbosch with pivoting over the component ``vertices`` (each
+    vertex's neighbours among them), deterministic order. The sets are bit
+    masks over the vertices' positions, ascending like the vertices."""
+    local = list(vertices)
+    at = {v: k for k, v in enumerate(local)}
+    masks = [sum(1 << at[w] for w in adj[v]) for v in local]
     cliques: list[list[int]] = []
 
-    def visit(r: list[int], p: set[int], x: set[int]) -> None:
+    def visit(r: list[int], p: int, x: int) -> None:
         if not p and not x:
             cliques.append(sorted(r))
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            visit(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        # the lowest of the vertices with the most neighbours in p
+        rest, most, pivot = p | x, -1, 0
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (count := (p & masks[u]).bit_count()) > most:
+                most, pivot = count, u
+        # then each vertex of p outside the pivot's neighbours, ascending
+        rest = p & ~masks[pivot]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            visit(r + [local[v]], p & masks[v], x & masks[v])
+            p ^= bit
+            x |= bit
 
-    visit([], set(vertices), set())
+    visit([], (1 << len(local)) - 1, 0)
     return sorted(cliques, key=lambda c: (-len(c), c))
 
 
@@ -178,27 +373,34 @@ def _role_search(
     # the spectra that took it and their lowest and highest carbon
     chosen: list[tuple[int, str | None]] = []
     counts = dict.fromkeys(pattern, 0)
-    spans = {role: ((), math.inf, -math.inf) for *_, roles in sites for role in roles}
+    roles_used = {role for *_, roles in sites for role in roles}
+    taken: dict[str, set[str]] = {role: set() for role in roles_used}
+    lo, hi = dict.fromkeys(roles_used, math.inf), dict.fromkeys(roles_used, -math.inf)
 
     def visit(t: int) -> None:
-        if next(visits) > budget:
-            raise ComponentTooLargeError("grouping expansion budget exhausted; tolerances too loose")
-        if t == size:
-            if chosen:
-                results.append((frozenset(i for i, _ in chosen), tuple(chosen)))
-            return
-        i, spectrum, carbon, roles = sites[t]
-        options: list[str | None] = []
-        if counts[spectrum] < pattern[spectrum]:
-            # float subtraction is monotone, so the extremes decide whether
-            # any carbon taken lies beyond delta3
-            options = [None] if carbon is None else [
-                role
-                for role in roles
-                if not (spectrum in (span := spans[role])[0] or carbon - span[1] > delta3
-                        or span[2] - carbon > delta3)
-            ]
-        if skip_always or not options:
+        # each pass is one step; a peak without options is left out, and
+        # the search goes on with the next peak in the same call
+        while True:
+            if next(visits) > budget:
+                raise ComponentTooLargeError("grouping expansion budget exhausted; tolerances too loose")
+            if t == size:
+                if chosen:
+                    results.append((frozenset(i for i, _ in chosen), tuple(chosen)))
+                return
+            i, spectrum, carbon, roles = sites[t]
+            if counts[spectrum] < pattern[spectrum]:
+                # float subtraction is monotone, so the extremes decide
+                # whether any carbon taken lies beyond delta3
+                options = [None] if carbon is None else [
+                    role
+                    for role in roles
+                    if not (spectrum in taken[role] or carbon - lo[role] > delta3
+                            or hi[role] - carbon > delta3)
+                ]
+                if options:
+                    break
+            t += 1
+        if skip_always:
             visit(t + 1)
         counts[spectrum] += 1
         for role in options:
@@ -206,10 +408,12 @@ def _role_search(
             if role is None:
                 visit(t + 1)
             else:
-                span = spans[role]
-                spans[role] = ((*span[0], spectrum), min(span[1], carbon), max(span[2], carbon))
+                low, high = lo[role], hi[role]
+                taken[role].add(spectrum)
+                lo[role], hi[role] = min(low, carbon), max(high, carbon)
                 visit(t + 1)
-                spans[role] = span
+                taken[role].remove(spectrum)
+                lo[role], hi[role] = low, high
             chosen.pop()
         counts[spectrum] -= 1
 
@@ -246,11 +450,11 @@ def _expand_clique(
     # neighbor's peaks.
     rows = amide[[s[0] for s in members]]
     windows = np.array([tol.delta1, tol.delta2])
-    anchors = [a for a, s in enumerate(members) if s[2] is None] or range(len(members))
+    anchors = [a for a, s in enumerate(members) if s[2] is None] or list(range(len(members)))
+    distance = np.nansum(np.abs(rows - rows[anchors, None]) / windows, axis=2)
     role_maps: dict[frozenset[int], set[_RoleMap]] = {}
-    for a in anchors:
-        distance = np.nansum(np.abs(rows - rows[a]) / windows, axis=1)
-        ordered = [members[i] for i in np.argsort(distance, kind="stable")]
+    for order in np.argsort(distance, axis=1, kind="stable").tolist():
+        ordered = [members[i] for i in order]
         for member_set, role_map in _role_search(ordered, pattern, tol, False, visits):
             role_maps.setdefault(member_set, set()).add(role_map)
 
@@ -265,29 +469,13 @@ def _expand_clique(
     ]
 
 
-def _consensus(
-    member_set: frozenset[int],
-    role_map: _RoleMap,
-    observation: Callable[[int, str], Observation | None],
-) -> dict[str, tuple[Observation, ...]]:
-    """Observations per role: every member's amide pair, in peak order, then
-    each carbon under the role it was given. ``observation(i, role)`` is
-    peak i's observation under that role, None without the coordinate."""
-    consensus: dict[str, list[Observation]] = {}
-    amides = [(i, role) for i in sorted(member_set) for role in ("HN", "N")]
-    for i, role in amides + sorted(item for item in role_map if item[1] is not None):
-        if (obs := observation(i, role)) is not None:
-            consensus.setdefault(role, []).append(obs)
-    return {role: tuple(obs) for role, obs in sorted(consensus.items())}
-
-
 def enumerate_groupings(
     graph: CompatibilityGraph,
     expected_pattern: Mapping[str, int],
     top_k: int | None,
     priors: PriorTable,
     tol: Tolerances,
-) -> list[PeakGrouping]:
+) -> GroupingTable:
     """Expand maximal cliques of the graph's peaks into groupings.
 
     With ``top_k`` set, only the top_k largest maximal cliques per connected
@@ -298,7 +486,10 @@ def enumerate_groupings(
     """
     pattern = {canonical_name(name): count for name, count in expected_pattern.items()}
     peaks, sites, amide = graph.peaks, _site_table(graph.peaks), _amide_array(graph.peaks)
-    neighbours = [frozenset(np.flatnonzero(row).tolist()) for row in graph.adjacency]
+    first, second = np.nonzero(graph.adjacency)
+    bounds = np.cumsum(np.bincount(first, minlength=len(peaks))).tolist()
+    second = second.tolist()
+    neighbours = [frozenset(second[a:b]) for a, b in zip([0, *bounds], bounds)]
     components = _connected_components(neighbours)
     for comp in components:
         if len(comp) > COMPONENT_BUDGET:
@@ -317,44 +508,81 @@ def enumerate_groupings(
         for clique in cliques:
             for item in _expand_clique(clique, sites, amide, pattern, tol, top_k is None, visits):
                 assignments[item] = None
+    return _peak_table(peaks, sites, amide, assignments, priors)
 
-    @functools.cache
-    def observation(i: int, role: str) -> Observation | None:
-        """Built once per peak and role, and shared by the groupings."""
-        value = peaks[i].coord({"HN": "H", "N": "N"}.get(role, "C"))
-        if value is None:
-            return None
-        return Observation(role, value, peaks[i].peak_id, priors.noise_for(sites[i][1], role))
 
-    found = sorted(
-        (
-            (member_set, _consensus(member_set, role_map, observation))
-            for member_set, role_map in assignments
-        ),
-        key=lambda item: (sorted(item[0]), sorted(item[1])),
+def _peak_table(
+    peaks: Sequence[Peak],
+    sites: Sequence[_Site],
+    amide: np.ndarray,
+    assignments: Iterable[tuple[frozenset[int], _RoleMap]],
+    priors: PriorTable,
+) -> GroupingTable:
+    """The groupings of these role assignments, ordered by member list and
+    then by observed role names (ties in the assignments' order). Each has
+    every member's amide pair under HN and N, and each carbon under the
+    role it was given; a missing coordinate is not observed."""
+    present = ~np.isnan(amide)
+    has_h, has_n = present.T.tolist()
+    keyed = []
+    for member_set, role_map in assignments:
+        members = sorted(member_set)
+        carbons = sorted(item for item in role_map if item[1] is not None)
+        roles = {role for _, role in carbons}
+        if any(has_h[i] for i in members):
+            roles.add("HN")
+        if any(has_n[i] for i in members):
+            roles.add("N")
+        keyed.append((members, sorted(roles), carbons))
+    keyed.sort(key=lambda item: item[:2])
+
+    # every member's amide pair, then each carbon under its role
+    lengths = [len(members) for members, _, _ in keyed]
+    owner = np.repeat(np.arange(len(keyed)), lengths)
+    members = np.array([i for m, _, _ in keyed for i in m], dtype=np.int64)
+    carbons = [(r, i, _COLUMNS[role]) for r, (_, _, c) in enumerate(keyed) for i, role in c]
+    c_row, c_at, c_column = (np.array(x, dtype=np.int64) for x in list(zip(*carbons)) or [()] * 3)
+    h, n = np.flatnonzero(present[members, 0]), np.flatnonzero(present[members, 1])
+    row = np.concatenate([owner[h], owner[n], c_row])
+    at = np.concatenate([members[h], members[n], c_at])
+    column = np.concatenate([np.full(len(h), _COLUMNS["HN"]), np.full(len(n), _COLUMNS["N"]), c_column])
+    carbon = np.array([np.nan if c is None else c for _, _, c, _ in sites])
+    value = np.concatenate([amide[members[h], 0], amide[members[n], 1], carbon[c_at]])
+    # consensus order: by row, then role name, then peak
+    by_name = np.argsort(np.argsort(list(_COLUMNS)))
+    order = np.lexsort((at, by_name[column], row))
+    row, at, column, value = row[order], at[order], column[order], value[order]
+    # each sigma looked up once per spectrum and role that occur
+    spectra, spectrum = np.unique([site[1] for site in sites], return_inverse=True)
+    roles = list(_COLUMNS)
+    pairs, which = np.unique(spectrum[at] * len(roles) + column, return_inverse=True)
+    sigma = np.array([
+        priors.noise_for(str(spectra[q // len(roles)]), roles[q % len(roles)]) for q in pairs.tolist()
+    ], dtype=float)[which]
+    return GroupingTable(
+        [f"g{idx:05d}" for idx in range(len(keyed))],
+        [p.peak_id for p in peaks],
+        np.cumsum([0, *lengths]),
+        members,
+        row, column, value, sigma, at,
     )
-    return [
-        PeakGrouping(f"g{idx:05d}", frozenset(peaks[i].peak_id for i in member_set), consensus)
-        for idx, (member_set, consensus) in enumerate(found)
-    ]
 
 
-def spins_to_groupings(spins: Sequence[SpinSystem], priors: PriorTable) -> list[PeakGrouping]:
+def spins_to_groupings(spins: Sequence[SpinSystem], priors: PriorTable) -> GroupingTable:
     """One degenerate grouping per spin system, one observation per role."""
-    groupings = []
-    for spin in spins:
-        consensus = {
-            role: (
-                Observation(role, value, spin.system_id, priors.noise_for(SPIN_NOISE, role)),
-            )
-            for role, value in sorted(spin.shifts.items())
-        }
-        groupings.append(
-            PeakGrouping(
-                grouping_id=spin.system_id,
-                member_peaks=frozenset({spin.system_id}),
-                consensus=consensus,
-            )
-        )
-    return groupings
-
+    sources = sorted({spin.system_id for spin in spins})
+    at = {sid: k for k, sid in enumerate(sources)}
+    noise: dict[str, float] = {}
+    observed = []
+    for r, spin in enumerate(spins):
+        for role, value in sorted(spin.shifts.items()):
+            if role not in noise:
+                noise[role] = priors.noise_for(SPIN_NOISE, role)
+            observed.append((r, _COLUMNS[role], value, noise[role], at[spin.system_id]))
+    return GroupingTable(
+        [spin.system_id for spin in spins],
+        sources,
+        np.arange(len(spins) + 1),
+        np.array([at[spin.system_id] for spin in spins], dtype=np.int64),
+        *_observation_arrays(observed),
+    )

@@ -188,9 +188,10 @@ def peak_incidence(g: AssignmentGraph) -> Incidence:
     is contested when two or more inner nodes consume it and at least one of
     them has an out-edge; these are the peaks that get a utilization row.
     """
-    ids = [pid for grouping in g.groupings for pid in sorted(grouping.member_peaks)]
-    owner = np.repeat(np.arange(len(g.groupings)), [len(gr.member_peaks) for gr in g.groupings])
-    peaks, cols = np.unique(ids, return_inverse=True)
+    table = g.groupings
+    owner = np.repeat(np.arange(len(table)), np.diff(table.indptr))
+    # the table's sources are in peak id order, so their positions sort alike
+    peaks, cols = np.unique(table.members, return_inverse=True)
     rows = np.concatenate(g.grouping_rows)
     has_out = np.concatenate([np.diff(layer.indptr) > 0 for layer in g.edges] + [[False]])
     # per peak, the inner nodes consuming it, and those of them with an out-edge
@@ -201,7 +202,8 @@ def peak_incidence(g: AssignmentGraph) -> Incidence:
     contested = (consumers >= 2) & (with_out >= 1)
     kept = contested[cols]
     indptr = np.cumsum(np.r_[0, np.bincount(owner[kept], minlength=len(g.groupings) + 1)])
-    return peaks[contested].tolist(), indptr, (np.cumsum(contested) - 1)[cols[kept]]
+    ids = [table.sources[p] for p in peaks[contested].tolist()]
+    return ids, indptr, (np.cumsum(contested) - 1)[cols[kept]]
 
 
 def _consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import pytest
 
 from nmrassign import cli
 from nmrassign.cli import EXIT_INPUT, EXIT_OK, build_parser, main
+from nmrassign.domain import Tolerances
 
 SEQ = "ADKFLEGQRSTNVYWHMICP"
 
@@ -353,6 +354,37 @@ def test_lambda_flag_beats_either_config_name(tmp_path, capsys, monkeypatch):
     assert main([*argv, "--lambda", "3"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: config keys 'lam' and 'lambda' set the same option\n"
     assert seen == [3.0, 5.0, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([0.1], "must hold a JSON object"),
+    ({"delta_3": 0.8, "lam": 2.0}, "tolerances key 'delta_3' is not one of"),
+    ({"delta3": 0.8, "lam": 2.0}, "tolerances key 'lam' is not one of"),
+])
+def test_tolerances_file_of_no_tolerance_rejected(tmp_path, capsys, monkeypatch, doc, message):
+    """A tolerances file holding anything but an object of tolerance keys
+    exits 2 naming the key, instead of crashing or being ignored; the keys
+    it may hold set their tolerances."""
+    seen = []
+
+    def run_assign(**kwargs):
+        seen.append(kwargs["tol"])
+        return {"variant": "lian1", "objective": 0.0, "assigned": 0,
+                "residues": len(SEQ), "proven_optimal": True}
+
+    monkeypatch.setattr(cli, "run_assign", run_assign)
+    path = tmp_path / "tol.json"
+    argv = ["assign", "--tolerances", str(path), "--sequence", SEQ,
+            "--dataset", str(tmp_path / "spins.tsv"), "--out", str(tmp_path)]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert seen == []
+    path.write_text(json.dumps({"delta1": 0.05, "delta2": 0.5, "delta3": 0.8, "delta": 2.5, "lambda": 2.0}))
+    assert main(argv) == EXIT_OK
+    assert seen == [Tolerances(delta1=0.05, delta2=0.5, delta3=0.8, delta=2.5, lam=2.0)]
 
 
 LAZY_SOLVER_SCRIPT = """

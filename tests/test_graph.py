@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -10,12 +11,21 @@ from nmrassign.costmodel import Moments, atom_cost, moments, typing_threshold
 from nmrassign.domain import (
     BASE_ROLES,
     Observation,
+    PriorTable,
     ProteinSequence,
     Tolerances,
     base_role,
     is_prev,
+    read_peaks,
+    read_spins,
 )
-from nmrassign.experiments import spin_observation_counts
+from nmrassign.experiments import (
+    FULL_SET,
+    canonical_name,
+    expected_observation_counts,
+    expected_pattern,
+    spin_observation_counts,
+)
 from nmrassign.graph import (
     DUMMY,
     END,
@@ -31,7 +41,13 @@ from nmrassign.graph import (
     graph_stats,
     residue_threshold,
 )
-from nmrassign.grouping import PeakGrouping
+from nmrassign.grouping import (
+    PeakGrouping,
+    build_compatibility_graph,
+    enumerate_groupings,
+    spins_to_groupings,
+)
+from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 from nmrassign.shortest_path import path_solution
 
 from oracles import quadrature_atom_cost
@@ -568,3 +584,64 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
     # pairs that one layer of a type drops and another keeps
     assert counts.min() > 0, counts
     assert foreign > 0  # on the last, fixed sequence alone
+
+
+def _graph_digest(g):
+    """sha256 of a graph's thresholds, grouping rows, and every edge layer's
+    src, dst, indptr and costs, each float down to its last bit."""
+    digest = hashlib.sha256()
+    digest.update(repr([t.hex() for t in g.thresholds]).encode())
+    for rows in g.grouping_rows:
+        digest.update(np.asarray(rows, dtype=np.int64).tobytes() + b"|")
+    for layer in g.edges:
+        for part in (layer.src, layer.dst, layer.indptr):
+            digest.update(np.asarray(part, dtype=np.int64).tobytes() + b"|")
+        digest.update(repr([c.hex() for c in layer.cost.tolist()]).encode())
+    return digest.hexdigest()
+
+
+def _pinned_dataset(tmp_path, dataset):
+    """(groupings, sequence, priors, tolerances, expected counts) of a pinned
+    dataset: peaks-ref40 (ref40, flya, tolerances 0.08/0.8/0.8, top_k 20) or
+    spins-deletion (ref60, cisa, high noise, 20 % deletion, spins sigmas
+    widened to CA 0.16 and CB 0.32, delta3 1.4), with its simulation seed."""
+    name, seed = dataset
+    priors = bundled_priors()
+    if name == "ref40":
+        ref = bundled_reference("ref40")
+        tol = Tolerances(delta1=0.08, delta2=0.8, delta3=0.8)
+        run_simulate(tmp_path, "flya", ref.sequence, priors, seed, reference=ref)
+        peaks = read_peaks(tmp_path / "peaks.tsv")
+        spectra = sorted({canonical_name(p.spectrum_id) for p in peaks}, key=FULL_SET.index)
+        groupings = enumerate_groupings(
+            build_compatibility_graph(peaks, tol), expected_pattern(spectra), 20, priors, tol
+        )
+        return groupings, ref.sequence, priors, tol, expected_observation_counts(spectra, priors)
+    ref = bundled_reference("ref60")
+    run_simulate(
+        tmp_path, "cisa", ref.sequence, priors, seed, noise="high", reference=ref,
+        deletion_rate=0.2,
+    )
+    noise = {k: dict(v) for k, v in priors.noise.items()}
+    noise["spins"].update(CA=0.16, CB=0.32)
+    wide = PriorTable(priors.atoms, noise)
+    groupings = spins_to_groupings(read_spins(tmp_path / "spins.tsv"), wide)
+    return groupings, ref.sequence, wide, Tolerances(delta3=1.4), spin_observation_counts(wide)
+
+
+#: ``_graph_digest`` of the graph built on each pinned dataset
+PINNED_GRAPH_DIGESTS = {
+    ("ref40", 0): "2b3affbe1ed2664fc5c1ba3e63aa866ea87035797a7e7a2428edea00eaaf3737",
+    ("ref40", 3): "370c0a77253c7311619025b50e9162217fb66125e012bce06f8f6b0e1478d78d",
+    ("ref60-cisa", 0): "e746b8cf9013e07b85e194b8cd57ad50a06523353e22665b8cbe88861bf54fbd",
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(PINNED_GRAPH_DIGESTS))
+def test_graph_is_pinned(tmp_path, dataset):
+    """The graphs of the benchmark's datasets do not move: same thresholds,
+    nodes, edges and costs, down to each cost's last bit."""
+    groupings, seq, priors, tol, expected = _pinned_dataset(tmp_path, dataset)
+    assert _graph_digest(build_graph(groupings, seq, priors, tol, expected)) == (
+        PINNED_GRAPH_DIGESTS[dataset]
+    )

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from nmrassign.experiments import BASIC_SET, FULL_SET, canonical_name, expected_
 from nmrassign.grouping import (
     COMPONENT_BUDGET,
     ComponentTooLargeError,
+    GroupingTable,
+    PeakGrouping,
     build_compatibility_graph,
     enumerate_groupings,
     spins_to_groupings,
@@ -58,8 +61,32 @@ def test_compatibility_edges_trivial(default_tol):
     assert not _linked(g, "p1", "p3")
 
 
+def _linked_by_brute_force(peaks, tol):
+    """Check the compatibility graph of ``peaks`` pair by pair against the
+    windows; returns (pairs compared with a coordinate missing, pairs linked
+    exactly at a window's edge)."""
+    g = build_compatibility_graph(peaks, tol)
+    assert sorted(g.peaks, key=lambda p: p.peak_id) == list(g.peaks) and set(g.peaks) == set(peaks)
+    missing = at_edge = 0
+    for a in peaks:
+        for b in peaks:
+            expected, edge = a.peak_id != b.peak_id, False
+            for label, window in (("H", tol.delta1), ("N", tol.delta2)):
+                if a.coord(label) is None or b.coord(label) is None:
+                    missing += 1
+                elif abs(a.coord(label) - b.coord(label)) > window:
+                    expected = False
+                else:
+                    edge |= abs(a.coord(label) - b.coord(label)) == window
+            assert _linked(g, a.peak_id, b.peak_id) == expected, (a, b)
+            at_edge += expected and edge
+    return missing, at_edge
+
+
 def test_compatibility_matches_pairwise_brute_force(default_tol):
-    """A coordinate missing on either side never separates two peaks."""
+    """A coordinate missing on either side never separates two peaks. The
+    banded search links pairs exactly δ1 or δ2 apart and no pair one ulp
+    further; with δ1 infinite only N separates."""
     rng = np.random.default_rng(3)
     peaks = [
         _peak(f"p{i}", "hsqc", float(rng.uniform(7.9, 8.1)), float(rng.uniform(119, 121)))
@@ -69,21 +96,60 @@ def test_compatibility_matches_pairwise_brute_force(default_tol):
         h, n, c = float(rng.uniform(7.9, 8.1)), float(rng.uniform(119, 121)), float(rng.uniform(40, 60))
         coords = (("N", n), ("C", c)) if i % 2 else (("H", h), ("C", c))
         peaks.append(Peak(f"m{i}", "hncacb", coords, +1))
-    g = build_compatibility_graph(peaks, default_tol)
-    assert sorted(g.peaks, key=lambda p: p.peak_id) == list(g.peaks) and set(g.peaks) == set(peaks)
-    missing = 0
-    for a in peaks:
-        for b in peaks:
-            expected = a.peak_id != b.peak_id
-            for label, window in (("H", default_tol.delta1), ("N", default_tol.delta2)):
-                if a.coord(label) is None or b.coord(label) is None:
-                    missing += 1
-                elif abs(a.coord(label) - b.coord(label)) > window:
-                    expected = False
-            assert _linked(g, a.peak_id, b.peak_id) == expected
+    missing, _ = _linked_by_brute_force(peaks, default_tol)
     assert missing > 0
     # peaks lacking H against peaks lacking N share no coordinate at all
+    g = build_compatibility_graph(peaks, default_tol)
     assert all(_linked(g, "m0", f"m{i}") for i in range(1, 20, 2))
+
+    # binary-exact windows and grid: many pairs lie exactly a window apart,
+    # and nextafter puts a coordinate one ulp beyond one
+    tol = Tolerances(delta1=0.125, delta2=0.5)
+    grid = [
+        _peak(f"q{i:02d}", "hsqc", 8.0 + 0.0625 * int(rng.integers(-3, 4)),
+              120.0 + 0.25 * int(rng.integers(-3, 4)))
+        for i in range(40)
+    ]
+    grid += [
+        _peak("u_h", "hsqc", float(np.nextafter(8.125, np.inf)), 120.0),
+        _peak("u_n", "hsqc", 8.0, float(np.nextafter(120.5, np.inf))),
+        _peak("x_h", "hsqc", 8.0, 120.0),
+        Peak("x_noh", "hncacb", (("N", 120.5), ("C", 50.0)), +1),
+        Peak("x_non", "hncacb", (("H", 7.875), ("C", 50.0)), +1),
+    ]
+    for window in (tol, Tolerances(delta1=math.inf, delta2=0.5)):
+        missing, at_edge = _linked_by_brute_force(grid, window)
+        assert missing > 0 and at_edge > 0
+    g = build_compatibility_graph(grid, tol)
+    assert not _linked(g, "x_h", "u_h") and not _linked(g, "x_h", "u_n")
+    assert _linked(g, "x_h", "x_noh") and _linked(g, "x_h", "x_non")
+    wide = build_compatibility_graph(grid, Tolerances(delta1=math.inf, delta2=0.5))
+    assert _linked(wide, "x_h", "u_h") and not _linked(wide, "x_h", "u_n")
+
+
+def test_maximal_cliques_match_subset_brute_force():
+    """Every maximal clique of a component, once, largest first and then in
+    lexicographic order (the order ``top_k`` truncates), on random graphs
+    whose vertex indices need not start at 0."""
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        size = int(rng.integers(1, 11))
+        vertices = sorted(rng.choice(40, size=size, replace=False).tolist())
+        adj = {v: set() for v in range(40)}
+        for a, b in itertools.combinations(vertices, 2):
+            if rng.random() < 0.6:
+                adj[a].add(b)
+                adj[b].add(a)
+        neighbours = [frozenset(adj[v]) for v in range(40)]
+        cliques = [
+            list(c)
+            for k in range(1, size + 1)
+            for c in itertools.combinations(vertices, k)
+            if all(b in adj[a] for a, b in itertools.combinations(c, 2))
+        ]
+        maximal = [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
+        want = sorted(maximal, key=lambda c: (-len(c), c))
+        assert grouping._maximal_cliques(vertices, neighbours) == want, trial
 
 
 def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_tol):
@@ -105,7 +171,7 @@ def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_t
 
 def test_empty_input(toy_priors, default_tol):
     g = build_compatibility_graph([], default_tol)
-    assert enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol) == []
+    assert len(enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)) == 0
 
 
 def test_exhaustive_equals_brute_force(toy_priors, default_tol):
@@ -275,6 +341,38 @@ def test_deterministic_ids_and_order(toy_priors, default_tol):
     assert [gr.grouping_id for gr in first] == [gr.grouping_id for gr in second]
     assert [gr.member_peaks for gr in first] == [gr.member_peaks for gr in second]
     assert first[0].grouping_id == "g00000"
+
+
+def test_grouping_table_views_read_its_rows(toy_priors, default_tol):
+    """``table[r]`` is built once per row, from the row's arrays: Python
+    floats and str ids, equal to and hashing like a ``PeakGrouping`` of the
+    same fields. The table of those groupings holds the same members and
+    observations; a table of groupings keeps them as its views."""
+    peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
+    peaks += _residue_peaks("r2", 7.5, 115.0, 45.2, 41.2, 53.1, 19.1)
+    table = enumerate_groupings(build_compatibility_graph(peaks, default_tol), PATTERN, 4,
+                                toy_priors, default_tol)
+    spins = spins_to_groupings([SpinSystem("s2", {"N": 121.0, "HN": 8.1, "CA": 54.0}),
+                                SpinSystem("s1", {"N": 120.0, "CB_prev": 41.0})], toy_priors)
+    for t in (table, spins):
+        plain = [PeakGrouping(g.grouping_id, g.member_peaks, dict(g.consensus)) for g in t]
+        assert len(plain) == len(t) > 0
+        for r, grouping in enumerate(plain):
+            view = t[r]
+            assert t[r] is view and t[r - len(t)] is view
+            assert view == grouping and grouping == view and hash(view) == hash(grouping)
+            assert sorted(view.member_peaks) == t.member_ids(r)
+            for role, obs in view.consensus.items():
+                assert all(type(o.value) is float and type(o.sigma) is float for o in obs)
+                assert all(type(o.peak_id) is str and o.role == role for o in obs)
+        again = GroupingTable.of(plain)
+        assert again.ids == t.ids and all(a is b for a, b in zip(again, plain))
+        for name in ("indptr", "row", "column", "value", "sigma"):
+            assert np.array_equal(getattr(again, name), getattr(t, name)), name
+        assert all(sorted(x.sources) == list(x.sources) for x in (again, t))
+        assert [again.sources[p] for p in again.members] == [t.sources[p] for p in t.members]
+        assert [again.sources[p] for p in again.source] == [t.sources[p] for p in t.source]
+    assert [g.grouping_id for g in spins] == ["s2", "s1"] and spins.sources == ["s1", "s2"]
 
 
 #: sha256 of every grouping's id, sorted member peaks and per-role
