@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,9 @@ TOP_K_HELP = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="nmrassign",
         description="Backbone resonance assignment via layered-graph linear programming.",

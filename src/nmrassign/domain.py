@@ -147,6 +147,10 @@ class Prior:
     std: float
 
     def __post_init__(self) -> None:
+        for name in ("mean", "std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise NmrAssignError(f"prior {name} must be a finite number, got {value!r}")
         if not self.std > 0:
             raise NonPositiveSigmaError(f"prior std must be positive, got {self.std}")
 
@@ -164,10 +168,14 @@ class PriorTable:
         atoms: Mapping[str, Mapping[str, Prior | None]],
         noise: Mapping[str, Mapping[str, float]],
     ) -> None:
+        if not isinstance(noise, Mapping) or not all(isinstance(e, Mapping) for e in noise.values()):
+            raise NmrAssignError("priors noise must map spectra to objects")
         self.atoms = {rt: dict(entries) for rt, entries in atoms.items()}
         self.noise = {sp: dict(entries) for sp, entries in noise.items()}
         for sp, entries in self.noise.items():
             for key, sigma in entries.items():
+                if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):
+                    raise NmrAssignError(f"noise[{sp}][{key}] must be a number, got {sigma!r}")
                 if not sigma > 0:
                     raise NonPositiveSigmaError(f"noise[{sp}][{key}] must be positive")
 
@@ -230,20 +238,6 @@ class Tolerances:
                 raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
             if not value > 0:
                 raise NmrAssignError(f"tolerance {name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One measured value attributed to an atom role."""
-
-    role: str
-    value: float
-    peak_id: str
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise NonPositiveSigmaError(f"observation sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -420,14 +414,24 @@ def read_priors(path: str | Path) -> PriorTable:
 
 
 def priors_from_dict(doc: Mapping) -> PriorTable:
-    atoms = {
-        rt: {
-            role: (None if spec is None else Prior(spec["mean"], spec["std"]))
-            for role, spec in entries.items()
-        }
-        for rt, entries in doc["atoms"].items()
-    }
-    return PriorTable(atoms, doc.get("noise", {}))
+    """Priors from a JSON document: an object whose ``atoms`` maps residue
+    type -> role -> {"mean", "std"} (null for an absent atom), and whose
+    optional ``noise`` maps spectrum -> role or dimension -> sigma. Anything
+    else is rejected, naming the entry."""
+    atoms = doc.get("atoms") if isinstance(doc, Mapping) else None
+    if not isinstance(atoms, Mapping) or not all(isinstance(e, Mapping) for e in atoms.values()):
+        raise NmrAssignError("priors must be a JSON object whose 'atoms' maps residue types to objects")
+    table: dict[str, dict[str, Prior | None]] = {rt: {} for rt in atoms}
+    for rt, entries in atoms.items():
+        for role, spec in entries.items():
+            entry = f"atoms[{rt}][{role}]"
+            try:
+                table[rt][role] = None if spec is None else Prior(spec["mean"], spec["std"])
+            except (KeyError, TypeError):
+                raise NmrAssignError(f"priors {entry} must be null or hold mean and std") from None
+            except NmrAssignError as exc:
+                raise type(exc)(f"priors {entry}: {exc}") from None
+    return PriorTable(table, doc.get("noise", {}))
 
 
 def write_tolerances(tol: Tolerances, path: str | Path) -> None:

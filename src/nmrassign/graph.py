@@ -7,13 +7,13 @@ residue's priors. Edges run only between consecutive layers.
 
 Nodes are stored once, as ``grouping_rows``: the grouping each node of a
 layer carries, -1 for start, dummy and end. ``AssignmentNode`` is a view
-of one row, built on demand by the graph's ``node`` and ``layers``.
+of one node (its position, kind and grouping id), built on demand by the
+graph's ``node`` and ``layers``.
 
-The groupings arrive as one ``grouping.GroupingTable`` (a plain sequence of
-``PeakGrouping`` is turned into one): flat arrays of every observation's
-grouping row, role column, value and sigma. The build reads those arrays
-alone, and so do the node usage and ``lp.peak_incidence``; a grouping is
-built as a ``PeakGrouping`` only when a caller asks for one.
+The groupings arrive as one ``grouping.GroupingTable``: flat arrays of
+every observation's grouping row, role column, value and sigma. The build
+reads those arrays alone, and so do the node usage and
+``lp.peak_incidence``.
 
 Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations, in one pass over the table's arrays:
@@ -57,7 +57,7 @@ from numpy.typing import ArrayLike
 
 from .costmodel import Moments, marginal_cost, moments
 from .domain import BASE_ROLES, PriorTable, ProteinSequence, Tolerances, write_json
-from .grouping import _COLUMNS, GroupingTable, PeakGrouping
+from .grouping import _COLUMNS, GroupingTable
 
 START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
 
@@ -70,11 +70,7 @@ class AssignmentNode:
     layer: int
     index: int
     kind: str
-    grouping: PeakGrouping | None = None
-
-    @property
-    def grouping_id(self) -> str | None:
-        return self.grouping.grouping_id if self.grouping is not None else None
+    grouping_id: str | None = None
 
 
 class EdgeLayer(Mapping):
@@ -140,15 +136,11 @@ class AssignmentGraph:
     edges: list[EdgeLayer]
     #: summed typing threshold per residue (index 0 unused)
     thresholds: list[float]
-    #: the groupings regular nodes carry, each once; a sequence of
-    #: ``PeakGrouping`` is stored as its ``GroupingTable``
+    #: the groupings regular nodes carry, each once
     groupings: GroupingTable
-    #: grouping_rows[k][i]: node i of layer k carries
-    #: ``groupings[grouping_rows[k][i]]``; -1 for start, dummy and end nodes
+    #: grouping_rows[k][i]: node i of layer k carries row
+    #: ``grouping_rows[k][i]`` of ``groupings``; -1 for start, dummy and end nodes
     grouping_rows: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        self.groupings = GroupingTable.of(self.groupings)
 
     @property
     def n(self) -> int:
@@ -158,7 +150,7 @@ class AssignmentGraph:
         """A view of node ``index`` of ``layer``, built from its grouping row."""
         row = int(self.grouping_rows[layer][index])
         if row >= 0:
-            return AssignmentNode(layer, index, REGULAR, self.groupings[row])
+            return AssignmentNode(layer, index, REGULAR, self.groupings.ids[row])
         return AssignmentNode(layer, index, START if layer == 0 else END if layer > self.n else DUMMY)
 
     @cached_property
@@ -285,7 +277,8 @@ def residue_threshold(
 ) -> float:
     """Summed per-atom typing threshold for a null assignment: what a
     one-residue graph charges its dummy."""
-    return build_graph([], ProteinSequence(residue_type), priors, tol, expected).thresholds[1]
+    nothing = GroupingTable.from_rows([])
+    return build_graph(nothing, ProteinSequence(residue_type), priors, tol, expected).thresholds[1]
 
 
 #: a residue type's prior per base role: which atoms it lacks, and each
@@ -340,17 +333,15 @@ def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
 
 
 def build_graph(
-    groupings: Sequence[PeakGrouping],
+    table: GroupingTable,
     seq: ProteinSequence,
     priors: PriorTable,
     tol: Tolerances,
     expected: ExpectedCounts,
 ) -> AssignmentGraph:
-    """The layered graph of these groupings (a ``GroupingTable``, or any
-    sequence of ``PeakGrouping``) for the sequence."""
+    """The layered graph of the table's groupings for the sequence."""
     n = len(seq)
     types = sorted(set(seq.residues))
-    table = GroupingTable.of(groupings)
     stats, lo, hi = _summaries(table)
     intra, prev = (Moments(*np.ascontiguousarray(part)) for part in np.split(stats, 2, axis=-1))
     walks = _walks(lo, hi, tol.delta3)

@@ -19,15 +19,16 @@ grouping with a single observation per present role.
 
 Either way the result is one ``GroupingTable``: the groupings' ids, member
 peaks and observations as flat arrays, which the graph build reads
-directly. ``table[r]`` is row r as a ``PeakGrouping``, built on first use.
+directly. It is the only form a grouping takes: a row is read through
+``ids[r]``, ``member_ids(r)`` and ``consensus(r)``, and
+``GroupingTable.from_rows`` builds a table from Python rows.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .domain import (
     BASE_ROLES,
     PREV_SUFFIX,
     NmrAssignError,
-    Observation,
     Peak,
     PriorTable,
     SpinSystem,
@@ -69,23 +69,13 @@ class ComponentTooLargeError(NmrAssignError):
     tolerances are probably too loose for this dataset."""
 
 
-@dataclass(frozen=True)
-class PeakGrouping:
-    """A set of mutually consistent peaks, candidate evidence for one residue."""
-
-    grouping_id: str
-    member_peaks: frozenset[str]
-    #: compared, but left out of the hash: a dict does not hash
-    consensus: Mapping[str, tuple[Observation, ...]] = field(hash=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "consensus", dict(self.consensus))
-
-    def observations(self, role: str) -> tuple[Observation, ...]:
-        return self.consensus.get(role, ())
+#: (grouping id, member ids, {role: [(value, sigma, source id), ...]}): one
+#: grouping as ``GroupingTable.from_rows`` reads it; each observation's
+#: source is one of the grouping's members
+GroupingRow = tuple[str, Iterable[str], Mapping[str, Sequence[tuple[float, float, str]]]]
 
 
-class GroupingTable(Sequence):
+class GroupingTable:
     """The groupings of one run as flat arrays, one row per grouping.
 
     ``sources`` are the peak (or spin-system) ids the groupings draw on,
@@ -97,8 +87,7 @@ class GroupingTable(Sequence):
     The observations are in consensus order: by row, each row's by role
     name, and each role's in the order they merge.
 
-    ``table[r]`` is row r as a ``PeakGrouping``, built on first use and kept
-    in ``views``.
+    A row is read through ``ids[r]``, ``member_ids(r)`` and ``consensus(r)``.
     """
 
     def __init__(
@@ -112,58 +101,36 @@ class GroupingTable(Sequence):
         value: np.ndarray,
         sigma: np.ndarray,
         source: np.ndarray,
-        views: list[PeakGrouping] | None = None,
     ) -> None:
         self.ids, self.sources, self.indptr, self.members = ids, sources, indptr, members
         self.row, self.column, self.value = row, column, value
         self.sigma, self.source = sigma, source
-        self.views: list[PeakGrouping | None] = views or [None] * len(ids)
 
     @classmethod
-    def of(cls, groupings: Sequence[PeakGrouping]) -> GroupingTable:
-        """The table of these groupings, which are kept as its views; a
-        table is returned as it is."""
-        if isinstance(groupings, cls):
-            return groupings
-        sources = sorted(
-            {pid for g in groupings for pid in g.member_peaks}
-            | {o.peak_id for g in groupings for obs in g.consensus.values() for o in obs}
-        )
+    def from_rows(cls, rows: Sequence[GroupingRow]) -> GroupingTable:
+        """The table of these groupings, in their order; each role's
+        observations merge in the order given."""
+        sources = sorted({pid for _, members, _ in rows for pid in members})
         at = {pid: k for k, pid in enumerate(sources)}
-        members = [sorted(at[pid] for pid in g.member_peaks) for g in groupings]
+        members = [sorted(at[pid] for pid in m) for _, m, _ in rows]
         observed = [
-            (r, _COLUMNS[role], o.value, o.sigma, at[o.peak_id])
-            for r, g in enumerate(groupings)
-            for role, obs in sorted(g.consensus.items())
-            for o in obs
+            (r, _COLUMNS[role], value, sigma, at[pid])
+            for r, (_, _, consensus) in enumerate(rows)
+            for role, obs in sorted(consensus.items())
+            for value, sigma, pid in obs
         ]
+        fields = list(zip(*observed)) or [()] * 5
+        dtypes = (np.int64, np.int64, float, float, np.int64)
         return cls(
-            [g.grouping_id for g in groupings],
+            [gid for gid, _, _ in rows],
             sources,
             np.cumsum([0, *(len(m) for m in members)]),
             np.array([k for m in members for k in m], dtype=np.int64),
-            *_observation_arrays(observed),
-            list(groupings),
+            *(np.array(x, dtype=t) for x, t in zip(fields, dtypes)),
         )
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, r: int) -> PeakGrouping:
-        r = range(len(self.ids))[r]
-        view = self.views[r]
-        if view is None:
-            view = self.views[r] = _RowView.read(self, r)
-        return view
-
-    def __iter__(self) -> Iterator[PeakGrouping]:
-        return (self[r] for r in range(len(self.ids)))
-
-    @cached_property
-    def _observed(self) -> list[int]:
-        """Row r's observations are the positions ``_observed[r]`` up to
-        ``_observed[r + 1]``."""
-        return np.searchsorted(self.row, np.arange(len(self.ids) + 1)).tolist()
 
     def member_ids(self, r: int) -> list[str]:
         """The ids of the sources row r consumes, ascending."""
@@ -172,7 +139,7 @@ class GroupingTable(Sequence):
     def consensus(self, r: int) -> dict[str, tuple[list[float], list[float], list[str]]]:
         """Row r's observations per role, in consensus order, as (values,
         sigmas, source ids) with Python floats and str ids."""
-        at = slice(self._observed[r], self._observed[r + 1])
+        at = slice(*np.searchsorted(self.row, [r, r + 1]).tolist())
         columns, values, sigmas, sources = (
             x[at].tolist() for x in (self.column, self.value, self.sigma, self.source)
         )
@@ -184,48 +151,6 @@ class GroupingTable(Sequence):
             roles[columns[a]]: (values[a:b], sigmas[a:b], ids[a:b])
             for a, b in zip(starts, [*starts[1:], len(columns)])
         }
-
-
-class _RowView(PeakGrouping):
-    """A ``PeakGrouping`` read from one row of a ``GroupingTable``: most
-    readers of a view never look at its consensus, so its observations are
-    built only when first asked for. It equals any ``PeakGrouping`` with the
-    same id, members and consensus."""
-
-    @classmethod
-    def read(cls, table: GroupingTable, r: int) -> _RowView:
-        """Row r of the table; the dataclass ``__init__``, which would take
-        the consensus at once, is bypassed."""
-        view = cls.__new__(cls)
-        view.__dict__.update(
-            grouping_id=table.ids[r], member_peaks=frozenset(table.member_ids(r)), _row=(table, r)
-        )
-        return view
-
-    @cached_property
-    def consensus(self) -> dict[str, tuple[Observation, ...]]:
-        table, r = self.__dict__.pop("_row")
-        return {
-            role: tuple(map(Observation, [role] * len(values), values, ids, sigmas))
-            for role, (values, sigmas, ids) in table.consensus(r).items()
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeakGrouping):
-            return NotImplemented
-        return (self.grouping_id, self.member_peaks, self.consensus) == (
-            other.grouping_id, other.member_peaks, other.consensus
-        )
-
-    __hash__ = PeakGrouping.__hash__
-
-
-def _observation_arrays(observed: Sequence[tuple[int, int, float, float, int]]) -> list[np.ndarray]:
-    """A ``GroupingTable``'s (row, column, value, sigma, source) arrays, from
-    one such tuple per observation."""
-    fields = list(zip(*observed)) or [()] * 5
-    dtypes = (np.int64, np.int64, float, float, np.int64)
-    return [np.array(x, dtype=t) for x, t in zip(fields, dtypes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,19 +495,10 @@ def _peak_table(
 
 def spins_to_groupings(spins: Sequence[SpinSystem], priors: PriorTable) -> GroupingTable:
     """One degenerate grouping per spin system, one observation per role."""
-    sources = sorted({spin.system_id for spin in spins})
-    at = {sid: k for k, sid in enumerate(sources)}
-    noise: dict[str, float] = {}
-    observed = []
-    for r, spin in enumerate(spins):
-        for role, value in sorted(spin.shifts.items()):
-            if role not in noise:
-                noise[role] = priors.noise_for(SPIN_NOISE, role)
-            observed.append((r, _COLUMNS[role], value, noise[role], at[spin.system_id]))
-    return GroupingTable(
-        [spin.system_id for spin in spins],
-        sources,
-        np.arange(len(spins) + 1),
-        np.array([at[spin.system_id] for spin in spins], dtype=np.int64),
-        *_observation_arrays(observed),
-    )
+    return GroupingTable.from_rows([
+        (spin.system_id, [spin.system_id], {
+            role: [(value, priors.noise_for(SPIN_NOISE, role), spin.system_id)]
+            for role, value in sorted(spin.shifts.items())
+        })
+        for spin in spins
+    ])

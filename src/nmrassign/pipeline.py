@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .graph import ExpectedCounts, build_graph, export_graph, graph_stats
 from .grouping import (
-    PeakGrouping,
+    GroupingTable,
     build_compatibility_graph,
     enumerate_groupings,
     spins_to_groupings,
@@ -135,7 +135,7 @@ def _load_and_group(
     tol: Tolerances,
     top_k: int | None,
     stages: dict[str, float],
-) -> tuple[list[PeakGrouping], ExpectedCounts]:
+) -> tuple[GroupingTable, ExpectedCounts]:
     """Read and validate a dataset, then group it: (groupings, expected counts)."""
     if top_k is not None and top_k < 1:
         raise NmrAssignError(f"top_k must be at least 1, got {top_k}")

@@ -17,7 +17,7 @@ from nmrassign import grouping
 from nmrassign.domain import Peak, ProteinSequence, Tolerances
 from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
-from nmrassign.grouping import PeakGrouping
+from nmrassign.grouping import GroupingTable
 
 
 def quadrature_atom_cost(
@@ -81,20 +81,19 @@ def make_graph(
         usage = [dict() for _ in range(n + 2)]
     # every regular node carries a grouping of its own, in layer order;
     # the start, each dummy (node 0) and the end carry none
-    groupings: list[PeakGrouping] = []
+    rows = []
     grouping_rows = [np.full(1, -1)]
     for k, size in enumerate(inner_sizes, start=1):
-        grouping_rows.append(np.arange(len(groupings) - 1, len(groupings) + size - 1))
+        grouping_rows.append(np.arange(len(rows) - 1, len(rows) + size - 1))
         grouping_rows[-1][0] = -1
         for i in range(1, size):
-            members = frozenset(usage[k].get(i, {f"n{k}_{i}"}))
-            groupings.append(PeakGrouping(f"n{k}_{i}", members, {}))
+            rows.append((f"n{k}_{i}", usage[k].get(i, {f"n{k}_{i}"}), {}))
     grouping_rows.append(np.full(1, -1))
     return AssignmentGraph(
         seq,
         [edge_layer(e, len(grouping_rows[k])) for k, e in enumerate(edges)],
         list(thresholds) if thresholds is not None else [0.0] * (n + 1),
-        groupings,
+        GroupingTable.from_rows(rows),
         grouping_rows,
     )
 

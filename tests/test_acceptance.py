@@ -208,7 +208,7 @@ def test_criterion_7_grouping_completeness(toy_priors):
             )
         compat = build_compatibility_graph(peaks, tol)
         emitted = enumerate_groupings(compat, pattern, None, toy_priors, tol)
-        got = {g.member_peaks for g in emitted}
+        got = {frozenset(emitted.member_ids(r)) for r in range(len(emitted))}
         want = brute_force_groupings(peaks, pattern, tol)
         assert got == want
     assert time.monotonic() - t0 < 30.0

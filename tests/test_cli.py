@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,42 @@ def test_tolerances_file_of_no_tolerance_rejected(tmp_path, capsys, monkeypatch,
     path.write_text(json.dumps({"delta1": 0.05, "delta2": 0.5, "delta3": 0.8, "delta": 2.5, "lambda": 2.0}))
     assert main(argv) == EXIT_OK
     assert seen == [Tolerances(delta1=0.05, delta2=0.5, delta3=0.8, delta=2.5, lam=2.0)]
+
+
+def _edit_prior(doc, key, value):
+    doc["atoms"]["A"]["CA"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda doc: [1, 2], "priors must be a JSON object", id="not-an-object"),
+    pytest.param(lambda doc: {"noise": doc["noise"]}, "'atoms' maps residue types to objects",
+                 id="no-atoms"),
+    pytest.param(lambda doc: _edit_prior(doc, "mean", "53.1"), "atoms[A][CA]: prior mean",
+                 id="string-mean"),
+    pytest.param(lambda doc: _edit_prior(doc, "std", "2.0"), "atoms[A][CA]: prior std",
+                 id="string-std"),
+    pytest.param(lambda doc: _edit_prior(doc, "mean", float("nan")), "atoms[A][CA]: prior mean",
+                 id="nan-mean"),
+    pytest.param(lambda doc: {**doc, "noise": {"spins": {"CA": "0.1"}}},
+                 "noise[spins][CA] must be a number", id="string-noise"),
+    pytest.param(lambda doc: {**doc, "noise": [1]}, "noise must map spectra to objects",
+                 id="noise-not-an-object"),
+])
+def test_malformed_priors_file_exits_2(tmp_path, capsys, edit, message):
+    """A priors file that is not an object of atom priors, holds a prior
+    whose mean or std is not a finite number, or a noise sigma that is not a
+    number, exits 2 naming the entry."""
+    run = _simulate(tmp_path, "run")
+    bundled = resources.files("nmrassign.data").joinpath("priors.json").read_text(encoding="utf-8")
+    path = tmp_path / "priors.json"
+    path.write_text(json.dumps(edit(json.loads(bundled))), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                 "--priors", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 LAZY_SOLVER_SCRIPT = """

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +9,6 @@ import pytest
 from nmrassign.costmodel import Moments, atom_cost, moments, typing_threshold
 from nmrassign.domain import (
     BASE_ROLES,
-    Observation,
     PriorTable,
     ProteinSequence,
     Tolerances,
@@ -42,7 +40,7 @@ from nmrassign.graph import (
     residue_threshold,
 )
 from nmrassign.grouping import (
-    PeakGrouping,
+    GroupingTable,
     build_compatibility_graph,
     enumerate_groupings,
     spins_to_groupings,
@@ -54,19 +52,37 @@ from oracles import quadrature_atom_cost
 
 
 def _grouping(gid, shifts, sigma=0.1):
-    """A grouping with one observation per role, or several where a role
-    maps to a list of values."""
+    """A grouping row (``GroupingTable.from_rows``) consuming its own id,
+    with one observation per role, or several where a role maps to a list
+    of values."""
     consensus = {
-        role: tuple(Observation(role, v, gid, sigma) for v in np.atleast_1d(values).tolist())
+        role: [(v, sigma, gid) for v in np.atleast_1d(values).tolist()]
         for role, values in shifts.items()
     }
-    return PeakGrouping(gid, frozenset({gid}), consensus)
+    return gid, [gid], consensus
+
+
+def _build(rows, *args):
+    """``build_graph`` of the table of these grouping rows."""
+    return build_graph(GroupingTable.from_rows(rows), *args)
+
+
+def _consensus(g, k, i):
+    """The consensus of the grouping node i of layer k carries, read from
+    the graph's table; {} for start, dummy and end nodes."""
+    row = int(g.grouping_rows[k][i])
+    return g.groupings.consensus(row) if row >= 0 else {}
+
+
+def _values(consensus, role):
+    """The values a consensus holds for the role, none when unobserved."""
+    return consensus[role][0] if role in consensus else []
 
 
 def test_dummies_only_graph(toy_priors, default_tol):
     seq = ProteinSequence("AGA")
     expected = spin_observation_counts(toy_priors)
-    g = build_graph([], seq, toy_priors, default_tol, expected)
+    g = _build([], seq, toy_priors, default_tol, expected)
     stats = graph_stats(g)
     assert stats["layer_sizes"] == [1, 1, 1, 1, 1]
     assert stats["total_edges"] == 4
@@ -83,25 +99,18 @@ def test_dummies_only_graph(toy_priors, default_tol):
 def _typed_ids(groupings, residue_type, priors, tol):
     """Grouping ids on the regular nodes of a one-residue graph, checked
     against its layer-1 grouping rows: the dummy's -1, then the kept rows."""
-    g = build_graph(
-        groupings, ProteinSequence(residue_type), priors, tol, spin_observation_counts(priors)
-    )
+    g = _build(groupings, ProteinSequence(residue_type), priors, tol, spin_observation_counts(priors))
     rows = g.grouping_rows[1]
     assert rows[0] == -1 and (rows[1:] >= 0).all()
-    return [g.groupings[r].grouping_id for r in rows[1:]]
+    return [g.groupings.ids[r] for r in rows[1:]]
 
 
-def test_groupings_and_nodes_hash_without_the_consensus():
-    """A grouping hashes by its id and members, and a node by its position,
-    kind and grouping; equality still compares the consensus."""
-    a = _grouping("g1", {"CA": 53.0})
-    b = _grouping("g1", {"CA": 53.0})
-    c = _grouping("g1", {"CA": 45.0})
-    assert hash(a) == hash(b) == hash(c)
-    assert a == b and a != c
-    assert len({a, b, c}) == 2
-    nodes = {AssignmentNode(1, 1, REGULAR, g) for g in (a, b, c)}
-    assert len(nodes) == 2 and hash(AssignmentNode(1, 0, DUMMY)) == hash(AssignmentNode(1, 0, DUMMY))
+def test_nodes_hash_by_position_kind_and_grouping_id():
+    """A node hashes and compares by its position, kind and grouping id."""
+    nodes = {AssignmentNode(1, 1, REGULAR, gid) for gid in ("g1", "g1", "g2")}
+    assert len(nodes) == 2 and AssignmentNode(1, 1, REGULAR, "g1") in nodes
+    assert hash(AssignmentNode(1, 0, DUMMY)) == hash(AssignmentNode(1, 0, DUMMY))
+    assert AssignmentNode(1, 0, DUMMY) != AssignmentNode(1, 1, DUMMY)
 
 
 def test_batched_typing_thresholds_equal_the_scalar_ones(toy_priors):
@@ -150,7 +159,7 @@ def test_proline_layer_dummy_only(toy_priors, default_tol):
     seq = ProteinSequence("APA")
     expected = spin_observation_counts(toy_priors)
     g1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0})
-    g = build_graph([g1], seq, toy_priors, default_tol, expected)
+    g = _build([g1], seq, toy_priors, default_tol, expected)
     kinds = [node.kind for node in g.layers[2]]
     assert kinds == [DUMMY]
     # proline threshold covers only the carbons
@@ -160,18 +169,16 @@ def test_proline_layer_dummy_only(toy_priors, default_tol):
 def test_layer_instantiation_counts(toy_priors, default_tol):
     seq = ProteinSequence("AG")
     expected = spin_observation_counts(toy_priors)
-    ala_only = dataclasses.replace(
-        _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0}),
-        member_peaks=frozenset({"p1", "p2", "p3"}),
-    )
-    g = build_graph([ala_only], seq, toy_priors, default_tol, expected)
+    shifts = {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0}
+    ala_only = "u1", ["p1", "p2", "p3"], {role: [(v, 0.1, "p1")] for role, v in shifts.items()}
+    g = _build([ala_only], seq, toy_priors, default_tol, expected)
     assert len(g.layers[1]) == 2  # dummy + the grouping
     assert len(g.layers[2]) == 1  # glycine rejects the CB observation
     # the node views read the grouping rows: -1 is the start, a dummy or the end
     assert [[node.kind for node in layer] for layer in g.layers] == [
         [START], [DUMMY, REGULAR], [DUMMY], [END]
     ]
-    assert g.node(1, 1).grouping is ala_only and g.node(2, 0).grouping is None
+    assert g.node(1, 1).grouping_id == "u1" and g.node(2, 0).grouping_id is None
     # a regular node consumes its grouping's peaks; start, dummies and end none
     assert g.usage(1, 1) == frozenset({"p1", "p2", "p3"})
     for layer, index in ((0, 0), (1, 0), (2, 0), (3, 0)):
@@ -187,7 +194,7 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
         "u2",
         {"N": 122.0, "HN": 8.1, "CA": 53.5, "CB": 19.5, "CA_prev": 53.05, "CB_prev": 19.05},
     )
-    g = build_graph([u1, u2], seq, toy_priors, default_tol, expected)
+    g = _build([u1, u2], seq, toy_priors, default_tol, expected)
     by_id = {node.grouping_id: node.index for node in g.layers[1]}
     i1 = by_id["u1"]
     by_id2 = {node.grouping_id: node.index for node in g.layers[2]}
@@ -222,20 +229,20 @@ def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
     seq = ProteinSequence("AA")
     expected = spin_observation_counts(toy_priors)
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0})
-    g = build_graph([u1], seq, toy_priors, default_tol, expected)
+    g = _build([u1], seq, toy_priors, default_tol, expected)
     for j in range(len(g.layers[2])):
         assert g.edges[1][(0, j)] == pytest.approx(g.thresholds[1])
     assert g.edges[2][(0, 0)] == pytest.approx(g.thresholds[2])
 
 
 def _walks(src, dst, delta3):
-    """Every intra carbon value of src within delta3 of every prev value of
-    the same carbon in dst, checked pair by pair."""
+    """Every intra carbon value of the src consensus within delta3 of every
+    prev value of the same carbon in the dst consensus, checked pair by pair."""
     return all(
-        abs(x.value - y.value) <= delta3
+        abs(x - y) <= delta3
         for role in ("CA", "CB", "CO")
-        for x in src.observations(role)
-        for y in dst.observations(role + "_prev")
+        for x in _values(src, role)
+        for y in _values(dst, role + "_prev")
     )
 
 
@@ -245,7 +252,7 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0})
     # CA_prev far from u1's CA: no sequential edge
     u2 = _grouping("u2", {"N": 122.0, "HN": 8.1, "CA": 53.5, "CA_prev": 56.0})
-    g = build_graph([u1, u2], seq, toy_priors, default_tol, expected)
+    g = _build([u1, u2], seq, toy_priors, default_tol, expected)
     i1 = next(n.index for n in g.layers[1] if n.grouping_id == "u1")
     i2 = next(n.index for n in g.layers[2] if n.grouping_id == "u2")
     assert (i1, i2) not in g.edges[1]
@@ -269,7 +276,7 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
         _grouping("t4", {**amide, "CB_prev": [under_cb, 19.125]}),  # s1: 19.25 just over
         _grouping("t5", amide),  # no prev roles: links to every source
     ]
-    g = build_graph([s1, s2, *targets], seq, toy_priors, tol, expected)
+    g = _build([s1, s2, *targets], seq, toy_priors, tol, expected)
     src = {n.grouping_id: n for n in g.layers[1] if n.kind == REGULAR}
     dst = {n.grouping_id: n for n in g.layers[2] if n.kind == REGULAR}
     assert len(src) == len(dst) == 7  # every grouping is typed as alanine
@@ -278,7 +285,7 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
         (a.index, b.index)
         for a in src.values()
         for b in dst.values()
-        if _walks(a.grouping, b.grouping, tol.delta3)
+        if _walks(_consensus(g, 1, a.index), _consensus(g, 2, b.index), tol.delta3)
     }
     assert linked == want
     pair = {(a, b): (src[a].index, dst[b].index) in linked for a in src for b in dst}
@@ -290,14 +297,14 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
 
 
 def _quadrature_price(src, dst, residue_type, priors):
-    """Residue cost of src's intra and dst's prev observations (dst None for
-    the dummy or the end), by quadrature per pooled role; None when the
-    residue lacks an observed atom."""
+    """Residue cost of the src consensus's intra and the dst consensus's prev
+    observations (dst {} for the dummy or the end), by quadrature per pooled
+    role; None when the residue lacks an observed atom."""
     pooled = {}
-    for grouping, prev in ((src, False), (dst, True)):
-        for role, obs in grouping.consensus.items() if grouping else ():
+    for consensus, prev in ((src, False), (dst, True)):
+        for role, (values, sigmas, _) in consensus.items():
             if is_prev(role) == prev:
-                pooled.setdefault(base_role(role), []).extend((o.value, o.sigma) for o in obs)
+                pooled.setdefault(base_role(role), []).extend(zip(values, sigmas))
     total = 0.0
     for role, obs in pooled.items():
         prior = priors.prior(residue_type, role)
@@ -312,11 +319,7 @@ def test_edge_costs_match_quadrature(toy_priors):
     pooled observations, with several of them per role on both sides."""
 
     def grouping(gid, **roles):
-        consensus = {
-            role: tuple(Observation(role, v, gid, s) for v, s in obs)
-            for role, obs in roles.items()
-        }
-        return PeakGrouping(gid, frozenset({gid}), consensus)
+        return gid, [gid], {role: [(v, s, gid) for v, s in obs] for role, obs in roles.items()}
 
     amide = {"N": [(122.5, 0.1), (122.8, 0.05)], "HN": [(8.15, 0.0075), (8.17, 0.01)]}
     alanine = {**amide, "CA": [(53.2, 0.1), (53.4, 0.2)], "CB": [(19.1, 0.1), (19.3, 0.2)]}
@@ -336,7 +339,7 @@ def test_edge_costs_match_quadrature(toy_priors):
     ]
     seq = ProteinSequence("GA")
     expected = {role: (4, 0.1) for role in ("N", "HN", "CA", "CB", "CO")}
-    g = build_graph(groupings, seq, toy_priors, Tolerances(delta3=1.0, delta=10.0), expected)
+    g = _build(groupings, seq, toy_priors, Tolerances(delta3=1.0, delta=10.0), expected)
     assert [n.grouping_id for n in g.layers[1][1:]] == ["g1", "g2"]
     assert len(g.layers[2]) > 3  # t1, t2, t3, and the glycine-like groupings
     priced = 0
@@ -345,7 +348,7 @@ def test_edge_costs_match_quadrature(toy_priors):
         for i, j in g.edges[k]:
             if i == 0:
                 continue
-            src, dst = g.layers[k][i].grouping, g.layers[k + 1][j].grouping
+            src, dst = _consensus(g, k, i), _consensus(g, k + 1, j)
             want = _quadrature_price(src, dst, rt, toy_priors)
             assert g.edges[k][(i, j)] == pytest.approx(want, abs=1e-8)
             priced += 1
@@ -354,7 +357,8 @@ def test_edge_costs_match_quadrature(toy_priors):
             (a.index, b.index)
             for a in g.layers[k][1:]
             for b in g.layers[k + 1][1:]
-            if _quadrature_price(a.grouping, b.grouping, rt, toy_priors) is not None
+            if _quadrature_price(_consensus(g, k, a.index), _consensus(g, k + 1, b.index), rt,
+                                 toy_priors) is not None
         }
         assert {(i, j) for i, j in g.edges[k] if i and j} == regular
     t2 = next(n.index for n in g.layers[2] if n.grouping_id == "t2")
@@ -370,7 +374,7 @@ def test_dummy_connectivity_invariant(toy_priors, default_tol):
         _grouping(f"u{i}", {"N": 123.0 + i, "HN": 8.2, "CA": 53.0 + 0.3 * i})
         for i in range(3)
     ]
-    g = build_graph(groupings, seq, toy_priors, default_tol, expected)
+    g = _build(groupings, seq, toy_priors, default_tol, expected)
     for k in range(1, g.n + 1):
         for node in g.layers[k - 1]:
             assert (node.index, 0) in g.edges[k - 1]
@@ -385,8 +389,8 @@ def test_rebuild_is_deterministic(toy_priors, default_tol):
         _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0}),
         _grouping("u2", {"N": 110.0, "HN": 8.3, "CA": 45.5}),
     ]
-    g1 = build_graph(groupings, seq, toy_priors, default_tol, expected)
-    g2 = build_graph(groupings, seq, toy_priors, default_tol, expected)
+    g1 = _build(groupings, seq, toy_priors, default_tol, expected)
+    g2 = _build(groupings, seq, toy_priors, default_tol, expected)
     assert g1.edges == g2.edges
     assert g1.thresholds == g2.thresholds
 
@@ -395,7 +399,7 @@ def test_export_graph(tmp_path, toy_priors, default_tol):
     seq = ProteinSequence("AG")
     expected = spin_observation_counts(toy_priors)
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0})
-    g = build_graph([u1], seq, toy_priors, default_tol, expected)
+    g = _build([u1], seq, toy_priors, default_tol, expected)
     path = tmp_path / "graph.json"
     export_graph(g, path)
     doc = json.loads(path.read_text())
@@ -437,10 +441,10 @@ SIGMAS = {"N": (0.1, 0.05), "HN": (0.0075, 0.01), "CA": (0.1, 0.2), "CB": (0.1, 
 
 
 def _peak_list_groupings(rng, seq, priors):
-    """Peak-list-style groupings of a random protein, one per residue plus
-    three decoys: 2-3 observations per observed role, each with one of the
-    role's two sigmas, within 0.3 ppm of the residue's shift (decoys 1.5);
-    a fifth of the roles, intra or prev, left unobserved."""
+    """The table of peak-list-style groupings of a random protein, one per
+    residue plus three decoys: 2-3 observations per observed role, each with
+    one of the role's two sigmas, within 0.3 ppm of the residue's shift
+    (decoys 1.5); a fifth of the roles, intra or prev, left unobserved."""
     shifts = [
         {role: p.mean + rng.normal() * p.std for role in BASE_ROLES if (p := priors.prior(rt, role))}
         for rt in seq.residues
@@ -451,24 +455,22 @@ def _peak_list_groupings(rng, seq, priors):
         gid = f"g{a}"
         parts = [("", shifts[k])] + ([("_prev", shifts[k - 1])] if k else [])
         consensus = {
-            role + suffix: tuple(
-                Observation(
-                    role + suffix, x + rng.uniform(-spread, spread), gid, float(rng.choice(SIGMAS[role]))
-                )
+            role + suffix: [
+                (x + rng.uniform(-spread, spread), float(rng.choice(SIGMAS[role])), gid)
                 for _ in range(int(rng.integers(2, 4)))
-            )
+            ]
             for suffix, own in parts
             for role, x in own.items()
             if (suffix == "" or role in ("CA", "CB", "CO")) and rng.random() >= 0.2
         }
-        out.append(PeakGrouping(gid, frozenset({gid}), consensus))
-    return out
+        out.append((gid, [gid], consensus))
+    return GroupingTable.from_rows(out)
 
 
-def _reference_graph(groupings, seq, priors, tol, expected):
+def _reference_graph(table, seq, priors, tol, expected):
     """build_graph's thresholds, typed rows and edge costs, one residue and
     one layer at a time: thresholds summed from ``typing_threshold`` per
-    atom, moments from ``costmodel.moments`` per grouping, costs from
+    atom, moments from ``costmodel.moments`` per grouping's ``consensus``, costs from
     ``_residue_costs`` on each layer's own rows, and sequential walking
     checked value pair by value pair."""
 
@@ -480,12 +482,12 @@ def _reference_graph(groupings, seq, priors, tol, expected):
                 total += typing_threshold(prior, len(noise[role]), noise[role], tol.delta)
         return total
 
-    def summary(grouping, prev):
-        table = np.zeros((len(Moments._fields), len(BASE_ROLES)))
-        for role, obs in grouping.consensus.items():
+    def summary(consensus, prev):
+        fields = np.zeros((len(Moments._fields), len(BASE_ROLES)))
+        for role, (values, sigmas, _) in consensus.items():
             if is_prev(role) == prev:
-                table[:, BASE_ROLES.index(base_role(role))] = moments((o.value, o.sigma) for o in obs)
-        return table
+                fields[:, BASE_ROLES.index(base_role(role))] = moments(zip(values, sigmas))
+        return fields
 
     def stacked(tables):
         fields = np.array(tables).reshape(-1, len(Moments._fields), len(BASE_ROLES))
@@ -493,18 +495,16 @@ def _reference_graph(groupings, seq, priors, tol, expected):
 
     def walks(src, dst):
         return all(
-            abs(x.value - y.value) <= tol.delta3
+            abs(x - y) <= tol.delta3
             for role in BASE_ROLES
-            for x in src.observations(role)
-            for y in dst.observations(role + "_prev")
+            for x in _values(src, role)
+            for y in _values(dst, role + "_prev")
         )
 
-    intra = [summary(g, False) for g in groupings]
-    prev = [summary(g, True) for g in groupings]
-    noise = [
-        {r: [o.sigma for o in obs] for r, obs in g.consensus.items() if not is_prev(r)}
-        for g in groupings
-    ]
+    observed = [table.consensus(r) for r in range(len(table))]
+    intra = [summary(c, False) for c in observed]
+    prev = [summary(c, True) for c in observed]
+    noise = [{r: sigmas for r, (_, sigmas, _) in c.items() if not is_prev(r)} for c in observed]
     thresholds = [0.0] + [
         threshold(rt, {role: [sigma] * count for role, (count, sigma) in expected.items()})
         for rt in seq.residues
@@ -512,7 +512,7 @@ def _reference_graph(groupings, seq, priors, tol, expected):
     rows = []
     for rt in seq.residues:
         costs = _residue_costs(_residue_prior(rt, priors), stacked(intra))
-        rows.append([a for a in range(len(groupings)) if costs[a] <= threshold(rt, noise[a])])
+        rows.append([a for a in range(len(table)) if costs[a] <= threshold(rt, noise[a])])
     rows.append([])
     edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
     n_walked = n_unwalked = n_foreign = 0
@@ -526,7 +526,7 @@ def _reference_graph(groupings, seq, priors, tol, expected):
             (i, j)
             for i, a in enumerate(src, 1)
             for j, b in enumerate(dst, 1)
-            if walks(groupings[a], groupings[b])
+            if walks(observed[a], observed[b])
         ]
         n_walked += len(pairs)
         n_unwalked += len(src) * len(dst) - len(pairs)
@@ -534,7 +534,7 @@ def _reference_graph(groupings, seq, priors, tol, expected):
         # follows this type elsewhere: priced with the type, kept by no layer here
         others = {b for q, t in enumerate(seq.residues[:-1], 1) if t == rt for b in rows[q]}
         n_foreign += sum(
-            walks(groupings[a], groupings[b]) for a in src for b in sorted(others - set(dst))
+            walks(observed[a], observed[b]) for a in src for b in sorted(others - set(dst))
         )
         if pairs:
             cost = _residue_costs(
@@ -572,9 +572,10 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
             assert len(layer) == len(want) and dict(layer) == want
         signatures = {
             frozenset(
-                (r, tuple(o.sigma for o in obs)) for r, obs in x.consensus.items() if not is_prev(r)
+                (r, tuple(sigmas))
+                for r, (_, sigmas, _) in groupings.consensus(a).items() if not is_prev(r)
             )
-            for x in groupings
+            for a in range(len(groupings))
         }
         shared = sum(bool(s & t) for s, t in itertools.combinations(signatures, 2))
         glycine = sum(len(r) for r, rt in zip(rows, seq.residues) if rt == "G")

@@ -12,7 +12,6 @@ from nmrassign.grouping import (
     COMPONENT_BUDGET,
     ComponentTooLargeError,
     GroupingTable,
-    PeakGrouping,
     build_compatibility_graph,
     enumerate_groupings,
     spins_to_groupings,
@@ -20,6 +19,11 @@ from nmrassign.grouping import (
 from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 
 from oracles import any_scan_role_search, brute_force_groupings
+
+
+def _member_sets(table):
+    """Each grouping's member ids, as a set of frozensets."""
+    return {frozenset(table.member_ids(r)) for r in range(len(table))}
 
 
 def _peak(pid, spectrum, h, n, c=None, phase=0):
@@ -156,17 +160,17 @@ def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_t
     peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
     g = build_compatibility_graph(peaks, default_tol)
     groupings = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
-    full = [gr for gr in groupings if len(gr.member_peaks) == 7]
+    full = [r for r in range(len(groupings)) if len(groupings.member_ids(r)) == 7]
     assert len(full) == 1
-    grouping = full[0]
-    assert grouping.member_peaks == {p.peak_id for p in peaks}
+    assert groupings.member_ids(full[0]) == sorted(p.peak_id for p in peaks)
+    values = {role: v for role, (v, _, _) in groupings.consensus(full[0]).items()}
     # previous-residue roles carry two observations (HNCACB + HN(CO)CACB)
-    assert len(grouping.observations("CA_prev")) == 2
-    assert len(grouping.observations("CB_prev")) == 2
-    assert len(grouping.observations("CA")) == 1
-    assert len(grouping.observations("HN")) == 7
-    assert {o.value for o in grouping.observations("HN")} == {8.0}
-    assert {o.value for o in grouping.observations("N")} == {120.0}
+    assert len(values["CA_prev"]) == 2
+    assert len(values["CB_prev"]) == 2
+    assert len(values["CA"]) == 1
+    assert len(values["HN"]) == 7
+    assert set(values["HN"]) == {8.0}
+    assert set(values["N"]) == {120.0}
 
 
 def test_empty_input(toy_priors, default_tol):
@@ -197,7 +201,7 @@ def test_exhaustive_equals_brute_force(toy_priors, default_tol):
     pattern = dict(PATTERN, hnco=1)
     g = build_compatibility_graph(peaks, default_tol)
     emitted = enumerate_groupings(g, pattern, None, toy_priors, default_tol)
-    got = {gr.member_peaks for gr in emitted}
+    got = _member_sets(emitted)
     want = brute_force_groupings(peaks, pattern, default_tol)
     assert got == want
 
@@ -210,13 +214,12 @@ def test_role_consistency_within_grouping(toy_priors, default_tol):
     ]
     g = build_compatibility_graph(peaks, default_tol)
     emitted = enumerate_groupings(g, PATTERN, None, toy_priors, default_tol)
-    member_sets = {gr.member_peaks for gr in emitted}
+    member_sets = _member_sets(emitted)
     # peak "b" can still take the CA role; only the shared CA_prev clashes
     assert frozenset({"a", "b"}) in member_sets  # b as CA, a as CA_prev
     # but never both on the same role: check every emitted consensus
-    for gr in emitted:
-        for role, obs in gr.consensus.items():
-            values = [o.value for o in obs]
+    for r in range(len(emitted)):
+        for values, _, _ in emitted.consensus(r).values():
             assert max(values) - min(values) <= default_tol.delta3 + 1e-12
 
 
@@ -229,18 +232,12 @@ def test_monotone_in_tolerances(toy_priors):
         peaks.append(_peak(f"h{i}", "hncacb", h, n, 53.0 + float(rng.uniform(-0.2, 0.2)), +1))
     tight = Tolerances(delta1=0.02, delta2=0.2, delta3=0.2)
     loose = Tolerances(delta1=0.04, delta2=0.4, delta3=0.5)
-    small = {
-        gr.member_peaks
-        for gr in enumerate_groupings(
-            build_compatibility_graph(peaks, tight), PATTERN, None, toy_priors, tight
-        )
-    }
-    large = {
-        gr.member_peaks
-        for gr in enumerate_groupings(
-            build_compatibility_graph(peaks, loose), PATTERN, None, toy_priors, loose
-        )
-    }
+    small = _member_sets(
+        enumerate_groupings(build_compatibility_graph(peaks, tight), PATTERN, None, toy_priors, tight)
+    )
+    large = _member_sets(
+        enumerate_groupings(build_compatibility_graph(peaks, loose), PATTERN, None, toy_priors, loose)
+    )
     assert small <= large
 
 
@@ -338,16 +335,26 @@ def test_deterministic_ids_and_order(toy_priors, default_tol):
     g = build_compatibility_graph(peaks, default_tol)
     first = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
     second = enumerate_groupings(g, PATTERN, 4, toy_priors, default_tol)
-    assert [gr.grouping_id for gr in first] == [gr.grouping_id for gr in second]
-    assert [gr.member_peaks for gr in first] == [gr.member_peaks for gr in second]
-    assert first[0].grouping_id == "g00000"
+    assert first.ids == second.ids
+    assert [first.member_ids(r) for r in range(len(first))] == [
+        second.member_ids(r) for r in range(len(second))
+    ]
+    assert first.ids[0] == "g00000"
 
 
-def test_grouping_table_views_read_its_rows(toy_priors, default_tol):
-    """``table[r]`` is built once per row, from the row's arrays: Python
-    floats and str ids, equal to and hashing like a ``PeakGrouping`` of the
-    same fields. The table of those groupings holds the same members and
-    observations; a table of groupings keeps them as its views."""
+def _rows(table):
+    """The table's groupings as ``GroupingTable.from_rows`` rows, read
+    through ``ids``, ``member_ids`` and ``consensus``."""
+    return [
+        (gid, table.member_ids(r), {role: list(zip(*obs)) for role, obs in table.consensus(r).items()})
+        for r, gid in enumerate(table.ids)
+    ]
+
+
+def test_grouping_table_from_rows_round_trips(toy_priors, default_tol):
+    """A table rebuilt by ``from_rows`` from the rows of an enumerated table,
+    and of a spins table, holds the same arrays; a row reads as Python
+    floats and str ids."""
     peaks = _residue_peaks("r1", 8.0, 120.0, 53.0, 19.0, 45.0, 41.0)
     peaks += _residue_peaks("r2", 7.5, 115.0, 45.2, 41.2, 53.1, 19.1)
     table = enumerate_groupings(build_compatibility_graph(peaks, default_tol), PATTERN, 4,
@@ -355,24 +362,17 @@ def test_grouping_table_views_read_its_rows(toy_priors, default_tol):
     spins = spins_to_groupings([SpinSystem("s2", {"N": 121.0, "HN": 8.1, "CA": 54.0}),
                                 SpinSystem("s1", {"N": 120.0, "CB_prev": 41.0})], toy_priors)
     for t in (table, spins):
-        plain = [PeakGrouping(g.grouping_id, g.member_peaks, dict(g.consensus)) for g in t]
-        assert len(plain) == len(t) > 0
-        for r, grouping in enumerate(plain):
-            view = t[r]
-            assert t[r] is view and t[r - len(t)] is view
-            assert view == grouping and grouping == view and hash(view) == hash(grouping)
-            assert sorted(view.member_peaks) == t.member_ids(r)
-            for role, obs in view.consensus.items():
-                assert all(type(o.value) is float and type(o.sigma) is float for o in obs)
-                assert all(type(o.peak_id) is str and o.role == role for o in obs)
-        again = GroupingTable.of(plain)
-        assert again.ids == t.ids and all(a is b for a, b in zip(again, plain))
-        for name in ("indptr", "row", "column", "value", "sigma"):
-            assert np.array_equal(getattr(again, name), getattr(t, name)), name
-        assert all(sorted(x.sources) == list(x.sources) for x in (again, t))
-        assert [again.sources[p] for p in again.members] == [t.sources[p] for p in t.members]
-        assert [again.sources[p] for p in again.source] == [t.sources[p] for p in t.source]
-    assert [g.grouping_id for g in spins] == ["s2", "s1"] and spins.sources == ["s1", "s2"]
+        rows = _rows(t)
+        assert len(rows) == len(t) > 0
+        for _, _, consensus in rows:
+            for value, sigma, pid in (o for obs in consensus.values() for o in obs):
+                assert type(value) is float and type(sigma) is float and type(pid) is str
+        again = GroupingTable.from_rows(rows)
+        assert again.ids == t.ids and again.sources == t.sources
+        for name in ("indptr", "members", "row", "column", "value", "sigma", "source"):
+            x, y = getattr(again, name), getattr(t, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert spins.ids == ["s2", "s1"] and spins.sources == ["s1", "s2"]
 
 
 #: sha256 of every grouping's id, sorted member peaks and per-role
@@ -397,12 +397,12 @@ def test_ref40_groupings_are_pinned(tmp_path, seed):
         build_compatibility_graph(peaks, tol), expected_pattern(spectra), 20, priors, tol
     )
     digest = hashlib.sha256()
-    for gr in groupings:
+    for r, gid in enumerate(groupings.ids):
         roles = [
-            (role, [(o.value.hex(), o.sigma.hex(), o.peak_id) for o in obs])
-            for role, obs in gr.consensus.items()
+            (role, [(value.hex(), sigma.hex(), pid) for value, sigma, pid in zip(*obs)])
+            for role, obs in groupings.consensus(r).items()
         ]
-        digest.update(repr((gr.grouping_id, sorted(gr.member_peaks), roles)).encode())
+        digest.update(repr((gid, groupings.member_ids(r), roles)).encode())
     assert digest.hexdigest() == REF40_GROUPING_DIGESTS[seed]
 
 
@@ -413,9 +413,8 @@ def test_spins_to_groupings(toy_priors):
     ]
     groupings = spins_to_groupings(spins, toy_priors)
     assert len(groupings) == 2
-    assert len(groupings[0].consensus) == 6
-    assert len(groupings[1].consensus) == 3
-    ca = groupings[0].observations("CA")[0]
-    assert (ca.value, ca.sigma) == (55.0, 0.08)
-    assert groupings[0].member_peaks == {"s1"}
+    assert len(groupings.consensus(0)) == 6
+    assert len(groupings.consensus(1)) == 3
+    assert groupings.consensus(0)["CA"] == ([55.0], [0.08], ["s1"])
+    assert groupings.member_ids(0) == ["s1"]
 

@@ -740,9 +740,9 @@ def test_peak_incidence_matches_usage(default_tol):
         )
         assert peaks == want
         assert len(indptr) == len(g.groupings) + 2 and indptr[-2] == indptr[-1] == len(indices)
-        for r, grouping in enumerate(g.groupings):
+        for r in range(len(g.groupings)):
             row = indices[indptr[r]:indptr[r + 1]]
-            assert [peaks[c] for c in row] == sorted(set(want) & grouping.member_peaks)
+            assert [peaks[c] for c in row] == sorted(set(want) & set(g.groupings.member_ids(r)))
         lp = formulate(g, "lian1", default_tol)
         assert lp.utilization == peaks
         # the oracle reads each edge's source node's usage, not the incidence
