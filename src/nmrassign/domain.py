@@ -8,9 +8,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 DIMENSIONS = ("H", "N", "C")
@@ -392,6 +393,21 @@ def write_json(doc: Mapping, path: str | Path) -> None:
     """Write ``doc`` as the project's JSON files are written: sorted keys,
     two-space indent, one trailing newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def json_object(doc: object, what: str) -> Iterator[Mapping]:
+    """``doc``, read as a JSON object by the ``with`` block. A document that
+    is not an object, a key the block misses and a value of the wrong shape
+    raise NmrAssignError, naming ``what`` and the key or the fault."""
+    if not isinstance(doc, Mapping):
+        raise NmrAssignError(f"{what} must be a JSON object")
+    try:
+        yield doc
+    except KeyError as exc:
+        raise NmrAssignError(f"{what} lacks the key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise NmrAssignError(f"{what} is malformed: {exc}") from None
 
 
 def write_priors(priors: PriorTable, path: str | Path) -> None:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .domain import NmrAssignError, dimension_of, write_json
+from .domain import NmrAssignError, dimension_of, json_object, write_json
 from .graph import AssignmentGraph
-from .shortest_path import SolveResult
+from .shortest_path import SolveResult, path_solution
 from .simulate import FLYA_BOUND, GroundTruth
 
 
@@ -185,11 +185,8 @@ def atom_correctness(
 
 def diagnostics(a: Assignment, g: AssignmentGraph) -> list[dict]:
     """Per-residue cost table: cost, threshold, margin, reuse."""
-    if len(a.path) != g.n + 2:
-        raise PathNotInGraphError("path length does not match graph layers")
-    for k in range(g.n + 1):
-        if (a.path[k], a.path[k + 1]) not in g.edges[k]:
-            raise PathNotInGraphError(f"path edge missing at layer {k}")
+    if path_solution(g, a.path) is None:
+        raise PathNotInGraphError("the assignment's path is not a path of the graph")
     rows = []
     for ra in a.residues:
         rows.append(
@@ -235,26 +232,27 @@ def write_assignment(a: Assignment, path: str | Path) -> None:
 
 def read_assignment(path: str | Path) -> Assignment:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    residues = [
-        ResidueAssignment(
-            residue=r["residue"],
-            assigned_id=r["assigned"],
-            member_peaks=tuple(r["member_peaks"]),
-            consensus=dict(r["consensus"]),
-            edge_cost=r["cost"],
-            threshold=r["threshold"],
-            reused_peaks=tuple(r.get("reused_peaks", ())),
+    with json_object(doc, f"assignment {path}") as doc:
+        residues = [
+            ResidueAssignment(
+                residue=r["residue"],
+                assigned_id=r["assigned"],
+                member_peaks=tuple(r["member_peaks"]),
+                consensus=dict(r["consensus"]),
+                edge_cost=r["cost"],
+                threshold=r["threshold"],
+                reused_peaks=tuple(r.get("reused_peaks", ())),
+            )
+            for r in doc["residues"]
+        ]
+        return Assignment(
+            sequence=doc["sequence"],
+            residues=residues,
+            variant=doc["variant"],
+            objective=doc["objective"],
+            proven_optimal=doc["proven_optimal"],
+            path=tuple(doc["path"]),
         )
-        for r in doc["residues"]
-    ]
-    return Assignment(
-        sequence=doc["sequence"],
-        residues=residues,
-        variant=doc["variant"],
-        objective=doc["objective"],
-        proven_optimal=doc["proven_optimal"],
-        path=tuple(doc["path"]),
-    )
 
 
 def report_to_dict(report: ScoreReport) -> dict:

@@ -8,7 +8,9 @@ residue's priors. Edges run only between consecutive layers.
 Nodes are stored once, as ``grouping_rows``: the grouping each node of a
 layer carries, -1 for start, dummy and end. ``AssignmentNode`` is a view
 of one node (its position, kind and grouping id), built on demand by the
-graph's ``node`` and ``layers``.
+graph's ``node`` and ``layers``. The peaks a path consumes are one gather
+(``consumed``) over the table's ``indptr`` and ``members`` at its nodes'
+rows.
 
 The groupings arrive as one ``grouping.GroupingTable``: flat arrays of
 every observation's grouping row, role column, value and sigma. The build
@@ -28,7 +30,9 @@ other atoms cost what the source's typing gave them). Each layer then
 keeps the pairs it links, through a grouping -> node array, and is laid
 out directly in (source, target) order: the dummy's row, then per regular
 source its edge to the dummy (or the end) and its linked targets, which
-the pricing yields sorted already.
+the pricing yields sorted already. An ``EdgeLayer`` is those arrays and
+nothing else: per source node a contiguous run of targets, read through
+``out(i)``, ``index(i, j)`` and the ``src``, ``dst`` and ``cost`` arrays.
 
 Sequential walking: a regular node of layer k links to a regular node of
 layer k+1 only when every intra-residue value of the source is within
@@ -47,13 +51,12 @@ therefore prices every residue exactly once.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .costmodel import Moments, marginal_cost, moments
 from .domain import BASE_ROLES, PriorTable, ProteinSequence, Tolerances, write_json
@@ -73,33 +76,18 @@ class AssignmentNode:
     grouping_id: str | None = None
 
 
-class EdgeLayer(Mapping):
-    """The edges between layers k and k+1, as a mapping (i, j) -> cost.
+class EdgeLayer:
+    """The edges between layers k and k+1, as CSR arrays: the out-edges of
+    source node i are the positions ``out(i)``, in increasing ``dst``. Edge
+    e runs from node ``src[e]`` to node ``dst[e]`` and costs ``cost[e]``;
+    ``index(i, j)`` finds the position of edge (i, j)."""
 
-    Stored as arrays ``src``, ``dst`` and ``cost`` sorted by (src, dst),
-    plus ``indptr``: the out-edges of source node i are the positions
-    ``out(i)``, and iteration yields the keys in that order.
-    """
-
-    def __init__(self, src: ArrayLike, dst: ArrayLike, cost: ArrayLike, n_src: int) -> None:
-        """Edges src[e] -> dst[e] costing cost[e], in any order, out of
-        ``n_src`` source nodes."""
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        self.src = src[order]
-        self.dst = dst[order]
-        self.cost = np.asarray(cost, dtype=float)[order]
-        self.indptr = np.searchsorted(self.src, np.arange(n_src + 1))
-
-    @classmethod
-    def from_sorted(cls, dst: np.ndarray, cost: np.ndarray, indptr: np.ndarray) -> EdgeLayer:
+    def __init__(self, dst: np.ndarray, cost: np.ndarray, indptr: np.ndarray) -> None:
         """The layer whose source node i has the out-edges to ``dst`` at the
         positions ``indptr[i]`` up to ``indptr[i + 1]``, costing ``cost``
         there; each source's targets ascending."""
-        layer = cls.__new__(cls)
-        layer.src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        layer.dst, layer.cost, layer.indptr = dst, cost, indptr
-        return layer
+        self.dst, self.cost, self.indptr = dst, cost, indptr
+        self.src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
     def out(self, i: int) -> slice:
         """Positions of source node i's out-edges, in increasing dst."""
@@ -113,17 +101,19 @@ class EdgeLayer(Mapping):
         pos = e.start + int(np.searchsorted(self.dst[e], j))
         return pos if pos < e.stop and self.dst[pos] == j else None
 
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        pos = self.index(*key)
-        if pos is None:
-            raise KeyError(key)
-        return float(self.cost[pos])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.src.tolist(), self.dst.tolist())
-
     def __len__(self) -> int:
-        return len(self.src)
+        return len(self.dst)
+
+
+def consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR rows ``rows``, row after row: ``indices[indptr[r]:
+    indptr[r + 1]]`` for each r, and the position in ``rows`` of the row
+    holding each. Over ``GroupingTable.indptr`` and ``members`` these are
+    the peaks the groupings consume."""
+    counts = np.diff(indptr)[rows]
+    at = np.repeat(np.arange(len(counts)), counts)
+    first = (indptr[:-1][rows] - np.cumsum(counts) + counts)[at]
+    return indices[first + np.arange(len(at))], at
 
 
 @dataclass
@@ -168,11 +158,11 @@ class AssignmentGraph:
     def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
         """Peak id -> times the path consumes it, for the peaks it consumes
         twice or more, in peak id order."""
-        counts: dict[str, int] = {}
-        for k in range(1, self.n + 1):
-            for pid in self.usage(k, nodes[k]):
-                counts[pid] = counts.get(pid, 0) + 1
-        return {p: c for p, c in sorted(counts.items()) if c >= 2}
+        table = self.groupings
+        rows = np.array([self.grouping_rows[k][i] for k, i in enumerate(nodes)])
+        peaks = consumed(table.indptr, table.members, rows[rows >= 0])[0]
+        uses = np.bincount(peaks, minlength=len(table.sources))
+        return {table.sources[p]: int(uses[p]) for p in np.flatnonzero(uses >= 2).tolist()}
 
 
 def _merged(size: int, cells: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -400,7 +390,7 @@ def build_graph(
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
     first = len(grouping_rows[1])
-    edges = [EdgeLayer.from_sorted(np.arange(first), np.zeros(first), np.array([0, first]))]
+    edges = [EdgeLayer(np.arange(first), np.zeros(first), np.array([0, first]))]
     node = np.zeros(len(table), dtype=np.int64)  # a grouping's node in the next layer, or 0
     for k in range(1, n + 1):
         residue_type = seq.residue_type(k)
@@ -428,7 +418,7 @@ def build_graph(
         costs[:targets] = thresholds[k]
         costs[indptr[1:-1]] = typing[residue_type][src]
         costs[out] = cost
-        edges.append(EdgeLayer.from_sorted(dst, costs, indptr))
+        edges.append(EdgeLayer(dst, costs, indptr))
 
     return AssignmentGraph(seq, edges, thresholds, table, grouping_rows)
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -56,7 +57,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
-from .graph import AssignmentGraph
+from .graph import AssignmentGraph, consumed
 from .shortest_path import NoPathError, SolveResult, dp_shortest_path, solve_result
 
 if TYPE_CHECKING:
@@ -206,15 +207,6 @@ def peak_incidence(g: AssignmentGraph) -> Incidence:
     return ids, indptr, (np.cumsum(contested) - 1)[cols[kept]]
 
 
-def _consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The contested peaks grouping rows ``rows`` consume, row after row,
-    and the position in ``rows`` of the row consuming each."""
-    counts = np.diff(indptr)[rows]
-    at = np.repeat(np.arange(len(counts)), counts)
-    first = (indptr[:-1][rows] - np.cumsum(counts) + counts)[at]
-    return indices[first + np.arange(len(at))], at
-
-
 def formulate(
     g: AssignmentGraph,
     variant: str,
@@ -254,7 +246,7 @@ def formulate(
         utilization, indptr, indices = peak_incidence(g) if incidence is None else incidence
         # utilization row r holds the out-edges of every node consuming peak r
         sources = np.concatenate([g.grouping_rows[k][layer.src] for k, layer in enumerate(g.edges)])
-        peaks, edges = _consumed(indptr, indices, sources)
+        peaks, edges = consumed(indptr, indices, sources)
         ub_rows, ub_cols, ub_data = [peaks], [edges], [np.ones(len(peaks))]
         if variant == "lian2":
             slack = np.arange(n_edges, n_edges + len(utilization))
@@ -299,9 +291,25 @@ def solve_lp(
     lp: LinearProgram, backend: Backend | None = None, *, presolve: bool = True
 ) -> LpSolution:
     """Solve the relaxation with the bundled HiGHS dual simplex backend,
-    with or without HiGHS presolve (an external backend ignores it)."""
+    with or without HiGHS presolve (an external backend ignores it). An
+    external backend's answer must be an ``LpSolution`` with one of the
+    ``_STATUS`` values; an optimal one needs a finite objective and one
+    value per variable, and reduced costs, when given, one per variable.
+    Any other answer raises ``SolverError``, naming the backend."""
     if backend is not None:
-        return backend(lp)
+        answer = backend(lp)
+        what = getattr(backend, "__qualname__", type(backend).__qualname__)
+        name = f"backend {backend.__module__}.{what}"
+        if not isinstance(answer, LpSolution):
+            raise SolverError(f"{name} returned {type(answer).__name__}, not an LpSolution")
+        if answer.status not in _STATUS.values():
+            raise SolverError(f"{name} returned the unknown status {answer.status!r}")
+        finite = isinstance(answer.objective, numbers.Real) and math.isfinite(answer.objective)
+        if answer.ok and not (finite and np.shape(answer.values) == (lp.n_vars,)):
+            raise SolverError(f"{name}'s optimal answer lacks a finite objective or {lp.n_vars} values")
+        if answer.reduced_costs is not None and np.shape(answer.reduced_costs) != (lp.n_vars,):
+            raise SolverError(f"{name} returned reduced costs for other than {lp.n_vars} variables")
+        return answer
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
     res = linprog(
         lp.costs,
@@ -557,7 +565,7 @@ def lagrangian_stage(
         price = np.bincount(owner, mu[indices], len(indptr) - 1)
         path = dp_shortest_path(g, [price[rows] for rows in g.grouping_rows])
         carried = [g.grouping_rows[k][i] for k, i in enumerate(path.nodes)]
-        use = np.bincount(_consumed(indptr, indices, carried)[0], minlength=len(peaks))
+        use = np.bincount(consumed(indptr, indices, carried)[0], minlength=len(peaks))
         bound = path.total_cost + float(mu @ (use - 1.0))
         overuse = int(np.maximum(use - 1, 0).sum())
         # infinite for a hard-variant path that reuses a peak

@@ -10,11 +10,13 @@ enumerates every start-to-end path that never consumes a peak twice; it is
 exponential and only usable on tiny instances, where it acts as the
 ground-truth oracle for the constrained solvers.
 
-``solve_result`` builds every solver's answer from its path, whichever
-stage proved it: it applies ``canonical_path``, prices the path and counts
-its reused peaks, which fix the objective and, for the soft variant
-``lian2``, each peak's slack (its extra uses). ``canonical_path`` is the
-one tie rule every answer goes through. A fragment
+``path_solution`` is the one pricer: it reads each edge's cost through
+``EdgeLayer.index`` and returns None for a node sequence that is not a
+path. ``solve_result`` builds every solver's answer from its path,
+whichever stage proved it: ``canonical_path`` checks and prices the path
+once, and one count of its reused peaks fixes the objective and, for the
+soft variant ``lian2``, each peak's slack (its extra uses).
+``canonical_path`` is the one tie rule every answer goes through. A fragment
 is a maximal run of regular nodes on a path. Its cost depends only on the
 residue types of its window (the layers it spans): the edge into it
 belongs to the start or to a dummy, whose cost does not depend on the
@@ -105,26 +107,36 @@ class SolveResult:
 
 def path_solution(
     g: AssignmentGraph, nodes: Sequence[int], canonicalized: bool = False
-) -> PathSolution:
-    """A path of node indices, priced edge by edge in layer order."""
-    edge_costs = tuple(
-        g.edges[k][(nodes[k], nodes[k + 1])] for k in range(len(nodes) - 1)
-    )
-    return PathSolution(tuple(nodes), sum(edge_costs), edge_costs, canonicalized)
+) -> PathSolution | None:
+    """A path of node indices, priced edge by edge in layer order; None when
+    ``nodes`` is not a start-to-end path of ``g``."""
+    if len(nodes) != len(g.edges) + 1:
+        return None
+    edge_costs = []
+    for k, layer in enumerate(g.edges):
+        e = layer.index(nodes[k], nodes[k + 1])
+        if e is None:
+            return None
+        edge_costs.append(float(layer.cost[e]))
+    return PathSolution(tuple(nodes), sum(edge_costs), tuple(edge_costs), canonicalized)
 
 
-def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
-    """The path with its fragments sorted within equal residue-type windows.
+def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> PathSolution:
+    """The path, priced, with its fragments sorted within equal residue-type
+    windows.
 
     The fragments (maximal runs of regular nodes) are grouped by the
     residue types of their windows; within a group, the sorted fragments
     go to the windows in position order. The candidate replaces ``nodes``
-    only when all its edges exist, its cost is within 1e-9 relative of
-    theirs, and it reuses the same peaks. Graphs from ``build_graph``
-    always pass; hand-made graphs whose costs ignore the residue types
-    need not.
+    only when it is a path, its cost is within 1e-9 relative of theirs,
+    and it reuses the same peaks. Graphs from ``build_graph`` always pass;
+    hand-made graphs whose costs ignore the residue types need not.
+    Raises NoPathError when ``nodes`` is not a path.
     """
-    nodes = tuple(nodes)
+    given = path_solution(g, nodes)
+    if given is None:
+        raise NoPathError(f"{tuple(nodes)} is not a start-to-end path")
+    nodes = given.nodes
     types = g.sequence.residues
     # residue-type string -> (window starts, fragments), in position order
     groups: dict[str, tuple[list[int], list[tuple[int, ...]]]] = {}
@@ -142,20 +154,15 @@ def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> tuple[int, ...]:
     for starts, fragments in groups.values():
         for start, fragment in zip(starts, sorted(fragments)):
             sorted_nodes[start : start + len(fragment)] = fragment
-    candidate = tuple(sorted_nodes)
-    if candidate == nodes:
-        return nodes
+    if tuple(sorted_nodes) == nodes:
+        return given
+    candidate = path_solution(g, sorted_nodes, canonicalized=True)
     qualifies = (
-        all(g.edges[k].index(candidate[k], candidate[k + 1]) is not None for k in range(g.n + 1))
-        and math.isclose(
-            path_solution(g, candidate).total_cost,
-            path_solution(g, nodes).total_cost,
-            rel_tol=1e-9,
-            abs_tol=1e-12,
-        )
-        and g.path_reused_peaks(candidate) == g.path_reused_peaks(nodes)
+        candidate is not None
+        and math.isclose(candidate.total_cost, given.total_cost, rel_tol=1e-9, abs_tol=1e-12)
+        and g.path_reused_peaks(candidate.nodes) == g.path_reused_peaks(nodes)
     )
-    return candidate if qualifies else nodes
+    return candidate if qualifies else given
 
 
 def solve_result(
@@ -164,9 +171,8 @@ def solve_result(
     """The answer on ``canonical_path(g, nodes)``, priced as ``variant``
     prices it: ``lian2`` adds ``lam`` per extra use of a peak, and its
     ``epsilons`` are the extra uses. ``stats`` fill the remaining fields."""
-    canonical = canonical_path(g, nodes)
-    path = path_solution(g, canonical, canonical != tuple(nodes))
-    reused = g.path_reused_peaks(canonical)
+    path = canonical_path(g, nodes)
+    reused = g.path_reused_peaks(path.nodes)
     soft = variant == "lian2"
     overuse = sum(c - 1 for c in reused.values())
     return SolveResult(

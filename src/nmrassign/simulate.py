@@ -28,6 +28,7 @@ from .domain import (
     SpinSystem,
     base_role,
     is_prev,
+    json_object,
     write_json,
 )
 from .experiments import Experiment, experiment_set
@@ -257,10 +258,11 @@ def read_reference(path: str | Path) -> Reference:
 
 
 def reference_from_dict(doc: Mapping) -> Reference:
-    return Reference(
-        ProteinSequence(doc["sequence"]),
-        {int(k): v for k, v in doc["shifts"].items()},
-    )
+    with json_object(doc, "reference") as doc:
+        return Reference(
+            ProteinSequence(doc["sequence"]),
+            {int(k): v for k, v in doc["shifts"].items()},
+        )
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
@@ -281,19 +283,20 @@ def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GroundTruth(
-        kind=doc["kind"],
-        sequence=doc["sequence"],
-        residue_to_id={int(k): v for k, v in doc["residue_to_id"].items()},
-        residue_to_peaks={
-            int(k): tuple(v) for k, v in doc.get("residue_to_peaks", {}).items()
-        },
-        peak_origin={
-            pid: (int(res), role)
-            for pid, (res, role) in doc.get("peak_origin", {}).items()
-        },
-        reference={
-            int(k): {r: float(x) for r, x in v.items()}
-            for k, v in doc.get("reference", {}).items()
-        },
-    )
+    with json_object(doc, f"ground truth {path}") as doc:
+        return GroundTruth(
+            kind=doc["kind"],
+            sequence=doc["sequence"],
+            residue_to_id={int(k): v for k, v in doc["residue_to_id"].items()},
+            residue_to_peaks={
+                int(k): tuple(v) for k, v in doc.get("residue_to_peaks", {}).items()
+            },
+            peak_origin={
+                pid: (int(res), role)
+                for pid, (res, role) in doc.get("peak_origin", {}).items()
+            },
+            reference={
+                int(k): {r: float(x) for r, x in v.items()}
+                for k, v in doc.get("reference", {}).items()
+            },
+        )

@@ -56,9 +56,28 @@ def quadrature_atom_cost(
 
 
 def edge_layer(edges: Mapping[tuple[int, int], float], n_src: int) -> EdgeLayer:
-    """An EdgeLayer from a mapping (i, j) -> cost."""
-    keys = list(edges)
-    return EdgeLayer([i for i, _ in keys], [j for _, j in keys], list(edges.values()), n_src)
+    """An EdgeLayer from a mapping (i, j) -> cost, given in any order, out of
+    ``n_src`` source nodes."""
+    keys = sorted(edges)
+    counts = np.bincount(np.array([i for i, _ in keys], dtype=np.int64), minlength=n_src)
+    return EdgeLayer(
+        np.array([j for _, j in keys], dtype=np.int64),
+        np.array([edges[key] for key in keys], dtype=float),
+        np.cumsum(np.r_[0, counts]),
+    )
+
+
+def edge_map(layer: EdgeLayer) -> dict[tuple[int, int], float]:
+    """The layer's edges as a mapping (i, j) -> cost, read from its src, dst
+    and cost arrays."""
+    return dict(zip(zip(layer.src.tolist(), layer.dst.tolist()), layer.cost.tolist()))
+
+
+def edge_cost(layer: EdgeLayer, i: int, j: int) -> float:
+    """Cost of edge (i, j), found by scanning the layer's src and dst
+    arrays; fails unless the layer holds that edge exactly once."""
+    [e] = np.flatnonzero((layer.src == i) & (layer.dst == j))
+    return float(layer.cost[e])
 
 
 def make_graph(
@@ -145,7 +164,7 @@ def iter_paths(g: AssignmentGraph) -> Iterator[tuple[int, ...]]:
         if k == n + 1:
             yield trail
             return
-        for (src, j) in sorted(g.edges[k]):
+        for src, j in sorted(edge_map(g.edges[k])):
             if src == node:
                 yield from extend(k + 1, j, trail + (j,))
 
@@ -153,7 +172,7 @@ def iter_paths(g: AssignmentGraph) -> Iterator[tuple[int, ...]]:
 
 
 def path_cost(g: AssignmentGraph, nodes: Sequence[int]) -> float:
-    return sum(g.edges[k][(nodes[k], nodes[k + 1])] for k in range(g.n + 1))
+    return sum(edge_cost(g.edges[k], nodes[k], nodes[k + 1]) for k in range(g.n + 1))
 
 
 def path_overuse(g: AssignmentGraph, nodes: Sequence[int]) -> int:
@@ -198,7 +217,7 @@ def check_path(g: AssignmentGraph, nodes: Sequence[int], allow_reuse: bool) -> N
     assert len(nodes) == g.n + 2
     assert nodes[0] == 0 and nodes[-1] == 0
     for k in range(g.n + 1):
-        assert (nodes[k], nodes[k + 1]) in g.edges[k], f"missing edge at layer {k}"
+        assert (nodes[k], nodes[k + 1]) in edge_map(g.edges[k]), f"missing edge at layer {k}"
     if not allow_reuse:
         assert path_overuse(g, nodes) == 0, "path reuses a peak"
 

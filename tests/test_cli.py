@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from nmrassign import cli
 from nmrassign.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 from nmrassign.domain import Tolerances
+from nmrassign.pipeline import bundled_reference
 
 SEQ = "ADKFLEGQRSTNVYWHMICP"
 
@@ -422,6 +424,89 @@ def test_malformed_priors_file_exits_2(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+#: the smallest assignment file ``evaluate`` reads: one null residue
+NULL_ASSIGNMENT = {
+    "sequence": "A", "variant": "lian1", "objective": 0.0, "proven_optimal": True,
+    "path": [0, 0, 0], "residues": [{
+        "residue": 1, "assigned": None, "member_peaks": [], "consensus": {},
+        "cost": 0.0, "threshold": 0.0,
+    }],
+}
+
+
+@pytest.mark.parametrize("which, doc, message", [
+    pytest.param("assignment", {}, "lacks the key 'residues'", id="assignment-empty"),
+    pytest.param("assignment", [1], "must be a JSON object", id="assignment-not-an-object"),
+    pytest.param("assignment", {**NULL_ASSIGNMENT, "residues": [{}]}, "lacks the key 'residue'",
+                 id="assignment-empty-residue"),
+    pytest.param("ground-truth", {}, "lacks the key 'kind'", id="ground-truth-empty"),
+    pytest.param("ground-truth", {"kind": "spins", "sequence": "A", "residue_to_id": [1]},
+                 "is malformed", id="ground-truth-list-for-object"),
+    pytest.param("reference", [1], "reference must be a JSON object", id="reference-not-an-object"),
+    pytest.param("reference", {"sequence": SEQ}, "lacks the key 'shifts'", id="reference-no-shifts"),
+])
+def test_malformed_json_input_exits_2(tmp_path, capsys, which, doc, message):
+    """An assignment, ground truth or reference file that is not an object,
+    lacks a key or holds a list for an object exits 2 with one error line."""
+    (tmp_path / "assignment.json").write_text(json.dumps(NULL_ASSIGNMENT), encoding="utf-8")
+    path = tmp_path / f"{which}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if which == "reference":
+        argv = ["simulate", "--sequence", SEQ, "--reference", str(path)]
+    else:
+        argv = ["evaluate", "--assignment", str(tmp_path / "assignment.json"),
+                "--ground-truth", str(tmp_path / "ground-truth.json")]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_external_backend_answer_checked(tmp_path, capsys):
+    """An external backend whose solve returns no LpSolution ends the
+    assign with exit 4 and one error line naming the backend."""
+    run = _simulate(tmp_path, "run")
+    backend = tmp_path / "silent.py"
+    backend.write_text("def solve(lp):\n    return None\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                 "--variant", "ilp", "--backend", f"external:{backend}",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert err == "error: backend lp_backend_silent.solve returned NoneType, not an LpSolution\n"
+
+
+#: sha256 of each output of a peaks-ref40 assign (instance 0, see
+#: ``test_assign_outputs_are_pinned``), but ``timings.json``
+PINNED_ASSIGN_OUTPUTS = {
+    "assignment.json": "87ed2035dd8fefa1fa9a1cf0a9aca1754fec51b3c6035ecb5d8f772be0e9c719",
+    "diagnostics.json": "ee18f96685750c59478427b01f955193921d7b9766fd52400ceaf6e88ae1f056",
+    "graph_stats.json": "b7e386bfe76bb051ebcf0308b9fa0a9cece67dd696aedcf5574e8618e3af6faa",
+    "lp_report.json": "973c541a675e595d68ab89071fd59787526977a5ea9175b9915d17f2b2432745",
+}
+
+
+def test_assign_outputs_are_pinned(tmp_path):
+    """A peaks-ref40-style assign (ref40, flya, seed 0, tolerances
+    0.08/0.8/0.8, top_k 20) writes the same bytes as ever. The Lagrangian
+    stage proves its answer, so no LP solver takes part."""
+    seq = bundled_reference("ref40").sequence.residues
+    run = tmp_path / "run"
+    assert main(["simulate", "--sequence", seq, "--reference", "ref40", "--protocol", "flya",
+                 "--seed", "0", "--out", str(run)]) == EXIT_OK
+    assert main(["assign", "--sequence", seq, "--dataset", str(run / "peaks.tsv"),
+                 "--delta1", "0.08", "--delta2", "0.8", "--delta3", "0.8", "--top-k", "20",
+                 "--out", str(run / "out")]) == EXIT_OK
+    report = json.loads((run / "out" / "lp_report.json").read_text(encoding="utf-8"))
+    assert report["proved_by"] == "lagrangian"
+    digests = {
+        name: hashlib.sha256((run / "out" / name).read_bytes()).hexdigest()
+        for name in PINNED_ASSIGN_OUTPUTS
+    }
+    assert digests == PINNED_ASSIGN_OUTPUTS
 
 
 LAZY_SOLVER_SCRIPT = """

@@ -48,7 +48,7 @@ from nmrassign.grouping import (
 from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 from nmrassign.shortest_path import path_solution
 
-from oracles import quadrature_atom_cost
+from oracles import edge_cost, edge_layer, edge_map, quadrature_atom_cost
 
 
 def _grouping(gid, shifts, sigma=0.1):
@@ -200,7 +200,7 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
     by_id2 = {node.grouping_id: node.index for node in g.layers[2]}
     i2 = by_id2["u2"]
     # start edges carry no cost
-    assert g.edges[0][(0, i1)] == 0.0
+    assert edge_cost(g.edges[0], 0, i1) == 0.0
 
     # edge u1 -> u2 charges residue 1: u1's intra roles plus u2's prev roles
     sigma = 0.1
@@ -213,13 +213,13 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
     ):
         prior = toy_priors.prior("A", role)
         want += atom_cost(prior, [(v, sigma) for v in values]).cost
-    assert g.edges[1][(i1, i2)] == pytest.approx(want, rel=1e-12)
+    assert edge_cost(g.edges[1], i1, i2) == pytest.approx(want, rel=1e-12)
 
     # edge u2 -> end charges residue 2 from u2's intra roles only
     want2 = 0.0
     for role, value in (("N", 122.0), ("HN", 8.1), ("CA", 53.5), ("CB", 19.5)):
         want2 += atom_cost(toy_priors.prior("A", role), [(value, sigma)]).cost
-    assert g.edges[2][(i2, 0)] == pytest.approx(want2, rel=1e-12)
+    assert edge_cost(g.edges[2], i2, 0) == pytest.approx(want2, rel=1e-12)
 
     # full path cost equals the sum of its parts
     assert path_solution(g, [0, i1, i2, 0]).total_cost == pytest.approx(want + want2, rel=1e-12)
@@ -231,8 +231,8 @@ def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0})
     g = _build([u1], seq, toy_priors, default_tol, expected)
     for j in range(len(g.layers[2])):
-        assert g.edges[1][(0, j)] == pytest.approx(g.thresholds[1])
-    assert g.edges[2][(0, 0)] == pytest.approx(g.thresholds[2])
+        assert edge_cost(g.edges[1], 0, j) == pytest.approx(g.thresholds[1])
+    assert edge_cost(g.edges[2], 0, 0) == pytest.approx(g.thresholds[2])
 
 
 def _walks(src, dst, delta3):
@@ -255,10 +255,10 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     g = _build([u1, u2], seq, toy_priors, default_tol, expected)
     i1 = next(n.index for n in g.layers[1] if n.grouping_id == "u1")
     i2 = next(n.index for n in g.layers[2] if n.grouping_id == "u2")
-    assert (i1, i2) not in g.edges[1]
+    assert g.edges[1].index(i1, i2) is None
     # dummy routes always exist
-    assert (0, i2) in g.edges[1]
-    assert (i1, 0) in g.edges[1]
+    assert g.edges[1].index(0, i2) is not None
+    assert g.edges[1].index(i1, 0) is not None
 
     # several observations per carbon role on each side, in no order, as from
     # peak lists; binary-exact values: 53.25 - 53.0 is exactly delta3, and
@@ -280,7 +280,7 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     src = {n.grouping_id: n for n in g.layers[1] if n.kind == REGULAR}
     dst = {n.grouping_id: n for n in g.layers[2] if n.kind == REGULAR}
     assert len(src) == len(dst) == 7  # every grouping is typed as alanine
-    linked = {(i, j) for i, j in g.edges[1] if i and j}
+    linked = {(i, j) for i, j in edge_map(g.edges[1]) if i and j}
     want = {
         (a.index, b.index)
         for a in src.values()
@@ -345,12 +345,12 @@ def test_edge_costs_match_quadrature(toy_priors):
     priced = 0
     for k in (1, 2):
         rt = seq.residue_type(k)
-        for i, j in g.edges[k]:
+        for (i, j), cost in edge_map(g.edges[k]).items():
             if i == 0:
                 continue
             src, dst = _consensus(g, k, i), _consensus(g, k + 1, j)
             want = _quadrature_price(src, dst, rt, toy_priors)
-            assert g.edges[k][(i, j)] == pytest.approx(want, abs=1e-8)
+            assert cost == pytest.approx(want, abs=1e-8)
             priced += 1
         # wide windows and thresholds: only an absent atom removes a regular pair
         regular = {
@@ -360,10 +360,10 @@ def test_edge_costs_match_quadrature(toy_priors):
             if _quadrature_price(_consensus(g, k, a.index), _consensus(g, k + 1, b.index), rt,
                                  toy_priors) is not None
         }
-        assert {(i, j) for i, j in g.edges[k] if i and j} == regular
+        assert {(i, j) for i, j in edge_map(g.edges[k]) if i and j} == regular
     t2 = next(n.index for n in g.layers[2] if n.grouping_id == "t2")
-    assert not any(j == t2 for i, j in g.edges[1] if i)
-    assert (1, t2 - 1) in g.edges[1] and g.layers[2][t2 - 1].grouping_id == "t1"
+    assert not any(j == t2 for i, j in edge_map(g.edges[1]) if i)
+    assert g.edges[1].index(1, t2 - 1) is not None and g.layers[2][t2 - 1].grouping_id == "t1"
     assert priced == len(g.edges[1]) + len(g.edges[2]) - len(g.layers[2]) - 1
 
 
@@ -377,9 +377,9 @@ def test_dummy_connectivity_invariant(toy_priors, default_tol):
     g = _build(groupings, seq, toy_priors, default_tol, expected)
     for k in range(1, g.n + 1):
         for node in g.layers[k - 1]:
-            assert (node.index, 0) in g.edges[k - 1]
+            assert g.edges[k - 1].index(node.index, 0) is not None
         for node in g.layers[k + 1]:
-            assert (0, node.index) in g.edges[k]
+            assert g.edges[k].index(0, node.index) is not None
 
 
 def test_rebuild_is_deterministic(toy_priors, default_tol):
@@ -391,7 +391,7 @@ def test_rebuild_is_deterministic(toy_priors, default_tol):
     ]
     g1 = _build(groupings, seq, toy_priors, default_tol, expected)
     g2 = _build(groupings, seq, toy_priors, default_tol, expected)
-    assert g1.edges == g2.edges
+    assert [edge_map(layer) for layer in g1.edges] == [edge_map(layer) for layer in g2.edges]
     assert g1.thresholds == g2.thresholds
 
 
@@ -408,15 +408,10 @@ def test_export_graph(tmp_path, toy_priors, default_tol):
     assert all(len(e) == 4 for e in doc["edges"])
 
 
-def test_edge_layer_arrays_and_mapping():
-    # three source nodes; node 1 has no out-edges; items given unsorted
-    items = {(2, 0): 5.0, (0, 3): 1.5, (2, 1): -2.0, (0, 0): 0.25}
-    layer = EdgeLayer([2, 0, 2, 0], [0, 3, 1, 0], [5.0, 1.5, -2.0, 0.25], 3)
-    assert list(layer) == [(0, 0), (0, 3), (2, 0), (2, 1)]
+def test_edge_layer_arrays_and_lookup():
+    # three source nodes; node 1 has no out-edges
+    layer = EdgeLayer(np.array([0, 3, 0, 1]), np.array([0.25, 1.5, 5.0, -2.0]), np.array([0, 2, 2, 4]))
     assert layer.src.tolist() == [0, 0, 2, 2]
-    assert layer.dst.tolist() == [0, 3, 0, 1]
-    assert layer.cost.tolist() == [0.25, 1.5, 5.0, -2.0]
-    assert layer.indptr.tolist() == [0, 2, 2, 4]
     assert layer.out(0) == slice(0, 2)
     assert layer.out(1) == slice(2, 2)
     assert layer.dst[layer.out(2)].tolist() == [0, 1]
@@ -425,14 +420,14 @@ def test_edge_layer_arrays_and_mapping():
     assert layer.index(0, 1) is None  # absent edge
     assert layer.index(1, 0) is None  # source without out-edges
     assert layer.index(3, 0) is None and layer.index(-1, 0) is None  # out of range
-    assert layer[(2, 1)] == -2.0 and isinstance(layer[(2, 1)], float)
-    assert (2, 0) in layer and (3, 0) not in layer
-    with pytest.raises(KeyError):
-        layer[(0, 1)]
-    assert layer == items
-    assert layer == EdgeLayer([0, 0, 2, 2], [0, 3, 0, 1], [0.25, 1.5, 5.0, -2.0], 3)
-    assert layer != EdgeLayer([2, 0, 2, 0], [0, 3, 1, 0], [5.0, 1.5, -2.5, 0.25], 3)
-    assert EdgeLayer([], [], [], 2).indptr.tolist() == [0, 0, 0]
+    assert edge_cost(layer, 2, 1) == -2.0
+    # the oracles' builder lays an unsorted mapping out in (src, dst) order
+    built = edge_layer({(2, 0): 5.0, (0, 3): 1.5, (2, 1): -2.0, (0, 0): 0.25}, 3)
+    for part in ("src", "dst", "cost", "indptr"):
+        assert getattr(built, part).tolist() == getattr(layer, part).tolist()
+    assert edge_map(built) == {(0, 0): 0.25, (0, 3): 1.5, (2, 0): 5.0, (2, 1): -2.0}
+    empty = edge_layer({}, 2)
+    assert empty.indptr.tolist() == [0, 0, 0] and len(empty) == 0 and empty.index(0, 0) is None
 
 
 #: two sigmas per base role, drawn per observation: noise signatures differ
@@ -569,7 +564,7 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
         assert [r.tolist() for r in g.grouping_rows[1:-1]] == [[-1, *r] for r in rows]
         assert len(g.edges) == len(edges)
         for layer, want in zip(g.edges, edges):
-            assert len(layer) == len(want) and dict(layer) == want
+            assert len(layer) == len(want) and edge_map(layer) == want
         signatures = {
             frozenset(
                 (r, tuple(sigmas))

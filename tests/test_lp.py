@@ -366,7 +366,7 @@ def test_restricted_pass_keeps_support_and_inner_dummy_edges(monkeypatch, defaul
         dummy_incident = np.array([
             DUMMY in (g.node(k, i).kind, g.node(k + 1, j).kind)
             for k, layer in enumerate(g.edges)
-            for i, j in layer
+            for i, j in zip(layer.src.tolist(), layer.dst.tolist())
         ])
         support = relaxed.values[:lp.n_edges] > INT_TOL
         np.testing.assert_array_equal(keep, support | dummy_incident)
@@ -483,10 +483,10 @@ def test_solvers_return_the_canonical_optimum(tmp_path):
     moved = 0
     unexplained = []
     for label, g, tol, best in graphs:
-        want = canonical_path(g, best.nodes)
+        want = canonical_path(g, best.nodes).nodes
         assert want == best.nodes
         dp = dp_shortest_path(g).nodes
-        assert canonical_path(g, dp) == dp
+        assert canonical_path(g, dp).nodes == dp
         results = {
             "lian1": solve_lian1(g, tol),
             "ilp": solve_ilp(g, tol),
@@ -498,7 +498,7 @@ def test_solvers_return_the_canonical_optimum(tmp_path):
             check_path(g, got, allow_reuse=False)
             assert result.proven_optimal and result.reused_peaks == {}
             assert result.objective == pytest.approx(best.total_cost, rel=1e-9)
-            assert canonical_path(g, got) == got
+            assert canonical_path(g, got).nodes == got
             if got == want:
                 moved += result.path_canonicalized
             else:
@@ -688,6 +688,24 @@ def test_external_backend(tmp_path, default_tol):
     assert external.proven_optimal and external.columns_fixed == 0
     assert external.nodes_global > 0
     assert external.objective == pytest.approx(bundled.objective, abs=1e-9)
+
+    # an answer the search cannot use names the backend instead of failing later
+    for k, (answer, message) in enumerate((
+        ("None", "returned NoneType, not an LpSolution"),
+        ("LpSolution('optimal', 10.0, np.zeros(3))", "lacks a finite objective or 8 values"),
+        ("LpSolution('optimal', None, np.zeros(lp.n_vars))", "lacks a finite objective"),
+        ("LpSolution('optimal', np.nan, np.zeros(lp.n_vars))", "lacks a finite objective"),
+        ("LpSolution('solved', 10.0, np.zeros(lp.n_vars))", "unknown status 'solved'"),
+        ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars), np.zeros(2))", "reduced costs"),
+    )):
+        answering = tmp_path / f"answer{k}.py"
+        answering.write_text(
+            "import numpy as np\n"
+            "from nmrassign.lp import LpSolution\n"
+            f"def solve(lp):\n    return {answer}\n"
+        )
+        with pytest.raises(SolverError, match=rf"^backend lp_backend_answer{k}\.solve.*{message}"):
+            solve_ilp(conflict_fixture(), default_tol, backend=load_backend(answering))
 
     bad = tmp_path / "bad.py"
     bad.write_text("x = 1\n")
@@ -959,5 +977,5 @@ def test_no_contested_peak_is_proven_in_one_iteration(default_tol):
             assert result.contested_peaks == 0 and result.root_integral is None
             assert result.nodes_explored == result.columns_fixed == 0
             assert result.lp_bound == result.objective == dp.total_cost
-            assert result.path.nodes == canonical_path(g, dp.nodes)
+            assert result.path == canonical_path(g, dp.nodes)
         checked += 1

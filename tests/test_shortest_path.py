@@ -8,6 +8,7 @@ from nmrassign.shortest_path import (
     canonical_path,
     dp_shortest_path,
     exhaustive_constrained,
+    path_solution,
 )
 
 from oracles import (
@@ -154,12 +155,15 @@ def test_canonical_path_sorts_fragments_of_equal_windows():
     usage = [{}, {1: {"p1"}, 2: {"p2"}}, {1: {"p3"}}, {1: {"p1"}, 2: {"p2"}}, {}]
     thresholds = [0.0, 5.0, 6.0, 5.0]
     g = make_graph([3, 2, 3], edges, usage, thresholds, sequence="AGA")
-    assert canonical_path(g, (0, 2, 0, 1, 0)) == (0, 1, 0, 2, 0)
-    assert canonical_path(g, (0, 1, 0, 2, 0)) == (0, 1, 0, 2, 0)
-    assert canonical_path(g, (0, 0, 1, 0, 0)) == (0, 0, 1, 0, 0)
+    moved = canonical_path(g, (0, 2, 0, 1, 0))
+    assert moved.nodes == (0, 1, 0, 2, 0) and moved.canonicalized
+    assert moved.edge_costs == (0.0, 1.0, 6.0, 2.0) and moved.total_cost == 9.0
+    kept = canonical_path(g, (0, 1, 0, 2, 0))
+    assert kept.nodes == (0, 1, 0, 2, 0) and not kept.canonicalized
+    assert canonical_path(g, (0, 0, 1, 0, 0)).nodes == (0, 0, 1, 0, 0)
     # windows of different residue types never trade fragments
     g = make_graph([3, 2, 3], edges, usage, thresholds, sequence="AGG")
-    assert canonical_path(g, (0, 2, 0, 1, 0)) == (0, 2, 0, 1, 0)
+    assert canonical_path(g, (0, 2, 0, 1, 0)).nodes == (0, 2, 0, 1, 0)
 
 
 def test_canonical_path_guard_on_random_graphs():
@@ -174,8 +178,11 @@ def test_canonical_path_guard_on_random_graphs():
     for _ in range(40):
         g = random_instance(rng, int(rng.integers(3, 7)), 3, 8)
         for path in iter_paths(g):
-            out = canonical_path(g, path)
+            priced = canonical_path(g, path)
+            out = priced.nodes
             check_path(g, out, allow_reuse=True)
+            assert priced.total_cost == pytest.approx(path_cost(g, out), rel=1e-12, abs=1e-12)
+            assert priced.canonicalized == (out != path)
             assert path_cost(g, out) == pytest.approx(path_cost(g, path), rel=1e-9, abs=1e-12)
             assert path_overuse(g, out) == path_overuse(g, path)
             by_window: dict[str, list] = {}
@@ -183,3 +190,38 @@ def test_canonical_path_guard_on_random_graphs():
                 by_window.setdefault(types, []).append(fragment)
             kept += any(f != sorted(f) for f in by_window.values()) and out == path
     assert kept > 0
+
+
+def test_path_solution_prices_a_path_and_rejects_the_rest():
+    g = _abcd_fixture()
+    sol = path_solution(g, [0, 2, 1, 0])
+    assert sol.nodes == (0, 2, 1, 0) and sol.edge_costs == (0.0, 4.0, 0.0)
+    assert sol.total_cost == 4.0 and not sol.canonicalized
+    # too short, an absent node, a start or an end node other than 0
+    for nodes in ((0, 1, 1), (0, 1, 1, 0, 0), (0, 3, 1, 0), (1, 1, 1, 0), (0, 1, 1, 1)):
+        assert path_solution(g, nodes) is None
+        with pytest.raises(NoPathError):
+            canonical_path(g, nodes)
+    edges = [{(0, 0): 0.0, (0, 1): 0.0}, {(0, 0): 1.0, (1, 1): 2.0}, {(0, 0): 0.0, (1, 0): 0.0}]
+    g = make_graph([2, 2], edges)
+    assert path_solution(g, (0, 1, 0, 0)) is None  # the layer lacks edge (1, 0)
+
+
+def test_path_reused_peaks_matches_the_per_node_count():
+    """One gather and one bincount count the same peaks as a walk over each
+    node's ``usage``, on every path of random graphs that share peaks."""
+    rng = np.random.default_rng(17)
+    reused = 0
+    for _ in range(20):
+        g = random_instance(rng, int(rng.integers(2, 6)), 3, 5)
+        for path in iter_paths(g):
+            counts: dict[str, int] = {}
+            for k in range(1, g.n + 1):
+                for pid in g.usage(k, path[k]):
+                    counts[pid] = counts.get(pid, 0) + 1
+            want = {p: c for p, c in sorted(counts.items()) if c >= 2}
+            got = g.path_reused_peaks(path)
+            assert got == want and list(got) == list(want)
+            assert all(type(c) is int for c in got.values())
+            reused += bool(want)
+    assert reused > 0
