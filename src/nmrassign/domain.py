@@ -11,7 +11,7 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 DIMENSIONS = ("H", "N", "C")
@@ -395,19 +395,52 @@ def write_json(doc: Mapping, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+#: how an error message names the JSON value each Python type reads
+_JSON_KINDS = {
+    Mapping: "an object", list: "an array", str: "a string", int: "an integer",
+    numbers.Real: "a number", bool: "true or false", None: "null",
+}
+
+#: the field reader ``json_object`` yields: ``field(key, *kinds)`` or
+#: ``field(key, *kinds, default=value)``
+JsonField = Callable[..., Any]
+_REQUIRED = object()
+
+
 @contextmanager
-def json_object(doc: object, what: str) -> Iterator[Mapping]:
-    """``doc``, read as a JSON object by the ``with`` block. A document that
-    is not an object, a key the block misses and a value of the wrong shape
-    raise NmrAssignError, naming ``what`` and the key or the fault."""
+def json_object(doc: object, what: str) -> Iterator[JsonField]:
+    """Read ``doc`` as a JSON object in the ``with`` block, through the
+    field reader it yields: ``field(key, *kinds)`` is ``doc[key]``, checked
+    to be of one of ``kinds`` (keys of ``_JSON_KINDS``; ``None`` is null),
+    and ``default`` stands in for a missing key when given. A document that
+    is not an object, a missing key, a value of another kind and a fault
+    while the block converts the last value read raise NmrAssignError,
+    naming ``what`` and the key."""
     if not isinstance(doc, Mapping):
         raise NmrAssignError(f"{what} must be a JSON object")
+    last: list[str] = []
+
+    def field(key: str, *kinds: type | None, default: Any = _REQUIRED) -> Any:
+        last[:] = [key]
+        if key not in doc:
+            if default is _REQUIRED:
+                raise NmrAssignError(f"{what} lacks the key {key!r}")
+            return default
+        value = doc[key]
+        if not any(
+            value is None if kind is None else
+            isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            for kind in kinds
+        ):
+            names = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            raise NmrAssignError(f"{what} is malformed: {key!r} must be {names}")
+        return value
+
     try:
-        yield doc
-    except KeyError as exc:
-        raise NmrAssignError(f"{what} lacks the key {exc.args[0]!r}") from None
+        yield field
     except (TypeError, AttributeError, ValueError) as exc:
-        raise NmrAssignError(f"{what} is malformed: {exc}") from None
+        at = f" at {last[0]!r}" if last else ""
+        raise NmrAssignError(f"{what} is malformed{at}: {exc}") from None
 
 
 def write_priors(priors: PriorTable, path: str | Path) -> None:

@@ -9,6 +9,7 @@ Atom-level correctness gives partial credit per consensus shift.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -232,26 +233,26 @@ def write_assignment(a: Assignment, path: str | Path) -> None:
 
 def read_assignment(path: str | Path) -> Assignment:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    with json_object(doc, f"assignment {path}") as doc:
-        residues = [
-            ResidueAssignment(
-                residue=r["residue"],
-                assigned_id=r["assigned"],
-                member_peaks=tuple(r["member_peaks"]),
-                consensus=dict(r["consensus"]),
-                edge_cost=r["cost"],
-                threshold=r["threshold"],
-                reused_peaks=tuple(r.get("reused_peaks", ())),
-            )
-            for r in doc["residues"]
-        ]
+    with json_object(doc, f"assignment {path}") as read:
+        residues = []
+        for i, entry in enumerate(read("residues", list)):
+            with json_object(entry, f"assignment {path} residues[{i}]") as read_residue:
+                residues.append(ResidueAssignment(
+                    residue=read_residue("residue", int),
+                    assigned_id=read_residue("assigned", str, None),
+                    member_peaks=tuple(read_residue("member_peaks", list)),
+                    consensus=dict(read_residue("consensus", Mapping)),
+                    edge_cost=read_residue("cost", numbers.Real),
+                    threshold=read_residue("threshold", numbers.Real),
+                    reused_peaks=tuple(read_residue("reused_peaks", list, default=())),
+                ))
         return Assignment(
-            sequence=doc["sequence"],
+            sequence=read("sequence", str),
             residues=residues,
-            variant=doc["variant"],
-            objective=doc["objective"],
-            proven_optimal=doc["proven_optimal"],
-            path=tuple(doc["path"]),
+            variant=read("variant", str),
+            objective=read("objective", numbers.Real),
+            proven_optimal=read("proven_optimal", bool),
+            path=tuple(read("path", list)),
         )
 
 

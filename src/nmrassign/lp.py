@@ -27,13 +27,14 @@ the first solve ``scipy.optimize``, so a Lagrangian proof loads no scipy.
 Relaxations go to HiGHS's dual simplex, whose vertex solutions are
 integral on pure flow polytopes. The root is solved with presolve off (on
 peak lists, presolve took most of the root's time); search nodes keep
-HiGHS's default. When utilization rows make the optimum fractional, a
-branch and bound restricted to the fractional support finds an
-incumbent, and a global branch and bound pruned by it certifies or
-improves the answer. Every search node is a column-subset program:
-branching drops edges, and the global search starts without every column
-whose root reduced cost proves it cannot beat the incumbent. The exact
-``ilp`` search starts from the root relaxation already solved.
+HiGHS's default. When utilization rows make the optimum fractional, the
+root's utilization duals serve as Lagrangian multipliers: one forward and
+one backward DP (``dp_edge_bounds``) bound every answer that uses an
+edge, and a branch and bound searches only the edges whose bound lies
+within a margin of the root, with that margin as its cutoff; the margin
+doubles until an answer is found. Every search node is a column-subset
+program: branching drops edges. The exact ``ilp`` search skips the rule
+and starts from the root relaxation already solved.
 
 Which of several tied optima comes back is up to HiGHS (and its presolve),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
@@ -58,7 +59,7 @@ import numpy as np
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
 from .graph import AssignmentGraph, consumed
-from .shortest_path import NoPathError, SolveResult, dp_shortest_path, solve_result
+from .shortest_path import NoPathError, SolveResult, dp_edge_bounds, dp_shortest_path, solve_result
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -78,9 +79,6 @@ _STATUS = {
 INT_TOL = 1e-6
 #: a search node must beat the incumbent's objective by more than this
 GAP_EPS = 1e-9
-#: reduced-cost fixing keeps a column unless it provably costs this much
-#: more than the incumbent; HiGHS meets dual feasibility only to 1e-7
-FIX_EPS = 1e-6
 
 
 @dataclass
@@ -157,9 +155,9 @@ class LpSolution:
     status: str
     objective: float | None
     values: np.ndarray | None
-    #: ``costs - A_eq.T @ y_eq - A_ub.T @ y_ub`` at the optimal duals ``y``;
+    #: the utilization rows' optimal duals negated (``-y_ub``), one per row;
     #: None when the backend returns no duals
-    reduced_costs: np.ndarray | None = None
+    multipliers: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -294,8 +292,9 @@ def solve_lp(
     with or without HiGHS presolve (an external backend ignores it). An
     external backend's answer must be an ``LpSolution`` with one of the
     ``_STATUS`` values; an optimal one needs a finite objective and one
-    value per variable, and reduced costs, when given, one per variable.
-    Any other answer raises ``SolverError``, naming the backend."""
+    value per variable, and multipliers, when given, one finite number per
+    utilization row. Any other answer raises ``SolverError``, naming the
+    backend."""
     if backend is not None:
         answer = backend(lp)
         what = getattr(backend, "__qualname__", type(backend).__qualname__)
@@ -307,8 +306,9 @@ def solve_lp(
         finite = isinstance(answer.objective, numbers.Real) and math.isfinite(answer.objective)
         if answer.ok and not (finite and np.shape(answer.values) == (lp.n_vars,)):
             raise SolverError(f"{name}'s optimal answer lacks a finite objective or {lp.n_vars} values")
-        if answer.reduced_costs is not None and np.shape(answer.reduced_costs) != (lp.n_vars,):
-            raise SolverError(f"{name} returned reduced costs for other than {lp.n_vars} variables")
+        mu, rows = answer.multipliers, len(lp.utilization)
+        if mu is not None and not (np.shape(mu) == (rows,) and np.isfinite(mu).all()):
+            raise SolverError(f"{name} returned multipliers other than {rows} finite numbers")
         return answer
     A_eq, b_eq, A_ub, b_ub = lp.matrices()
     res = linprog(
@@ -324,12 +324,7 @@ def solve_lp(
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, None, None)
-    reduced = lp.costs.copy()
-    if A_eq is not None:
-        reduced -= A_eq.T @ res.eqlin.marginals
-    if A_ub is not None:
-        reduced -= A_ub.T @ res.ineqlin.marginals
-    return LpSolution(status, float(res.fun), np.asarray(res.x, dtype=float), reduced)
+    return LpSolution(status, float(res.fun), np.asarray(res.x, float), -res.ineqlin.marginals)
 
 
 def load_backend(path: str | Path) -> Backend:
@@ -362,10 +357,7 @@ class BnbResult:
     solution: LpSolution | None
     proven_optimal: bool
     nodes_explored: int
-    #: the part of ``nodes_explored`` spent in ``round_and_resolve``'s
-    #: restricted-support pass
-    nodes_heuristic: int = 0
-    #: columns reduced-cost fixing dropped from the global pass
+    #: edge columns ``round_and_resolve``'s deciding round dropped
     columns_fixed: int = 0
 
 
@@ -386,7 +378,7 @@ def branch_and_bound(
     keep: np.ndarray | None = None,
     backend: Backend | None = None,
     node_limit: int = NODE_LIMIT,
-    incumbent: LpSolution | None = None,
+    cutoff: float = math.inf,
     root: LpSolution | None = None,
 ) -> BnbResult:
     """Exact solve with integrality on the edge variables.
@@ -396,17 +388,15 @@ def branch_and_bound(
     Unit flow crosses every edge layer, so the ``x_e = 1`` child, explored
     first, drops the other edges of e's layer, and the ``x_e = 0`` child
     drops e: every node solves a column subset. Slack variables stay
-    continuous. An ``incumbent`` from a primal heuristic seeds the pruning
-    bound. ``root``, when given, is the first node's solution (the program
-    on ``keep``), which is then not solved again. When the node limit is
-    hit the incumbent is returned unproven.
+    continuous. A node must beat ``cutoff``, and then the incumbent, by
+    more than ``GAP_EPS``. ``root``, when given, is the first node's
+    solution (the program on ``keep``), which is then not solved again.
+    When the node limit is hit the incumbent is returned unproven.
     """
     base = np.ones(lp.n_vars, dtype=bool) if keep is None else keep
     offsets, n_edges = lp.edge_offsets, lp.n_edges
 
-    incumbent_obj = math.inf
-    if incumbent is not None and incumbent.objective is not None:
-        incumbent_obj = incumbent.objective
+    incumbent, incumbent_obj = None, cutoff
     nodes = 0
     proven = True
 
@@ -461,6 +451,23 @@ def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) ->
     return tuple(nodes)
 
 
+def node_penalty(g: AssignmentGraph, incidence: Incidence, mu: np.ndarray) -> list[np.ndarray]:
+    """Each node's price at the multipliers ``mu`` (one per contested peak),
+    layer by layer: the summed ``mu`` of the contested peaks its grouping
+    consumes, 0 for start, dummy and end nodes."""
+    _, indptr, indices = incidence
+    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    price = np.bincount(owner, mu[indices], len(indptr) - 1)
+    return [price[rows] for rows in g.grouping_rows]
+
+
+def edge_bounds(g: AssignmentGraph, incidence: Incidence, mu: np.ndarray) -> np.ndarray:
+    """Per edge column, a bound on every answer using it: the cheapest path
+    through it priced by ``node_penalty``, minus ``sum(mu)`` (inf on no
+    path). It holds for ``mu >= 0``, and for the soft variant ``mu <= lam``."""
+    return np.concatenate(dp_edge_bounds(g, node_penalty(g, incidence, mu))) - mu.sum()
+
+
 def round_and_resolve(
     g: AssignmentGraph,
     lp: LinearProgram,
@@ -468,51 +475,44 @@ def round_and_resolve(
     backend: Backend | None = None,
     node_limit: int = NODE_LIMIT,
 ) -> BnbResult:
-    """Exact solve seeded by a search restricted to the relaxation's support.
+    """Exact search after a fractional root, on the edges its duals allow.
 
-    The restricted pass is a branch and bound on the columns the relaxation
-    uses above ``INT_TOL`` plus every dummy-incident edge, which keeps the
-    all-dummy path feasible. It is a primal heuristic: a true optimum may
-    use edges the fractional vertex left at zero. Its incumbent is
-    therefore only accepted outright when it meets the relaxation bound
-    ``LB``. Otherwise a global branch and bound, pruned by the incumbent's
-    objective ``UB``, certifies or improves it. That pass drops every edge
-    column with ``LB + reduced cost > UB``: any solution using one costs
-    more than the incumbent (reduced-cost fixing). Without reduced costs
-    it searches the whole program. The two passes share ``node_limit``;
-    when the restricted pass spends it, its incumbent comes back unproven.
+    The root's multipliers, clipped to ``0 <= mu <= lam`` (the soft
+    variant's slack cost; the hard variant has no upper limit), give each
+    edge column its ``edge_bounds``; a backend without duals gives
+    ``mu = 0``. A round guesses ``UB' = root + margin``, keeps the edge
+    columns whose bound is at most ``UB'`` and every slack column, and runs
+    ``branch_and_bound`` with ``UB'`` as its cutoff. Every answer below
+    ``UB'`` lies in the kept program, so the first answer found is optimal.
+    The margin starts at ``1e-3 * max(1, |root|)`` and doubles while no
+    answer is found; once ``UB'`` reaches the largest finite bound, the
+    round searches every column without a cutoff. The rounds share
+    ``node_limit``; when it runs out, the incumbent comes back unproven.
+    ``columns_fixed`` counts the edge columns the deciding round dropped.
     """
-    assert relaxed.objective is not None and relaxed.values is not None
+    assert relaxed.objective is not None
     n_edges = lp.n_edges
-    support = np.ones(lp.n_vars, dtype=bool)
-    support[:n_edges] = relaxed.values[:n_edges] > INT_TOL
-    # node 0 of an inner layer is its dummy; the start and end nodes are not
-    support[:n_edges] |= np.concatenate([
-        ((layer.src == 0) & (k >= 1)) | ((layer.dst == 0) & (k < g.n))
-        for k, layer in enumerate(g.edges)
-    ])
-    primal = branch_and_bound(lp, keep=support, backend=backend, node_limit=node_limit)
-    incumbent = primal.solution
-    spent = primal.nodes_explored
-    if incumbent is not None and incumbent.objective <= relaxed.objective + GAP_EPS:
-        return BnbResult(incumbent, True, spent, spent)
-    if spent >= node_limit:
-        return BnbResult(incumbent, False, spent, spent)
-
-    keep = np.ones(lp.n_vars, dtype=bool)
-    if incumbent is not None and relaxed.reduced_costs is not None:
-        # the incumbent's own edges stay, so it is a solution of the subset
-        keep[:n_edges] = (
-            relaxed.objective + relaxed.reduced_costs[:n_edges]
-            <= incumbent.objective + FIX_EPS
-        ) | (incumbent.values[:n_edges] > 0.5)
-    full = branch_and_bound(
-        lp, keep=keep, backend=backend, node_limit=node_limit - spent, incumbent=incumbent
-    )
-    return BnbResult(
-        full.solution, full.proven_optimal, spent + full.nodes_explored,
-        spent, int(np.count_nonzero(~keep)),
-    )
+    incidence = peak_incidence(g)
+    mu = np.zeros(len(incidence[0]))
+    if lp.utilization and relaxed.multipliers is not None:
+        lam = lp.costs[n_edges:] if lp.variant == "lian2" else math.inf
+        mu = np.clip(relaxed.multipliers, 0.0, lam)
+    bounds = edge_bounds(g, incidence, mu)
+    largest = np.max(bounds, where=np.isfinite(bounds), initial=-math.inf)
+    margin, spent = 1e-3 * max(1.0, abs(relaxed.objective)), 0
+    while True:
+        cutoff = relaxed.objective + margin
+        if cutoff >= largest:
+            cutoff = math.inf  # the last round: every column, no cutoff
+        keep = np.ones(lp.n_vars, dtype=bool)
+        keep[:n_edges] = bounds <= cutoff
+        result = branch_and_bound(
+            lp, keep=keep, backend=backend, node_limit=node_limit - spent, cutoff=cutoff
+        )
+        spent += result.nodes_explored
+        if result.solution is not None or not result.proven_optimal or cutoff == math.inf:
+            return BnbResult(result.solution, result.proven_optimal, spent, int((~keep).sum()))
+        margin *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +558,10 @@ def lagrangian_stage(
     the stage can only prove instances whose root relaxation is integral.
     """
     peaks, indptr, indices = incidence
-    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     mu = np.zeros(len(peaks))
     best, theta, stall = -math.inf, 2.0, 0
     for iteration in range(1, LAGRANGIAN_ITERATIONS + 1):
-        price = np.bincount(owner, mu[indices], len(indptr) - 1)
-        path = dp_shortest_path(g, [price[rows] for rows in g.grouping_rows])
+        path = dp_shortest_path(g, node_penalty(g, incidence, mu))
         carried = [g.grouping_rows[k][i] for k, i in enumerate(path.nodes)]
         use = np.bincount(consumed(indptr, indices, carried)[0], minlength=len(peaks))
         bound = path.total_cost + float(mu @ (use - 1.0))
@@ -628,8 +626,7 @@ def _solve_variant(
         lp_bound=relaxed.objective,
         proven_optimal=result.proven_optimal,
         root_integral=root_integral,
-        nodes_heuristic=result.nodes_heuristic,
-        nodes_global=result.nodes_explored - result.nodes_heuristic,
+        nodes_explored=result.nodes_explored,
         columns_fixed=result.columns_fixed,
         **stats,
     )
@@ -641,7 +638,8 @@ def solve_lian1(
     backend: Backend | None = None,
     node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
-    """Hard utilization: relaxation, then exact re-solve on its support."""
+    """Hard utilization: relaxation, then, after a fractional root, an exact
+    search on the edges its duals allow."""
     return _solve_variant(g, "lian1", tol, backend, node_limit, exact=False)
 
 

@@ -219,7 +219,6 @@ def run_assign(
     # every field but the path, which assignment.json holds
     report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     del report["path"]
-    report["nodes_explored"] = result.nodes_explored
     report["path_canonicalized"] = result.path_canonicalized
     write_json(report, outdir / "lp_report.json")
     write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")

@@ -5,17 +5,20 @@ reuse and serves as the baseline solver and as a cross-check for the LP
 relaxation. An optional per-node penalty turns it into the bound of the
 Lagrangian stage in ``lp``, which prices each node at the multipliers of
 the contested peaks it consumes. Both uses share one tie rule: the
-lexicographically smallest path among the optima. ``exhaustive_constrained``
-enumerates every start-to-end path that never consumes a peak twice; it is
-exponential and only usable on tiny instances, where it acts as the
-ground-truth oracle for the constrained solvers.
+lexicographically smallest path among the optima. ``dp_edge_bounds`` shares
+its backward sweep and adds a forward one: it prices the cheapest penalized
+path through every edge, which is how ``lp.round_and_resolve`` drops edges
+after a fractional root. ``exhaustive_constrained`` enumerates every
+start-to-end path that never consumes a peak twice; it is exponential and
+only usable on tiny instances, where it acts as the ground-truth oracle for
+the constrained solvers.
 
 ``path_solution`` is the one pricer: it reads each edge's cost through
 ``EdgeLayer.index`` and returns None for a node sequence that is not a
 path. ``solve_result`` builds every solver's answer from its path,
 whichever stage proved it: ``canonical_path`` checks and prices the path
-once, and one count of its reused peaks fixes the objective and, for the
-soft variant ``lian2``, each peak's slack (its extra uses).
+once and counts its reused peaks, and that one count fixes the objective
+and, for the soft variant ``lian2``, each peak's slack (its extra uses).
 ``canonical_path`` is the one tie rule every answer goes through. A fragment
 is a maximal run of regular nodes on a path. Its cost depends only on the
 residue types of its window (the layers it spans): the edge into it
@@ -32,7 +35,7 @@ point of the rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +61,9 @@ class PathSolution:
     edge_costs: tuple[float, ...]
     #: ``canonical_path`` replaced the solver's nodes by these
     canonicalized: bool = False
+    #: peak id -> times the path consumes it, for peaks consumed twice or
+    #: more, as ``canonical_path`` counted them; None where nobody counted
+    reused_peaks: dict[str, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.edge_costs) != len(self.nodes) - 1:
@@ -81,11 +87,11 @@ class SolveResult:
     #: the root relaxation was integral, so no branch and bound ran; None
     #: when no root relaxation was solved
     root_integral: bool | None = None
-    #: branch-and-bound nodes of the restricted-support heuristic pass and
-    #: of the global search; an integral root counts as one global node
-    nodes_heuristic: int = 0
-    nodes_global: int = 0
-    #: edge columns that reduced-cost fixing dropped from the global search
+    #: branch-and-bound nodes over every search round; an integral root
+    #: counts as one node, an answer without an LP as none
+    nodes_explored: int = 0
+    #: edge columns the dual-priced bound dropped from the deciding search
+    #: round (``lp.round_and_resolve``)
     columns_fixed: int = 0
     #: the stage whose bound proved the answer: "lagrangian" or "lp" ("dp"
     #: for the unconstrained shortest path)
@@ -94,10 +100,6 @@ class SolveResult:
     #: contested peak, which is one per utilization row)
     lagrangian_iterations: int = 0
     contested_peaks: int = 0
-
-    @property
-    def nodes_explored(self) -> int:
-        return self.nodes_heuristic + self.nodes_global
 
     @property
     def path_canonicalized(self) -> bool:
@@ -122,8 +124,8 @@ def path_solution(
 
 
 def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> PathSolution:
-    """The path, priced, with its fragments sorted within equal residue-type
-    windows.
+    """The path, priced and with its reused peaks counted, with its
+    fragments sorted within equal residue-type windows.
 
     The fragments (maximal runs of regular nodes) are grouped by the
     residue types of their windows; within a group, the sorted fragments
@@ -154,15 +156,16 @@ def canonical_path(g: AssignmentGraph, nodes: Sequence[int]) -> PathSolution:
     for starts, fragments in groups.values():
         for start, fragment in zip(starts, sorted(fragments)):
             sorted_nodes[start : start + len(fragment)] = fragment
-    if tuple(sorted_nodes) == nodes:
-        return given
-    candidate = path_solution(g, sorted_nodes, canonicalized=True)
+    reused = g.path_reused_peaks(nodes)
+    candidate = None
+    if tuple(sorted_nodes) != nodes:
+        candidate = path_solution(g, sorted_nodes, canonicalized=True)
     qualifies = (
         candidate is not None
         and math.isclose(candidate.total_cost, given.total_cost, rel_tol=1e-9, abs_tol=1e-12)
-        and g.path_reused_peaks(candidate.nodes) == g.path_reused_peaks(nodes)
+        and g.path_reused_peaks(candidate.nodes) == reused
     )
-    return candidate if qualifies else given
+    return replace(candidate if qualifies else given, reused_peaks=reused)
 
 
 def solve_result(
@@ -172,7 +175,7 @@ def solve_result(
     prices it: ``lian2`` adds ``lam`` per extra use of a peak, and its
     ``epsilons`` are the extra uses. ``stats`` fill the remaining fields."""
     path = canonical_path(g, nodes)
-    reused = g.path_reused_peaks(path.nodes)
+    reused = path.reused_peaks
     soft = variant == "lian2"
     overuse = sum(c - 1 for c in reused.values())
     return SolveResult(
@@ -183,6 +186,30 @@ def solve_result(
         variant=variant,
         **stats,
     )
+
+
+def _backward(
+    g: AssignmentGraph, penalty: Sequence[np.ndarray] | None
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """The backward sweep of the DP: ``reach[k][i]``, the cheapest
+    (penalized) path from node i of layer k to the end without node i's own
+    penalty; ``value[k][i]``, with it; and ``tails[k][e]``, edge e's cost
+    plus ``value`` at its target."""
+    n = g.n
+    reach = [np.full(len(rows), math.inf) for rows in g.grouping_rows]
+    reach[n + 1][0] = 0.0
+    value = list(reach)
+    tails = [np.zeros(0)] * (n + 1)
+    for k in range(n, -1, -1):
+        layer = g.edges[k]
+        tails[k] = layer.cost + value[k + 1][layer.dst]
+        # out-edges are contiguous per source node; nodes without any stay inf
+        starts = layer.indptr[:-1]
+        has_out = starts < layer.indptr[1:]
+        reach[k][has_out] = np.minimum.reduceat(tails[k], starts[has_out])
+        if penalty is not None:
+            value[k] = reach[k] + penalty[k]
+    return reach, value, tails
 
 
 def dp_shortest_path(
@@ -197,23 +224,7 @@ def dp_shortest_path(
     lexicographically smallest node index sequence, chosen during the
     forward reconstruction, so the result is deterministic.
     """
-    n = g.n
-    # reach[k][i]: cost of the cheapest (penalized) path from node i in
-    # layer k to the end, without node i's own penalty; value[k][i]: with it
-    reach = [np.full(len(rows), math.inf) for rows in g.grouping_rows]
-    reach[n + 1][0] = 0.0
-    value = list(reach)
-    tails = [np.zeros(0)] * (n + 1)
-    for k in range(n, -1, -1):
-        layer = g.edges[k]
-        tails[k] = layer.cost + value[k + 1][layer.dst]
-        # out-edges are contiguous per source node; nodes without any stay inf
-        starts = layer.indptr[:-1]
-        has_out = starts < layer.indptr[1:]
-        reach[k][has_out] = np.minimum.reduceat(tails[k], starts[has_out])
-        if penalty is not None:
-            value[k] = reach[k] + penalty[k]
-
+    reach, value, tails = _backward(g, penalty)
     if value[0][0] == math.inf:
         raise NoPathError("no start-to-end path exists")
 
@@ -226,6 +237,28 @@ def dp_shortest_path(
         nodes.append(int(layer.dst[e]))
         edge_costs.append(float(layer.cost[e]))
     return PathSolution(tuple(nodes), sum(edge_costs), tuple(edge_costs))
+
+
+def dp_edge_bounds(g: AssignmentGraph, penalty: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The cost of the cheapest penalized start-to-end path through each
+    edge, layer by layer in ``g.edges`` order (inf where no path passes).
+
+    ``penalty`` is priced as in ``dp_shortest_path``, whose backward sweep
+    this shares; one forward sweep adds the cheapest penalized way into each
+    edge's source. Each layer's minimum is the penalized optimum.
+    """
+    _, value, tails = _backward(g, penalty)
+    # arrive[i]: the cheapest penalized path from the start into node i of
+    # the current layer, with node i's own penalty
+    arrive = np.array([penalty[0][0]])
+    bounds = []
+    for k, layer in enumerate(g.edges):
+        into = arrive[layer.src]
+        bounds.append(into + tails[k])
+        arrive = np.full(len(g.grouping_rows[k + 1]), math.inf)
+        np.minimum.at(arrive, layer.dst, into + layer.cost)
+        arrive += penalty[k + 1]
+    return bounds
 
 
 def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathSolution:

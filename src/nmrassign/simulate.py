@@ -258,10 +258,10 @@ def read_reference(path: str | Path) -> Reference:
 
 
 def reference_from_dict(doc: Mapping) -> Reference:
-    with json_object(doc, "reference") as doc:
+    with json_object(doc, "reference") as read:
         return Reference(
-            ProteinSequence(doc["sequence"]),
-            {int(k): v for k, v in doc["shifts"].items()},
+            ProteinSequence(read("sequence", str)),
+            {int(k): v for k, v in read("shifts", Mapping).items()},
         )
 
 
@@ -283,20 +283,20 @@ def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    with json_object(doc, f"ground truth {path}") as doc:
+    with json_object(doc, f"ground truth {path}") as read:
         return GroundTruth(
-            kind=doc["kind"],
-            sequence=doc["sequence"],
-            residue_to_id={int(k): v for k, v in doc["residue_to_id"].items()},
+            kind=read("kind", str),
+            sequence=read("sequence", str),
+            residue_to_id={int(k): v for k, v in read("residue_to_id", Mapping).items()},
             residue_to_peaks={
-                int(k): tuple(v) for k, v in doc.get("residue_to_peaks", {}).items()
+                int(k): tuple(v) for k, v in read("residue_to_peaks", Mapping, default={}).items()
             },
             peak_origin={
                 pid: (int(res), role)
-                for pid, (res, role) in doc.get("peak_origin", {}).items()
+                for pid, (res, role) in read("peak_origin", Mapping, default={}).items()
             },
             reference={
                 int(k): {r: float(x) for r, x in v.items()}
-                for k, v in doc.get("reference", {}).items()
+                for k, v in read("reference", Mapping, default={}).items()
             },
         )

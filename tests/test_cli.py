@@ -184,7 +184,7 @@ def test_lp_report_keys(tmp_path, capsys):
         report = json.loads((out / variant / "lp_report.json").read_text())
         assert sorted(report) == [
             "columns_fixed", "contested_peaks", "epsilons", "lagrangian_iterations",
-            "lp_bound", "nodes_explored", "nodes_global", "nodes_heuristic", "objective",
+            "lp_bound", "nodes_explored", "objective",
             "path_canonicalized", "proved_by", "proven_optimal", "reused_peaks",
             "root_integral", "variant",
         ]
@@ -446,10 +446,27 @@ NULL_ASSIGNMENT = {
                  "is malformed", id="ground-truth-list-for-object"),
     pytest.param("reference", [1], "reference must be a JSON object", id="reference-not-an-object"),
     pytest.param("reference", {"sequence": SEQ}, "lacks the key 'shifts'", id="reference-no-shifts"),
+    # a value of the wrong shape names its key
+    pytest.param("assignment", {**NULL_ASSIGNMENT, "residues": {"1": {}}},
+                 "'residues' must be an array", id="assignment-residues-object"),
+    pytest.param("assignment", {**NULL_ASSIGNMENT, "residues": [
+                     {**NULL_ASSIGNMENT["residues"][0], "member_peaks": 3}]},
+                 "residues[0] is malformed: 'member_peaks' must be an array",
+                 id="assignment-member-peaks-number"),
+    pytest.param("assignment", {**NULL_ASSIGNMENT, "objective": "low"},
+                 "'objective' must be a number", id="assignment-objective-string"),
+    pytest.param("ground-truth", {"kind": "spins", "sequence": "A", "residue_to_id": [1]},
+                 "'residue_to_id' must be an object", id="ground-truth-residue-to-id-list"),
+    pytest.param("ground-truth", {"kind": "peaks", "sequence": "A", "residue_to_id": {},
+                                  "residue_to_peaks": {"1": 5}},
+                 "is malformed at 'residue_to_peaks'", id="ground-truth-peaks-number"),
+    pytest.param("reference", {"sequence": SEQ, "shifts": [1]}, "'shifts' must be an object",
+                 id="reference-shifts-list"),
 ])
 def test_malformed_json_input_exits_2(tmp_path, capsys, which, doc, message):
     """An assignment, ground truth or reference file that is not an object,
-    lacks a key or holds a list for an object exits 2 with one error line."""
+    lacks a key or holds a value of the wrong shape exits 2 with one error
+    line, which names the missing or misshapen key."""
     (tmp_path / "assignment.json").write_text(json.dumps(NULL_ASSIGNMENT), encoding="utf-8")
     path = tmp_path / f"{which}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -485,7 +502,7 @@ PINNED_ASSIGN_OUTPUTS = {
     "assignment.json": "87ed2035dd8fefa1fa9a1cf0a9aca1754fec51b3c6035ecb5d8f772be0e9c719",
     "diagnostics.json": "ee18f96685750c59478427b01f955193921d7b9766fd52400ceaf6e88ae1f056",
     "graph_stats.json": "b7e386bfe76bb051ebcf0308b9fa0a9cece67dd696aedcf5574e8618e3af6faa",
-    "lp_report.json": "973c541a675e595d68ab89071fd59787526977a5ea9175b9915d17f2b2432745",
+    "lp_report.json": "559f9cb670ce37ed346481f25be1d8ef82570ef0cb4a8c897425352510a74d17",
 }
 
 

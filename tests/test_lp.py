@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -8,17 +9,25 @@ import pytest
 
 import nmrassign.lp as lpmod
 from nmrassign.cli import main as cli_main
-from nmrassign.domain import NmrAssignError, PriorTable, ProteinSequence, Tolerances, write_priors
+from nmrassign.domain import (
+    NODE_LIMIT,
+    NmrAssignError,
+    PriorTable,
+    ProteinSequence,
+    Tolerances,
+    write_priors,
+)
 from nmrassign.lp import (
-    INT_TOL,
     LpSolution,
     SolverError,
     branch_and_bound,
+    edge_bounds,
     extract_path,
     formulate,
     is_integral,
     lagrangian_stage,
     load_backend,
+    node_penalty,
     peak_incidence,
     round_and_resolve,
     solve_ilp,
@@ -27,7 +36,7 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import DUMMY, REGULAR, build_graph
+from nmrassign.graph import REGULAR, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import (
     InstanceTooLargeError,
@@ -272,109 +281,103 @@ def test_branch_and_bound_node_limit(default_tol):
     assert not result.proven_optimal
 
 
-@pytest.mark.parametrize("node_limit", [1, 2, 3])
-def test_round_and_resolve_keeps_node_limit(default_tol, node_limit):
-    g = conflict_fixture()
-    lp = formulate(g, "lian1", default_tol)
-    relaxed = solve_lp(lp)
-    result = round_and_resolve(g, lp, relaxed, node_limit=node_limit)
-    assert result.nodes_explored <= node_limit
-    if result.proven_optimal:
-        assert result.solution.objective == pytest.approx(10.0, abs=1e-9)
-
-
 def _record_bnb(monkeypatch) -> list:
-    """(keep mask, incumbent, result) of every later ``branch_and_bound`` call."""
+    """(keep mask, cutoff, node limit, result) of every later
+    ``branch_and_bound`` call."""
     calls = []
     original = lpmod.branch_and_bound
 
     def recording(lp, *args, **kwargs):
         result = original(lp, *args, **kwargs)
-        calls.append((kwargs.get("keep"), kwargs.get("incumbent"), result))
+        calls.append((kwargs.get("keep"), kwargs.get("cutoff"), kwargs.get("node_limit"), result))
         return result
 
     monkeypatch.setattr(lpmod, "branch_and_bound", recording)
     return calls
 
 
-def test_reduced_cost_fixing_is_exact(monkeypatch, default_tol):
-    """Criterion 3's conflicted instances: the root reduced costs are dual
-    feasible and bound every feasible path, and no column the global pass
-    drops lies on a feasible path costing at most the incumbent's objective
-    ``UB`` it was dropped against."""
+def _conflicted_instances(seed: int):
+    """(graph, its lian1 program) of criterion 3's conflicted random
+    instances with a conflict-free path, drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+        lp = formulate(g, "lian1", Tolerances())
+        if lp.utilization and brute_constrained(g) is not None:
+            yield g, lp
+
+
+@pytest.mark.parametrize("node_limit", [1, 2, 3])
+def test_round_and_resolve_keeps_node_limit(monkeypatch, node_limit):
+    """The margin rounds share one node budget: each round gets what the
+    rounds before it left, and a budget ``node_limit`` nodes short of what
+    the search needs runs out, leaving the answer unproven."""
+    calls = _record_bnb(monkeypatch)
+    for g, lp in _conflicted_instances(4242):
+        relaxed = solve_lp(lp)
+        if is_integral(lp, relaxed):
+            continue
+        calls.clear()
+        full = round_and_resolve(g, lp, relaxed)
+        if len(calls) >= 3:
+            break
+    assert full.proven_optimal
+    for budget in (NODE_LIMIT, full.nodes_explored - node_limit):
+        calls.clear()
+        result = round_and_resolve(g, lp, relaxed, node_limit=budget)
+        spent = np.cumsum([0] + [r.nodes_explored for *_, r in calls])
+        assert [limit for _, _, limit, _ in calls] == (budget - spent[:-1]).tolist()
+        assert result.nodes_explored == spent[-1] <= budget
+    assert not result.proven_optimal and result.nodes_explored == budget
+
+
+def test_dual_priced_fixing_is_exact(monkeypatch, default_tol):
+    """Criterion 3's conflicted instances, for lian1 and for lian2. At the
+    root's duals and at random multipliers in [0, lam], each edge's bound is
+    at most the objective of every answer through it (for lian1, every
+    conflict-free path), and each layer's least bound is the penalized DP
+    optimum minus the summed multipliers; at the duals that is the root. No
+    search round drops an edge of an answer costing at most its cutoff UB',
+    and lian1 matches the brute force."""
     calls = _record_bnb(monkeypatch)
     rng = np.random.default_rng(4242)
-    checked = fixed = 0
-    while checked < 30:
-        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
-        lp = formulate(g, "lian1", default_tol)
-        if not lp.utilization:
-            continue
-        want = brute_constrained(g)
-        if want is None:
-            continue
-        checked += 1
-        assert solve_lian1(g, default_tol).objective == pytest.approx(want, abs=1e-9)
-
-        relaxed = solve_lp(lp)
-        x, reduced = relaxed.values, relaxed.reduced_costs
-        at_zero, at_one = x <= INT_TOL, x >= 1.0 - INT_TOL
-        assert np.all(reduced[at_zero] >= -1e-7)
-        assert np.all(reduced[at_one] <= 1e-7)
-        np.testing.assert_allclose(reduced[~at_zero & ~at_one], 0.0, atol=1e-7)
-        feasible = [
-            (path_cost(g, path), [_col(lp, g, k, path[k], path[k + 1]) for k in range(g.n + 1)])
-            for path in iter_paths(g)
-            if not path_overuse(g, path)
-        ]
-        for cost, used in feasible:  # the bound fixing rests on
-            assert cost >= relaxed.objective + np.maximum(reduced[used], 0.0).sum() - 1e-6
-        if is_integral(lp, relaxed):
-            continue
-        calls.clear()
-        round_and_resolve(g, lp, relaxed)
-        if len(calls) < 2:
-            continue
-        for keep, _, result in calls:  # each pass searches only its mask
-            assert not result.solution.values[~keep].any()
-        keep, incumbent, _ = calls[-1]
-        dropped = ~keep
-        for cost, used in feasible:
-            if cost <= incumbent.objective + 1e-9:
-                assert not dropped[used].any(), used
-        fixed += int(dropped.sum())
+    fixed = 0
+    for g, _ in itertools.islice(_conflicted_instances(4242), 30):
+        assert solve_lian1(g, default_tol).objective == pytest.approx(brute_constrained(g), abs=1e-9)
+        incidence = peak_incidence(g)
+        paths = list(iter_paths(g))
+        lam = float(rng.uniform(0.5, 10.0))
+        for tol, soft in ((default_tol, False), (Tolerances(lam=lam), True)):
+            lp = formulate(g, "lian2" if soft else "lian1", tol, incidence)
+            columns = np.array([
+                [_col(lp, g, k, p[k], p[k + 1]) for k in range(g.n + 1)] for p in paths
+            ])
+            overuse = np.array([path_overuse(g, p) for p in paths])
+            objective = np.array([path_cost(g, p) for p in paths])
+            objective += lam * overuse if soft else np.where(overuse > 0, math.inf, 0.0)
+            relaxed = solve_lp(lp)
+            upper = lam if soft else math.inf
+            duals = np.clip(relaxed.multipliers, 0.0, upper)
+            for mu in (duals, rng.uniform(0.0, min(upper, 10.0), len(incidence[0]))):
+                bounds = edge_bounds(g, incidence, mu)
+                assert np.all(bounds[columns].max(axis=1) <= objective + 1e-9)
+                penalty = node_penalty(g, incidence, mu)
+                dp = dp_shortest_path(g, penalty)
+                optimum = dp.total_cost + sum(penalty[k][i] for k, i in enumerate(dp.nodes))
+                least = np.minimum.reduceat(bounds, lp.edge_offsets[:-1])
+                np.testing.assert_allclose(least, optimum - mu.sum(), rtol=1e-12, atol=1e-9)
+            at_duals = edge_bounds(g, incidence, duals).min()
+            assert at_duals == pytest.approx(relaxed.objective, rel=1e-9, abs=1e-9)
+            if is_integral(lp, relaxed):
+                continue
+            calls.clear()
+            round_and_resolve(g, lp, relaxed)
+            for keep, cutoff, _, result in calls:  # each round searches only its mask
+                if result.solution is not None:
+                    assert not result.solution.values[~keep].any()
+                assert keep[columns[objective <= cutoff]].all()
+            fixed += int(np.count_nonzero(~calls[-1][0]))
     assert fixed > 0
-
-
-def test_restricted_pass_keeps_support_and_inner_dummy_edges(monkeypatch, default_tol):
-    """The restricted pass searches the relaxation's support plus every edge
-    leaving or entering an inner layer's dummy. The start and the end are
-    no dummies, so their edges outside the support stay out."""
-    calls = _record_bnb(monkeypatch)
-    rng = np.random.default_rng(77)
-    checked = left_out = 0
-    while checked < 10:
-        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
-        lp = formulate(g, "lian1", default_tol)
-        relaxed = solve_lp(lp)
-        if is_integral(lp, relaxed):
-            continue
-        checked += 1
-        calls.clear()
-        round_and_resolve(g, lp, relaxed)
-        keep = calls[0][0][:lp.n_edges]
-        dummy_incident = np.array([
-            DUMMY in (g.node(k, i).kind, g.node(k + 1, j).kind)
-            for k, layer in enumerate(g.edges)
-            for i, j in zip(layer.src.tolist(), layer.dst.tolist())
-        ])
-        support = relaxed.values[:lp.n_edges] > INT_TOL
-        np.testing.assert_array_equal(keep, support | dummy_incident)
-        at_start_or_end = np.concatenate([
-            np.full(len(layer), k in (0, g.n)) for k, layer in enumerate(g.edges)
-        ])
-        left_out += int(np.count_nonzero(at_start_or_end & ~keep))
-    assert left_out > 0
 
 
 def test_lian2_with_fixing_matches_penalized_oracle():
@@ -650,9 +653,8 @@ def test_fractional_root_deletion_regression(tmp_path, capsys):
     capsys.readouterr()
     lian1, ilp = reports["lian1"], reports["ilp"]
     assert not lian1["root_integral"] and lian1["proven_optimal"]
-    assert lian1["columns_fixed"] > 0 and lian1["nodes_heuristic"] > 0
-    assert lian1["nodes_explored"] == lian1["nodes_heuristic"] + lian1["nodes_global"]
-    assert ilp["proven_optimal"] and ilp["columns_fixed"] == ilp["nodes_heuristic"] == 0
+    assert lian1["columns_fixed"] > 0
+    assert ilp["proven_optimal"] and ilp["columns_fixed"] == 0
     assert lian1["objective"] == pytest.approx(ilp["objective"], rel=1e-9)
     assert isinstance(lian1["path_canonicalized"], bool)
 
@@ -677,17 +679,19 @@ def test_external_backend(tmp_path, default_tol):
     result = solve_lian1(g, default_tol, backend=backend)
     assert result.objective == pytest.approx(10.0)
 
-    # without reduced costs nothing is fixed, and the answer stays exact
-    rng = np.random.default_rng(4242)
-    while True:
-        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
+    # without duals the search prices every node at mu = 0, and the answer
+    # stays exact
+    checked = 0
+    for g, _ in _conflicted_instances(4242):
         bundled = solve_lian1(g, default_tol)
-        if bundled.columns_fixed:
+        if bundled.root_integral is not False:
+            continue
+        external = solve_lian1(g, default_tol, backend=backend)
+        assert external.proven_optimal and external.root_integral is False
+        assert external.objective == pytest.approx(bundled.objective, abs=1e-9)
+        checked += 1
+        if checked == 5:
             break
-    external = solve_lian1(g, default_tol, backend=backend)
-    assert external.proven_optimal and external.columns_fixed == 0
-    assert external.nodes_global > 0
-    assert external.objective == pytest.approx(bundled.objective, abs=1e-9)
 
     # an answer the search cannot use names the backend instead of failing later
     for k, (answer, message) in enumerate((
@@ -696,7 +700,10 @@ def test_external_backend(tmp_path, default_tol):
         ("LpSolution('optimal', None, np.zeros(lp.n_vars))", "lacks a finite objective"),
         ("LpSolution('optimal', np.nan, np.zeros(lp.n_vars))", "lacks a finite objective"),
         ("LpSolution('solved', 10.0, np.zeros(lp.n_vars))", "unknown status 'solved'"),
-        ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars), np.zeros(2))", "reduced costs"),
+        ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars), np.zeros(2))",
+         "returned multipliers other than 1 finite numbers"),
+        ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars), np.full(1, np.nan))",
+         "returned multipliers other than 1 finite numbers"),
     )):
         answering = tmp_path / f"answer{k}.py"
         answering.write_text(
@@ -892,31 +899,33 @@ def test_lagrangian_stage_is_pinned_bit_for_bit():
 #: lian1 and lian2 (lambda 2) answers on the first 8 conflicted random
 #: instances of ``default_rng(2024)``, as the LP pipeline returned them before
 #: the Lagrangian stage existed: nodes, objective, lp_bound, reused peaks,
-#: epsilons, root_integral, nodes_heuristic, nodes_global, columns_fixed
+#: epsilons, root_integral; then the search's nodes_explored and
+#: columns_fixed, as the dual-priced search after a fractional root counts
+#: them
 LP_ANSWERS = [
-    [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 5, 3, 15),
+    [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 27, 37),
      ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
-      {"p0": 1.0, "p3": 1.0}, False, 3, 5, 37)],
-    [((0, 1, 1, 0, 0, 0), 21.588305602931204, 21.588305602931204, {}, {}, True, 0, 1, 0),
+      {"p0": 1.0, "p3": 1.0}, False, 28, 43)],
+    [((0, 1, 1, 0, 0, 0), 21.588305602931204, 21.588305602931204, {}, {}, True, 1, 0),
      ((0, 1, 0, 1, 1, 0), 7.829709003793738, 7.829709003793738, {"p6": 3}, {"p6": 2.0},
-      True, 0, 1, 0)],
-    [((0, 1, 0, 1, 1, 3, 2, 0), 1.6149760535547877, 1.6149760535547877, {}, {}, True, 0, 1, 0),
+      True, 1, 0)],
+    [((0, 1, 0, 1, 1, 3, 2, 0), 1.6149760535547877, 1.6149760535547877, {}, {}, True, 1, 0),
      ((0, 1, 0, 1, 1, 2, 2, 0), 0.0930991550688276, 0.0930991550688276, {"p2": 2},
-      {"p2": 1.0}, True, 0, 1, 0)],
-    [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 0, 1, 0),
-     ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 0, 1, 0)],
-    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 9, 15, 1),
+      {"p2": 1.0}, True, 1, 0)],
+    [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0),
+     ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0)],
+    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 52, 16),
      ((0, 3, 4, 4, 0), -7.333776325415068, -8.591276272631795, {"p0": 2, "p3": 2},
-      {"p0": 1.0, "p3": 1.0}, False, 3, 7, 31)],
-    [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 3, 3, 17),
+      {"p0": 1.0, "p3": 1.0}, False, 33, 37)],
+    [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 33, 22),
      ((0, 1, 4, 1, 0), -1.884021555454079, -2.195267041955036, {"p5": 2}, {"p5": 1.0},
-      False, 3, 3, 23)],
-    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 5, 7, 16),
+      False, 27, 27)],
+    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 39, 19),
      ((0, 1, 1, 2, 0, 3, 1, 0), 3.403980858023851, 3.403980858023851, {"p1": 2, "p5": 3},
-      {"p1": 1.0, "p5": 2.0}, True, 0, 1, 0)],
-    [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 5, 5, 1),
+      {"p1": 1.0, "p5": 2.0}, True, 1, 0)],
+    [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 27, 21),
      ((0, 2, 1, 2, 0, 0, 2, 0), 17.412845333513054, 17.412845333513054, {"p6": 2},
-      {"p6": 1.0}, True, 0, 1, 0)],
+      {"p6": 1.0}, True, 1, 0)],
 ]
 
 
@@ -938,8 +947,8 @@ def test_without_lagrangian_iterations_the_lp_answers(monkeypatch):
             assert result.contested_peaks == len(formulate(g, "lian1", Tolerances()).utilization)
             pair.append((
                 result.path.nodes, result.objective, result.lp_bound, result.reused_peaks,
-                result.epsilons, result.root_integral, result.nodes_heuristic,
-                result.nodes_global, result.columns_fixed,
+                result.epsilons, result.root_integral, result.nodes_explored,
+                result.columns_fixed,
             ))
         answers.append(pair)
     for got, want in zip(answers, LP_ANSWERS):

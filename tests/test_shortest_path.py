@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nmrassign.shortest_path import (
     NoPathError,
     PathSolution,
     canonical_path,
+    dp_edge_bounds,
     dp_shortest_path,
     exhaustive_constrained,
     path_solution,
@@ -83,6 +86,33 @@ def test_dp_penalty_matches_brute_force():
         sol = dp_shortest_path(g, penalty)
         assert sol.nodes == want
         assert sol.total_cost == pytest.approx(path_cost(g, want), abs=1e-12)
+
+
+def test_dp_edge_bounds_match_brute_force():
+    """Each edge's bound is the least penalized cost of the paths through
+    it (inf where none passes), and each layer's least bound is the
+    penalized optimum ``dp_shortest_path`` chooses. The end node has no
+    out-edge, so its penalty never counts."""
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        g = random_instance(rng, int(rng.integers(1, 6)), 4, 10)
+        penalty = [rng.uniform(0.0, 3.0, size=len(rows)) for rows in g.grouping_rows]
+
+        def penalized(path):
+            return path_cost(g, path) + sum(penalty[k][i] for k, i in enumerate(path[:-1]))
+
+        want = [np.full(len(layer), math.inf) for layer in g.edges]
+        for path in iter_paths(g):
+            cost = penalized(path)
+            for k, layer in enumerate(g.edges):
+                e = layer.index(path[k], path[k + 1])
+                want[k][e] = min(want[k][e], cost)
+        optimum = penalized(dp_shortest_path(g, penalty).nodes)
+        bounds = dp_edge_bounds(g, penalty)
+        assert len(bounds) == len(g.edges)
+        for got, expected in zip(bounds, want):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
+            assert got.min() == pytest.approx(optimum, abs=1e-9)
 
 
 def test_dp_tie_break_lexicographic():
