@@ -9,9 +9,9 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 DIMENSIONS = ("H", "N", "C")
@@ -241,73 +241,41 @@ class Tolerances:
                 raise NmrAssignError(f"tolerance {name} must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    message: str
-    fatal: bool
-
-
-@dataclass
-class ValidationReport:
-    issues: list[Issue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(issue.fatal for issue in self.issues)
-
-    def add(self, code: str, message: str, fatal: bool) -> None:
-        self.issues.append(Issue(code, message, fatal))
-
-    @property
-    def errors(self) -> list[Issue]:
-        return [i for i in self.issues if i.fatal]
-
-    @property
-    def warnings(self) -> list[Issue]:
-        return [i for i in self.issues if not i.fatal]
-
-
 def validate_dataset(
     priors: PriorTable,
     seq: ProteinSequence,
     peaks: Sequence[Peak] | None = None,
     spins: Sequence[SpinSystem] | None = None,
-) -> ValidationReport:
-    """Check a dataset for fatal problems before any processing.
+) -> None:
+    """Check a dataset for fatal problems before any processing: raise one
+    NmrAssignError naming every residue type the priors miss or leave an
+    atom entry out of, and every duplicate record id.
 
-    Exactly one of peaks/spins must be given. The report is a pure function
-    of the inputs.
+    Exactly one of peaks/spins must be given.
     """
     if (peaks is None) == (spins is None):
         raise ValueError("exactly one of peaks or spins must be supplied")
-    report = ValidationReport()
-
+    problems = []
     for code in sorted(set(seq.residues)):
         if code not in priors.atoms:
-            report.add("PriorMissing", f"residue type {code!r} absent from priors", fatal=True)
+            problems.append(f"residue type {code!r} absent from priors")
         else:
-            for role in BASE_ROLES:
-                if role not in priors.atoms[code]:
-                    report.add("MissingPriorEntry", f"no prior entry for ({code}, {role})", fatal=True)
-
-    records: Iterable[tuple[str, str]]
+            problems += [
+                f"no prior entry for ({code}, {role})"
+                for role in BASE_ROLES
+                if role not in priors.atoms[code]
+            ]
     if peaks is not None:
-        if len(peaks) == 0:
-            report.add("EmptyDataset", "0 peaks", fatal=False)
         records = [(p.peak_id, "peak") for p in peaks]
     else:
-        assert spins is not None
-        if len(spins) == 0:
-            report.add("EmptyDataset", "0 spin systems", fatal=False)
         records = [(s.system_id, "spin system") for s in spins]
-
     seen: set[str] = set()
     for rec_id, kind in records:
         if rec_id in seen:
-            report.add("DuplicateId", f"duplicate {kind} id {rec_id!r}", fatal=True)
+            problems.append(f"duplicate {kind} id {rec_id!r}")
         seen.add(rec_id)
-    return report
+    if problems:
+        raise NmrAssignError(f"dataset validation failed: {'; '.join(problems)}")
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,6 @@ def score(a: Assignment, gt: GroundTruth) -> ScoreReport:
 def atom_correctness(
     a: Assignment,
     gt: GroundTruth,
-    bounds: Mapping[str, float] | None = None,
     roles: Sequence[str] = ("N", "HN", "CA", "CB", "CO"),
 ) -> tuple[float, int, int]:
     """(fraction, correct, total) of atoms placed within the noise bound.
@@ -166,7 +165,6 @@ def atom_correctness(
     it is correct when the assigned consensus estimate for its own residue
     sits within the per-dimension bound of the reference value.
     """
-    bounds = dict(FLYA_BOUND if bounds is None else bounds)
     total = correct = 0
     for ra in a.residues:
         if not _judge(ra, gt)[0]:
@@ -179,7 +177,7 @@ def atom_correctness(
             estimate = ra.consensus.get(role)
             if estimate is None:
                 continue
-            if abs(estimate - reference[role]) <= bounds[dimension_of(role)]:
+            if abs(estimate - reference[role]) <= FLYA_BOUND[dimension_of(role)]:
                 correct += 1
     return (correct / total if total else 0.0), correct, total
 

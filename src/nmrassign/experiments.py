@@ -62,25 +62,16 @@ FULL_SET = ("hsqc", "hncacb", "hncocacb", "hnco", "hncoca", "hncaco", "hnca")
 #: the priors' noise entry for spin-system observations
 SPIN_NOISE = "spins"
 
-_ALIASES = {
-    "hsqc": "hsqc",
-    "hncacb": "hncacb",
-    "hn(co)cacb": "hncocacb",
-    "hncocacb": "hncocacb",
-    "hnco": "hnco",
-    "hn(co)ca": "hncoca",
-    "hncoca": "hncoca",
-    "hn(ca)co": "hncaco",
-    "hncaco": "hncaco",
-    "hnca": "hnca",
-}
+#: names spelled with the parenthesised transfer step -> registry names
+_ALIASES = {"hn(co)cacb": "hncocacb", "hn(co)ca": "hncoca", "hn(ca)co": "hncaco"}
 
 
 def canonical_name(name: str) -> str:
-    try:
-        return _ALIASES[name.lower()]
-    except KeyError:
+    key = name.lower()
+    key = _ALIASES.get(key, key)
+    if key not in EXPERIMENTS:
         raise NmrAssignError(f"unknown experiment {name!r}")
+    return key
 
 
 def experiment_set(names: Sequence[str]) -> tuple[Experiment, ...]:

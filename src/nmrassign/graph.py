@@ -253,24 +253,6 @@ def _typing_thresholds(
     return memo
 
 
-def _summed(memo: ThresholdMemo, residue_type: str, noise: tuple) -> float:
-    """Summed typing threshold of observations with these sigmas per role
-    (``_noise``), in role order; atoms the residue lacks add nothing."""
-    total = 0.0
-    for role, sigmas in noise:
-        total += memo[residue_type, role, sigmas]
-    return total
-
-
-def residue_threshold(
-    residue_type: str, priors: PriorTable, tol: Tolerances, expected: ExpectedCounts
-) -> float:
-    """Summed per-atom typing threshold for a null assignment: what a
-    one-residue graph charges its dummy."""
-    nothing = GroupingTable.from_rows([])
-    return build_graph(nothing, ProteinSequence(residue_type), priors, tol, expected).thresholds[1]
-
-
 #: a residue type's prior per base role: which atoms it lacks, and each
 #: atom's prior as ``Moments`` of one observation (a stand-in where lacking),
 #: possibly already merged with rows of observations
@@ -281,7 +263,7 @@ def _residue_prior(residue_type: str, priors: PriorTable) -> ResiduePrior:
     """The residue type's prior, not yet merged with any observation."""
     table = [priors.prior(residue_type, role) for role in BASE_ROLES]
     lacks = np.array([prior is None for prior in table])
-    # an absent atom gets a stand-in prior; its cost is replaced in _residue_costs
+    # an absent atom gets a stand-in prior; its cost is replaced in _atom_costs
     return lacks, Moments(*np.array([
         moments([(0.0, 1.0) if prior is None else (prior.mean, prior.std)]) for prior in table
     ]).T)
@@ -295,12 +277,6 @@ def _atom_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
     for part in parts:
         post = post.merge(part)
     return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post))
-
-
-def _residue_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
-    """Summed atom costs of the residue (``_atom_costs``, last axis in
-    ``BASE_ROLES`` order)."""
-    return _atom_costs(prior, *parts).sum(axis=-1)
 
 
 def _rows(m: Moments, rows: np.ndarray, roles: np.ndarray) -> Moments:
@@ -342,7 +318,10 @@ def build_graph(
     which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
     atoms = {atom for noise in index for atom in noise}
     memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
-    limits = {rt: [_summed(memo, rt, noise) for noise in index] for rt in types}
+    # each noise's summed typing threshold, in role order (atoms the residue
+    # lacks add 0), started at 0.0 so that even an empty one is a float
+    limits = {rt: [sum((memo[rt, role, sigmas] for role, sigmas in noise), 0.0) for noise in index]
+              for rt in types}
     thresholds = [0.0] + [limits[rt][0] for rt in seq.residues]
     # each residue type's prior merged with every grouping's intra moments;
     # priced alone, that is the grouping's typing cost, which is also what a

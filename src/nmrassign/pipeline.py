@@ -145,13 +145,10 @@ def _load_and_group(
     with _stage(stages, "load"):
         if kind == "spins":
             spins = read_spins(dataset)
-            report = validate_dataset(priors, seq, spins=spins)
+            validate_dataset(priors, seq, spins=spins)
         else:
             peaks = read_peaks(dataset)
-            report = validate_dataset(priors, seq, peaks=peaks)
-    if not report.ok:
-        messages = "; ".join(i.message for i in report.errors)
-        raise NmrAssignError(f"dataset validation failed: {messages}")
+            validate_dataset(priors, seq, peaks=peaks)
 
     if kind == "spins":
         with _stage(stages, "enumerate"):

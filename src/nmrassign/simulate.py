@@ -31,7 +31,7 @@ from .domain import (
     json_object,
     write_json,
 )
-from .experiments import Experiment, experiment_set
+from .experiments import experiment_set
 
 #: (sigma_alpha, sigma_beta) in ppm for the two spin-system noise levels
 CISA_NOISE = {"low": (0.08, 0.16), "high": (0.16, 0.32)}
@@ -48,7 +48,6 @@ class SimulationSpec:
     sigma_alpha: float = 0.08
     sigma_beta: float = 0.16
     flya_sigma: Mapping[str, float] = field(default_factory=lambda: dict(FLYA_SIGMA))
-    flya_bound: Mapping[str, float] = field(default_factory=lambda: dict(FLYA_BOUND))
     deletion_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -59,9 +58,6 @@ class SimulationSpec:
         for dim, sigma in self.flya_sigma.items():
             if sigma < 0:
                 raise NmrAssignError(f"flya sigma[{dim}] must be non-negative")
-        for dim, bound in self.flya_bound.items():
-            if not bound > 0:
-                raise NmrAssignError(f"flya bound[{dim}] must be positive")
         if not 0.0 <= self.deletion_rate < 1.0:
             raise NmrAssignError("deletion rate must be in [0, 1)")
 
@@ -191,12 +187,10 @@ def simulate_flya(
     spec: SimulationSpec,
     seq: ProteinSequence,
     reference: Reference,
-    experiments: Sequence[str | Experiment],
+    experiments: Sequence[str],
 ) -> tuple[list[Peak], GroundTruth]:
     reference.check_covers(seq)
-    exps = [
-        e if isinstance(e, Experiment) else experiment_set([e])[0] for e in experiments
-    ]
+    exps = experiment_set(experiments)
     peaks: list[Peak] = []
     gt = GroundTruth(
         "peaks",
@@ -224,12 +218,12 @@ def simulate_flya(
                     if c_true is None:
                         continue
                 coords = [
-                    ("H", h_true + _truncated_normal(rng, spec.flya_sigma["H"], spec.flya_bound["H"])),
-                    ("N", n_true + _truncated_normal(rng, spec.flya_sigma["N"], spec.flya_bound["N"])),
+                    ("H", h_true + _truncated_normal(rng, spec.flya_sigma["H"], FLYA_BOUND["H"])),
+                    ("N", n_true + _truncated_normal(rng, spec.flya_sigma["N"], FLYA_BOUND["N"])),
                 ]
                 if c_true is not None:
                     coords.append(
-                        ("C", c_true + _truncated_normal(rng, spec.flya_sigma["C"], spec.flya_bound["C"]))
+                        ("C", c_true + _truncated_normal(rng, spec.flya_sigma["C"], FLYA_BOUND["C"]))
                     )
                 if spec.deletion_rate > 0 and rng.random() < spec.deletion_rate:
                     continue

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from nmrassign import cli
-from nmrassign.cli import EXIT_INPUT, EXIT_OK, build_parser, main
-from nmrassign.domain import Tolerances
+from nmrassign.cli import EXIT_INCUMBENT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
+from nmrassign.domain import Tolerances, write_priors
 from nmrassign.pipeline import bundled_reference
+
+from test_lp import REGRESSION_SEQUENCE, _wide_priors
 
 SEQ = "ADKFLEGQRSTNVYWHMICP"
 
@@ -277,6 +279,52 @@ def test_search_limits_below_one_rejected(tmp_path, capsys):
     ):
         assert main(argv) == EXIT_INPUT
         assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node_limit, code, stderr", [
+    (10, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
+    (1, EXIT_SOLVER, "error: no integral solution found within the node budget"),
+], ids=["unproven-incumbent", "no-incumbent"])
+def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
+    """The 30-residue deletion dataset of ``test_lp`` has a fractional root,
+    and ilp's search finds its first incumbent at node 4 and proves it at
+    node 21: a budget of 10 nodes ends with that incumbent unproven (exit
+    3), and a budget of 1 with none (exit 4)."""
+    write_priors(_wide_priors(), tmp_path / "priors.json")
+    assert main([
+        "simulate", "--sequence", REGRESSION_SEQUENCE, "--protocol", "cisa", "--noise", "high",
+        "--deletion-rate", "0.2", "--seed", "6", "--out", str(tmp_path),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    assert main([
+        "assign", "--sequence", REGRESSION_SEQUENCE, "--dataset", str(tmp_path / "spins.tsv"),
+        "--priors", str(tmp_path / "priors.json"), "--delta3", "1.4", "--variant", "ilp",
+        "--node-limit", str(node_limit), "--out", str(tmp_path / "out"),
+    ]) == code
+    assert capsys.readouterr().err.strip() == stderr
+    if code == EXIT_INCUMBENT:
+        report = json.loads((tmp_path / "out" / "lp_report.json").read_text(encoding="utf-8"))
+        assert report["proven_optimal"] is False and report["nodes_explored"] == node_limit
+
+
+def test_sequence_file_reads_as_the_literal_sequence(tmp_path, capsys):
+    """``--sequence`` names a file when one exists there: its ``>`` header
+    and ``#`` comment lines are skipped and the rest is joined. Simulate and
+    assign then write the same bytes as with the literal sequence."""
+    fasta = tmp_path / "seq.fasta"
+    fasta.write_text(f">test protein\n# split over two lines\n{SEQ[:8]}\n{SEQ[8:]}\n\n")
+    outputs = {}
+    for label, spec in (("literal", SEQ), ("file", str(fasta))):
+        out = tmp_path / label
+        assert main(["simulate", "--sequence", spec, "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert main(["assign", "--sequence", spec, "--dataset", str(out / "spins.tsv"),
+                     "--out", str(out)]) == EXIT_OK
+        outputs[label] = {
+            f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "timings.json"
+        }
+    capsys.readouterr()
+    assert len(outputs["file"]) == 7
+    assert outputs["file"] == outputs["literal"]
 
 
 @pytest.mark.parametrize("command", ["assign", "graph-stats"])

@@ -99,9 +99,7 @@ def test_prior_table_lookup(toy_priors):
 
 
 def test_validate_empty_peaks_ok(toy_priors):
-    report = validate_dataset(toy_priors, ProteinSequence("AGAGA"), peaks=[])
-    assert report.ok
-    assert any("0 peaks" in i.message for i in report.warnings)
+    assert validate_dataset(toy_priors, ProteinSequence("AGAGA"), peaks=[]) is None
 
 
 def test_validate_duplicate_id(toy_priors):
@@ -109,14 +107,21 @@ def test_validate_duplicate_id(toy_priors):
         Peak("p1", "hsqc", (("H", 8.0), ("N", 120.0))),
         Peak("p1", "hsqc", (("H", 8.1), ("N", 121.0))),
     ]
-    report = validate_dataset(toy_priors, ProteinSequence("A"), peaks=peaks)
-    assert not report.ok
-    assert any(i.code == "DuplicateId" for i in report.errors)
+    with pytest.raises(NmrAssignError) as err:
+        validate_dataset(toy_priors, ProteinSequence("A"), peaks=peaks)
+    assert str(err.value) == "dataset validation failed: duplicate peak id 'p1'"
 
 
 def test_validate_missing_residue_type(toy_priors):
-    report = validate_dataset(toy_priors, ProteinSequence("W"), spins=[])
-    assert not report.ok
+    """Every fatal problem is named in the one error, in order: missing
+    residue types first, then duplicate ids."""
+    spins = [SpinSystem("s1", {"N": 120.0})] * 2
+    with pytest.raises(NmrAssignError) as err:
+        validate_dataset(toy_priors, ProteinSequence("WY"), spins=spins)
+    assert str(err.value) == (
+        "dataset validation failed: residue type 'W' absent from priors; "
+        "residue type 'Y' absent from priors; duplicate spin system id 's1'"
+    )
 
 
 def test_validate_missing_prior_entry(toy_priors):
@@ -125,10 +130,10 @@ def test_validate_missing_prior_entry(toy_priors):
     atoms = {code: dict(entries) for code, entries in toy_priors.atoms.items()}
     del atoms["A"]["CO"]
     priors = PriorTable(atoms, toy_priors.noise)
-    report = validate_dataset(priors, ProteinSequence("GAG"), spins=[])
-    assert not report.ok
-    assert [(i.code, i.message) for i in report.errors] == [("MissingPriorEntry", "no prior entry for (A, CO)")]
-    assert validate_dataset(toy_priors, ProteinSequence("GAG"), spins=[]).ok
+    with pytest.raises(NmrAssignError) as err:
+        validate_dataset(priors, ProteinSequence("GAG"), spins=[])
+    assert str(err.value) == "dataset validation failed: no prior entry for (A, CO)"
+    assert validate_dataset(toy_priors, ProteinSequence("GAG"), spins=[]) is None
 
 
 def test_validate_requires_one_input(toy_priors):

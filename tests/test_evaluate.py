@@ -185,3 +185,10 @@ def test_report_serialization(tmp_path):
     text = report_to_text(report)
     assert "precision 1.000  recall 0.500" in text
     assert "unassigned" in text
+    # a report with a flag prints it as a note after the totals
+    empty = report_to_text(score(_assignment([None, None]), _spins_gt(["s1", "s2"])))
+    assert empty.splitlines()[-2:] == [
+        "precision 0.000  recall 0.000",
+        "note: no residues assigned; precision reported as 0 by convention",
+    ]
+    assert "note:" not in text

@@ -31,13 +31,12 @@ from nmrassign.graph import (
     START,
     AssignmentNode,
     EdgeLayer,
-    _residue_costs,
+    _atom_costs,
     _residue_prior,
     _typing_thresholds,
     build_graph,
     export_graph,
     graph_stats,
-    residue_threshold,
 )
 from nmrassign.grouping import (
     GroupingTable,
@@ -89,9 +88,8 @@ def test_dummies_only_graph(toy_priors, default_tol):
     assert stats["density"] == 1.0
     # the unique path is the dummy chain, costing the summed thresholds
     assert path_solution(g, [0, 0, 0, 0, 0]).total_cost == pytest.approx(sum(g.thresholds[1:]))
-    assert g.thresholds[1] == pytest.approx(
-        residue_threshold("A", toy_priors, default_tol, expected)
-    )
+    one = build_graph(GroupingTable.from_rows([]), ProteinSequence("A"), toy_priors, default_tol, expected)
+    assert g.thresholds[1] == pytest.approx(one.thresholds[1])
     # glycine has no CB, so its threshold excludes that atom
     assert g.thresholds[2] < g.thresholds[1]
 
@@ -466,7 +464,7 @@ def _reference_graph(table, seq, priors, tol, expected):
     """build_graph's thresholds, typed rows and edge costs, one residue and
     one layer at a time: thresholds summed from ``typing_threshold`` per
     atom, moments from ``costmodel.moments`` per grouping's ``consensus``, costs from
-    ``_residue_costs`` on each layer's own rows, and sequential walking
+    ``_atom_costs`` summed on each layer's own rows, and sequential walking
     checked value pair by value pair."""
 
     def threshold(rt, noise):
@@ -506,7 +504,7 @@ def _reference_graph(table, seq, priors, tol, expected):
     ]
     rows = []
     for rt in seq.residues:
-        costs = _residue_costs(_residue_prior(rt, priors), stacked(intra))
+        costs = _atom_costs(_residue_prior(rt, priors), stacked(intra)).sum(axis=-1)
         rows.append([a for a in range(len(table)) if costs[a] <= threshold(rt, noise[a])])
     rows.append([])
     edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
@@ -515,7 +513,7 @@ def _reference_graph(table, seq, priors, tol, expected):
         src, dst = rows[k - 1], rows[k]
         prior = _residue_prior(rt, priors)
         layer = {(0, j): thresholds[k] for j in range(len(dst) + 1)}
-        typing = _residue_costs(prior, stacked([intra[a] for a in src]))
+        typing = _atom_costs(prior, stacked([intra[a] for a in src])).sum(axis=-1)
         layer.update({(i, 0): float(typing[i - 1]) for i in range(1, len(src) + 1)})
         pairs = [
             (i, j)
@@ -532,11 +530,11 @@ def _reference_graph(table, seq, priors, tol, expected):
             walks(observed[a], observed[b]) for a in src for b in sorted(others - set(dst))
         )
         if pairs:
-            cost = _residue_costs(
+            cost = _atom_costs(
                 prior,
                 stacked([intra[src[i - 1]] for i, _ in pairs]),
                 stacked([prev[dst[j - 1]] for _, j in pairs]),
-            )
+            ).sum(axis=-1)
             layer.update({pair: float(c) for pair, c in zip(pairs, cost) if c <= thresholds[k]})
         edges.append(layer)
     return thresholds, rows[:-1], edges, n_walked, n_unwalked, n_foreign

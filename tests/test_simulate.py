@@ -35,8 +35,6 @@ def test_spec_validation():
     with pytest.raises(NmrAssignError):
         SimulationSpec("cisa", 0, sigma_alpha=-0.1)
     with pytest.raises(NmrAssignError):
-        SimulationSpec("flya", 0, flya_bound={"H": 0.0, "N": 0.4, "C": 0.4})
-    with pytest.raises(NmrAssignError):
         SimulationSpec("cisa", 0, deletion_rate=1.0)
     assert CISA_NOISE["low"] == (0.08, 0.16)
     assert CISA_NOISE["high"] == (0.16, 0.32)
@@ -170,6 +168,24 @@ def test_flya_zero_noise_exact_and_full_pattern(toy_priors):
             assert p.coord("C") == pytest.approx(
                 ref.shift(residue, role.split("_")[0]), abs=0.0
             )
+
+
+def test_flya_deletion_rate(toy_priors):
+    """A deleted peak is absent from the peak list and from both ground-truth
+    maps; the kept peaks are those of the full pattern, unchanged, and a
+    fixed seed deletes the same peaks again."""
+    seq = ProteinSequence("A" * 12)
+    ref = sample_reference(seq, toy_priors, seed=9)
+    full, _ = simulate_flya(_noiseless_flya(9), seq, ref, FULL_SET)
+    peaks, gt = simulate_flya(_noiseless_flya(9, deletion_rate=0.3), seq, ref, FULL_SET)
+    kept = {p.peak_id for p in peaks}
+    deleted = {p.peak_id for p in full} - kept
+    assert 0.15 < len(deleted) / len(full) < 0.45  # 37 of 148 peaks
+    assert [p for p in full if p.peak_id in kept] == peaks
+    assert set(gt.peak_origin) == kept
+    assert {pid for pids in gt.residue_to_peaks.values() for pid in pids} == kept
+    again = simulate_flya(_noiseless_flya(9, deletion_rate=0.3), seq, ref, FULL_SET)
+    assert again == (peaks, gt)
 
 
 def test_flya_respects_chemistry(toy_priors):
