@@ -220,7 +220,7 @@ TOP_K = 20
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Matching windows and thresholds; all strictly positive.
+    """Matching windows and thresholds; all strictly positive and finite.
 
     delta1/delta2/delta3: H/N/C matching windows in ppm. delta: typing
     threshold multiplier. lam: peak-reuse penalty.
@@ -237,8 +237,8 @@ class Tolerances:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
-            if not value > 0:
-                raise NmrAssignError(f"tolerance {name} must be strictly positive")
+            if not 0 < value < math.inf:
+                raise NmrAssignError(f"tolerance {name} must be strictly positive and finite")
 
 
 def validate_dataset(
@@ -450,27 +450,3 @@ def priors_from_dict(doc: Mapping) -> PriorTable:
                 raise type(exc)(f"priors {entry}: {exc}") from None
     return PriorTable(table, doc.get("noise", {}))
 
-
-def write_tolerances(tol: Tolerances, path: str | Path) -> None:
-    doc = {
-        "delta1": tol.delta1,
-        "delta2": tol.delta2,
-        "delta3": tol.delta3,
-        "delta": tol.delta,
-        "lambda": tol.lam,
-    }
-    write_json(doc, path)
-
-
-def read_tolerances(path: str | Path) -> Tolerances:
-    """Tolerances from a JSON object with any of the keys delta1, delta2,
-    delta3, delta and lambda; the rest keep their defaults. Any other
-    document or key is rejected, naming the key."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise NmrAssignError(f"tolerances file {path} must hold a JSON object")
-    fields = {key: key for key in ("delta1", "delta2", "delta3", "delta")} | {"lambda": "lam"}
-    unknown = sorted(doc.keys() - fields.keys())
-    if unknown:
-        raise NmrAssignError(f"tolerances key {unknown[0]!r} is not one of {', '.join(fields)}")
-    return Tolerances(**{fields[key]: value for key, value in doc.items()})

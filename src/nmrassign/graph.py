@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .costmodel import Moments, marginal_cost, moments
-from .domain import BASE_ROLES, PriorTable, ProteinSequence, Tolerances, write_json
+from .domain import BASE_ROLES, NmrAssignError, PriorTable, ProteinSequence, Tolerances, write_json
 from .grouping import _COLUMNS, GroupingTable
 
 START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
@@ -306,7 +306,6 @@ def build_graph(
     expected: ExpectedCounts,
 ) -> AssignmentGraph:
     """The layered graph of the table's groupings for the sequence."""
-    n = len(seq)
     types = sorted(set(seq.residues))
     stats, lo, hi = _summaries(table)
     intra, prev = (Moments(*np.ascontiguousarray(part)) for part in np.split(stats, 2, axis=-1))
@@ -317,11 +316,14 @@ def build_graph(
     index = {null: 0}
     which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
     atoms = {atom for noise in index for atom in noise}
-    memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge delta, rejected below
+        memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
     # each noise's summed typing threshold, in role order (atoms the residue
     # lacks add 0), started at 0.0 so that even an empty one is a float
     limits = {rt: [sum((memo[rt, role, sigmas] for role, sigmas in noise), 0.0) for noise in index]
               for rt in types}
+    if bad := [k for k, rt in enumerate(seq.residues, 1) if not np.isfinite(limits[rt]).all()]:
+        raise NmrAssignError(f"residue {bad[0]} has a non-finite typing threshold; lower --delta")
     thresholds = [0.0] + [limits[rt][0] for rt in seq.residues]
     # each residue type's prior merged with every grouping's intra moments;
     # priced alone, that is the grouping's typing cost, which is also what a
@@ -371,7 +373,7 @@ def build_graph(
     first = len(grouping_rows[1])
     edges = [EdgeLayer(np.arange(first), np.zeros(first), np.array([0, first]))]
     node = np.zeros(len(table), dtype=np.int64)  # a grouping's node in the next layer, or 0
-    for k in range(1, n + 1):
+    for k in range(1, len(seq) + 1):
         residue_type = seq.residue_type(k)
         src = rows[k - 1]
         a, target, cost = linked[residue_type]

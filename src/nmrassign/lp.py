@@ -472,12 +472,14 @@ def round_and_resolve(
     g: AssignmentGraph,
     lp: LinearProgram,
     relaxed: LpSolution,
+    incidence: Incidence | None = None,
     backend: Backend | None = None,
     node_limit: int = NODE_LIMIT,
 ) -> BnbResult:
     """Exact search after a fractional root, on the edges its duals allow.
 
-    The root's multipliers, clipped to ``0 <= mu <= lam`` (the soft
+    ``incidence`` is ``peak_incidence(g)`` (computed when not given). The
+    root's multipliers, clipped to ``0 <= mu <= lam`` (the soft
     variant's slack cost; the hard variant has no upper limit), give each
     edge column its ``edge_bounds``; a backend without duals gives
     ``mu = 0``. A round guesses ``UB' = root + margin``, keeps the edge
@@ -492,7 +494,7 @@ def round_and_resolve(
     """
     assert relaxed.objective is not None
     n_edges = lp.n_edges
-    incidence = peak_incidence(g)
+    incidence = peak_incidence(g) if incidence is None else incidence
     mu = np.zeros(len(incidence[0]))
     if lp.utilization and relaxed.multipliers is not None:
         lam = lp.costs[n_edges:] if lp.variant == "lian2" else math.inf
@@ -618,7 +620,7 @@ def _solve_variant(
     elif exact:
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
-        result = round_and_resolve(g, lp, relaxed, backend, node_limit=node_limit)
+        result = round_and_resolve(g, lp, relaxed, incidence, backend, node_limit)
     if result.solution is None:
         raise SolverError("no integral solution found within the node budget")
     return solve_result(

@@ -49,6 +49,7 @@ from .simulate import (
     Reference,
     SimulationSpec,
     read_ground_truth,
+    read_reference,
     reference_from_dict,
     sample_reference,
     simulate_cisa,
@@ -67,6 +68,14 @@ def bundled_priors() -> PriorTable:
 def bundled_reference(name: str) -> Reference:
     with resources.files("nmrassign.data").joinpath(f"{name}.json").open("r") as fh:
         return reference_from_dict(json.load(fh))
+
+
+def load_reference(spec: str) -> Reference:
+    """A bundled reference by name (a ``<name>.json`` of ``nmrassign.data``,
+    such as ``ref60``), or else the reference file at ``spec``."""
+    if f"{spec}.json" in {entry.name for entry in resources.files("nmrassign.data").iterdir()}:
+        return bundled_reference(spec)
+    return read_reference(spec)
 
 
 def load_sequence(spec: str) -> ProteinSequence:
@@ -230,13 +239,14 @@ def run_assign(
 
 
 def _sniff_kind(path: Path) -> str:
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            if "system_id" in line:
-                return "spins"
-            if "peak_id" in line:
-                return "peaks"
-        break
+    """The dataset kind its header line names."""
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline()
+    if header.startswith("#"):
+        if "system_id" in header:
+            return "spins"
+        if "peak_id" in header:
+            return "peaks"
     raise NmrAssignError(
         f"cannot infer dataset kind from {path}; pass kind explicitly"
     )

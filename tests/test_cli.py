@@ -10,7 +10,7 @@ import pytest
 
 from nmrassign import cli
 from nmrassign.cli import EXIT_INCUMBENT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
-from nmrassign.domain import Tolerances, write_priors
+from nmrassign.domain import write_priors
 from nmrassign.pipeline import bundled_reference
 
 from test_lp import REGRESSION_SEQUENCE, _wide_priors
@@ -381,61 +381,122 @@ def test_config_key_of_no_option_rejected(tmp_path, capsys, config):
     capsys.readouterr()
 
 
-def test_lambda_flag_beats_either_config_name(tmp_path, capsys, monkeypatch):
-    """``--lambda`` wins over a config's ``lambda`` as over its ``lam``; a
-    config giving both names exits 2 naming both."""
-    seen = []
+#: option -> (a config value, another value given by its flag)
+OPTION_VALUES = {
+    "out": ("config-out", "flag-out"),
+    "priors": ("config-priors.json", "flag-priors.json"),
+    "sequence": ("ACDE", "KLMN"),
+    "dataset": ("config.tsv", "flag.tsv"),
+    "kind": ("peaks", "spins"),
+    "top_k": (3, 4),
+    "delta1": (0.05, 0.06),
+    "delta2": (0.5, 0.6),
+    "delta3": (0.7, 0.8),
+    "delta": (2.5, 3.5),
+    "lambda": (2.0, 3.0),
+    "seed": (1, 2),
+    "protocol": ("flya", "cisa"),
+    "noise": ("high", "low"),
+    "reference": ("config-ref", "flag-ref"),
+    "experiments": ("hsqc,hncacb", "hsqc,hncocacb"),
+    "deletion_rate": (0.1, 0.2),
+    "variant": ("dp", "ilp"),
+    "backend": ("external:config.py", "external:flag.py"),
+    "node_limit": (5, 6),
+    "assignment": ("config-assignment.json", "flag-assignment.json"),
+    "ground_truth": ("config-truth.json", "flag-truth.json"),
+    "export": (False, True),
+}
 
-    def run_assign(**kwargs):
-        seen.append(kwargs["tol"].lam)
-        return {"variant": "lian2", "objective": 0.0, "assigned": 0,
-                "residues": len(SEQ), "proven_optimal": True}
+#: the options each subcommand cannot run without
+REQUIRED = {
+    "simulate": ("sequence", "out"),
+    "assign": ("sequence", "dataset", "out"),
+    "evaluate": ("assignment", "ground_truth", "out"),
+    "graph-stats": ("sequence", "dataset", "out"),
+}
 
-    monkeypatch.setattr(cli, "run_assign", run_assign)
+#: what each run returns, as far as the command's printout reads it
+RUN_SUMMARIES = {
+    "run_simulate": {"records": 0, "protocol": "cisa", "residues": 0},
+    "run_assign": {"variant": "dp", "objective": 0.0, "assigned": 0, "residues": 0,
+                   "proven_optimal": True},
+    "run_evaluate": (1.0, 1.0),
+    "run_graph_stats": {"layer_sizes": [], "total_edges": 0, "density": 0.0},
+}
+
+#: the run argument an option sets, where it is named otherwise
+RUN_ARGUMENTS = {
+    "out": "outdir", "sequence": "seq", "assignment": "assignment_path",
+    "ground_truth": "ground_truth_path",
+}
+
+
+def _seen(key, run):
+    """The value option ``key`` reached a run's keyword arguments as."""
+    if key in ("delta1", "delta2", "delta3", "delta", "lambda"):
+        return getattr(run["tol"], "lam" if key == "lambda" else key)
+    value = run[RUN_ARGUMENTS.get(key, key)]
+    return ",".join(value) if key == "experiments" else value
+
+
+def _each_option():
+    [commands] = [a for a in build_parser()._actions if a.dest == "command"]
+    return [
+        (name, action.dest)
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if action.dest not in ("help", "config")
+    ]
+
+
+@pytest.mark.parametrize("command, key", _each_option())
+def test_each_option_set_by_config_or_flag(tmp_path, capsys, monkeypatch, command, key):
+    """Every option of every subcommand, set under its flag's name (``_``
+    for ``-``) in a config, reaches the run, and its flag wins over the
+    config. ``lam`` and ``tolerances`` are no config keys: either exits 2
+    naming the key."""
+    runs = []
+    for name, summary in RUN_SUMMARIES.items():
+        monkeypatch.setattr(cli, name, lambda summary=summary, **kwargs: runs.append(kwargs) or summary)
+    for name in ("load_sequence", "load_priors", "load_reference"):
+        monkeypatch.setattr(cli, name, lambda spec: spec)
+    config_value, flag_value = OPTION_VALUES[key]
     path = tmp_path / "config.json"
-    argv = ["assign", "--config", str(path), "--sequence", SEQ,
-            "--dataset", str(tmp_path / "spins.tsv"), "--out", str(tmp_path)]
-    for key in ("lambda", "lam"):
-        path.write_text(json.dumps({key: 5}))
-        assert main([*argv, "--lambda", "3"]) == EXIT_OK
-        assert main(argv) == EXIT_OK
-    assert seen == [3.0, 5.0, 3.0, 5.0]
-    path.write_text(json.dumps({"lambda": 4, "lam": 5}))
-    capsys.readouterr()
-    assert main([*argv, "--lambda", "3"]) == EXIT_INPUT
-    assert capsys.readouterr().err == "error: config keys 'lam' and 'lambda' set the same option\n"
-    assert seen == [3.0, 5.0, 3.0, 5.0]
-
-
-@pytest.mark.parametrize("doc, message", [
-    ([0.1], "must hold a JSON object"),
-    ({"delta_3": 0.8, "lam": 2.0}, "tolerances key 'delta_3' is not one of"),
-    ({"delta3": 0.8, "lam": 2.0}, "tolerances key 'lam' is not one of"),
-])
-def test_tolerances_file_of_no_tolerance_rejected(tmp_path, capsys, monkeypatch, doc, message):
-    """A tolerances file holding anything but an object of tolerance keys
-    exits 2 naming the key, instead of crashing or being ignored; the keys
-    it may hold set their tolerances."""
-    seen = []
-
-    def run_assign(**kwargs):
-        seen.append(kwargs["tol"])
-        return {"variant": "lian1", "objective": 0.0, "assigned": 0,
-                "residues": len(SEQ), "proven_optimal": True}
-
-    monkeypatch.setattr(cli, "run_assign", run_assign)
-    path = tmp_path / "tol.json"
-    argv = ["assign", "--tolerances", str(path), "--sequence", SEQ,
-            "--dataset", str(tmp_path / "spins.tsv"), "--out", str(tmp_path)]
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(argv) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
-    assert seen == []
-    path.write_text(json.dumps({"delta1": 0.05, "delta2": 0.5, "delta3": 0.8, "delta": 2.5, "lambda": 2.0}))
+    argv = [command, "--config", str(path)]
+    for option in REQUIRED[command]:
+        if option != key:
+            argv += ["--" + option.replace("_", "-"), f"given-{option}"]
+    flag = ["--" + key.replace("_", "-")] + ([] if flag_value is True else [str(flag_value)])
+    path.write_text(json.dumps({key: config_value}))
     assert main(argv) == EXIT_OK
-    assert seen == [Tolerances(delta1=0.05, delta2=0.5, delta3=0.8, delta=2.5, lam=2.0)]
+    assert main([*argv, *flag]) == EXIT_OK
+    assert [_seen(key, run) for run in runs] == [config_value, flag_value]
+    capsys.readouterr()
+    for wrong in ("lam", "tolerances"):
+        path.write_text(json.dumps({key: config_value, wrong: 1.0}))
+        assert main([*argv, *flag]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: config key {wrong!r} is not an option of {command}\n"
+    assert len(runs) == 2
+
+
+@pytest.mark.filterwarnings("error")  # a warning would print a second line
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "inf"], "tolerance delta must be strictly positive and finite"),
+    (["--delta", "1e308"], "residue 1 has a non-finite typing threshold; lower --delta"),
+    (["--variant", "lian2", "--lambda", "inf"], "tolerance lam must be strictly positive and finite"),
+    (["--delta1", "inf"], "tolerance delta1 must be strictly positive and finite"),
+], ids=["delta-inf", "delta-1e308", "lambda-inf", "delta1-inf"])
+def test_non_finite_tolerances_exit_2(tmp_path, capsys, flags, message):
+    """A tolerance that is not finite, or a typing multiplier so large that
+    a residue's summed typing threshold overflows, exits 2 with one error
+    line instead of a traceback or a solver's complaint."""
+    run = _simulate(tmp_path, "run")
+    capsys.readouterr()
+    code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                 "--out", str(tmp_path / "out"), *flags])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _edit_prior(doc, key, value):

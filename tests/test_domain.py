@@ -19,12 +19,10 @@ from nmrassign.domain import (
     read_peaks,
     read_priors,
     read_spins,
-    read_tolerances,
     validate_dataset,
     write_peaks,
     write_priors,
     write_spins,
-    write_tolerances,
 )
 
 
@@ -83,6 +81,13 @@ def test_prior_and_tolerances_positivity():
     tol = Tolerances()
     assert (tol.delta1, tol.delta2, tol.delta3) == (0.03, 0.3, 0.3)
     assert tol.delta == 3.0 and tol.lam == 5.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_tolerances_reject_non_finite(value):
+    for name in ("delta1", "delta2", "delta3", "delta", "lam"):
+        with pytest.raises(NmrAssignError, match=f"tolerance {name} must be strictly positive and finite"):
+            Tolerances(**{name: value})
 
 
 def test_prior_table_lookup(toy_priors):
@@ -168,10 +173,3 @@ def test_priors_round_trip(tmp_path, toy_priors):
     path = tmp_path / "priors.json"
     write_priors(toy_priors, path)
     assert read_priors(path) == toy_priors
-
-
-def test_tolerances_round_trip(tmp_path):
-    tol = Tolerances(delta1=0.05, lam=7.5)
-    path = tmp_path / "tol.json"
-    write_tolerances(tol, path)
-    assert read_tolerances(path) == tol

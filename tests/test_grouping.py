@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -90,7 +89,7 @@ def _linked_by_brute_force(peaks, tol):
 def test_compatibility_matches_pairwise_brute_force(default_tol):
     """A coordinate missing on either side never separates two peaks. The
     banded search links pairs exactly δ1 or δ2 apart and no pair one ulp
-    further; with δ1 infinite only N separates."""
+    further; with δ1 wider than every H difference only N separates."""
     rng = np.random.default_rng(3)
     peaks = [
         _peak(f"p{i}", "hsqc", float(rng.uniform(7.9, 8.1)), float(rng.uniform(119, 121)))
@@ -121,13 +120,13 @@ def test_compatibility_matches_pairwise_brute_force(default_tol):
         Peak("x_noh", "hncacb", (("N", 120.5), ("C", 50.0)), +1),
         Peak("x_non", "hncacb", (("H", 7.875), ("C", 50.0)), +1),
     ]
-    for window in (tol, Tolerances(delta1=math.inf, delta2=0.5)):
+    for window in (tol, Tolerances(delta1=1e300, delta2=0.5)):
         missing, at_edge = _linked_by_brute_force(grid, window)
         assert missing > 0 and at_edge > 0
     g = build_compatibility_graph(grid, tol)
     assert not _linked(g, "x_h", "u_h") and not _linked(g, "x_h", "u_n")
     assert _linked(g, "x_h", "x_noh") and _linked(g, "x_h", "x_non")
-    wide = build_compatibility_graph(grid, Tolerances(delta1=math.inf, delta2=0.5))
+    wide = build_compatibility_graph(grid, Tolerances(delta1=1e300, delta2=0.5))
     assert _linked(wide, "x_h", "u_h") and not _linked(wide, "x_h", "u_n")
 
 
