@@ -8,23 +8,21 @@ in the latent frequency) is a scaled Gaussian, and integrating out the
 latent frequency leaves the scale factor, which reads only the additive
 ``Moments`` of the observations with the prior counted as one more. Moments
 merge pairwise, so arrays of them price many unions of observation sets at
-once. Everything is computed in log space; the scale factor underflows
+once: ``merged`` summarises many cells of observations in one pass, and
+``typing_thresholds`` prices every atom typing threshold of a build in one
+batch. Everything is computed in log space; the scale factor underflows
 quickly for several tight observations.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .domain import NonPositiveSigmaError, Prior
+from .domain import PriorTable
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-#: (value, sigma) pair
-ObsPair = tuple[float, float]
 
 
 class Moments(NamedTuple):
@@ -54,15 +52,25 @@ class Moments(NamedTuple):
         )
 
 
-def moments(observations: Iterable[ObsPair]) -> Moments:
-    """Moments of (value, sigma) observations."""
-    out = Moments(0.0, 0.0, 0.0, 0.0, 0.0)
-    for x, sigma in observations:
-        if not sigma > 0:
-            raise NonPositiveSigmaError(f"observation sigma must be positive, got {sigma}")
-        var = sigma * sigma
-        out = out.merge(Moments(1.0, 1.0 / var, x, 0.0, math.log(var)))
-    return out
+def merged(size: int, cells: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``Moments`` of ``size`` cells of observations: observation e lies in
+    cell ``cells[e]``, each cell's observations contiguous and in the order
+    they merge. Returns the fields stacked as (field, cell), 0 for a cell
+    without any. Each cell merges its observations one slot at a time, for
+    every cell at once, starting from no observations."""
+    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    slots = np.arange(len(cells)) - np.repeat(runs, np.diff(np.r_[runs, len(cells)]))
+    var = np.square(sigmas)
+    # math.log, once per distinct variance (np.log can round differently)
+    distinct, inverse = np.unique(var, return_inverse=True)
+    log_var = np.array([math.log(v) for v in distinct.tolist()])[inverse]
+    stats = np.zeros((len(Moments._fields), size))
+    for s in range(int(slots.max(initial=-1)) + 1):
+        at = slots == s
+        into = cells[at]
+        one = Moments(np.ones(len(into)), 1.0 / var[at], values[at], np.zeros(len(into)), log_var[at])
+        stats[:, into] = Moments(*stats[:, into]).merge(one)
+    return stats
 
 
 def marginal_cost(post: Moments) -> np.ndarray:
@@ -74,49 +82,36 @@ def marginal_cost(post: Moments) -> np.ndarray:
     return np.where(post.count > 1.0, cost, 0.0)
 
 
-@dataclass(frozen=True)
-class GaussianPosteriorSummary:
-    """Combined Gaussian (sigma, mean) and the log scale factor."""
-
-    sigma: float
-    mean: float
-    log_z: float
-
-    @property
-    def cost(self) -> float:
-        return -self.log_z
+#: (residue type, role, sigmas) -> that atom's typing threshold, 0 when absent
+ThresholdMemo = dict[tuple[str, str, tuple[float, ...]], float]
 
 
-def atom_cost(prior: Prior, observations: Sequence[ObsPair]) -> GaussianPosteriorSummary:
-    """Closed-form atom cost for a Gaussian prior and noisy observations.
-
-    With no observations the marginal is the empty product, so the cost is 0.
-    """
-    post = moments([(prior.mean, prior.std)]).merge(moments(observations))
-    return GaussianPosteriorSummary(
-        sigma=math.sqrt(1.0 / post.weight),
-        mean=post.mean,
-        log_z=-float(marginal_cost(post)),
+def typing_thresholds(
+    keys: Iterable[tuple[str, str, tuple[float, ...]]], priors: PriorTable, delta: float
+) -> ThresholdMemo:
+    """Each (residue type, role, sigmas) key's atom typing threshold, for
+    every key at once: the maximum plausible atom cost, that of an
+    adversarial realization whose observations sit about ``delta`` prior
+    standard deviations from the prior mean, alternating ``delta``
+    experimental standard deviations (the key's sigmas) to either side.
+    Each key's adversarial observations merge slot by slot, then into the
+    prior. An atom the residue lacks gets 0."""
+    memo = dict.fromkeys(keys, 0.0)
+    present = [(key, prior) for key in memo if (prior := priors.prior(key[0], key[1])) is not None]
+    cells = np.arange(len(present))  # one per present key
+    means = np.array([p.mean for _, p in present])
+    stds = np.array([p.std for _, p in present])
+    prior_moments = merged(len(present), cells, means, stds)
+    observed = merged(
+        len(present),
+        np.repeat(cells, [len(sigmas) for (_, _, sigmas), _ in present]),
+        np.array([
+            p.mean + delta * p.std + (-1) ** l * delta * s
+            for (_, _, sigmas), p in present
+            for l, s in enumerate(sigmas)
+        ]),
+        np.array([s for (_, _, sigmas), _ in present for s in sigmas]),
     )
-
-
-def typing_threshold(
-    prior: Prior, o_a: int, noises: Sequence[float], delta: float
-) -> float:
-    """Maximum plausible atom cost: the cost of an adversarial realization.
-
-    The adversarial observations sit about ``delta`` prior standard
-    deviations from the prior mean, alternating ``delta`` experimental
-    standard deviations to either side.
-    """
-    if o_a < 0:
-        raise ValueError("o_a must be non-negative")
-    if o_a == 0:
-        return 0.0
-    if len(noises) != o_a:
-        raise ValueError(f"expected {o_a} noise values, got {len(noises)}")
-    observations = [
-        (prior.mean + delta * prior.std + (-1) ** l * delta * sigma_l, sigma_l)
-        for l, sigma_l in enumerate(noises)
-    ]
-    return atom_cost(prior, observations).cost
+    cost = marginal_cost(Moments(*prior_moments).merge(Moments(*observed)))
+    memo.update(zip((key for key, _ in present), cost.tolist()))
+    return memo

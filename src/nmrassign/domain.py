@@ -9,7 +9,7 @@ import json
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -233,8 +233,8 @@ class Tolerances:
     lam: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("delta1", "delta2", "delta3", "delta", "lam"):
-            value = getattr(self, name)
+        # named as the options that set them: lam is --lambda
+        for name, value in zip(("delta1", "delta2", "delta3", "delta", "lambda"), astuple(self)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
             if not 0 < value < math.inf:

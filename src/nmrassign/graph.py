@@ -6,17 +6,19 @@ regular node per peak grouping that is statistically consistent with the
 residue's priors. Edges run only between consecutive layers.
 
 Nodes are stored once, as ``grouping_rows``: the grouping each node of a
-layer carries, -1 for start, dummy and end. ``AssignmentNode`` is a view
-of one node (its position, kind and grouping id), built on demand by the
-graph's ``node`` and ``layers``. The peaks a path consumes are one gather
+layer carries, -1 for start, dummy and end. A node consumes its grouping's
+members in the table, and the peaks a path consumes are one gather
 (``consumed``) over the table's ``indptr`` and ``members`` at its nodes'
-rows.
+rows. ``AssignmentNode`` is a view of one node (its position, kind and
+grouping id), built on demand by the graph's ``node`` and ``layers``; the
+program reads none of them, the benchmark's trace hook does.
 
 The groupings arrive as one ``grouping.GroupingTable``: flat arrays of
 every observation's grouping row, role column, value and sigma. The build
-reads those arrays alone, and so do the node usage and
+reads those arrays alone, and so do ``export_graph`` and
 ``lp.peak_incidence``.
 
+The build keeps the structure; every number comes from ``costmodel``.
 Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations, in one pass over the table's arrays:
 their ``costmodel.Moments`` and their lowest and highest value. Everything
@@ -50,15 +52,14 @@ therefore prices every residue exactly once.
 """
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .costmodel import Moments, marginal_cost, moments
+from .costmodel import Moments, marginal_cost, merged, typing_thresholds
 from .domain import BASE_ROLES, NmrAssignError, PriorTable, ProteinSequence, Tolerances, write_json
 from .grouping import _COLUMNS, GroupingTable
 
@@ -68,6 +69,7 @@ START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
 ExpectedCounts = Mapping[str, tuple[int, float]]
 
 
+# the views below serve benchmark/run.py's trace hook, which reads g.layers
 @dataclass(frozen=True)
 class AssignmentNode:
     layer: int
@@ -105,6 +107,12 @@ class EdgeLayer:
         return len(self.dst)
 
 
+def _kind(layer: int, row: int, n: int) -> str:
+    """The kind of a node of ``layer`` carrying grouping row ``row`` (-1 for
+    none) in a graph of n residues."""
+    return REGULAR if row >= 0 else START if layer == 0 else END if layer > n else DUMMY
+
+
 def consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
     """The entries of CSR rows ``rows``, row after row: ``indices[indptr[r]:
     indptr[r + 1]]`` for each r, and the position in ``rows`` of the row
@@ -139,9 +147,8 @@ class AssignmentGraph:
     def node(self, layer: int, index: int) -> AssignmentNode:
         """A view of node ``index`` of ``layer``, built from its grouping row."""
         row = int(self.grouping_rows[layer][index])
-        if row >= 0:
-            return AssignmentNode(layer, index, REGULAR, self.groupings.ids[row])
-        return AssignmentNode(layer, index, START if layer == 0 else END if layer > self.n else DUMMY)
+        grouping_id = self.groupings.ids[row] if row >= 0 else None
+        return AssignmentNode(layer, index, _kind(layer, row, self.n), grouping_id)
 
     @cached_property
     def layers(self) -> list[list[AssignmentNode]]:
@@ -149,11 +156,6 @@ class AssignmentGraph:
         for readers that index it repeatedly."""
         rows = self.grouping_rows
         return [[self.node(k, i) for i in range(len(rows[k]))] for k in range(len(rows))]
-
-    def usage(self, layer: int, index: int) -> frozenset[str]:
-        """Peak ids a node consumes: its grouping's members; none otherwise."""
-        row = int(self.grouping_rows[layer][index])
-        return frozenset(self.groupings.member_ids(row) if row >= 0 else ())
 
     def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
         """Peak id -> times the path consumes it, for the peaks it consumes
@@ -165,28 +167,6 @@ class AssignmentGraph:
         return {table.sources[p]: int(uses[p]) for p in np.flatnonzero(uses >= 2).tolist()}
 
 
-def _merged(size: int, cells: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """``Moments`` of ``size`` cells of observations: observation e lies in
-    cell ``cells[e]``, each cell's observations contiguous and in the order
-    they merge. Returns the fields stacked as (field, cell), 0 for a cell
-    without any. Each cell merges its observations one slot at a time, for
-    every cell at once, exactly as ``costmodel.moments`` merges them one by
-    one."""
-    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-    slots = np.arange(len(cells)) - np.repeat(runs, np.diff(np.r_[runs, len(cells)]))
-    var = np.square(sigmas)
-    # math.log, as costmodel.moments takes it, once per distinct variance
-    distinct, inverse = np.unique(var, return_inverse=True)
-    log_var = np.array([math.log(v) for v in distinct.tolist()])[inverse]
-    stats = np.zeros((len(Moments._fields), size))
-    for s in range(int(slots.max(initial=-1)) + 1):
-        at = slots == s
-        into = cells[at]
-        one = Moments(np.ones(len(into)), 1.0 / var[at], values[at], np.zeros(len(into)), log_var[at])
-        stats[:, into] = Moments(*stats[:, into]).merge(one)
-    return stats
-
-
 def _summaries(table: GroupingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each grouping's observations per role column (``_COLUMNS``): their
     ``Moments`` fields stacked as (field, grouping, column), merged in
@@ -194,7 +174,7 @@ def _summaries(table: GroupingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray
     unobserved."""
     shape = (len(table), len(_COLUMNS))
     cells = table.row * shape[1] + table.column
-    stats = _merged(shape[0] * shape[1], cells, table.value, table.sigma)
+    stats = merged(shape[0] * shape[1], cells, table.value, table.sigma)
     lo, hi = np.full(shape, np.inf), np.full(shape, -np.inf)
     np.minimum.at(lo.ravel(), cells, table.value)
     np.maximum.at(hi.ravel(), cells, table.value)
@@ -220,53 +200,21 @@ def _noise(table: GroupingTable) -> list[tuple[tuple[str, tuple[float, ...]], ..
     return noise
 
 
-#: (residue type, role, sigmas) -> that atom's typing threshold, 0 when absent
-ThresholdMemo = dict[tuple[str, str, tuple[float, ...]], float]
-
-
-def _typing_thresholds(
-    keys: Iterable[tuple[str, str, tuple[float, ...]]], priors: PriorTable, delta: float
-) -> ThresholdMemo:
-    """Each (residue type, role, sigmas) key's atom typing threshold, for
-    every key at once and equal bit for bit to ``costmodel.typing_threshold``
-    of the atom's prior and these sigmas: each key's adversarial observations
-    merge slot by slot, then into the prior. An atom the residue lacks gets 0."""
-    memo = dict.fromkeys(keys, 0.0)
-    present = [(key, prior) for key in memo if (prior := priors.prior(key[0], key[1])) is not None]
-    cells = np.arange(len(present))  # one per present key
-    means = np.array([p.mean for _, p in present])
-    stds = np.array([p.std for _, p in present])
-    prior_moments = _merged(len(present), cells, means, stds)
-    # typing_threshold's adversarial realization, in its own arithmetic
-    observed = _merged(
-        len(present),
-        np.repeat(cells, [len(sigmas) for (_, _, sigmas), _ in present]),
-        np.array([
-            p.mean + delta * p.std + (-1) ** l * delta * s
-            for (_, _, sigmas), p in present
-            for l, s in enumerate(sigmas)
-        ]),
-        np.array([s for (_, _, sigmas), _ in present for s in sigmas]),
-    )
-    cost = marginal_cost(Moments(*prior_moments).merge(Moments(*observed)))
-    memo.update(zip((key for key, _ in present), cost.tolist()))
-    return memo
-
-
 #: a residue type's prior per base role: which atoms it lacks, and each
 #: atom's prior as ``Moments`` of one observation (a stand-in where lacking),
 #: possibly already merged with rows of observations
 ResiduePrior = tuple[np.ndarray, Moments]
 
 
-def _residue_prior(residue_type: str, priors: PriorTable) -> ResiduePrior:
-    """The residue type's prior, not yet merged with any observation."""
-    table = [priors.prior(residue_type, role) for role in BASE_ROLES]
-    lacks = np.array([prior is None for prior in table])
+def _residue_priors(types: Sequence[str], priors: PriorTable) -> dict[str, ResiduePrior]:
+    """Each residue type's prior, not yet merged with any observation; the
+    atoms of every type in one batch."""
+    table = [priors.prior(rt, role) for rt in types for role in BASE_ROLES]
+    lacks = np.array([prior is None for prior in table]).reshape(len(types), len(BASE_ROLES))
     # an absent atom gets a stand-in prior; its cost is replaced in _atom_costs
-    return lacks, Moments(*np.array([
-        moments([(0.0, 1.0) if prior is None else (prior.mean, prior.std)]) for prior in table
-    ]).T)
+    means, stds = np.array([(0.0, 1.0) if p is None else (p.mean, p.std) for p in table]).T
+    stats = merged(len(table), np.arange(len(table)), means, stds).reshape(-1, *lacks.shape)
+    return {rt: (lacks[t], Moments(*stats[:, t])) for t, rt in enumerate(types)}
 
 
 def _atom_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
@@ -317,7 +265,7 @@ def build_graph(
     which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
     atoms = {atom for noise in index for atom in noise}
     with np.errstate(over="ignore", invalid="ignore"):  # a huge delta, rejected below
-        memo = _typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
+        memo = typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
     # each noise's summed typing threshold, in role order (atoms the residue
     # lacks add 0), started at 0.0 so that even an empty one is a float
     limits = {rt: [sum((memo[rt, role, sigmas] for role, sigmas in noise), 0.0) for noise in index]
@@ -328,10 +276,9 @@ def build_graph(
     # each residue type's prior merged with every grouping's intra moments;
     # priced alone, that is the grouping's typing cost, which is also what a
     # regular node pays to reach the dummy or the end
-    posts: dict[str, ResiduePrior] = {}
-    for rt in types:
-        lacks, prior = _residue_prior(rt, priors)
-        posts[rt] = lacks, prior.merge(intra)
+    posts: dict[str, ResiduePrior] = {
+        rt: (lacks, prior.merge(intra)) for rt, (lacks, prior) in _residue_priors(types, priors).items()
+    }
     per_atom = {rt: _atom_costs(post) for rt, post in posts.items()}
     typing = {rt: costs.sum(axis=-1) for rt, costs in per_atom.items()}
     # a grouping is typed as the residue type when its typing cost is at most
@@ -418,20 +365,21 @@ def graph_stats(g: AssignmentGraph) -> dict:
 
 
 def export_graph(g: AssignmentGraph, path: str | Path) -> None:
+    table = g.groupings
     doc = {
         "sequence": g.sequence.residues,
         "thresholds": g.thresholds[1:],
         "nodes": [
             [
                 {
-                    "index": node.index,
-                    "kind": node.kind,
-                    "grouping": node.grouping_id,
-                    "peaks": sorted(g.usage(node.layer, node.index)),
+                    "index": i,
+                    "kind": _kind(k, row, g.n),
+                    "grouping": table.ids[row] if row >= 0 else None,
+                    "peaks": table.member_ids(row) if row >= 0 else [],
                 }
-                for node in layer
+                for i, row in enumerate(rows.tolist())
             ]
-            for layer in g.layers
+            for k, rows in enumerate(g.grouping_rows)
         ],
         "edges": [
             [k, i, j, cost]

@@ -589,13 +589,15 @@ def lagrangian_stage(
 
 
 def _solve_variant(
-    g: AssignmentGraph,
-    variant: str,
-    tol: Tolerances,
-    backend: Backend | None,
-    node_limit: int,
-    exact: bool,
+    g: AssignmentGraph, variant: str, tol: Tolerances, backend: Backend | None, node_limit: int
 ) -> SolveResult:
+    """The answer of ``variant``: ``ilp`` searches the full ``lian1``
+    program by branch and bound; ``lian1`` and ``lian2`` try the Lagrangian
+    stage first and, after a fractional root, search the edges its duals
+    allow. A search that ends before any incumbent answers with the
+    all-dummy path, which every built graph holds and which reuses no peak,
+    unproven."""
+    exact = variant == "ilp"
     incidence = peak_incidence(g)
     stats = {"contested_peaks": len(incidence[0])}
     if not exact:
@@ -606,7 +608,7 @@ def _solve_variant(
                 g, stage.nodes, variant, tol.lam,
                 lp_bound=stage.bound, proven_optimal=True, proved_by="lagrangian", **stats,
             )
-    lp = formulate(g, variant, tol, incidence)
+    lp = formulate(g, "lian1" if exact else variant, tol, incidence)
     relaxed = solve_lp(lp, backend=backend, presolve=False)
     if relaxed.status in ("infeasible", "unbounded"):
         raise NoPathError(f"relaxation is {relaxed.status}")
@@ -621,12 +623,12 @@ def _solve_variant(
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
         result = round_and_resolve(g, lp, relaxed, incidence, backend, node_limit)
-    if result.solution is None:
-        raise SolverError("no integral solution found within the node budget")
+    found = result.solution is not None
+    nodes = extract_path(g, lp, result.solution) if found else (0,) * (g.n + 2)
     return solve_result(
-        g, extract_path(g, lp, result.solution), variant, tol.lam,
+        g, nodes, variant, tol.lam,
         lp_bound=relaxed.objective,
-        proven_optimal=result.proven_optimal,
+        proven_optimal=found and result.proven_optimal,
         root_integral=root_integral,
         nodes_explored=result.nodes_explored,
         columns_fixed=result.columns_fixed,
@@ -642,7 +644,7 @@ def solve_lian1(
 ) -> SolveResult:
     """Hard utilization: relaxation, then, after a fractional root, an exact
     search on the edges its duals allow."""
-    return _solve_variant(g, "lian1", tol, backend, node_limit, exact=False)
+    return _solve_variant(g, "lian1", tol, backend, node_limit)
 
 
 def solve_lian2(
@@ -652,7 +654,7 @@ def solve_lian2(
     node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Soft utilization: peak reuse allowed at ``lambda`` per extra use."""
-    return _solve_variant(g, "lian2", tol, backend, node_limit, exact=False)
+    return _solve_variant(g, "lian2", tol, backend, node_limit)
 
 
 def solve_ilp(
@@ -662,4 +664,4 @@ def solve_ilp(
     node_limit: int = NODE_LIMIT,
 ) -> SolveResult:
     """Exact branch and bound on the full hard-utilization program."""
-    return _solve_variant(g, "lian1", tol, backend, node_limit, exact=True)
+    return _solve_variant(g, "ilp", tol, backend, node_limit)

@@ -8,10 +8,7 @@ the contested peaks it consumes. Both uses share one tie rule: the
 lexicographically smallest path among the optima. ``dp_edge_bounds`` shares
 its backward sweep and adds a forward one: it prices the cheapest penalized
 path through every edge, which is how ``lp.round_and_resolve`` drops edges
-after a fractional root. ``exhaustive_constrained`` enumerates every
-start-to-end path that never consumes a peak twice; it is exponential and
-only usable on tiny instances, where it acts as the ground-truth oracle for
-the constrained solvers.
+after a fractional root.
 
 ``path_solution`` is the one pricer: it reads each edge's cost through
 ``EdgeLayer.index`` and returns None for a node sequence that is not a
@@ -29,8 +26,7 @@ windows with equal residue-type strings therefore swap at equal cost and
 equal peak use. The rule gives each such group's sorted fragments to its
 windows in position order, which yields the lexicographically smallest
 path among those swaps. The lexicographically smallest optimum, as
-``dp_shortest_path`` and ``exhaustive_constrained`` return it, is a fixed
-point of the rule.
+``dp_shortest_path`` returns it, is a fixed point of the rule.
 """
 from __future__ import annotations
 
@@ -46,10 +42,6 @@ from .graph import AssignmentGraph
 
 class NoPathError(NmrAssignError):
     """The graph admits no start-to-end path."""
-
-
-class InstanceTooLargeError(NmrAssignError):
-    """Exhaustive enumeration would exceed the path budget."""
 
 
 @dataclass(frozen=True)
@@ -259,45 +251,3 @@ def dp_edge_bounds(g: AssignmentGraph, penalty: Sequence[np.ndarray]) -> list[np
         np.minimum.at(arrive, layer.dst, into + layer.cost)
         arrive += penalty[k + 1]
     return bounds
-
-
-def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathSolution:
-    """Cheapest path that never consumes the same peak twice.
-
-    Raises InstanceTooLargeError when the number of candidate paths exceeds
-    ``budget``, and NoPathError when no conflict-free path exists. Ties are
-    broken towards the lexicographically smallest node sequence.
-    """
-    paths = 1
-    for rows in g.grouping_rows[1:-1]:
-        paths *= len(rows)
-        if paths > budget:
-            raise InstanceTooLargeError(
-                f"more than {budget} candidate paths; refusing exhaustive search"
-            )
-
-    n = g.n
-    best_nodes: tuple[int, ...] | None = None
-    best_cost = math.inf
-
-    def extend(k: int, node: int, cost: float, used: frozenset[str], trail: tuple[int, ...]) -> None:
-        nonlocal best_nodes, best_cost
-        if k == n + 1:
-            if cost < best_cost - 1e-12 or (
-                math.isclose(cost, best_cost, rel_tol=0.0, abs_tol=1e-12)
-                and (best_nodes is None or trail < best_nodes)
-            ):
-                best_nodes, best_cost = trail, cost
-            return
-        layer = g.edges[k]
-        out = layer.out(node)
-        for j, edge_cost in zip(layer.dst[out].tolist(), layer.cost[out].tolist()):
-            peaks = g.usage(k + 1, j) if k + 1 <= n else frozenset()
-            if used & peaks:
-                continue
-            extend(k + 1, j, cost + edge_cost, used | peaks, trail + (j,))
-
-    extend(0, 0, 0.0, frozenset(), (0,))
-    if best_nodes is None:
-        raise NoPathError("no conflict-free start-to-end path exists")
-    return path_solution(g, best_nodes)

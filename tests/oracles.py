@@ -1,23 +1,81 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately implemented without reusing the library's
-own machinery: quadrature instead of the closed form, explicit enumeration
-instead of dynamic programming or branch and bound.
+The scalar references of the cost model (``moments``, ``closed_form_cost``
+and ``typing_threshold``) merge observations one at a time with the
+library's ``costmodel.Moments`` and price them with its ``marginal_cost``;
+the batched ``costmodel.merged`` and ``costmodel.typing_thresholds`` must
+equal them bit for bit. Everything else is implemented without reusing the
+library's own machinery: quadrature instead of the closed form, explicit
+enumeration instead of dynamic programming or branch and bound, and a
+node's peaks read from the graph's grouping table.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from nmrassign import grouping
-from nmrassign.domain import Peak, ProteinSequence, Tolerances
+from nmrassign.costmodel import Moments, marginal_cost
+from nmrassign.domain import (
+    NmrAssignError,
+    NonPositiveSigmaError,
+    Peak,
+    Prior,
+    ProteinSequence,
+    Tolerances,
+)
 from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
 from nmrassign.grouping import GroupingTable
+from nmrassign.shortest_path import NoPathError, PathSolution, path_solution
+
+#: (value, sigma) pair
+ObsPair = tuple[float, float]
+
+
+def moments(observations: Iterable[ObsPair]) -> Moments:
+    """Moments of (value, sigma) observations."""
+    out = Moments(0.0, 0.0, 0.0, 0.0, 0.0)
+    for x, sigma in observations:
+        if not sigma > 0:
+            raise NonPositiveSigmaError(f"observation sigma must be positive, got {sigma}")
+        var = sigma * sigma
+        out = out.merge(Moments(1.0, 1.0 / var, x, 0.0, math.log(var)))
+    return out
+
+
+def closed_form_cost(prior: Prior, observations: Sequence[ObsPair]) -> float:
+    """Closed-form atom cost for a Gaussian prior and noisy observations:
+    the prior's moments merged with the observations', priced by
+    ``marginal_cost``. With no observations the marginal is the empty
+    product, so the cost is 0."""
+    return float(marginal_cost(moments([(prior.mean, prior.std)]).merge(moments(observations))))
+
+
+def typing_threshold(
+    prior: Prior, o_a: int, noises: Sequence[float], delta: float
+) -> float:
+    """Maximum plausible atom cost: the cost of an adversarial realization.
+
+    The adversarial observations sit about ``delta`` prior standard
+    deviations from the prior mean, alternating ``delta`` experimental
+    standard deviations to either side.
+    """
+    if o_a < 0:
+        raise ValueError("o_a must be non-negative")
+    if o_a == 0:
+        return 0.0
+    if len(noises) != o_a:
+        raise ValueError(f"expected {o_a} noise values, got {len(noises)}")
+    observations = [
+        (prior.mean + delta * prior.std + (-1) ** l * delta * sigma_l, sigma_l)
+        for l, sigma_l in enumerate(noises)
+    ]
+    return closed_form_cost(prior, observations)
 
 
 def quadrature_atom_cost(
@@ -175,10 +233,17 @@ def path_cost(g: AssignmentGraph, nodes: Sequence[int]) -> float:
     return sum(edge_cost(g.edges[k], nodes[k], nodes[k + 1]) for k in range(g.n + 1))
 
 
+def node_peaks(g: AssignmentGraph, layer: int, index: int) -> frozenset[str]:
+    """Peak ids a node consumes, read from the graph's grouping table: its
+    grouping's members; none for the start, a dummy or the end."""
+    row = int(g.grouping_rows[layer][index])
+    return frozenset(g.groupings.member_ids(row) if row >= 0 else ())
+
+
 def path_overuse(g: AssignmentGraph, nodes: Sequence[int]) -> int:
     counts: dict[str, int] = {}
     for k in range(1, g.n + 1):
-        for pid in g.usage(k, nodes[k]):
+        for pid in node_peaks(g, k, nodes[k]):
             counts[pid] = counts.get(pid, 0) + 1
     return sum(max(0, c - 1) for c in counts.values())
 
@@ -210,6 +275,52 @@ def brute_constrained(g: AssignmentGraph) -> float | None:
 
 def brute_penalized(g: AssignmentGraph, lam: float) -> float:
     return min(path_cost(g, p) + lam * path_overuse(g, p) for p in iter_paths(g))
+
+
+class InstanceTooLargeError(NmrAssignError):
+    """Exhaustive enumeration would exceed the path budget."""
+
+
+def exhaustive_constrained(g: AssignmentGraph, budget: int = 1_000_000) -> PathSolution:
+    """Cheapest path that never consumes the same peak twice.
+
+    Raises InstanceTooLargeError when the number of candidate paths exceeds
+    ``budget``, and NoPathError when no conflict-free path exists. Ties are
+    broken towards the lexicographically smallest node sequence.
+    """
+    paths = 1
+    for rows in g.grouping_rows[1:-1]:
+        paths *= len(rows)
+        if paths > budget:
+            raise InstanceTooLargeError(
+                f"more than {budget} candidate paths; refusing exhaustive search"
+            )
+
+    n = g.n
+    best_nodes: tuple[int, ...] | None = None
+    best_cost = math.inf
+
+    def extend(k: int, node: int, cost: float, used: frozenset[str], trail: tuple[int, ...]) -> None:
+        nonlocal best_nodes, best_cost
+        if k == n + 1:
+            if cost < best_cost - 1e-12 or (
+                math.isclose(cost, best_cost, rel_tol=0.0, abs_tol=1e-12)
+                and (best_nodes is None or trail < best_nodes)
+            ):
+                best_nodes, best_cost = trail, cost
+            return
+        layer = g.edges[k]
+        out = layer.out(node)
+        for j, edge_cost in zip(layer.dst[out].tolist(), layer.cost[out].tolist()):
+            peaks = node_peaks(g, k + 1, j) if k + 1 <= n else frozenset()
+            if used & peaks:
+                continue
+            extend(k + 1, j, cost + edge_cost, used | peaks, trail + (j,))
+
+    extend(0, 0, 0.0, frozenset(), (0,))
+    if best_nodes is None:
+        raise NoPathError("no conflict-free start-to-end path exists")
+    return path_solution(g, best_nodes)
 
 
 def check_path(g: AssignmentGraph, nodes: Sequence[int], allow_reuse: bool) -> None:

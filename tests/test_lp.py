@@ -38,23 +38,20 @@ from nmrassign.lp import (
 from nmrassign.experiments import spin_observation_counts
 from nmrassign.graph import REGULAR, build_graph
 from nmrassign.grouping import spins_to_groupings
-from nmrassign.shortest_path import (
-    InstanceTooLargeError,
-    canonical_path,
-    dp_shortest_path,
-    exhaustive_constrained,
-    solve_result,
-)
+from nmrassign.shortest_path import canonical_path, dp_shortest_path, solve_result
 from nmrassign.simulate import SimulationSpec, sample_reference, simulate_cisa
 
 from oracles import (
+    InstanceTooLargeError,
     brute_constrained,
     brute_penalized,
     check_path,
     conflict_fixture,
+    exhaustive_constrained,
     fragments,
     iter_paths,
     make_graph,
+    node_peaks,
     path_cost,
     path_overuse,
     random_instance,
@@ -757,7 +754,7 @@ def test_peak_incidence_matches_usage(default_tol):
         consumers: dict[str, list[tuple[int, int]]] = {}
         for k in range(1, g.n + 1):
             for i in range(len(g.layers[k])):
-                for pid in g.usage(k, i):
+                for pid in node_peaks(g, k, i):
                     consumers.setdefault(pid, []).append((k, i))
         want = sorted(
             pid for pid, nodes in consumers.items()
@@ -775,7 +772,7 @@ def test_peak_incidence_matches_usage(default_tol):
         for k, layer in enumerate(g.edges):
             for e, i in enumerate(layer.src.tolist()):
                 for r, pid in enumerate(lp.utilization):
-                    oracle[r, lp.edge_offsets[k] + e] = pid in g.usage(k, i)
+                    oracle[r, lp.edge_offsets[k] + e] = pid in node_peaks(g, k, i)
         got = oracle[:0] if lp.A_ub is None else lp.A_ub.toarray()
         assert got.shape == oracle.shape and (got == oracle).all()
     assert [len(peak_incidence(g)[0]) for g in graphs[-2:]] == [0, 0]

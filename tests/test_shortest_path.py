@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from nmrassign.shortest_path import (
-    InstanceTooLargeError,
     NoPathError,
     PathSolution,
     canonical_path,
     dp_edge_bounds,
     dp_shortest_path,
-    exhaustive_constrained,
     path_solution,
 )
 
 from oracles import (
+    InstanceTooLargeError,
     brute_constrained,
     brute_shortest,
     check_path,
     conflict_fixture,
+    exhaustive_constrained,
     fragments,
     iter_paths,
     make_graph,
+    node_peaks,
     path_cost,
     path_overuse,
     random_instance,
@@ -239,7 +240,7 @@ def test_path_solution_prices_a_path_and_rejects_the_rest():
 
 def test_path_reused_peaks_matches_the_per_node_count():
     """One gather and one bincount count the same peaks as a walk over each
-    node's ``usage``, on every path of random graphs that share peaks."""
+    node's peaks, on every path of random graphs that share peaks."""
     rng = np.random.default_rng(17)
     reused = 0
     for _ in range(20):
@@ -247,7 +248,7 @@ def test_path_reused_peaks_matches_the_per_node_count():
         for path in iter_paths(g):
             counts: dict[str, int] = {}
             for k in range(1, g.n + 1):
-                for pid in g.usage(k, path[k]):
+                for pid in node_peaks(g, k, path[k]):
                     counts[pid] = counts.get(pid, 0) + 1
             want = {p: c for p, c in sorted(counts.items()) if c >= 2}
             got = g.path_reused_peaks(path)
