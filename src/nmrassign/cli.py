@@ -65,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--priors", help="priors JSON (default: bundled table)")
         p.add_argument("--sequence", help="one-letter sequence or path to one")
     for p in (p_asn, p_gs):
-        p.add_argument("--dataset", help="peaks or spins TSV file")
-        p.add_argument("--kind", choices=("peaks", "spins"))
+        p.add_argument(
+            "--dataset", help="peaks or spins TSV file; its header or field count says which"
+        )
         p.add_argument("--top-k", type=int, help=TOP_K_HELP)
         p.add_argument("--delta1", type=float, help="H window (ppm)")
         p.add_argument("--delta2", type=float, help="N window (ppm)")
@@ -150,7 +151,7 @@ def _graph_run(cfg: dict) -> dict:
         tol=Tolerances(**{_TOLERANCES[key]: cfg[key] for key in _TOLERANCES if key in cfg}),
         outdir=_require(cfg, "out"),
         dataset=_require(cfg, "dataset"),
-        **_given(cfg, "kind", "top_k"),
+        **_given(cfg, "top_k"),
     )
 
 

@@ -5,6 +5,11 @@ counted per residue. For spin-system input a residue is correct when the
 assigned system id matches the generating residue; for peak-list input the
 assigned grouping must contain exactly the peaks the residue generated.
 Atom-level correctness gives partial credit per consensus shift.
+
+``assign`` loads this module to write its outputs, so the simulator, which
+defines the ground truth, is imported only where scoring reads it:
+``GroundTruth`` for type checking, ``FLYA_BOUND`` inside
+``atom_correctness``.
 """
 from __future__ import annotations
 
@@ -12,12 +17,14 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .domain import NmrAssignError, dimension_of, json_object, write_json
 from .graph import AssignmentGraph
 from .shortest_path import SolveResult, path_solution
-from .simulate import FLYA_BOUND, GroundTruth
+
+if TYPE_CHECKING:
+    from .simulate import GroundTruth
 
 
 class LengthMismatchError(NmrAssignError):
@@ -165,6 +172,8 @@ def atom_correctness(
     it is correct when the assigned consensus estimate for its own residue
     sits within the per-dimension bound of the reference value.
     """
+    from .simulate import FLYA_BOUND
+
     total = correct = 0
     for ra in a.residues:
         if not _judge(ra, gt)[0]:

@@ -283,7 +283,8 @@ def build_graph(
     typing = {rt: costs.sum(axis=-1) for rt, costs in per_atom.items()}
     # a grouping is typed as the residue type when its typing cost is at most
     # the summed typing threshold of its noise (ties retained)
-    typed = {rt: np.flatnonzero(typing[rt] <= np.array(limits[rt])[which]) for rt in types}
+    is_typed = {rt: typing[rt] <= np.array(limits[rt])[which] for rt in types}
+    typed = {rt: np.flatnonzero(mask) for rt, mask in is_typed.items()}
 
     # the grouping rows of each inner layer's regular nodes, then none for the end
     rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
@@ -304,7 +305,12 @@ def build_graph(
     linked = {}
     for rt in types:
         src = typed[rt]
-        dst = np.unique(np.concatenate([rows[-1], *(typed[t] for t in follows[rt])]))
+        # the rows typed for any follower, sorted and distinct as a mask makes
+        # them: the first plain np.unique would import numpy.ma
+        reached = np.zeros(len(table), dtype=bool)
+        for t in follows[rt]:
+            reached |= is_typed[t]
+        dst = np.flatnonzero(reached)
         a, b = np.nonzero(walks[src][:, dst])  # two gathers: far cheaper than np.ix_
         lacks, post = posts[rt]
         cost = np.take(per_atom[rt], src[a], axis=0)

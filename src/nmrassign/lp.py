@@ -625,10 +625,12 @@ def _solve_variant(
         result = round_and_resolve(g, lp, relaxed, incidence, backend, node_limit)
     found = result.solution is not None
     nodes = extract_path(g, lp, result.solution) if found else (0,) * (g.n + 2)
+    proven = found and result.proven_optimal
     return solve_result(
         g, nodes, variant, tol.lam,
         lp_bound=relaxed.objective,
-        proven_optimal=found and result.proven_optimal,
+        proven_optimal=proven,
+        proved_by="lp" if proven else None,
         root_integral=root_integral,
         nodes_explored=result.nodes_explored,
         columns_fixed=result.columns_fixed,

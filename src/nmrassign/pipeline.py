@@ -3,6 +3,12 @@
 Each run writes machine-readable outputs into a directory. Wall-clock
 timings go to a separate timings.json so everything else is byte-stable
 under a fixed seed.
+
+``assign`` and ``graph-stats`` never simulate, so the simulator and its
+ground-truth I/O are imported inside the runs and loaders that use them:
+``run_simulate``, ``run_evaluate``, ``bundled_reference`` and
+``load_reference``. ``domain``, ``grouping`` and ``graph`` stay imported by
+name at the top, where the benchmark's trace hooks patch them.
 """
 from __future__ import annotations
 
@@ -12,10 +18,12 @@ import json
 import time
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import evaluate as ev
 from .domain import (
     NODE_LIMIT,
+    SPIN_ROLES,
     TOP_K,
     NmrAssignError,
     PriorTable,
@@ -45,17 +53,9 @@ from .grouping import (
     spins_to_groupings,
 )
 from .shortest_path import dp_shortest_path, solve_result
-from .simulate import (
-    Reference,
-    SimulationSpec,
-    read_ground_truth,
-    read_reference,
-    reference_from_dict,
-    sample_reference,
-    simulate_cisa,
-    simulate_flya,
-    write_ground_truth,
-)
+
+if TYPE_CHECKING:
+    from .simulate import Reference
 
 VARIANTS = ("dp", "ilp", "lian1", "lian2")
 
@@ -66,6 +66,8 @@ def bundled_priors() -> PriorTable:
 
 
 def bundled_reference(name: str) -> Reference:
+    from .simulate import reference_from_dict
+
     with resources.files("nmrassign.data").joinpath(f"{name}.json").open("r") as fh:
         return reference_from_dict(json.load(fh))
 
@@ -75,6 +77,8 @@ def load_reference(spec: str) -> Reference:
     such as ``ref60``), or else the reference file at ``spec``."""
     if f"{spec}.json" in {entry.name for entry in resources.files("nmrassign.data").iterdir()}:
         return bundled_reference(spec)
+    from .simulate import read_reference
+
     return read_reference(spec)
 
 
@@ -110,6 +114,14 @@ def run_simulate(
     experiments=FULL_SET,
     deletion_rate: float = 0.0,
 ) -> dict:
+    from .simulate import (
+        SimulationSpec,
+        sample_reference,
+        simulate_cisa,
+        simulate_flya,
+        write_ground_truth,
+    )
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stages: dict[str, float] = {}
@@ -138,7 +150,6 @@ def run_simulate(
 
 def _load_and_group(
     dataset: str | Path,
-    kind: str | None,
     seq: ProteinSequence,
     priors: PriorTable,
     tol: Tolerances,
@@ -149,8 +160,7 @@ def _load_and_group(
     if top_k is not None and top_k < 1:
         raise NmrAssignError(f"top_k must be at least 1, got {top_k}")
     dataset = Path(dataset)
-    if kind is None:
-        kind = _sniff_kind(dataset)
+    kind = _sniff_kind(dataset)
     with _stage(stages, "load"):
         if kind == "spins":
             spins = read_spins(dataset)
@@ -178,7 +188,6 @@ def run_assign(
     priors: PriorTable,
     tol: Tolerances,
     variant: str = "lian1",
-    kind: str | None = None,
     top_k: int | None = TOP_K,
     backend: str = "bundled",
     node_limit: int = NODE_LIMIT,
@@ -200,7 +209,7 @@ def run_assign(
             raise NmrAssignError(f"unknown backend {backend!r}")
         lp_backend = lpmod.load_backend(backend.split(":", 1)[1])
 
-    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, stages)
+    groupings, expected = _load_and_group(dataset, seq, priors, tol, top_k, stages)
 
     with _stage(stages, "graph"):
         g = build_graph(groupings, seq, priors, tol, expected)
@@ -239,22 +248,37 @@ def run_assign(
 
 
 def _sniff_kind(path: Path) -> str:
-    """The dataset kind its header line names."""
+    """The dataset kind: the one the header line names, or else the one
+    the first record's field count fits (a spin-system line has 7 fields,
+    a peak line 4 to 6). Comment and blank lines are skipped, as the
+    readers skip them."""
+    spin_fields = 1 + len(SPIN_ROLES)
     with path.open(encoding="utf-8") as fh:
-        header = fh.readline()
-    if header.startswith("#"):
-        if "system_id" in header:
-            return "spins"
-        if "peak_id" in header:
-            return "peaks"
-    raise NmrAssignError(
-        f"cannot infer dataset kind from {path}; pass kind explicitly"
-    )
+        for raw in fh:
+            line = raw.strip()
+            if line.startswith("#"):
+                if "system_id" in line:
+                    return "spins"
+                if "peak_id" in line:
+                    return "peaks"
+            elif line:
+                fields = len(line.split("\t"))
+                if fields == spin_fields:
+                    return "spins"
+                if 4 <= fields <= 6:
+                    return "peaks"
+                raise NmrAssignError(
+                    f"cannot tell the dataset kind of {path}: its first record has "
+                    f"{fields} fields, where a spin system has {spin_fields} and a peak 4 to 6"
+                )
+    raise NmrAssignError(f"cannot tell the dataset kind of {path}: it holds no record")
 
 
 def run_evaluate(
     outdir: str | Path, assignment_path: str | Path, ground_truth_path: str | Path
 ) -> tuple[float, float]:
+    from .simulate import read_ground_truth
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     assignment = ev.read_assignment(assignment_path)
@@ -271,13 +295,12 @@ def run_graph_stats(
     seq: ProteinSequence,
     priors: PriorTable,
     tol: Tolerances,
-    kind: str | None = None,
     top_k: int | None = TOP_K,
     export: bool = False,
 ) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    groupings, expected = _load_and_group(dataset, kind, seq, priors, tol, top_k, {})
+    groupings, expected = _load_and_group(dataset, seq, priors, tol, top_k, {})
     g = build_graph(groupings, seq, priors, tol, expected)
     stats = graph_stats(g)
     write_json(stats, outdir / "graph_stats.json")

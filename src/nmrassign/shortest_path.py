@@ -86,8 +86,8 @@ class SolveResult:
     #: round (``lp.round_and_resolve``)
     columns_fixed: int = 0
     #: the stage whose bound proved the answer: "lagrangian" or "lp" ("dp"
-    #: for the unconstrained shortest path)
-    proved_by: str = "lp"
+    #: for the unconstrained shortest path); None when nothing proved it
+    proved_by: str | None = None
     #: DP passes of the Lagrangian stage, and its multipliers (one per
     #: contested peak, which is one per utilization row)
     lagrangian_iterations: int = 0

@@ -294,7 +294,8 @@ def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
     and ilp's search finds its first incumbent at node 4 and proves it at
     node 21: a budget of 10 nodes ends with that incumbent unproven (exit
     3), and a budget of 1 with none, so the answer is the all-dummy path,
-    unproven, bounded by the root (exit 3, every output written)."""
+    unproven, bounded by the root (exit 3, every output written). Neither
+    answer names a stage that proved it."""
     write_priors(_wide_priors(), tmp_path / "priors.json")
     assert main([
         "simulate", "--sequence", REGRESSION_SEQUENCE, "--protocol", "cisa", "--noise", "high",
@@ -313,6 +314,7 @@ def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
         assert (out / name).is_file(), name
     report = json.loads((out / "lp_report.json").read_text(encoding="utf-8"))
     assert report["proven_optimal"] is False and report["nodes_explored"] == node_limit
+    assert report["proved_by"] is None
     assert report["variant"] == "ilp" and report["reused_peaks"] == {}
     if node_limit == 1:
         assignment = json.loads((out / "assignment.json").read_text(encoding="utf-8"))
@@ -338,6 +340,50 @@ def test_sequence_file_reads_as_the_literal_sequence(tmp_path, capsys):
     capsys.readouterr()
     assert len(outputs["file"]) == 7
     assert outputs["file"] == outputs["literal"]
+
+
+@pytest.mark.parametrize("protocol, seed, dataset", [
+    ("cisa", "7", "spins.tsv"),
+    ("flya", "2", "peaks.tsv"),
+])
+def test_dataset_without_header_reads_by_field_count(tmp_path, capsys, protocol, seed, dataset):
+    """A dataset without its header line is read as the kind its first
+    record's field count fits (7 fields: spin systems; 4 to 6: peaks), and
+    assigns to the same bytes as the file as written."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--sequence", SEQ, "--protocol", protocol, "--seed", seed,
+                 "--out", str(run)]) == EXIT_OK
+    lines = (run / dataset).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].startswith("#")
+    bare = tmp_path / "bare.tsv"
+    bare.write_text("".join(lines[1:]), encoding="utf-8")
+    outputs = {}
+    for label, path in (("header", run / dataset), ("bare", bare)):
+        out = tmp_path / label
+        assert main(["assign", "--sequence", SEQ, "--dataset", str(path),
+                     "--out", str(out)]) == EXIT_OK
+        outputs[label] = {
+            f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "timings.json"
+        }
+    capsys.readouterr()
+    assert len(outputs["bare"]) == 4
+    assert outputs["bare"] == outputs["header"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("p1\thsqc\t8.1\n", "its first record has 3 fields"),
+    ("s1\t120.0\t8.1\t55.0\t40.0\t54.0\t39.0\t1\n", "its first record has 8 fields"),
+    ("\n# no header here\n", "it holds no record"),
+], ids=["3-fields", "8-fields", "no-record"])
+@pytest.mark.parametrize("command", ["assign", "graph-stats"])
+def test_dataset_of_no_kind_exits_2(tmp_path, capsys, command, text, reason):
+    dataset = tmp_path / "data.tsv"
+    dataset.write_text(text, encoding="utf-8")
+    assert main([command, "--sequence", SEQ, "--dataset", str(dataset),
+                 "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot tell the dataset kind of {dataset}: {reason}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["assign", "graph-stats"])
@@ -375,10 +421,11 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, command, key, val
 
 
 
-@pytest.mark.parametrize("config", [{"node_limt": 1}, {"seed": 3}])
+@pytest.mark.parametrize("config", [{"node_limt": 1}, {"seed": 3}, {"kind": "spins"}])
 def test_config_key_of_no_option_rejected(tmp_path, capsys, config):
-    """A misspelt key, or one that only another subcommand accepts, exits 2
-    naming the key instead of being ignored."""
+    """A misspelt key, one that only another subcommand accepts, or the
+    former ``kind`` (the dataset file says its kind) exits 2 naming the key
+    instead of being ignored."""
     out = _simulate(tmp_path, "cfgrun")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -400,7 +447,6 @@ OPTION_VALUES = {
     "priors": ("config-priors.json", "flag-priors.json"),
     "sequence": ("ACDE", "KLMN"),
     "dataset": ("config.tsv", "flag.tsv"),
-    "kind": ("peaks", "spins"),
     "top_k": (3, 4),
     "delta1": (0.05, 0.06),
     "delta2": (0.5, 0.6),
@@ -729,6 +775,36 @@ def test_only_assign_loads_the_solver(tmp_path, capsys):
         # the Lagrangian stage proves this low-noise spins assign: no scipy
         ["assign", True, False],
     ]
+
+
+UNUSED_IMPORT_SCRIPT = """
+import json, sys
+from nmrassign import cli
+
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(["numpy.ma" in sys.modules, "nmrassign.simulate" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", ["assign", "graph-stats"])
+def test_peak_list_runs_load_neither_numpy_ma_nor_the_simulator(tmp_path, capsys, command):
+    """A fresh interpreter that assigns a peak list, or reports its graph,
+    imports neither the simulator nor ``numpy.ma`` (which the first plain
+    ``np.unique`` would import); only simulate and evaluate need the
+    simulator."""
+    run = tmp_path / "run"
+    argv = ["simulate", "--sequence", SEQ, "--protocol", "flya", "--seed", "2"]
+    assert main([*argv, "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", UNUSED_IMPORT_SCRIPT, command, "--sequence", SEQ,
+         "--dataset", str(run / "peaks.tsv"), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False]
 
 
 SOLVER_IMPORT_SCRIPT = """
