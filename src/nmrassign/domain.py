@@ -44,8 +44,13 @@ class PriorMissingError(NmrAssignError):
     pass
 
 
-class MissingReferenceError(NmrAssignError):
-    pass
+def is_finite_number(value: object) -> bool:
+    """A real number, not a bool, neither infinite nor NaN."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def is_prev(role: str) -> bool:
@@ -150,7 +155,7 @@ class Prior:
     def __post_init__(self) -> None:
         for name in ("mean", "std"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise NmrAssignError(f"prior {name} must be a finite number, got {value!r}")
         if not self.std > 0:
             raise NonPositiveSigmaError(f"prior std must be positive, got {self.std}")
@@ -216,6 +221,12 @@ class PriorTable:
 NODE_LIMIT = 100_000
 #: default number of largest cliques expanded per peak component (``--top-k``)
 TOP_K = 20
+#: the largest typing threshold multiplier ``delta``. It counts prior
+#: standard deviations, and 1000 of the narrowest bundled prior's (HN, 0.58
+#: ppm) span 580 ppm, more than any 1H or 13C spectrum, so no larger delta
+#: types a measured shift differently; it only inflates the thresholds the
+#: relaxation carries, which fails numerically from about 1e7 on.
+DELTA_MAX = 1000.0
 
 
 @dataclass(frozen=True)
@@ -223,7 +234,7 @@ class Tolerances:
     """Matching windows and thresholds; all strictly positive and finite.
 
     delta1/delta2/delta3: H/N/C matching windows in ppm. delta: typing
-    threshold multiplier. lam: peak-reuse penalty.
+    threshold multiplier, at most ``DELTA_MAX``. lam: peak-reuse penalty.
     """
 
     delta1: float = 0.03
@@ -239,6 +250,11 @@ class Tolerances:
                 raise NmrAssignError(f"tolerance {name} must be a number, got {value!r}")
             if not 0 < value < math.inf:
                 raise NmrAssignError(f"tolerance {name} must be strictly positive and finite")
+        if self.delta > DELTA_MAX:
+            raise NmrAssignError(
+                f"tolerance delta must be at most {DELTA_MAX:g} prior standard deviations, "
+                f"got {self.delta:g}"
+            )
 
 
 def validate_dataset(

@@ -88,18 +88,14 @@ def candidate_roles(spectrum_id: str, phase: int) -> tuple[str, ...]:
     """Carbon roles a peak from this spectrum may be assigned to.
 
     A peak with unknown phase (0) is compatible with any template; a signed
-    peak only with templates of matching or unknown sign.
+    peak only with templates of matching or unknown sign. The roles come in
+    template order; no experiment lists a role twice.
     """
-    exp = EXPERIMENTS[canonical_name(spectrum_id)]
-    roles = []
-    for tmpl in exp.templates:
-        if tmpl.role is None:
-            continue
-        if phase == 0 or tmpl.phase == 0 or phase == tmpl.phase:
-            roles.append(tmpl.role)
-    # preserve template order, drop duplicates
-    seen: set[str] = set()
-    return tuple(r for r in roles if not (r in seen or seen.add(r)))
+    return tuple(
+        tmpl.role
+        for tmpl in EXPERIMENTS[canonical_name(spectrum_id)].templates
+        if tmpl.role is not None and (phase == 0 or tmpl.phase == 0 or phase == tmpl.phase)
+    )
 
 
 def expected_observation_counts(names: Sequence[str], priors: PriorTable) -> dict[str, tuple[int, float]]:

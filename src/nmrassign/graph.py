@@ -264,14 +264,17 @@ def build_graph(
     index = {null: 0}
     which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
     atoms = {atom for noise in index for atom in noise}
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge delta, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny noise sigma, rejected below
         memo = typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
     # each noise's summed typing threshold, in role order (atoms the residue
     # lacks add 0), started at 0.0 so that even an empty one is a float
     limits = {rt: [sum((memo[rt, role, sigmas] for role, sigmas in noise), 0.0) for noise in index]
               for rt in types}
     if bad := [k for k, rt in enumerate(seq.residues, 1) if not np.isfinite(limits[rt]).all()]:
-        raise NmrAssignError(f"residue {bad[0]} has a non-finite typing threshold; lower --delta")
+        raise NmrAssignError(
+            f"residue {bad[0]} has a non-finite typing threshold; widen the priors' sigmas "
+            "or lower --delta"
+        )
     thresholds = [0.0] + [limits[rt][0] for rt in seq.residues]
     # each residue type's prior merged with every grouping's intra moments;
     # priced alone, that is the grouping's typing cost, which is also what a

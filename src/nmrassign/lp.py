@@ -616,10 +616,8 @@ def _solve_variant(
         raise SolverError(f"relaxation failed with status {relaxed.status}")
     assert relaxed.objective is not None
     root_integral = is_integral(lp, relaxed)
-    if root_integral:
-        # the root is the only node of the global search
-        result = BnbResult(relaxed, True, 1)
-    elif exact:
+    if root_integral or exact:
+        # an integral root is the search's only node, proven without a solve
         result = branch_and_bound(lp, backend=backend, node_limit=node_limit, root=relaxed)
     else:
         result = round_and_resolve(g, lp, relaxed, incidence, backend, node_limit)

@@ -114,13 +114,7 @@ def run_simulate(
     experiments=FULL_SET,
     deletion_rate: float = 0.0,
 ) -> dict:
-    from .simulate import (
-        SimulationSpec,
-        sample_reference,
-        simulate_cisa,
-        simulate_flya,
-        write_ground_truth,
-    )
+    from .simulate import sample_reference, simulate_cisa, simulate_flya, write_ground_truth
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -128,15 +122,13 @@ def run_simulate(
     if reference is None:
         reference = sample_reference(seq, priors, seed)
     if protocol == "cisa":
-        spec = SimulationSpec.cisa(noise, seed, deletion_rate)
         with _stage(stages, "simulate"):
-            spins, gt = simulate_cisa(spec, seq, reference)
+            spins, gt = simulate_cisa(seq, reference, seed, noise, deletion_rate)
         write_spins(spins, outdir / "spins.tsv")
         summary = {"protocol": "cisa", "noise": noise, "records": len(spins)}
     elif protocol == "flya":
-        spec = SimulationSpec.flya(seed, deletion_rate)
         with _stage(stages, "simulate"):
-            peaks, gt = simulate_flya(spec, seq, reference, experiments)
+            peaks, gt = simulate_flya(seq, reference, seed, experiments, deletion_rate)
         write_peaks(peaks, outdir / "peaks.tsv")
         summary = {"protocol": "flya", "records": len(peaks)}
     else:

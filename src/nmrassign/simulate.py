@@ -8,6 +8,11 @@ every coordinate, redrawing deviations that land outside the bound.
 
 All randomness flows through numpy Generators seeded with named substreams
 ([seed, residue]), so output is reproducible and independent per residue.
+
+Each protocol checks its inputs once, on entry, before any draw: the noise
+level, the deletion rate, and a reference that holds the simulated
+sequence as its start. A reference file's shifts are checked as it is
+read.
 """
 from __future__ import annotations
 
@@ -20,18 +25,18 @@ import numpy as np
 
 from .domain import (
     BASE_ROLES,
-    MissingReferenceError,
     NmrAssignError,
     Peak,
     PriorTable,
     ProteinSequence,
     SpinSystem,
     base_role,
+    is_finite_number,
     is_prev,
     json_object,
     write_json,
 )
-from .experiments import experiment_set
+from .experiments import FULL_SET, experiment_set
 
 #: (sigma_alpha, sigma_beta) in ppm for the two spin-system noise levels
 CISA_NOISE = {"low": (0.08, 0.16), "high": (0.16, 0.32)}
@@ -42,38 +47,9 @@ FLYA_BOUND = {"H": 0.04, "N": 0.4, "C": 0.4}
 
 
 @dataclass(frozen=True)
-class SimulationSpec:
-    protocol: str  # "cisa" or "flya"
-    seed: int
-    sigma_alpha: float = 0.08
-    sigma_beta: float = 0.16
-    flya_sigma: Mapping[str, float] = field(default_factory=lambda: dict(FLYA_SIGMA))
-    deletion_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.protocol not in ("cisa", "flya"):
-            raise NmrAssignError(f"unknown protocol {self.protocol!r}")
-        if self.sigma_alpha < 0 or self.sigma_beta < 0:
-            raise NmrAssignError("noise sigma must be non-negative")
-        for dim, sigma in self.flya_sigma.items():
-            if sigma < 0:
-                raise NmrAssignError(f"flya sigma[{dim}] must be non-negative")
-        if not 0.0 <= self.deletion_rate < 1.0:
-            raise NmrAssignError("deletion rate must be in [0, 1)")
-
-    @classmethod
-    def cisa(cls, noise: str, seed: int, deletion_rate: float = 0.0) -> "SimulationSpec":
-        sigma_alpha, sigma_beta = CISA_NOISE[noise]
-        return cls("cisa", seed, sigma_alpha, sigma_beta, deletion_rate=deletion_rate)
-
-    @classmethod
-    def flya(cls, seed: int, deletion_rate: float = 0.0) -> "SimulationSpec":
-        return cls("flya", seed, deletion_rate=deletion_rate)
-
-
-@dataclass(frozen=True)
 class Reference:
-    """True chemical shifts: residue index (1-based) -> base role -> ppm."""
+    """True chemical shifts: residue index (1-based) -> base role -> ppm. An
+    atom the residue lacks has no entry."""
 
     sequence: ProteinSequence
     shifts: Mapping[int, Mapping[str, float]]
@@ -82,17 +58,6 @@ class Reference:
         object.__setattr__(
             self, "shifts", {int(k): dict(v) for k, v in self.shifts.items()}
         )
-
-    def shift(self, residue: int, role: str) -> float | None:
-        entry = self.shifts.get(residue)
-        if entry is None:
-            raise MissingReferenceError(f"no reference shifts for residue {residue}")
-        return entry.get(role)
-
-    def check_covers(self, seq: ProteinSequence) -> None:
-        for k in range(1, len(seq) + 1):
-            if k not in self.shifts:
-                raise MissingReferenceError(f"no reference shifts for residue {k}")
 
 
 @dataclass
@@ -128,44 +93,65 @@ def sample_reference(seq: ProteinSequence, priors: PriorTable, seed: int) -> Ref
     return Reference(seq, shifts)
 
 
-def _has_amide(reference: Reference, k: int) -> bool:
-    return (
-        reference.shift(k, "N") is not None and reference.shift(k, "HN") is not None
-    )
-
-
-def simulate_cisa(
-    spec: SimulationSpec, seq: ProteinSequence, reference: Reference
-) -> tuple[list[SpinSystem], GroundTruth]:
-    reference.check_covers(seq)
-    spins: list[SpinSystem] = []
-    gt = GroundTruth(
-        "spins",
+def _ground_truth(
+    kind: str, seq: ProteinSequence, reference: Reference, deletion_rate: float
+) -> GroundTruth:
+    """The empty ground truth of a simulation, once its inputs pass the
+    checks both protocols share: the deletion rate lies in [0, 1), and the
+    reference holds shifts for every simulated residue under the same
+    residue type, that is, its sequence starts with the simulated one."""
+    if not 0.0 <= deletion_rate < 1.0:
+        raise NmrAssignError(f"deletion rate must be in [0, 1), got {deletion_rate}")
+    if not reference.sequence.residues.startswith(seq.residues):
+        raise NmrAssignError(
+            f"the reference is of sequence {reference.sequence.residues}, "
+            f"which does not start with the simulated sequence {seq.residues}"
+        )
+    for k in range(1, len(seq) + 1):
+        if k not in reference.shifts:
+            raise NmrAssignError(f"the reference holds no shifts for residue {k}")
+    return GroundTruth(
+        kind,
         seq.residues,
         {},
         reference={k: dict(v) for k, v in reference.shifts.items()},
     )
+
+
+def simulate_cisa(
+    seq: ProteinSequence,
+    reference: Reference,
+    seed: int,
+    noise: str = "low",
+    deletion_rate: float = 0.0,
+) -> tuple[list[SpinSystem], GroundTruth]:
+    if noise not in CISA_NOISE:
+        raise NmrAssignError(f"unknown noise level {noise!r}")
+    sigma_alpha, sigma_beta = CISA_NOISE[noise]
+    gt = _ground_truth("spins", seq, reference, deletion_rate)
+    spins: list[SpinSystem] = []
     for k in range(1, len(seq) + 1):
-        if not _has_amide(reference, k):
+        true = reference.shifts[k]
+        if not {"N", "HN"} <= true.keys():
             gt.residue_to_id[k] = None
             continue
-        rng = np.random.default_rng([spec.seed, k])
-        shifts = {"N": reference.shift(k, "N"), "HN": reference.shift(k, "HN")}
+        rng = np.random.default_rng([seed, k])
+        shifts = {"N": true["N"], "HN": true["HN"]}
         carbon_specs = [
-            ("CA", k, spec.sigma_alpha),
-            ("CB", k, spec.sigma_beta),
-            ("CA_prev", k - 1, spec.sigma_alpha),
-            ("CB_prev", k - 1, spec.sigma_beta),
+            ("CA", k, sigma_alpha),
+            ("CB", k, sigma_beta),
+            ("CA_prev", k - 1, sigma_alpha),
+            ("CB_prev", k - 1, sigma_beta),
         ]
         for role, residue, sigma in carbon_specs:
             draw = rng.normal()
             if residue < 1:
                 continue
-            true = reference.shift(residue, base_role(role))
-            if true is None:
+            carbon = reference.shifts[residue].get(base_role(role))
+            if carbon is None:
                 continue
-            shifts[role] = true + sigma * draw
-        if spec.deletion_rate > 0 and rng.random() < spec.deletion_rate:
+            shifts[role] = carbon + sigma * draw
+        if deletion_rate > 0 and rng.random() < deletion_rate:
             gt.residue_to_id[k] = None
             continue
         system_id = f"s{k:03d}"
@@ -174,7 +160,11 @@ def simulate_cisa(
     return spins, gt
 
 
-def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float) -> float:
+def _truncated_normal(rng: np.random.Generator, dim: str) -> float:
+    """A deviation in dimension ``dim``: ``FLYA_SIGMA`` times a normal draw,
+    redrawn until it lies within ``FLYA_BOUND``; 0 without a draw when the
+    sigma is 0."""
+    sigma, bound = FLYA_SIGMA[dim], FLYA_BOUND[dim]
     if sigma == 0.0:
         return 0.0
     while True:
@@ -184,29 +174,23 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float) -> f
 
 
 def simulate_flya(
-    spec: SimulationSpec,
     seq: ProteinSequence,
     reference: Reference,
-    experiments: Sequence[str],
+    seed: int,
+    experiments: Sequence[str] = FULL_SET,
+    deletion_rate: float = 0.0,
 ) -> tuple[list[Peak], GroundTruth]:
-    reference.check_covers(seq)
     exps = experiment_set(experiments)
+    gt = _ground_truth("peaks", seq, reference, deletion_rate)
     peaks: list[Peak] = []
-    gt = GroundTruth(
-        "peaks",
-        seq.residues,
-        {},
-        reference={k: dict(v) for k, v in reference.shifts.items()},
-    )
     for k in range(1, len(seq) + 1):
         gt.residue_to_id[k] = None
-        if not _has_amide(reference, k):
+        true = reference.shifts[k]
+        if not {"N", "HN"} <= true.keys():
             gt.residue_to_peaks[k] = ()
             continue
-        rng = np.random.default_rng([spec.seed, k])
+        rng = np.random.default_rng([seed, k])
         emitted: list[str] = []
-        h_true = reference.shift(k, "HN")
-        n_true = reference.shift(k, "N")
         for exp in exps:
             for t, tmpl in enumerate(exp.templates):
                 c_true = None
@@ -214,18 +198,16 @@ def simulate_flya(
                     residue = k - 1 if is_prev(tmpl.role) else k
                     if residue < 1:
                         continue
-                    c_true = reference.shift(residue, base_role(tmpl.role))
+                    c_true = reference.shifts[residue].get(base_role(tmpl.role))
                     if c_true is None:
                         continue
                 coords = [
-                    ("H", h_true + _truncated_normal(rng, spec.flya_sigma["H"], FLYA_BOUND["H"])),
-                    ("N", n_true + _truncated_normal(rng, spec.flya_sigma["N"], FLYA_BOUND["N"])),
+                    ("H", true["HN"] + _truncated_normal(rng, "H")),
+                    ("N", true["N"] + _truncated_normal(rng, "N")),
                 ]
                 if c_true is not None:
-                    coords.append(
-                        ("C", c_true + _truncated_normal(rng, spec.flya_sigma["C"], FLYA_BOUND["C"]))
-                    )
-                if spec.deletion_rate > 0 and rng.random() < spec.deletion_rate:
+                    coords.append(("C", c_true + _truncated_normal(rng, "C")))
+                if deletion_rate > 0 and rng.random() < deletion_rate:
                     continue
                 peak_id = f"p{k:03d}_{exp.name}_{t}"
                 peaks.append(Peak(peak_id, exp.name, tuple(coords), tmpl.phase))
@@ -239,24 +221,24 @@ def simulate_flya(
 # file formats
 
 
-def write_reference(reference: Reference, path: str | Path) -> None:
-    doc = {
-        "sequence": reference.sequence.residues,
-        "shifts": {str(k): v for k, v in sorted(reference.shifts.items())},
-    }
-    write_json(doc, path)
-
-
 def read_reference(path: str | Path) -> Reference:
     return reference_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def reference_from_dict(doc: Mapping) -> Reference:
+    """A reference from a JSON document: an object whose ``sequence`` is a
+    one-letter sequence and whose ``shifts`` maps residue index -> base
+    role -> shift in ppm. A shift that is not a finite number is rejected,
+    naming its residue and role."""
     with json_object(doc, "reference") as read:
-        return Reference(
-            ProteinSequence(read("sequence", str)),
-            {int(k): v for k, v in read("shifts", Mapping).items()},
-        )
+        reference = Reference(ProteinSequence(read("sequence", str)), read("shifts", Mapping))
+    for k, entry in reference.shifts.items():
+        for role, value in entry.items():
+            if not is_finite_number(value):
+                raise NmrAssignError(
+                    f"reference shifts[{k}][{role}] must be a finite number, got {value!r}"
+                )
+    return reference
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:

@@ -236,7 +236,7 @@ def test_flya_protocol_via_cli(tmp_path, capsys):
     code = main(
         [
             "simulate",
-            "--sequence", "ADKFLEGQRS",
+            "--sequence", "NAEVCEPCDE",  # the first 10 residues of ref60
             "--protocol", "flya",
             "--reference", "ref60",
             "--seed", "3",
@@ -246,6 +246,22 @@ def test_flya_protocol_via_cli(tmp_path, capsys):
     assert code == EXIT_OK
     assert (out / "peaks.tsv").exists()
     capsys.readouterr()
+
+
+def test_reference_of_another_sequence_exits_2(tmp_path, capsys):
+    """A reference must hold the simulated sequence as its start: ref40
+    reads MLVQKIDRGADPKHPC..., so its first 10 residues simulate and a
+    sequence that departs from it at residue 11 exits 2."""
+    argv = ["simulate", "--reference", "ref40", "--protocol", "flya", "--seed", "3"]
+    assert main([*argv, "--sequence", "MLVQKIDRGA", "--out", str(tmp_path / "prefix")]) == EXIT_OK
+    capsys.readouterr()
+    code = main([*argv, "--sequence", "MLVQKIDRGAEFHKLT", "--out", str(tmp_path / "other")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: the reference is of sequence " + bundled_reference("ref40").sequence.residues
+        + ", which does not start with the simulated sequence MLVQKIDRGAEFHKLT\n"
+    )
+    assert not (tmp_path / "other" / "peaks.tsv").exists()
 
 
 def test_timings_name_each_stage(tmp_path, capsys):
@@ -542,21 +558,42 @@ def test_each_option_set_by_config_or_flag(tmp_path, capsys, monkeypatch, comman
 @pytest.mark.filterwarnings("error")  # a warning would print a second line
 @pytest.mark.parametrize("flags, message", [
     (["--delta", "inf"], "tolerance delta must be strictly positive and finite"),
-    (["--delta", "1e308"], "residue 1 has a non-finite typing threshold; lower --delta"),
+    (["--delta", "1e308"], "tolerance delta must be at most 1000 prior standard deviations, got 1e+308"),
+    (["--delta", "1e7"], "tolerance delta must be at most 1000 prior standard deviations, got 1e+07"),
     (["--variant", "lian2", "--lambda", "inf"], "tolerance lambda must be strictly positive and finite"),
     (["--lambda", "0"], "tolerance lambda must be strictly positive and finite"),
     (["--delta1", "inf"], "tolerance delta1 must be strictly positive and finite"),
-], ids=["delta-inf", "delta-1e308", "lambda-inf", "lambda-0", "delta1-inf"])
+], ids=["delta-inf", "delta-1e308", "delta-1e7", "lambda-inf", "lambda-0", "delta1-inf"])
 def test_non_finite_tolerances_exit_2(tmp_path, capsys, flags, message):
-    """A tolerance that is not finite, or a typing multiplier so large that
-    a residue's summed typing threshold overflows, exits 2 with one error
-    line instead of a traceback or a solver's complaint."""
+    """A tolerance that is not finite, or a typing multiplier above
+    ``DELTA_MAX`` (from 1e7 on the relaxation of this dataset fails
+    numerically), exits 2 with one error line instead of a traceback or a
+    solver's complaint."""
     run = _simulate(tmp_path, "run")
     capsys.readouterr()
     code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
                  "--out", str(tmp_path / "out"), *flags])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_overflowing_typing_threshold_exits_2(tmp_path, capsys):
+    """A noise sigma so small that a residue's typing threshold overflows,
+    at the default delta, exits 2 naming the residue."""
+    run = _simulate(tmp_path, "run")
+    doc = json.loads(resources.files("nmrassign.data").joinpath("priors.json").read_text())
+    doc["noise"]["spins"]["CA"] = 1e-160
+    priors = tmp_path / "priors.json"
+    priors.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                     "--priors", str(priors), "--out", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: residue 1 has a non-finite typing threshold; widen the priors' sigmas "
+        "or lower --delta\n"
+    )
 
 
 def _edit_prior(doc, key, value):
@@ -631,6 +668,9 @@ NULL_ASSIGNMENT = {
                  "is malformed at 'residue_to_peaks'", id="ground-truth-peaks-number"),
     pytest.param("reference", {"sequence": SEQ, "shifts": [1]}, "'shifts' must be an object",
                  id="reference-shifts-list"),
+    pytest.param("reference", {"sequence": SEQ, "shifts": {"1": {"N": "x"}}},
+                 "reference shifts[1][N] must be a finite number, got 'x'",
+                 id="reference-string-shift"),
 ])
 def test_malformed_json_input_exits_2(tmp_path, capsys, which, doc, message):
     """An assignment, ground truth or reference file that is not an object,

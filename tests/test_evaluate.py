@@ -18,7 +18,7 @@ from nmrassign.evaluate import (
     write_report,
 )
 from nmrassign.lp import solve_lian1
-from nmrassign.simulate import GroundTruth, sample_reference, simulate_cisa, SimulationSpec
+from nmrassign.simulate import GroundTruth, sample_reference, simulate_cisa
 from nmrassign.graph import build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.experiments import spin_observation_counts
@@ -156,7 +156,7 @@ def test_diagnostics_rejects_foreign_path(default_tol):
 def test_end_to_end_scoring_on_simulated_data(toy_priors, default_tol):
     seq = ProteinSequence("AGAGA")
     ref = sample_reference(seq, toy_priors, seed=21)
-    spins, gt = simulate_cisa(SimulationSpec.cisa("low", 21), seq, ref)
+    spins, gt = simulate_cisa(seq, ref, 21, "low")
     groupings = spins_to_groupings(spins, toy_priors)
     g = build_graph(groupings, seq, toy_priors, default_tol, spin_observation_counts(toy_priors))
     result = solve_lian1(g, default_tol)

@@ -3,6 +3,7 @@ import pytest
 from nmrassign.domain import NmrAssignError
 from nmrassign.experiments import (
     BASIC_SET,
+    EXPERIMENTS,
     FULL_SET,
     canonical_name,
     candidate_roles,
@@ -32,6 +33,10 @@ def test_candidate_roles_respect_phase():
     assert candidate_roles("hncacb", 0) == ("CA", "CB", "CA_prev", "CB_prev")
     assert candidate_roles("hnco", 0) == ("CO_prev",)
     assert candidate_roles("hsqc", 0) == ()
+    # candidate_roles keeps every template's role: none is listed twice
+    for exp in EXPERIMENTS.values():
+        roles = [tmpl.role for tmpl in exp.templates]
+        assert len(set(roles)) == len(roles), exp.name
 
 
 def test_expected_observation_counts(toy_priors):

@@ -39,7 +39,7 @@ from nmrassign.experiments import spin_observation_counts
 from nmrassign.graph import REGULAR, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import canonical_path, dp_shortest_path, solve_result
-from nmrassign.simulate import SimulationSpec, sample_reference, simulate_cisa
+from nmrassign.simulate import sample_reference, simulate_cisa
 
 from oracles import (
     InstanceTooLargeError,
@@ -408,7 +408,7 @@ def _deletion_graph(seq: str, seed: int, deletion_rate: float, reference=None):
     sequence, wide = ProteinSequence(seq), _wide_priors()
     if reference is None:
         reference = sample_reference(sequence, bundled_priors(), seed)
-    spins, _ = simulate_cisa(SimulationSpec.cisa("high", seed, deletion_rate), sequence, reference)
+    spins, _ = simulate_cisa(sequence, reference, seed, "high", deletion_rate)
     tol = Tolerances(delta3=1.4)
     groupings = spins_to_groupings(spins, wide)
     return build_graph(groupings, sequence, wide, tol, spin_observation_counts(wide)), tol
