@@ -53,6 +53,12 @@ def is_finite_number(value: object) -> bool:
     )
 
 
+def has_finite_precision(sigma: float) -> bool:
+    """Whether ``1 / sigma**2``, the precision the cost model weighs a
+    Gaussian by, is finite; a positive sigma below about 1e-154 has none."""
+    return sigma * sigma > 0 and math.isfinite(1.0 / (sigma * sigma))
+
+
 def is_prev(role: str) -> bool:
     return role.endswith(PREV_SUFFIX)
 
@@ -159,6 +165,8 @@ class Prior:
                 raise NmrAssignError(f"prior {name} must be a finite number, got {value!r}")
         if not self.std > 0:
             raise NonPositiveSigmaError(f"prior std must be positive, got {self.std}")
+        if not has_finite_precision(self.std):
+            raise NmrAssignError(f"prior std {self.std:g} is too small: 1/std^2 is not finite")
 
 
 class PriorTable:
@@ -184,6 +192,10 @@ class PriorTable:
                     raise NmrAssignError(f"noise[{sp}][{key}] must be a number, got {sigma!r}")
                 if not sigma > 0:
                     raise NonPositiveSigmaError(f"noise[{sp}][{key}] must be positive")
+                if not has_finite_precision(sigma):
+                    raise NmrAssignError(
+                        f"noise[{sp}][{key}] = {sigma:g} is too small: 1/sigma^2 is not finite"
+                    )
 
     def prior(self, residue_type: str, role: str) -> Prior | None:
         """Prior for an atom role; None when the atom is absent."""

@@ -22,19 +22,22 @@ After ``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up
 and the LP below decides. ``ilp`` skips the stage and stays the
 full-program oracle.
 
-The module loads numpy only: ``formulate`` imports ``scipy.sparse`` and
-the first solve ``scipy.optimize``, so a Lagrangian proof loads no scipy.
-Relaxations go to HiGHS's dual simplex, whose vertex solutions are
-integral on pure flow polytopes. The root is solved with presolve off (on
-peak lists, presolve took most of the root's time); search nodes keep
-HiGHS's default. When utilization rows make the optimum fractional, the
-root's utilization duals serve as Lagrangian multipliers: one forward and
-one backward DP (``dp_edge_bounds``) bound every answer that uses an
-edge, and a branch and bound searches only the edges whose bound lies
-within a margin of the root, with that margin as its cutoff; the margin
-doubles until an answer is found. Every search node is a column-subset
-program: branching drops edges. The exact ``ilp`` search skips the rule
-and starts from the root relaxation already solved.
+The module loads numpy only: ``formulate`` imports ``scipy.sparse``, so a
+Lagrangian proof loads no scipy. Relaxations go to HiGHS's dual simplex
+through ``linprog``, which hands HiGHS's Python core the model and options
+``scipy.optimize.linprog(method="highs-ds")`` would. The first solve loads
+that core from scipy's installed files (``highs_core``) without importing
+``scipy.optimize``, whose package init loads most of scipy. HiGHS's
+vertex solutions are integral on pure flow polytopes. The root is solved
+with presolve off (on peak lists, presolve took most of the root's time);
+search nodes keep HiGHS's default. When utilization rows make the
+optimum fractional, the root's utilization duals serve as Lagrangian
+multipliers: one forward and one backward DP (``dp_edge_bounds``) bound
+every answer that uses an edge, and a branch and bound searches only the
+edges whose bound lies within a margin of the root, with that margin as
+its cutoff; the margin doubles until an answer is found. Every search
+node is a column-subset program: branching drops edges. The exact ``ilp``
+search skips the rule and starts from the root relaxation already solved.
 
 Which of several tied optima comes back is up to HiGHS (and its presolve),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
@@ -47,12 +50,15 @@ answer no longer depends on which of the swaps the solver returned.
 """
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -277,12 +283,110 @@ def formulate(
 Backend = Callable[[LinearProgram], LpSolution]
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call, so that a run
-    the Lagrangian stage proves never loads scipy's solver."""
-    from scipy.optimize import linprog as highs
+#: HiGHS's Python core, the module ``scipy.optimize.linprog`` calls
+HIGHS_CORE = "scipy.optimize._highspy._core"
+#: ``scipy.optimize.linprog``'s status codes of HiGHS model statuses:
+#: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, any other 4
+_SCIPY_STATUS = {
+    "kOptimal": 0,
+    "kTimeLimit": 1,
+    "kIterationLimit": 1,
+    "kInfeasible": 2,
+    "kModelError": 2,
+    "kUnbounded": 3,
+}
+#: how far an optimal answer may miss its bounds, slacks and equalities
+#: before it counts as a numerical failure (``10 * sqrt(tol)``, tol 1e-9)
+_RESIDUAL_TOL = 10 * math.sqrt(1e-9)
 
-    return highs(*args, **kwargs)
+
+def _highs_directory() -> Path:
+    """The folder of scipy's installed files that holds ``HIGHS_CORE``."""
+    import scipy
+
+    return Path(scipy.__file__).parent / "optimize" / "_highspy"
+
+
+def highs_core():
+    """``HIGHS_CORE``, loaded from scipy's files under its full name without
+    running ``scipy.optimize``'s package init, or the module already loaded."""
+    core = sys.modules.get(HIGHS_CORE)
+    if core is not None:
+        return core
+    directory = _highs_directory()
+    names = [f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((directory / n for n in names if (directory / n).is_file()), None)
+    if path is None:
+        raise SolverError(f"no HiGHS core {names[0]} in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(HIGHS_CORE, str(path))
+    core = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(HIGHS_CORE, path, loader=loader)
+    )
+    loader.exec_module(core)
+    sys.modules[HIGHS_CORE] = core
+    return core
+
+
+def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options):
+    """``scipy.optimize.linprog(..., method="highs-ds", options=options)`` on
+    an (n × 2) ``bounds`` array, called straight through ``highs_core``:
+    HiGHS gets the model and options scipy's wrapper passes it, and the
+    answer holds scipy's status code, ``fun``, ``x``, ``ineqlin.marginals``
+    and ``nit``. ``options`` holds ``presolve`` only. As in scipy, an optimal
+    answer with a NaN, or one that misses a bound, slack or equality by more
+    than ``_RESIDUAL_TOL``, gets status 4."""
+    from scipy import sparse
+
+    h = highs_core()
+    n_ub = len(b_ub)
+    A = sparse.vstack([m for m in (A_ub, A_eq) if m is not None], format="csc")
+    low, high = bounds.T
+    lhs, rhs = np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq])
+    # HiGHS reads a bound at or beyond kHighsInf as infinite
+    lb, ub, lhs, rhs = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (low, high, lhs, rhs))
+    model = h.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = A.shape[1]
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.a_matrix_.format_ = h.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A.indptr, A.indices, A.data
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
+    model.row_lower_, model.row_upper_ = lhs, rhs
+    settings = h.HighsOptions()
+    settings.presolve = "on" if options["presolve"] else "off"
+    settings.solver = "simplex"
+    settings.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    settings.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    settings.output_flag = settings.log_to_console = False
+
+    highs, error = h._Highs(), h.HighsStatus.kError
+    highs.passOptions(settings)  # fixed values HiGHS accepts: scipy's checks are left out
+    if highs.passModel(model) == error:
+        return _answer(_SCIPY_STATUS["kModelError"])
+    if highs.run() == error:
+        # without a solution to read, an optimal status is a failure too
+        return _answer(_SCIPY_STATUS.get(highs.getModelStatus().name, 4) or 4)
+    status = _SCIPY_STATUS.get(highs.getModelStatus().name, 4)
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status:
+        return _answer(status, nit)
+    solution = highs.getSolution()
+    x, rows = np.array(solution.col_value), np.array(solution.row_value)
+    fun = info.objective_function_value
+    slack, con = b_ub - rows[:n_ub], b_eq - rows[n_ub:]
+    tol = _RESIDUAL_TOL
+    feasible = not (
+        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() or np.isnan(con).any()
+        or not np.all((x >= low - tol) & (x <= high + tol))
+        or (slack < -tol).any() or (np.abs(con) > tol).any()
+    )
+    return _answer(0 if feasible else 4, nit, fun, x, np.array(solution.row_dual)[:n_ub])
+
+
+def _answer(status: int, nit: int = 0, fun=None, x=None, marginals=None) -> SimpleNamespace:
+    """``linprog``'s answer, in the fields of scipy's that the program reads."""
+    ineqlin = SimpleNamespace(marginals=marginals)
+    return SimpleNamespace(status=status, fun=fun, x=x, ineqlin=ineqlin, nit=nit)
 
 
 def solve_lp(
@@ -318,7 +422,6 @@ def solve_lp(
         A_eq=A_eq,
         b_eq=b_eq,
         bounds=lp.bounds,
-        method="highs-ds",
         options={"presolve": presolve},
     )
     status = _STATUS.get(res.status, "numerical_failure")

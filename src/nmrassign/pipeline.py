@@ -116,23 +116,25 @@ def run_simulate(
 ) -> dict:
     from .simulate import sample_reference, simulate_cisa, simulate_flya, write_ground_truth
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     stages: dict[str, float] = {}
     if reference is None:
         reference = sample_reference(seq, priors, seed)
     if protocol == "cisa":
         with _stage(stages, "simulate"):
-            spins, gt = simulate_cisa(seq, reference, seed, noise, deletion_rate)
-        write_spins(spins, outdir / "spins.tsv")
-        summary = {"protocol": "cisa", "noise": noise, "records": len(spins)}
+            records, gt = simulate_cisa(seq, reference, seed, noise, deletion_rate)
+        write, name = write_spins, "spins.tsv"
+        summary = {"protocol": "cisa", "noise": noise, "records": len(records)}
     elif protocol == "flya":
         with _stage(stages, "simulate"):
-            peaks, gt = simulate_flya(seq, reference, seed, experiments, deletion_rate)
-        write_peaks(peaks, outdir / "peaks.tsv")
-        summary = {"protocol": "flya", "records": len(peaks)}
+            records, gt = simulate_flya(seq, reference, seed, experiments, deletion_rate)
+        write, name = write_peaks, "peaks.tsv"
+        summary = {"protocol": "flya", "records": len(records)}
     else:
         raise NmrAssignError(f"unknown protocol {protocol!r}")
+    # only inputs the simulator accepted get an output folder
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write(records, outdir / name)
     write_ground_truth(gt, outdir / "ground_truth.json")
     summary["residues"] = len(seq)
     write_json(summary, outdir / "simulate_summary.json")

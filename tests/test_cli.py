@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import nmrassign.lp as lpmod
 from nmrassign import cli
 from nmrassign.cli import EXIT_INCUMBENT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
 from nmrassign.domain import write_priors
@@ -262,6 +264,22 @@ def test_reference_of_another_sequence_exits_2(tmp_path, capsys):
         + ", which does not start with the simulated sequence MLVQKIDRGAEFHKLT\n"
     )
     assert not (tmp_path / "other" / "peaks.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ref40 leaves this sequence at residue 11
+        ["--sequence", "MLVQKIDRGAEFHKLT", "--reference", "ref40", "--protocol", "flya", "--seed", "3"],
+        ["--sequence", SEQ, "--protocol", "cisa", "--deletion-rate", "1"],
+    ],
+)
+def test_rejected_simulation_leaves_no_output_folder(tmp_path, capsys, argv):
+    """simulate creates --out only once the simulator accepted its inputs."""
+    out = tmp_path / "out"
+    assert main(["simulate", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_timings_name_each_stage(tmp_path, capsys):
@@ -577,23 +595,50 @@ def test_non_finite_tolerances_exit_2(tmp_path, capsys, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_overflowing_typing_threshold_exits_2(tmp_path, capsys):
-    """A noise sigma so small that a residue's typing threshold overflows,
-    at the default delta, exits 2 naming the residue."""
+def _assign_with_priors(tmp_path, capsys, edit) -> tuple[int, str]:
+    """assign's exit code and stderr on a cisa run, with the bundled priors
+    as ``edit`` changed them; any warning raises."""
     run = _simulate(tmp_path, "run")
     doc = json.loads(resources.files("nmrassign.data").joinpath("priors.json").read_text())
-    doc["noise"]["spins"]["CA"] = 1e-160
+    edit(doc)
     priors = tmp_path / "priors.json"
     priors.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
                      "--priors", str(priors), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_overflowing_typing_threshold_exits_2(tmp_path, capsys):
+    """A noise sigma so small that a residue's typing threshold overflows,
+    at the default delta, though its precision 1/sigma^2 is finite, exits 2
+    naming the residue."""
+    code, err = _assign_with_priors(
+        tmp_path, capsys, lambda doc: doc["noise"]["spins"].update(CA=1e-154)
+    )
     assert code == EXIT_INPUT
-    assert capsys.readouterr().err == (
+    assert err == (
         "error: residue 1 has a non-finite typing threshold; widen the priors' sigmas "
         "or lower --delta\n"
     )
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+@pytest.mark.parametrize("entry, edit", [
+    pytest.param("noise[spins][CA] = ", lambda doc, sigma: doc["noise"]["spins"].update(CA=sigma),
+                 id="noise"),
+    pytest.param("priors atoms[A][CA]: prior std ", lambda doc, sigma: _edit_prior(doc, "std", sigma),
+                 id="prior-std"),
+])
+def test_sigma_without_a_finite_precision_exits_2(tmp_path, capsys, sigma, entry, edit):
+    """A noise sigma or prior std whose precision 1/sigma^2 is not finite is
+    rejected as the priors load: one error line naming the entry, and no
+    warning."""
+    code, err = _assign_with_priors(tmp_path, capsys, lambda doc: edit(doc, sigma))
+    assert code == EXIT_INPUT
+    assert err.startswith(f"error: {entry}{sigma:g} is too small") and err.count("\n") == 1
 
 
 def _edit_prior(doc, key, value):
@@ -850,27 +895,28 @@ def test_peak_list_runs_load_neither_numpy_ma_nor_the_simulator(tmp_path, capsys
 SOLVER_IMPORT_SCRIPT = """
 import json, sys
 from pathlib import Path
-from nmrassign import cli
+from nmrassign import cli, lp
 
 seq, dataset, out = sys.argv[1:]
 assert cli.main(["assign", "--sequence", seq, "--dataset", dataset, "--out", out]) == 0
 report = json.loads((Path(out) / "lp_report.json").read_text(encoding="utf-8"))
 scipy = any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
-print(json.dumps([report["proved_by"], "scipy.optimize" in sys.modules, scipy]))
+loaded = [name in sys.modules for name in ("scipy.optimize", lp.HIGHS_CORE)]
+print(json.dumps([report["proved_by"], *loaded, scipy]))
 """
 
 
 @pytest.mark.parametrize(
-    "protocol, seed, extra, dataset, proved_by, loaded",
+    "protocol, seed, extra, dataset, proved_by, core",
     [
         # the Lagrangian stage proves this peak list: no LP, no scipy module
-        ("flya", "2", [], "peaks.tsv", "lagrangian", False),
+        pytest.param("flya", "2", [], "peaks.tsv", "lagrangian", False, id="lagrangian"),
         # at high noise the stage falls through to the root LP
-        ("cisa", "0", ["--noise", "high"], "spins.tsv", "lp", True),
+        pytest.param("cisa", "0", ["--noise", "high"], "spins.tsv", "lp", True, id="lp"),
     ],
 )
-def test_scipy_solver_loads_on_the_first_lp_solve(
-    tmp_path, capsys, protocol, seed, extra, dataset, proved_by, loaded
+def test_highs_core_loads_on_the_first_lp_solve(
+    tmp_path, capsys, protocol, seed, extra, dataset, proved_by, core
 ):
     out = tmp_path / "run"
     argv = ["simulate", "--sequence", SEQ, "--protocol", protocol, "--seed", seed, *extra]
@@ -883,5 +929,25 @@ def test_scipy_solver_loads_on_the_first_lp_solve(
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # scipy.optimize, and for the Lagrangian proof any scipy module at all
-    assert json.loads(proc.stdout.splitlines()[-1]) == [proved_by, loaded, loaded]
+    # never scipy.optimize; HiGHS's core once an LP is solved, and for the
+    # Lagrangian proof no scipy module at all
+    assert json.loads(proc.stdout.splitlines()[-1]) == [proved_by, False, core, core]
+
+
+def test_missing_highs_core_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    """Without HiGHS's core in scipy's files, the first LP solve fails with
+    exit 4 and one error line that names the folder searched."""
+    # at high noise the Lagrangian stage falls through to the root LP
+    run = tmp_path / "run"
+    argv = ["simulate", "--sequence", SEQ, "--protocol", "cisa", "--seed", "0", "--noise", "high"]
+    assert main([*argv, "--out", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.delitem(sys.modules, lpmod.HIGHS_CORE, raising=False)
+    monkeypatch.setattr(lpmod, "_highs_directory", lambda: empty)
+    argv = ["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(empty) in err[0]

@@ -624,6 +624,48 @@ def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
         branched += not result.root_integral
 
 
+def test_linprog_matches_scipy_highs_ds(default_tol):
+    """``linprog`` passes HiGHS what ``scipy.optimize.linprog`` passes it for
+    ``method="highs-ds"``: under either presolve setting the status and
+    iteration count match, and an optimal answer's objective, values and
+    utilization duals match bit for bit. scipy's call is only the oracle."""
+    from scipy import sparse
+    from scipy.optimize import linprog as scipy_linprog
+
+    rng = np.random.default_rng(17)
+    programs = []
+    for _ in range(12):
+        g = random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9)))
+        for variant in ("flow", "lian1", "lian2"):
+            lp = formulate(g, variant, default_tol)
+            programs.append(
+                dict(c=lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds)
+            )
+    assert programs[0]["A_ub"] is None  # a flow program has no inequality rows
+    none = np.zeros(0)
+    programs += [
+        # x0 + x1 == 3 within the unit box: infeasible
+        dict(c=np.ones(2), A_ub=None, b_ub=none, A_eq=sparse.csr_matrix(np.ones((1, 2))),
+             b_eq=np.array([3.0]), bounds=np.array([[0.0, 1.0]] * 2)),
+        # minimize -x0 subject to x0 <= x1, both unbounded above: unbounded
+        dict(c=np.array([-1.0, 0.0]), A_ub=sparse.csr_matrix(np.array([[1.0, -1.0]])),
+             b_ub=np.zeros(1), A_eq=None, b_eq=none, bounds=np.array([[0.0, np.inf]] * 2)),
+    ]
+    statuses = Counter()
+    for program in programs:
+        for presolve in (False, True):
+            kwargs = dict(program, options={"presolve": presolve})
+            ours, theirs = lpmod.linprog(**kwargs), scipy_linprog(**kwargs, method="highs-ds")
+            assert (ours.status, ours.nit) == (theirs.status, theirs.nit)
+            statuses[ours.status] += 1
+            if theirs.status == 0:
+                assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+                assert ours.x.tobytes() == theirs.x.tobytes()
+                assert ours.ineqlin.marginals.tobytes() == theirs.ineqlin.marginals.tobytes()
+    # every random program is feasible and bounded; the last two are not
+    assert statuses == {0: 2 * len(programs) - 4, 2: 2, 3: 2}
+
+
 def test_fractional_root_deletion_regression(tmp_path, capsys):
     """A 30-residue cisa dataset with high noise, 20 % deletions and the
     spins CA/CB sigmas widened to 0.16/0.32 has a fractional root LP: lian1
