@@ -30,16 +30,19 @@ that core from scipy's installed files (``highs_core``) without importing
 ``scipy.optimize``, whose package init loads most of scipy. HiGHS's
 vertex solutions are integral on pure flow polytopes. The root is solved
 with presolve off (on peak lists, presolve took most of the root's time);
-search nodes keep HiGHS's default. When utilization rows make the
+search nodes start warm from it (below). When utilization rows make the
 optimum fractional, the root's utilization duals serve as Lagrangian
 multipliers: one forward and one backward DP (``dp_edge_bounds``) bound
 every answer that uses an edge, and a branch and bound searches only the
 edges whose bound lies within a margin of the root, with that margin as
 its cutoff; the margin doubles until an answer is found. Every search
-node is a column-subset program: branching drops edges. The exact ``ilp``
-search skips the rule and starts from the root relaxation already solved.
+node is the program with some edge columns' upper bounds at 0: branching
+drops edges. The root and every node after it are solved on one HiGHS
+model, each node from the basis the solve before it left. The exact
+``ilp`` search skips the rule and starts from the root relaxation already
+solved.
 
-Which of several tied optima comes back is up to HiGHS (and its presolve),
+Which of several tied optima comes back is up to HiGHS (and its basis),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
 nodes) between windows of equal residue types is such a tie. Every answer,
 the Lagrangian stage's path or the one ``extract_path`` follows through an
@@ -56,7 +59,7 @@ import inspect
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
@@ -99,9 +102,14 @@ class LinearProgram:
     belongs to utilization row ``r`` (soft variant only). ``utilization``
     lists the contested peaks in the order of their utilization rows.
     ``bounds`` is an (n_vars × 2) array of (lower, upper) pairs: edges lie
-    in [0, 1] and slacks in [0, inf]. ``subset`` keeps some columns and
-    every row. External backends (``--backend external:<path>``) may read
-    ``costs``, ``matrices()`` or the four matrix fields, and ``bounds``.
+    in [0, 1] and slacks in [0, inf]; a search node is the program with
+    other ``bounds``. External backends (``--backend external:<path>``) may
+    read ``costs``, ``matrices()`` or the four matrix fields, and ``bounds``.
+
+    The bundled backend keeps the HiGHS model of the program's last solve
+    in ``_highs``, which copies made by ``dataclasses.replace`` share, so a
+    copy with other ``bounds`` is solved warm. A copy with other costs or
+    rows must be built by ``formulate`` instead.
     """
 
     variant: str
@@ -115,6 +123,8 @@ class LinearProgram:
     edge_offsets: np.ndarray
     #: contested peak ids, one per utilization row, in row order
     utilization: list[str] = field(default_factory=list)
+    #: one slot: the ``_Highs`` of the last bundled solve, or None
+    _highs: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -131,29 +141,6 @@ class LinearProgram:
     def matrices(self):
         """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
         return self.A_eq, self.b_eq, self.A_ub, self.b_ub
-
-    def subset(self, keep: np.ndarray) -> LinearProgram:
-        """The program on the columns where ``keep`` is True, with every row."""
-        kept = np.flatnonzero(keep)
-
-        def columns_of(matrix):
-            if matrix is None:
-                return None
-            sub = matrix[:, kept]
-            sub.sort_indices()
-            return sub
-
-        return LinearProgram(
-            variant=self.variant,
-            costs=self.costs[kept],
-            bounds=self.bounds[kept],
-            A_eq=columns_of(self.A_eq),
-            b_eq=self.b_eq,
-            A_ub=columns_of(self.A_ub),
-            b_ub=self.b_ub,
-            edge_offsets=np.searchsorted(kept, self.edge_offsets),
-            utilization=self.utilization,
-        )
 
 
 @dataclass(frozen=True)
@@ -327,41 +314,51 @@ def highs_core():
     return core
 
 
-def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options):
+def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options, highs=None):
     """``scipy.optimize.linprog(..., method="highs-ds", options=options)`` on
     an (n × 2) ``bounds`` array, called straight through ``highs_core``:
     HiGHS gets the model and options scipy's wrapper passes it, and the
     answer holds scipy's status code, ``fun``, ``x``, ``ineqlin.marginals``
     and ``nit``. ``options`` holds ``presolve`` only. As in scipy, an optimal
     answer with a NaN, or one that misses a bound, slack or equality by more
-    than ``_RESIDUAL_TOL``, gets status 4."""
-    from scipy import sparse
+    than ``_RESIDUAL_TOL``, gets status 4.
 
+    ``highs`` is the ``_Highs`` of an earlier answer on the same ``c`` and
+    constraints. With it only the column bounds are set, and HiGHS runs on
+    from its last basis with the options it has (``options`` is not read).
+    The answer carries its ``_Highs`` as ``highs``, None after status 4."""
     h = highs_core()
     n_ub = len(b_ub)
-    A = sparse.vstack([m for m in (A_ub, A_eq) if m is not None], format="csc")
     low, high = bounds.T
-    lhs, rhs = np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq])
     # HiGHS reads a bound at or beyond kHighsInf as infinite
-    lb, ub, lhs, rhs = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (low, high, lhs, rhs))
-    model = h.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = A.shape[1]
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-    model.a_matrix_.format_ = h.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A.indptr, A.indices, A.data
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-    model.row_lower_, model.row_upper_ = lhs, rhs
-    settings = h.HighsOptions()
-    settings.presolve = "on" if options["presolve"] else "off"
-    settings.solver = "simplex"
-    settings.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    settings.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
-    settings.output_flag = settings.log_to_console = False
+    lb, ub = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (low, high))
+    error = h.HighsStatus.kError
+    if highs is not None:
+        if highs.changeColsBounds(len(c), np.arange(len(c), dtype=np.int32), lb, ub) == error:
+            return _answer(4)
+    else:
+        from scipy import sparse
 
-    highs, error = h._Highs(), h.HighsStatus.kError
-    highs.passOptions(settings)  # fixed values HiGHS accepts: scipy's checks are left out
-    if highs.passModel(model) == error:
-        return _answer(_SCIPY_STATUS["kModelError"])
+        A = sparse.vstack([m for m in (A_ub, A_eq) if m is not None], format="csc")
+        lhs, rhs = np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq])
+        lhs, rhs = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (lhs, rhs))
+        model = h.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = A.shape[1]
+        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+        model.a_matrix_.format_ = h.MatrixFormat.kColwise
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A.indptr, A.indices, A.data
+        model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
+        model.row_lower_, model.row_upper_ = lhs, rhs
+        settings = h.HighsOptions()
+        settings.presolve = "on" if options["presolve"] else "off"
+        settings.solver = "simplex"
+        settings.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        settings.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+        settings.output_flag = settings.log_to_console = False
+        highs = h._Highs()
+        highs.passOptions(settings)  # fixed values HiGHS accepts: scipy's checks are left out
+        if highs.passModel(model) == error:
+            return _answer(_SCIPY_STATUS["kModelError"])
     if highs.run() == error:
         # without a solution to read, an optimal status is a failure too
         return _answer(_SCIPY_STATUS.get(highs.getModelStatus().name, 4) or 4)
@@ -369,7 +366,7 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options):
     info = highs.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status:
-        return _answer(status, nit)
+        return _answer(status, nit, highs=None if status == 4 else highs)
     solution = highs.getSolution()
     x, rows = np.array(solution.col_value), np.array(solution.row_value)
     fun = info.objective_function_value
@@ -380,25 +377,25 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options):
         or not np.all((x >= low - tol) & (x <= high + tol))
         or (slack < -tol).any() or (np.abs(con) > tol).any()
     )
-    return _answer(0 if feasible else 4, nit, fun, x, np.array(solution.row_dual)[:n_ub])
+    marginals = np.array(solution.row_dual)[:n_ub]
+    return _answer(0 if feasible else 4, nit, fun, x, marginals, highs if feasible else None)
 
 
-def _answer(status: int, nit: int = 0, fun=None, x=None, marginals=None) -> SimpleNamespace:
-    """``linprog``'s answer, in the fields of scipy's that the program reads."""
+def _answer(status: int, nit: int = 0, fun=None, x=None, marginals=None, highs=None):
+    """``linprog``'s answer: the fields of scipy's that the program reads,
+    and the ``_Highs`` a later call may run on."""
     ineqlin = SimpleNamespace(marginals=marginals)
-    return SimpleNamespace(status=status, fun=fun, x=x, ineqlin=ineqlin, nit=nit)
+    return SimpleNamespace(status=status, fun=fun, x=x, ineqlin=ineqlin, nit=nit, highs=highs)
 
 
-def solve_lp(
-    lp: LinearProgram, backend: Backend | None = None, *, presolve: bool = True
-) -> LpSolution:
-    """Solve the relaxation with the bundled HiGHS dual simplex backend,
-    with or without HiGHS presolve (an external backend ignores it). An
-    external backend's answer must be an ``LpSolution`` with one of the
-    ``_STATUS`` values; an optimal one needs a finite objective and one
-    value per variable, and multipliers, when given, one finite number per
-    utilization row. Any other answer raises ``SolverError``, naming the
-    backend."""
+def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
+    """Solve the relaxation with the bundled HiGHS dual simplex backend:
+    warm on the model of ``lp``'s last solve when it has one, and otherwise
+    cold with presolve off. An external backend's answer must be an
+    ``LpSolution`` with one of the ``_STATUS`` values; an optimal one needs
+    a finite objective and one value per variable, and multipliers, when
+    given, one finite number per utilization row. Any other answer raises
+    ``SolverError``, naming the backend."""
     if backend is not None:
         answer = backend(lp)
         what = getattr(backend, "__qualname__", type(backend).__qualname__)
@@ -422,8 +419,10 @@ def solve_lp(
         A_eq=A_eq,
         b_eq=b_eq,
         bounds=lp.bounds,
-        options={"presolve": presolve},
+        options={"presolve": False},
+        highs=lp._highs[0],
     )
+    lp._highs[0] = res.highs
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, None, None)
@@ -464,18 +463,6 @@ class BnbResult:
     columns_fixed: int = 0
 
 
-def _solve_columns(lp: LinearProgram, keep: np.ndarray, backend: Backend | None) -> LpSolution:
-    """Solve ``lp.subset(keep)``; its values come back zero off the subset."""
-    if keep.all():
-        return solve_lp(lp, backend)
-    sol = solve_lp(lp.subset(keep), backend)
-    if sol.values is None:
-        return sol
-    values = np.zeros(lp.n_vars)
-    values[keep] = sol.values
-    return LpSolution(sol.status, sol.objective, values)
-
-
 def branch_and_bound(
     lp: LinearProgram,
     keep: np.ndarray | None = None,
@@ -490,13 +477,15 @@ def branch_and_bound(
     depth first, branching on the most fractional edge variable ``x_e``.
     Unit flow crosses every edge layer, so the ``x_e = 1`` child, explored
     first, drops the other edges of e's layer, and the ``x_e = 0`` child
-    drops e: every node solves a column subset. Slack variables stay
-    continuous. A node must beat ``cutoff``, and then the incumbent, by
-    more than ``GAP_EPS``. ``root``, when given, is the first node's
-    solution (the program on ``keep``), which is then not solved again.
-    When the node limit is hit the incumbent is returned unproven.
+    drops e: a node is ``lp`` with the upper bounds of its dropped columns
+    at 0. Slack variables stay continuous. A node must beat ``cutoff``, and
+    then the incumbent, by more than ``GAP_EPS``. ``root``, when given, is
+    the first node's solution (``lp`` on ``keep``), which is then not solved
+    again. When the node limit is hit the incumbent is returned unproven.
     """
-    base = np.ones(lp.n_vars, dtype=bool) if keep is None else keep
+    base = lp.bounds.copy()
+    if keep is not None:
+        base[~keep, 1] = 0.0
     offsets, n_edges = lp.edge_offsets, lp.n_edges
 
     incumbent, incumbent_obj = None, cutoff
@@ -511,16 +500,16 @@ def branch_and_bound(
             proven = False
             break
         nodes += 1
-        mask = base.copy()
+        bounds = base.copy()
         for e in ones:
             k = int(np.searchsorted(offsets, e, side="right")) - 1
-            mask[offsets[k] : offsets[k + 1]] = False
-        mask[list(ones)] = True
-        mask[list(zeros)] = False
+            bounds[offsets[k] : offsets[k + 1], 1] = 0.0
+        bounds[list(ones), 1] = 1.0
+        bounds[list(zeros), 1] = 0.0
         if nodes == 1 and root is not None:
             sol = root
         else:
-            sol = _solve_columns(lp, mask, backend)
+            sol = solve_lp(replace(lp, bounds=bounds), backend)
         if not sol.ok:
             continue
         assert sol.objective is not None and sol.values is not None
@@ -712,7 +701,7 @@ def _solve_variant(
                 lp_bound=stage.bound, proven_optimal=True, proved_by="lagrangian", **stats,
             )
     lp = formulate(g, "lian1" if exact else variant, tol, incidence)
-    relaxed = solve_lp(lp, backend=backend, presolve=False)
+    relaxed = solve_lp(lp, backend=backend)
     if relaxed.status in ("infeasible", "unbounded"):
         raise NoPathError(f"relaxation is {relaxed.status}")
     if not relaxed.ok:

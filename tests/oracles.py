@@ -6,8 +6,9 @@ library's ``costmodel.Moments`` and price them with its ``marginal_cost``;
 the batched ``costmodel.merged`` and ``costmodel.typing_thresholds`` must
 equal them bit for bit. Everything else is implemented without reusing the
 library's own machinery: quadrature instead of the closed form, explicit
-enumeration instead of dynamic programming or branch and bound, and a
-node's peaks read from the graph's grouping table.
+enumeration instead of dynamic programming or branch and bound, a node's
+peaks read from the graph's grouping table, and the simulator's true path
+priced edge by edge (``truth_cost``), which bounds every optimum from above.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
 from nmrassign.grouping import GroupingTable
 from nmrassign.shortest_path import NoPathError, PathSolution, path_solution
+from nmrassign.simulate import GroundTruth
 
 #: (value, sigma) pair
 ObsPair = tuple[float, float]
@@ -231,6 +233,29 @@ def iter_paths(g: AssignmentGraph) -> Iterator[tuple[int, ...]]:
 
 def path_cost(g: AssignmentGraph, nodes: Sequence[int]) -> float:
     return sum(edge_cost(g.edges[k], nodes[k], nodes[k + 1]) for k in range(g.n + 1))
+
+
+def truth_cost(g: AssignmentGraph, truth: GroundTruth) -> float:
+    """Cost of the path that follows each residue's true spin system, or
+    its layer's dummy where the residue has none; inf when the graph lacks
+    one of its nodes (typing pruned it) or edges (the link or the threshold
+    cut it). That path uses each spin system once, so every conflict-free
+    optimum costs at most this."""
+    nodes = [0]
+    for k in range(1, g.n + 1):
+        system = truth.residue_to_id.get(k)
+        rows = g.grouping_rows[k].tolist()
+        found = [
+            i for i, row in enumerate(rows)
+            if (g.groupings.ids[row] == system if row >= 0 else system is None)
+        ]
+        if not found:
+            return math.inf
+        nodes.append(found[0])
+    nodes.append(0)
+    return sum(
+        edge_map(layer).get((nodes[k], nodes[k + 1]), math.inf) for k, layer in enumerate(g.edges)
+    )
 
 
 def node_peaks(g: AssignmentGraph, layer: int, index: int) -> frozenset[str]:

@@ -320,16 +320,16 @@ def test_search_limits_below_one_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("node_limit, code, stderr", [
-    (10, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
+    (6, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
     (1, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
 ], ids=["unproven-incumbent", "no-incumbent"])
 def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
     """The 30-residue deletion dataset of ``test_lp`` has a fractional root,
-    and ilp's search finds its first incumbent at node 4 and proves it at
-    node 21: a budget of 10 nodes ends with that incumbent unproven (exit
-    3), and a budget of 1 with none, so the answer is the all-dummy path,
-    unproven, bounded by the root (exit 3, every output written). Neither
-    answer names a stage that proved it."""
+    and ilp's search finds its first incumbent at node 4 and proves the
+    optimum at node 9: a budget of 6 nodes ends with that incumbent
+    unproven (exit 3), and a budget of 1 with none, so the answer is the
+    all-dummy path, unproven, bounded by the root (exit 3, every output
+    written). Neither answer names a stage that proved it."""
     write_priors(_wide_priors(), tmp_path / "priors.json")
     assert main([
         "simulate", "--sequence", REGRESSION_SEQUENCE, "--protocol", "cisa", "--noise", "high",

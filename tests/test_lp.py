@@ -55,6 +55,7 @@ from oracles import (
     path_cost,
     path_overuse,
     random_instance,
+    truth_cost,
 )
 from nmrassign.pipeline import bundled_priors, bundled_reference
 
@@ -320,6 +321,10 @@ def test_round_and_resolve_keeps_node_limit(monkeypatch, node_limit):
             break
     assert full.proven_optimal
     for budget in (NODE_LIMIT, full.nodes_explored - node_limit):
+        # a search runs on from the basis the program's last solve left, so
+        # each one starts, as ``full`` did, right after a root solve
+        lp = formulate(g, "lian1", Tolerances())
+        relaxed = solve_lp(lp)
         calls.clear()
         result = round_and_resolve(g, lp, relaxed, node_limit=budget)
         spent = np.cumsum([0] + [r.nodes_explored for *_, r in calls])
@@ -402,16 +407,16 @@ def _wide_priors() -> PriorTable:
 
 
 def _deletion_graph(seq: str, seed: int, deletion_rate: float, reference=None):
-    """(graph, tolerances) of a simulated cisa dataset with high noise, as
-    ``assign --delta3 1.4`` with the widened priors builds it; the shifts
-    are sampled for the seed unless a reference is given."""
+    """(graph, tolerances, ground truth) of a simulated cisa dataset with
+    high noise, as ``assign --delta3 1.4`` with the widened priors builds
+    it; the shifts are sampled for the seed unless a reference is given."""
     sequence, wide = ProteinSequence(seq), _wide_priors()
     if reference is None:
         reference = sample_reference(sequence, bundled_priors(), seed)
-    spins, _ = simulate_cisa(sequence, reference, seed, "high", deletion_rate)
+    spins, truth = simulate_cisa(sequence, reference, seed, "high", deletion_rate)
     tol = Tolerances(delta3=1.4)
     groupings = spins_to_groupings(spins, wide)
-    return build_graph(groupings, sequence, wide, tol, spin_observation_counts(wide)), tol
+    return build_graph(groupings, sequence, wide, tol, spin_observation_counts(wide)), tol, truth
 
 
 def _layout(g, nodes) -> tuple[Counter, Counter]:
@@ -436,7 +441,7 @@ def _tie_graphs():
     out = []
     for seq in TIE_SEQUENCES:
         for seed in range(6):
-            g, tol = _deletion_graph(seq, seed, 0.35)
+            g, tol, _ = _deletion_graph(seq, seed, 0.35)
             try:
                 best = exhaustive_constrained(g, budget=200_000)
             except InstanceTooLargeError:
@@ -568,7 +573,7 @@ def test_lp_answers_report_exact_slacks():
     instance of seed 1 (ref60 shifts) is proved by the LP, and its HiGHS
     slack values are off integers by up to 1e-15."""
     ref60 = bundled_reference("ref60")
-    g, tol = _deletion_graph(ref60.sequence.residues, 1, 0.2, ref60)
+    g, tol, _ = _deletion_graph(ref60.sequence.residues, 1, 0.2, ref60)
     result = solve_lian2(g, tol)
     assert result.proved_by == "lp" and result.proven_optimal
     assert len(result.reused_peaks) >= 2
@@ -582,13 +587,13 @@ def test_root_presolve_does_not_decide_the_answer(monkeypatch):
     the same path, and objectives within 1e-9, on the regression dataset.
     On the tiny deletion datasets the objectives agree too; the paths
     differ only by ties the rule does not explain, which are listed."""
-    cases = [("regression", *_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2))]
+    cases = [("regression", *_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)[:2])]
     cases += [(label, g, tol) for label, g, tol, _ in _tie_graphs()]
     off = {label: solve_lian1(g, tol) for label, g, tol in cases}
-    solve = lpmod.solve_lp  # from here on every solve, the root's too, presolves
-    monkeypatch.setattr(
-        lpmod, "solve_lp", lambda lp, backend=None, *, presolve=True: solve(lp, backend)
-    )
+    linprog = lpmod.linprog  # from here on every cold solve, the root's, presolves
+    monkeypatch.setattr(lpmod, "linprog", lambda *args, options, **kwargs: linprog(
+        *args, options={"presolve": True}, **kwargs
+    ))
     differ = []
     for label, g, tol in cases:
         on = solve_lian1(g, tol)
@@ -602,13 +607,15 @@ def test_root_presolve_does_not_decide_the_answer(monkeypatch):
 
 def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
     """solve_ilp's first node is the root relaxation already solved: one
-    HiGHS call per node, the root's without presolve and the rest with."""
-    presolve = []
+    HiGHS call per node, the root's cold without presolve, and every later
+    one warm on the root's model."""
+    calls = []
     original = lpmod.linprog
 
-    def recording(*args, **kwargs):
-        presolve.append(kwargs["options"]["presolve"])
-        return original(*args, **kwargs)
+    def recording(*args, highs=None, **kwargs):
+        answer = original(*args, highs=highs, **kwargs)
+        calls.append((highs, kwargs["options"]["presolve"], answer.highs))
+        return answer
 
     monkeypatch.setattr(lpmod, "linprog", recording)
     rng = np.random.default_rng(13)
@@ -617,11 +624,62 @@ def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
         g = random_instance(rng, int(rng.integers(1, 5)), 3, 5)
         if brute_constrained(g) is None:
             continue
-        presolve.clear()
+        calls.clear()
         result = solve_ilp(g, default_tol)
-        assert len(presolve) == result.nodes_explored
-        assert presolve[0] is False and all(presolve[1:])
+        assert len(calls) == result.nodes_explored
+        (cold, presolve, model), *warm = calls
+        assert cold is None and presolve is False and model is not None
+        assert all(highs is model for highs, _, _ in warm)
         branched += not result.root_integral
+
+
+def test_warm_node_solves_match_cold_ones(monkeypatch):
+    """Each search node solved warm, on the model of the solve before it,
+    is solved cold too on the same bounds, the oracle: the status is the
+    same and the objectives agree within 1e-9 relative. On the instances
+    of ``LP_ANSWERS`` (lian1 and lian2 without the Lagrangian stage) and on
+    the regression dataset (lian1 and ilp)."""
+    pairs = []
+    original = lpmod.linprog
+
+    def checking(*args, highs=None, **kwargs):
+        answer = original(*args, highs=highs, **kwargs)
+        if highs is not None:
+            pairs.append((answer, original(*args, **kwargs)))
+        return answer
+
+    monkeypatch.setattr(lpmod, "linprog", checking)
+    monkeypatch.setattr(lpmod, "LAGRANGIAN_ITERATIONS", 0)
+    for g, _ in itertools.islice(_conflicted_instances(2024), len(LP_ANSWERS)):
+        solve_lian1(g, Tolerances())
+        solve_lian2(g, Tolerances(lam=2.0))
+    g, tol, _ = _deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)
+    solve_lian1(g, tol)
+    solve_ilp(g, tol)
+    for warm, cold in pairs:
+        assert warm.status == cold.status
+        if cold.status == 0:
+            assert warm.fun == pytest.approx(cold.fun, rel=1e-9)
+    assert {cold.status for _, cold in pairs} == {0, 2}
+
+
+def test_objectives_stay_below_the_true_path():
+    """The path that follows each residue's true spin system uses each one
+    once, so every lian1 and ilp optimum costs at most it (``truth_cost``,
+    within 1e-9 relative). On spins-deletion's instances (ref60, 20 %
+    deletions, seeds 0-7; lian1) and on the regression dataset (lian1 and
+    ilp); on each the true path is whole in the graph."""
+    ref60 = bundled_reference("ref60")
+    cases = [(_deletion_graph(ref60.sequence.residues, seed, 0.2, ref60), (solve_lian1,))
+             for seed in range(8)]
+    cases.append((_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2), (solve_lian1, solve_ilp)))
+    for (g, tol, truth), solvers in cases:
+        bound = truth_cost(g, truth)
+        assert math.isfinite(bound)
+        for solve in solvers:
+            result = solve(g, tol)
+            assert result.proven_optimal
+            assert result.objective <= bound + 1e-9 * abs(bound)
 
 
 def test_linprog_matches_scipy_highs_ds(default_tol):
@@ -940,7 +998,7 @@ def test_lagrangian_stage_is_pinned_bit_for_bit():
 #: the Lagrangian stage existed: nodes, objective, lp_bound, reused peaks,
 #: epsilons, root_integral; then the search's nodes_explored and
 #: columns_fixed, as the dual-priced search after a fractional root counts
-#: them
+#: them with every node solved warm on the root's HiGHS model
 LP_ANSWERS = [
     [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 27, 37),
      ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
@@ -953,13 +1011,13 @@ LP_ANSWERS = [
       {"p2": 1.0}, True, 1, 0)],
     [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0),
      ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0)],
-    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 52, 16),
+    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 40, 16),
      ((0, 3, 4, 4, 0), -7.333776325415068, -8.591276272631795, {"p0": 2, "p3": 2},
       {"p0": 1.0, "p3": 1.0}, False, 33, 37)],
     [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 33, 22),
      ((0, 1, 4, 1, 0), -1.884021555454079, -2.195267041955036, {"p5": 2}, {"p5": 1.0},
       False, 27, 27)],
-    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 39, 19),
+    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 29, 19),
      ((0, 1, 1, 2, 0, 3, 1, 0), 3.403980858023851, 3.403980858023851, {"p1": 2, "p5": 3},
       {"p1": 1.0, "p5": 2.0}, True, 1, 0)],
     [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 27, 21),
@@ -973,12 +1031,8 @@ def test_without_lagrangian_iterations_the_lp_answers(monkeypatch):
     answers field by field, and no DP runs."""
     monkeypatch.setattr(lpmod, "LAGRANGIAN_ITERATIONS", 0)
     monkeypatch.setattr(lpmod, "dp_shortest_path", None)
-    rng = np.random.default_rng(2024)
     answers = []
-    while len(answers) < len(LP_ANSWERS):
-        g = random_instance(rng, int(rng.integers(2, 7)), 4, int(rng.integers(2, 16)))
-        if not formulate(g, "lian1", Tolerances()).utilization or brute_constrained(g) is None:
-            continue
+    for g, _ in itertools.islice(_conflicted_instances(2024), len(LP_ANSWERS)):
         pair = []
         for result in (solve_lian1(g, Tolerances()), solve_lian2(g, Tolerances(lam=2.0))):
             assert result.proven_optimal and not result.path_canonicalized
