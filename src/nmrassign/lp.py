@@ -22,8 +22,10 @@ After ``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up
 and the LP below decides. ``ilp`` skips the stage and stays the
 full-program oracle.
 
-The module loads numpy only: ``formulate`` imports ``scipy.sparse``, so a
-Lagrangian proof loads no scipy. Relaxations go to HiGHS's dual simplex
+The module loads numpy only, and ``formulate`` builds the constraint matrix
+in numpy, column by column, as HiGHS reads it: a Lagrangian proof loads no
+scipy, and an LP loads no ``scipy.sparse`` unless an external backend reads
+the program's scipy matrices. Relaxations go to HiGHS's dual simplex
 through ``linprog``, which hands HiGHS's Python core the model and options
 ``scipy.optimize.linprog(method="highs-ds")`` would. The first solve loads
 that core from scipy's installed files (``highs_core``) without importing
@@ -38,7 +40,8 @@ edges whose bound lies within a margin of the root, with that margin as
 its cutoff; the margin doubles until an answer is found. Every search
 node is the program with some edge columns' upper bounds at 0: branching
 drops edges. The root and every node after it are solved on one HiGHS
-model, each node from the basis the solve before it left. The exact
+model, each node from the basis the solve before it left, with only the
+column bounds that differ from that solve's set. The exact
 ``ilp`` search skips the rule and starts from the root relaxation already
 solved.
 
@@ -92,11 +95,12 @@ GAP_EPS = 1e-9
 
 @dataclass
 class LinearProgram:
-    """A minimization LP with scipy constraint matrices.
+    """A minimization LP, its constraint matrix stored column by column.
 
-    The constraints are ``A_eq @ x == b_eq`` and ``A_ub @ x <= b_ub``, with
-    CSR matrices whose column indices are sorted within each row, or None
-    when a sense has no rows (its right-hand side is then empty).
+    The constraints are ``A_ub @ x <= b_ub`` and ``A_eq @ x == b_eq``.
+    ``columns`` holds ``(indptr, indices, data)`` of the stacked matrix
+    ``[A_ub; A_eq]`` in compressed sparse column form (int32 indices, rows
+    ascending within each column), the arrays HiGHS reads.
     Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
     (``edge_offsets[-1]`` is ``n_edges``); slack column ``n_edges + r``
     belongs to utilization row ``r`` (soft variant only). ``utilization``
@@ -104,27 +108,35 @@ class LinearProgram:
     ``bounds`` is an (n_vars × 2) array of (lower, upper) pairs: edges lie
     in [0, 1] and slacks in [0, inf]; a search node is the program with
     other ``bounds``. External backends (``--backend external:<path>``) may
-    read ``costs``, ``matrices()`` or the four matrix fields, and ``bounds``.
+    read ``costs``, ``bounds``, and ``matrices()`` or ``A_eq``, ``b_eq``,
+    ``A_ub`` and ``b_ub``: scipy CSR matrices with sorted column indices,
+    or None when a sense has no rows (its right-hand side is then empty).
+    They are built from ``columns`` on first access, the only use of
+    ``scipy.sparse``, and cached in ``_csr``.
 
-    The bundled backend keeps the HiGHS model of the program's last solve
-    in ``_highs``, which copies made by ``dataclasses.replace`` share, so a
-    copy with other ``bounds`` is solved warm. A copy with other costs or
-    rows must be built by ``formulate`` instead.
+    The bundled backend keeps the HiGHS model of the program's last solve,
+    and the bounds it holds, in ``_highs``. Copies made by
+    ``dataclasses.replace`` share both slots, so a copy with other
+    ``bounds`` is solved warm and builds no matrix again. A copy with other
+    costs or rows must be built by ``formulate`` instead.
     """
 
     variant: str
     costs: np.ndarray
     bounds: np.ndarray
-    A_eq: sparse.csr_matrix | None
+    #: (indptr, indices, data) of ``[A_ub; A_eq]``, column by column
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     b_eq: np.ndarray
-    A_ub: sparse.csr_matrix | None
     b_ub: np.ndarray
     #: first column of each edge layer, then the number of edge columns
     edge_offsets: np.ndarray
     #: contested peak ids, one per utilization row, in row order
     utilization: list[str] = field(default_factory=list)
-    #: one slot: the ``_Highs`` of the last bundled solve, or None
-    _highs: list = field(default_factory=lambda: [None], compare=False, repr=False)
+    #: the ``_Highs`` of the last bundled solve and the bounds it holds,
+    #: or None and None
+    _highs: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
+    #: one slot: (A_eq, A_ub) once built, or None
+    _csr: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -138,9 +150,28 @@ class LinearProgram:
     def n_edges(self) -> int:
         return int(self.edge_offsets[-1])
 
+    @property
+    def A_eq(self) -> sparse.csr_matrix | None:
+        return self._views()[0]
+
+    @property
+    def A_ub(self) -> sparse.csr_matrix | None:
+        return self._views()[1]
+
     def matrices(self):
         """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
         return self.A_eq, self.b_eq, self.A_ub, self.b_ub
+
+    def _views(self) -> tuple[sparse.csr_matrix | None, sparse.csr_matrix | None]:
+        """(A_eq, A_ub), built from ``columns`` on the first call."""
+        if self._csr[0] is None:
+            from scipy import sparse
+
+            indptr, indices, data = self.columns
+            A = sparse.csc_matrix((data, indices, indptr), shape=(self.n_rows, self.n_vars)).tocsr()
+            n_ub = len(self.b_ub)
+            self._csr[0] = (A[n_ub:] if len(self.b_eq) else None, A[:n_ub] if n_ub else None)
+        return self._csr[0]
 
 
 @dataclass(frozen=True)
@@ -155,18 +186,6 @@ class LpSolution:
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
-
-
-def _csr(rows, cols, data, shape) -> sparse.csr_matrix | None:
-    """One COO -> CSR build from lists of array chunks; None without rows."""
-    if not shape[0]:
-        return None
-    from scipy import sparse
-    matrix = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
-    matrix.sort_indices()
-    return matrix
 
 
 #: the contested peak ids, then the (indptr, indices) of ``peak_incidence``
@@ -211,42 +230,64 @@ def formulate(
     one conservation row per inner node in (k, i) order; inequality rows
     are one utilization row per contested peak in peak order, built from
     ``incidence`` (``peak_incidence(g)`` when not given).
+
+    The matrix is built column by column over ``[A_ub; A_eq]``, equality
+    row r below the ``n_ub`` utilization rows. An edge column of layer k
+    holds its utilization rows (ascending), then selection row ``k - 1``
+    and conservation row ``flow_row[k] + src`` when k > 0, then
+    conservation row ``flow_row[k + 1] + dst`` when k < n; a slack column
+    holds its utilization row only.
     """
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown LP variant {variant!r}")
     n = g.n
     edge_offsets = np.cumsum([0] + [len(layer) for layer in g.edges])
     n_edges = int(edge_offsets[-1])
-    columns = np.split(np.arange(n_edges), edge_offsets[1:-1])
     costs = [layer.cost for layer in g.edges]
 
     # node i of layer k conserves flow in equality row flow_row[k] + i,
     # after the n selection rows
     flow_row = n + np.cumsum([0, 0] + [len(rows) for rows in g.grouping_rows[1:-1]])
-    rows, cols, data = [], [], []
-    for k in range(1, n + 1):
-        into, out = g.edges[k - 1], g.edges[k]
-        rows += [np.full(len(out), k - 1), flow_row[k] + into.dst, flow_row[k] + out.src]
-        cols += [columns[k], columns[k - 1], columns[k]]
-        data += [np.ones(len(out)), np.ones(len(into)), -np.ones(len(out))]
     b_eq = np.repeat([1.0, 0.0], [n, int(flow_row[-1]) - n])
 
     utilization: list[str] = []
-    ub_rows, ub_cols, ub_data = [], [], []
+    peaks = edges = np.zeros(0, dtype=np.int64)
     if variant in ("lian1", "lian2"):
-        utilization, indptr, indices = peak_incidence(g) if incidence is None else incidence
-        # utilization row r holds the out-edges of every node consuming peak r
+        utilization, *grouping_peaks = peak_incidence(g) if incidence is None else incidence
+        # utilization row r holds the out-edges of every node consuming
+        # peak r; these entries come edge after edge, each edge's ascending
         sources = np.concatenate([g.grouping_rows[k][layer.src] for k, layer in enumerate(g.edges)])
-        peaks, edges = consumed(indptr, indices, sources)
-        ub_rows, ub_cols, ub_data = [peaks], [edges], [np.ones(len(peaks))]
-        if variant == "lian2":
-            slack = np.arange(n_edges, n_edges + len(utilization))
-            ub_rows.append(slack - n_edges)
-            ub_cols.append(slack)
-            ub_data.append(-np.ones(len(slack)))
-            costs.append(np.full(len(slack), tol.lam))
+        peaks, edges = consumed(*grouping_peaks, sources)
+    n_ub = len(utilization)
+    n_slack = n_ub if variant == "lian2" else 0
+    n_vars = n_edges + n_slack
+    if n_slack:
+        costs.append(np.full(n_slack, tol.lam))
 
-    n_vars = n_edges + (len(utilization) if variant == "lian2" else 0)
+    # per column, its utilization entries, then the rest: a column of edge
+    # layer 0 has 1, of layer n 2, of a layer between 3; a slack column 1
+    util = np.bincount(edges, minlength=n_vars)
+    rest = [2 * (k > 0) + (k < n) for k in range(n + 1)] + [1]
+    indptr = np.zeros(n_vars + 1, dtype=np.int32)
+    np.cumsum(util + np.repeat(rest, [*np.diff(edge_offsets), n_slack]), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.ones(indptr[-1])
+    # an entry's place in its column is its distance from the column's first
+    # entry in ``edges``
+    indices[np.arange(len(edges)) + (indptr[:-1] - np.cumsum(util) + util)[edges]] = peaks
+    after = indptr[:-1] + util  # each column's first entry after its utilization rows
+    for k, layer in enumerate(g.edges):
+        pos = after[edge_offsets[k] : edge_offsets[k + 1]]
+        if k > 0:
+            indices[pos] = n_ub + k - 1
+            indices[pos + 1] = n_ub + flow_row[k] + layer.src
+            data[pos + 1] = -1.0
+            pos = pos + 2
+        if k < n:
+            indices[pos] = n_ub + flow_row[k + 1] + layer.dst
+    indices[after[n_edges:]] = np.arange(n_slack)
+    data[after[n_edges:]] = -1.0
+
     bounds = np.zeros((n_vars, 2))
     bounds[:n_edges, 1] = 1.0
     bounds[n_edges:, 1] = np.inf
@@ -254,10 +295,9 @@ def formulate(
         variant=variant,
         costs=np.concatenate(costs),
         bounds=bounds,
-        A_eq=_csr(rows, cols, data, (int(flow_row[-1]), n_vars)),
+        columns=(indptr, indices, data),
         b_eq=b_eq,
-        A_ub=_csr(ub_rows, ub_cols, ub_data, (len(utilization), n_vars)),
-        b_ub=np.ones(len(utilization)),
+        b_ub=np.ones(n_ub),
         edge_offsets=edge_offsets,
         utilization=utilization,
     )
@@ -314,19 +354,22 @@ def highs_core():
     return core
 
 
-def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options, highs=None):
+def linprog(c, A, b_ub, b_eq, bounds, options, highs=None, held=None):
     """``scipy.optimize.linprog(..., method="highs-ds", options=options)`` on
     an (n × 2) ``bounds`` array, called straight through ``highs_core``:
     HiGHS gets the model and options scipy's wrapper passes it, and the
     answer holds scipy's status code, ``fun``, ``x``, ``ineqlin.marginals``
-    and ``nit``. ``options`` holds ``presolve`` only. As in scipy, an optimal
-    answer with a NaN, or one that misses a bound, slack or equality by more
-    than ``_RESIDUAL_TOL``, gets status 4.
+    and ``nit``. ``A`` is ``(indptr, indices, data)`` of ``[A_ub; A_eq]``
+    column by column, as ``LinearProgram.columns``; ``len(b_ub)`` tells its
+    inequality rows from its equalities. ``options`` holds ``presolve``
+    only. As in scipy, an optimal answer with a NaN, or one that misses a
+    bound, slack or equality by more than ``_RESIDUAL_TOL``, gets status 4.
 
     ``highs`` is the ``_Highs`` of an earlier answer on the same ``c`` and
-    constraints. With it only the column bounds are set, and HiGHS runs on
-    from its last basis with the options it has (``options`` is not read).
-    The answer carries its ``_Highs`` as ``highs``, None after status 4."""
+    constraints, and ``held`` the bounds it holds. With them only the
+    column bounds that differ from ``held`` are set, and HiGHS runs on from
+    its last basis with the options it has (``options`` is not read). The
+    answer carries its ``_Highs`` as ``highs``, None after status 4."""
     h = highs_core()
     n_ub = len(b_ub)
     low, high = bounds.T
@@ -334,19 +377,17 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, options, highs=None):
     lb, ub = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (low, high))
     error = h.HighsStatus.kError
     if highs is not None:
-        if highs.changeColsBounds(len(c), np.arange(len(c), dtype=np.int32), lb, ub) == error:
+        cols = np.flatnonzero((bounds != held).any(axis=1)).astype(np.int32)
+        if highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]) == error:
             return _answer(4)
     else:
-        from scipy import sparse
-
-        A = sparse.vstack([m for m in (A_ub, A_eq) if m is not None], format="csc")
         lhs, rhs = np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq])
         lhs, rhs = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (lhs, rhs))
         model = h.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = A.shape[1]
-        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+        model.num_col_ = model.a_matrix_.num_col_ = len(c)
+        model.num_row_ = model.a_matrix_.num_row_ = len(lhs)
         model.a_matrix_.format_ = h.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A.indptr, A.indices, A.data
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A
         model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
         model.row_lower_, model.row_upper_ = lhs, rhs
         settings = h.HighsOptions()
@@ -411,18 +452,18 @@ def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
         if mu is not None and not (np.shape(mu) == (rows,) and np.isfinite(mu).all()):
             raise SolverError(f"{name} returned multipliers other than {rows} finite numbers")
         return answer
-    A_eq, b_eq, A_ub, b_ub = lp.matrices()
+    highs, held = lp._highs
     res = linprog(
         lp.costs,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
+        A=lp.columns,
+        b_ub=lp.b_ub,
+        b_eq=lp.b_eq,
         bounds=lp.bounds,
         options={"presolve": False},
-        highs=lp._highs[0],
+        highs=highs,
+        held=held,
     )
-    lp._highs[0] = res.highs
+    lp._highs[:] = res.highs, lp.bounds.copy()
     status = _STATUS.get(res.status, "numerical_failure")
     if status != "optimal":
         return LpSolution(status, None, None)

@@ -187,7 +187,7 @@ def run_assign(
     node_limit: int = NODE_LIMIT,
 ) -> dict:
     """Full assignment run; returns a summary including the exit status."""
-    from . import lp as lpmod  # loads numpy only; formulate loads scipy.sparse
+    from . import lp as lpmod  # loads numpy only; the first LP solve loads HiGHS's core
 
     if variant not in VARIANTS:
         raise NmrAssignError(f"unknown variant {variant!r}")

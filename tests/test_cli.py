@@ -901,7 +901,8 @@ seq, dataset, out = sys.argv[1:]
 assert cli.main(["assign", "--sequence", seq, "--dataset", dataset, "--out", out]) == 0
 report = json.loads((Path(out) / "lp_report.json").read_text(encoding="utf-8"))
 scipy = any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
-loaded = [name in sys.modules for name in ("scipy.optimize", lp.HIGHS_CORE)]
+unused = ("scipy.optimize", "scipy.sparse", "numpy.f2py", "numpy.ma")
+loaded = [name in sys.modules for name in (*unused, lp.HIGHS_CORE)]
 print(json.dumps([report["proved_by"], *loaded, scipy]))
 """
 
@@ -929,9 +930,10 @@ def test_highs_core_loads_on_the_first_lp_solve(
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # never scipy.optimize; HiGHS's core once an LP is solved, and for the
-    # Lagrangian proof no scipy module at all
-    assert json.loads(proc.stdout.splitlines()[-1]) == [proved_by, False, core, core]
+    # never scipy.optimize, scipy.sparse (nor numpy.f2py and numpy.ma, which
+    # it imports); HiGHS's core once an LP is solved, and for the Lagrangian
+    # proof no scipy module at all
+    assert json.loads(proc.stdout.splitlines()[-1]) == [proved_by, *[False] * 4, core, core]
 
 
 def test_missing_highs_core_is_a_solver_error(tmp_path, capsys, monkeypatch):

@@ -162,6 +162,79 @@ def test_matrices_encode_exactly_the_paths(default_tol):
     assert checked > 100
 
 
+def _ascending_within(indptr, indices) -> bool:
+    """Whether the indices of each compressed column (or row) strictly ascend."""
+    step = np.diff(indices)
+    within = np.ones(len(step), dtype=bool)
+    first = indptr[1:-1]
+    within[first[(first > 0) & (first < len(indices))] - 1] = False
+    return bool(np.all(step[within] > 0))
+
+
+def test_column_arrays_stack_the_csr_views(default_tol):
+    """``formulate``'s column arrays, the matrix HiGHS reads, are int32
+    ``indptr`` and ``indices`` and float64 ``data``, with rows strictly
+    ascending in each column, and equal ``[A_ub; A_eq]`` stacked from the
+    scipy views and turned column-wise. On random instances and on
+    spins-deletion's (ref60, 20 % deletions, seeds 0-7), for every variant."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(17)
+    cases = [(random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9))), default_tol)
+             for _ in range(40)]
+    ref60 = bundled_reference("ref60")
+    cases += [_deletion_graph(ref60.sequence.residues, seed, 0.2, ref60)[:2] for seed in range(8)]
+    for g, tol in cases:
+        for variant in ("flow", "lian1", "lian2"):
+            lp = formulate(g, variant, tol)
+            indptr, indices, data = lp.columns
+            assert (indptr.dtype, indices.dtype, data.dtype) == (np.int32, np.int32, np.float64)
+            assert len(indptr) == lp.n_vars + 1 and indptr[-1] == len(indices) == len(data)
+            assert _ascending_within(indptr, indices)
+            stacked = sparse.vstack([m for m in (lp.A_ub, lp.A_eq) if m is not None]).tocsc()
+            assert stacked.shape == (lp.n_rows, lp.n_vars)
+            for got, want in zip(lp.columns, (stacked.indptr, stacked.indices, stacked.data)):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_external_backends_read_csr_views_built_once(default_tol):
+    """A backend that reads ``lp.matrices()`` gets scipy CSR matrices with
+    sorted column indices, and None for a flow program's ``A_ub``. The views
+    are built once per program: every node of a search after a fractional
+    root reads the same ``A_eq`` and ``A_ub`` objects."""
+    from scipy import sparse
+
+    seen = []
+
+    def reading(lp):
+        A_eq, _, A_ub, _ = lp.matrices()
+        assert A_eq is lp.A_eq and A_ub is lp.A_ub
+        seen.append((A_eq, A_ub))
+        return solve_lp(lp)
+
+    g = random_instance(np.random.default_rng(3), 3, 3, 4)
+    flow = formulate(g, "flow", default_tol)
+    assert solve_lp(flow, reading).ok
+    [(A_eq, A_ub)] = seen
+    assert A_ub is None and isinstance(A_eq, sparse.csr_matrix)
+    assert A_eq.shape == (flow.n_rows, flow.n_vars)
+
+    for g, lp in _conflicted_instances(4242):
+        seen.clear()
+        relaxed = solve_lp(lp, reading)
+        if not is_integral(lp, relaxed):
+            break
+    result = round_and_resolve(g, lp, relaxed, backend=reading)
+    # the root's solve, then one per search node
+    assert result.proven_optimal and len(seen) == result.nodes_explored + 1 > 3
+    A_eq, A_ub = seen[0]
+    assert all(eq is A_eq and ub is A_ub for eq, ub in seen)
+    for A in (A_eq, A_ub):
+        assert isinstance(A, sparse.csr_matrix) and A.dtype == np.float64
+        assert _ascending_within(A.indptr, A.indices)
+    assert A_eq.shape == (len(lp.b_eq), lp.n_vars) and A_ub.shape == (len(lp.b_ub), lp.n_vars)
+
+
 def test_unknown_variant_rejected(default_tol):
     with pytest.raises(NmrAssignError):
         formulate(_dummies_only([0.0, 1.0]), "simplex", default_tol)
@@ -686,7 +759,8 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
     """``linprog`` passes HiGHS what ``scipy.optimize.linprog`` passes it for
     ``method="highs-ds"``: under either presolve setting the status and
     iteration count match, and an optimal answer's objective, values and
-    utilization duals match bit for bit. scipy's call is only the oracle."""
+    utilization duals match bit for bit. ``linprog`` reads a program's
+    column arrays, scipy its CSR matrices; scipy's call is only the oracle."""
     from scipy import sparse
     from scipy.optimize import linprog as scipy_linprog
 
@@ -696,24 +770,30 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
         g = random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9)))
         for variant in ("flow", "lian1", "lian2"):
             lp = formulate(g, variant, default_tol)
-            programs.append(
-                dict(c=lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds)
-            )
-    assert programs[0]["A_ub"] is None  # a flow program has no inequality rows
+            programs.append((lp.columns, dict(
+                c=lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds
+            )))
+    assert programs[0][1]["A_ub"] is None  # a flow program has no inequality rows
     none = np.zeros(0)
+    # the column arrays of a one-row matrix over two columns, then its data
+    one_row = (np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32))
     programs += [
         # x0 + x1 == 3 within the unit box: infeasible
-        dict(c=np.ones(2), A_ub=None, b_ub=none, A_eq=sparse.csr_matrix(np.ones((1, 2))),
-             b_eq=np.array([3.0]), bounds=np.array([[0.0, 1.0]] * 2)),
+        ((*one_row, np.ones(2)),
+         dict(c=np.ones(2), A_ub=None, b_ub=none, A_eq=sparse.csr_matrix(np.ones((1, 2))),
+              b_eq=np.array([3.0]), bounds=np.array([[0.0, 1.0]] * 2))),
         # minimize -x0 subject to x0 <= x1, both unbounded above: unbounded
-        dict(c=np.array([-1.0, 0.0]), A_ub=sparse.csr_matrix(np.array([[1.0, -1.0]])),
-             b_ub=np.zeros(1), A_eq=None, b_eq=none, bounds=np.array([[0.0, np.inf]] * 2)),
+        ((*one_row, np.array([1.0, -1.0])),
+         dict(c=np.array([-1.0, 0.0]), A_ub=sparse.csr_matrix(np.array([[1.0, -1.0]])),
+              b_ub=np.zeros(1), A_eq=None, b_eq=none, bounds=np.array([[0.0, np.inf]] * 2))),
     ]
     statuses = Counter()
-    for program in programs:
+    for A, program in programs:
+        rest = {key: program[key] for key in ("c", "b_ub", "b_eq", "bounds")}
         for presolve in (False, True):
-            kwargs = dict(program, options={"presolve": presolve})
-            ours, theirs = lpmod.linprog(**kwargs), scipy_linprog(**kwargs, method="highs-ds")
+            options = {"presolve": presolve}
+            ours = lpmod.linprog(A=A, **rest, options=options)
+            theirs = scipy_linprog(**program, options=options, method="highs-ds")
             assert (ours.status, ours.nit) == (theirs.status, theirs.nit)
             statuses[ours.status] += 1
             if theirs.status == 0:
