@@ -9,18 +9,16 @@ latent frequency leaves the scale factor, which reads only the additive
 ``Moments`` of the observations with the prior counted as one more. Moments
 merge pairwise, so arrays of them price many unions of observation sets at
 once: ``merged`` summarises many cells of observations in one pass, and
-``typing_thresholds`` prices every atom typing threshold of a build in one
-batch. Everything is computed in log space; the scale factor underflows
-quickly for several tight observations.
+``typing_thresholds`` prices every atom typing threshold of a build, for
+every residue type, in one batch. Everything is computed in log space; the
+scale factor underflows quickly for several tight observations.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-from .domain import PriorTable
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -52,23 +50,30 @@ class Moments(NamedTuple):
         )
 
 
+def _slots(cells: np.ndarray) -> np.ndarray:
+    """Each observation's slot: its position in its cell's contiguous run."""
+    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    return np.arange(len(cells)) - np.repeat(runs, np.diff(np.r_[runs, len(cells)]))
+
+
 def merged(size: int, cells: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """``Moments`` of ``size`` cells of observations: observation e lies in
     cell ``cells[e]``, each cell's observations contiguous and in the order
     they merge. Returns the fields stacked as (field, cell), 0 for a cell
     without any. Each cell merges its observations one slot at a time, for
     every cell at once, starting from no observations."""
-    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-    slots = np.arange(len(cells)) - np.repeat(runs, np.diff(np.r_[runs, len(cells)]))
-    var = np.square(sigmas)
+    # the observations slot by slot, each slot's a contiguous run
+    slots = _slots(cells)
+    order = np.argsort(slots, kind="stable")
+    bounds = np.searchsorted(slots[order], np.arange(int(slots.max(initial=-1)) + 2)).tolist()
+    cells, values, var = cells[order], values[order], np.square(sigmas)[order]
     # math.log, once per distinct variance (np.log can round differently)
     distinct, inverse = np.unique(var, return_inverse=True)
     log_var = np.array([math.log(v) for v in distinct.tolist()])[inverse]
     stats = np.zeros((len(Moments._fields), size))
-    for s in range(int(slots.max(initial=-1)) + 1):
-        at = slots == s
-        into = cells[at]
-        one = Moments(np.ones(len(into)), 1.0 / var[at], values[at], np.zeros(len(into)), log_var[at])
+    for a, b in zip(bounds, bounds[1:]):
+        into = cells[a:b]
+        one = Moments(np.ones(b - a), 1.0 / var[a:b], values[a:b], np.zeros(b - a), log_var[a:b])
         stats[:, into] = Moments(*stats[:, into]).merge(one)
     return stats
 
@@ -82,36 +87,21 @@ def marginal_cost(post: Moments) -> np.ndarray:
     return np.where(post.count > 1.0, cost, 0.0)
 
 
-#: (residue type, role, sigmas) -> that atom's typing threshold, 0 when absent
-ThresholdMemo = dict[tuple[str, str, tuple[float, ...]], float]
-
-
 def typing_thresholds(
-    keys: Iterable[tuple[str, str, tuple[float, ...]]], priors: PriorTable, delta: float
-) -> ThresholdMemo:
-    """Each (residue type, role, sigmas) key's atom typing threshold, for
-    every key at once: the maximum plausible atom cost, that of an
-    adversarial realization whose observations sit about ``delta`` prior
-    standard deviations from the prior mean, alternating ``delta``
-    experimental standard deviations (the key's sigmas) to either side.
-    Each key's adversarial observations merge slot by slot, then into the
-    prior. An atom the residue lacks gets 0."""
-    memo = dict.fromkeys(keys, 0.0)
-    present = [(key, prior) for key in memo if (prior := priors.prior(key[0], key[1])) is not None]
-    cells = np.arange(len(present))  # one per present key
-    means = np.array([p.mean for _, p in present])
-    stds = np.array([p.std for _, p in present])
-    prior_moments = merged(len(present), cells, means, stds)
-    observed = merged(
-        len(present),
-        np.repeat(cells, [len(sigmas) for (_, _, sigmas), _ in present]),
-        np.array([
-            p.mean + delta * p.std + (-1) ** l * delta * s
-            for (_, _, sigmas), p in present
-            for l, s in enumerate(sigmas)
-        ]),
-        np.array([s for (_, _, sigmas), _ in present for s in sigmas]),
-    )
-    cost = marginal_cost(Moments(*prior_moments).merge(Moments(*observed)))
-    memo.update(zip((key for key, _ in present), cost.tolist()))
-    return memo
+    means: np.ndarray, stds: np.ndarray, cells: np.ndarray, sigmas: np.ndarray, delta: float
+) -> np.ndarray:
+    """The atom typing threshold of each of ``len(means)`` cells, all at
+    once: the maximum plausible cost of an atom with the Gaussian prior
+    (``means[c]``, ``stds[c]``), that of an adversarial realization whose
+    observations sit about ``delta`` prior standard deviations from the
+    prior mean, alternating ``delta`` experimental standard deviations to
+    either side. Observation e lies in cell ``cells[e]`` with sigma
+    ``sigmas[e]``, each cell's contiguous and in slot order. A cell whose
+    mean is NaN, an atom the residue lacks, gets 0."""
+    lacks = np.isnan(means)
+    means, stds = np.where(lacks, 0.0, means), np.where(lacks, 1.0, stds)
+    cells = np.asarray(cells, dtype=np.int64)
+    sign = np.where(_slots(cells) % 2, -delta, delta)
+    prior = merged(len(means), np.arange(len(means)), means, stds)
+    observed = merged(len(means), cells, (means + delta * stds)[cells] + sign * sigmas, sigmas)
+    return np.where(lacks, 0.0, marginal_cost(Moments(*prior).merge(Moments(*observed))))

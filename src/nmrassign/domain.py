@@ -316,6 +316,22 @@ def _fmt(value: float | None) -> str:
     return _MISSING if value is None else format(value, ".6f")
 
 
+def _unreadable(
+    record: str, columns: Sequence[tuple[str, type]], fields: Sequence[str]
+) -> NmrAssignError:
+    """The error naming the first of ``fields`` (each read as its column's
+    type, ``_MISSING`` skipped) that its type cannot read, and ``record``."""
+    for (column, convert), text in zip(columns, fields):
+        if text == _MISSING:
+            continue
+        try:
+            convert(text)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            return NmrAssignError(f"{record}: {column} is not {kind}: {text!r}")
+    return NmrAssignError(f"{record}: unreadable fields {list(fields)!r}")
+
+
 def write_peaks(peaks: Sequence[Peak], path: str | Path) -> None:
     """Tab-separated: peak_id, spectrum_id, H, N, C ('-' if 2-D), phase."""
     lines = ["# peak_id\tspectrum_id\tH\tN\tC\tphase"]
@@ -345,14 +361,18 @@ def read_peaks(path: str | Path) -> list[Peak]:
         if len(fields) < 4:
             raise NmrAssignError(f"malformed peak line: {raw!r}")
         peak_id, spectrum_id, h, n = fields[:4]
-        coords = []
-        if h != _MISSING:
-            coords.append(("H", float(h)))
-        if n != _MISSING:
-            coords.append(("N", float(n)))
-        if len(fields) > 4 and fields[4] != _MISSING:
-            coords.append(("C", float(fields[4])))
-        phase = int(fields[5]) if len(fields) > 5 and fields[5] != _MISSING else 0
+        try:
+            coords = []
+            if h != _MISSING:
+                coords.append(("H", float(h)))
+            if n != _MISSING:
+                coords.append(("N", float(n)))
+            if len(fields) > 4 and fields[4] != _MISSING:
+                coords.append(("C", float(fields[4])))
+            phase = int(fields[5]) if len(fields) > 5 and fields[5] != _MISSING else 0
+        except ValueError:
+            columns = (("H", float), ("N", float), ("C", float), ("phase", int))
+            raise _unreadable(f"peak {peak_id}", columns, fields[2:6]) from None
         peaks.append(Peak(peak_id, spectrum_id, tuple(coords), phase))
     return peaks
 
@@ -376,11 +396,15 @@ def read_spins(path: str | Path) -> list[SpinSystem]:
         fields = line.split("\t")
         if len(fields) != 1 + len(SPIN_ROLES):
             raise NmrAssignError(f"malformed spin line: {raw!r}")
-        shifts = {
-            role: float(value)
-            for role, value in zip(SPIN_ROLES, fields[1:])
-            if value != _MISSING
-        }
+        try:
+            shifts = {
+                role: float(value)
+                for role, value in zip(SPIN_ROLES, fields[1:])
+                if value != _MISSING
+            }
+        except ValueError:
+            columns = [(role, float) for role in SPIN_ROLES]
+            raise _unreadable(f"spin {fields[0]}", columns, fields[1:]) from None
         spins.append(SpinSystem(fields[0], shifts))
     return spins
 

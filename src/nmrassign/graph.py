@@ -23,10 +23,13 @@ Each grouping is summarised once per base role, for its intra-residue and
 its previous-residue observations, in one pass over the table's arrays:
 their ``costmodel.Moments`` and their lowest and highest value. Everything
 that depends only on the groupings or on the residue type is computed once
-per build: the grouping × grouping walk matrix, every atom typing threshold
-in one batch, per residue type its priors merged with every grouping's
-intra moments, the resulting typing costs, and the linked pairs priced
-from its groupings to those of all the residues that follow it (a pair
+per build, as arrays over (residue type × ...): the grouping × grouping
+walk matrix and its walkable pairs, every atom typing threshold of every
+type in one ``typing_thresholds`` batch and their sums per noise, every
+type's priors merged with every grouping's intra moments and the
+resulting typing costs. Then each type prices, in one array pass, the
+walkable pairs from its typed groupings to those typed for a residue that
+follows it, gathering the pairs' moments from one stacked array (a pair
 merges only the roles some grouping observes in the previous residue; its
 other atoms cost what the source's typing gave them). Each layer then
 keeps the pairs it links, through a grouping -> node array, and is laid
@@ -200,21 +203,29 @@ def _noise(table: GroupingTable) -> list[tuple[tuple[str, tuple[float, ...]], ..
     return noise
 
 
-#: a residue type's prior per base role: which atoms it lacks, and each
-#: atom's prior as ``Moments`` of one observation (a stand-in where lacking),
-#: possibly already merged with rows of observations
+#: residue types' priors per base role, as (type × role) arrays, or one
+#: type's as (role,) arrays: which atoms each lacks, and each atom's prior as
+#: ``Moments`` of one observation (a stand-in where lacking), possibly
+#: already merged with rows of observations
 ResiduePrior = tuple[np.ndarray, Moments]
 
 
-def _residue_priors(types: Sequence[str], priors: PriorTable) -> dict[str, ResiduePrior]:
-    """Each residue type's prior, not yet merged with any observation; the
-    atoms of every type in one batch."""
+def _prior_table(types: Sequence[str], priors: PriorTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each residue type's prior mean and standard deviation per base role,
+    as (type × role) arrays, NaN where the type lacks the atom."""
     table = [priors.prior(rt, role) for rt in types for role in BASE_ROLES]
-    lacks = np.array([prior is None for prior in table]).reshape(len(types), len(BASE_ROLES))
+    fields = np.array([(np.nan, np.nan) if p is None else (p.mean, p.std) for p in table], dtype=float)
+    return fields[:, 0].reshape(-1, len(BASE_ROLES)), fields[:, 1].reshape(-1, len(BASE_ROLES))
+
+
+def _residue_priors(means: np.ndarray, stds: np.ndarray) -> ResiduePrior:
+    """The priors of ``_prior_table``, not yet merged with any observation,
+    in one batch."""
+    lacks = np.isnan(means)
     # an absent atom gets a stand-in prior; its cost is replaced in _atom_costs
-    means, stds = np.array([(0.0, 1.0) if p is None else (p.mean, p.std) for p in table]).T
-    stats = merged(len(table), np.arange(len(table)), means, stds).reshape(-1, *lacks.shape)
-    return {rt: (lacks[t], Moments(*stats[:, t])) for t, rt in enumerate(types)}
+    means, stds = np.where(lacks, 0.0, means), np.where(lacks, 1.0, stds)
+    stats = merged(lacks.size, np.arange(lacks.size), means.ravel(), stds.ravel())
+    return lacks, Moments(*stats.reshape(-1, *lacks.shape))
 
 
 def _atom_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
@@ -225,13 +236,6 @@ def _atom_costs(prior: ResiduePrior, *parts: Moments) -> np.ndarray:
     for part in parts:
         post = post.merge(part)
     return np.where(lacks & (post.count > 1), np.inf, marginal_cost(post))
-
-
-def _rows(m: Moments, rows: np.ndarray, roles: np.ndarray) -> Moments:
-    """The given rows and roles of per-grouping moments, gathered by one
-    ``np.take`` of the stacked fields: far cheaper than one fancy index per
-    field."""
-    return Moments(*np.take(np.asarray(m)[..., roles], rows, axis=1))
 
 
 def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
@@ -246,6 +250,40 @@ def _walks(lo: np.ndarray, hi: np.ndarray, delta3: float) -> np.ndarray:
     return walks
 
 
+def _limits(
+    noises: Sequence[tuple[tuple[str, tuple[float, ...]], ...]],
+    means: np.ndarray,
+    stds: np.ndarray,
+    delta: float,
+) -> np.ndarray:
+    """(type × noise) summed typing thresholds: per residue type (the rows of
+    ``_prior_table``'s ``means`` and ``stds``) and per noise, the sum of its
+    atoms' typing thresholds in the noise's role order, started at 0.0 (atoms
+    the residue lacks add 0). Every (type, atom) threshold is priced in one
+    ``typing_thresholds`` batch, and the sums taken one atom slot at a time
+    for every type and noise at once."""
+    distinct = dict.fromkeys(atom for noise in noises for atom in noise)
+    atoms = {atom: a for a, atom in enumerate(distinct)}
+    role = np.array([BASE_ROLES.index(r) for r, _ in atoms], dtype=np.int64)
+    counts = np.array([len(sigmas) for _, sigmas in atoms], dtype=np.int64)
+    sigmas = np.array([x for _, noise in atoms for x in noise], dtype=float)
+    # one cell per (type, atom), type-major
+    types = len(means)
+    cells = np.repeat(np.arange(types * len(atoms)), np.tile(counts, types))
+    thresholds = typing_thresholds(
+        means[:, role].ravel(), stds[:, role].ravel(), cells, np.tile(sigmas, types), delta
+    ).reshape(types, len(atoms))
+    # each noise's atoms, padded with a column of zeros
+    thresholds = np.hstack([thresholds, np.zeros((types, 1))])
+    slots = np.full((len(noises), max(map(len, noises), default=0)), len(atoms))
+    for k, noise in enumerate(noises):
+        slots[k, :len(noise)] = [atoms[atom] for atom in noise]
+    limits = np.zeros((types, len(noises)))
+    for column in slots.T:
+        limits = limits + thresholds[:, column]
+    return limits
+
+
 def build_graph(
     table: GroupingTable,
     seq: ProteinSequence,
@@ -255,42 +293,41 @@ def build_graph(
 ) -> AssignmentGraph:
     """The layered graph of the table's groupings for the sequence."""
     types = sorted(set(seq.residues))
+    code = {rt: t for t, rt in enumerate(types)}
+    residues = np.array([code[rt] for rt in seq.residues], dtype=np.int64)
     stats, lo, hi = _summaries(table)
     intra, prev = (Moments(*np.ascontiguousarray(part)) for part in np.split(stats, 2, axis=-1))
     walks = _walks(lo, hi, tol.delta3)
-    # every atom typing threshold the build reads, in one batch: those of the
-    # null assignment (noise 0) and of each distinct noise of the groupings
+    # every summed typing threshold the build reads, in one batch: those of
+    # the null assignment (noise 0) and of each distinct noise of the
+    # groupings, per residue type
     null = tuple(sorted((role, (sigma,) * count) for role, (count, sigma) in expected.items()))
     index = {null: 0}
     which = np.array([index.setdefault(n, len(index)) for n in _noise(table)], dtype=np.int64)
-    atoms = {atom for noise in index for atom in noise}
+    means, stds = _prior_table(types, priors)
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny noise sigma, rejected below
-        memo = typing_thresholds(((rt, *atom) for rt in types for atom in atoms), priors, tol.delta)
-    # each noise's summed typing threshold, in role order (atoms the residue
-    # lacks add 0), started at 0.0 so that even an empty one is a float
-    limits = {rt: [sum((memo[rt, role, sigmas] for role, sigmas in noise), 0.0) for noise in index]
-              for rt in types}
-    if bad := [k for k, rt in enumerate(seq.residues, 1) if not np.isfinite(limits[rt]).all()]:
+        limits = _limits(list(index), means, stds, tol.delta)
+    if (bad := np.flatnonzero(~np.isfinite(limits[residues]).all(axis=1))).size:
         raise NmrAssignError(
-            f"residue {bad[0]} has a non-finite typing threshold; widen the priors' sigmas "
+            f"residue {bad[0] + 1} has a non-finite typing threshold; widen the priors' sigmas "
             "or lower --delta"
         )
-    thresholds = [0.0] + [limits[rt][0] for rt in seq.residues]
-    # each residue type's prior merged with every grouping's intra moments;
-    # priced alone, that is the grouping's typing cost, which is also what a
-    # regular node pays to reach the dummy or the end
-    posts: dict[str, ResiduePrior] = {
-        rt: (lacks, prior.merge(intra)) for rt, (lacks, prior) in _residue_priors(types, priors).items()
-    }
-    per_atom = {rt: _atom_costs(post) for rt, post in posts.items()}
-    typing = {rt: costs.sum(axis=-1) for rt, costs in per_atom.items()}
+    thresholds = [0.0] + limits[residues, 0].tolist()
+    # each residue type's prior merged with every grouping's intra moments,
+    # as (type × grouping × role) arrays; priced alone, that is the
+    # grouping's typing cost, which is also what a regular node pays to reach
+    # the dummy or the end
+    lacks, prior = _residue_priors(means, stds)
+    post = Moments(*np.asarray(prior)[:, :, None]).merge(Moments(*np.asarray(intra)[:, None]))
+    per_atom = _atom_costs((lacks[:, None], post))
+    typing = per_atom.sum(axis=-1)
     # a grouping is typed as the residue type when its typing cost is at most
     # the summed typing threshold of its noise (ties retained)
-    is_typed = {rt: typing[rt] <= np.array(limits[rt])[which] for rt in types}
-    typed = {rt: np.flatnonzero(mask) for rt, mask in is_typed.items()}
+    is_typed = typing <= limits[:, which]
+    typed = [np.flatnonzero(mask) for mask in is_typed]
 
     # the grouping rows of each inner layer's regular nodes, then none for the end
-    rows = [typed[rt] for rt in seq.residues] + [np.zeros(0, dtype=np.int64)]
+    rows = [typed[t] for t in residues.tolist()] + [np.zeros(0, dtype=np.int64)]
     none = np.full(1, -1)
     grouping_rows = [none, *(np.concatenate([none, r]) for r in rows[:-1]), none]
 
@@ -298,41 +335,42 @@ def build_graph(
     # each type's typed groupings are priced once, against every grouping
     # typed for a residue that follows the type; each layer then keeps the
     # pairs that reach its own targets
-    follows: dict[str, set[str]] = {rt: set() for rt in types}
-    for here, after in zip(seq.residues, seq.residues[1:]):
-        follows[here].add(after)
+    follows = np.zeros((len(types), len(types)), dtype=bool)
+    follows[residues[:-1], residues[1:]] = True
+    reached = follows @ is_typed  # per type, the groupings typed for a follower
+    # the walkable pairs, row-major, taken once (np.nonzero of a 2-D array is
+    # far slower); each type keeps those from its typed groupings to the
+    # ones it reaches, in (source, target) order
+    walker, follower = np.divmod(np.flatnonzero(walks), len(table))
     # the roles some grouping observes in the previous residue: merging no
     # observations leaves the moments, and so the atom cost, of every other
-    # role as the source's typing left it
+    # role as the source's typing left it; their moments are gathered per
+    # pair from one stacked array each
     pooled = np.flatnonzero((prev.count > 0).any(axis=0))
+    post_pooled = np.stack([field[..., pooled] for field in post])
+    prev_pooled = np.stack([field[..., pooled] for field in prev])
     linked = {}
-    for rt in types:
-        src = typed[rt]
-        # the rows typed for any follower, sorted and distinct as a mask makes
-        # them: the first plain np.unique would import numpy.ma
-        reached = np.zeros(len(table), dtype=bool)
-        for t in follows[rt]:
-            reached |= is_typed[t]
-        dst = np.flatnonzero(reached)
-        a, b = np.nonzero(walks[src][:, dst])  # two gathers: far cheaper than np.ix_
-        lacks, post = posts[rt]
-        cost = np.take(per_atom[rt], src[a], axis=0)
+    for t in range(len(types)):
+        pair = np.flatnonzero(is_typed[t, walker] & reached[t, follower])
+        a, b = walker[pair], follower[pair]
+        cost = np.take(per_atom[t], a, axis=0)
         cost[:, pooled] = _atom_costs(
-            (lacks[pooled], _rows(post, src[a], pooled)), _rows(prev, dst[b], pooled)
+            (lacks[t, pooled], Moments(*np.take(post_pooled[:, t], a, axis=1))),
+            Moments(*np.take(prev_pooled, b, axis=1)),
         )
         cost = cost.sum(axis=-1)
         # above the threshold the pair is implausible; the dummy route is cheaper
-        keep = cost <= limits[rt][0]
-        linked[rt] = a[keep], dst[b[keep]], cost[keep]
+        keep = cost <= limits[t, 0]
+        # a source's position among the type's typed groupings
+        linked[t] = np.cumsum(is_typed[t])[a[keep]] - 1, b[keep], cost[keep]
 
     # start edges charge nothing: residue costs begin at the edge leaving layer 1
     first = len(grouping_rows[1])
     edges = [EdgeLayer(np.arange(first), np.zeros(first), np.array([0, first]))]
     node = np.zeros(len(table), dtype=np.int64)  # a grouping's node in the next layer, or 0
-    for k in range(1, len(seq) + 1):
-        residue_type = seq.residue_type(k)
+    for k, t in enumerate(residues.tolist(), 1):
         src = rows[k - 1]
-        a, target, cost = linked[residue_type]
+        a, target, cost = linked[t]
         # the pairs reaching a grouping typed for layer k+1, and its node there
         node[rows[k]] = np.arange(1, len(rows[k]) + 1)
         b = node[target]
@@ -344,7 +382,8 @@ def build_graph(
         # at its threshold; each regular source then reaches the dummy (or the
         # end), paying its typing costs alone, and then its linked targets
         targets = len(grouping_rows[k + 1])
-        indptr = np.r_[0, targets, targets + np.cumsum(1 + np.bincount(a, minlength=len(src)))]
+        degree = 1 + np.bincount(a, minlength=len(src))
+        indptr = np.concatenate([[0, targets], targets + np.cumsum(degree)])
         total = int(indptr[-1])
         out = np.ones(total, dtype=bool)  # the positions of the linked pairs
         out[:targets] = False
@@ -353,7 +392,7 @@ def build_graph(
         dst[:targets] = np.arange(targets)
         dst[out] = b
         costs[:targets] = thresholds[k]
-        costs[indptr[1:-1]] = typing[residue_type][src]
+        costs[indptr[1:-1]] = typing[t, src]
         costs[out] = cost
         edges.append(EdgeLayer(dst, costs, indptr))
 

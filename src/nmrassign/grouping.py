@@ -1,18 +1,28 @@
 """Enumeration of internally consistent peak groupings.
 
 All of it works on integer indices into one peak table, sorted by peak id,
-so index order is id order. The compatibility graph is that table plus its
-(n × n) amide matrix: two peaks are linked when their amide (H, N)
-coordinates agree within tolerance, by one comparison per dimension. The
-comparisons are banded: with the peaks sorted by H, each peak is compared
-only with those whose H lies within δ1 of its own (a peak without H with
-every peak). Maximal cliques of the graph are then expanded into groupings
-by a role search over rows of a site table (each peak's canonical
-spectrum, carbon and candidate roles, built once per enumeration): it
-gives each carbon-carrying peak an atom role so that same-role values agree
-within the carbon window and the grouping's per-spectrum composition does
-not exceed the expected pattern. Budgets on component size and on search
-steps per component stop runs whose tolerances are too loose.
+so index order is id order. The compatibility graph is that table, its
+amide (H, N) array and its (n × n) amide matrix: two peaks are linked when
+their amide coordinates agree within tolerance, by one comparison per
+dimension. The comparisons are banded: with the peaks sorted by H, each
+peak is compared only with those whose H lies within δ1 of its own (a peak
+without H with every peak).
+
+Maximal cliques of the graph are then expanded into groupings by a role
+search over rows of a site table (each peak's canonical spectrum, carbon
+and candidate roles, built in one pass per enumeration): it gives each
+carbon-carrying peak an atom role so that same-role values agree within
+the carbon window and the grouping's per-spectrum composition does not
+exceed the expected pattern. A complete component is its own one maximal
+clique; only the others go through Bron–Kerbosch. Each search starts from
+an anchor peak and visits the clique in amide-distance order from it: one
+array pass orders every component's sites from every anchor, and a
+clique's order is its anchor's, restricted to the clique. Budgets on
+component size and on search steps per component stop runs whose
+tolerances are too loose. The role assignments found become the table in
+array passes: rows ordered by one sort over their padded member and role
+lists, observations by one integer key, and noise looked up per
+(spectrum code, role) that occurs.
 
 Spin-system input bypasses all of this: each system becomes one degenerate
 grouping with a single observation per present role.
@@ -27,8 +37,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -41,7 +52,7 @@ from .domain import (
     SpinSystem,
     Tolerances,
 )
-from .experiments import SPIN_NOISE, candidate_roles, canonical_name
+from .experiments import EXPERIMENTS, SPIN_NOISE, candidate_roles, canonical_name
 
 #: most peaks one connected component of the compatibility graph may hold
 COMPONENT_BUDGET = 64
@@ -155,10 +166,12 @@ class GroupingTable:
 
 @dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
-    """The peaks, sorted by id, and their (n × n) amide matrix: entry (i, j)
+    """The peaks, sorted by id, their (H, N) coordinates as an (n × 2)
+    array, NaN where missing, and their (n × n) amide matrix: entry (i, j)
     is True when peaks i and j agree in their amide coordinates."""
 
     peaks: tuple[Peak, ...]
+    amide: np.ndarray
     adjacency: np.ndarray
 
 
@@ -167,16 +180,16 @@ def _amide_array(peaks: Sequence[Peak]) -> np.ndarray:
     return np.array([(p.coord("H"), p.coord("N")) for p in peaks], dtype=float).reshape(-1, 2)
 
 
-def _amide_matrix(peaks: Sequence[Peak], tol: Tolerances) -> np.ndarray:
-    """(n × n) booleans: peaks i and j agree in H within δ1 and in N within
-    δ2. A missing coordinate never counts as too far apart. The diagonal is
+def _amide_matrix(amide: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """(n × n) booleans over the rows of ``amide``, the peaks' (H, N)
+    coordinates: peaks i and j agree in H within δ1 and in N within δ2. A
+    missing coordinate never counts as too far apart. The diagonal is
     False.
 
     Only candidate pairs are compared: with the peaks sorted by H, those
     whose H lies within δ1 of each other, a band widened by a relative 1e-9
     so that it holds every pair the exact test keeps; and every pair with a
     peak that lacks H."""
-    amide = _amide_array(peaks)
     n = len(amide)
     h = amide[:, 0]
     missing = np.isnan(h)
@@ -208,30 +221,33 @@ def build_compatibility_graph(peaks: Sequence[Peak], tol: Tolerances) -> Compati
     per grouping), so it is enforced during expansion instead.
     """
     ordered = tuple(sorted(peaks, key=lambda p: p.peak_id))
-    return CompatibilityGraph(ordered, _amide_matrix(ordered, tol))
+    amide = _amide_array(ordered)
+    return CompatibilityGraph(ordered, amide, _amide_matrix(amide, tol))
 
 
-def _connected_components(neighbours: Sequence[frozenset[int]]) -> list[list[int]]:
-    """Each component's peak indices, ascending, in order of its first."""
-    seen: set[int] = set()
-    components = []
-    for start in range(len(neighbours)):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in neighbours[v] - seen:
-                seen.add(w)
-                stack.append(w)
-        components.append(sorted(comp))
-    return components
+def _connected_components(first: np.ndarray, second: np.ndarray, n: int) -> list[list[int]]:
+    """Each component's peak indices, ascending, in order of its first, of
+    the n peaks linked by the pairs (``first[e]``, ``second[e]``), listed in
+    both directions. Each pass lowers every peak's label to its lowest
+    neighbour's and then to its label's label, until no label moves; the
+    peaks of a component then share its first peak's index."""
+    if n == 0:
+        return []
+    labels = np.arange(n)
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, first, labels[second])
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    order = np.argsort(labels, kind="stable")
+    return [part.tolist() for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
-def _maximal_cliques(vertices: Sequence[int], adj: Sequence[frozenset[int]]) -> list[list[int]]:
+def _maximal_cliques(
+    vertices: Sequence[int], adj: Sequence[frozenset[int]] | Mapping[int, frozenset[int]]
+) -> list[list[int]]:
     """Bron-Kerbosch with pivoting over the component ``vertices`` (each
     vertex's neighbours among them), deterministic order. The sets are bit
     masks over the vertices' positions, ascending like the vertices."""
@@ -266,11 +282,45 @@ def _maximal_cliques(vertices: Sequence[int], adj: Sequence[frozenset[int]]) -> 
 
 
 def _site_table(peaks: Sequence[Peak]) -> list[_Site]:
-    """(index, canonical spectrum, carbon or None, candidate roles) per peak."""
-    return [
-        (i, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
-        for i, p in enumerate(peaks)
-    ]
+    """(index, canonical spectrum, carbon or None, candidate roles) per peak;
+    a spectrum's name and roles are looked up once per (spectrum, phase)."""
+    kinds = {
+        key: (canonical_name(key[0]), candidate_roles(*key))
+        for key in dict.fromkeys((p.spectrum_id, p.phase) for p in peaks)
+    }
+    sites = []
+    for i, p in enumerate(peaks):
+        spectrum, roles = kinds[p.spectrum_id, p.phase]
+        sites.append((i, spectrum, p.coord("C"), roles))
+    return sites
+
+
+def _anchor_orders(
+    groups: Sequence[Sequence[_Site]],
+    anchors: Sequence[Sequence[int]],
+    amide: np.ndarray,
+    tol: Tolerances,
+) -> list[dict[int, list[int]]]:
+    """Per group of sites, for each of its ``anchors`` (positions in the
+    group), the group's positions ordered by window-normalized amide
+    distance to the anchor, ties in the group's order. One array pass: a
+    row of distances per anchor, padded with +inf past its group's end,
+    each row sorted stably."""
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    counts = np.array([len(at) for at in anchors], dtype=np.int64)
+    peak = np.array([site[0] for group in groups for site in group], dtype=np.int64)
+    # per anchor, its group's size, its group's first site, and its own site
+    span, home = np.repeat(sizes, counts), np.repeat(np.cumsum(sizes) - sizes, counts)
+    pivot = peak[home + np.array([k for at in anchors for k in at], dtype=np.int64)]
+    width = int(sizes.max(initial=0))
+    a, b = np.nonzero(np.arange(width) < span[:, None])
+    x = np.abs(amide[peak[home[a] + b]] - amide[pivot[a]]) / np.array([tol.delta1, tol.delta2])
+    x[np.isnan(x)] = 0.0  # a coordinate missing on either side adds nothing
+    distance = np.full((len(span), width), np.inf)
+    distance[a, b] = x[:, 0] + x[:, 1]
+    ranked = np.argsort(distance, axis=1, kind="stable").tolist()
+    orders = iter([row[:n] for row, n in zip(ranked, span.tolist())])
+    return [{k: next(orders) for k in at} for at in anchors]
 
 
 def _role_search(
@@ -348,38 +398,41 @@ def _role_search(
 
 def _expand_clique(
     clique: Sequence[int],
-    sites: Sequence[_Site],
-    amide: np.ndarray,
+    members: Sequence[_Site],
+    orders: Mapping[int, Sequence[int]] | None,
     pattern: Mapping[str, int],
     tol: Tolerances,
-    exhaustive: bool,
     visits: Iterator[int],
 ) -> list[tuple[frozenset[int], _RoleMap]]:
     """Enumerate role assignments for (subsets of) a clique of peak indices.
 
-    Returns (member set, ((peak index, role), ...)) pairs. In exhaustive
-    mode every valid subset is returned once (first feasible role map);
-    otherwise only assignments whose member set is maximal are kept.
+    ``members`` are the sites of the clique's component whose spectrum the
+    pattern holds, by spectrum and then index; ``orders`` holds the anchor
+    orders (``_anchor_orders``) of those the clique may anchor on. Returns
+    (member set, ((peak index, role), ...)) pairs. In exhaustive mode
+    (``orders`` None) every valid subset is returned once (first feasible
+    role map); otherwise only assignments whose member set is maximal are
+    kept.
     """
-    members = sorted((sites[i] for i in clique if sites[i][1] in pattern), key=lambda s: (s[1], s[0]))
+    inside = set(clique)
+    at = [k for k, site in enumerate(members) if site[0] in inside]
 
-    if exhaustive:
+    if orders is None:
         by_members: dict[frozenset[int], _RoleMap] = {}
-        for member_set, role_map in _role_search(members, pattern, tol, True, visits):
+        for member_set, role_map in _role_search([members[k] for k in at], pattern, tol, True, visits):
             by_members.setdefault(member_set, role_map)
         return sorted(by_members.items(), key=lambda item: sorted(item[0]))
 
     # One search per amide anchor. Ordering the clique by window-normalized
     # amide distance to the anchor (ties in the clique's order) lets that
     # residue's peaks claim the per-spectrum slots before any merged
-    # neighbor's peaks.
-    rows = amide[[s[0] for s in members]]
-    windows = np.array([tol.delta1, tol.delta2])
-    anchors = [a for a, s in enumerate(members) if s[2] is None] or list(range(len(members)))
-    distance = np.nansum(np.abs(rows - rows[anchors, None]) / windows, axis=2)
+    # neighbor's peaks. That order is the anchor's order of its component,
+    # restricted to the clique.
+    anchors = [k for k in at if members[k][2] is None] or at
+    positions = set(at)
     role_maps: dict[frozenset[int], set[_RoleMap]] = {}
-    for order in np.argsort(distance, axis=1, kind="stable").tolist():
-        ordered = [members[i] for i in order]
+    for a in anchors:
+        ordered = [members[k] for k in orders[a] if k in positions]
         for member_set, role_map in _role_search(ordered, pattern, tol, False, visits):
             role_maps.setdefault(member_set, set()).add(role_map)
 
@@ -410,86 +463,126 @@ def enumerate_groupings(
     enumeration at small scale.
     """
     pattern = {canonical_name(name): count for name, count in expected_pattern.items()}
-    peaks, sites, amide = graph.peaks, _site_table(graph.peaks), _amide_array(graph.peaks)
-    first, second = np.nonzero(graph.adjacency)
-    bounds = np.cumsum(np.bincount(first, minlength=len(peaks))).tolist()
-    second = second.tolist()
-    neighbours = [frozenset(second[a:b]) for a, b in zip([0, *bounds], bounds)]
-    components = _connected_components(neighbours)
+    peaks, sites = graph.peaks, _site_table(graph.peaks)
+    # the linked pairs, row-major: np.nonzero of a 2-D array is far slower
+    first, second = np.divmod(np.flatnonzero(graph.adjacency), len(peaks))
+    components = _connected_components(first, second, len(peaks))
     for comp in components:
         if len(comp) > COMPONENT_BUDGET:
             raise ComponentTooLargeError(
                 f"component with {len(comp)} peaks exceeds budget {COMPONENT_BUDGET}"
             )
+    # a complete component is its own one maximal clique; the others'
+    # cliques come from Bron-Kerbosch over each peak's neighbours
+    degree = np.bincount(first, minlength=len(peaks)).tolist()
+    complete = [all(degree[v] == len(comp) - 1 for v in comp) for comp in components]
+    bounds, second = np.cumsum([0, *degree]).tolist(), second.tolist()
+    # each component's sites of the pattern's spectra, by spectrum and then
+    # index, and with top_k their orders from each site a clique may anchor
+    # on: in a complete component its sites without a carbon, if any
+    members = [
+        sorted((sites[i] for i in comp if sites[i][1] in pattern), key=lambda s: (s[1], s[0]))
+        for comp in components
+    ]
+    orders: list[dict[int, list[int]] | None] = [None] * len(components)
+    if top_k is not None:
+        anchors = []
+        for whole, group in zip(complete, members):
+            bare = [k for k, site in enumerate(group) if site[2] is None]
+            anchors.append(bare if whole and bare else list(range(len(group))))
+        orders = _anchor_orders(members, anchors, graph.amide, tol)
 
     # an insertion-ordered set: cliques overlap, so the same assignment can
     # be found twice
     assignments: dict[tuple[frozenset[int], _RoleMap], None] = {}
-    for comp in components:
-        cliques = _maximal_cliques(comp, neighbours)
-        if top_k is not None:
-            cliques = cliques[:top_k]
+    for comp, whole, group, orders_of in zip(components, complete, members, orders):
+        if whole:
+            cliques = [comp]
+        else:
+            neighbours = {v: frozenset(second[bounds[v]:bounds[v + 1]]) for v in comp}
+            cliques = _maximal_cliques(comp, neighbours)[:top_k]
         visits = itertools.count(1)  # role-search steps of this component
         for clique in cliques:
-            for item in _expand_clique(clique, sites, amide, pattern, tol, top_k is None, visits):
+            for item in _expand_clique(clique, group, orders_of, pattern, tol, visits):
                 assignments[item] = None
-    return _peak_table(peaks, sites, amide, assignments, priors)
+    return _peak_table(peaks, sites, graph.amide, assignments, priors)
 
 
 def _peak_table(
     peaks: Sequence[Peak],
     sites: Sequence[_Site],
     amide: np.ndarray,
-    assignments: Iterable[tuple[frozenset[int], _RoleMap]],
+    assignments: Collection[tuple[frozenset[int], _RoleMap]],
     priors: PriorTable,
 ) -> GroupingTable:
     """The groupings of these role assignments, ordered by member list and
     then by observed role names (ties in the assignments' order). Each has
     every member's amide pair under HN and N, and each carbon under the
     role it was given; a missing coordinate is not observed."""
+    size, roles = len(assignments), list(_COLUMNS)
     present = ~np.isnan(amide)
-    has_h, has_n = present.T.tolist()
-    keyed = []
-    for member_set, role_map in assignments:
-        members = sorted(member_set)
-        carbons = sorted(item for item in role_map if item[1] is not None)
-        roles = {role for _, role in carbons}
-        if any(has_h[i] for i in members):
-            roles.add("HN")
-        if any(has_n[i] for i in members):
-            roles.add("N")
-        keyed.append((members, sorted(roles), carbons))
-    keyed.sort(key=lambda item: item[:2])
+    # every role map's (row, peak, role column), -1 for a peak without a
+    # carbon, with each row's peaks ascending
+    maps = [role_map for _, role_map in assignments]
+    lengths = np.array([len(role_map) for role_map in maps], dtype=np.int64)
+    owner = np.repeat(np.arange(size), lengths)
+    chosen = list(itertools.chain.from_iterable(maps))
+    at = np.fromiter(map(itemgetter(0), chosen), np.int64, len(chosen))
+    column_of = {**_COLUMNS, None: -1}
+    named = map(itemgetter(1), chosen)
+    column = np.fromiter(map(column_of.__getitem__, named), np.int64, len(chosen))
+    # one int key per (row, peak) pair: an argsort by it is far cheaper than
+    # np.lexsort
+    order = np.argsort(owner * len(peaks) + at)
+    owner, at, column = owner[order], at[order], column[order]
+    # the roles each row observes: its carbons', and HN and N where a member
+    # has the coordinate
+    seen = np.zeros((size, len(roles)), dtype=bool)
+    carbon = column >= 0
+    seen[owner[carbon], column[carbon]] = True
+    seen[owner[present[at, 0]], _COLUMNS["HN"]] = True
+    seen[owner[present[at, 1]], _COLUMNS["N"]] = True
+    # the rows by member list and then by role names, each list ascending
+    # and padded with -1 so that a prefix sorts first; ties stay in order
+    width = int(lengths.max(initial=0))
+    keys = np.full((size, width + len(roles)), -1, dtype=np.int64)
+    keys[owner, np.arange(len(at)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = at
+    names = np.argsort(roles)  # the role columns in name order
+    ranked = np.sort(np.where(seen[:, names], np.arange(len(roles)), len(roles)), axis=1)
+    keys[:, width:] = np.where(ranked < len(roles), ranked, -1)
+    rank = np.lexsort(keys.T[::-1])
+    new = np.empty(size, dtype=np.int64)
+    new[rank] = np.arange(size)
+    order = np.argsort(new[owner] * len(peaks) + at)
+    owner, at, column, lengths = new[owner][order], at[order], column[order], lengths[rank]
 
     # every member's amide pair, then each carbon under its role
-    lengths = [len(members) for members, _, _ in keyed]
-    owner = np.repeat(np.arange(len(keyed)), lengths)
-    members = np.array([i for m, _, _ in keyed for i in m], dtype=np.int64)
-    carbons = [(r, i, _COLUMNS[role]) for r, (_, _, c) in enumerate(keyed) for i, role in c]
-    c_row, c_at, c_column = (np.array(x, dtype=np.int64) for x in list(zip(*carbons)) or [()] * 3)
-    h, n = np.flatnonzero(present[members, 0]), np.flatnonzero(present[members, 1])
-    row = np.concatenate([owner[h], owner[n], c_row])
-    at = np.concatenate([members[h], members[n], c_at])
-    column = np.concatenate([np.full(len(h), _COLUMNS["HN"]), np.full(len(n), _COLUMNS["N"]), c_column])
-    carbon = np.array([np.nan if c is None else c for _, _, c, _ in sites])
-    value = np.concatenate([amide[members[h], 0], amide[members[n], 1], carbon[c_at]])
+    h, n = np.flatnonzero(present[at, 0]), np.flatnonzero(present[at, 1])
+    c = np.flatnonzero(column >= 0)
+    row = np.concatenate([owner[h], owner[n], owner[c]])
+    source = np.concatenate([at[h], at[n], at[c]])
+    column = np.concatenate([np.full(len(h), _COLUMNS["HN"]), np.full(len(n), _COLUMNS["N"]), column[c]])
+    carbons = np.array(list(map(itemgetter(2), sites)), dtype=float)  # None reads as NaN
+    value = np.concatenate([amide[at[h], 0], amide[at[n], 1], carbons[at[c]]])
     # consensus order: by row, then role name, then peak
-    by_name = np.argsort(np.argsort(list(_COLUMNS)))
-    order = np.lexsort((at, by_name[column], row))
-    row, at, column, value = row[order], at[order], column[order], value[order]
-    # each sigma looked up once per spectrum and role that occur
-    spectra, spectrum = np.unique([site[1] for site in sites], return_inverse=True)
-    roles = list(_COLUMNS)
-    pairs, which = np.unique(spectrum[at] * len(roles) + column, return_inverse=True)
-    sigma = np.array([
-        priors.noise_for(str(spectra[q // len(roles)]), roles[q % len(roles)]) for q in pairs.tolist()
-    ], dtype=float)[which]
+    order = np.argsort((row * len(roles) + np.argsort(names)[column]) * len(peaks) + source)
+    row, source, column, value = row[order], source[order], column[order], value[order]
+    # each sigma looked up once per spectrum and role that occur, in a table
+    # indexed by spectrum code and role column
+    spectra = list(EXPERIMENTS)
+    code_of = {name: k for k, name in enumerate(spectra)}
+    spectrum = np.fromiter(map(code_of.__getitem__, map(itemgetter(1), sites)), np.int64, len(sites))
+    pair = spectrum[source] * len(roles) + column
+    noise = np.zeros(len(spectra) * len(roles))
+    for q in np.flatnonzero(np.bincount(pair, minlength=len(noise))).tolist():
+        noise[q] = priors.noise_for(spectra[q // len(roles)], roles[q % len(roles)])
+    sigma = noise[pair]
     return GroupingTable(
-        [f"g{idx:05d}" for idx in range(len(keyed))],
+        [f"g{idx:05d}" for idx in range(size)],
         [p.peak_id for p in peaks],
-        np.cumsum([0, *lengths]),
-        members,
-        row, column, value, sigma, at,
+        np.concatenate([[0], np.cumsum(lengths)]),
+        at,
+        row, column, value, sigma, source,
     )
 
 

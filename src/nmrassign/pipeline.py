@@ -97,10 +97,11 @@ def load_sequence(spec: str) -> ProteinSequence:
 
 @contextlib.contextmanager
 def _stage(stages: dict[str, float], name: str):
-    """Record the wall time of the block as ``stages[name]``, in seconds."""
+    """Add the wall time of the block to ``stages[name]``, in seconds; a
+    stage timed in several blocks sums them."""
     t0 = time.perf_counter()
     yield
-    stages[name] = time.perf_counter() - t0
+    stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
 
 
 def run_simulate(
@@ -207,7 +208,8 @@ def run_assign(
 
     with _stage(stages, "graph"):
         g = build_graph(groupings, seq, priors, tol, expected)
-    write_json(graph_stats(g), outdir / "graph_stats.json")
+    with _stage(stages, "write"):
+        write_json(graph_stats(g), outdir / "graph_stats.json")
 
     with _stage(stages, "solve"):
         if variant == "dp":
@@ -223,14 +225,15 @@ def run_assign(
         else:
             result = lpmod.solve_lian2(g, tol, lp_backend, node_limit)
 
-    assignment = ev.assignment_from_result(g, result)
-    ev.write_assignment(assignment, outdir / "assignment.json")
-    # every field but the path, which assignment.json holds
-    report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    del report["path"]
-    report["path_canonicalized"] = result.path_canonicalized
-    write_json(report, outdir / "lp_report.json")
-    write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
+    with _stage(stages, "write"):
+        assignment = ev.assignment_from_result(g, result)
+        ev.write_assignment(assignment, outdir / "assignment.json")
+        # every field but the path, which assignment.json holds
+        report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        del report["path"]
+        report["path_canonicalized"] = result.path_canonicalized
+        write_json(report, outdir / "lp_report.json")
+        write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
     write_json({"seconds": stages}, outdir / "timings.json")
     return {
         "variant": result.variant,

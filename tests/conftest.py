@@ -1,11 +1,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nmrassign.domain import Prior, PriorTable, Tolerances
+from nmrassign.domain import Prior, PriorTable, ProteinSequence, Tolerances, read_peaks
+from nmrassign.pipeline import bundled_priors, run_simulate
 
 
 @pytest.fixture
@@ -47,3 +49,25 @@ def toy_priors() -> PriorTable:
 @pytest.fixture
 def default_tol() -> Tolerances:
     return Tolerances()
+
+
+@pytest.fixture(scope="session")
+def random_peak_list(tmp_path_factory):
+    """``random_peak_list(n, seed)``: the random peak list "random-n seed
+    s" as (sequence, peaks). The sequence is n residues drawn with
+    ``np.random.default_rng(seed)``, its peaks simulated under the flya
+    protocol with the bundled priors and the same seed; each list is
+    simulated once per session. With tolerances 0.08/0.8/0.8 their
+    components hold several maximal cliques."""
+    made = {}
+
+    def make(n, seed):
+        if (n, seed) not in made:
+            residues = np.random.default_rng(seed).choice(list("ACDEFGHIKLMNQRSTVWY"), n)
+            seq = ProteinSequence("".join(residues))
+            out = tmp_path_factory.mktemp(f"random-{n}-{seed}")
+            run_simulate(out, "flya", seq, bundled_priors(), seed)
+            made[n, seed] = seq, read_peaks(out / "peaks.tsv")
+        return made[n, seed]
+
+    return make

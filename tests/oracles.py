@@ -26,6 +26,7 @@ from nmrassign.domain import (
     NonPositiveSigmaError,
     Peak,
     Prior,
+    PriorTable,
     ProteinSequence,
     Tolerances,
 )
@@ -468,3 +469,113 @@ def any_scan_role_search(
 
     visit(0, (), {}, ())
     return results
+
+
+# ---------------------------------------------------------------------------
+# per-clique grouping enumeration
+
+
+def connected_components(neighbours: Sequence[frozenset[int]]) -> list[list[int]]:
+    """Each component's vertex indices, ascending, in order of its first,
+    by depth-first search over each vertex's neighbours."""
+    seen: set[int] = set()
+    components = []
+    for start in range(len(neighbours)):
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in neighbours[v] - seen:
+                seen.add(w)
+                stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+def per_clique_groupings(
+    compat: grouping.CompatibilityGraph,
+    expected_pattern: Mapping[str, int],
+    top_k: int,
+    priors: PriorTable,
+    tol: Tolerances,
+) -> GroupingTable:
+    """``grouping.enumerate_groupings`` with ``top_k`` set, one clique at a
+    time: every component's maximal cliques by Bron-Kerbosch (complete ones
+    too, and the components by depth-first search), each clique's anchor
+    orders by its own distance matrix, and the table assembled one grouping
+    row at a time. It shares the role search
+    (checked by ``any_scan_role_search``) and Bron-Kerbosch (checked by
+    subset enumeration) with the library, and must give the same table,
+    array for array."""
+    pattern = {canonical_name(name): count for name, count in expected_pattern.items()}
+    peaks = compat.peaks
+    sites = [
+        (i, canonical_name(p.spectrum_id), p.coord("C"), candidate_roles(p.spectrum_id, p.phase))
+        for i, p in enumerate(peaks)
+    ]
+    amide = np.array([(p.coord("H"), p.coord("N")) for p in peaks], dtype=float).reshape(-1, 2)
+    neighbours = [frozenset(np.flatnonzero(row).tolist()) for row in compat.adjacency]
+    windows = np.array([tol.delta1, tol.delta2])
+    assignments: dict = {}
+    for comp in connected_components(neighbours):
+        if len(comp) > grouping.COMPONENT_BUDGET:
+            raise grouping.ComponentTooLargeError(f"component with {len(comp)} peaks")
+        visits = itertools.count(1)
+        for clique in grouping._maximal_cliques(comp, neighbours)[:top_k]:
+            members = sorted(
+                (sites[i] for i in clique if sites[i][1] in pattern), key=lambda s: (s[1], s[0])
+            )
+            # one search per anchor: the peaks without a carbon, or else all
+            rows = amide[[s[0] for s in members]]
+            anchors = [a for a, s in enumerate(members) if s[2] is None] or list(range(len(members)))
+            distance = np.nansum(np.abs(rows - rows[anchors, None]) / windows, axis=2)
+            role_maps: dict = {}
+            for order in np.argsort(distance, axis=1, kind="stable").tolist():
+                ordered = [members[i] for i in order]
+                for member_set, role_map in grouping._role_search(ordered, pattern, tol, False, visits):
+                    role_maps.setdefault(member_set, set()).add(role_map)
+            maximal: list = []
+            for s in sorted(role_maps, key=lambda s: (-len(s), sorted(s))):
+                if not any(s < kept for kept in maximal):
+                    maximal.append(s)
+            for s in sorted(maximal, key=sorted):
+                by_peak = sorted(role_maps[s], key=lambda rm: [(i, role or "") for i, role in rm])
+                for role_map in by_peak:
+                    assignments[s, role_map] = None
+
+    # one row per assignment, by member list and then by role names
+    keyed = []
+    for member_set, role_map in assignments:
+        members = sorted(member_set)
+        carbons = sorted(item for item in role_map if item[1] is not None)
+        roles = {role for _, role in carbons}
+        if any(not math.isnan(amide[i, 0]) for i in members):
+            roles.add("HN")
+        if any(not math.isnan(amide[i, 1]) for i in members):
+            roles.add("N")
+        keyed.append((members, sorted(roles), carbons))
+    keyed.sort(key=lambda item: item[:2])
+    columns = list(grouping._COLUMNS)
+    observed = []  # (row, name rank of the role, peak, column, value) per observation
+    for r, (members, _, carbons) in enumerate(keyed):
+        for i in members:
+            for role, value in (("HN", amide[i, 0]), ("N", amide[i, 1])):
+                if not math.isnan(value):
+                    observed.append((r, role, i, columns.index(role), float(value)))
+        for i, role in carbons:
+            observed.append((r, role, i, columns.index(role), sites[i][2]))
+    observed.sort(key=lambda o: o[:3])
+    return GroupingTable(
+        [f"g{idx:05d}" for idx in range(len(keyed))],
+        [p.peak_id for p in peaks],
+        np.cumsum([0, *(len(m) for m, _, _ in keyed)]),
+        np.array([i for m, _, _ in keyed for i in m], dtype=np.int64),
+        np.array([o[0] for o in observed], dtype=np.int64),
+        np.array([o[3] for o in observed], dtype=np.int64),
+        np.array([o[4] for o in observed], dtype=float),
+        np.array([priors.noise_for(sites[o[2]][1], o[1]) for o in observed], dtype=float),
+        np.array([o[2] for o in observed], dtype=np.int64),
+    )

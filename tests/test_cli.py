@@ -284,7 +284,8 @@ def test_rejected_simulation_leaves_no_output_folder(tmp_path, capsys, argv):
 
 def test_timings_name_each_stage(tmp_path, capsys):
     """A peak list's grouping is timed as its two stages, the compatibility
-    graph and the enumeration; spin systems are only enumerated."""
+    graph and the enumeration; spin systems are only enumerated. Writing
+    the outputs is a stage of its own."""
     seq = "ADKFLEGQRS"
     stages = {}
     for protocol, dataset in (("flya", "peaks.tsv"), ("cisa", "spins.tsv")):
@@ -300,8 +301,8 @@ def test_timings_name_each_stage(tmp_path, capsys):
         stages[protocol] = set(seconds)
     capsys.readouterr()
     assert stages == {
-        "flya": {"load", "compat", "enumerate", "graph", "solve"},
-        "cisa": {"load", "enumerate", "graph", "solve"},
+        "flya": {"load", "compat", "enumerate", "graph", "solve", "write"},
+        "cisa": {"load", "enumerate", "graph", "solve", "write"},
     }
 
 
@@ -418,6 +419,41 @@ def test_dataset_of_no_kind_exits_2(tmp_path, capsys, command, text, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot tell the dataset kind of {dataset}: {reason}")
     assert err.count("\n") == 1
+
+
+def _corrupt(dataset, column, text):
+    """Replace field ``column`` of the dataset's first record by ``text``;
+    returns that record's id."""
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[at].rstrip("\n").split("\t")
+    fields[column] = text
+    lines[at] = "\t".join(fields) + "\n"
+    dataset.write_text("".join(lines), encoding="utf-8")
+    return fields[0]
+
+
+def test_spin_shift_that_is_no_number_names_its_record(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--sequence", SEQ, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    system = _corrupt(out / "spins.tsv", 1, "abc")  # the N column
+    capsys.readouterr()
+    assert main(["assign", "--sequence", SEQ, "--dataset", str(out / "spins.tsv"),
+                 "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: spin {system}: N is not a number: 'abc'\n"
+
+
+def test_peak_phase_that_is_no_integer_names_its_record(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--sequence", SEQ, "--protocol", "flya", "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    peak = _corrupt(out / "peaks.tsv", 5, "x")  # the phase column
+    capsys.readouterr()
+    assert main(["assign", "--sequence", SEQ, "--dataset", str(out / "peaks.tsv"),
+                 "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: peak {peak}: phase is not an integer: 'x'\n"
 
 
 @pytest.mark.parametrize("command", ["assign", "graph-stats"])

@@ -32,6 +32,7 @@ from nmrassign.graph import (
     AssignmentNode,
     EdgeLayer,
     _atom_costs,
+    _prior_table,
     _residue_priors,
     build_graph,
     export_graph,
@@ -135,10 +136,16 @@ def test_batched_typing_thresholds_equal_the_scalar_ones(toy_priors):
         for count in range(1, 14)
     ]
     delta = Tolerances().delta
-    memo = typing_thresholds(keys, toy_priors, delta)
-    assert list(memo) == keys
+    # one cell per key, its prior's mean NaN where the residue lacks the atom
+    priors = [toy_priors.prior(rt, role) for rt, role, _ in keys]
+    means = np.array([np.nan if p is None else p.mean for p in priors])
+    stds = np.array([np.nan if p is None else p.std for p in priors])
+    cells = np.repeat(np.arange(len(keys)), [len(noise) for _, _, noise in keys])
+    sigmas = np.array([s for _, _, noise in keys for s in noise])
+    batch = typing_thresholds(means, stds, cells, sigmas, delta)
+    assert batch.shape == (len(keys),)
     lacking = 0
-    for (rt, role, noise), threshold in memo.items():
+    for (rt, role, noise), threshold in zip(keys, batch.tolist()):
         prior = toy_priors.prior(rt, role)
         if prior is None:
             lacking += 1
@@ -512,14 +519,14 @@ def _reference_graph(table, seq, priors, tol, expected):
     ]
     rows = []
     for rt in seq.residues:
-        costs = _atom_costs(_residue_priors([rt], priors)[rt], stacked(intra)).sum(axis=-1)
+        costs = _atom_costs(_residue_priors(*_prior_table([rt], priors)), stacked(intra)).sum(axis=-1)
         rows.append([a for a in range(len(table)) if costs[a] <= threshold(rt, noise[a])])
     rows.append([])
     edges = [{(0, j): 0.0 for j in range(len(rows[0]) + 1)}]
     n_walked = n_unwalked = n_foreign = 0
     for k, rt in enumerate(seq.residues, 1):
         src, dst = rows[k - 1], rows[k]
-        prior = _residue_priors([rt], priors)[rt]
+        prior = _residue_priors(*_prior_table([rt], priors))
         layer = {(0, j): thresholds[k] for j in range(len(dst) + 1)}
         typing = _atom_costs(prior, stacked([intra[a] for a in src])).sum(axis=-1)
         layer.update({(i, 0): float(typing[i - 1]) for i in range(1, len(src) + 1)})
@@ -548,13 +555,28 @@ def _reference_graph(table, seq, priors, tol, expected):
     return thresholds, rows[:-1], edges, n_walked, n_unwalked, n_foreign
 
 
-def test_build_graph_matches_per_layer_reference(toy_priors):
+def _matches_reference(g, reference):
+    """Check the graph's thresholds, typed rows, edge sets and costs against
+    ``_reference_graph``'s, exactly; returns the reference's counts."""
+    thresholds, rows, edges, *counts = reference
+    assert g.thresholds == thresholds
+    assert [r.tolist() for r in g.grouping_rows[1:-1]] == [[-1, *r] for r in rows]
+    assert len(g.edges) == len(edges)
+    for layer, want in zip(g.edges, edges):
+        assert len(layer) == len(want) and edge_map(layer) == want
+    return rows, counts
+
+
+def test_build_graph_matches_per_layer_reference(toy_priors, random_peak_list):
     """On random peak-list-style groupings (several observations per role
     with mixed sigmas, unobserved roles, glycine and proline layers) the
     graph's thresholds, typed rows, edge sets and costs equal exactly those
     of a per-layer reference. The last sequence's alanines are followed by
     glycine, proline and alanine, so that the edges its type prices reach
-    groupings that only some of its layers keep."""
+    groupings that only some of its layers keep. So do the graphs of the
+    enumerated groupings of the random 20-residue peak lists, seeds 1-5,
+    with the bundled priors (the reference prices every pair in Python: a
+    40-residue list takes it 20-30 s)."""
     tol = Tolerances(delta3=0.4)
     expected = {"N": (3, 0.1), "HN": (3, 0.0075), "CA": (4, 0.1), "CB": (2, 0.2), "CO": (2, 0.1)}
     counts = np.zeros(5, dtype=int)
@@ -564,13 +586,9 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
         seq = ProteinSequence(residues)
         groupings = _peak_list_groupings(rng, seq, toy_priors)
         g = build_graph(groupings, seq, toy_priors, tol, expected)
-        reference = _reference_graph(groupings, seq, toy_priors, tol, expected)
-        thresholds, rows, edges, walked, unwalked, foreign = reference
-        assert g.thresholds == thresholds
-        assert [r.tolist() for r in g.grouping_rows[1:-1]] == [[-1, *r] for r in rows]
-        assert len(g.edges) == len(edges)
-        for layer, want in zip(g.edges, edges):
-            assert len(layer) == len(want) and edge_map(layer) == want
+        rows, (walked, unwalked, foreign) = _matches_reference(
+            g, _reference_graph(groupings, seq, toy_priors, tol, expected)
+        )
         signatures = {
             frozenset(
                 (r, tuple(sigmas))
@@ -586,6 +604,19 @@ def test_build_graph_matches_per_layer_reference(toy_priors):
     # pairs that one layer of a type drops and another keeps
     assert counts.min() > 0, counts
     assert foreign > 0  # on the last, fixed sequence alone
+
+    priors, tol = bundled_priors(), Tolerances(delta1=0.08, delta2=0.8, delta3=0.8)
+    walked = 0
+    for seed in range(1, 6):
+        seq, peaks = random_peak_list(20, seed)
+        spectra = sorted({canonical_name(p.spectrum_id) for p in peaks}, key=FULL_SET.index)
+        groupings = enumerate_groupings(
+            build_compatibility_graph(peaks, tol), expected_pattern(spectra), 20, priors, tol
+        )
+        expected = expected_observation_counts(spectra, priors)
+        g = build_graph(groupings, seq, priors, tol, expected)
+        walked += _matches_reference(g, _reference_graph(groupings, seq, priors, tol, expected))[1][0]
+    assert walked > 0
 
 
 def _graph_digest(g):

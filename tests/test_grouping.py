@@ -17,7 +17,12 @@ from nmrassign.grouping import (
 )
 from nmrassign.pipeline import bundled_priors, bundled_reference, run_simulate
 
-from oracles import any_scan_role_search, brute_force_groupings
+from oracles import (
+    any_scan_role_search,
+    brute_force_groupings,
+    connected_components,
+    per_clique_groupings,
+)
 
 
 def _member_sets(table):
@@ -153,6 +158,27 @@ def test_maximal_cliques_match_subset_brute_force():
         maximal = [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
         want = sorted(maximal, key=lambda c: (-len(c), c))
         assert grouping._maximal_cliques(vertices, neighbours) == want, trial
+
+
+def test_connected_components_match_depth_first_search():
+    """Components from the linked pairs equal those of a depth-first
+    search, in order of their first vertex, on random graphs with isolated
+    vertices, near-cliques and long chains (which take the label passes
+    many rounds)."""
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = int(rng.integers(0, 60))
+        adj = np.zeros((n, n), dtype=bool)
+        if n:
+            a, b = rng.integers(n, size=(2, int(rng.integers(0, 2 * n))))
+            adj[a, b] = adj[b, a] = True
+            chain = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            adj[chain[:-1], chain[1:]] = adj[chain[1:], chain[:-1]] = True
+        np.fill_diagonal(adj, False)
+        first, second = np.nonzero(adj)
+        neighbours = [frozenset(np.flatnonzero(row).tolist()) for row in adj]
+        got = grouping._connected_components(first, second, n)
+        assert got == connected_components(neighbours), trial
 
 
 def test_single_clean_residue_expands_to_one_full_grouping(toy_priors, default_tol):
@@ -403,6 +429,32 @@ def test_ref40_groupings_are_pinned(tmp_path, seed):
         ]
         digest.update(repr((gid, groupings.member_ids(r), roles)).encode())
     assert digest.hexdigest() == REF40_GROUPING_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_groupings_match_the_per_clique_oracle(random_peak_list, n):
+    """On the random peak lists of n residues, seeds 1-5, the groupings
+    equal those of the per-clique enumeration, array for array and bit for
+    bit. Their components hold several maximal cliques, so that a clique's
+    anchor order is its component's restricted to the clique."""
+    priors, tol = bundled_priors(), Tolerances(delta1=0.08, delta2=0.8, delta3=0.8)
+    several = 0
+    for seed in range(1, 6):
+        _, peaks = random_peak_list(n, seed)
+        spectra = sorted({canonical_name(p.spectrum_id) for p in peaks}, key=FULL_SET.index)
+        compat = build_compatibility_graph(peaks, tol)
+        got = enumerate_groupings(compat, expected_pattern(spectra), 20, priors, tol)
+        want = per_clique_groupings(compat, expected_pattern(spectra), 20, priors, tol)
+        assert len(got) > 0 and got.ids == want.ids and got.sources == want.sources
+        for name in ("indptr", "members", "row", "column", "value", "sigma", "source"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        neighbours = [frozenset(np.flatnonzero(row).tolist()) for row in compat.adjacency]
+        several += sum(
+            len(grouping._maximal_cliques(comp, neighbours)) > 1
+            for comp in connected_components(neighbours)
+        )
+    assert several > 0
 
 
 def test_spins_to_groupings(toy_priors):
