@@ -31,19 +31,21 @@ through ``linprog``, which hands HiGHS's Python core the model and options
 that core from scipy's installed files (``highs_core``) without importing
 ``scipy.optimize``, whose package init loads most of scipy. HiGHS's
 vertex solutions are integral on pure flow polytopes. The root is solved
-with presolve off (on peak lists, presolve took most of the root's time);
-search nodes start warm from it (below). When utilization rows make the
-optimum fractional, the root's utilization duals serve as Lagrangian
-multipliers: one forward and one backward DP (``dp_edge_bounds``) bound
-every answer that uses an edge, and a branch and bound searches only the
-edges whose bound lies within a margin of the root, with that margin as
-its cutoff; the margin doubles until an answer is found. Every search
-node is the program with some edge columns' upper bounds at 0: branching
-drops edges. The root and every node after it are solved on one HiGHS
-model, each node from the basis the solve before it left, with only the
-column bounds that differ from that solve's set. The exact
-``ilp`` search skips the rule and starts from the root relaxation already
-solved.
+with presolve off (on peak lists, presolve took most of the root's time).
+When utilization rows make the optimum fractional, the root's utilization
+duals serve as Lagrangian multipliers: one forward and one backward DP
+(``dp_edge_bounds``) bound every answer that uses an edge, and a branch
+and bound searches only the edges whose bound lies within a margin of the
+root, with that margin as its cutoff; the margin doubles until an answer
+is found. Each such round searches a program of its own: ``formulate``
+over the graph restricted to the round's kept edges, with the root's
+utilization rows. Its first node is the root's answer, which uses kept
+edges only (should it not, the node is solved); every later node is
+solved on the round's one HiGHS model, from the basis the solve before it
+left, with only the column bounds that differ from that solve's set. Every search node is
+its program with some edge columns' upper bounds at 0: branching drops
+edges. The exact ``ilp`` search skips the rule: it starts from the root
+relaxation already solved, and its nodes run warm on the root's model.
 
 Which of several tied optima comes back is up to HiGHS (and its basis),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
@@ -107,12 +109,16 @@ class LinearProgram:
     lists the contested peaks in the order of their utilization rows.
     ``bounds`` is an (n_vars × 2) array of (lower, upper) pairs: edges lie
     in [0, 1] and slacks in [0, inf]; a search node is the program with
-    other ``bounds``. External backends (``--backend external:<path>``) may
-    read ``costs``, ``bounds``, and ``matrices()`` or ``A_eq``, ``b_eq``,
-    ``A_ub`` and ``b_ub``: scipy CSR matrices with sorted column indices,
-    or None when a sense has no rows (its right-hand side is then empty).
-    They are built from ``columns`` on first access, the only use of
-    ``scipy.sparse``, and cached in ``_csr``.
+    other ``bounds``. A margin round's program is built by ``formulate``
+    over the graph restricted to the round's kept edges, so its edge
+    columns are those edges in the root's order, and its utilization rows
+    and slack columns are the root's. External backends (``--backend
+    external:<path>``) may read ``costs``, ``bounds``, and ``matrices()``
+    or ``A_eq``, ``b_eq``, ``A_ub`` and ``b_ub``: scipy CSR matrices with
+    sorted column indices, or None when a sense has no rows (its
+    right-hand side is then empty). They are built from ``columns`` on
+    first access, once per program, the only use of ``scipy.sparse``, and
+    cached in ``_csr``.
 
     The bundled backend keeps the HiGHS model of the program's last solve,
     and the bounds it holds, in ``_highs``. Copies made by
@@ -506,7 +512,6 @@ class BnbResult:
 
 def branch_and_bound(
     lp: LinearProgram,
-    keep: np.ndarray | None = None,
     backend: Backend | None = None,
     node_limit: int = NODE_LIMIT,
     cutoff: float = math.inf,
@@ -514,19 +519,16 @@ def branch_and_bound(
 ) -> BnbResult:
     """Exact solve with integrality on the edge variables.
 
-    Searches the columns where ``keep`` is True (all of them by default),
-    depth first, branching on the most fractional edge variable ``x_e``.
+    Depth first, branching on the most fractional edge variable ``x_e``.
     Unit flow crosses every edge layer, so the ``x_e = 1`` child, explored
     first, drops the other edges of e's layer, and the ``x_e = 0`` child
     drops e: a node is ``lp`` with the upper bounds of its dropped columns
     at 0. Slack variables stay continuous. A node must beat ``cutoff``, and
     then the incumbent, by more than ``GAP_EPS``. ``root``, when given, is
-    the first node's solution (``lp`` on ``keep``), which is then not solved
-    again. When the node limit is hit the incumbent is returned unproven.
+    the first node's solution (an optimum of ``lp`` itself), which is then
+    not solved again. When the node limit is hit the incumbent is returned
+    unproven.
     """
-    base = lp.bounds.copy()
-    if keep is not None:
-        base[~keep, 1] = 0.0
     offsets, n_edges = lp.edge_offsets, lp.n_edges
 
     incumbent, incumbent_obj = None, cutoff
@@ -541,7 +543,7 @@ def branch_and_bound(
             proven = False
             break
         nodes += 1
-        bounds = base.copy()
+        bounds = lp.bounds.copy()
         for e in ones:
             k = int(np.searchsorted(offsets, e, side="right")) - 1
             bounds[offsets[k] : offsets[k + 1], 1] = 0.0
@@ -616,22 +618,34 @@ def round_and_resolve(
     variant's slack cost; the hard variant has no upper limit), give each
     edge column its ``edge_bounds``; a backend without duals gives
     ``mu = 0``. A round guesses ``UB' = root + margin``, keeps the edge
-    columns whose bound is at most ``UB'`` and every slack column, and runs
-    ``branch_and_bound`` with ``UB'`` as its cutoff. Every answer below
-    ``UB'`` lies in the kept program, so the first answer found is optimal.
-    The margin starts at ``1e-3 * max(1, |root|)`` and doubles while no
-    answer is found; once ``UB'`` reaches the largest finite bound, the
-    round searches every column without a cutoff. The rounds share
-    ``node_limit``; when it runs out, the incumbent comes back unproven.
-    ``columns_fixed`` counts the edge columns the deciding round dropped.
+    columns whose bound is at most ``UB'`` and runs ``branch_and_bound``
+    with ``UB'`` as its cutoff on the round's own program: ``formulate``
+    over ``g.restricted`` to the kept edges, with the root's utilization
+    rows (and slack columns), so its columns are the kept edge columns in
+    order, then the slacks. Every answer below ``UB'`` lies in the kept
+    program, so the first answer found is optimal. The root's answer, which
+    uses kept edges only, is the round's first node; should it carry flow
+    on a dropped edge (its multipliers from a backend without duals, say),
+    the node is solved instead. The margin starts at
+    ``1e-3 * max(1, |root|)`` and doubles while no answer is found; once
+    ``UB'`` reaches the largest finite bound, the round searches every
+    column without a cutoff. The rounds share ``node_limit``; when it runs
+    out, the incumbent comes back unproven. The answer is mapped back to
+    ``lp``'s columns, and ``columns_fixed`` counts the edge columns the
+    deciding round dropped. No round solves ``lp`` itself, so its HiGHS
+    model is released first.
     """
-    assert relaxed.objective is not None
+    assert relaxed.objective is not None and relaxed.values is not None
+    lp._highs[:] = None, None
     n_edges = lp.n_edges
     incidence = peak_incidence(g) if incidence is None else incidence
     mu = np.zeros(len(incidence[0]))
+    slack_costs = lp.costs[n_edges:]
     if lp.utilization and relaxed.multipliers is not None:
-        lam = lp.costs[n_edges:] if lp.variant == "lian2" else math.inf
+        lam = slack_costs if lp.variant == "lian2" else math.inf
         mu = np.clip(relaxed.multipliers, 0.0, lam)
+    # a round's slacks cost what the root's do; formulate reads no other tolerance
+    tol = Tolerances(lam=float(slack_costs[0])) if len(slack_costs) else Tolerances()
     bounds = edge_bounds(g, incidence, mu)
     largest = np.max(bounds, where=np.isfinite(bounds), initial=-math.inf)
     margin, spent = 1e-3 * max(1.0, abs(relaxed.objective)), 0
@@ -639,14 +653,23 @@ def round_and_resolve(
         cutoff = relaxed.objective + margin
         if cutoff >= largest:
             cutoff = math.inf  # the last round: every column, no cutoff
-        keep = np.ones(lp.n_vars, dtype=bool)
-        keep[:n_edges] = bounds <= cutoff
+        keep = bounds <= cutoff
+        kept = np.r_[np.flatnonzero(keep), n_edges:lp.n_vars]  # the round's columns in lp
+        program = formulate(g.restricted(keep), lp.variant, tol, incidence)
+        root = None
+        if np.all(np.abs(relaxed.values[:n_edges][~keep]) <= INT_TOL):
+            root = replace(relaxed, values=relaxed.values[kept])
         result = branch_and_bound(
-            lp, keep=keep, backend=backend, node_limit=node_limit - spent, cutoff=cutoff
+            program, backend=backend, node_limit=node_limit - spent, cutoff=cutoff, root=root
         )
         spent += result.nodes_explored
         if result.solution is not None or not result.proven_optimal or cutoff == math.inf:
-            return BnbResult(result.solution, result.proven_optimal, spent, int((~keep).sum()))
+            solution = result.solution
+            if solution is not None:
+                values = np.zeros(lp.n_vars)
+                values[kept] = solution.values
+                solution = replace(solution, values=values)
+            return BnbResult(solution, result.proven_optimal, spent, int((~keep).sum()))
         margin *= 2
 
 

@@ -7,13 +7,16 @@ the batched ``costmodel.merged`` and ``costmodel.typing_thresholds`` must
 equal them bit for bit. Everything else is implemented without reusing the
 library's own machinery: quadrature instead of the closed form, explicit
 enumeration instead of dynamic programming or branch and bound, a node's
-peaks read from the graph's grouping table, and the simulator's true path
-priced edge by edge (``truth_cost``), which bounds every optimum from above.
+peaks read from the graph's grouping table, the simulator's true path
+priced edge by edge (``truth_cost``), which bounds every optimum from above,
+and a margin round's program written as the full program with the dropped
+edges' upper bounds at 0 (``masked_program``).
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +36,7 @@ from nmrassign.domain import (
 from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
 from nmrassign.grouping import GroupingTable
+from nmrassign.lp import LinearProgram
 from nmrassign.shortest_path import NoPathError, PathSolution, path_solution
 from nmrassign.simulate import GroundTruth
 
@@ -257,6 +261,17 @@ def truth_cost(g: AssignmentGraph, truth: GroundTruth) -> float:
     return sum(
         edge_map(layer).get((nodes[k], nodes[k + 1]), math.inf) for k, layer in enumerate(g.edges)
     )
+
+
+def masked_program(lp: LinearProgram, kept: np.ndarray) -> LinearProgram:
+    """``lp`` with the upper bounds of the edge columns where ``kept`` (one
+    flag per edge column) is False at 0, and no HiGHS model or CSR views of
+    its own yet: a search node over the full program's columns, the
+    reference for a round's program of its kept edges. Its ``bounds`` are a
+    fresh array, which a caller may set further."""
+    bounds = lp.bounds.copy()
+    bounds[: lp.n_edges][~kept, 1] = 0.0
+    return replace(lp, bounds=bounds, _highs=[None, None], _csr=[None])
 
 
 def node_peaks(g: AssignmentGraph, layer: int, index: int) -> frozenset[str]:

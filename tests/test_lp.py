@@ -3,6 +3,7 @@ import json
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import REGULAR, build_graph
+from nmrassign.graph import REGULAR, AssignmentGraph, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import canonical_path, dp_shortest_path, solve_result
 from nmrassign.simulate import sample_reference, simulate_cisa
@@ -51,6 +52,7 @@ from oracles import (
     fragments,
     iter_paths,
     make_graph,
+    masked_program,
     node_peaks,
     path_cost,
     path_overuse,
@@ -197,11 +199,13 @@ def test_column_arrays_stack_the_csr_views(default_tol):
                 np.testing.assert_array_equal(got, want)
 
 
-def test_external_backends_read_csr_views_built_once(default_tol):
+def test_external_backends_read_csr_views_built_once(monkeypatch, default_tol):
     """A backend that reads ``lp.matrices()`` gets scipy CSR matrices with
     sorted column indices, and None for a flow program's ``A_ub``. The views
-    are built once per program: every node of a search after a fractional
-    root reads the same ``A_eq`` and ``A_ub`` objects."""
+    are built once per program: after a fractional root, every node of a
+    margin round reads the same ``A_eq`` and ``A_ub`` objects, those of the
+    round's program, and a round's first node, the root's answer, makes no
+    solve."""
     from scipy import sparse
 
     seen = []
@@ -224,14 +228,26 @@ def test_external_backends_read_csr_views_built_once(default_tol):
         relaxed = solve_lp(lp, reading)
         if not is_integral(lp, relaxed):
             break
+    calls = _record_bnb(monkeypatch)
     result = round_and_resolve(g, lp, relaxed, backend=reading)
-    # the root's solve, then one per search node
-    assert result.proven_optimal and len(seen) == result.nodes_explored + 1 > 3
-    A_eq, A_ub = seen[0]
-    assert all(eq is A_eq and ub is A_ub for eq, ub in seen)
-    for A in (A_eq, A_ub):
-        assert isinstance(A, sparse.csr_matrix) and A.dtype == np.float64
-        assert _ascending_within(A.indptr, A.indices)
+    # the root's solve, then per round one solve per node after its first
+    per_round = [r.nodes_explored - 1 for _, _, _, r, _ in calls]
+    assert result.proven_optimal and len(seen) == 1 + sum(per_round) and sum(per_round) > 3
+    views, start = [seen[0]], 1
+    for solves, (_, _, _, _, program) in zip(per_round, calls):
+        views += [seen[start]] if solves else []
+        assert all(a is b for got in seen[start : start + solves] for a, b in zip(got, views[-1]))
+        start += solves
+        if solves:
+            A_eq, A_ub = views[-1]
+            assert A_eq.shape == (len(program.b_eq), program.n_vars)
+            assert A_ub.shape == (len(program.b_ub), program.n_vars)
+    assert len({id(A_eq) for A_eq, _ in views}) == len(views) > 1
+    for A_eq, A_ub in views:
+        for A in (A_eq, A_ub):
+            assert isinstance(A, sparse.csr_matrix) and A.dtype == np.float64
+            assert _ascending_within(A.indptr, A.indices)
+    A_eq, A_ub = views[0]
     assert A_eq.shape == (len(lp.b_eq), lp.n_vars) and A_ub.shape == (len(lp.b_ub), lp.n_vars)
 
 
@@ -353,16 +369,33 @@ def test_branch_and_bound_node_limit(default_tol):
 
 
 def _record_bnb(monkeypatch) -> list:
-    """(keep mask, cutoff, node limit, result) of every later
-    ``branch_and_bound`` call."""
-    calls = []
-    original = lpmod.branch_and_bound
+    """(kept mask, cutoff, node limit, result, program) of every later
+    margin round, that is every ``branch_and_bound`` call on a restricted
+    graph's program: the mask over the full program's columns (its slack
+    columns always kept), the round's ``branch_and_bound`` arguments and
+    answer, with the answer's values mapped back to the full program's
+    columns, and the round's own program."""
+    calls, masks = [], []
+    restricted, original = AssignmentGraph.restricted, lpmod.branch_and_bound
+
+    def recording_mask(g, keep):
+        masks.append(keep)
+        return restricted(g, keep)
 
     def recording(lp, *args, **kwargs):
         result = original(lp, *args, **kwargs)
-        calls.append((kwargs.get("keep"), kwargs.get("cutoff"), kwargs.get("node_limit"), result))
+        if not masks:  # a search that is no margin round
+            return result
+        kept = np.r_[masks.pop(), np.ones(lp.n_vars - lp.n_edges, dtype=bool)]
+        mapped, solution = result, result.solution
+        if solution is not None:
+            values = np.zeros(len(kept))
+            values[kept] = solution.values
+            mapped = replace(result, solution=replace(solution, values=values))
+        calls.append((kept, kwargs.get("cutoff"), kwargs.get("node_limit"), mapped, lp))
         return result
 
+    monkeypatch.setattr(AssignmentGraph, "restricted", recording_mask)
     monkeypatch.setattr(lpmod, "branch_and_bound", recording)
     return calls
 
@@ -394,14 +427,10 @@ def test_round_and_resolve_keeps_node_limit(monkeypatch, node_limit):
             break
     assert full.proven_optimal
     for budget in (NODE_LIMIT, full.nodes_explored - node_limit):
-        # a search runs on from the basis the program's last solve left, so
-        # each one starts, as ``full`` did, right after a root solve
-        lp = formulate(g, "lian1", Tolerances())
-        relaxed = solve_lp(lp)
         calls.clear()
         result = round_and_resolve(g, lp, relaxed, node_limit=budget)
-        spent = np.cumsum([0] + [r.nodes_explored for *_, r in calls])
-        assert [limit for _, _, limit, _ in calls] == (budget - spent[:-1]).tolist()
+        spent = np.cumsum([0] + [r.nodes_explored for _, _, _, r, _ in calls])
+        assert [limit for _, _, limit, _, _ in calls] == (budget - spent[:-1]).tolist()
         assert result.nodes_explored == spent[-1] <= budget
     assert not result.proven_optimal and result.nodes_explored == budget
 
@@ -447,12 +476,84 @@ def test_dual_priced_fixing_is_exact(monkeypatch, default_tol):
                 continue
             calls.clear()
             round_and_resolve(g, lp, relaxed)
-            for keep, cutoff, _, result in calls:  # each round searches only its mask
+            for keep, cutoff, _, result, _ in calls:  # each round searches only its mask
                 if result.solution is not None:
                     assert not result.solution.values[~keep].any()
                 assert keep[columns[objective <= cutoff]].all()
             fixed += int(np.count_nonzero(~calls[-1][0]))
     assert fixed > 0
+
+
+def test_round_and_resolve_is_a_function_of_its_inputs():
+    """Each margin round solves a program of its own, so a search does not
+    depend on what was solved before it: on the fractional roots of the
+    first 30 conflicted instances, a second ``round_and_resolve`` on the
+    same graph, program and root answers exactly as the first did."""
+    searched = 0
+    for g, lp in itertools.islice(_conflicted_instances(4242), 30):
+        relaxed = solve_lp(lp)
+        if is_integral(lp, relaxed):
+            continue
+        first, second = (round_and_resolve(g, lp, relaxed) for _ in range(2))
+        assert (first.nodes_explored, first.columns_fixed) == (second.nodes_explored, second.columns_fixed)
+        assert first.solution.objective == second.solution.objective
+        np.testing.assert_array_equal(first.solution.values, second.solution.values)
+        searched += 1
+    assert searched > 5
+
+
+def test_round_programs_match_masked_programs(monkeypatch):
+    """Every margin round's program, the kept edges only, against the oracle
+    ``masked_program``: the full program with the dropped edges' upper
+    bounds at 0. At the round's own bounds and at every node's, both agree
+    on the status and on the objective within 1e-9 relative, and the
+    round's first node, the root's answer, costs what the round's program
+    does. For lian1 and for lian2 at a random lambda, on the first 30
+    conflicted instances and on the regression dataset."""
+    calls = _record_bnb(monkeypatch)
+    nodes = []
+
+    def recording(lp, backend=None):
+        answer = solve_lp(lp, backend)
+        nodes.append((lp, answer))
+        return answer
+
+    monkeypatch.setattr(lpmod, "solve_lp", recording)
+    rng = np.random.default_rng(5151)
+    cases = [g for g, _ in itertools.islice(_conflicted_instances(4242), 30)]
+    cases.append(_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)[0])
+    rounds, statuses = Counter(), Counter()
+    for g in cases:
+        incidence = peak_incidence(g)
+        lam = float(rng.uniform(0.5, 10.0))
+        for variant, tol in (("lian1", Tolerances()), ("lian2", Tolerances(lam=lam))):
+            lp = formulate(g, variant, tol, incidence)
+            relaxed = solve_lp(lp)
+            if is_integral(lp, relaxed):
+                continue
+            calls.clear()
+            nodes.clear()
+            round_and_resolve(g, lp, relaxed, incidence)
+            for kept, _, _, result, program in calls:
+                columns = np.flatnonzero(kept)
+                at_root = replace(program, _highs=[None, None], _csr=[None])
+                solved = [(at_root, solve_lp(at_root))]
+                solved += [(node, answer) for node, answer in nodes if node.columns is program.columns]
+                # the round's own bounds, where the root's answer was its first
+                # node, then one solve per later node
+                assert len(solved) == result.nodes_explored
+                for node, answer in solved:
+                    oracle = masked_program(lp, kept[: lp.n_edges])
+                    oracle.bounds[columns] = node.bounds
+                    want = solve_lp(oracle)
+                    assert answer.status == want.status
+                    if want.ok:
+                        assert answer.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+                    statuses[want.status] += 1
+                assert solved[0][1].objective == pytest.approx(relaxed.objective, rel=1e-9)
+                rounds[variant] += 1
+    assert min(rounds["lian1"], rounds["lian2"]) > 10, rounds
+    assert statuses["optimal"] > statuses["infeasible"] > 0, statuses
 
 
 def test_lian2_with_fixing_matches_penalized_oracle():
@@ -1078,7 +1179,8 @@ def test_lagrangian_stage_is_pinned_bit_for_bit():
 #: the Lagrangian stage existed: nodes, objective, lp_bound, reused peaks,
 #: epsilons, root_integral; then the search's nodes_explored and
 #: columns_fixed, as the dual-priced search after a fractional root counts
-#: them with every node solved warm on the root's HiGHS model
+#: them with each margin round solved warm on a program of its kept edges,
+#: its first node the root's answer
 LP_ANSWERS = [
     [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 27, 37),
      ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
@@ -1091,13 +1193,13 @@ LP_ANSWERS = [
       {"p2": 1.0}, True, 1, 0)],
     [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0),
      ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0)],
-    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 40, 16),
+    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 48, 16),
      ((0, 3, 4, 4, 0), -7.333776325415068, -8.591276272631795, {"p0": 2, "p3": 2},
       {"p0": 1.0, "p3": 1.0}, False, 33, 37)],
     [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 33, 22),
      ((0, 1, 4, 1, 0), -1.884021555454079, -2.195267041955036, {"p5": 2}, {"p5": 1.0},
       False, 27, 27)],
-    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 29, 19),
+    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 39, 19),
      ((0, 1, 1, 2, 0, 3, 1, 0), 3.403980858023851, 3.403980858023851, {"p1": 2, "p5": 3},
       {"p1": 1.0, "p5": 2.0}, True, 1, 0)],
     [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 27, 21),
