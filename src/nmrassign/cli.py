@@ -184,7 +184,11 @@ def _cmd_assign(cfg: dict) -> int:
         f"{summary['assigned']}/{summary['residues']} residues assigned"
     )
     if not summary["proven_optimal"]:
-        print("warning: node budget hit; result is an unproven incumbent", file=sys.stderr)
+        if summary["unsolved_nodes"]:
+            cause = f"{summary['unsolved_nodes']} search node(s) could not be solved"
+        else:
+            cause = "node budget hit"
+        print(f"warning: {cause}; result is an unproven incumbent", file=sys.stderr)
         return EXIT_INCUMBENT
     return EXIT_OK
 

@@ -26,10 +26,13 @@ The module loads numpy only, and ``formulate`` builds the constraint matrix
 in numpy, column by column, as HiGHS reads it: a Lagrangian proof loads no
 scipy, and an LP loads no ``scipy.sparse`` unless an external backend reads
 the program's scipy matrices. Relaxations go to HiGHS's dual simplex
-through ``linprog``, which hands HiGHS's Python core the model and options
-``scipy.optimize.linprog(method="highs-ds")`` would. The first solve loads
-that core from scipy's installed files (``highs_core``) without importing
-``scipy.optimize``, whose package init loads most of scipy. HiGHS's
+through ``linprog``, which hands HiGHS's Python core the program with the
+options ``scipy.optimize.linprog(method="highs-ds")`` would, and answers in
+the program's ``STATUSES``. The first solve loads that core from scipy's
+installed files (``highs_core``) without importing ``scipy.optimize``,
+whose package init loads most of scipy. ``solve_lp`` checks every answer,
+the bundled backend's and an external one's, against the program: an
+optimal answer must meet its bounds and rows within ``_RESIDUAL_TOL``. HiGHS's
 vertex solutions are integral on pure flow polytopes. The root is solved
 with presolve off (on peak lists, presolve took most of the root's time).
 When utilization rows make the optimum fractional, the root's utilization
@@ -79,15 +82,8 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 VARIANTS = ("flow", "lian1", "lian2")
-
-_STATUS = {
-    0: "optimal",
-    1: "iteration_limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical_failure",
-}
-
+#: the statuses of an LP answer (``LpSolution.status``)
+STATUSES = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_failure")
 
 #: largest distance from 0 or 1 at which an edge value counts as integral
 INT_TOL = 1e-6
@@ -318,18 +314,18 @@ Backend = Callable[[LinearProgram], LpSolution]
 
 #: HiGHS's Python core, the module ``scipy.optimize.linprog`` calls
 HIGHS_CORE = "scipy.optimize._highspy._core"
-#: ``scipy.optimize.linprog``'s status codes of HiGHS model statuses:
-#: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, any other 4
-_SCIPY_STATUS = {
-    "kOptimal": 0,
-    "kTimeLimit": 1,
-    "kIterationLimit": 1,
-    "kInfeasible": 2,
-    "kModelError": 2,
-    "kUnbounded": 3,
+#: the status of each HiGHS model status, as ``scipy.optimize.linprog``
+#: reads it; any other is a numerical failure
+_STATUS = {
+    "kOptimal": "optimal",
+    "kTimeLimit": "iteration_limit",
+    "kIterationLimit": "iteration_limit",
+    "kInfeasible": "infeasible",
+    "kModelError": "infeasible",
+    "kUnbounded": "unbounded",
 }
-#: how far an optimal answer may miss its bounds, slacks and equalities
-#: before it counts as a numerical failure (``10 * sqrt(tol)``, tol 1e-9)
+#: how far an optimal answer may miss its bounds and rows before it is
+#: rejected (``10 * sqrt(tol)``, tol 1e-9, as ``scipy.optimize.linprog``)
 _RESIDUAL_TOL = 10 * math.sqrt(1e-9)
 
 
@@ -360,44 +356,39 @@ def highs_core():
     return core
 
 
-def linprog(c, A, b_ub, b_eq, bounds, options, highs=None, held=None):
-    """``scipy.optimize.linprog(..., method="highs-ds", options=options)`` on
-    an (n × 2) ``bounds`` array, called straight through ``highs_core``:
-    HiGHS gets the model and options scipy's wrapper passes it, and the
-    answer holds scipy's status code, ``fun``, ``x``, ``ineqlin.marginals``
-    and ``nit``. ``A`` is ``(indptr, indices, data)`` of ``[A_ub; A_eq]``
-    column by column, as ``LinearProgram.columns``; ``len(b_ub)`` tells its
-    inequality rows from its equalities. ``options`` holds ``presolve``
-    only. As in scipy, an optimal answer with a NaN, or one that misses a
-    bound, slack or equality by more than ``_RESIDUAL_TOL``, gets status 4.
+def linprog(lp: LinearProgram, highs=None, held=None, presolve: bool = False):
+    """``lp`` solved by HiGHS's dual simplex through ``highs_core``, which
+    gets the model and options ``scipy.optimize.linprog(method="highs-ds")``
+    passes it. The answer holds one of ``STATUSES`` as ``status``, ``fun``,
+    ``x``, ``marginals`` (the utilization rows' duals) and ``nit``. It is
+    not checked against the program: ``solve_lp`` does that.
 
-    ``highs`` is the ``_Highs`` of an earlier answer on the same ``c`` and
+    ``highs`` is the ``_Highs`` of an earlier answer on the same costs and
     constraints, and ``held`` the bounds it holds. With them only the
     column bounds that differ from ``held`` are set, and HiGHS runs on from
-    its last basis with the options it has (``options`` is not read). The
-    answer carries its ``_Highs`` as ``highs``, None after status 4."""
+    its last basis with the options it has (``presolve`` is not read). The
+    answer carries its ``_Highs`` as ``highs``, None after a numerical
+    failure."""
     h = highs_core()
-    n_ub = len(b_ub)
-    low, high = bounds.T
+    n_ub = len(lp.b_ub)
     # HiGHS reads a bound at or beyond kHighsInf as infinite
-    lb, ub = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (low, high))
+    lb, ub = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in lp.bounds.T)
     error = h.HighsStatus.kError
     if highs is not None:
-        cols = np.flatnonzero((bounds != held).any(axis=1)).astype(np.int32)
+        cols = np.flatnonzero((lp.bounds != held).any(axis=1)).astype(np.int32)
         if highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]) == error:
-            return _answer(4)
+            return _answer("numerical_failure")
     else:
-        lhs, rhs = np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq])
-        lhs, rhs = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in (lhs, rhs))
         model = h.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = len(c)
-        model.num_row_ = model.a_matrix_.num_row_ = len(lhs)
+        model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+        model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
         model.a_matrix_.format_ = h.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = A
-        model.col_cost_, model.col_lower_, model.col_upper_ = c, lb, ub
-        model.row_lower_, model.row_upper_ = lhs, rhs
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = lp.columns
+        model.col_cost_, model.col_lower_, model.col_upper_ = lp.costs, lb, ub
+        model.row_lower_ = np.concatenate([np.full(n_ub, -h.kHighsInf), lp.b_eq])
+        model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
         settings = h.HighsOptions()
-        settings.presolve = "on" if options["presolve"] else "off"
+        settings.presolve = "on" if presolve else "off"
         settings.solver = "simplex"
         settings.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         settings.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
@@ -405,75 +396,85 @@ def linprog(c, A, b_ub, b_eq, bounds, options, highs=None, held=None):
         highs = h._Highs()
         highs.passOptions(settings)  # fixed values HiGHS accepts: scipy's checks are left out
         if highs.passModel(model) == error:
-            return _answer(_SCIPY_STATUS["kModelError"])
-    if highs.run() == error:
+            return _answer(_STATUS["kModelError"])
+    ran = highs.run() != error
+    status = _STATUS.get(highs.getModelStatus().name, "numerical_failure")
+    if not ran:
         # without a solution to read, an optimal status is a failure too
-        return _answer(_SCIPY_STATUS.get(highs.getModelStatus().name, 4) or 4)
-    status = _SCIPY_STATUS.get(highs.getModelStatus().name, 4)
+        return _answer("numerical_failure" if status == "optimal" else status)
     info = highs.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
-    if status:
-        return _answer(status, nit, highs=None if status == 4 else highs)
+    if status != "optimal":
+        return _answer(status, nit, highs=None if status == "numerical_failure" else highs)
     solution = highs.getSolution()
-    x, rows = np.array(solution.col_value), np.array(solution.row_value)
-    fun = info.objective_function_value
-    slack, con = b_ub - rows[:n_ub], b_eq - rows[n_ub:]
-    tol = _RESIDUAL_TOL
-    feasible = not (
-        np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() or np.isnan(con).any()
-        or not np.all((x >= low - tol) & (x <= high + tol))
-        or (slack < -tol).any() or (np.abs(con) > tol).any()
-    )
-    marginals = np.array(solution.row_dual)[:n_ub]
-    return _answer(0 if feasible else 4, nit, fun, x, marginals, highs if feasible else None)
+    x, marginals = np.array(solution.col_value), np.array(solution.row_dual)[:n_ub]
+    return _answer(status, nit, info.objective_function_value, x, marginals, highs)
 
 
-def _answer(status: int, nit: int = 0, fun=None, x=None, marginals=None, highs=None):
-    """``linprog``'s answer: the fields of scipy's that the program reads,
-    and the ``_Highs`` a later call may run on."""
-    ineqlin = SimpleNamespace(marginals=marginals)
-    return SimpleNamespace(status=status, fun=fun, x=x, ineqlin=ineqlin, nit=nit, highs=highs)
+def _answer(status: str, nit: int = 0, fun=None, x=None, marginals=None, highs=None):
+    """``linprog``'s answer, with the ``_Highs`` a later call may run on."""
+    return SimpleNamespace(status=status, fun=fun, x=x, marginals=marginals, nit=nit, highs=highs)
+
+
+def _fault(lp: LinearProgram, answer) -> str | None:
+    """What makes ``answer`` no answer to ``lp``, worded to follow a
+    backend's name, or None. An answer is an ``LpSolution`` with one of
+    ``STATUSES``, and multipliers, when given, one finite number per
+    utilization row. An optimal one needs a finite objective and one finite
+    value per column, within ``_RESIDUAL_TOL`` of the column's bounds,
+    which meets every row within ``_RESIDUAL_TOL``."""
+    if not isinstance(answer, LpSolution):
+        return f" returned {type(answer).__name__}, not an LpSolution"
+    if answer.status not in STATUSES:
+        return f" returned the unknown status {answer.status!r}"
+    finite = isinstance(answer.objective, numbers.Real) and math.isfinite(answer.objective)
+    if answer.ok and not (finite and np.shape(answer.values) == (lp.n_vars,)):
+        return f"'s optimal answer lacks a finite objective or {lp.n_vars} values"
+    mu, n_util = answer.multipliers, len(lp.utilization)
+    if mu is not None and not (np.shape(mu) == (n_util,) and np.isfinite(mu).all()):
+        return f" returned multipliers other than {n_util} finite numbers"
+    if not answer.ok:
+        return None
+    x, tol = answer.values, _RESIDUAL_TOL
+    if not np.isfinite(x).all():
+        return "'s optimal answer has a value that is not finite"
+    low, high = lp.bounds.T
+    outside = np.flatnonzero((x < low - tol) | (x > high + tol))
+    if outside.size:
+        return f"'s optimal answer puts column {outside[0]} outside its bounds"
+    indptr, indices, data = lp.columns
+    rows = np.bincount(indices, data * np.repeat(x, np.diff(indptr)), lp.n_rows)
+    n_ub = len(lp.b_ub)  # an inequality row may fall short of its right-hand side
+    miss = np.r_[rows[:n_ub] - lp.b_ub, np.abs(rows[n_ub:] - lp.b_eq)]
+    missed = np.flatnonzero(miss > tol)
+    if missed.size:
+        return f"'s optimal answer misses row {missed[0]} by {miss[missed[0]]:.3g}"
+    return None
 
 
 def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
     """Solve the relaxation with the bundled HiGHS dual simplex backend:
     warm on the model of ``lp``'s last solve when it has one, and otherwise
-    cold with presolve off. An external backend's answer must be an
-    ``LpSolution`` with one of the ``_STATUS`` values; an optimal one needs
-    a finite objective and one value per variable, and multipliers, when
-    given, one finite number per utilization row. Any other answer raises
-    ``SolverError``, naming the backend."""
+    cold with presolve off. Every answer is checked by ``_fault``. A
+    bundled answer that fails the check is a numerical failure, and its
+    model is dropped; an external backend's raises ``SolverError``, naming
+    the backend."""
     if backend is not None:
         answer = backend(lp)
-        what = getattr(backend, "__qualname__", type(backend).__qualname__)
-        name = f"backend {backend.__module__}.{what}"
-        if not isinstance(answer, LpSolution):
-            raise SolverError(f"{name} returned {type(answer).__name__}, not an LpSolution")
-        if answer.status not in _STATUS.values():
-            raise SolverError(f"{name} returned the unknown status {answer.status!r}")
-        finite = isinstance(answer.objective, numbers.Real) and math.isfinite(answer.objective)
-        if answer.ok and not (finite and np.shape(answer.values) == (lp.n_vars,)):
-            raise SolverError(f"{name}'s optimal answer lacks a finite objective or {lp.n_vars} values")
-        mu, rows = answer.multipliers, len(lp.utilization)
-        if mu is not None and not (np.shape(mu) == (rows,) and np.isfinite(mu).all()):
-            raise SolverError(f"{name} returned multipliers other than {rows} finite numbers")
+        fault = _fault(lp, answer)
+        if fault is not None:
+            what = getattr(backend, "__qualname__", type(backend).__qualname__)
+            raise SolverError(f"backend {backend.__module__}.{what}{fault}")
         return answer
     highs, held = lp._highs
-    res = linprog(
-        lp.costs,
-        A=lp.columns,
-        b_ub=lp.b_ub,
-        b_eq=lp.b_eq,
-        bounds=lp.bounds,
-        options={"presolve": False},
-        highs=highs,
-        held=held,
-    )
+    res = linprog(lp, highs=highs, held=held)
+    answer = LpSolution(res.status, None, None)
+    if res.status == "optimal":
+        answer = LpSolution(res.status, float(res.fun), res.x, -res.marginals)
+    if _fault(lp, answer) is not None:
+        answer, res.highs = LpSolution("numerical_failure", None, None), None
     lp._highs[:] = res.highs, lp.bounds.copy()
-    status = _STATUS.get(res.status, "numerical_failure")
-    if status != "optimal":
-        return LpSolution(status, None, None)
-    return LpSolution(status, float(res.fun), np.asarray(res.x, float), -res.ineqlin.marginals)
+    return answer
 
 
 def load_backend(path: str | Path) -> Backend:
@@ -508,6 +509,8 @@ class BnbResult:
     nodes_explored: int
     #: edge columns ``round_and_resolve``'s deciding round dropped
     columns_fixed: int = 0
+    #: search nodes whose LP came back neither optimal nor infeasible
+    unsolved: int = 0
 
 
 def branch_and_bound(
@@ -526,13 +529,15 @@ def branch_and_bound(
     at 0. Slack variables stay continuous. A node must beat ``cutoff``, and
     then the incumbent, by more than ``GAP_EPS``. ``root``, when given, is
     the first node's solution (an optimum of ``lp`` itself), which is then
-    not solved again. When the node limit is hit the incumbent is returned
-    unproven.
+    not solved again. Only an infeasible node is pruned unsolved: any other
+    answer but an optimal one is counted in ``unsolved``, and the search
+    goes on without it, unproven. When the node limit is hit the incumbent
+    is returned unproven.
     """
     offsets, n_edges = lp.edge_offsets, lp.n_edges
 
     incumbent, incumbent_obj = None, cutoff
-    nodes = 0
+    nodes = unsolved = 0
     proven = True
 
     # each entry: (edges fixed to one, edges fixed to zero)
@@ -553,7 +558,10 @@ def branch_and_bound(
             sol = root
         else:
             sol = solve_lp(replace(lp, bounds=bounds), backend)
+        if sol.status == "infeasible":
+            continue
         if not sol.ok:
+            unsolved += 1
             continue
         assert sol.objective is not None and sol.values is not None
         if sol.objective >= incumbent_obj - GAP_EPS:
@@ -567,7 +575,7 @@ def branch_and_bound(
         stack.append((ones, zeros + (branch_var,)))
         stack.append((ones + (branch_var,), zeros))
 
-    return BnbResult(incumbent, proven, nodes)
+    return BnbResult(incumbent, proven and not unsolved, nodes, unsolved=unsolved)
 
 
 def extract_path(g: AssignmentGraph, lp: LinearProgram, solution: LpSolution) -> tuple[int, ...]:
@@ -630,10 +638,10 @@ def round_and_resolve(
     ``1e-3 * max(1, |root|)`` and doubles while no answer is found; once
     ``UB'`` reaches the largest finite bound, the round searches every
     column without a cutoff. The rounds share ``node_limit``; when it runs
-    out, the incumbent comes back unproven. The answer is mapped back to
-    ``lp``'s columns, and ``columns_fixed`` counts the edge columns the
-    deciding round dropped. No round solves ``lp`` itself, so its HiGHS
-    model is released first.
+    out, or a round leaves a node unsolved, the incumbent comes back
+    unproven. The answer is mapped back to ``lp``'s columns, and
+    ``columns_fixed`` counts the edge columns the deciding round dropped.
+    No round solves ``lp`` itself, so its HiGHS model is released first.
     """
     assert relaxed.objective is not None and relaxed.values is not None
     lp._highs[:] = None, None
@@ -669,7 +677,8 @@ def round_and_resolve(
                 values = np.zeros(lp.n_vars)
                 values[kept] = solution.values
                 solution = replace(solution, values=values)
-            return BnbResult(solution, result.proven_optimal, spent, int((~keep).sum()))
+            fixed = int((~keep).sum())
+            return BnbResult(solution, result.proven_optimal, spent, fixed, result.unsolved)
         margin *= 2
 
 
@@ -788,6 +797,7 @@ def _solve_variant(
         root_integral=root_integral,
         nodes_explored=result.nodes_explored,
         columns_fixed=result.columns_fixed,
+        unsolved_nodes=result.unsolved,
         **stats,
     )
 

@@ -228,9 +228,10 @@ def run_assign(
     with _stage(stages, "write"):
         assignment = ev.assignment_from_result(g, result)
         ev.write_assignment(assignment, outdir / "assignment.json")
-        # every field but the path, which assignment.json holds
+        # every field but the path, which assignment.json holds, and the
+        # count of unsolved search nodes, which the summary carries
         report = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-        del report["path"]
+        del report["path"], report["unsolved_nodes"]
         report["path_canonicalized"] = result.path_canonicalized
         write_json(report, outdir / "lp_report.json")
         write_json({"rows": ev.diagnostics(assignment, g)}, outdir / "diagnostics.json")
@@ -239,6 +240,7 @@ def run_assign(
         "variant": result.variant,
         "objective": result.objective,
         "proven_optimal": result.proven_optimal,
+        "unsolved_nodes": result.unsolved_nodes,
         "assigned": sum(1 for r in assignment.residues if r.assigned_id is not None),
         "residues": len(seq),
     }

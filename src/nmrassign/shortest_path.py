@@ -92,6 +92,9 @@ class SolveResult:
     #: contested peak, which is one per utilization row)
     lagrangian_iterations: int = 0
     contested_peaks: int = 0
+    #: search nodes whose LP came back neither optimal nor infeasible
+    #: (``lp.BnbResult.unsolved``); left out of ``lp_report.json``
+    unsolved_nodes: int = 0
 
     @property
     def path_canonicalized(self) -> bool:

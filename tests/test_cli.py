@@ -357,6 +357,57 @@ def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
         assert all(residue["assigned"] is None for residue in assignment["residues"])
 
 
+#: an external backend that forwards to the bundled ``solve_lp``, but
+#: answers its second call, the first search node after the root, as a
+#: numerical failure
+FLAKY_BACKEND = """\
+from nmrassign.lp import LpSolution, solve_lp
+
+calls = []
+
+
+def solve(lp):
+    calls.append(None)
+    if len(calls) == 2:
+        return LpSolution("numerical_failure", None, None)
+    return solve_lp(lp)
+"""
+
+
+@pytest.mark.parametrize("variant", ["ilp", "lian1"])
+def test_unsolved_search_node_leaves_the_answer_unproven(tmp_path, capsys, variant):
+    """A search node the backend cannot solve is not pruned as if it were
+    infeasible: the answer is unproven (exit 3, ``proven_optimal`` false,
+    ``proved_by`` null) and the warning names the unsolved node. On a
+    20-residue cisa dataset with high noise and 20 % deletions (seed 5),
+    whose root is fractional; for ``lian1`` the failing node lies in the
+    first margin round. A backend forwarding every call proves the answer."""
+    data = _simulate(tmp_path, "bnb", "--noise", "high", "--deletion-rate", "0.2", "--seed", "5")
+    (tmp_path / "flaky.py").write_text(FLAKY_BACKEND, encoding="utf-8")
+    (tmp_path / "forward.py").write_text(
+        "from nmrassign.lp import solve_lp\n\ndef solve(lp):\n    return solve_lp(lp)\n",
+        encoding="utf-8",
+    )
+    reports = {}
+    for name, code in (("forward", EXIT_OK), ("flaky", EXIT_INCUMBENT)):
+        capsys.readouterr()
+        out = tmp_path / name
+        assert main([
+            "assign", "--sequence", SEQ, "--dataset", str(data / "spins.tsv"),
+            "--variant", variant, "--backend", f"external:{tmp_path / name}.py",
+            "--out", str(out),
+        ]) == code
+        reports[name] = json.loads((out / "lp_report.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().err == (
+        "warning: 1 search node(s) could not be solved; result is an unproven incumbent\n"
+    )
+    forward, flaky = reports["forward"], reports["flaky"]
+    assert forward["proven_optimal"] and forward["proved_by"] == "lp"
+    assert forward["root_integral"] is False
+    assert flaky["proven_optimal"] is False and flaky["proved_by"] is None
+    assert flaky["objective"] >= forward["objective"]
+
+
 def test_sequence_file_reads_as_the_literal_sequence(tmp_path, capsys):
     """``--sequence`` names a file when one exists there: its ``>`` header
     and ``#`` comment lines are skipped and the rest is joined. Simulate and
@@ -772,18 +823,34 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, which, doc, message):
 
 
 def test_external_backend_answer_checked(tmp_path, capsys):
-    """An external backend whose solve returns no LpSolution ends the
-    assign with exit 4 and one error line naming the backend."""
+    """An external backend whose solve returns no LpSolution, or an optimal
+    answer with a NaN value, ends the assign at that answer with exit 4 and
+    one error line naming the backend."""
     run = _simulate(tmp_path, "run")
-    backend = tmp_path / "silent.py"
-    backend.write_text("def solve(lp):\n    return None\n", encoding="utf-8")
-    capsys.readouterr()
-    code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
-                 "--variant", "ilp", "--backend", f"external:{backend}",
-                 "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_SOLVER
-    assert err == "error: backend lp_backend_silent.solve returned NoneType, not an LpSolution\n"
+    for name, body, message in (
+        ("silent", "    return None\n", " returned NoneType, not an LpSolution"),
+        # forwards to the bundled solve, with a NaN for the first value of an
+        # optimal answer, on which the search would otherwise branch until
+        # the node budget ran out
+        ("nan", "    answer = solve_lp(lp)\n"
+                "    return replace(answer, values=np.r_[np.nan, answer.values[1:]]) if answer.ok else answer\n",
+         "'s optimal answer has a value that is not finite"),
+    ):
+        backend = tmp_path / f"{name}.py"
+        backend.write_text(
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from nmrassign.lp import solve_lp\n"
+            f"def solve(lp):\n{body}",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                     "--variant", "ilp", "--backend", f"external:{backend}",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_SOLVER
+        assert err == f"error: backend lp_backend_{name}.solve{message}\n"
 
 
 #: sha256 of each output of a peaks-ref40 assign (instance 0, see

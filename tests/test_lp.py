@@ -19,6 +19,7 @@ from nmrassign.domain import (
     write_priors,
 )
 from nmrassign.lp import (
+    LinearProgram,
     LpSolution,
     SolverError,
     branch_and_bound,
@@ -765,8 +766,8 @@ def test_root_presolve_does_not_decide_the_answer(monkeypatch):
     cases += [(label, g, tol) for label, g, tol, _ in _tie_graphs()]
     off = {label: solve_lian1(g, tol) for label, g, tol in cases}
     linprog = lpmod.linprog  # from here on every cold solve, the root's, presolves
-    monkeypatch.setattr(lpmod, "linprog", lambda *args, options, **kwargs: linprog(
-        *args, options={"presolve": True}, **kwargs
+    monkeypatch.setattr(lpmod, "linprog", lambda *args, **kwargs: linprog(
+        *args, **kwargs, presolve=True
     ))
     differ = []
     for label, g, tol in cases:
@@ -786,9 +787,9 @@ def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
     calls = []
     original = lpmod.linprog
 
-    def recording(*args, highs=None, **kwargs):
-        answer = original(*args, highs=highs, **kwargs)
-        calls.append((highs, kwargs["options"]["presolve"], answer.highs))
+    def recording(lp, highs=None, held=None, presolve=False):
+        answer = original(lp, highs, held, presolve)
+        calls.append((highs, presolve, answer.highs))
         return answer
 
     monkeypatch.setattr(lpmod, "linprog", recording)
@@ -832,9 +833,9 @@ def test_warm_node_solves_match_cold_ones(monkeypatch):
     solve_ilp(g, tol)
     for warm, cold in pairs:
         assert warm.status == cold.status
-        if cold.status == 0:
+        if cold.status == "optimal":
             assert warm.fun == pytest.approx(cold.fun, rel=1e-9)
-    assert {cold.status for _, cold in pairs} == {0, 2}
+    assert {cold.status for _, cold in pairs} == {"optimal", "infeasible"}
 
 
 def test_objectives_stay_below_the_true_path():
@@ -856,53 +857,67 @@ def test_objectives_stay_below_the_true_path():
             assert result.objective <= bound + 1e-9 * abs(bound)
 
 
+#: the status of each of ``scipy.optimize.linprog``'s status codes
+SCIPY_STATUS = {
+    0: "optimal",
+    1: "iteration_limit",
+    2: "infeasible",
+    3: "unbounded",
+    4: "numerical_failure",
+}
+
+
+def _two_columns(costs, data, b_eq, b_ub, upper) -> LinearProgram:
+    """A program of one row over two columns with entries ``data``, each
+    column in [0, ``upper``]."""
+    return LinearProgram(
+        variant="flow",
+        costs=np.array(costs),
+        bounds=np.array([[0.0, upper]] * 2),
+        columns=(np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32), np.array(data)),
+        b_eq=np.array(b_eq),
+        b_ub=np.array(b_ub),
+        edge_offsets=np.array([0, 2]),
+    )
+
+
 def test_linprog_matches_scipy_highs_ds(default_tol):
     """``linprog`` passes HiGHS what ``scipy.optimize.linprog`` passes it for
     ``method="highs-ds"``: under either presolve setting the status and
     iteration count match, and an optimal answer's objective, values and
     utilization duals match bit for bit. ``linprog`` reads a program's
     column arrays, scipy its CSR matrices; scipy's call is only the oracle."""
-    from scipy import sparse
     from scipy.optimize import linprog as scipy_linprog
 
+    assert set(SCIPY_STATUS.values()) == set(lpmod.STATUSES)
     rng = np.random.default_rng(17)
     programs = []
     for _ in range(12):
         g = random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9)))
-        for variant in ("flow", "lian1", "lian2"):
-            lp = formulate(g, variant, default_tol)
-            programs.append((lp.columns, dict(
-                c=lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, bounds=lp.bounds
-            )))
-    assert programs[0][1]["A_ub"] is None  # a flow program has no inequality rows
-    none = np.zeros(0)
-    # the column arrays of a one-row matrix over two columns, then its data
-    one_row = (np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32))
+        programs += [formulate(g, variant, default_tol) for variant in ("flow", "lian1", "lian2")]
+    assert programs[0].A_ub is None  # a flow program has no inequality rows
     programs += [
         # x0 + x1 == 3 within the unit box: infeasible
-        ((*one_row, np.ones(2)),
-         dict(c=np.ones(2), A_ub=None, b_ub=none, A_eq=sparse.csr_matrix(np.ones((1, 2))),
-              b_eq=np.array([3.0]), bounds=np.array([[0.0, 1.0]] * 2))),
+        _two_columns([1.0, 1.0], [1.0, 1.0], [3.0], [], 1.0),
         # minimize -x0 subject to x0 <= x1, both unbounded above: unbounded
-        ((*one_row, np.array([1.0, -1.0])),
-         dict(c=np.array([-1.0, 0.0]), A_ub=sparse.csr_matrix(np.array([[1.0, -1.0]])),
-              b_ub=np.zeros(1), A_eq=None, b_eq=none, bounds=np.array([[0.0, np.inf]] * 2))),
+        _two_columns([-1.0, 0.0], [1.0, -1.0], [], [0.0], np.inf),
     ]
     statuses = Counter()
-    for A, program in programs:
-        rest = {key: program[key] for key in ("c", "b_ub", "b_eq", "bounds")}
+    for lp in programs:
         for presolve in (False, True):
-            options = {"presolve": presolve}
-            ours = lpmod.linprog(A=A, **rest, options=options)
-            theirs = scipy_linprog(**program, options=options, method="highs-ds")
-            assert (ours.status, ours.nit) == (theirs.status, theirs.nit)
+            ours = lpmod.linprog(lp, presolve=presolve)
+            theirs = scipy_linprog(
+                lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                bounds=lp.bounds, options={"presolve": presolve}, method="highs-ds",
+            )
+            assert (ours.status, ours.nit) == (SCIPY_STATUS[theirs.status], theirs.nit)
             statuses[ours.status] += 1
             if theirs.status == 0:
                 assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
                 assert ours.x.tobytes() == theirs.x.tobytes()
-                assert ours.ineqlin.marginals.tobytes() == theirs.ineqlin.marginals.tobytes()
+                assert ours.marginals.tobytes() == theirs.ineqlin.marginals.tobytes()
     # every random program is feasible and bounded; the last two are not
-    assert statuses == {0: 2 * len(programs) - 4, 2: 2, 3: 2}
+    assert statuses == {"optimal": 2 * len(programs) - 4, "infeasible": 2, "unbounded": 2}
 
 
 def test_fractional_root_deletion_regression(tmp_path, capsys):
@@ -982,6 +997,12 @@ def test_external_backend(tmp_path, default_tol):
          "returned multipliers other than 1 finite numbers"),
         ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars), np.full(1, np.nan))",
          "returned multipliers other than 1 finite numbers"),
+        ("LpSolution('optimal', 10.0, np.r_[np.nan, np.zeros(lp.n_vars - 1)])",
+         "optimal answer has a value that is not finite"),
+        ("LpSolution('optimal', 10.0, np.r_[np.zeros(lp.n_vars - 1), 2.0])",
+         "optimal answer puts column 7 outside its bounds"),
+        # the first selection row, below the one utilization row, gets no flow
+        ("LpSolution('optimal', 10.0, np.zeros(lp.n_vars))", "optimal answer misses row 1 by 1"),
     )):
         answering = tmp_path / f"answer{k}.py"
         answering.write_text(
