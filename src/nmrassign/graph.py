@@ -10,8 +10,8 @@ layer carries, -1 for start, dummy and end. A node consumes its grouping's
 members in the table, and the peaks a path consumes are one gather
 (``consumed``) over the table's ``indptr`` and ``members`` at its nodes'
 rows. ``AssignmentNode`` is a view of one node (its position, kind and
-grouping id), built on demand by the graph's ``node`` and ``layers``; the
-program reads none of them, the benchmark's trace hook does.
+grouping id), built on demand by the graph's ``layers``; the program reads
+neither, they stay for ``benchmark/run.py``'s trace hook, ``graph_counts``.
 
 The groupings arrive as one ``grouping.GroupingTable``: flat arrays of
 every observation's grouping row, role column, value and sigma. The build
@@ -72,7 +72,7 @@ START, END, DUMMY, REGULAR = "start", "end", "dummy", "regular"
 ExpectedCounts = Mapping[str, tuple[int, float]]
 
 
-# the views below serve benchmark/run.py's trace hook, which reads g.layers
+# kept for benchmark/run.py's trace hook, which reads g.layers
 @dataclass(frozen=True)
 class AssignmentNode:
     layer: int
@@ -130,7 +130,7 @@ def consumed(indptr, indices, rows) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class AssignmentGraph:
     """The layered graph. Its nodes are stored once, as ``grouping_rows``;
-    ``node()`` and ``layers`` are ``AssignmentNode`` views built from them."""
+    ``layers`` holds ``AssignmentNode`` views built from them."""
 
     sequence: ProteinSequence
     #: edges[k] holds the edges between layers k and k+1
@@ -147,18 +147,16 @@ class AssignmentGraph:
     def n(self) -> int:
         return len(self.grouping_rows) - 2
 
-    def node(self, layer: int, index: int) -> AssignmentNode:
-        """A view of node ``index`` of ``layer``, built from its grouping row."""
-        row = int(self.grouping_rows[layer][index])
-        grouping_id = self.groupings.ids[row] if row >= 0 else None
-        return AssignmentNode(layer, index, _kind(layer, row, self.n), grouping_id)
-
     @cached_property
     def layers(self) -> list[list[AssignmentNode]]:
         """Views of every node, layer by layer, built on first use and kept
         for readers that index it repeatedly."""
-        rows = self.grouping_rows
-        return [[self.node(k, i) for i in range(len(rows[k]))] for k in range(len(rows))]
+        ids = self.groupings.ids
+        return [
+            [AssignmentNode(k, i, _kind(k, r, self.n), ids[r] if r >= 0 else None)
+             for i, r in enumerate(rows.tolist())]
+            for k, rows in enumerate(self.grouping_rows)
+        ]
 
     def path_reused_peaks(self, nodes: Sequence[int]) -> dict[str, int]:
         """Peak id -> times the path consumes it, for the peaks it consumes

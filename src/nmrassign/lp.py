@@ -23,12 +23,13 @@ and the LP below decides. ``ilp`` skips the stage and stays the
 full-program oracle.
 
 The module loads numpy only, and ``formulate`` builds the constraint matrix
-in numpy, column by column, as HiGHS reads it: a Lagrangian proof loads no
-scipy, and an LP loads no ``scipy.sparse`` unless an external backend reads
-the program's scipy matrices. Relaxations go to HiGHS's dual simplex
-through ``linprog``, which hands HiGHS's Python core the program with the
-options ``scipy.optimize.linprog(method="highs-ds")`` would, and answers in
-the program's ``STATUSES``. The first solve loads that core from scipy's
+in numpy, column by column, as HiGHS reads it: ``LinearProgram.columns`` is
+the program's one matrix, read by HiGHS, by ``_fault`` and by external
+backends. A Lagrangian proof loads no scipy, and an LP no ``scipy.sparse``.
+Relaxations go to HiGHS's dual simplex through ``linprog``, which hands
+HiGHS's Python core the program with the options
+``scipy.optimize.linprog(method="highs-ds")`` would, and answers in the
+program's ``STATUSES``. The first solve loads that core from scipy's
 installed files (``highs_core``) without importing ``scipy.optimize``,
 whose package init loads most of scipy. ``solve_lp`` checks every answer,
 the bundled backend's and an external one's, against the program: an
@@ -70,16 +71,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .domain import NODE_LIMIT, NmrAssignError, SolverError, Tolerances
 from .graph import AssignmentGraph, consumed
 from .shortest_path import NoPathError, SolveResult, dp_edge_bounds, dp_shortest_path, solve_result
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 VARIANTS = ("flow", "lian1", "lian2")
 #: the statuses of an LP answer (``LpSolution.status``)
@@ -98,7 +96,8 @@ class LinearProgram:
     The constraints are ``A_ub @ x <= b_ub`` and ``A_eq @ x == b_eq``.
     ``columns`` holds ``(indptr, indices, data)`` of the stacked matrix
     ``[A_ub; A_eq]`` in compressed sparse column form (int32 indices, rows
-    ascending within each column), the arrays HiGHS reads.
+    ascending within each column), the arrays HiGHS reads: its first
+    ``len(b_ub)`` rows are ``A_ub``, the rest ``A_eq``.
     Column ``edge_offsets[k] + e`` is edge ``e`` of the graph's layer ``k``
     (``edge_offsets[-1]`` is ``n_edges``); slack column ``n_edges + r``
     belongs to utilization row ``r`` (soft variant only). ``utilization``
@@ -109,18 +108,14 @@ class LinearProgram:
     over the graph restricted to the round's kept edges, so its edge
     columns are those edges in the root's order, and its utilization rows
     and slack columns are the root's. External backends (``--backend
-    external:<path>``) may read ``costs``, ``bounds``, and ``matrices()``
-    or ``A_eq``, ``b_eq``, ``A_ub`` and ``b_ub``: scipy CSR matrices with
-    sorted column indices, or None when a sense has no rows (its
-    right-hand side is then empty). They are built from ``columns`` on
-    first access, once per program, the only use of ``scipy.sparse``, and
-    cached in ``_csr``.
+    external:<path>``) read ``costs``, ``bounds``, ``columns``, ``b_ub``
+    and ``b_eq``.
 
     The bundled backend keeps the HiGHS model of the program's last solve,
     and the bounds it holds, in ``_highs``. Copies made by
-    ``dataclasses.replace`` share both slots, so a copy with other
-    ``bounds`` is solved warm and builds no matrix again. A copy with other
-    costs or rows must be built by ``formulate`` instead.
+    ``dataclasses.replace`` share that slot, so a copy with other
+    ``bounds`` is solved warm and hands HiGHS no matrix again. A copy with
+    other costs or rows must be built by ``formulate`` instead.
     """
 
     variant: str
@@ -137,8 +132,6 @@ class LinearProgram:
     #: the ``_Highs`` of the last bundled solve and the bounds it holds,
     #: or None and None
     _highs: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
-    #: one slot: (A_eq, A_ub) once built, or None
-    _csr: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -151,29 +144,6 @@ class LinearProgram:
     @property
     def n_edges(self) -> int:
         return int(self.edge_offsets[-1])
-
-    @property
-    def A_eq(self) -> sparse.csr_matrix | None:
-        return self._views()[0]
-
-    @property
-    def A_ub(self) -> sparse.csr_matrix | None:
-        return self._views()[1]
-
-    def matrices(self):
-        """(A_eq, b_eq, A_ub, b_ub) as scipy sparse/ndarray."""
-        return self.A_eq, self.b_eq, self.A_ub, self.b_ub
-
-    def _views(self) -> tuple[sparse.csr_matrix | None, sparse.csr_matrix | None]:
-        """(A_eq, A_ub), built from ``columns`` on the first call."""
-        if self._csr[0] is None:
-            from scipy import sparse
-
-            indptr, indices, data = self.columns
-            A = sparse.csc_matrix((data, indices, indptr), shape=(self.n_rows, self.n_vars)).tocsr()
-            n_ub = len(self.b_ub)
-            self._csr[0] = (A[n_ub:] if len(self.b_eq) else None, A[:n_ub] if n_ub else None)
-        return self._csr[0]
 
 
 @dataclass(frozen=True)
@@ -484,7 +454,12 @@ def load_backend(path: str | Path) -> Backend:
     if spec is None or spec.loader is None:
         raise SolverError(f"cannot load solver backend from {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except Exception as exc:
+        raise SolverError(
+            f"cannot load solver backend from {path}: {type(exc).__name__}: {exc}"
+        ) from None
     solve = getattr(module, "solve", None)
     try:
         inspect.signature(solve).bind(None)
@@ -638,9 +613,11 @@ def round_and_resolve(
     ``1e-3 * max(1, |root|)`` and doubles while no answer is found; once
     ``UB'`` reaches the largest finite bound, the round searches every
     column without a cutoff. The rounds share ``node_limit``; when it runs
-    out, or a round leaves a node unsolved, the incumbent comes back
-    unproven. The answer is mapped back to ``lp``'s columns, and
-    ``columns_fixed`` counts the edge columns the deciding round dropped.
+    out, the incumbent comes back unproven. A round that leaves a node
+    unsolved without finding an answer does not end the search: the next
+    round goes on, and the answer it finds is unproven. The answer is
+    mapped back to ``lp``'s columns, and ``columns_fixed`` counts the edge
+    columns the deciding round dropped.
     No round solves ``lp`` itself, so its HiGHS model is released first.
     """
     assert relaxed.objective is not None and relaxed.values is not None
@@ -656,7 +633,7 @@ def round_and_resolve(
     tol = Tolerances(lam=float(slack_costs[0])) if len(slack_costs) else Tolerances()
     bounds = edge_bounds(g, incidence, mu)
     largest = np.max(bounds, where=np.isfinite(bounds), initial=-math.inf)
-    margin, spent = 1e-3 * max(1.0, abs(relaxed.objective)), 0
+    margin, spent, unsolved = 1e-3 * max(1.0, abs(relaxed.objective)), 0, 0
     while True:
         cutoff = relaxed.objective + margin
         if cutoff >= largest:
@@ -671,14 +648,17 @@ def round_and_resolve(
             program, backend=backend, node_limit=node_limit - spent, cutoff=cutoff, root=root
         )
         spent += result.nodes_explored
-        if result.solution is not None or not result.proven_optimal or cutoff == math.inf:
+        unsolved += result.unsolved
+        if result.solution is not None or spent >= node_limit or cutoff == math.inf:
             solution = result.solution
             if solution is not None:
                 values = np.zeros(lp.n_vars)
                 values[kept] = solution.values
                 solution = replace(solution, values=values)
-            fixed = int((~keep).sum())
-            return BnbResult(solution, result.proven_optimal, spent, fixed, result.unsolved)
+            # a round that spends the budget without an answer proves nothing
+            proven = result.proven_optimal and not unsolved
+            proven = proven and (solution is not None or cutoff == math.inf)
+            return BnbResult(solution, proven, spent, int((~keep).sum()), unsolved)
         margin *= 2
 
 

@@ -9,8 +9,10 @@ library's own machinery: quadrature instead of the closed form, explicit
 enumeration instead of dynamic programming or branch and bound, a node's
 peaks read from the graph's grouping table, the simulator's true path
 priced edge by edge (``truth_cost``), which bounds every optimum from above,
-and a margin round's program written as the full program with the dropped
-edges' upper bounds at 0 (``masked_program``).
+a margin round's program written as the full program with the dropped
+edges' upper bounds at 0 (``masked_program``), and a program's constraint
+matrices built by scipy from its column arrays as README's external backend
+recipe builds them (``scipy_matrices``).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from nmrassign.domain import (
     Tolerances,
 )
 from nmrassign.experiments import candidate_roles, canonical_name
-from nmrassign.graph import REGULAR, AssignmentGraph, EdgeLayer
+from nmrassign.graph import AssignmentGraph, EdgeLayer
 from nmrassign.grouping import GroupingTable
 from nmrassign.lp import LinearProgram
 from nmrassign.shortest_path import NoPathError, PathSolution, path_solution
@@ -265,13 +267,25 @@ def truth_cost(g: AssignmentGraph, truth: GroundTruth) -> float:
 
 def masked_program(lp: LinearProgram, kept: np.ndarray) -> LinearProgram:
     """``lp`` with the upper bounds of the edge columns where ``kept`` (one
-    flag per edge column) is False at 0, and no HiGHS model or CSR views of
-    its own yet: a search node over the full program's columns, the
-    reference for a round's program of its kept edges. Its ``bounds`` are a
-    fresh array, which a caller may set further."""
+    flag per edge column) is False at 0, and no HiGHS model of its own yet:
+    a search node over the full program's columns, the reference for a
+    round's program of its kept edges. Its ``bounds`` are a fresh array,
+    which a caller may set further."""
     bounds = lp.bounds.copy()
     bounds[: lp.n_edges][~kept, 1] = 0.0
-    return replace(lp, bounds=bounds, _highs=[None, None], _csr=[None])
+    return replace(lp, bounds=bounds, _highs=[None, None])
+
+
+def scipy_matrices(lp: LinearProgram):
+    """(A_eq, b_eq, A_ub, b_ub) of ``lp``, the matrices as scipy CSR
+    matrices built from ``lp.columns`` as README's external backend recipe
+    builds them: ``A_ub`` is the first ``len(lp.b_ub)`` rows (none for a
+    flow program), ``A_eq`` the rest."""
+    from scipy import sparse
+
+    A = sparse.csc_matrix(lp.columns[::-1], shape=(lp.n_rows, lp.n_vars)).tocsr()
+    A_ub, A_eq = A[: len(lp.b_ub)], A[len(lp.b_ub) :]
+    return A_eq, lp.b_eq, A_ub, lp.b_ub
 
 
 def node_peaks(g: AssignmentGraph, layer: int, index: int) -> frozenset[str]:
@@ -295,7 +309,7 @@ def fragments(g: AssignmentGraph, nodes: Sequence[int]) -> list[tuple[str, tuple
     out: list[tuple[str, tuple[int, ...]]] = []
     types, run = "", ()
     for k in range(1, g.n + 2):
-        if k <= g.n and g.node(k, nodes[k]).kind == REGULAR:
+        if k <= g.n and g.grouping_rows[k][nodes[k]] >= 0:
             types, run = types + g.sequence.residue_type(k), run + (nodes[k],)
         elif run:
             out.append((types, run))

@@ -381,7 +381,9 @@ def test_unsolved_search_node_leaves_the_answer_unproven(tmp_path, capsys, varia
     ``proved_by`` null) and the warning names the unsolved node. On a
     20-residue cisa dataset with high noise and 20 % deletions (seed 5),
     whose root is fractional; for ``lian1`` the failing node lies in the
-    first margin round. A backend forwarding every call proves the answer."""
+    first margin round, which finds no answer, and the next round finds the
+    optimum (11 of 20 residues assigned), still unproven. A backend
+    forwarding every call proves the answer."""
     data = _simulate(tmp_path, "bnb", "--noise", "high", "--deletion-rate", "0.2", "--seed", "5")
     (tmp_path / "flaky.py").write_text(FLAKY_BACKEND, encoding="utf-8")
     (tmp_path / "forward.py").write_text(
@@ -406,6 +408,11 @@ def test_unsolved_search_node_leaves_the_answer_unproven(tmp_path, capsys, varia
     assert forward["root_integral"] is False
     assert flaky["proven_optimal"] is False and flaky["proved_by"] is None
     assert flaky["objective"] >= forward["objective"]
+    if variant == "lian1":
+        assert abs(flaky["objective"] - forward["objective"]) <= 1e-9 * abs(forward["objective"])
+        assignment = json.loads((tmp_path / "flaky" / "assignment.json").read_text(encoding="utf-8"))
+        assigned = [r for r in assignment["residues"] if r["assigned"] is not None]
+        assert (len(assigned), len(assignment["residues"])) == (11, 20)
 
 
 def test_sequence_file_reads_as_the_literal_sequence(tmp_path, capsys):
@@ -851,6 +858,27 @@ def test_external_backend_answer_checked(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == cli.EXIT_SOLVER
         assert err == f"error: backend lp_backend_{name}.solve{message}\n"
+
+
+@pytest.mark.parametrize("name, text, cause", [
+    ("syntax", "def solve(lp)\n    return None\n", "SyntaxError: "),
+    ("missing", "import no_such_solver_module\n\ndef solve(lp):\n    return None\n",
+     "ModuleNotFoundError: No module named 'no_such_solver_module'"),
+], ids=["syntax-error", "missing-import"])
+def test_backend_file_that_fails_to_load_exits_4(tmp_path, capsys, name, text, cause):
+    """A backend file that raises while it loads (a syntax error, a missing
+    import) ends the assign with exit 4 and one error line naming the file
+    and the exception, not a traceback."""
+    run = _simulate(tmp_path, "run")
+    backend = tmp_path / f"{name}.py"
+    backend.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["assign", "--sequence", SEQ, "--dataset", str(run / "spins.tsv"),
+                 "--backend", f"external:{backend}", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert err.startswith(f"error: cannot load solver backend from {backend}: {cause}")
+    assert err.count("\n") == 1
 
 
 #: sha256 of each output of a peaks-ref40 assign (instance 0, see

@@ -26,9 +26,7 @@ from nmrassign.experiments import (
 )
 from nmrassign.graph import (
     DUMMY,
-    END,
     REGULAR,
-    START,
     AssignmentNode,
     EdgeLayer,
     _atom_costs,
@@ -80,6 +78,12 @@ def _consensus(g, k, i):
     the graph's table; {} for start, dummy and end nodes."""
     row = int(g.grouping_rows[k][i])
     return g.groupings.consensus(row) if row >= 0 else {}
+
+
+def _ids(g, k):
+    """The grouping id each node of layer k carries, read from its grouping
+    row; None for start, dummy and end nodes (row -1)."""
+    return [g.groupings.ids[row] if row >= 0 else None for row in g.grouping_rows[k].tolist()]
 
 
 def _values(consensus, role):
@@ -173,8 +177,7 @@ def test_proline_layer_dummy_only(toy_priors, default_tol):
     expected = spin_observation_counts(toy_priors)
     g1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0})
     g = _build([g1], seq, toy_priors, default_tol, expected)
-    kinds = [node.kind for node in g.layers[2]]
-    assert kinds == [DUMMY]
+    assert g.grouping_rows[2].tolist() == [-1]  # the dummy alone
     # proline threshold covers only the carbons
     assert g.thresholds[2] < g.thresholds[1]
 
@@ -185,13 +188,11 @@ def test_layer_instantiation_counts(toy_priors, default_tol):
     shifts = {"N": 123.0, "HN": 8.2, "CA": 53.0, "CB": 19.0}
     ala_only = "u1", ["p1", "p2", "p3"], {role: [(v, 0.1, "p1")] for role, v in shifts.items()}
     g = _build([ala_only], seq, toy_priors, default_tol, expected)
-    assert len(g.layers[1]) == 2  # dummy + the grouping
-    assert len(g.layers[2]) == 1  # glycine rejects the CB observation
-    # the node views read the grouping rows: -1 is the start, a dummy or the end
-    assert [[node.kind for node in layer] for layer in g.layers] == [
-        [START], [DUMMY, REGULAR], [DUMMY], [END]
-    ]
-    assert g.node(1, 1).grouping_id == "u1" and g.node(2, 0).grouping_id is None
+    assert len(g.grouping_rows[1]) == 2  # dummy + the grouping
+    assert len(g.grouping_rows[2]) == 1  # glycine rejects the CB observation
+    # -1 is the start, a dummy or the end
+    assert [rows.tolist() for rows in g.grouping_rows] == [[-1], [-1, 0], [-1], [-1]]
+    assert _ids(g, 1) == [None, "u1"] and _ids(g, 2) == [None]
     # a regular node consumes its grouping's peaks; start, dummies and end none
     assert node_peaks(g, 1, 1) == frozenset({"p1", "p2", "p3"})
     for layer, index in ((0, 0), (1, 0), (2, 0), (3, 0)):
@@ -208,10 +209,7 @@ def test_edge_costs_and_attribution(toy_priors, default_tol):
         {"N": 122.0, "HN": 8.1, "CA": 53.5, "CB": 19.5, "CA_prev": 53.05, "CB_prev": 19.05},
     )
     g = _build([u1, u2], seq, toy_priors, default_tol, expected)
-    by_id = {node.grouping_id: node.index for node in g.layers[1]}
-    i1 = by_id["u1"]
-    by_id2 = {node.grouping_id: node.index for node in g.layers[2]}
-    i2 = by_id2["u2"]
+    i1, i2 = _ids(g, 1).index("u1"), _ids(g, 2).index("u2")
     # start edges carry no cost
     assert edge_cost(g.edges[0], 0, i1) == 0.0
 
@@ -243,7 +241,7 @@ def test_dummy_outgoing_edges_cost_threshold(toy_priors, default_tol):
     expected = spin_observation_counts(toy_priors)
     u1 = _grouping("u1", {"N": 123.0, "HN": 8.2, "CA": 53.0})
     g = _build([u1], seq, toy_priors, default_tol, expected)
-    for j in range(len(g.layers[2])):
+    for j in range(len(g.grouping_rows[2])):
         assert edge_cost(g.edges[1], 0, j) == pytest.approx(g.thresholds[1])
     assert edge_cost(g.edges[2], 0, 0) == pytest.approx(g.thresholds[2])
 
@@ -266,8 +264,7 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
     # CA_prev far from u1's CA: no sequential edge
     u2 = _grouping("u2", {"N": 122.0, "HN": 8.1, "CA": 53.5, "CA_prev": 56.0})
     g = _build([u1, u2], seq, toy_priors, default_tol, expected)
-    i1 = next(n.index for n in g.layers[1] if n.grouping_id == "u1")
-    i2 = next(n.index for n in g.layers[2] if n.grouping_id == "u2")
+    i1, i2 = _ids(g, 1).index("u1"), _ids(g, 2).index("u2")
     assert g.edges[1].index(i1, i2) is None
     # dummy routes always exist
     assert g.edges[1].index(0, i2) is not None
@@ -290,18 +287,18 @@ def test_sequential_walking_prunes_mismatched_carbons(toy_priors, default_tol):
         _grouping("t5", amide),  # no prev roles: links to every source
     ]
     g = _build([s1, s2, *targets], seq, toy_priors, tol, expected)
-    src = {n.grouping_id: n for n in g.layers[1] if n.kind == REGULAR}
-    dst = {n.grouping_id: n for n in g.layers[2] if n.kind == REGULAR}
+    src = {gid: i for i, gid in enumerate(_ids(g, 1)) if gid is not None}
+    dst = {gid: i for i, gid in enumerate(_ids(g, 2)) if gid is not None}
     assert len(src) == len(dst) == 7  # every grouping is typed as alanine
     linked = {(i, j) for i, j in edge_map(g.edges[1]) if i and j}
     want = {
-        (a.index, b.index)
-        for a in src.values()
-        for b in dst.values()
-        if _walks(_consensus(g, 1, a.index), _consensus(g, 2, b.index), tol.delta3)
+        (i, j)
+        for i in src.values()
+        for j in dst.values()
+        if _walks(_consensus(g, 1, i), _consensus(g, 2, j), tol.delta3)
     }
     assert linked == want
-    pair = {(a, b): (src[a].index, dst[b].index) in linked for a in src for b in dst}
+    pair = {(a, b): (src[a], dst[b]) in linked for a in src for b in dst}
     assert pair["s1", "t1"] and pair["s2", "t1"]  # exactly delta3 is kept
     assert not pair["s1", "t2"] and pair["s2", "t2"]  # one ulp over is cut
     assert pair["s1", "t3"] and pair["s2", "t3"]
@@ -353,8 +350,8 @@ def test_edge_costs_match_quadrature(toy_priors):
     seq = ProteinSequence("GA")
     expected = {role: (4, 0.1) for role in ("N", "HN", "CA", "CB", "CO")}
     g = _build(groupings, seq, toy_priors, Tolerances(delta3=1.0, delta=10.0), expected)
-    assert [n.grouping_id for n in g.layers[1][1:]] == ["g1", "g2"]
-    assert len(g.layers[2]) > 3  # t1, t2, t3, and the glycine-like groupings
+    assert _ids(g, 1)[1:] == ["g1", "g2"]
+    assert len(g.grouping_rows[2]) > 3  # t1, t2, t3, and the glycine-like groupings
     priced = 0
     for k in (1, 2):
         rt = seq.residue_type(k)
@@ -367,17 +364,17 @@ def test_edge_costs_match_quadrature(toy_priors):
             priced += 1
         # wide windows and thresholds: only an absent atom removes a regular pair
         regular = {
-            (a.index, b.index)
-            for a in g.layers[k][1:]
-            for b in g.layers[k + 1][1:]
-            if _quadrature_price(_consensus(g, k, a.index), _consensus(g, k + 1, b.index), rt,
+            (i, j)
+            for i in range(1, len(g.grouping_rows[k]))
+            for j in range(1, len(g.grouping_rows[k + 1]))
+            if _quadrature_price(_consensus(g, k, i), _consensus(g, k + 1, j), rt,
                                  toy_priors) is not None
         }
         assert {(i, j) for i, j in edge_map(g.edges[k]) if i and j} == regular
-    t2 = next(n.index for n in g.layers[2] if n.grouping_id == "t2")
+    t2 = _ids(g, 2).index("t2")
     assert not any(j == t2 for i, j in edge_map(g.edges[1]) if i)
-    assert g.edges[1].index(1, t2 - 1) is not None and g.layers[2][t2 - 1].grouping_id == "t1"
-    assert priced == len(g.edges[1]) + len(g.edges[2]) - len(g.layers[2]) - 1
+    assert g.edges[1].index(1, t2 - 1) is not None and _ids(g, 2)[t2 - 1] == "t1"
+    assert priced == len(g.edges[1]) + len(g.edges[2]) - len(g.grouping_rows[2]) - 1
 
 
 def test_dummy_connectivity_invariant(toy_priors, default_tol):
@@ -389,10 +386,10 @@ def test_dummy_connectivity_invariant(toy_priors, default_tol):
     ]
     g = _build(groupings, seq, toy_priors, default_tol, expected)
     for k in range(1, g.n + 1):
-        for node in g.layers[k - 1]:
-            assert g.edges[k - 1].index(node.index, 0) is not None
-        for node in g.layers[k + 1]:
-            assert g.edges[k].index(0, node.index) is not None
+        for i in range(len(g.grouping_rows[k - 1])):
+            assert g.edges[k - 1].index(i, 0) is not None
+        for j in range(len(g.grouping_rows[k + 1])):
+            assert g.edges[k].index(0, j) is not None
 
 
 def test_rebuild_is_deterministic(toy_priors, default_tol):

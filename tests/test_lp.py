@@ -38,7 +38,7 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import REGULAR, AssignmentGraph, build_graph
+from nmrassign.graph import AssignmentGraph, build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import canonical_path, dp_shortest_path, solve_result
 from nmrassign.simulate import sample_reference, simulate_cisa
@@ -58,6 +58,7 @@ from oracles import (
     path_cost,
     path_overuse,
     random_instance,
+    scipy_matrices,
     truth_cost,
 )
 from nmrassign.pipeline import bundled_priors, bundled_reference
@@ -87,7 +88,7 @@ def test_formulation_shape_dummies_only(default_tol):
     g = _dummies_only([0.0, 3.0, 4.0, 5.0])
     lp = formulate(g, "flow", default_tol)
     assert lp.n_vars == 4
-    A_eq, b_eq, A_ub, b_ub = lp.matrices()
+    A_eq, b_eq, A_ub, b_ub = scipy_matrices(lp)
     # one selection row per inner layer, then one flow row per inner node
     selection = _rows(A_eq, b_eq, range(g.n))
     coupling = _rows(A_eq, b_eq, range(g.n, len(b_eq)))
@@ -96,14 +97,14 @@ def test_formulation_shape_dummies_only(default_tol):
     assert lp.n_rows == 6
     assert all(rhs == 1.0 for rhs, _ in selection)
     assert all(rhs == 0.0 for rhs, _ in coupling)
-    assert A_ub is None and b_ub.size == 0
+    assert A_ub.shape[0] == 0 and b_ub.size == 0
     assert not lp.utilization and lp.n_vars == lp.n_edges
 
 
 def test_constraint_matrices_by_hand(default_tol):
     g = _dummies_only([0.0, 3.0, 4.0])
     lp = formulate(g, "flow", default_tol)
-    A_eq, b_eq, A_ub, b_ub = lp.matrices()
+    A_eq, b_eq, A_ub, b_ub = scipy_matrices(lp)
     # variables in (k, i, j) order: start edge, inner edge, end edge
     np.testing.assert_array_equal(lp.edge_offsets, [0, 1, 2, 3])
     np.testing.assert_allclose(lp.costs, [0.0, 3.0, 4.0])
@@ -117,14 +118,14 @@ def test_constraint_matrices_by_hand(default_tol):
         ],
     )
     np.testing.assert_allclose(b_eq, [1.0, 1.0, 0.0, 0.0])
-    assert A_ub is None and b_ub.size == 0
+    assert A_ub.shape[0] == 0 and b_ub.size == 0
 
 
 def test_utilization_rows_conflict_fixture(default_tol):
     g = conflict_fixture()
     lp = formulate(g, "lian1", default_tol)
     assert list(lp.utilization) == ["p1"]
-    [(rhs, coeffs)] = _rows(lp.A_ub, lp.b_ub, [lp.utilization.index("p1")])
+    [(rhs, coeffs)] = _rows(scipy_matrices(lp)[2], lp.b_ub, [lp.utilization.index("p1")])
     assert rhs == 1.0
     # outgoing edges of the two consumers: two from (1,1), one from (2,1)
     want = {_col(lp, g, 1, 1, 0), _col(lp, g, 1, 1, 1), _col(lp, g, 2, 1, 0)}
@@ -135,7 +136,7 @@ def test_utilization_rows_conflict_fixture(default_tol):
     # one slack column per utilization row, after the edges
     assert soft.n_vars == soft.n_edges + len(soft.utilization)
     eps_idx = soft.n_edges + soft.utilization.index("p1")
-    [(_, soft_coeffs)] = _rows(soft.A_ub, soft.b_ub, [soft.utilization.index("p1")])
+    [(_, soft_coeffs)] = _rows(scipy_matrices(soft)[2], soft.b_ub, [soft.utilization.index("p1")])
     assert soft_coeffs[eps_idx] == -1.0
     assert soft.costs[eps_idx] == default_tol.lam
     assert soft.bounds.shape == (soft.n_vars, 2)
@@ -152,14 +153,14 @@ def test_matrices_encode_exactly_the_paths(default_tol):
         g = random_instance(rng, int(rng.integers(1, 5)), 3, 6)
         for variant in ("flow", "lian1"):
             lp = formulate(g, variant, default_tol)
-            A_eq, b_eq, A_ub, b_ub = lp.matrices()
+            A_eq, b_eq, A_ub, b_ub = scipy_matrices(lp)
             for path in iter_paths(g):
                 x = np.zeros(lp.n_vars)
                 for k in range(g.n + 1):
                     x[_col(lp, g, k, path[k], path[k + 1])] = 1.0
                 np.testing.assert_array_equal(A_eq @ x, b_eq)
                 if variant == "lian1":
-                    fits = A_ub is None or bool(np.all(A_ub @ x <= b_ub))
+                    fits = bool(np.all(A_ub @ x <= b_ub))
                     assert fits == (path_overuse(g, path) == 0)
                 checked += 1
     assert checked > 100
@@ -174,14 +175,12 @@ def _ascending_within(indptr, indices) -> bool:
     return bool(np.all(step[within] > 0))
 
 
-def test_column_arrays_stack_the_csr_views(default_tol):
-    """``formulate``'s column arrays, the matrix HiGHS reads, are int32
-    ``indptr`` and ``indices`` and float64 ``data``, with rows strictly
-    ascending in each column, and equal ``[A_ub; A_eq]`` stacked from the
-    scipy views and turned column-wise. On random instances and on
-    spins-deletion's (ref60, 20 % deletions, seeds 0-7), for every variant."""
-    from scipy import sparse
-
+def test_column_arrays_are_int32_csc_with_ascending_rows(default_tol):
+    """``formulate``'s column arrays, the one matrix HiGHS, ``_fault`` and
+    external backends read, are int32 ``indptr`` and ``indices`` and float64
+    ``data``, one column per variable, with rows of the program strictly
+    ascending in each column. On random instances and on spins-deletion's (ref60, 20 %
+    deletions, seeds 0-7), for every variant."""
     rng = np.random.default_rng(17)
     cases = [(random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9))), default_tol)
              for _ in range(40)]
@@ -194,35 +193,28 @@ def test_column_arrays_stack_the_csr_views(default_tol):
             assert (indptr.dtype, indices.dtype, data.dtype) == (np.int32, np.int32, np.float64)
             assert len(indptr) == lp.n_vars + 1 and indptr[-1] == len(indices) == len(data)
             assert _ascending_within(indptr, indices)
-            stacked = sparse.vstack([m for m in (lp.A_ub, lp.A_eq) if m is not None]).tocsc()
-            assert stacked.shape == (lp.n_rows, lp.n_vars)
-            for got, want in zip(lp.columns, (stacked.indptr, stacked.indices, stacked.data)):
-                np.testing.assert_array_equal(got, want)
+            assert ((0 <= indices) & (indices < lp.n_rows)).all()
 
 
-def test_external_backends_read_csr_views_built_once(monkeypatch, default_tol):
-    """A backend that reads ``lp.matrices()`` gets scipy CSR matrices with
-    sorted column indices, and None for a flow program's ``A_ub``. The views
-    are built once per program: after a fractional root, every node of a
-    margin round reads the same ``A_eq`` and ``A_ub`` objects, those of the
-    round's program, and a round's first node, the root's answer, makes no
+def test_external_backends_read_each_programs_columns(monkeypatch, default_tol):
+    """A backend reads the program's ``columns``, ``b_ub`` and ``b_eq``: a
+    flow program has no inequality rows, and after a fractional root each
+    margin round hands the backend its own program, whose ``columns`` holds
+    one column per variable of that program over its own rows. Every node of
+    a round shares the round's one ``columns`` tuple, so the matrix is built
+    once per program, and a round's first node, the root's answer, makes no
     solve."""
-    from scipy import sparse
-
     seen = []
 
     def reading(lp):
-        A_eq, _, A_ub, _ = lp.matrices()
-        assert A_eq is lp.A_eq and A_ub is lp.A_ub
-        seen.append((A_eq, A_ub))
+        seen.append(lp)
         return solve_lp(lp)
 
     g = random_instance(np.random.default_rng(3), 3, 3, 4)
     flow = formulate(g, "flow", default_tol)
     assert solve_lp(flow, reading).ok
-    [(A_eq, A_ub)] = seen
-    assert A_ub is None and isinstance(A_eq, sparse.csr_matrix)
-    assert A_eq.shape == (flow.n_rows, flow.n_vars)
+    [program] = seen
+    assert program is flow and len(flow.b_ub) == 0 and flow.n_rows == len(flow.b_eq) > 0
 
     for g, lp in _conflicted_instances(4242):
         seen.clear()
@@ -234,22 +226,16 @@ def test_external_backends_read_csr_views_built_once(monkeypatch, default_tol):
     # the root's solve, then per round one solve per node after its first
     per_round = [r.nodes_explored - 1 for _, _, _, r, _ in calls]
     assert result.proven_optimal and len(seen) == 1 + sum(per_round) and sum(per_round) > 3
-    views, start = [seen[0]], 1
-    for solves, (_, _, _, _, program) in zip(per_round, calls):
-        views += [seen[start]] if solves else []
-        assert all(a is b for got in seen[start : start + solves] for a, b in zip(got, views[-1]))
+    assert seen[0] is lp
+    start = 1
+    for solves, (kept, _, _, _, program) in zip(per_round, calls):
+        assert all(node.columns is program.columns for node in seen[start : start + solves])
         start += solves
-        if solves:
-            A_eq, A_ub = views[-1]
-            assert A_eq.shape == (len(program.b_eq), program.n_vars)
-            assert A_ub.shape == (len(program.b_ub), program.n_vars)
-    assert len({id(A_eq) for A_eq, _ in views}) == len(views) > 1
-    for A_eq, A_ub in views:
-        for A in (A_eq, A_ub):
-            assert isinstance(A, sparse.csr_matrix) and A.dtype == np.float64
-            assert _ascending_within(A.indptr, A.indices)
-    A_eq, A_ub = views[0]
-    assert A_eq.shape == (len(lp.b_eq), lp.n_vars) and A_ub.shape == (len(lp.b_ub), lp.n_vars)
+        indptr, indices, _ = program.columns
+        assert program.n_vars == kept.sum() and len(indptr) == program.n_vars + 1
+        assert indices.max() < program.n_rows == lp.n_rows
+        assert len(program.b_ub) == len(lp.b_ub) > 0
+    assert len({id(program.columns) for *_, program in calls}) == len(calls) > 1
 
 
 def test_unknown_variant_rejected(default_tol):
@@ -278,8 +264,9 @@ def test_lian1_conflict_fixture(default_tol):
     assert result.proven_optimal
     assert result.reused_peaks == {}
     check_path(g, result.path.nodes, allow_reuse=False)
-    kinds = sorted(g.node(k, result.path.nodes[k]).kind for k in (1, 2))
-    assert kinds == ["dummy", "regular"]
+    # one regular node (a grouping row) and one dummy (row -1)
+    rows = sorted(int(g.grouping_rows[k][result.path.nodes[k]]) for k in (1, 2))
+    assert rows[0] == -1 and rows[1] >= 0
     # the relaxation splits the conflict, so it bounds strictly below 10
     assert result.lp_bound <= result.objective + 1e-9
 
@@ -537,7 +524,7 @@ def test_round_programs_match_masked_programs(monkeypatch):
             round_and_resolve(g, lp, relaxed, incidence)
             for kept, _, _, result, program in calls:
                 columns = np.flatnonzero(kept)
-                at_root = replace(program, _highs=[None, None], _csr=[None])
+                at_root = replace(program, _highs=[None, None])
                 solved = [(at_root, solve_lp(at_root))]
                 solved += [(node, answer) for node, answer in nodes if node.columns is program.columns]
                 # the round's own bounds, where the root's answer was its first
@@ -599,7 +586,7 @@ def _layout(g, nodes) -> tuple[Counter, Counter]:
     two optima that share both differ only in where they put them."""
     inner = range(1, g.n + 1)
     return (
-        Counter(g.node(k, nodes[k]).grouping_id for k in inner if nodes[k]),
+        Counter(g.groupings.ids[g.grouping_rows[k][nodes[k]]] for k in inner if nodes[k]),
         Counter(g.sequence.residue_type(k) for k in inner if not nodes[k]),
     )
 
@@ -633,13 +620,15 @@ def _ipm_backend(tmp_path):
     path = tmp_path / "ipm_backend.py"
     path.write_text(
         "import numpy as np\n"
+        "import scipy.sparse\n"
         "from scipy.optimize import linprog\n"
         "from nmrassign.lp import LpSolution\n"
         "\n"
         "def solve(lp):\n"
-        "    A_eq, b_eq, A_ub, b_ub = lp.matrices()\n"
-        "    res = linprog(lp.costs, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,\n"
-        "                  b_eq=b_eq, bounds=lp.bounds, method='highs-ipm')\n"
+        "    A = scipy.sparse.csc_matrix(lp.columns[::-1], shape=(lp.n_rows, lp.n_vars)).tocsr()\n"
+        "    A_ub, A_eq = A[:len(lp.b_ub)], A[len(lp.b_ub):]\n"
+        "    res = linprog(lp.costs, A_ub=A_ub, b_ub=lp.b_ub, A_eq=A_eq,\n"
+        "                  b_eq=lp.b_eq, bounds=lp.bounds, method='highs-ipm')\n"
         "    if res.status != 0:\n"
         "        return LpSolution('infeasible', None, None)\n"
         "    return LpSolution('optimal', float(res.fun), np.asarray(res.x))\n"
@@ -700,7 +689,7 @@ def _swap_equal_windows(g, nodes) -> tuple[int, ...] | None:
     residue types swapped, or None when it has no such pair."""
     runs: list[list[int]] = []  # [start, end) of each maximal regular run
     for k in range(1, g.n + 1):
-        if g.node(k, nodes[k]).kind != REGULAR:
+        if g.grouping_rows[k][nodes[k]] < 0:
             continue
         if runs and runs[-1][1] == k:
             runs[-1][1] = k + 1
@@ -886,7 +875,8 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
     ``method="highs-ds"``: under either presolve setting the status and
     iteration count match, and an optimal answer's objective, values and
     utilization duals match bit for bit. ``linprog`` reads a program's
-    column arrays, scipy its CSR matrices; scipy's call is only the oracle."""
+    column arrays, scipy the CSR matrices ``scipy_matrices`` builds from
+    them; scipy's call is only the oracle."""
     from scipy.optimize import linprog as scipy_linprog
 
     assert set(SCIPY_STATUS.values()) == set(lpmod.STATUSES)
@@ -895,7 +885,7 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
     for _ in range(12):
         g = random_instance(rng, int(rng.integers(1, 6)), 4, int(rng.integers(2, 9)))
         programs += [formulate(g, variant, default_tol) for variant in ("flow", "lian1", "lian2")]
-    assert programs[0].A_ub is None  # a flow program has no inequality rows
+    assert scipy_matrices(programs[0])[2].shape[0] == 0  # a flow program has no inequality rows
     programs += [
         # x0 + x1 == 3 within the unit box: infeasible
         _two_columns([1.0, 1.0], [1.0, 1.0], [3.0], [], 1.0),
@@ -904,10 +894,11 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
     ]
     statuses = Counter()
     for lp in programs:
+        A_eq, b_eq, A_ub, b_ub = scipy_matrices(lp)
         for presolve in (False, True):
             ours = lpmod.linprog(lp, presolve=presolve)
             theirs = scipy_linprog(
-                lp.costs, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                lp.costs, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                 bounds=lp.bounds, options={"presolve": presolve}, method="highs-ds",
             )
             assert (ours.status, ours.nit) == (SCIPY_STATUS[theirs.status], theirs.nit)
@@ -956,13 +947,15 @@ def test_external_backend(tmp_path, default_tol):
     backend_file = tmp_path / "backend.py"
     backend_file.write_text(
         "import numpy as np\n"
+        "import scipy.sparse\n"
         "from scipy.optimize import linprog\n"
         "from nmrassign.lp import LpSolution\n"
         "\n"
         "def solve(lp):\n"
-        "    A_eq, b_eq, A_ub, b_ub = lp.matrices()\n"
-        "    res = linprog(lp.costs, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,\n"
-        "                  b_eq=b_eq, bounds=lp.bounds, method='highs')\n"
+        "    A = scipy.sparse.csc_matrix(lp.columns[::-1], shape=(lp.n_rows, lp.n_vars)).tocsr()\n"
+        "    A_ub, A_eq = A[:len(lp.b_ub)], A[len(lp.b_ub):]\n"
+        "    res = linprog(lp.costs, A_ub=A_ub, b_ub=lp.b_ub, A_eq=A_eq,\n"
+        "                  b_eq=lp.b_eq, bounds=lp.bounds, method='highs')\n"
         "    if res.status != 0:\n"
         "        return LpSolution('infeasible', None, None)\n"
         "    return LpSolution('optimal', float(res.fun), np.asarray(res.x))\n"
@@ -1055,7 +1048,7 @@ def test_peak_incidence_matches_usage(default_tol):
         peaks, indptr, indices = peak_incidence(g)
         consumers: dict[str, list[tuple[int, int]]] = {}
         for k in range(1, g.n + 1):
-            for i in range(len(g.layers[k])):
+            for i in range(len(g.grouping_rows[k])):
                 for pid in node_peaks(g, k, i):
                     consumers.setdefault(pid, []).append((k, i))
         want = sorted(
@@ -1075,7 +1068,7 @@ def test_peak_incidence_matches_usage(default_tol):
             for e, i in enumerate(layer.src.tolist()):
                 for r, pid in enumerate(lp.utilization):
                     oracle[r, lp.edge_offsets[k] + e] = pid in node_peaks(g, k, i)
-        got = oracle[:0] if lp.A_ub is None else lp.A_ub.toarray()
+        got = scipy_matrices(lp)[2].toarray()
         assert got.shape == oracle.shape and (got == oracle).all()
     assert [len(peak_incidence(g)[0]) for g in graphs[-2:]] == [0, 0]
 

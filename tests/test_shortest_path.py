@@ -77,7 +77,7 @@ def test_dp_penalty_matches_brute_force():
     rng = np.random.default_rng(23)
     for _ in range(25):
         g = random_instance(rng, int(rng.integers(1, 6)), 4, 10)
-        penalty = [rng.choice([0.0, 0.5, 3.0], size=len(layer)) for layer in g.layers]
+        penalty = [rng.choice([0.0, 0.5, 3.0], size=len(rows)) for rows in g.grouping_rows]
 
         def penalized(path):
             return path_cost(g, path) + sum(penalty[k][i] for k, i in enumerate(path))
@@ -136,9 +136,9 @@ def test_exhaustive_conflict_fixture():
     sol = exhaustive_constrained(g)
     assert sol.total_cost == pytest.approx(10.0)
     check_path(g, sol.nodes, allow_reuse=False)
-    # one regular node, one dummy
-    kinds = sorted(g.node(k, sol.nodes[k]).kind for k in (1, 2))
-    assert kinds == ["dummy", "regular"]
+    # one regular node (a grouping row), one dummy (row -1)
+    rows = sorted(int(g.grouping_rows[k][sol.nodes[k]]) for k in (1, 2))
+    assert rows[0] == -1 and rows[1] >= 0
 
 
 def test_exhaustive_dummies_only():
