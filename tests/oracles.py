@@ -195,6 +195,24 @@ def conflict_fixture() -> AssignmentGraph:
     return make_graph([2, 2], edges, usage, thresholds=[0.0, 10.0, 10.0])
 
 
+def triangle_fixture() -> AssignmentGraph:
+    """Three inner layers whose regular nodes a, b and c each share a peak
+    with both others: a and b share pab, b and c pbc, a and c pac. Entering
+    a dummy costs 10 and entering a regular node 0. A path that reuses no
+    peak holds one regular node at most, so lian1's optimum is 20, on three
+    tied paths. The relaxation sends half the flow through a, b and c and
+    half through the dummies, at 15, and no other node flow is optimal:
+    the utilization rows cap the summed flow through a, b and c at 1.5,
+    reached only at 0.5 each, and each unit of it saves 10. So every
+    optimal vertex is fractional, whichever one a solver returns."""
+    def enter(n_src: int) -> dict[tuple[int, int], float]:
+        return {(i, j): 0.0 if j else 10.0 for i in range(n_src) for j in range(2)}
+
+    edges = [enter(1), enter(2), enter(2), {(0, 0): 0.0, (1, 0): 0.0}]
+    usage = [{}, {1: {"pab", "pac"}}, {1: {"pab", "pbc"}}, {1: {"pbc", "pac"}}, {}]
+    return make_graph([2, 2, 2], edges, usage, thresholds=[0.0, 10.0, 10.0, 10.0])
+
+
 def random_instance(rng, n: int, g_max: int, m2: int) -> AssignmentGraph:
     """Random layered graph with dummy wiring and random peak consumption."""
     inner_sizes = [int(rng.integers(1, g_max + 1)) + 1 for _ in range(n)]

@@ -13,9 +13,10 @@ import nmrassign.lp as lpmod
 from nmrassign import cli
 from nmrassign.cli import EXIT_INCUMBENT, EXIT_INPUT, EXIT_OK, EXIT_SOLVER, build_parser, main
 from nmrassign.domain import write_priors
+from nmrassign.lp import solve_ilp
 from nmrassign.pipeline import bundled_reference
 
-from test_lp import REGRESSION_SEQUENCE, _wide_priors
+from test_lp import REGRESSION_SEQUENCE, _deletion_graph, _wide_priors
 
 SEQ = "ADKFLEGQRSTNVYWHMICP"
 
@@ -320,17 +321,33 @@ def test_search_limits_below_one_rejected(tmp_path, capsys):
         assert "must be at least 1" in capsys.readouterr().err
 
 
+def _first_incumbent_budget() -> int:
+    """The fewest nodes after which ilp's search on ``test_lp``'s 30-residue
+    deletion dataset holds an incumbent, which the search needs more nodes
+    to prove."""
+    g, tol, _ = _deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)
+    proof = solve_ilp(g, tol).nodes_explored
+    for budget in range(1, proof):
+        if any(solve_ilp(g, tol, node_limit=budget).path.nodes):  # not the all-dummy path
+            return budget
+    raise AssertionError(f"the search proves its first incumbent, at node {proof}")
+
+
 @pytest.mark.parametrize("node_limit, code, stderr", [
-    (6, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
+    (None, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
     (1, EXIT_INCUMBENT, "warning: node budget hit; result is an unproven incumbent"),
 ], ids=["unproven-incumbent", "no-incumbent"])
 def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
     """The 30-residue deletion dataset of ``test_lp`` has a fractional root,
-    and ilp's search finds its first incumbent at node 4 and proves the
-    optimum at node 9: a budget of 6 nodes ends with that incumbent
-    unproven (exit 3), and a budget of 1 with none, so the answer is the
-    all-dummy path, unproven, bounded by the root (exit 3, every output
-    written). Neither answer names a stage that proved it."""
+    and ilp's search finds an incumbent some nodes before it proves the
+    optimum. A budget that ends at the first incumbent
+    (``_first_incumbent_budget``) answers with it unproven (exit 3), and a
+    budget of 1 with none, so the answer is the all-dummy path, unproven,
+    bounded by the root (exit 3, every output written). Neither answer
+    names a stage that proved it."""
+    incumbent = node_limit is None
+    if incumbent:
+        node_limit = _first_incumbent_budget()
     write_priors(_wide_priors(), tmp_path / "priors.json")
     assert main([
         "simulate", "--sequence", REGRESSION_SEQUENCE, "--protocol", "cisa", "--noise", "high",
@@ -351,10 +368,10 @@ def test_node_budget_exits(tmp_path, capsys, node_limit, code, stderr):
     assert report["proven_optimal"] is False and report["nodes_explored"] == node_limit
     assert report["proved_by"] is None
     assert report["variant"] == "ilp" and report["reused_peaks"] == {}
-    if node_limit == 1:
-        assignment = json.loads((out / "assignment.json").read_text(encoding="utf-8"))
-        assert assignment["objective"] == report["objective"] > report["lp_bound"]
-        assert all(residue["assigned"] is None for residue in assignment["residues"])
+    assignment = json.loads((out / "assignment.json").read_text(encoding="utf-8"))
+    assert assignment["objective"] == report["objective"] > report["lp_bound"]
+    assigned = [residue["assigned"] is not None for residue in assignment["residues"]]
+    assert any(assigned) if incumbent else not any(assigned)
 
 
 #: an external backend that forwards to the bundled ``solve_lp``, but

@@ -59,6 +59,7 @@ from oracles import (
     path_overuse,
     random_instance,
     scipy_matrices,
+    triangle_fixture,
     truth_cost,
 )
 from nmrassign.pipeline import bundled_priors, bundled_reference
@@ -340,17 +341,24 @@ def test_lian2_equals_lian1_without_conflicts(default_tol):
 
 
 def test_round_and_resolve_recovers_optimum(default_tol):
-    g = conflict_fixture()
+    """The search after a fractional root proves the conflict-free optimum.
+    ``triangle_fixture``'s relaxation is fractional at every optimal vertex,
+    so the root is fractional whichever vertex HiGHS returns."""
+    g = triangle_fixture()
     lp = formulate(g, "lian1", default_tol)
     relaxed = solve_lp(lp)
     assert relaxed.ok and not is_integral(lp, relaxed)
+    assert relaxed.objective == pytest.approx(15.0, abs=1e-9)
     result = round_and_resolve(g, lp, relaxed)
     assert result.solution is not None and result.proven_optimal
-    assert result.solution.objective == pytest.approx(10.0, abs=1e-9)
+    assert result.solution.objective == pytest.approx(brute_constrained(g), abs=1e-9)
+    assert result.solution.objective == pytest.approx(20.0, abs=1e-9)
 
 
 def test_branch_and_bound_node_limit(default_tol):
-    g = conflict_fixture()
+    """A one-node budget ends at a fractional root, unproven: the root of
+    ``triangle_fixture`` is fractional at every optimal vertex."""
+    g = triangle_fixture()
     lp = formulate(g, "lian1", default_tol)
     result = branch_and_bound(lp, node_limit=1)
     assert not result.proven_optimal
@@ -675,13 +683,7 @@ def test_solvers_return_the_canonical_optimum(tmp_path):
                 unexplained.append(f"{label} {name}")
     assert len(graphs) == 10
     assert moved > 0  # the rule changed some solver's path
-    assert unexplained == [
-        "SLKLLLES/0 external",
-        "KSKSEAKS/3 lian1",
-        "KSKSEAKS/3 ilp",
-        "KSKSEAKS/3 lian2",
-        "KSKSEAKS/3 external",
-    ]
+    assert unexplained == ["SLKLLLES/0 external", "KSKSEAKS/3 external"]
 
 
 def _swap_equal_windows(g, nodes) -> tuple[int, ...] | None:
@@ -766,7 +768,7 @@ def test_root_presolve_does_not_decide_the_answer(monkeypatch):
             assert _layout(g, on.path.nodes) == _layout(g, off[label].path.nodes), label
             differ.append(label)
     assert not off["regression"].root_integral
-    assert differ == ["SLKLLLES/0", "KSKSEAKS/3"]
+    assert differ == ["KSKSEAKS/3"]
 
 
 def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
@@ -868,6 +870,162 @@ def _two_columns(costs, data, b_eq, b_ub, upper) -> LinearProgram:
         b_ub=np.array(b_ub),
         edge_offsets=np.array([0, 2]),
     )
+
+
+def _node_row(lp, g, k, i) -> int:
+    """The conservation row of node i of inner layer k."""
+    before = sum(len(g.grouping_rows[layer]) for layer in range(1, k))
+    return len(lp.b_ub) + g.n + before + i
+
+
+def test_fold_series_by_hand():
+    """Three inner layers of a dummy (node 0) and one regular node each.
+    Layer 1's dummy and node, with their one in-edge from the start, fold it
+    into their out-edges, and layer 3's dummy and node, with their one
+    out-edge to the end, fold it into their in-edges. Layer 2's dummy has
+    one in-edge too, from layer 1's dummy, but that edge lies in layer 1's
+    dummy's folding row, so layer 2's dummy does not fold; layer 2's node
+    has two in-edges and two out-edges. The folded program keeps every
+    utilization and selection row and every slack column, and its optimum
+    is the full program's."""
+    edges = [
+        {(0, 0): 10.0, (0, 1): 1.0},
+        {(0, 0): 10.0, (0, 1): 2.0, (1, 1): 3.0},
+        {(0, 0): 10.0, (0, 1): 4.0, (1, 0): 5.0, (1, 1): 6.0},
+        {(0, 0): 0.0, (1, 0): 7.0},
+    ]
+    usage = [{}, {1: {"p"}}, {1: {"p", "q"}}, {1: {"q"}}, {}]
+    g = make_graph([2, 2, 2], edges, usage, thresholds=[0.0, 10.0, 10.0, 10.0])
+    for variant, tol in (("lian1", Tolerances()), ("lian2", Tolerances(lam=2.0))):
+        lp = formulate(g, variant, tol)
+        assert lp.utilization == ["p", "q"]
+        fold = lpmod.fold_series(lp)
+        folded = {_node_row(lp, g, k, i) for k in (1, 3) for i in (0, 1)}
+        assert set(range(lp.n_rows)) - set(fold.rows.tolist()) == folded
+        assert {_node_row(lp, g, 2, i) for i in (0, 1)} <= set(fold.rows.tolist())
+        # the start's and the end's edges are dropped, each into the edges
+        # on the other side of its node
+        start, end = (_col(lp, g, 0, 0, j) for j in (0, 1)), (_col(lp, g, 3, i, 0) for i in (0, 1))
+        dropped = sorted([*start, *end])
+        assert sorted(set(range(lp.n_vars)) - set(fold.columns.tolist())) == dropped
+        pairs = set(zip(fold.sources.tolist(), fold.receivers.tolist()))
+        assert pairs == {
+            (_col(lp, g, 0, 0, 0), _col(lp, g, 1, 0, 0)), (_col(lp, g, 0, 0, 0), _col(lp, g, 1, 0, 1)),
+            (_col(lp, g, 0, 0, 1), _col(lp, g, 1, 1, 1)),
+            (_col(lp, g, 3, 0, 0), _col(lp, g, 2, 0, 0)), (_col(lp, g, 3, 0, 0), _col(lp, g, 2, 1, 0)),
+            (_col(lp, g, 3, 1, 0), _col(lp, g, 2, 0, 1)), (_col(lp, g, 3, 1, 0), _col(lp, g, 2, 1, 1)),
+        }
+        # costs add along the dropped edges; rows keep their order
+        assert fold.program.costs[np.searchsorted(fold.columns, _col(lp, g, 1, 1, 1))] == 1.0 + 3.0
+        assert fold.program.n_rows == lp.n_rows - 4 and len(fold.program.b_ub) == len(lp.b_ub)
+        slacks = np.arange(lp.n_edges, lp.n_vars)
+        assert len(slacks) == (2 if variant == "lian2" else 0)
+        assert np.isin(slacks, fold.columns).all()
+        assert not np.isin(slacks, np.r_[fold.sources, fold.receivers]).any()
+        answer, want = solve_lp(lp), lpmod.linprog(lp)
+        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert lpmod._fault(lp, answer) is None
+        np.testing.assert_allclose(answer.multipliers, -want.marginals, atol=1e-9)
+
+        # a dropped column at upper bound 0 holds each of its receivers at 0:
+        # layer 3's dummy's edge to the end, and so both its in-edges
+        bounds = lp.bounds.copy()
+        bounds[_col(lp, g, 3, 0, 0), 1] = 0.0
+        zeroed = [_col(lp, g, 2, i, 0) for i in (0, 1)]
+        mapped = fold.bounds(bounds)
+        assert np.flatnonzero(mapped[:, 1] == 0.0).tolist() == np.searchsorted(fold.columns, zeroed).tolist()
+        node = replace(lp, bounds=bounds)
+        answer, want = solve_lp(node), lpmod.linprog(node)
+        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert lpmod._fault(node, answer) is None
+        assert answer.values[[_col(lp, g, 3, 0, 0), *zeroed]].tolist() == [0.0, 0.0, 0.0]
+
+
+def _fold_cases():
+    """(label, graph, tolerances) of ``LP_ANSWERS``' random instances, the
+    tiny deletion datasets (every sequence, seeds 0-5), the regression
+    dataset and spins-deletion's instance of seed 2 (ref60, 20 % deletions,
+    a fractional root)."""
+    cases = [(f"random/{k}", g, Tolerances())
+             for k, (g, _) in enumerate(itertools.islice(_conflicted_instances(2024), len(LP_ANSWERS)))]
+    cases += [(f"{seq}/{seed}", *_deletion_graph(seq, seed, 0.35)[:2])
+              for seq in TIE_SEQUENCES for seed in range(6)]
+    cases.append(("regression", *_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)[:2]))
+    ref60 = bundled_reference("ref60")
+    cases.append(("ref60/2", *_deletion_graph(ref60.sequence.residues, 2, 0.2, ref60)[:2]))
+    return cases
+
+
+def test_folded_solves_match_unfolded_ones():
+    """``solve_lp`` solves each program with its series nodes folded out;
+    ``linprog`` on the full program is the oracle. For lian1 (and so ilp,
+    whose search runs on lian1's root) and lian2 (lambda 2) on every case
+    of ``_fold_cases``, three programs are checked: the root, the program of
+    the first margin round (``formulate`` over ``g.restricted`` to the edges
+    whose bound at the root's multipliers lies within 1e-3 of the root),
+    and a search node of each, the program with its dropped columns that
+    carry flow in the program's own optimum at upper bound 0. The status is
+    the oracle's, objectives agree within 1e-9 relative, and the expanded
+    values pass ``_fault`` on the full program. At the folded root's
+    multipliers, the least ``edge_bounds`` is the root objective within
+    1e-9 relative: the multipliers certify the root."""
+    checked = Counter()
+    for label, g, tol in _fold_cases():
+        incidence = peak_incidence(g)
+        for variant, lam in (("lian1", math.inf), ("lian2", 2.0)):
+            lp = formulate(g, variant, replace(tol, lam=2.0), incidence)
+            root = solve_lp(lp)
+            mu = np.clip(root.multipliers, 0.0, lam)
+            assert edge_bounds(g, incidence, mu).min() == pytest.approx(root.objective, rel=1e-9, abs=1e-9)
+            cutoff = root.objective + 1e-3 * max(1.0, abs(root.objective))
+            restricted = formulate(g.restricted(edge_bounds(g, incidence, mu) <= cutoff), variant,
+                                   replace(tol, lam=2.0), incidence)
+            for program in (lp, restricted):
+                answer, want = solve_lp(program), lpmod.linprog(program)
+                fold = program._fold[0]
+                nodes = [(program, answer, want)]
+                if want.status == "optimal":
+                    carried = fold.sources[want.x[fold.sources] > 0.5]
+                    bounds = program.bounds.copy()
+                    bounds[carried, 1] = 0.0
+                    node = replace(program, bounds=bounds)
+                    nodes.append((node, solve_lp(node), lpmod.linprog(node)))
+                    checked["zeroed"] += carried.size > 0
+                for node, answer, want in nodes:
+                    assert answer.status == want.status, label
+                    checked[want.status] += 1
+                    if want.status == "optimal":
+                        assert answer.objective == pytest.approx(want.fun, rel=1e-9), label
+                        assert lpmod._fault(node, answer) is None
+                assert fold.program.n_rows < program.n_rows
+    assert checked["optimal"] > checked["infeasible"] > 0, checked
+    assert checked["zeroed"] > 100, checked
+
+
+def _unfolded(lp: LinearProgram) -> LpSolution:
+    """An external backend: ``linprog`` on the full program it receives."""
+    res = lpmod.linprog(lp)
+    if res.status != "optimal":
+        return LpSolution(res.status, None, None)
+    return LpSolution(res.status, float(res.fun), res.x, -res.marginals)
+
+
+def test_searches_match_unfolded_ones():
+    """Every variant's search, each of its LPs solved folded (the bundled
+    backend) or unfolded (``_unfolded``), proves the same optimum on every
+    case of ``_fold_cases``, within 1e-9 relative: ``ilp``'s branch and
+    bound on the root, and ``lian1``'s and ``lian2``'s margin rounds on
+    their own programs. Ties may pick other paths, so only objectives are
+    compared."""
+    solvers = {"lian1": solve_lian1, "lian2": solve_lian2, "ilp": solve_ilp}
+    searched = Counter()
+    for label, g, tol in _fold_cases():
+        for variant, solve in solvers.items():
+            folded, unfolded = (solve(g, replace(tol, lam=2.0), backend) for backend in (None, _unfolded))
+            assert folded.proven_optimal and unfolded.proven_optimal, (label, variant)
+            assert folded.objective == pytest.approx(unfolded.objective, rel=1e-9), (label, variant)
+            searched[variant] += folded.proved_by == "lp" and not folded.root_integral
+    assert min(searched.values()) > 0, searched
 
 
 def test_linprog_matches_scipy_highs_ds(default_tol):
@@ -1194,7 +1352,8 @@ def test_lagrangian_stage_is_pinned_bit_for_bit():
 #: epsilons, root_integral; then the search's nodes_explored and
 #: columns_fixed, as the dual-priced search after a fractional root counts
 #: them with each margin round solved warm on a program of its kept edges,
-#: its first node the root's answer
+#: its first node the root's answer, and every LP solved with its series
+#: nodes folded out (``fold_series``)
 LP_ANSWERS = [
     [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 27, 37),
      ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
@@ -1207,16 +1366,16 @@ LP_ANSWERS = [
       {"p2": 1.0}, True, 1, 0)],
     [((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0),
      ((0, 2, 2, 0), -5.076504234129074, -5.076504234129074, {}, {}, True, 1, 0)],
-    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 48, 16),
+    [((0, 4, 3, 3, 0), 2.097544798682195, -3.209024937274992, {}, {}, False, 46, 16),
      ((0, 3, 4, 4, 0), -7.333776325415068, -8.591276272631795, {"p0": 2, "p3": 2},
-      {"p0": 1.0, "p3": 1.0}, False, 33, 37)],
+      {"p0": 1.0, "p3": 1.0}, False, 31, 37)],
     [((0, 2, 2, 0, 0), -0.5065125284559944, -2.195267041955036, {}, {}, False, 33, 22),
      ((0, 1, 4, 1, 0), -1.884021555454079, -2.195267041955036, {"p5": 2}, {"p5": 1.0},
       False, 27, 27)],
-    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 39, 19),
+    [((0, 0, 1, 2, 0, 0, 1, 0), 16.985342013751577, 14.41559599662858, {}, {}, False, 31, 19),
      ((0, 1, 1, 2, 0, 3, 1, 0), 3.403980858023851, 3.403980858023851, {"p1": 2, "p5": 3},
       {"p1": 1.0, "p5": 2.0}, True, 1, 0)],
-    [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 27, 21),
+    [((0, 1, 1, 2, 0, 0, 0, 0), 23.629646403161317, 19.745705425680754, {}, {}, False, 27, 18),
      ((0, 2, 1, 2, 0, 0, 2, 0), 17.412845333513054, 17.412845333513054, {"p6": 2},
       {"p6": 1.0}, True, 1, 0)],
 ]
