@@ -56,7 +56,7 @@ therefore prices every residue exactly once.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -166,19 +166,6 @@ class AssignmentGraph:
         peaks = consumed(table.indptr, table.members, rows[rows >= 0])[0]
         uses = np.bincount(peaks, minlength=len(table.sources))
         return {table.sources[p]: int(uses[p]) for p in np.flatnonzero(uses >= 2).tolist()}
-
-    def restricted(self, keep: np.ndarray) -> AssignmentGraph:
-        """The graph with only the edges where ``keep`` (one flag per edge,
-        layer after layer) is True. Its nodes stay as they are, so node
-        indices mean the same in both, and each layer keeps its edges' order."""
-        edges, start = [], 0
-        for layer in self.edges:
-            mask = keep[start : start + len(layer)]
-            start += len(layer)
-            indptr = np.zeros_like(layer.indptr)
-            np.cumsum(np.bincount(layer.src[mask], minlength=len(indptr) - 1), out=indptr[1:])
-            edges.append(EdgeLayer(layer.dst[mask], layer.cost[mask], indptr))
-        return replace(self, edges=edges)
 
 
 def _summaries(table: GroupingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

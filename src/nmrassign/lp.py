@@ -51,16 +51,19 @@ When utilization rows make the optimum fractional, the root's utilization
 duals serve as Lagrangian multipliers: one forward and one backward DP
 (``dp_edge_bounds``) bound every answer that uses an edge, and a branch
 and bound searches only the edges whose bound lies within a margin of the
-root, with that margin as its cutoff; the margin doubles until an answer
-is found. Each such round searches a program of its own: ``formulate``
-over the graph restricted to the round's kept edges, with the root's
-utilization rows. Its first node is the root's answer, which uses kept
-edges only (should it not, the node is solved); every later node is
-solved on the round's one HiGHS model, from the basis the solve before it
-left, with only the column bounds that differ from that solve's set. Every search node is
-its program with some edge columns' upper bounds at 0: branching drops
-edges. The exact ``ilp`` search skips the rule: it starts from the root
-relaxation already solved, and its nodes run warm on the root's model.
+root, with that margin as its cutoff; the margin doubles until an answer is
+found. Each such round searches the root's program with the upper bounds of
+the edges it drops at 0, folded at those bounds before its first node, so
+the fold drops those columns and the rows they leave empty. The round's
+first node is the root's answer, which uses kept edges only (should it not,
+the node is solved); every later node is solved on the round's one HiGHS
+model, from the basis the solve before it left, with only the column bounds
+that differ from that solve's set. Every search node is its program with
+some edge columns' upper bounds at 0: branching drops edges. So every
+program a solve hands a backend has the root's costs, columns and rows; only
+its bounds differ. The exact ``ilp`` search skips the rule: it starts from
+the root relaxation already solved, and its nodes run warm on the root's
+model.
 
 Which of several tied optima comes back is up to HiGHS (and its basis),
 or to the DP's tie rule. Swapping fragments (maximal runs of regular
@@ -114,11 +117,9 @@ class LinearProgram:
     belongs to utilization row ``r`` (soft variant only). ``utilization``
     lists the contested peaks in the order of their utilization rows.
     ``bounds`` is an (n_vars × 2) array of (lower, upper) pairs: edges lie
-    in [0, 1] and slacks in [0, inf]; a search node is the program with
-    other ``bounds``. A margin round's program is built by ``formulate``
-    over the graph restricted to the round's kept edges, so its edge
-    columns are those edges in the root's order, and its utilization rows
-    and slack columns are the root's. External backends (``--backend
+    in [0, 1] and slacks in [0, inf]; a margin round's program and a
+    search node are the root program with other ``bounds``, some edge
+    columns' upper bounds at 0. External backends (``--backend
     external:<path>``) read ``costs``, ``bounds``, ``columns``, ``b_ub``
     and ``b_eq``.
 
@@ -126,8 +127,10 @@ class LinearProgram:
     and the HiGHS model of its last solve, and the bounds it holds, in
     ``_highs``. Copies made by ``dataclasses.replace`` share both slots, so
     a copy with other ``bounds`` is folded no more, is solved warm and
-    hands HiGHS no matrix again. A copy with other costs or rows must be
-    built by ``formulate`` instead.
+    hands HiGHS no matrix again. Such a copy may only lower the bounds its
+    fold was built at: the fold drops the columns they fix at 0. A margin
+    round's program is a copy with fresh slots, folded at its own bounds.
+    A copy with other costs or rows must be built by ``formulate``.
     """
 
     variant: str
@@ -427,8 +430,10 @@ def _fault(lp: LinearProgram, answer) -> str | None:
     outside = np.flatnonzero((x < low - tol) | (x > high + tol))
     if outside.size:
         return f"'s optimal answer puts column {outside[0]} outside its bounds"
+    nonzero = np.flatnonzero(x)  # a column at 0 adds nothing to a row
     indptr, indices, data = lp.columns
-    rows = np.bincount(indices, data * np.repeat(x, np.diff(indptr)), lp.n_rows)
+    row, at = consumed(indptr, indices, nonzero)
+    rows = np.bincount(row, consumed(indptr, data, nonzero)[0] * x[nonzero][at], lp.n_rows)
     n_ub = len(lp.b_ub)  # an inequality row may fall short of its right-hand side
     miss = np.r_[rows[:n_ub] - lp.b_ub, np.abs(rows[n_ub:] - lp.b_eq)]
     missed = np.flatnonzero(miss > tol)
@@ -452,6 +457,8 @@ class SeriesFold:
     #: columns: a dropped column's value is the sum of its receivers'
     sources: np.ndarray
     receivers: np.ndarray
+    #: the full program's columns dropped because its bounds fix them at 0
+    fixed: np.ndarray
 
     def bounds(self, bounds: np.ndarray) -> np.ndarray:
         """The folded program's bounds for the full program's ``bounds``:
@@ -472,29 +479,33 @@ def fold_series(lp: LinearProgram) -> SeriesFold:
     optimum and fewer rows and columns (the aggregation step of LP presolve:
     Andersen & Andersen, "Presolving in linear programming", 1995).
 
-    A conservation row (an equality row with right-hand side 0, all its
-    entries +1 or -1) that holds exactly one +1 entry, or else exactly one
-    -1 entry, pins that entry's column to the sum of the row's other
-    columns, its receivers: a node's one in-edge carries what its out-edges
-    carry, or its one out-edge what its in-edges carry. The row folds when
-    its single column has lower bound 0 and lies in no other such row. The
-    column is dropped and added into each receiver: costs add, entries add,
-    and the row cancels to nothing and goes, as does every conservation row
-    without entries (a margin round's node whose edges were all dropped).
-    A receiver's upper bound becomes the least of its own and its dropped
-    columns' (``SeriesFold.bounds``). That is exact for ``formulate``'s
-    programs and their search nodes: a dropped column is an edge column in
-    [0, 1] or [0, 0], and unit flow already holds every edge column at 1
-    or below. Utilization and selection rows are never dropped, so the
-    folded program's utilization rows, and their duals, are the full
+    First every column the bounds fix at 0 (a margin round's dropped edges)
+    goes, with its entries. Then a conservation row (an equality row with
+    right-hand side 0, all its entries +1 or -1) that holds exactly one +1
+    entry, or else exactly one -1 entry, pins that entry's column to the sum
+    of the row's other columns, its receivers: a node's one in-edge carries
+    what its out-edges carry, or its one out-edge what its in-edges carry.
+    The row folds when its single column has lower bound 0 and lies in no
+    other such row. The column is dropped and added into each receiver:
+    costs add, entries add, and the row cancels to nothing and goes, as does
+    every conservation row without entries (a margin round's node whose
+    edges were all dropped). A receiver's upper bound becomes the least of
+    its own and its dropped columns' (``SeriesFold.bounds``). That is exact
+    for ``formulate``'s programs and their search nodes: a dropped column is
+    an edge column in [0, 1] or [0, 0], and unit flow already holds every
+    edge column at 1 or below. The fold holds for every copy of ``lp`` whose
+    bounds are ``lp``'s or lower: a fixed column stays at 0, which
+    ``expand`` gives it. Utilization and selection rows are never dropped,
+    so the folded program's utilization rows, and their duals, are the full
     program's. No dropped column receives, so ``SeriesFold.expand`` sets
     each dropped column to the sum of its receivers in one pass.
     """
     indptr, indices, data = lp.columns
     n_vars, n_rows, n_ub = lp.n_vars, lp.n_rows, len(lp.b_ub)
     col = np.repeat(np.arange(n_vars), np.diff(indptr))
+    fixed = (lp.bounds == 0.0).all(axis=1)
     conserving = np.r_[np.zeros(n_ub, dtype=bool), lp.b_eq == 0.0]
-    at = conserving[indices]
+    at = conserving[indices] & ~fixed[col]  # a fixed column's entries are no row's
     rows, cols, signs = indices[at], col[at], data[at]
     plus, minus = signs == 1.0, signs == -1.0
     n_all = np.bincount(rows, minlength=n_rows)
@@ -510,7 +521,7 @@ def fold_series(lp: LinearProgram) -> SeriesFold:
     folds = via_in | (series & (n_minus == 1) & free[out_col])
     gone = folds | (conserving & (n_all == 0))
     single = np.where(via_in, in_col, out_col)
-    dropped = np.zeros(n_vars, dtype=bool)
+    dropped = fixed.copy()
     dropped[single[folds]] = True
     # a folding row's other columns receive its single column
     at = folds[rows] & ~dropped[cols]
@@ -519,18 +530,17 @@ def fold_series(lp: LinearProgram) -> SeriesFold:
     # the kept columns' entries and each dropped column's entries copied
     # into each of its receivers, in kept rows, summed where they meet; the
     # key of an entry is its place in the folded matrix, column major
-    counts = np.diff(indptr)[sources]
-    pos = np.arange(counts.sum()) + np.repeat(indptr[sources] - np.cumsum(counts) + counts, counts)
+    copied, at = consumed(indptr, indices, sources)
     stay = ~dropped[col]
-    entry_col = np.r_[col[stay], np.repeat(receivers, counts)]
-    entry_row = np.r_[indices[stay], indices[pos]]
+    entry_col = np.r_[col[stay], receivers[at]]
+    entry_row = np.r_[indices[stay], copied]
     live = ~gone[entry_row]
     new_col, new_row = np.cumsum(~dropped) - 1, np.cumsum(~gone) - 1
     n_kept_rows = n_rows - int(gone.sum())
     key, entry = np.unique(
         new_col[entry_col[live]] * n_kept_rows + new_row[entry_row[live]], return_inverse=True
     )
-    values = np.bincount(entry, np.r_[data[stay], data[pos]][live])
+    values = np.bincount(entry, np.r_[data[stay], consumed(indptr, data, sources)[0]][live])
     key, values = key[values != 0.0], values[values != 0.0]  # entries that cancelled go
     column_of = key // max(n_kept_rows, 1)
     new_indptr = np.zeros(n_vars - int(dropped.sum()) + 1, dtype=np.int32)
@@ -539,7 +549,8 @@ def fold_series(lp: LinearProgram) -> SeriesFold:
     columns = np.flatnonzero(~dropped)
     costs = lp.costs + np.bincount(receivers, lp.costs[sources], n_vars)
     fold = SeriesFold(
-        program=None, columns=columns, rows=np.flatnonzero(~gone), sources=sources, receivers=receivers
+        program=None, columns=columns, rows=np.flatnonzero(~gone), sources=sources,
+        receivers=receivers, fixed=np.flatnonzero(fixed),
     )
     program = LinearProgram(
         variant=lp.variant,
@@ -563,12 +574,13 @@ def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
     the backend.
 
     The bundled backend solves ``fold_series(lp)``, built at ``lp``'s first
-    solve and shared, as the HiGHS model is, by its copies with other
-    bounds: the full program with its series nodes substituted away, about
-    half the rows on spin systems. The substitution is exact, so the
-    optimum is the full program's; the answer is expanded back to the full
-    program's columns, and checked against the full program. An external
-    backend gets the full program."""
+    solve unless ``lp`` holds one, and shared, as the HiGHS model is, by
+    its copies with other bounds: the full program with its series nodes
+    substituted away, about half the rows on spin systems. The substitution
+    is exact, so the optimum is the full program's; the answer is expanded
+    back to the full program's columns, and checked against the full
+    program. Bounds that reopen a column the fold dropped as fixed at 0
+    raise ``SolverError``. An external backend gets the full program."""
     if backend is not None:
         answer = backend(lp)
         fault = _fault(lp, answer)
@@ -579,6 +591,8 @@ def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
     fold = lp._fold[0]
     if fold is None:
         fold = lp._fold[0] = fold_series(lp)
+    if lp.bounds[fold.fixed].any():
+        raise SolverError("bounds reopen a column the program's fold dropped at [0, 0]")
     program = replace(fold.program, bounds=fold.bounds(lp.bounds))
     highs, held = lp._highs
     res = linprog(program, highs=highs, held=held)
@@ -746,36 +760,31 @@ def round_and_resolve(
     edge column its ``edge_bounds``; a backend without duals gives
     ``mu = 0``. A round guesses ``UB' = root + margin``, keeps the edge
     columns whose bound is at most ``UB'`` and runs ``branch_and_bound``
-    with ``UB'`` as its cutoff on the round's own program: ``formulate``
-    over ``g.restricted`` to the kept edges, with the root's utilization
-    rows (and slack columns), so its columns are the kept edge columns in
-    order, then the slacks. Every answer below ``UB'`` lies in the kept
-    program, so the first answer found is optimal. The root's answer, which
-    uses kept edges only, is the round's first node; should it carry flow
-    on a dropped edge (its multipliers from a backend without duals, say),
-    the node is solved instead. The margin starts at
-    ``1e-3 * max(1, |root|)`` and doubles while no answer is found; once
-    ``UB'`` reaches the largest finite bound, the round searches every
-    column without a cutoff. The rounds share ``node_limit``; when it runs
+    with ``UB'`` as its cutoff on the round's program: ``lp`` with the
+    other edge columns' upper bounds at 0, folded at those bounds before
+    its first node, so the fold drops those columns. Every answer below
+    ``UB'`` lies in the kept columns, so the first answer found is optimal.
+    The root's answer, which uses kept edges only, is the round's first
+    node; should it carry flow on a dropped edge (its multipliers from a
+    backend without duals, say), the node is solved instead. The margin
+    starts at ``1e-3 * max(1, |root|)`` and doubles while no answer is
+    found; once ``UB'`` reaches the largest finite bound, the round
+    searches every column without a cutoff. The rounds share
+    ``node_limit``; when it runs
     out, the incumbent comes back unproven. A round that leaves a node
     unsolved without finding an answer does not end the search: the next
-    round goes on, and the answer it finds is unproven. The answer is
-    mapped back to ``lp``'s columns, and ``columns_fixed`` counts the edge
-    columns the deciding round dropped.
-    No round solves ``lp`` itself, so its HiGHS model and fold are released
-    first.
+    round goes on, and the answer it finds is unproven. ``columns_fixed``
+    counts the edge columns the deciding round dropped. No round solves
+    ``lp`` itself, so its HiGHS model and fold are released first.
     """
     assert relaxed.objective is not None and relaxed.values is not None
     lp._highs[:], lp._fold[:] = (None, None), [None]
     n_edges = lp.n_edges
     incidence = peak_incidence(g) if incidence is None else incidence
     mu = np.zeros(len(incidence[0]))
-    slack_costs = lp.costs[n_edges:]
     if lp.utilization and relaxed.multipliers is not None:
-        lam = slack_costs if lp.variant == "lian2" else math.inf
+        lam = lp.costs[n_edges:] if lp.variant == "lian2" else math.inf
         mu = np.clip(relaxed.multipliers, 0.0, lam)
-    # a round's slacks cost what the root's do; formulate reads no other tolerance
-    tol = Tolerances(lam=float(slack_costs[0])) if len(slack_costs) else Tolerances()
     bounds = edge_bounds(g, incidence, mu)
     largest = np.max(bounds, where=np.isfinite(bounds), initial=-math.inf)
     margin, spent, unsolved = 1e-3 * max(1.0, abs(relaxed.objective)), 0, 0
@@ -784,26 +793,22 @@ def round_and_resolve(
         if cutoff >= largest:
             cutoff = math.inf  # the last round: every column, no cutoff
         keep = bounds <= cutoff
-        kept = np.r_[np.flatnonzero(keep), n_edges:lp.n_vars]  # the round's columns in lp
-        program = formulate(g.restricted(keep), lp.variant, tol, incidence)
-        root = None
-        if np.all(np.abs(relaxed.values[:n_edges][~keep]) <= INT_TOL):
-            root = replace(relaxed, values=relaxed.values[kept])
+        masked = lp.bounds.copy()
+        masked[:n_edges][~keep, 1] = 0.0
+        program = replace(lp, bounds=masked, _highs=[None, None], _fold=[None])
+        # folded at the round's bounds, which its nodes only lower
+        program._fold[0] = fold_series(program)
+        root = relaxed if np.all(np.abs(relaxed.values[:n_edges][~keep]) <= INT_TOL) else None
         result = branch_and_bound(
             program, backend=backend, node_limit=node_limit - spent, cutoff=cutoff, root=root
         )
         spent += result.nodes_explored
         unsolved += result.unsolved
         if result.solution is not None or spent >= node_limit or cutoff == math.inf:
-            solution = result.solution
-            if solution is not None:
-                values = np.zeros(lp.n_vars)
-                values[kept] = solution.values
-                solution = replace(solution, values=values)
             # a round that spends the budget without an answer proves nothing
             proven = result.proven_optimal and not unsolved
-            proven = proven and (solution is not None or cutoff == math.inf)
-            return BnbResult(solution, proven, spent, int((~keep).sum()), unsolved)
+            proven = proven and (result.solution is not None or cutoff == math.inf)
+            return BnbResult(result.solution, proven, spent, int((~keep).sum()), unsolved)
         margin *= 2
 
 

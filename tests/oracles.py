@@ -9,10 +9,10 @@ library's own machinery: quadrature instead of the closed form, explicit
 enumeration instead of dynamic programming or branch and bound, a node's
 peaks read from the graph's grouping table, the simulator's true path
 priced edge by edge (``truth_cost``), which bounds every optimum from above,
-a margin round's program written as the full program with the dropped
-edges' upper bounds at 0 (``masked_program``), and a program's constraint
-matrices built by scipy from its column arrays as README's external backend
-recipe builds them (``scipy_matrices``).
+a margin round's program written as ``formulate`` over the graph
+restricted to the round's kept edges (``round_program``), and a program's
+constraint matrices built by scipy from its column arrays as README's
+external backend recipe builds them (``scipy_matrices``).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from nmrassign.domain import (
 from nmrassign.experiments import candidate_roles, canonical_name
 from nmrassign.graph import AssignmentGraph, EdgeLayer
 from nmrassign.grouping import GroupingTable
-from nmrassign.lp import LinearProgram
+from nmrassign.lp import LinearProgram, formulate
 from nmrassign.shortest_path import NoPathError, PathSolution, path_solution
 from nmrassign.simulate import GroundTruth
 
@@ -285,13 +285,37 @@ def truth_cost(g: AssignmentGraph, truth: GroundTruth) -> float:
 
 def masked_program(lp: LinearProgram, kept: np.ndarray) -> LinearProgram:
     """``lp`` with the upper bounds of the edge columns where ``kept`` (one
-    flag per edge column) is False at 0, and no HiGHS model of its own yet:
-    a search node over the full program's columns, the reference for a
-    round's program of its kept edges. Its ``bounds`` are a fresh array,
-    which a caller may set further."""
+    flag per edge column) is False at 0, and no HiGHS model or fold of its
+    own yet: a margin round's program, folded at its first solve."""
     bounds = lp.bounds.copy()
     bounds[: lp.n_edges][~kept, 1] = 0.0
-    return replace(lp, bounds=bounds, _highs=[None, None])
+    return replace(lp, bounds=bounds, _highs=[None, None], _fold=[None])
+
+
+def restricted(g: AssignmentGraph, keep: np.ndarray) -> AssignmentGraph:
+    """The graph with only the edges where ``keep`` (one flag per edge,
+    layer after layer) is True. Its nodes stay as they are, so node
+    indices mean the same in both, and each layer keeps its edges' order."""
+    edges, start = [], 0
+    for layer in g.edges:
+        mask = keep[start : start + len(layer)]
+        start += len(layer)
+        indptr = np.zeros_like(layer.indptr)
+        np.cumsum(np.bincount(layer.src[mask], minlength=len(indptr) - 1), out=indptr[1:])
+        edges.append(EdgeLayer(layer.dst[mask], layer.cost[mask], indptr))
+    return replace(g, edges=edges)
+
+
+def round_program(g: AssignmentGraph, lp: LinearProgram, kept: np.ndarray, incidence) -> LinearProgram:
+    """A margin round's program over its kept edges alone: ``formulate``
+    over ``restricted(g, kept)`` (``kept`` one flag per edge column of
+    ``lp``) with ``lp``'s variant, slack cost and utilization rows
+    (``incidence``, ``lp``'s ``peak_incidence``). Its columns are ``lp``'s
+    kept edge columns in order, then ``lp``'s slack columns; its rows are
+    ``lp``'s."""
+    slack = lp.costs[lp.n_edges :]
+    tol = Tolerances(lam=float(slack[0])) if len(slack) else Tolerances()
+    return formulate(restricted(g, kept), lp.variant, tol, incidence)
 
 
 def scipy_matrices(lp: LinearProgram):

@@ -38,7 +38,7 @@ from nmrassign.lp import (
     solve_lp,
 )
 from nmrassign.experiments import spin_observation_counts
-from nmrassign.graph import AssignmentGraph, build_graph
+from nmrassign.graph import build_graph
 from nmrassign.grouping import spins_to_groupings
 from nmrassign.shortest_path import canonical_path, dp_shortest_path, solve_result
 from nmrassign.simulate import sample_reference, simulate_cisa
@@ -58,6 +58,7 @@ from oracles import (
     path_cost,
     path_overuse,
     random_instance,
+    round_program,
     scipy_matrices,
     triangle_fixture,
     truth_cost,
@@ -200,11 +201,12 @@ def test_column_arrays_are_int32_csc_with_ascending_rows(default_tol):
 def test_external_backends_read_each_programs_columns(monkeypatch, default_tol):
     """A backend reads the program's ``columns``, ``b_ub`` and ``b_eq``: a
     flow program has no inequality rows, and after a fractional root each
-    margin round hands the backend its own program, whose ``columns`` holds
-    one column per variable of that program over its own rows. Every node of
-    a round shares the round's one ``columns`` tuple, so the matrix is built
-    once per program, and a round's first node, the root's answer, makes no
-    solve."""
+    margin round hands the backend the root program with the round's
+    dropped edge columns' upper bounds at 0. Every program of a solve has
+    the root's ``costs``, ``columns`` and ``edge_offsets``, the same arrays,
+    so a backend that caches matrices per ``columns`` builds them once per
+    solve; only ``bounds`` differ. A round's first node, the root's answer,
+    makes no solve."""
     seen = []
 
     def reading(lp):
@@ -227,16 +229,15 @@ def test_external_backends_read_each_programs_columns(monkeypatch, default_tol):
     # the root's solve, then per round one solve per node after its first
     per_round = [r.nodes_explored - 1 for _, _, _, r, _ in calls]
     assert result.proven_optimal and len(seen) == 1 + sum(per_round) and sum(per_round) > 3
-    assert seen[0] is lp
+    assert seen[0] is lp and len(lp.b_ub) > 0
+    for name in ("columns", "costs", "edge_offsets", "b_eq", "b_ub"):
+        assert all(getattr(node, name) is getattr(lp, name) for node in seen), name
     start = 1
-    for solves, (kept, _, _, _, program) in zip(per_round, calls):
-        assert all(node.columns is program.columns for node in seen[start : start + solves])
+    for solves, (kept, *_) in zip(per_round, calls):
+        # a round's nodes drop the round's columns, and maybe more
+        assert all(not node.bounds[~kept].any() for node in seen[start : start + solves])
         start += solves
-        indptr, indices, _ = program.columns
-        assert program.n_vars == kept.sum() and len(indptr) == program.n_vars + 1
-        assert indices.max() < program.n_rows == lp.n_rows
-        assert len(program.b_ub) == len(lp.b_ub) > 0
-    assert len({id(program.columns) for *_, program in calls}) == len(calls) > 1
+    assert len(calls) > 1 and not calls[0][0].all()
 
 
 def test_unknown_variant_rejected(default_tol):
@@ -365,33 +366,19 @@ def test_branch_and_bound_node_limit(default_tol):
 
 
 def _record_bnb(monkeypatch) -> list:
-    """(kept mask, cutoff, node limit, result, program) of every later
-    margin round, that is every ``branch_and_bound`` call on a restricted
-    graph's program: the mask over the full program's columns (its slack
-    columns always kept), the round's ``branch_and_bound`` arguments and
-    answer, with the answer's values mapped back to the full program's
-    columns, and the round's own program."""
-    calls, masks = [], []
-    restricted, original = AssignmentGraph.restricted, lpmod.branch_and_bound
-
-    def recording_mask(g, keep):
-        masks.append(keep)
-        return restricted(g, keep)
+    """(kept mask, cutoff, node limit, result, program) of every margin
+    round, that is every ``branch_and_bound`` call with a cutoff: the
+    columns the round's program leaves open (its slack columns and the edge
+    columns whose upper bound is not 0), the round's ``branch_and_bound``
+    arguments and answer, and the round's program."""
+    calls, original = [], lpmod.branch_and_bound
 
     def recording(lp, *args, **kwargs):
         result = original(lp, *args, **kwargs)
-        if not masks:  # a search that is no margin round
-            return result
-        kept = np.r_[masks.pop(), np.ones(lp.n_vars - lp.n_edges, dtype=bool)]
-        mapped, solution = result, result.solution
-        if solution is not None:
-            values = np.zeros(len(kept))
-            values[kept] = solution.values
-            mapped = replace(result, solution=replace(solution, values=values))
-        calls.append((kept, kwargs.get("cutoff"), kwargs.get("node_limit"), mapped, lp))
+        if "cutoff" in kwargs:  # a margin round
+            calls.append((lp.bounds[:, 1] > 0, kwargs["cutoff"], kwargs.get("node_limit"), result, lp))
         return result
 
-    monkeypatch.setattr(AssignmentGraph, "restricted", recording_mask)
     monkeypatch.setattr(lpmod, "branch_and_bound", recording)
     return calls
 
@@ -481,10 +468,11 @@ def test_dual_priced_fixing_is_exact(monkeypatch, default_tol):
 
 
 def test_round_and_resolve_is_a_function_of_its_inputs():
-    """Each margin round solves a program of its own, so a search does not
-    depend on what was solved before it: on the fractional roots of the
-    first 30 conflicted instances, a second ``round_and_resolve`` on the
-    same graph, program and root answers exactly as the first did."""
+    """Each margin round solves a fresh copy of the root program, with a
+    HiGHS model and a fold of its own, so a search does not depend on what
+    was solved before it: on the fractional roots of the first 30
+    conflicted instances, a second ``round_and_resolve`` on the same graph,
+    program and root answers exactly as the first did."""
     searched = 0
     for g, lp in itertools.islice(_conflicted_instances(4242), 30):
         relaxed = solve_lp(lp)
@@ -499,26 +487,28 @@ def test_round_and_resolve_is_a_function_of_its_inputs():
 
 
 def test_round_programs_match_masked_programs(monkeypatch):
-    """Every margin round's program, the kept edges only, against the oracle
-    ``masked_program``: the full program with the dropped edges' upper
-    bounds at 0. At the round's own bounds and at every node's, both agree
-    on the status and on the objective within 1e-9 relative, and the
-    round's first node, the root's answer, costs what the round's program
-    does. For lian1 and for lian2 at a random lambda, on the first 30
-    conflicted instances and on the regression dataset."""
+    """Every margin round searches the root program with the round's dropped
+    edge columns' upper bounds at 0, folded at those bounds, and HiGHS gets
+    what a program of the kept edges alone folds to: the fold of the oracle
+    ``round_program``. The folded programs' costs, column arrays, ``b_eq``,
+    ``b_ub``, bounds and ``edge_offsets`` are equal, and the folds' columns,
+    sources and receivers are equal mapped through the kept columns; the
+    fold drops the round's dropped columns as fixed. At every node the
+    round solves, both folds map the bounds alike. For lian1 and for lian2
+    at a random lambda, on the first 30 conflicted instances and on the
+    regression dataset."""
     calls = _record_bnb(monkeypatch)
     nodes = []
 
     def recording(lp, backend=None):
-        answer = solve_lp(lp, backend)
-        nodes.append((lp, answer))
-        return answer
+        nodes.append(lp)
+        return solve_lp(lp, backend)
 
     monkeypatch.setattr(lpmod, "solve_lp", recording)
     rng = np.random.default_rng(5151)
     cases = [g for g, _ in itertools.islice(_conflicted_instances(4242), 30)]
     cases.append(_deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)[0])
-    rounds, statuses = Counter(), Counter()
+    rounds, solved = Counter(), 0
     for g in cases:
         incidence = peak_incidence(g)
         lam = float(rng.uniform(0.5, 10.0))
@@ -530,26 +520,26 @@ def test_round_programs_match_masked_programs(monkeypatch):
             calls.clear()
             nodes.clear()
             round_and_resolve(g, lp, relaxed, incidence)
-            for kept, _, _, result, program in calls:
+            for kept, _, _, _, program in calls:
                 columns = np.flatnonzero(kept)
-                at_root = replace(program, _highs=[None, None])
-                solved = [(at_root, solve_lp(at_root))]
-                solved += [(node, answer) for node, answer in nodes if node.columns is program.columns]
-                # the round's own bounds, where the root's answer was its first
-                # node, then one solve per later node
-                assert len(solved) == result.nodes_explored
-                for node, answer in solved:
-                    oracle = masked_program(lp, kept[: lp.n_edges])
-                    oracle.bounds[columns] = node.bounds
-                    want = solve_lp(oracle)
-                    assert answer.status == want.status
-                    if want.ok:
-                        assert answer.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
-                    statuses[want.status] += 1
-                assert solved[0][1].objective == pytest.approx(relaxed.objective, rel=1e-9)
+                fold = program._fold[0]
+                want = lpmod.fold_series(round_program(g, lp, kept[: lp.n_edges], incidence))
+                for name in ("costs", "b_eq", "b_ub", "bounds", "edge_offsets"):
+                    np.testing.assert_array_equal(getattr(fold.program, name), getattr(want.program, name))
+                for got, ref in zip(fold.program.columns, want.program.columns):
+                    assert got.dtype == ref.dtype
+                    np.testing.assert_array_equal(got, ref)
+                for name in ("columns", "sources", "receivers"):
+                    np.testing.assert_array_equal(getattr(fold, name), columns[getattr(want, name)])
+                np.testing.assert_array_equal(fold.rows, want.rows)
+                np.testing.assert_array_equal(fold.fixed, np.flatnonzero(~kept))
+                for node in nodes:
+                    if node._fold is program._fold:
+                        np.testing.assert_array_equal(fold.bounds(node.bounds), want.bounds(node.bounds[columns]))
+                        solved += 1
                 rounds[variant] += 1
     assert min(rounds["lian1"], rounds["lian2"]) > 10, rounds
-    assert statuses["optimal"] > statuses["infeasible"] > 0, statuses
+    assert solved > sum(rounds.values()), solved
 
 
 def test_lian2_with_fixing_matches_penalized_oracle():
@@ -940,6 +930,36 @@ def test_fold_series_by_hand():
         assert lpmod._fault(node, answer) is None
         assert answer.values[[_col(lp, g, 3, 0, 0), *zeroed]].tolist() == [0.0, 0.0, 0.0]
 
+        # a program whose bounds fix a column at 0 drops it, before it counts
+        # series rows: with layer 2's dummy's in-edge and out-edges at upper
+        # bound 0, the dummy's row is left without entries and goes
+        dummy = [_col(lp, g, 1, 0, 0), _col(lp, g, 2, 0, 0), _col(lp, g, 2, 0, 1)]
+        masked = masked_program(lp, ~np.isin(np.arange(lp.n_edges), dummy))
+        answer, want = solve_lp(masked), lpmod.linprog(masked)
+        fold = masked._fold[0]
+        assert fold.fixed.tolist() == sorted(dummy)
+        assert not np.isin(dummy, np.r_[fold.columns, fold.sources, fold.receivers]).any()
+        assert _node_row(lp, g, 2, 0) not in fold.rows
+        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert lpmod._fault(masked, answer) is None
+        assert answer.values[dummy].tolist() == [0.0, 0.0, 0.0]
+        assert fold.expand(np.ones(len(fold.columns)), lp.n_vars)[dummy].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_copies_may_not_reopen_fixed_columns():
+    """A program folded with a column fixed at 0 has that column's entries
+    folded away, so a copy that shares the fold may only lower its bounds:
+    one that raises the fixed column's upper bound is refused, one that
+    lowers another column's is solved."""
+    lp = _two_columns([1.0, 0.0], [1.0, 1.0], [1.0], [], 1.0)
+    masked = replace(lp, bounds=np.array([[0.0, 1.0], [0.0, 0.0]]), _highs=[None, None], _fold=[None])
+    answer = solve_lp(masked)
+    assert answer.ok and answer.values.tolist() == [1.0, 0.0]
+    assert masked._fold[0].fixed.tolist() == [1]
+    with pytest.raises(SolverError, match="reopen a column"):
+        solve_lp(replace(masked, bounds=lp.bounds))
+    assert solve_lp(replace(masked, bounds=np.zeros((2, 2)))).status == "infeasible"
+
 
 def _fold_cases():
     """(label, graph, tolerances) of ``LP_ANSWERS``' random instances, the
@@ -961,10 +981,11 @@ def test_folded_solves_match_unfolded_ones():
     ``linprog`` on the full program is the oracle. For lian1 (and so ilp,
     whose search runs on lian1's root) and lian2 (lambda 2) on every case
     of ``_fold_cases``, three programs are checked: the root, the program of
-    the first margin round (``formulate`` over ``g.restricted`` to the edges
-    whose bound at the root's multipliers lies within 1e-3 of the root),
-    and a search node of each, the program with its dropped columns that
-    carry flow in the program's own optimum at upper bound 0. The status is
+    the first margin round (``masked_program``: the root with the upper
+    bounds at 0 of the edges whose bound at the root's multipliers lies
+    more than 1e-3 above the root, folded at those bounds), and a search
+    node of each, the program with its dropped columns that carry flow in
+    the program's own optimum at upper bound 0. The status is
     the oracle's, objectives agree within 1e-9 relative, and the expanded
     values pass ``_fault`` on the full program. At the folded root's
     multipliers, the least ``edge_bounds`` is the root objective within
@@ -978,9 +999,8 @@ def test_folded_solves_match_unfolded_ones():
             mu = np.clip(root.multipliers, 0.0, lam)
             assert edge_bounds(g, incidence, mu).min() == pytest.approx(root.objective, rel=1e-9, abs=1e-9)
             cutoff = root.objective + 1e-3 * max(1.0, abs(root.objective))
-            restricted = formulate(g.restricted(edge_bounds(g, incidence, mu) <= cutoff), variant,
-                                   replace(tol, lam=2.0), incidence)
-            for program in (lp, restricted):
+            masked = masked_program(lp, edge_bounds(g, incidence, mu) <= cutoff)
+            for program in (lp, masked):
                 answer, want = solve_lp(program), lpmod.linprog(program)
                 fold = program._fold[0]
                 nodes = [(program, answer, want)]
@@ -1015,8 +1035,8 @@ def test_searches_match_unfolded_ones():
     backend) or unfolded (``_unfolded``), proves the same optimum on every
     case of ``_fold_cases``, within 1e-9 relative: ``ilp``'s branch and
     bound on the root, and ``lian1``'s and ``lian2``'s margin rounds on
-    their own programs. Ties may pick other paths, so only objectives are
-    compared."""
+    the root program with their dropped edges' upper bounds at 0. Ties may
+    pick other paths, so only objectives are compared."""
     solvers = {"lian1": solve_lian1, "lian2": solve_lian2, "ilp": solve_ilp}
     searched = Counter()
     for label, g, tol in _fold_cases():
@@ -1351,9 +1371,9 @@ def test_lagrangian_stage_is_pinned_bit_for_bit():
 #: the Lagrangian stage existed: nodes, objective, lp_bound, reused peaks,
 #: epsilons, root_integral; then the search's nodes_explored and
 #: columns_fixed, as the dual-priced search after a fractional root counts
-#: them with each margin round solved warm on a program of its kept edges,
-#: its first node the root's answer, and every LP solved with its series
-#: nodes folded out (``fold_series``)
+#: them with each margin round solved warm on the root program with its
+#: dropped edges' upper bounds at 0, its first node the root's answer, and
+#: every LP solved with its series nodes folded out (``fold_series``)
 LP_ANSWERS = [
     [((0, 1, 3, 4, 3, 0), -5.280578771732348, -6.2843406964628965, {}, {}, False, 27, 37),
      ((0, 2, 3, 4, 3, 0), -6.566205382135065, -7.105377041003454, {"p0": 2, "p3": 2},
