@@ -16,11 +16,14 @@ Lagrangian stage: the rows are relaxed with one multiplier per contested
 peak, and each bound costs one ``dp_shortest_path`` pass with the
 multipliers as node penalties. When the DP path meets its own bound
 (complementary slackness) it is optimal, and no LP is formulated. The
-relaxation has the integrality property, so this proves exactly the
-instances whose root relaxation is integral, which are most peak lists.
-After ``LAGRANGIAN_ITERATIONS`` passes without a proof the stage gives up
-and the LP below decides. ``ilp`` skips the stage and stays the
-full-program oracle.
+relaxation has the integrality property, so the stage proves an instance
+only when its root relaxation is integral, as most peak lists' are. That
+is necessary, not sufficient: even at the root's own duals the DP may
+return, among tied paths, one that reuses peaks, and then no pass proves
+the instance (on four of spins-deletion's eight instances the root is
+integral and the LP proves the answer). After ``LAGRANGIAN_ITERATIONS``
+passes without a proof the stage gives up and the LP below decides.
+``ilp`` skips the stage and stays the full-program oracle.
 
 The module loads numpy only, and ``formulate`` builds the constraint matrix
 in numpy, column by column, as HiGHS reads it: ``LinearProgram.columns`` is
@@ -28,25 +31,27 @@ the program's one matrix, read by HiGHS, by ``_fault`` and by external
 backends. A Lagrangian proof loads no scipy, and an LP no ``scipy.sparse``.
 Relaxations go to HiGHS's dual simplex through ``linprog``, which hands
 HiGHS's Python core the program with the options
-``scipy.optimize.linprog(method="highs-ds")`` would, and answers in the
-program's ``STATUSES``. The first solve loads that core from scipy's
-installed files (``highs_core``) without importing ``scipy.optimize``,
-whose package init loads most of scipy. ``solve_lp`` checks every answer,
-the bundled backend's and an external one's, against the program: an
-optimal answer must meet its bounds and rows within ``_RESIDUAL_TOL``.
+``scipy.optimize.linprog(method="highs-ds")`` would, and answers with an
+``LpSolution``, as every backend does. The first solve loads that core
+from scipy's installed files (``highs_core``) without importing
+``scipy.optimize``, whose package init loads most of scipy. ``solve_lp``
+checks every answer, the bundled backend's and an external one's, against
+the program: an optimal answer must meet its bounds and rows within
+``_RESIDUAL_TOL``.
 The bundled backend hands HiGHS not the program but ``fold_series(lp)``,
-built once per program: a series node, one with a single in-edge (from
-the start or a dummy, on spin systems) or a single out-edge, pins that
-edge's column to the sum of its other edges', so the column and the
-node's conservation row are substituted away (the aggregation step of LP
-presolve). On spin systems about half the rows go, and the roots solve
-about three times faster. The answer is exact: the dropped edge's upper
-bound of 1 is implied by unit flow, and an upper bound of 0 passes to the
-edges that receive the column. The answer is expanded to the full
-program's columns before ``_fault`` checks it, and the utilization rows,
-so the multipliers, are the full program's. HiGHS's vertex solutions are
-integral on pure flow polytopes. The root is solved
-with presolve off (on peak lists, presolve took most of the root's time).
+built once per program, and the fold holds the HiGHS model that solves
+it: a series node, one with a single in-edge (from the start or a dummy,
+on spin systems) or a single out-edge, pins that edge's column to the sum
+of its other edges', so the column and the node's conservation row are
+substituted away (the aggregation step of LP presolve). On spin systems
+about half the rows go, and the roots solve about three times faster.
+The answer is exact: the dropped edge's upper bound of 1 is implied by
+unit flow, and an upper bound of 0 passes to the edges that receive the
+column. The answer is expanded to the full program's columns before
+``_fault`` checks it, and the utilization rows, so the multipliers, are
+the full program's. HiGHS's vertex solutions are integral on pure flow
+polytopes. The root is solved with presolve off (on peak lists, presolve
+took most of the root's time).
 When utilization rows make the optimum fractional, the root's utilization
 duals serve as Lagrangian multipliers: one forward and one backward DP
 (``dp_edge_bounds``) bound every answer that uses an edge, and a branch
@@ -84,7 +89,6 @@ import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -124,13 +128,14 @@ class LinearProgram:
     and ``b_eq``.
 
     The bundled backend keeps the program's ``fold_series`` in ``_fold``,
-    and the HiGHS model of its last solve, and the bounds it holds, in
-    ``_highs``. Copies made by ``dataclasses.replace`` share both slots, so
-    a copy with other ``bounds`` is folded no more, is solved warm and
-    hands HiGHS no matrix again. Such a copy may only lower the bounds its
-    fold was built at: the fold drops the columns they fix at 0. A margin
-    round's program is a copy with fresh slots, folded at its own bounds.
-    A copy with other costs or rows must be built by ``formulate``.
+    and the fold holds the HiGHS model that solves it. Copies made by
+    ``dataclasses.replace`` share the slot, so a copy with other ``bounds``
+    is folded no more, is solved warm and hands HiGHS no matrix again. Such
+    a copy may only lower the bounds its fold was built at: the fold drops
+    the columns they fix at 0. A margin round's program is a copy with a
+    fresh slot, folded at its own bounds. Emptying the slot releases the
+    fold and its model. A copy with other costs or rows must be built by
+    ``formulate``.
     """
 
     variant: str
@@ -144,9 +149,6 @@ class LinearProgram:
     edge_offsets: np.ndarray
     #: contested peak ids, one per utilization row, in row order
     utilization: list[str] = field(default_factory=list)
-    #: the ``_Highs`` of the last bundled solve and the bounds it holds,
-    #: or None and None
-    _highs: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
     #: the ``SeriesFold`` the bundled backend solves, or None before its
     #: first solve
     _fold: list = field(default_factory=lambda: [None], compare=False, repr=False)
@@ -166,12 +168,18 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """The answer of an LP solve: the bundled ``linprog``'s, ``solve_lp``'s
+    or an external backend's. ``status`` is one of ``STATUSES``; an optimal
+    answer holds the objective and one value per column."""
+
     status: str
     objective: float | None
     values: np.ndarray | None
     #: the utilization rows' optimal duals negated (``-y_ub``), one per row;
     #: None when the backend returns no duals
     multipliers: np.ndarray | None = None
+    #: simplex iterations the solve took; 0 when a backend does not say
+    nit: int = 0
 
     @property
     def ok(self) -> bool:
@@ -344,37 +352,40 @@ def highs_core():
     return core
 
 
-def linprog(lp: LinearProgram, highs=None, held=None, presolve: bool = False):
+def linprog(lp: LinearProgram, model: list | None = None, presolve: bool = False) -> LpSolution:
     """``lp`` solved by HiGHS's dual simplex through ``highs_core``, which
     gets the model and options ``scipy.optimize.linprog(method="highs-ds")``
-    passes it. The answer holds one of ``STATUSES`` as ``status``, ``fun``,
-    ``x``, ``marginals`` (the utilization rows' duals) and ``nit``. It is
-    not checked against the program: ``solve_lp`` does that.
+    passes it. The answer is an ``LpSolution`` with its multipliers and
+    ``nit``, not checked against the program: ``solve_lp`` does that. So
+    ``linprog`` is itself a ``Backend`` of the full program.
 
-    ``highs`` is the ``_Highs`` of an earlier answer on the same costs and
-    constraints, and ``held`` the bounds it holds. With them only the
-    column bounds that differ from ``held`` are set, and HiGHS runs on from
-    its last basis with the options it has (``presolve`` is not read). The
-    answer carries its ``_Highs`` as ``highs``, None after a numerical
-    failure."""
+    ``model`` is a slot, ``[_Highs, held bounds]``, of a ``SeriesFold``.
+    When it holds a model of the same costs and constraints, only the
+    column bounds that differ from the held ones are set, and HiGHS runs on
+    from its last basis with the options it has (``presolve`` is not read);
+    otherwise the solve is cold. The run leaves its model and ``lp``'s
+    bounds in the slot; a HiGHS error or a numerical failure leaves it
+    empty. Without a slot every call is cold."""
     h = highs_core()
     n_ub = len(lp.b_ub)
     # HiGHS reads a bound at or beyond kHighsInf as infinite
     lb, ub = (np.clip(v, -h.kHighsInf, h.kHighsInf) for v in lp.bounds.T)
     error = h.HighsStatus.kError
+    highs, held = model or (None, None)
     if highs is not None:
         cols = np.flatnonzero((lp.bounds != held).any(axis=1)).astype(np.int32)
         if highs.changeColsBounds(len(cols), cols, lb[cols], ub[cols]) == error:
-            return _answer("numerical_failure")
+            model[:] = None, None
+            return LpSolution("numerical_failure", None, None)
     else:
-        model = h.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
-        model.num_row_ = model.a_matrix_.num_row_ = lp.n_rows
-        model.a_matrix_.format_ = h.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = lp.columns
-        model.col_cost_, model.col_lower_, model.col_upper_ = lp.costs, lb, ub
-        model.row_lower_ = np.concatenate([np.full(n_ub, -h.kHighsInf), lp.b_eq])
-        model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
+        program = h.HighsLp()
+        program.num_col_ = program.a_matrix_.num_col_ = lp.n_vars
+        program.num_row_ = program.a_matrix_.num_row_ = lp.n_rows
+        program.a_matrix_.format_ = h.MatrixFormat.kColwise
+        program.a_matrix_.start_, program.a_matrix_.index_, program.a_matrix_.value_ = lp.columns
+        program.col_cost_, program.col_lower_, program.col_upper_ = lp.costs, lb, ub
+        program.row_lower_ = np.concatenate([np.full(n_ub, -h.kHighsInf), lp.b_eq])
+        program.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
         settings = h.HighsOptions()
         settings.presolve = "on" if presolve else "off"
         settings.solver = "simplex"
@@ -383,25 +394,22 @@ def linprog(lp: LinearProgram, highs=None, held=None, presolve: bool = False):
         settings.output_flag = settings.log_to_console = False
         highs = h._Highs()
         highs.passOptions(settings)  # fixed values HiGHS accepts: scipy's checks are left out
-        if highs.passModel(model) == error:
-            return _answer(_STATUS["kModelError"])
+        if highs.passModel(program) == error:
+            return LpSolution(_STATUS["kModelError"], None, None)
     ran = highs.run() != error
     status = _STATUS.get(highs.getModelStatus().name, "numerical_failure")
+    if model is not None:  # the run's model, unless the run failed
+        model[:] = (highs, lp.bounds) if ran and status != "numerical_failure" else (None, None)
     if not ran:
         # without a solution to read, an optimal status is a failure too
-        return _answer("numerical_failure" if status == "optimal" else status)
+        return LpSolution("numerical_failure" if status == "optimal" else status, None, None)
     info = highs.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status != "optimal":
-        return _answer(status, nit, highs=None if status == "numerical_failure" else highs)
+        return LpSolution(status, None, None, nit=nit)
     solution = highs.getSolution()
-    x, marginals = np.array(solution.col_value), np.array(solution.row_dual)[:n_ub]
-    return _answer(status, nit, info.objective_function_value, x, marginals, highs)
-
-
-def _answer(status: str, nit: int = 0, fun=None, x=None, marginals=None, highs=None):
-    """``linprog``'s answer, with the ``_Highs`` a later call may run on."""
-    return SimpleNamespace(status=status, fun=fun, x=x, marginals=marginals, nit=nit, highs=highs)
+    x, duals = np.array(solution.col_value), np.array(solution.row_dual)[:n_ub]
+    return LpSolution(status, info.objective_function_value, x, -duals, nit)
 
 
 def _fault(lp: LinearProgram, answer) -> str | None:
@@ -445,7 +453,10 @@ def _fault(lp: LinearProgram, answer) -> str | None:
 @dataclass(frozen=True)
 class SeriesFold:
     """A program with its series nodes folded out (``fold_series``): the
-    smaller ``program`` and the way back to the full one."""
+    smaller ``program``, the way back to the full one, and the slot of the
+    HiGHS model that solves ``program``. The fold, and so its model, is
+    shared by every copy of the full program that it serves, and released
+    with it."""
 
     #: the folded program, its bounds those of the full program it was built from
     program: LinearProgram
@@ -459,6 +470,9 @@ class SeriesFold:
     receivers: np.ndarray
     #: the full program's columns dropped because its bounds fix them at 0
     fixed: np.ndarray
+    #: ``linprog``'s model slot: the ``_Highs`` that last solved ``program``
+    #: and the bounds it holds, or None and None
+    model: list = field(default_factory=lambda: [None, None], compare=False, repr=False)
 
     def bounds(self, bounds: np.ndarray) -> np.ndarray:
         """The folded program's bounds for the full program's ``bounds``:
@@ -567,15 +581,15 @@ def fold_series(lp: LinearProgram) -> SeriesFold:
 
 def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
     """Solve the relaxation with the bundled HiGHS dual simplex backend:
-    warm on the model of ``lp``'s last solve when it has one, and otherwise
-    cold with presolve off. Every answer is checked by ``_fault``. A
-    bundled answer that fails the check is a numerical failure, and its
-    model is dropped; an external backend's raises ``SolverError``, naming
-    the backend.
+    ``linprog`` on the fold's model slot, so warm on the model of the
+    fold's last solve when it has one, and otherwise cold with presolve
+    off. Every answer is checked by ``_fault``. A bundled answer that fails
+    the check is a numerical failure, and the fold's model is dropped; an
+    external backend's raises ``SolverError``, naming the backend.
 
     The bundled backend solves ``fold_series(lp)``, built at ``lp``'s first
-    solve unless ``lp`` holds one, and shared, as the HiGHS model is, by
-    its copies with other bounds: the full program with its series nodes
+    solve unless ``lp`` holds one, and shared, with its model, by ``lp``'s
+    copies with other bounds: the full program with its series nodes
     substituted away, about half the rows on spin systems. The substitution
     is exact, so the optimum is the full program's; the answer is expanded
     back to the full program's columns, and checked against the full
@@ -593,16 +607,13 @@ def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
         fold = lp._fold[0] = fold_series(lp)
     if lp.bounds[fold.fixed].any():
         raise SolverError("bounds reopen a column the program's fold dropped at [0, 0]")
-    program = replace(fold.program, bounds=fold.bounds(lp.bounds))
-    highs, held = lp._highs
-    res = linprog(program, highs=highs, held=held)
-    answer = LpSolution(res.status, None, None)
-    if res.status == "optimal":
-        answer = LpSolution(res.status, float(res.fun), fold.expand(res.x, lp.n_vars), -res.marginals)
-    if _fault(lp, answer) is not None:
-        answer, res.highs = LpSolution("numerical_failure", None, None), None
-    lp._highs[:] = res.highs, program.bounds
-    return answer
+    answer = linprog(replace(fold.program, bounds=fold.bounds(lp.bounds)), fold.model)
+    if answer.ok:
+        answer = replace(answer, values=fold.expand(answer.values, lp.n_vars))
+    if _fault(lp, answer) is None:
+        return answer
+    fold.model[:] = None, None
+    return LpSolution("numerical_failure", None, None)
 
 
 def load_backend(path: str | Path) -> Backend:
@@ -775,10 +786,11 @@ def round_and_resolve(
     unsolved without finding an answer does not end the search: the next
     round goes on, and the answer it finds is unproven. ``columns_fixed``
     counts the edge columns the deciding round dropped. No round solves
-    ``lp`` itself, so its HiGHS model and fold are released first.
+    ``lp`` itself, so its fold, and with it the fold's HiGHS model, is
+    released first.
     """
     assert relaxed.objective is not None and relaxed.values is not None
-    lp._highs[:], lp._fold[:] = (None, None), [None]
+    lp._fold[:] = [None]
     n_edges = lp.n_edges
     incidence = peak_incidence(g) if incidence is None else incidence
     mu = np.zeros(len(incidence[0]))
@@ -795,7 +807,7 @@ def round_and_resolve(
         keep = bounds <= cutoff
         masked = lp.bounds.copy()
         masked[:n_edges][~keep, 1] = 0.0
-        program = replace(lp, bounds=masked, _highs=[None, None], _fold=[None])
+        program = replace(lp, bounds=masked, _fold=[None])
         # folded at the round's bounds, which its nodes only lower
         program._fold[0] = fold_series(program)
         root = relaxed if np.all(np.abs(relaxed.values[:n_edges][~keep]) <= INT_TOL) else None

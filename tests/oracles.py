@@ -285,11 +285,11 @@ def truth_cost(g: AssignmentGraph, truth: GroundTruth) -> float:
 
 def masked_program(lp: LinearProgram, kept: np.ndarray) -> LinearProgram:
     """``lp`` with the upper bounds of the edge columns where ``kept`` (one
-    flag per edge column) is False at 0, and no HiGHS model or fold of its
-    own yet: a margin round's program, folded at its first solve."""
+    flag per edge column) is False at 0, and no fold, so no HiGHS model, of
+    its own yet: a margin round's program, folded at its first solve."""
     bounds = lp.bounds.copy()
     bounds[: lp.n_edges][~kept, 1] = 0.0
-    return replace(lp, bounds=bounds, _highs=[None, None], _fold=[None])
+    return replace(lp, bounds=bounds, _fold=[None])
 
 
 def restricted(g: AssignmentGraph, keep: np.ndarray) -> AssignmentGraph:

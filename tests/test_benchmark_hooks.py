@@ -63,6 +63,8 @@ def test_traced_assign_records_every_stage(monkeypatch, tmp_path, capsys):
     names = {span.name for span in tracer.spans}
     assert "simulate.run" in names
     assert [name for name in ASSIGN_SPANS if name not in names] == []
+    # the hook reads ``nit`` off each answer of ``lp.linprog``
+    assert sum(span.counts["nit"] for span in tracer.spans if span.name == "lp.highs") > 0
 
 
 def test_graph_build_counts_match_the_grouping_rows(monkeypatch, tmp_path, capsys):

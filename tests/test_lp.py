@@ -768,9 +768,10 @@ def test_ilp_search_starts_from_the_root(monkeypatch, default_tol):
     calls = []
     original = lpmod.linprog
 
-    def recording(lp, highs=None, held=None, presolve=False):
-        answer = original(lp, highs, held, presolve)
-        calls.append((highs, presolve, answer.highs))
+    def recording(lp, model=None, presolve=False):
+        before = model[0]
+        answer = original(lp, model, presolve)
+        calls.append((before, presolve, model[0]))
         return answer
 
     monkeypatch.setattr(lpmod, "linprog", recording)
@@ -798,10 +799,11 @@ def test_warm_node_solves_match_cold_ones(monkeypatch):
     pairs = []
     original = lpmod.linprog
 
-    def checking(*args, highs=None, **kwargs):
-        answer = original(*args, highs=highs, **kwargs)
-        if highs is not None:
-            pairs.append((answer, original(*args, **kwargs)))
+    def checking(lp, model=None, presolve=False):
+        warm = model[0] is not None
+        answer = original(lp, model, presolve)
+        if warm:
+            pairs.append((answer, original(lp)))
         return answer
 
     monkeypatch.setattr(lpmod, "linprog", checking)
@@ -815,8 +817,58 @@ def test_warm_node_solves_match_cold_ones(monkeypatch):
     for warm, cold in pairs:
         assert warm.status == cold.status
         if cold.status == "optimal":
-            assert warm.fun == pytest.approx(cold.fun, rel=1e-9)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     assert {cold.status for _, cold in pairs} == {"optimal", "infeasible"}
+
+
+def test_linprog_runs_warm_only_on_a_model_slot():
+    """``linprog`` without a model slot solves cold on every call: two calls
+    on one program take the same iterations to the same objective. Given a
+    slot, the first call is cold too and leaves its model and the program's
+    bounds in the slot; a second call on the same bounds runs on that
+    model from its optimal basis, in no iteration, to the same objective.
+    On the regression dataset's lian1 root."""
+    g, tol, _ = _deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)
+    lp = formulate(g, "lian1", tol)
+    first, second = lpmod.linprog(lp), lpmod.linprog(lp)
+    assert first.ok and first.nit > 0
+    assert (second.nit, second.objective) == (first.nit, first.objective)
+    slot = [None, None]
+    cold = lpmod.linprog(lp, slot)
+    model, held = slot
+    assert (cold.nit, cold.objective) == (first.nit, first.objective)
+    assert model is not None and held is lp.bounds
+    warm = lpmod.linprog(lp, slot)
+    assert slot[0] is model and warm.nit == 0
+    assert warm.objective == pytest.approx(first.objective, rel=1e-12)
+
+
+def test_rejected_answer_drops_the_fold_model(monkeypatch):
+    """A bundled answer that ``_fault`` rejects comes back as a numerical
+    failure and empties the fold's model slot, so the next copy of the
+    program is solved cold, and that solve fills the slot again. The model
+    each ``linprog`` call receives is recorded; ``_fault`` rejects once."""
+    g, tol, _ = _deletion_graph(REGRESSION_SEQUENCE, 6, 0.2)
+    lp = formulate(g, "lian1", tol)
+    received = []
+    original, fault = lpmod.linprog, lpmod._fault
+
+    def recording(program, model=None, presolve=False):
+        received.append(model[0])
+        return original(program, model, presolve)
+
+    monkeypatch.setattr(lpmod, "linprog", recording)
+    assert solve_lp(lp).ok
+    fold = lp._fold[0]
+    model = fold.model[0]
+    assert received == [None] and model is not None
+    rejections = iter(["'s answer is rejected"])
+    monkeypatch.setattr(lpmod, "_fault", lambda lp, answer: next(rejections, None) or fault(lp, answer))
+    assert solve_lp(replace(lp, bounds=lp.bounds.copy())).status == "numerical_failure"
+    assert received[-1] is model and fold.model == [None, None]
+    again = solve_lp(replace(lp, bounds=lp.bounds.copy()))
+    assert again.ok and again.nit > 0
+    assert received[-1] is None and fold.model[0] is not None and lp._fold[0] is fold
 
 
 def test_objectives_stay_below_the_true_path():
@@ -913,9 +965,9 @@ def test_fold_series_by_hand():
         assert np.isin(slacks, fold.columns).all()
         assert not np.isin(slacks, np.r_[fold.sources, fold.receivers]).any()
         answer, want = solve_lp(lp), lpmod.linprog(lp)
-        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert answer.objective == pytest.approx(want.objective, rel=1e-12)
         assert lpmod._fault(lp, answer) is None
-        np.testing.assert_allclose(answer.multipliers, -want.marginals, atol=1e-9)
+        np.testing.assert_allclose(answer.multipliers, want.multipliers, atol=1e-9)
 
         # a dropped column at upper bound 0 holds each of its receivers at 0:
         # layer 3's dummy's edge to the end, and so both its in-edges
@@ -926,7 +978,7 @@ def test_fold_series_by_hand():
         assert np.flatnonzero(mapped[:, 1] == 0.0).tolist() == np.searchsorted(fold.columns, zeroed).tolist()
         node = replace(lp, bounds=bounds)
         answer, want = solve_lp(node), lpmod.linprog(node)
-        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert answer.objective == pytest.approx(want.objective, rel=1e-12)
         assert lpmod._fault(node, answer) is None
         assert answer.values[[_col(lp, g, 3, 0, 0), *zeroed]].tolist() == [0.0, 0.0, 0.0]
 
@@ -940,7 +992,7 @@ def test_fold_series_by_hand():
         assert fold.fixed.tolist() == sorted(dummy)
         assert not np.isin(dummy, np.r_[fold.columns, fold.sources, fold.receivers]).any()
         assert _node_row(lp, g, 2, 0) not in fold.rows
-        assert answer.objective == pytest.approx(want.fun, rel=1e-12)
+        assert answer.objective == pytest.approx(want.objective, rel=1e-12)
         assert lpmod._fault(masked, answer) is None
         assert answer.values[dummy].tolist() == [0.0, 0.0, 0.0]
         assert fold.expand(np.ones(len(fold.columns)), lp.n_vars)[dummy].tolist() == [0.0, 0.0, 0.0]
@@ -952,7 +1004,7 @@ def test_copies_may_not_reopen_fixed_columns():
     one that raises the fixed column's upper bound is refused, one that
     lowers another column's is solved."""
     lp = _two_columns([1.0, 0.0], [1.0, 1.0], [1.0], [], 1.0)
-    masked = replace(lp, bounds=np.array([[0.0, 1.0], [0.0, 0.0]]), _highs=[None, None], _fold=[None])
+    masked = replace(lp, bounds=np.array([[0.0, 1.0], [0.0, 0.0]]), _fold=[None])
     answer = solve_lp(masked)
     assert answer.ok and answer.values.tolist() == [1.0, 0.0]
     assert masked._fold[0].fixed.tolist() == [1]
@@ -1005,7 +1057,7 @@ def test_folded_solves_match_unfolded_ones():
                 fold = program._fold[0]
                 nodes = [(program, answer, want)]
                 if want.status == "optimal":
-                    carried = fold.sources[want.x[fold.sources] > 0.5]
+                    carried = fold.sources[want.values[fold.sources] > 0.5]
                     bounds = program.bounds.copy()
                     bounds[carried, 1] = 0.0
                     node = replace(program, bounds=bounds)
@@ -1015,33 +1067,26 @@ def test_folded_solves_match_unfolded_ones():
                     assert answer.status == want.status, label
                     checked[want.status] += 1
                     if want.status == "optimal":
-                        assert answer.objective == pytest.approx(want.fun, rel=1e-9), label
+                        assert answer.objective == pytest.approx(want.objective, rel=1e-9), label
                         assert lpmod._fault(node, answer) is None
                 assert fold.program.n_rows < program.n_rows
     assert checked["optimal"] > checked["infeasible"] > 0, checked
     assert checked["zeroed"] > 100, checked
 
 
-def _unfolded(lp: LinearProgram) -> LpSolution:
-    """An external backend: ``linprog`` on the full program it receives."""
-    res = lpmod.linprog(lp)
-    if res.status != "optimal":
-        return LpSolution(res.status, None, None)
-    return LpSolution(res.status, float(res.fun), res.x, -res.marginals)
-
-
 def test_searches_match_unfolded_ones():
     """Every variant's search, each of its LPs solved folded (the bundled
-    backend) or unfolded (``_unfolded``), proves the same optimum on every
-    case of ``_fold_cases``, within 1e-9 relative: ``ilp``'s branch and
-    bound on the root, and ``lian1``'s and ``lian2``'s margin rounds on
-    the root program with their dropped edges' upper bounds at 0. Ties may
-    pick other paths, so only objectives are compared."""
+    backend) or unfolded (``linprog``, itself a backend of the full
+    program), proves the same optimum on every case of ``_fold_cases``,
+    within 1e-9 relative: ``ilp``'s branch and bound on the root, and
+    ``lian1``'s and ``lian2``'s margin rounds on the root program with
+    their dropped edges' upper bounds at 0. Ties may pick other paths, so
+    only objectives are compared."""
     solvers = {"lian1": solve_lian1, "lian2": solve_lian2, "ilp": solve_ilp}
     searched = Counter()
     for label, g, tol in _fold_cases():
         for variant, solve in solvers.items():
-            folded, unfolded = (solve(g, replace(tol, lam=2.0), backend) for backend in (None, _unfolded))
+            folded, unfolded = (solve(g, replace(tol, lam=2.0), backend) for backend in (None, lpmod.linprog))
             assert folded.proven_optimal and unfolded.proven_optimal, (label, variant)
             assert folded.objective == pytest.approx(unfolded.objective, rel=1e-9), (label, variant)
             searched[variant] += folded.proved_by == "lp" and not folded.root_integral
@@ -1082,9 +1127,9 @@ def test_linprog_matches_scipy_highs_ds(default_tol):
             assert (ours.status, ours.nit) == (SCIPY_STATUS[theirs.status], theirs.nit)
             statuses[ours.status] += 1
             if theirs.status == 0:
-                assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
-                assert ours.x.tobytes() == theirs.x.tobytes()
-                assert ours.marginals.tobytes() == theirs.ineqlin.marginals.tobytes()
+                assert np.float64(ours.objective).tobytes() == np.float64(theirs.fun).tobytes()
+                assert ours.values.tobytes() == theirs.x.tobytes()
+                assert (-ours.multipliers).tobytes() == theirs.ineqlin.marginals.tobytes()
     # every random program is feasible and bounded; the last two are not
     assert statuses == {"optimal": 2 * len(programs) - 4, "infeasible": 2, "unbounded": 2}
 
